@@ -501,7 +501,13 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
                             "unknown frame type '" + F->Type + "'"));
     }
   }
-  Conn->Sock.close();
+  {
+    // Drain shuts the socket down under ConnMutex and a streaming sink
+    // sends under WriteMutex; closing under both keeps either from
+    // touching a closed, possibly reused, fd.
+    std::scoped_lock Lock(ConnMutex, Conn->WriteMutex);
+    Conn->Sock.close();
+  }
   Conn->Done.store(true, std::memory_order_release);
 }
 

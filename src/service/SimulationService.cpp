@@ -578,7 +578,9 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
     const bool UseSuper = Noise && !StochasticNoise &&
                           Strategy->isDeterministic() &&
                           H.numQubits() <= SuperoperatorMaxQubits;
-    Req.PerShot = [&, EvalJobs = Req.EvalJobs,
+    // UseSuper is captured by value: the hook runs inside compileBatch,
+    // after this block and its locals have ended.
+    Req.PerShot = [&, UseSuper, EvalJobs = Req.EvalJobs,
                    Precision = Spec.Precision](size_t Shot,
                                                const CompilationResult &R) {
       if (Eval && (!EvalOnce || Shot == 0)) {

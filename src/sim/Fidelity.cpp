@@ -60,11 +60,15 @@ FidelityEvaluator::FidelityEvaluator(const Hamiltonian &H, double T,
     std::sort(Columns.begin(), Columns.end());
   }
 
+  // One grouped operator serves every column and is dropped on return, so
+  // only the targets stay resident. The columns evolve on the calling
+  // thread: pool workers started here would inherit a caller's CPU pin.
+  const PauliOperator Op(H);
   Targets.reserve(Columns.size());
   for (uint64_t X : Columns) {
     CVector Basis(Dim, Complex(0.0, 0.0));
     Basis[X] = 1.0;
-    Targets.push_back(evolveExact(H, T, Basis));
+    Targets.push_back(evolveExact(Op, T, Basis));
   }
 }
 

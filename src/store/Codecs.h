@@ -20,9 +20,11 @@
 ///                              cache directories stay valid)
 ///   marqsim-alias-v1 N         the combined (channel-mixed) transition
 ///                              matrix an alias bundle is rebuilt from
-///   marqsim-fid-v1 Q C D       Q qubits, C columns of dimension D = 2^Q;
+///   marqsim-fid-v2 Q C D       Q qubits, C columns of dimension D = 2^Q;
 ///                              per column: basis index + D complex
-///                              amplitudes
+///                              amplitudes (v1 bodies hold targets of the
+///                              older Taylor propagator, whose bits differ,
+///                              so they are rejected and recomputed)
 ///   marqsim-super-v1 M         an M x M complex superoperator (M = 4^n),
 ///                              row-major, two hex doubles per entry
 ///
@@ -53,7 +55,7 @@ inline constexpr const char *MatrixMagic = "marqsim-matrix-v2";
 inline constexpr const char *AliasMagic = "marqsim-alias-v1";
 
 /// Magic of the fidelity-columns format.
-inline constexpr const char *FidelityMagic = "marqsim-fid-v1";
+inline constexpr const char *FidelityMagic = "marqsim-fid-v2";
 
 /// Serializes \p P under \p Magic.
 std::string encodeMatrixBody(const char *Magic, const TransitionMatrix &P);

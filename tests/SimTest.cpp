@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "hamgen/Models.h"
+#include "hamgen/Registry.h"
 #include "linalg/Expm.h"
+#include "service/SimulationService.h"
 #include "sim/Evolution.h"
 #include "sim/Fidelity.h"
 #include "sim/Observables.h"
+#include "sim/PauliOperator.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
 #include "support/RNG.h"
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 using namespace marqsim;
@@ -78,6 +82,61 @@ void referencePauli(CVector &Amp, const PauliString &P) {
              << ")";
   }
   return ::testing::AssertionSuccess();
+}
+
+/// The term-by-term matvec and the 0.5-slice Taylor propagator that
+/// computed exact targets before the grouped operator and the Chebyshev
+/// expansion, kept verbatim as the tolerance reference.
+CVector referenceApplyHamiltonian(const Hamiltonian &H, const CVector &X) {
+  assert(X.size() == size_t(1) << H.numQubits() && "state size mismatch");
+  CVector Y(X.size(), Complex(0.0, 0.0));
+  for (const PauliTerm &T : H.terms()) {
+    const uint64_t XM = T.String.xMask();
+    for (uint64_t B = 0; B < X.size(); ++B)
+      Y[B ^ XM] += T.Coeff * T.String.applyToBasis(B) * X[B];
+  }
+  return Y;
+}
+
+CVector referenceEvolveTaylor(const Hamiltonian &H, double T,
+                              const CVector &In) {
+  assert(In.size() == size_t(1) << H.numQubits() && "state size mismatch");
+  // Split T into slices with lambda * |slice| <= 0.5 so the Taylor series
+  // converges in a handful of terms; lambda bounds the spectral norm of H.
+  const double Lambda = H.lambda();
+  const double Horizon = Lambda * std::fabs(T);
+  const unsigned Slices =
+      std::max(1u, static_cast<unsigned>(std::ceil(Horizon / 0.5)));
+  const double Dt = T / Slices;
+
+  CVector State = In;
+  for (unsigned S = 0; S < Slices; ++S) {
+    // State <- sum_k (i Dt H)^k / k! State.
+    CVector Acc = State;
+    CVector Term = State;
+    for (unsigned K = 1; K <= 40; ++K) {
+      CVector HTerm = referenceApplyHamiltonian(H, Term);
+      const Complex Factor = Complex(0.0, Dt) / static_cast<double>(K);
+      for (size_t I = 0; I < HTerm.size(); ++I)
+        Term[I] = Factor * HTerm[I];
+      double TermNorm = 0.0;
+      for (const Complex &V : Term)
+        TermNorm += std::norm(V);
+      for (size_t I = 0; I < Acc.size(); ++I)
+        Acc[I] += Term[I];
+      if (std::sqrt(TermNorm) < 1e-14)
+        break;
+    }
+    State.swap(Acc);
+  }
+  return State;
+}
+
+double maxAbsDiff(const CVector &A, const CVector &B) {
+  double Max = 0.0;
+  for (size_t I = 0; I < A.size(); ++I)
+    Max = std::max(Max, std::abs(A[I] - B[I]));
+  return Max;
 }
 
 /// A random Pauli string; \p ZOnly restricts to the diagonal alphabet.
@@ -213,17 +272,39 @@ TEST(EvolutionTest, ApplyHamiltonianMatchesDense) {
     EXPECT_NEAR(std::abs(Got[I] - Expected[I]), 0.0, 1e-12);
 }
 
+TEST(PauliOperatorTest, ApplyMatchesDenseWithMixedYParityGroups) {
+  // XXI, YXZ and YYI share X mask 110 but carry the canonical phases i^0,
+  // i^1 and i^2; III and ZIZ form the diagonal group; XZY is alone.
+  Hamiltonian H = Hamiltonian::parse({{0.7, "XXI"},
+                                      {-0.4, "YXZ"},
+                                      {0.3, "YYI"},
+                                      {1.1, "III"},
+                                      {-0.6, "ZIZ"},
+                                      {0.25, "XZY"}});
+  PauliOperator Op(H);
+  EXPECT_EQ(Op.numGroups(), 3u);
+  EXPECT_EQ(Op.lambda(), H.lambda());
+  RNG Rng(93);
+  const Matrix Dense = H.toMatrix();
+  for (int Trial = 0; Trial < 4; ++Trial) {
+    CVector In = randomState(3, Rng);
+    EXPECT_LE(maxAbsDiff(Op.apply(In), Dense * In), 1e-12);
+  }
+}
+
 TEST(EvolutionTest, EvolveExactMatchesDenseExponential) {
   RNG Rng(74);
   Hamiltonian H = makeRandomHamiltonian(3, 6, Rng);
-  double T = 0.9;
-  Matrix U = exactUnitary(H, T);
-  for (uint64_t Col : {0ull, 3ull, 7ull}) {
-    CVector Basis(8, Complex(0, 0));
-    Basis[Col] = 1.0;
-    CVector Evolved = evolveExact(H, T, Basis);
-    for (size_t I = 0; I < 8; ++I)
-      EXPECT_NEAR(std::abs(Evolved[I] - U.at(I, Col)), 0.0, 1e-9);
+  for (double T : {0.9, -1.3}) {
+    Matrix U = exactUnitary(H, T);
+    for (uint64_t Col : {0ull, 3ull, 7ull}) {
+      CVector Basis(8, Complex(0, 0));
+      Basis[Col] = 1.0;
+      CVector Evolved = evolveExact(H, T, Basis);
+      for (size_t I = 0; I < 8; ++I)
+        EXPECT_NEAR(std::abs(Evolved[I] - U.at(I, Col)), 0.0, 1e-12)
+            << "t = " << T << ", column " << Col;
+    }
   }
 }
 
@@ -235,13 +316,60 @@ TEST(EvolutionTest, EvolutionPreservesNorm) {
   EXPECT_NEAR(vectorNorm(Out), 1.0, 1e-10);
 }
 
+TEST(EvolutionTest, NormPreservedAtLargeLambdaT) {
+  // lambda * t = 200: a degree in the hundreds, every J_k well away from
+  // the small-argument regime.
+  RNG Rng(77);
+  Hamiltonian H = makeTransverseFieldIsing(6, 1.0, 0.7).rescaledToLambda(200.0);
+  CVector In = randomState(6, Rng);
+  CVector Out = evolveExact(H, 1.0, In);
+  EXPECT_NEAR(vectorNorm(Out), 1.0, 1e-12);
+}
+
+TEST(EvolutionTest, SlicedLongEvolutionMatchesTaylorReference) {
+  // lambda * t = 1200 runs as three slices: libstdc++'s J_k(a) is not
+  // usable for a > 1000, so one expansion over the whole horizon is not
+  // an option.
+  RNG Rng(79);
+  Hamiltonian H =
+      makeTransverseFieldIsing(4, 1.0, 0.7).rescaledToLambda(1200.0);
+  CVector In = randomState(4, Rng);
+  EXPECT_LE(maxAbsDiff(evolveExact(H, 1.0, In),
+                       referenceEvolveTaylor(H, 1.0, In)),
+            1e-10);
+}
+
 TEST(EvolutionTest, ZeroTimeIsIdentity) {
   RNG Rng(76);
   Hamiltonian H = makeRandomHamiltonian(3, 4, Rng);
   CVector In = randomState(3, Rng);
   CVector Out = evolveExact(H, 0.0, In);
-  for (size_t I = 0; I < In.size(); ++I)
-    EXPECT_NEAR(std::abs(Out[I] - In[I]), 0.0, 1e-12);
+  EXPECT_TRUE(bitIdentical(In, Out.data(), In.size()));
+}
+
+TEST(EvolutionTest, EmptyHamiltonianIsIdentity) {
+  // lambda = 0: the expansion must not divide by it.
+  RNG Rng(78);
+  Hamiltonian H(3);
+  CVector In = randomState(3, Rng);
+  CVector Out = evolveExact(H, 0.7, In);
+  EXPECT_TRUE(bitIdentical(In, Out.data(), In.size()));
+  EXPECT_LE(maxAbsDiff(exactUnitary(H, 0.7) * In, Out), 1e-12);
+  EXPECT_EQ(maxAbsDiff(applyHamiltonian(H, In), CVector(In.size())), 0.0);
+}
+
+TEST(EvolutionTest, MatchesTaylorReferenceOnRegistryNaPlus) {
+  const BenchmarkSpec Spec = *findBenchmark("Na+");
+  const Hamiltonian H = SimulationService::prepare(makeBenchmark(Spec));
+  ASSERT_EQ(H.numQubits(), 8u);
+  for (uint64_t Col : {0ull, 37ull, 200ull, 255ull}) {
+    CVector Basis(size_t(1) << H.numQubits(), Complex(0.0, 0.0));
+    Basis[Col] = 1.0;
+    EXPECT_LE(maxAbsDiff(evolveExact(H, Spec.Time, Basis),
+                         referenceEvolveTaylor(H, Spec.Time, Basis)),
+              1e-12)
+        << "column " << Col;
+  }
 }
 
 TEST(ObservablesTest, BasisStateExpectations) {

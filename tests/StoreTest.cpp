@@ -23,6 +23,7 @@
 
 #include "service/SimulationService.h"
 #include "store/Codecs.h"
+#include "support/Serial.h"
 
 #include <gtest/gtest.h>
 
@@ -246,6 +247,43 @@ TEST(StoreCodecTest, FidelityBodyRoundTripsBitExactly) {
   // Stale shapes are rejected.
   EXPECT_FALSE(store::decodeFidelityBody(H.numQubits(), 4, Body));
   EXPECT_FALSE(store::decodeFidelityBody(H.numQubits() + 1, 5, Body));
+}
+
+TEST(StoreServiceTest, PreviousFidelityFormatIsRecomputedNotServed) {
+  std::string Dir = freshDir("store_fid_v1");
+  ServiceOptions Options;
+  Options.CacheDir = Dir;
+  TaskSpec Spec = testSpec();
+
+  std::optional<TaskResult> Clean;
+  {
+    SimulationService Service(Options);
+    Clean = Service.run(Spec);
+    ASSERT_TRUE(Clean);
+  }
+  std::filesystem::path Fid = onlyFile(Dir, ".fid");
+  const std::string Healthy = readAll(Fid);
+  std::string Body;
+  ASSERT_TRUE(serial::splitChecksummed(Healthy, Body));
+  const std::string Magic = store::FidelityMagic;
+  ASSERT_EQ(Body.compare(0, Magic.size(), Magic), 0);
+
+  // What an older build left under the same key: an intact checksum and
+  // payload layout, but targets from the previous propagator.
+  const std::string Old = "marqsim-fid-v1" + Body.substr(Magic.size());
+  EXPECT_FALSE(store::decodeFidelityBody(testHamiltonian().numQubits(),
+                                         Spec.Evaluate.FidelityColumns, Old));
+  std::ofstream(Fid) << serial::withChecksum(Old);
+  {
+    SimulationService Service(Options);
+    std::optional<TaskResult> R = Service.run(Spec);
+    ASSERT_TRUE(R);
+    EXPECT_EQ(Service.stats().EvaluatorMisses, 1u);
+    ASSERT_EQ(R->ShotFidelities.size(), Clean->ShotFidelities.size());
+    for (size_t I = 0; I < R->ShotFidelities.size(); ++I)
+      EXPECT_EQ(R->ShotFidelities[I], Clean->ShotFidelities[I]);
+  }
+  EXPECT_EQ(readAll(Fid), Healthy) << "the recompute heals the file";
 }
 
 TEST(StoreServiceTest, AllArtifactTypesPersistAndReplayBitIdentically) {
