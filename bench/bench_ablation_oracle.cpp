@@ -113,7 +113,7 @@ int main(int Argc, char **Argv) {
     NoCancel.Emit.CrossCancellation = false;
     CompilationResult Plain = RunOne(Config, NoCancel);
     CompilationResult Fancy = RunOne(Config, {});
-    Circuit Peep = optimizeCircuit(Fancy.Circ);
+    Circuit Peep = optimizeCircuit(Fancy.circuit());
     double EmitRed = 1.0 - double(Fancy.Counts.CNOTs) /
                                double(Plain.Counts.CNOTs);
     double PeepExtra = 1.0 - double(Peep.counts().CNOTs) /

@@ -97,12 +97,13 @@ int main() {
   Report("MarQSim-GC", *Tuned);
   R.print(std::cout);
 
+  // Results carry gate counts; the gates themselves are lowered on demand.
+  const Circuit ShotZero = Tuned->ShotZero.circuit();
   std::cout << "\nFirst gates of the optimized shot 0 (depth "
-            << Tuned->ShotZero.Circ.depth() << "), as OpenQASM 2.0:\n";
-  Circuit Head(Tuned->ShotZero.Circ.numQubits());
-  for (size_t I = 0; I < std::min<size_t>(8, Tuned->ShotZero.Circ.size());
-       ++I)
-    Head.append(Tuned->ShotZero.Circ.gate(I));
+            << ShotZero.depth() << "), as OpenQASM 2.0:\n";
+  Circuit Head(ShotZero.numQubits());
+  for (size_t I = 0; I < std::min<size_t>(8, ShotZero.size()); ++I)
+    Head.append(ShotZero.gate(I));
   std::cout << toQasm(Head);
 
   // 4. A tighter-precision task: the MCFP solution, graph, alias tables,

@@ -48,8 +48,9 @@ CompilationResult marqsim::materializePlan(const Hamiltonian &H,
   }
   R.Sequence = std::move(Plan.Sequence);
 
-  R.Circ = emitSchedule(R.Schedule, H.numQubits(), Opts.Emit, &R.Stats);
-  R.Counts = R.Circ.counts();
+  R.NumQubits = H.numQubits();
+  R.Emit = Opts.Emit;
+  R.Counts = countSchedule(R.Schedule, Opts.Emit, &R.Stats);
   return R;
 }
 

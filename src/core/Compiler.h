@@ -48,10 +48,7 @@ struct CompilationResult {
   /// Merged schedule: runs of equal consecutive terms folded together.
   std::vector<ScheduledRotation> Schedule;
 
-  /// The lowered circuit.
-  Circuit Circ;
-
-  /// Gate statistics of Circ.
+  /// Gate statistics of circuit(), counted without building it.
   GateCounts Counts;
 
   /// Cancellation accounting from the emitter.
@@ -61,6 +58,14 @@ struct CompilationResult {
   size_t NumSamples = 0;
   double Lambda = 0.0;
   double Tau = 0.0;
+
+  /// Register width and lowering options circuit() lowers with.
+  unsigned NumQubits = 0;
+  EmitOptions Emit;
+
+  /// Lowers Schedule to gates. Not cached: callers that read the gates
+  /// more than once keep the returned circuit.
+  Circuit circuit() const { return emitSchedule(Schedule, NumQubits, Emit); }
 };
 
 /// The term-visit plan of one compilation shot, before lowering: what a
@@ -89,8 +94,9 @@ CompilationResult compileBySampling(const HTTGraph &Graph, double T,
                                     const CompilationOptions &Opts = {});
 
 /// Deterministic back end shared by all compilers and strategies: merges
-/// runs of equal consecutive terms into single rotations and lowers the
-/// schedule through the cancellation-aware emitter.
+/// runs of equal consecutive terms into single rotations and counts the
+/// gates of the schedule's cancellation-aware lowering (the gates
+/// themselves come from CompilationResult::circuit on demand).
 CompilationResult materializePlan(const Hamiltonian &H, ShotPlan Plan,
                                   const CompilationOptions &Opts = {});
 

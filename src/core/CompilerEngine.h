@@ -204,7 +204,7 @@ struct BatchRequest {
   /// Lowering options applied to every shot.
   CompilationOptions Opts;
 
-  /// Retain the full CompilationResult (circuit, schedule, sequence) of
+  /// Retain the full CompilationResult (schedule, sequence, counts) of
   /// every shot in BatchResult::Results. Off by default: large batches
   /// only need the per-shot summaries.
   bool KeepResults = false;
@@ -269,14 +269,22 @@ struct BatchResult {
   /// happens once, at strategy construction).
   double Seconds = 0.0;
 
+  /// Seconds spent producing and materializing each shot (the Markov walk
+  /// plus gate counting), summed over shots. Each worker times its own
+  /// shots into a per-shot slot and compileBatch adds the slots after the
+  /// barrier, so under Jobs > 1 this is a CPU-seconds figure that can
+  /// exceed the wall-clock Seconds. A deterministic strategy compiles
+  /// once, so it counts once. Not carried by shard manifests: merged runs
+  /// leave it 0.
+  double CompileSeconds = 0.0;
+
   /// Seconds spent in per-shot *evaluation*, summed over shots. The
   /// engine leaves it 0; the hook owner fills it in (SimulationService
   /// times exactly its fidelity calls, so artifact copies in the hook
   /// never masquerade as evaluation). Under Jobs > 1 the hooks run
   /// concurrently, so this is a CPU-seconds figure that can exceed the
-  /// wall-clock Seconds; with Jobs = 1 it is the exact evaluation share
-  /// of the batch, and Seconds - EvalSeconds is the walk/emission share.
-  /// The shard merge sums it across manifests.
+  /// wall-clock Seconds, exactly like CompileSeconds. The shard merge
+  /// sums it across manifests.
   double EvalSeconds = 0.0;
 
   /// Order-sensitive combination of the per-shot sequence hashes; equal

@@ -24,6 +24,11 @@
 /// pairs are operator-level inverses separated only by commuting gates (the
 /// tests check emitted unitaries against analytic products).
 ///
+/// One decision routine drives two outputs: emitSchedule appends the gates,
+/// countSchedule only popcounts them. The per-shot compile path needs just
+/// the counts, so it never builds a Circuit; callers that read gates lower
+/// on demand (CompilationResult::circuit).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MARQSIM_CORE_EMITTER_H
@@ -56,6 +61,12 @@ struct EmitStats {
 Circuit emitSchedule(const std::vector<ScheduledRotation> &Schedule,
                      unsigned NumQubits, const EmitOptions &Opts = {},
                      EmitStats *Stats = nullptr);
+
+/// Returns emitSchedule(Schedule, n, Opts).counts() — and the same
+/// \p Stats — without creating a single gate.
+GateCounts countSchedule(const std::vector<ScheduledRotation> &Schedule,
+                         const EmitOptions &Opts = {},
+                         EmitStats *Stats = nullptr);
 
 } // namespace marqsim
 

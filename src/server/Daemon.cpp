@@ -290,18 +290,20 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
         ShardManifest Manifest = ShardManifest::fromTaskResult(
             Spec, ShotRange{0, Spec.Shots}, Result);
         Body.set("manifest", Manifest.serialize());
+        std::optional<Circuit> ShotZero;
         if (Result.HasShotZero) {
+          ShotZero = Result.ShotZero.circuit();
           std::ostringstream Qasm;
-          exportQasm(Result.ShotZero.Circ, Qasm);
+          exportQasm(*ShotZero, Qasm);
           Body.set("qasm", Qasm.str());
-          Body.set("depth",
-                   static_cast<int64_t>(Result.ShotZero.Circ.depth()));
+          Body.set("depth", static_cast<int64_t>(ShotZero->depth()));
         }
         if (!Result.GraphDot.empty())
           Body.set("dot", Result.GraphDot);
         ArtifactStore::Stats Store = Service.storeStats();
-        Body.set("stats", runStatsJson(Spec, Result, &Store,
-                                       Opts.StoreLimitBytes));
+        Body.set("stats",
+                 runStatsJson(Spec, Result, &Store, Opts.StoreLimitBytes,
+                              ShotZero ? &*ShotZero : nullptr));
       }
       Conn->send(encodeFrame("result", std::move(Body)));
     } else if (F->Type == "cancel") {

@@ -114,7 +114,8 @@ json::Value kernelsJson(EvalPrecision Precision) {
 
 json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
                          const ArtifactStore::Stats *Store,
-                         size_t StoreLimitBytes) {
+                         size_t StoreLimitBytes,
+                         const Circuit *ShotZeroCircuit) {
   json::Value V = json::Value::object();
   V.set("format", "marqsim-stats-v1");
   V.set("fingerprint", serial::hex16(Result.Fingerprint));
@@ -131,13 +132,15 @@ json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
 
   if (Result.HasShotZero) {
     const CompilationResult &R = Result.ShotZero;
+    const size_t Depth =
+        ShotZeroCircuit ? ShotZeroCircuit->depth() : R.circuit().depth();
     V.set("shot0", json::Value::object()
                        .set("samples", static_cast<int64_t>(R.NumSamples))
                        .set("cnots", static_cast<int64_t>(R.Counts.CNOTs))
                        .set("singles",
                             static_cast<int64_t>(R.Counts.SingleQubit))
                        .set("total", static_cast<int64_t>(R.Counts.total()))
-                       .set("depth", static_cast<int64_t>(R.Circ.depth())));
+                       .set("depth", static_cast<int64_t>(Depth)));
   }
 
   if (Result.HasFidelity) {

@@ -343,6 +343,7 @@ void BatchScheduler::execute(const std::shared_ptr<Request> &R) {
         }
         B.JobsUsed = std::max(B.JobsUsed, Part->Batch.JobsUsed);
         B.Seconds += Part->Batch.Seconds;
+        B.CompileSeconds += Part->Batch.CompileSeconds;
         B.EvalSeconds += Part->Batch.EvalSeconds;
         B.Shots.insert(B.Shots.end(), Part->Batch.Shots.begin(),
                        Part->Batch.Shots.end());

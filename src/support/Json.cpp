@@ -302,7 +302,7 @@ struct Parser {
         Out += '\t';
         break;
       case 'u': {
-        uint32_t Code;
+        uint32_t Code = 0;
         if (!hex4(Code))
           return false;
         // Surrogate pair: a high surrogate must be followed by \uDC00..
@@ -311,7 +311,7 @@ struct Parser {
                 Text[Pos + 1] == 'u'))
             return fail("lone high surrogate");
           Pos += 2;
-          uint32_t Low;
+          uint32_t Low = 0;
           if (!hex4(Low))
             return false;
           if (Low < 0xDC00 || Low > 0xDFFF)

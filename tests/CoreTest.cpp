@@ -423,6 +423,97 @@ INSTANTIATE_TEST_SUITE_P(
                       EmitterSweepCase{3, 12, 24, 7},
                       EmitterSweepCase{2, 2, 16, 8}));
 
+/// A random string on \p N qubits; each qubit is I with probability 1/4,
+/// else Y with probability \p PY, else X or Z.
+static PauliString randomString(unsigned N, double PY, RNG &Rng) {
+  PauliString P;
+  for (unsigned Q = 0; Q < N; ++Q) {
+    if (Rng.bernoulli(0.25))
+      continue;
+    if (Rng.bernoulli(PY))
+      P.setOp(Q, PauliOpKind::Y);
+    else
+      P.setOp(Q, Rng.bernoulli(0.5) ? PauliOpKind::X : PauliOpKind::Z);
+  }
+  return P;
+}
+
+TEST(EmitterTest, CountPassAgreesWithGatePass) {
+  // countSchedule and emitSchedule share one decision routine; this pins
+  // that they also agree on every count and statistic, and that the
+  // on-demand CompilationResult::circuit() is the emitter's circuit gate
+  // for gate. The term pools mix identity strings, duplicated strings and
+  // Y-heavy strings; the plans repeat terms back to back and interleave
+  // identities between repeats (A I A folds into one rotation).
+  RNG Rng(1313);
+  for (unsigned N = 1; N <= 12; ++N) {
+    for (int Trial = 0; Trial < 4; ++Trial) {
+      Hamiltonian H(N);
+      H.addTerm(0.25, PauliString());
+      for (int K = 0; K < 6; ++K)
+        H.addTerm(Rng.uniform(-1.0, 1.0), randomString(N, 0.8, Rng));
+      for (int K = 0; K < 6; ++K)
+        H.addTerm(Rng.uniform(-1.0, 1.0), randomString(N, 0.2, Rng));
+      H.addTerm(0.5, H.term(1).String);
+
+      ShotPlan Plan;
+      Plan.TauStep = 0.01;
+      for (int K = 0; K < 120; ++K) {
+        size_t Index = Rng.uniformInt(H.numTerms());
+        if (!Plan.Sequence.empty() && Rng.bernoulli(0.3))
+          Index = Plan.Sequence.back();
+        else if (Plan.Sequence.size() >= 2 && Rng.bernoulli(0.1))
+          Index = Plan.Sequence[Plan.Sequence.size() - 2];
+        Plan.Sequence.push_back(Index);
+      }
+
+      for (bool Cancel : {true, false}) {
+        SCOPED_TRACE("qubits=" + std::to_string(N) + " trial=" +
+                     std::to_string(Trial) + " cancel=" +
+                     std::to_string(Cancel));
+        CompilationOptions Opts;
+        Opts.Emit.CrossCancellation = Cancel;
+        CompilationResult R = materializePlan(H, Plan, Opts);
+
+        // Counts and stats against the gate pass; returns the circuit.
+        auto ExpectAgree = [&](const std::vector<ScheduledRotation> &Schedule,
+                               const GateCounts &Counts,
+                               const EmitStats &Stats) {
+          EmitStats GateStats;
+          Circuit C = emitSchedule(Schedule, N, Opts.Emit, &GateStats);
+          EXPECT_EQ(Counts.CNOTs, C.counts().CNOTs);
+          EXPECT_EQ(Counts.SingleQubit, C.counts().SingleQubit);
+          EXPECT_EQ(Stats.CancelledCNOTs, GateStats.CancelledCNOTs);
+          EXPECT_EQ(Stats.CancelledSingles, GateStats.CancelledSingles);
+          return C;
+        };
+
+        // The raw per-visit schedule exercises the emitter's own folding.
+        std::vector<ScheduledRotation> Raw;
+        for (size_t Index : Plan.Sequence)
+          Raw.emplace_back(H.term(Index).String, H.term(Index).Coeff);
+        EmitStats RawStats;
+        GateCounts RawCounts = countSchedule(Raw, Opts.Emit, &RawStats);
+        ExpectAgree(Raw, RawCounts, RawStats);
+
+        // The merged schedule is what materializePlan counted.
+        Circuit C = ExpectAgree(R.Schedule, R.Counts, R.Stats);
+        Circuit Lowered = R.circuit();
+        EXPECT_EQ(Lowered.numQubits(), N);
+        EXPECT_TRUE(Lowered.gates() == C.gates());
+      }
+    }
+  }
+
+  // A schedule of identities lowers to nothing.
+  std::vector<ScheduledRotation> Identities(3, {PauliString(), 0.2});
+  EmitStats Stats;
+  GateCounts Counts = countSchedule(Identities, {}, &Stats);
+  EXPECT_EQ(Counts.total(), 0u);
+  EXPECT_EQ(Stats.CancelledCNOTs + Stats.CancelledSingles, 0u);
+  EXPECT_TRUE(emitSchedule(Identities, 2).empty());
+}
+
 //===----------------------------------------------------------------------===//
 // Compiler (Algorithm 1)
 //===----------------------------------------------------------------------===//
@@ -469,7 +560,7 @@ TEST(CompilerTest, CompiledCircuitApproximatesEvolution) {
   double F = Eval.fidelity(R.Schedule);
   EXPECT_GT(F, 0.97);
   // The gate-level circuit agrees with the analytic schedule.
-  EXPECT_NEAR(Eval.fidelityOfCircuit(R.Circ), F, 1e-9);
+  EXPECT_NEAR(Eval.fidelityOfCircuit(R.circuit()), F, 1e-9);
 }
 
 TEST(CompilerTest, NegativeCoefficientsGetNegativeTau) {

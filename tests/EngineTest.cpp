@@ -8,14 +8,17 @@
 //   * compileBatch is bit-identical for every worker count,
 //   * compileOne(Seed) equals shot 0 of a batch with the same seed,
 //   * deterministic strategies replicate one shot across the batch,
-// plus the RNG substream derivation, the ThreadPool, the CDF quantile
+// plus frozen sequence, fidelity and shot-0 QASM goldens, the RNG
+// substream derivation, the ThreadPool, the CDF quantile
 // clamp, and a chi-square check that the alias and CDF samplers agree in
 // distribution.
 //
 //===----------------------------------------------------------------------===//
 
+#include "circuit/QasmExport.h"
 #include "core/CompilerEngine.h"
 #include "core/TransitionBuilders.h"
+#include "service/SimulationService.h"
 #include "sim/Fidelity.h"
 #include "support/Serial.h"
 #include "support/ThreadPool.h"
@@ -344,7 +347,7 @@ TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
 
   // The gate-level circuit path shares the panel substrate.
   EXPECT_EQ(serial::hex16(serial::doubleBits(
-                Eval.fidelityOfCircuit(Batch.Results[0].Circ))),
+                Eval.fidelityOfCircuit(Batch.Results[0].circuit()))),
             "3fefd1c62990a848");
 
   // Within-shot fan-out must not move a bit: a 16-column (two-block)
@@ -356,6 +359,40 @@ TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
     EXPECT_EQ(serial::doubleBits(Exact.fidelity(Schedule, 1)),
               serial::doubleBits(Exact.fidelity(Schedule, 4)))
         << "shot " << Shot;
+  }
+}
+
+TEST(SamplerRegressionTest, ShotZeroQasmIsFrozen) {
+  // Pins the emitter's gate order, root choices and Rz angles end to end
+  // on two registry workloads, through the service and the on-demand
+  // lowering that --out and the daemon use. Recorded while the emitter
+  // still built every shot's circuit eagerly; the count/gate split must
+  // reproduce every byte. LiH runs one perturbation round to keep the
+  // test fast (the MCFP solves dominate it, not the lowering).
+  struct Case {
+    const char *Model;
+    const char *Mix;
+    unsigned PerturbRounds;
+    size_t Gates;
+    uint64_t QasmHash;
+  };
+  const Case Cases[] = {{"Na+", "gc", 8, 20450, 0x3b635de693ffde49ULL},
+                        {"LiH", "gc-rp", 1, 442923, 0x6713c6fc821d1a72ULL}};
+  for (const Case &C : Cases) {
+    TaskSpec Spec;
+    Spec.Source = HamiltonianSource::fromModel(C.Model);
+    Spec.Mix = *ChannelMix::preset(C.Mix);
+    Spec.PerturbRounds = C.PerturbRounds;
+    Spec.Seed = 2025;
+    Spec.Evaluate.ExportShotZero = true;
+    SimulationService Service;
+    std::string Error;
+    std::optional<TaskResult> R = Service.run(Spec, &Error);
+    ASSERT_TRUE(R) << C.Model << ": " << Error;
+    Circuit Circ = R->ShotZero.circuit();
+    EXPECT_EQ(Circ.size(), C.Gates) << C.Model;
+    EXPECT_EQ(Circ.size(), R->ShotZero.Counts.total()) << C.Model;
+    EXPECT_EQ(serial::fnv1a(toQasm(Circ)), C.QasmHash) << C.Model;
   }
 }
 
@@ -482,8 +519,10 @@ TEST(CompilerEngineTest, PerShotHookSeesEveryShotOnce) {
         << "shot " << Shot;
   // Evaluation accounting belongs to the hook owner (SimulationService
   // times its fidelity calls); the engine never guesses at what a generic
-  // hook spends its time on.
+  // hook spends its time on. Walk + emission is the engine's own work: it
+  // times each shot and sums the slots.
   EXPECT_EQ(Batch.EvalSeconds, 0.0);
+  EXPECT_GT(Batch.CompileSeconds, 0.0);
 }
 
 TEST(CompilerEngineTest, PerShotHookFiresPerReplicatedShot) {

@@ -178,6 +178,46 @@ bool claimAllArtifacts(Socket &S, const Frame &F) {
   return S.sendAll(server::encodeFrame("artifact", std::move(Body)));
 }
 
+/// An honest worker that holds every shard range until \p Open() turns
+/// true, then computes it on a real daemon and relays the manifest. The
+/// fault-injection tests gate it on the faulty worker having received a
+/// range; an ungated daemon can finish the whole batch before the faulty
+/// worker's thread even connects. Warm-up frames are claimed, so the
+/// daemon behind the gate solves for itself.
+struct GatedWorker {
+  TestDaemon Upstream;
+  std::optional<server::DaemonClient> Client;
+  FakeWorker Front;
+
+  explicit GatedWorker(std::function<bool()> Open)
+      : Front([this, Open = std::move(Open)](Socket &S, const Frame &F) {
+          if (F.Type != "shard-submit")
+            return claimAllArtifacts(S, F);
+          for (int Waited = 0; !Open() && Waited < 10000; Waited += 5)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          if (!Client)
+            Client = server::DaemonClient::connectTo(Upstream.hostPort());
+          const json::Value *Spec = F.Body.find("spec");
+          if (!Client || !Spec)
+            return false;
+          ShotRange Range{static_cast<size_t>(F.Body.find("begin")->asInt()),
+                          static_cast<size_t>(F.Body.find("count")->asInt())};
+          std::optional<std::string> Manifest =
+              Client->runShardRange(*Spec, Range, 0, nullptr, nullptr);
+          if (!Manifest)
+            return false;
+          S.sendAll(server::encodeFrame("accepted",
+                                        json::Value::object().set("id", 1)));
+          return S.sendAll(server::encodeFrame(
+              "shard-result", json::Value::object()
+                                  .set("id", 1)
+                                  .set("state", "done")
+                                  .set("manifest", *Manifest)));
+        }) {}
+
+  std::string hostPort() const { return Front.hostPort(); }
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -419,20 +459,26 @@ TEST(FleetTest, TwoWorkersBitIdenticalWithOneSolveFleetWide) {
   EXPECT_EQ(Dispatched, 3u);
   EXPECT_EQ(Report.Retries, 0u);
 
-  // The daemon-side fabric counters surfaced in the stats frame.
-  std::optional<server::DaemonClient> Client =
-      server::DaemonClient::connectTo(W1.hostPort(), &Error);
-  ASSERT_TRUE(Client) << Error;
-  std::optional<json::Value> Stats = Client->serverStats(&Error);
-  ASSERT_TRUE(Stats) << Error;
-  const json::Value *Fabric = Stats->find("fabric");
-  ASSERT_NE(Fabric, nullptr);
-  EXPECT_GE(Fabric->find("shard_submits")->asInt(), 1);
-  EXPECT_EQ(Fabric->find("shard_results")->asInt(),
-            Fabric->find("shard_submits")->asInt());
-  EXPECT_GE(Fabric->find("artifact_puts")->asInt(), 1);
-  EXPECT_GE(Fabric->find("artifact_misses")->asInt(), 1);
-  EXPECT_GT(Fabric->find("artifact_bytes_in")->asInt(), 0);
+  // The daemon-side fabric counters surfaced in the stats frame. Both
+  // workers were warmed; which one ran how many ranges is a race (one
+  // fast daemon may drain all three), so submits are checked summed.
+  int64_t Submits = 0;
+  for (const TestDaemon *W : {&W1, &W2}) {
+    std::optional<server::DaemonClient> Client =
+        server::DaemonClient::connectTo(W->hostPort(), &Error);
+    ASSERT_TRUE(Client) << Error;
+    std::optional<json::Value> Stats = Client->serverStats(&Error);
+    ASSERT_TRUE(Stats) << Error;
+    const json::Value *Fabric = Stats->find("fabric");
+    ASSERT_NE(Fabric, nullptr);
+    Submits += Fabric->find("shard_submits")->asInt();
+    EXPECT_EQ(Fabric->find("shard_results")->asInt(),
+              Fabric->find("shard_submits")->asInt());
+    EXPECT_GE(Fabric->find("artifact_puts")->asInt(), 1);
+    EXPECT_GE(Fabric->find("artifact_misses")->asInt(), 1);
+    EXPECT_GT(Fabric->find("artifact_bytes_in")->asInt(), 0);
+  }
+  EXPECT_EQ(Submits, 3);
 }
 
 TEST(FleetTest, SecondRunOverWarmWorkersFetchesNothing) {
@@ -473,12 +519,14 @@ TEST(FleetTest, DeadWorkerRangeIsRedispatchedToSurvivor) {
   std::optional<TaskResult> Single = Reference.run(Spec);
   ASSERT_TRUE(Single);
 
-  TestDaemon Survivor;
-  ASSERT_TRUE(Survivor.Started);
   // Claims every artifact, accepts its first range, then drops the
   // connection with the range in flight — a worker killed mid-range.
-  FakeWorker Doomed([](Socket &S, const Frame &F) {
+  std::atomic<int> Submits{0};
+  GatedWorker Survivor([&Submits] { return Submits > 0; });
+  ASSERT_TRUE(Survivor.Upstream.Started);
+  FakeWorker Doomed([&Submits](Socket &S, const Frame &F) {
     if (F.Type == "shard-submit") {
+      ++Submits;
       S.sendAll(server::encodeFrame(
           "accepted", json::Value::object().set("id", 1)));
       return false; // hang up with the range in flight
@@ -516,12 +564,12 @@ TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
   std::optional<TaskResult> Single = Reference.run(Spec);
   ASSERT_TRUE(Single);
 
-  TestDaemon Honest;
-  ASSERT_TRUE(Honest.Started);
   // Returns a well-framed shard-result whose manifest is garbage, once,
   // then hangs up. The coordinator must reject the manifest (attempt
   // charge), re-dispatch, and finish on the honest worker.
   std::atomic<int> Lies{0};
+  GatedWorker Honest([&Lies] { return Lies > 0; });
+  ASSERT_TRUE(Honest.Upstream.Started);
   FakeWorker Liar([&Lies](Socket &S, const Frame &F) {
     if (F.Type == "shard-submit") {
       ++Lies;

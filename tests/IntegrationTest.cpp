@@ -104,7 +104,7 @@ TEST(IntegrationTest, PeepholeGainOverEmitterIsBounded) {
   HTTGraph G(H, P);
   RNG Rng(3000);
   CompilationResult R = compileBySampling(G, 0.5, 0.1, Rng);
-  Circuit Optimized = optimizeCircuit(R.Circ);
+  Circuit Optimized = optimizeCircuit(R.circuit());
   EXPECT_LE(Optimized.counts().total(), R.Counts.total());
   double Slack =
       1.0 - double(Optimized.counts().total()) / double(R.Counts.total());
@@ -123,7 +123,7 @@ TEST(IntegrationTest, EmitterCancellationAgreesWithPeepholeOnNaive) {
   Naive.Emit.CrossCancellation = false;
   CompilationResult Plain = compileBySampling(G, 0.4, 0.1, R1, Naive);
   CompilationResult Fancy = compileBySampling(G, 0.4, 0.1, R2);
-  Circuit PlainOpt = optimizeCircuit(Plain.Circ);
+  Circuit PlainOpt = optimizeCircuit(Plain.circuit());
   // Same sampled sequence (same seed), so counts are directly comparable.
   ASSERT_EQ(Plain.Sequence, Fancy.Sequence);
   double Ratio =
@@ -140,7 +140,7 @@ TEST(IntegrationTest, RegistryBenchmarkCompilesEndToEnd) {
   RNG Rng(5000);
   CompilationResult R = compileBySampling(G, Spec.Time, 0.2, Rng);
   EXPECT_GT(R.Counts.CNOTs, 0u);
-  EXPECT_EQ(R.Circ.numQubits(), Spec.Qubits);
+  EXPECT_EQ(R.circuit().numQubits(), Spec.Qubits);
 }
 
 TEST(IntegrationTest, MarQSimBeatsDeterministicTrotterOnAccuracyBudget) {
@@ -229,11 +229,12 @@ TEST(IntegrationTest, QasmOfCompiledCircuitIsWellFormed) {
   HTTGraph G(H, P);
   RNG Rng(11111);
   CompilationResult R = compileBySampling(G, 0.3, 0.1, Rng);
-  std::string Qasm = toQasm(R.Circ);
+  const Circuit Circ = R.circuit();
+  std::string Qasm = toQasm(Circ);
   EXPECT_NE(Qasm.find("OPENQASM 2.0;"), std::string::npos);
   // Every gate emits exactly one line after the 3 header lines.
   size_t Lines = std::count(Qasm.begin(), Qasm.end(), '\n');
-  EXPECT_EQ(Lines, R.Circ.size() + 3);
+  EXPECT_EQ(Lines, Circ.size() + 3);
 }
 
 TEST(IntegrationTest, VaryingRatioMonotonicity) {

@@ -529,8 +529,9 @@ TEST(DaemonTest, RemoteRunIsBitIdenticalToLocal) {
   LocalSpec.Evaluate.ExportShotZero = true;
   std::optional<TaskResult> Reference = Local.run(LocalSpec);
   ASSERT_TRUE(Reference);
+  const Circuit ReferenceCircuit = Reference->ShotZero.circuit();
   std::ostringstream ReferenceQasm;
-  exportQasm(Reference->ShotZero.Circ, ReferenceQasm);
+  exportQasm(ReferenceCircuit, ReferenceQasm);
 
   TestDaemon Daemon;
   ASSERT_TRUE(Daemon.Started);
@@ -543,7 +544,7 @@ TEST(DaemonTest, RemoteRunIsBitIdenticalToLocal) {
   ASSERT_TRUE(Remote) << Error;
 
   EXPECT_EQ(Remote->Qasm, ReferenceQasm.str());
-  EXPECT_EQ(Remote->Depth, Reference->ShotZero.Circ.depth());
+  EXPECT_EQ(Remote->Depth, ReferenceCircuit.depth());
   EXPECT_EQ(Remote->Result.Fingerprint, Reference->Fingerprint);
   EXPECT_EQ(Remote->Result.Batch.batchHash(), Reference->Batch.batchHash());
   ASSERT_EQ(Remote->Result.ShotFidelities.size(),

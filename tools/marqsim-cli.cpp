@@ -499,11 +499,14 @@ int main(int Argc, char **Argv) {
     std::ofstream Dot(CL.getString("dot"));
     Dot << Result->GraphDot;
   }
+  // Shot 0 is the one circuit this process reads gate by gate: lower it
+  // once for the QASM, the depth and the stats object.
+  const Circuit ShotZeroCircuit = Result->ShotZero.circuit();
   if (CL.has("out")) {
     std::ofstream Out(CL.getString("out"));
-    exportQasm(Result->ShotZero.Circ, Out);
+    exportQasm(ShotZeroCircuit, Out);
   } else {
-    exportQasm(Result->ShotZero.Circ, std::cout);
+    exportQasm(ShotZeroCircuit, std::cout);
   }
 
   if (Spec->Shots > 1)
@@ -516,7 +519,7 @@ int main(int Argc, char **Argv) {
               << " cnots=" << R.Counts.CNOTs
               << " singles=" << R.Counts.SingleQubit
               << " total=" << R.Counts.total()
-              << " depth=" << R.Circ.depth() << "\n";
+              << " depth=" << ShotZeroCircuit.depth() << "\n";
     std::cerr << "kernels: " << SimulationService::kernelName()
               << " detected=" << SimulationService::detectedKernelName()
               << " avx512-os="
@@ -532,18 +535,17 @@ int main(int Argc, char **Argv) {
       std::cerr << "fidelity=" << formatDouble(Result->ShotFidelities[0], 6)
                 << " (" << Spec->Evaluate.FidelityColumns << " columns)\n";
     // Phase split of the batch: walk/emission (the sequential Markov part)
-    // vs per-shot evaluation (the fidelity calls). Eval is CPU-seconds
-    // summed per shot, so it can exceed the wall figure when shots run
-    // concurrently. For sharded runs the wall figure is the coordinator's
-    // whole run (spawn + workers + merge), not a batch clock, so the
-    // walk-vs-eval subtraction would be meaningless — only the summed
-    // worker eval time is reported there.
+    // vs per-shot evaluation (the fidelity calls). Both are CPU-seconds
+    // summed per shot, so either can exceed the wall figure when shots
+    // run concurrently. For sharded runs the wall figure is the
+    // coordinator's whole run (spawn + workers + merge), not a batch
+    // clock, and only the summed worker eval time travels back.
     if (!Sharded) {
-      const double Eval = Result->Batch.EvalSeconds;
-      const double Walk = std::max(0.0, Result->Batch.Seconds - Eval);
       std::cerr << "phase: wall=" << formatDouble(Result->Batch.Seconds)
-                << " s walk+emit=" << formatDouble(Walk)
-                << " s eval=" << formatDouble(Eval) << " s\n";
+                << " s walk+emit-cpu="
+                << formatDouble(Result->Batch.CompileSeconds)
+                << " s eval-cpu=" << formatDouble(Result->Batch.EvalSeconds)
+                << " s\n";
     } else {
       std::cerr << "phase: coordinator-wall="
                 << formatDouble(Result->Batch.Seconds)
@@ -600,8 +602,9 @@ int main(int Argc, char **Argv) {
     // sharded runs the per-process store tiers are omitted (each worker
     // had its own store, so this process's counters would mislead).
     ArtifactStore::Stats Store = Service.storeStats();
-    json::Value StatsJson = server::runStatsJson(
-        *Spec, *Result, Sharded ? nullptr : &Store, Options.CacheLimitBytes);
+    json::Value StatsJson =
+        server::runStatsJson(*Spec, *Result, Sharded ? nullptr : &Store,
+                             Options.CacheLimitBytes, &ShotZeroCircuit);
     // Additive key: present only when fleet mode actually dispatched, so
     // existing marqsim-stats-v1 consumers parse unchanged.
     if (Report.Fleet.Used)
