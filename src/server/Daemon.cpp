@@ -302,8 +302,8 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
           Body.set("dot", Result.GraphDot);
         ArtifactStore::Stats Store = Service.storeStats();
         Body.set("stats",
-                 runStatsJson(Spec, Result, &Store, Opts.StoreLimitBytes,
-                              ShotZero ? &*ShotZero : nullptr));
+                 runStatsJson(Spec, Result, ShotZero ? &*ShotZero : nullptr,
+                              &Store, Opts.StoreLimitBytes));
       }
       Conn->send(encodeFrame("result", std::move(Body)));
     } else if (F->Type == "cancel") {

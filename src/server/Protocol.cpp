@@ -8,6 +8,8 @@
 
 #include "support/Serial.h"
 
+#include <cassert>
+
 namespace marqsim {
 namespace server {
 
@@ -113,9 +115,9 @@ json::Value kernelsJson(EvalPrecision Precision) {
 }
 
 json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
+                         const Circuit *ShotZeroCircuit,
                          const ArtifactStore::Stats *Store,
-                         size_t StoreLimitBytes,
-                         const Circuit *ShotZeroCircuit) {
+                         size_t StoreLimitBytes) {
   json::Value V = json::Value::object();
   V.set("format", "marqsim-stats-v1");
   V.set("fingerprint", serial::hex16(Result.Fingerprint));
@@ -131,16 +133,16 @@ json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
                      .set("eval_seconds", Batch.EvalSeconds));
 
   if (Result.HasShotZero) {
+    assert(ShotZeroCircuit && "shot 0 present but not lowered by the caller");
     const CompilationResult &R = Result.ShotZero;
-    const size_t Depth =
-        ShotZeroCircuit ? ShotZeroCircuit->depth() : R.circuit().depth();
     V.set("shot0", json::Value::object()
                        .set("samples", static_cast<int64_t>(R.NumSamples))
                        .set("cnots", static_cast<int64_t>(R.Counts.CNOTs))
                        .set("singles",
                             static_cast<int64_t>(R.Counts.SingleQubit))
                        .set("total", static_cast<int64_t>(R.Counts.total()))
-                       .set("depth", static_cast<int64_t>(Depth)));
+                       .set("depth",
+                            static_cast<int64_t>(ShotZeroCircuit->depth())));
   }
 
   if (Result.HasFidelity) {

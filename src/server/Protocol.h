@@ -139,12 +139,12 @@ json::Value kernelsJson(EvalPrecision Precision);
 /// hash, shot-0 gate counts, fidelity summary with exact per-shot hexes,
 /// kernel tiers, cache and (optionally) store accounting. This is the one
 /// serializer behind `marqsim-cli --stats-json` and the daemon's frames.
-/// \p ShotZeroCircuit is shot 0's lowered circuit when the caller already
-/// holds it (for the depth); otherwise it is lowered here.
+/// \p ShotZeroCircuit is shot 0's lowered circuit (for the depth); callers
+/// lower it once for their QASM and pass it whenever Result.HasShotZero.
 json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
-                         const ArtifactStore::Stats *Store = nullptr,
-                         size_t StoreLimitBytes = 0,
-                         const Circuit *ShotZeroCircuit = nullptr);
+                         const Circuit *ShotZeroCircuit,
+                         const ArtifactStore::Stats *Store,
+                         size_t StoreLimitBytes);
 
 /// Coordinator-side fleet accounting ("fleet" section of marqsim-stats-v1,
 /// additive): per-worker ranges dispatched/re-dispatched, artifact fetch

@@ -178,41 +178,40 @@ bool claimAllArtifacts(Socket &S, const Frame &F) {
   return S.sendAll(server::encodeFrame("artifact", std::move(Body)));
 }
 
-/// An honest worker that holds every shard range until \p Open() turns
-/// true, then computes it on a real daemon and relays the manifest. The
-/// fault-injection tests gate it on the faulty worker having received a
-/// range; an ungated daemon can finish the whole batch before the faulty
-/// worker's thread even connects. Warm-up frames are claimed, so the
-/// daemon behind the gate solves for itself.
+/// An honest worker: a real daemon behind a relay that passes every frame
+/// through unchanged but holds each shard range until \p Open() turns
+/// true. The fault-injection tests gate it on the faulty worker having
+/// received a range; an ungated daemon can finish the whole batch before
+/// the faulty worker's thread even connects. Warm-up frames are relayed
+/// too, so the daemon is warmed over the wire like any fleet worker.
 struct GatedWorker {
   TestDaemon Upstream;
-  std::optional<server::DaemonClient> Client;
+  std::optional<Socket> Link;
   FakeWorker Front;
 
   explicit GatedWorker(std::function<bool()> Open)
       : Front([this, Open = std::move(Open)](Socket &S, const Frame &F) {
-          if (F.Type != "shard-submit")
-            return claimAllArtifacts(S, F);
-          for (int Waited = 0; !Open() && Waited < 10000; Waited += 5)
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          if (!Client)
-            Client = server::DaemonClient::connectTo(Upstream.hostPort());
-          const json::Value *Spec = F.Body.find("spec");
-          if (!Client || !Spec)
+          if (F.Type == "shard-submit")
+            for (int Waited = 0; !Open() && Waited < 10000; Waited += 5)
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          if (!Link)
+            Link = Socket::connectTo("127.0.0.1", Upstream.D.port());
+          if (!Link || !Link->sendAll(server::encodeFrame(F.Type, F.Body)))
             return false;
-          ShotRange Range{static_cast<size_t>(F.Body.find("begin")->asInt()),
-                          static_cast<size_t>(F.Body.find("count")->asInt())};
-          std::optional<std::string> Manifest =
-              Client->runShardRange(*Spec, Range, 0, nullptr, nullptr);
-          if (!Manifest)
-            return false;
-          S.sendAll(server::encodeFrame("accepted",
-                                        json::Value::object().set("id", 1)));
-          return S.sendAll(server::encodeFrame(
-              "shard-result", json::Value::object()
-                                  .set("id", 1)
-                                  .set("state", "done")
-                                  .set("manifest", *Manifest)));
+          // Every request has one answer frame; a shard range's answer is
+          // preceded by "accepted".
+          std::string Line;
+          for (;;) {
+            if (Link->readLine(Line, server::MaxResponseFrameBytes) !=
+                Socket::ReadStatus::Line)
+              return false;
+            std::optional<Frame> Reply = server::decodeFrame(Line);
+            if (!Reply ||
+                !S.sendAll(server::encodeFrame(Reply->Type, Reply->Body)))
+              return false;
+            if (Reply->Type != "accepted")
+              return true;
+          }
         }) {}
 
   std::string hostPort() const { return Front.hostPort(); }
@@ -556,6 +555,8 @@ TEST(FleetTest, DeadWorkerRangeIsRedispatchedToSurvivor) {
     SawRedispatch |=
         Note.find("re-dispatching range") != std::string::npos;
   EXPECT_TRUE(SawRedispatch) << "missing re-dispatch note";
+  // The survivor's daemon was warmed over the wire and solved nothing.
+  EXPECT_EQ(Survivor.Upstream.Service.stats().GCSolveMisses, 0u);
 }
 
 TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
@@ -602,6 +603,7 @@ TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
     SawRejection |=
         Note.find("re-dispatching the range") != std::string::npos;
   EXPECT_TRUE(SawRejection) << "missing corrupt-manifest rejection note";
+  EXPECT_EQ(Honest.Upstream.Service.stats().GCSolveMisses, 0u);
 }
 
 TEST(FleetTest, FleetOfLiarsAbortsAfterBoundedAttempts) {

@@ -603,8 +603,9 @@ int main(int Argc, char **Argv) {
     // had its own store, so this process's counters would mislead).
     ArtifactStore::Stats Store = Service.storeStats();
     json::Value StatsJson =
-        server::runStatsJson(*Spec, *Result, Sharded ? nullptr : &Store,
-                             Options.CacheLimitBytes, &ShotZeroCircuit);
+        server::runStatsJson(*Spec, *Result, &ShotZeroCircuit,
+                             Sharded ? nullptr : &Store,
+                             Options.CacheLimitBytes);
     // Additive key: present only when fleet mode actually dispatched, so
     // existing marqsim-stats-v1 consumers parse unchanged.
     if (Report.Fleet.Used)
