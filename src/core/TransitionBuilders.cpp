@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <stdexcept>
+#include <string>
 
 using namespace marqsim;
 
@@ -46,16 +48,25 @@ static std::vector<int64_t> quantize(const std::vector<double> &Pi,
 /// Shared MCFP skeleton of Algorithm 2: builds the bipartite Prev -> Next
 /// network with stationary capacities, costs from \p CostFn (diagonal edges
 /// omitted), solves it, and extracts the transition matrix
-/// p_ij = f_ij / pi_i.
+/// p_ij = f_ij / pi_i. Throws std::invalid_argument when a term's
+/// stationary weight exceeds 1/2 (Theorem 5.1), which makes the network
+/// infeasible.
 static TransitionMatrix
 solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
                 const std::function<int64_t(size_t, size_t)> &CostFn) {
   const size_t N = H.numTerms();
   assert(N >= 2 && "the flow model needs at least two terms");
   std::vector<double> Pi = H.stationaryDistribution();
-  for ([[maybe_unused]] double P : Pi)
-    assert(P <= 0.5 + 1e-12 &&
-           "pi_i > 0.5: split the Hamiltonian first (Theorem 5.1)");
+  auto Offending = [&](size_t I) {
+    return "term " + std::to_string(I) + " (" +
+           H.term(I).String.str(H.numQubits()) + ") has pi = " +
+           std::to_string(Pi[I]);
+  };
+  for (size_t I = 0; I < N; ++I)
+    if (Pi[I] > 0.5 + 1e-12)
+      throw std::invalid_argument(
+          "MCFP builder: " + Offending(I) +
+          " > 0.5; split the Hamiltonian first (Theorem 5.1)");
   std::vector<int64_t> Units = quantize(Pi, Opts.ProbScale);
 
   // Node layout: 0 = S, 1..N = Prev, N+1..2N = Next, 2N+1 = T.
@@ -63,29 +74,36 @@ solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
   auto PrevNode = [](size_t I) { return 1 + I; };
   auto NextNode = [N](size_t J) { return 1 + N + J; };
 
+  // Edge ids: S -> Prev edges 0..N-1, then the dense Prev -> Next edges
+  // row-major without the diagonal, then the Next -> T edges.
+  auto MiddleEdgeId = [N](size_t I, size_t J) {
+    return N + I * (N - 1) + J - (J > I);
+  };
   MinCostFlow Net(2 * N + 2);
-  std::vector<size_t> SourceEdges(N);
   for (size_t I = 0; I < N; ++I)
-    SourceEdges[I] = Net.addEdge(S, PrevNode(I), Units[I], 0);
-
-  // Dense middle edges; ids laid out row-major for extraction.
-  std::vector<std::vector<size_t>> MiddleEdge(N,
-                                              std::vector<size_t>(N, ~0ULL));
+    Net.addEdge(S, PrevNode(I), Units[I], 0);
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue; // excluded to rule out the trivial identity matrix
-      MiddleEdge[I][J] = Net.addEdge(PrevNode(I), NextNode(J),
-                                     MinCostFlow::kInfiniteCapacity,
-                                     CostFn(I, J));
+      [[maybe_unused]] size_t Id =
+          Net.addEdge(PrevNode(I), NextNode(J),
+                      MinCostFlow::kInfiniteCapacity, CostFn(I, J));
+      assert(Id == MiddleEdgeId(I, J) && "middle edge id layout");
     }
   for (size_t J = 0; J < N; ++J)
     Net.addEdge(NextNode(J), T, Units[J], 0);
 
   MinCostFlow::Result Result = Net.solve(S, T, Opts.ProbScale);
-  assert(Result.Feasible && "MCFP infeasible: stationary capacities violate "
-                            "the pi_i <= 0.5 precondition");
-  (void)Result;
+  if (!Result.Feasible) {
+    // Quantization can push a weight at the 1/2 boundary over it; name the
+    // heaviest term, the one that cannot route all of its flow.
+    size_t Heaviest = static_cast<size_t>(
+        std::max_element(Units.begin(), Units.end()) - Units.begin());
+    throw std::invalid_argument("MCFP builder: network infeasible; " +
+                                Offending(Heaviest) +
+                                " (quantized weights violate pi_i <= 0.5)");
+  }
 
   TransitionMatrix P(N);
   for (size_t I = 0; I < N; ++I) {
@@ -99,7 +117,7 @@ solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
     for (size_t J = 0; J < N; ++J) {
       if (I == J)
         continue;
-      P.at(I, J) = static_cast<double>(Net.flowOnEdge(MiddleEdge[I][J])) /
+      P.at(I, J) = static_cast<double>(Net.flowOnEdge(MiddleEdgeId(I, J))) /
                    static_cast<double>(Units[I]);
     }
   }
@@ -131,17 +149,18 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
   const size_t N = H.numTerms();
 
   TransitionMatrix Sum(N);
+  std::vector<int64_t> Perturbed(N * N); // row-major, reused every round
   for (unsigned Round = 0; Round < Rounds; ++Round) {
     // Independent epsilon per edge: +1 CNOT with probability 1/2
-    // (the paper's perturbation configuration, Section 6.1).
-    std::vector<std::vector<int64_t>> Perturbed(N, std::vector<int64_t>(N));
+    // (the paper's perturbation configuration, Section 6.1). Draws run
+    // row-major over the full table, diagonal included.
     for (size_t I = 0; I < N; ++I)
       for (size_t J = 0; J < N; ++J)
-        Perturbed[I][J] =
+        Perturbed[I * N + J] =
             Opts.CostScale * static_cast<int64_t>(Cost[I][J]) +
             (Rng.bernoulli(0.5) ? Opts.CostScale : 0);
     TransitionMatrix P = solveFlowMatrix(
-        H, Opts, [&](size_t I, size_t J) { return Perturbed[I][J]; });
+        H, Opts, [&](size_t I, size_t J) { return Perturbed[I * N + J]; });
     for (size_t I = 0; I < N; ++I)
       for (size_t J = 0; J < N; ++J)
         Sum.at(I, J) += P.at(I, J);

@@ -14,22 +14,54 @@ using namespace marqsim;
 
 static constexpr int64_t kInfDist = std::numeric_limits<int64_t>::max() / 4;
 
-MinCostFlow::MinCostFlow(size_t NumNodes) : NumNodes(NumNodes) {
-  Adj.resize(NumNodes);
-}
+MinCostFlow::MinCostFlow(size_t NumNodes) : NumNodes(NumNodes) {}
 
 size_t MinCostFlow::addEdge(size_t From, size_t To, int64_t Capacity,
                             int64_t Cost) {
   assert(From < NumNodes && To < NumNodes && "edge endpoint out of range");
   assert(Capacity >= 0 && "negative capacity");
   assert(!Solved && "network already solved");
-  size_t Id = Edges.size() / 2;
-  Adj[From].push_back(static_cast<uint32_t>(Edges.size()));
-  Edges.push_back({static_cast<uint32_t>(To), Capacity, Cost});
-  Adj[To].push_back(static_cast<uint32_t>(Edges.size()));
-  Edges.push_back({static_cast<uint32_t>(From), 0, -Cost});
-  OriginalCapacity.push_back(Capacity);
-  return Id;
+  Pending.push_back({static_cast<uint32_t>(From), static_cast<uint32_t>(To),
+                     Capacity, Cost});
+  return NumEdges++;
+}
+
+void MinCostFlow::buildArcs() {
+  assert(2 * NumEdges <= std::numeric_limits<uint32_t>::max() &&
+         "too many arcs for 32-bit arc indices");
+  // Counting pass: every edge owns one arc at each endpoint.
+  ArcBegin.assign(NumNodes + 1, 0);
+  for (const PendingEdge &E : Pending) {
+    ++ArcBegin[E.From + 1];
+    ++ArcBegin[E.To + 1];
+  }
+  for (size_t V = 0; V < NumNodes; ++V)
+    ArcBegin[V + 1] += ArcBegin[V];
+
+  const size_t NumArcs = 2 * NumEdges;
+  ArcTo.resize(NumArcs);
+  ArcCost.resize(NumArcs);
+  ArcResidual.resize(NumArcs);
+  ArcPartner.resize(NumArcs);
+  ReverseArc.resize(NumEdges);
+  // Placing edges in insertion order keeps each node's arcs in the order
+  // the edges were added (a self-loop's forward arc precedes its reverse).
+  std::vector<uint32_t> Cursor(ArcBegin.begin(), ArcBegin.end() - 1);
+  for (size_t K = 0; K < NumEdges; ++K) {
+    const PendingEdge &E = Pending[K];
+    uint32_t Fwd = Cursor[E.From]++;
+    uint32_t Rev = Cursor[E.To]++;
+    ArcTo[Fwd] = E.To;
+    ArcCost[Fwd] = E.Cost;
+    ArcResidual[Fwd] = E.Capacity;
+    ArcPartner[Fwd] = Rev;
+    ArcTo[Rev] = E.From;
+    ArcCost[Rev] = -E.Cost;
+    ArcResidual[Rev] = 0;
+    ArcPartner[Rev] = Fwd;
+    ReverseArc[K] = Rev;
+  }
+  Pending = {};
 }
 
 bool MinCostFlow::dijkstra(size_t Source, size_t Sink) {
@@ -43,16 +75,16 @@ bool MinCostFlow::dijkstra(size_t Source, size_t Sink) {
     Queue.pop();
     if (D > Dist[V])
       continue;
-    for (uint32_t EId : Adj[V]) {
-      const Edge &E = Edges[EId];
-      if (E.Residual <= 0)
+    for (uint32_t A = ArcBegin[V], End = ArcBegin[V + 1]; A < End; ++A) {
+      if (ArcResidual[A] <= 0)
         continue;
-      int64_t Reduced = E.Cost + Potential[V] - Potential[E.To];
+      uint32_t To = ArcTo[A];
+      int64_t Reduced = ArcCost[A] + Potential[V] - Potential[To];
       assert(Reduced >= 0 && "negative reduced cost in Dijkstra");
       int64_t Cand = D + Reduced;
-      if (Cand < Dist[E.To]) {
-        Dist[E.To] = Cand;
-        Queue.push({Cand, E.To});
+      if (Cand < Dist[To]) {
+        Dist[To] = Cand;
+        Queue.push({Cand, To});
       }
     }
   }
@@ -69,17 +101,19 @@ int64_t MinCostFlow::dfsPush(size_t V, size_t Sink, int64_t Limit) {
   if (V == Sink || Limit == 0)
     return Limit;
   int64_t Pushed = 0;
-  for (uint32_t &Cursor = CurrentArc[V]; Cursor < Adj[V].size(); ++Cursor) {
-    uint32_t EId = Adj[V][Cursor];
-    Edge &E = Edges[EId];
-    if (E.Residual <= 0 || Level[E.To] != Level[V] + 1)
+  const uint32_t End = ArcBegin[V + 1];
+  for (uint32_t &A = CurrentArc[V]; A < End; ++A) {
+    if (ArcResidual[A] <= 0)
       continue;
-    if (E.Cost + Potential[V] - Potential[E.To] != 0)
+    uint32_t To = ArcTo[A];
+    if (Level[To] != Level[V] + 1)
       continue;
-    int64_t Sub = dfsPush(E.To, Sink, std::min(Limit - Pushed, E.Residual));
+    if (ArcCost[A] + Potential[V] - Potential[To] != 0)
+      continue;
+    int64_t Sub = dfsPush(To, Sink, std::min(Limit - Pushed, ArcResidual[A]));
     if (Sub > 0) {
-      E.Residual -= Sub;
-      Edges[EId ^ 1].Residual += Sub;
+      ArcResidual[A] -= Sub;
+      ArcResidual[ArcPartner[A]] += Sub;
       Pushed += Sub;
       if (Pushed == Limit)
         return Pushed;
@@ -100,19 +134,21 @@ int64_t MinCostFlow::blockingFlow(size_t Source, size_t Sink, int64_t Limit) {
   while (!Queue.empty()) {
     uint32_t V = Queue.front();
     Queue.pop();
-    for (uint32_t EId : Adj[V]) {
-      const Edge &E = Edges[EId];
-      if (E.Residual <= 0 || Level[E.To] >= 0)
+    for (uint32_t A = ArcBegin[V], End = ArcBegin[V + 1]; A < End; ++A) {
+      if (ArcResidual[A] <= 0)
         continue;
-      if (E.Cost + Potential[V] - Potential[E.To] != 0)
+      uint32_t To = ArcTo[A];
+      if (Level[To] >= 0)
         continue;
-      Level[E.To] = Level[V] + 1;
-      Queue.push(E.To);
+      if (ArcCost[A] + Potential[V] - Potential[To] != 0)
+        continue;
+      Level[To] = Level[V] + 1;
+      Queue.push(To);
     }
   }
   if (Level[Sink] < 0)
     return 0;
-  CurrentArc.assign(NumNodes, 0);
+  CurrentArc.assign(ArcBegin.begin(), ArcBegin.end() - 1);
   return dfsPush(Source, Sink, Limit);
 }
 
@@ -123,12 +159,13 @@ MinCostFlow::Result MinCostFlow::solve(size_t Source, size_t Sink,
   assert(Amount >= 0 && "negative flow request");
   assert(!Solved && "network already solved");
   Solved = true;
+  buildArcs();
 
   Potential.assign(NumNodes, 0);
   // Bellman-Ford initialization is only needed when negative costs exist.
   bool HasNegative = false;
-  for (size_t K = 0; K < Edges.size(); K += 2)
-    if (Edges[K].Cost < 0 && Edges[K].Residual > 0)
+  for (size_t A = 0; A < ArcCost.size(); ++A)
+    if (ArcCost[A] < 0 && ArcResidual[A] > 0)
       HasNegative = true;
   if (HasNegative) {
     for (size_t Iter = 0; Iter + 1 < NumNodes; ++Iter) {
@@ -136,12 +173,11 @@ MinCostFlow::Result MinCostFlow::solve(size_t Source, size_t Sink,
       for (size_t V = 0; V < NumNodes; ++V) {
         if (Potential[V] >= kInfDist)
           continue;
-        for (uint32_t EId : Adj[V]) {
-          const Edge &E = Edges[EId];
-          if (E.Residual <= 0)
+        for (uint32_t A = ArcBegin[V], End = ArcBegin[V + 1]; A < End; ++A) {
+          if (ArcResidual[A] <= 0)
             continue;
-          if (Potential[V] + E.Cost < Potential[E.To]) {
-            Potential[E.To] = Potential[V] + E.Cost;
+          if (Potential[V] + ArcCost[A] < Potential[ArcTo[A]]) {
+            Potential[ArcTo[A]] = Potential[V] + ArcCost[A];
             Any = true;
           }
         }
@@ -162,13 +198,14 @@ MinCostFlow::Result MinCostFlow::solve(size_t Source, size_t Sink,
   }
   R.Feasible = R.FlowSent == Amount;
 
-  // Total cost from the flow on the forward edges.
-  for (size_t Id = 0; Id < OriginalCapacity.size(); ++Id)
-    R.TotalCost += flowOnEdge(Id) * Edges[2 * Id].Cost;
+  // Total cost from the flow on each edge; its reverse arc costs -w(e).
+  for (uint32_t Rev : ReverseArc)
+    R.TotalCost -= ArcResidual[Rev] * ArcCost[Rev];
   return R;
 }
 
 int64_t MinCostFlow::flowOnEdge(size_t EdgeId) const {
-  assert(EdgeId < OriginalCapacity.size() && "edge id out of range");
-  return OriginalCapacity[EdgeId] - Edges[2 * EdgeId].Residual;
+  assert(Solved && "flow read before solve()");
+  assert(EdgeId < NumEdges && "edge id out of range");
+  return ArcResidual[ReverseArc[EdgeId]];
 }

@@ -19,6 +19,18 @@
 /// Capacities and costs are int64; callers quantize probabilities
 /// (see core/TransitionBuilders) so feasibility and optimality are exact.
 ///
+/// Arc layout. addEdge() only records the edge; solve() then lays the
+/// residual arcs out contiguously per node (CSR style: ArcBegin offsets
+/// into parallel ArcTo / ArcCost / ArcResidual / ArcPartner arrays). Edge k
+/// gives its forward arc to its tail and its reverse arc to its head, in
+/// insertion order, so each node scans its arcs in the order the edges
+/// were added. Every Dijkstra, BFS and DFS pass is a scan over one node's
+/// arcs; with the arcs adjacent in memory those scans stream, where an
+/// interleaved forward/reverse edge list made a node with many incoming
+/// edges (a Next node of the MarQSim network) miss the cache on every arc.
+/// The reverse arc's residual starts at zero and always equals the flow on
+/// its edge, which is what flowOnEdge() reads.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MARQSIM_FLOW_MINCOSTFLOW_H
@@ -39,7 +51,7 @@ public:
   explicit MinCostFlow(size_t NumNodes);
 
   size_t numNodes() const { return NumNodes; }
-  size_t numEdges() const { return Edges.size() / 2; }
+  size_t numEdges() const { return NumEdges; }
 
   /// Adds a directed edge and returns its id (for flowOnEdge).
   /// Requires Capacity >= 0.
@@ -63,20 +75,31 @@ public:
   int64_t flowOnEdge(size_t EdgeId) const;
 
 private:
-  struct Edge {
+  /// An edge recorded by addEdge() and not yet laid out as arcs.
+  struct PendingEdge {
+    uint32_t From;
     uint32_t To;
-    int64_t Residual;
+    int64_t Capacity;
     int64_t Cost;
   };
 
+  void buildArcs();
   bool dijkstra(size_t Source, size_t Sink);
   int64_t blockingFlow(size_t Source, size_t Sink, int64_t Limit);
   int64_t dfsPush(size_t V, size_t Sink, int64_t Limit);
 
   size_t NumNodes;
-  std::vector<Edge> Edges;              // pairs: 2k forward, 2k+1 reverse
-  std::vector<int64_t> OriginalCapacity; // per forward edge id
-  std::vector<std::vector<uint32_t>> Adj;
+  size_t NumEdges = 0;
+  std::vector<PendingEdge> Pending; // freed by buildArcs()
+
+  // Residual arcs of node V: indices ArcBegin[V] .. ArcBegin[V + 1].
+  std::vector<uint32_t> ArcBegin;
+  std::vector<uint32_t> ArcTo;
+  std::vector<int64_t> ArcCost;
+  std::vector<int64_t> ArcResidual;
+  std::vector<uint32_t> ArcPartner; // the opposite arc of the same edge
+  std::vector<uint32_t> ReverseArc; // per edge id
+
   std::vector<int64_t> Potential;
   std::vector<int64_t> Dist;
   std::vector<int32_t> Level;

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 
 using namespace marqsim;
 
@@ -190,6 +191,27 @@ struct SimulationService::Impl {
     if (Parts.size() == 1)
       return *Parts.front();
     return TransitionMatrix::combine(Parts, Weights);
+  }
+
+  /// bundle() for the public entry points: a flow network the MCFP
+  /// builders reject (std::invalid_argument, e.g. a --prob-scale too coarse
+  /// to route every stationary weight) or a matrix that fails Theorem 4.1
+  /// becomes an \p Error instead of a result.
+  std::shared_ptr<const GraphBundle>
+  validBundle(const Hamiltonian &H, uint64_t Fingerprint, const TaskSpec &Spec,
+              const ChannelMix &Mix, CacheStats *Local, std::string *Error) {
+    std::shared_ptr<const GraphBundle> B;
+    try {
+      B = bundle(H, Fingerprint, Spec, Mix, Local);
+    } catch (const std::invalid_argument &E) {
+      detail::fail(Error, E.what());
+      return nullptr;
+    }
+    if (!B->Valid) {
+      detail::fail(Error, "transition matrix failed Theorem 4.1 validation");
+      return nullptr;
+    }
+    return B;
   }
 
   /// Resolves the graph + sampling-table bundle of a sampling spec. The
@@ -398,12 +420,9 @@ SimulationService::graphFor(const TaskSpec &Spec, std::string *Error) {
     return nullptr;
   ChannelMix Mix = Spec.Mix;
   Mix.normalize();
-  auto Bundle = M->bundle(*H, H->fingerprint(), Spec, Mix, nullptr);
-  if (!Bundle->Valid) {
-    detail::fail(Error, "transition matrix failed Theorem 4.1 validation");
-    return nullptr;
-  }
-  return Bundle->Graph;
+  auto Bundle =
+      M->validBundle(*H, H->fingerprint(), Spec, Mix, nullptr, Error);
+  return Bundle ? Bundle->Graph : nullptr;
 }
 
 bool SimulationService::prewarm(const TaskSpec &Spec, std::string *Error) {
@@ -422,10 +441,8 @@ bool SimulationService::prewarm(const TaskSpec &Spec, std::string *Error) {
   if (Spec.Method == TaskMethod::Sampling) {
     ChannelMix Mix = Spec.Mix;
     Mix.normalize();
-    auto Bundle = M->bundle(*H, Fingerprint, Spec, Mix, nullptr);
-    if (!Bundle->Valid)
-      return detail::fail(Error,
-                          "transition matrix failed Theorem 4.1 validation");
+    if (!M->validBundle(*H, Fingerprint, Spec, Mix, nullptr, Error))
+      return false;
   }
   if (Spec.Evaluate.FidelityColumns > 0)
     M->evaluator(*H, Fingerprint, Spec, nullptr);
@@ -476,12 +493,10 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
   case TaskMethod::Sampling: {
     ChannelMix Mix = Spec.Mix;
     Mix.normalize();
-    auto Bundle =
-        M->bundle(H, Result.Fingerprint, Spec, Mix, &Result.Stats);
-    if (!Bundle->Valid) {
-      detail::fail(Error, "transition matrix failed Theorem 4.1 validation");
+    auto Bundle = M->validBundle(H, Result.Fingerprint, Spec, Mix,
+                                 &Result.Stats, Error);
+    if (!Bundle)
       return std::nullopt;
-    }
     // Re-target the cached tables to this task's (time, epsilon) budget;
     // the alias/CDF rows are shared, only N and tau are recomputed.
     std::shared_ptr<const SamplingStrategy> Sampling =
@@ -682,12 +697,10 @@ SimulationService::exportArtifacts(const TaskSpec &Spec, std::string *Error) {
     // rebuilds in O(n^2) on the worker with no solve to skip (mirroring
     // the disk tier's persistence policy).
     if (H->numTerms() >= 2 && (Mix.WGc > 0.0 || Mix.WRp > 0.0)) {
-      auto Bundle = M->bundle(*H, Fingerprint, Spec, Mix, nullptr);
-      if (!Bundle->Valid) {
-        detail::fail(Error,
-                     "transition matrix failed Theorem 4.1 validation");
+      auto Bundle =
+          M->validBundle(*H, Fingerprint, Spec, Mix, nullptr, Error);
+      if (!Bundle)
         return std::nullopt;
-      }
       TaskArtifact A;
       A.Key = store::aliasBundleKey(Fingerprint, Mix.WQd, Mix.WGc, Mix.WRp,
                                     Spec.Flow, Spec.PerturbRounds,

@@ -19,12 +19,15 @@
 #include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
 #include "linalg/Expm.h"
+#include "service/SimulationService.h"
 #include "sim/Fidelity.h"
 #include "sim/StateVector.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 using namespace marqsim;
 
@@ -263,6 +266,43 @@ TEST(TransitionBuildersTest, ConfigMatrixWeightsAndValidity) {
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.3, 0.3, /*Rounds=*/4);
   HTTGraph G(H, P);
   EXPECT_TRUE(G.isValidForCompilation());
+}
+
+TEST(TransitionBuildersTest, OverweightTermThrowsInEveryBuildType) {
+  // pi = (0.8, 0.1, 0.1) breaks Theorem 5.1's pi_i <= 1/2. The check must
+  // survive NDEBUG: without it the builder returned a matrix whose first
+  // row summed to 0.25.
+  Hamiltonian H = Hamiltonian::parse({{0.8, "ZZ"}, {0.1, "XX"}, {0.1, "YI"}});
+  EXPECT_THROW(buildGateCancellation(H), std::invalid_argument);
+  EXPECT_THROW(buildCommutationGrouping(H), std::invalid_argument);
+  RNG Rng(7);
+  EXPECT_THROW(buildRandomPerturbation(H, 1, Rng), std::invalid_argument);
+  try {
+    buildGateCancellation(H);
+  } catch (const std::invalid_argument &E) {
+    EXPECT_NE(std::string(E.what()).find("term 0 (ZZ)"), std::string::npos)
+        << E.what();
+  }
+}
+
+TEST(TransitionBuildersTest, InfeasibleQuantizationThrows) {
+  // pi_0 = 1/2 passes the precondition, but a one-unit quantum gives term
+  // 0 the only unit, which no off-diagonal edge can absorb.
+  Hamiltonian H = Hamiltonian::parse({{0.5, "ZZ"}, {0.3, "XX"}, {0.2, "YI"}});
+  MCFPOptions Coarse;
+  Coarse.ProbScale = 1;
+  EXPECT_THROW(buildGateCancellation(H, Coarse), std::invalid_argument);
+  EXPECT_TRUE(buildGateCancellation(H).isRowStochastic(1e-9));
+}
+
+TEST(TransitionBuildersTest, PreparedOverweightHamiltonianSolves) {
+  // The service's canonical form splits the heavy term, so the same
+  // operator compiles through SimulationService::prepare.
+  Hamiltonian H = SimulationService::prepare(
+      Hamiltonian::parse({{0.8, "ZZ"}, {0.1, "XX"}, {0.1, "YI"}}));
+  TransitionMatrix Pgc = buildGateCancellation(H);
+  EXPECT_TRUE(Pgc.isRowStochastic(1e-9));
+  EXPECT_TRUE(Pgc.preservesDistribution(H.stationaryDistribution(), 1e-6));
 }
 
 struct BuilderSweepCase {

@@ -4,12 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/TransitionBuilders.h"
 #include "flow/MinCostFlow.h"
+#include "hamgen/Registry.h"
+#include "service/SimulationService.h"
 #include "support/RNG.h"
+#include "support/Serial.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -264,4 +269,173 @@ TEST(MinCostFlowTest, LargeBipartiteInstanceRunsQuickly) {
   auto R = Net.solve(0, 2 * N + 1, Scale);
   EXPECT_TRUE(R.Feasible);
   EXPECT_GE(R.TotalCost, 0);
+}
+
+namespace {
+
+struct TestEdge {
+  size_t From, To;
+  int64_t Capacity, Cost;
+};
+
+/// True if the residual graph of \p Flow over \p Edges has a negative-cost
+/// cycle: Bellman-Ford from a virtual source joined to every node at cost 0,
+/// reading only the test's own edge list.
+bool residualHasNegativeCycle(size_t NumNodes,
+                              const std::vector<TestEdge> &Edges,
+                              const std::vector<int64_t> &Flow) {
+  std::vector<int64_t> Dist(NumNodes, 0);
+  auto Relax = [&](size_t U, size_t V, int64_t W) {
+    if (Dist[U] + W < Dist[V]) {
+      Dist[V] = Dist[U] + W;
+      return true;
+    }
+    return false;
+  };
+  for (size_t Iter = 0; Iter <= NumNodes; ++Iter) {
+    bool Any = false;
+    for (size_t K = 0; K < Edges.size(); ++K) {
+      const TestEdge &E = Edges[K];
+      if (Flow[K] < E.Capacity)
+        Any |= Relax(E.From, E.To, E.Cost);
+      if (Flow[K] > 0)
+        Any |= Relax(E.To, E.From, -E.Cost);
+    }
+    if (!Any)
+      return false;
+  }
+  return true; // still relaxing after |V| rounds
+}
+
+/// True if \p Sink is reachable from \p Source over residual arcs.
+bool residualReaches(size_t NumNodes, const std::vector<TestEdge> &Edges,
+                     const std::vector<int64_t> &Flow, size_t Source,
+                     size_t Sink) {
+  std::vector<bool> Seen(NumNodes, false);
+  std::vector<size_t> Stack = {Source};
+  Seen[Source] = true;
+  while (!Stack.empty()) {
+    size_t U = Stack.back();
+    Stack.pop_back();
+    for (size_t K = 0; K < Edges.size(); ++K) {
+      const TestEdge &E = Edges[K];
+      size_t V = NumNodes;
+      if (E.From == U && Flow[K] < E.Capacity)
+        V = E.To;
+      else if (E.To == U && Flow[K] > 0)
+        V = E.From;
+      if (V < NumNodes && !Seen[V]) {
+        Seen[V] = true;
+        Stack.push_back(V);
+      }
+    }
+  }
+  return Seen[Sink];
+}
+
+} // namespace
+
+TEST(MinCostFlowTest, RandomNetworksSatisfyOptimalityConditions) {
+  // Checks the solver against the optimality certificate rather than a
+  // known answer, so the test holds for any internal arc layout: feasible
+  // flow, conservation, reported cost, and no negative residual cycle.
+  // Costs are c(u,v) = r + phi(v) - phi(u) with r >= 0, so edges may be
+  // negative while the input network has no negative cycle.
+  RNG Rng(0xF10);
+  for (int Trial = 0; Trial < 60; ++Trial) {
+    const size_t Connected = 3 + Rng.uniformInt(8);
+    const size_t Isolated = Rng.uniformInt(3); // nodes without any arc
+    const size_t NumNodes = Connected + Isolated;
+    std::vector<int64_t> Phi(Connected);
+    for (int64_t &P : Phi)
+      P = static_cast<int64_t>(Rng.uniformInt(21)) - 10;
+
+    std::vector<TestEdge> Edges;
+    const size_t NumEdges = Connected + Rng.uniformInt(4 * Connected);
+    for (size_t K = 0; K < NumEdges; ++K) {
+      size_t From = Rng.uniformInt(Connected);
+      size_t To = Rng.uniformInt(Connected - 1);
+      To += To >= From; // no self-loops
+      int64_t Capacity = Rng.bernoulli(0.15)
+                             ? 0
+                             : static_cast<int64_t>(Rng.uniformInt(9));
+      int64_t Cost =
+          static_cast<int64_t>(Rng.uniformInt(7)) + Phi[To] - Phi[From];
+      Edges.push_back({From, To, Capacity, Cost});
+      if (Rng.bernoulli(0.2)) // parallel copy with its own cost
+        Edges.push_back(
+            {From, To, static_cast<int64_t>(Rng.uniformInt(5)),
+             static_cast<int64_t>(Rng.uniformInt(7)) + Phi[To] - Phi[From]});
+    }
+    // Terminals are connected nodes; isolated nodes sit after them.
+    const size_t Source = 0, Sink = Connected - 1;
+    const int64_t Amount = static_cast<int64_t>(Rng.uniformInt(30));
+
+    MinCostFlow Net(NumNodes);
+    std::vector<size_t> Ids;
+    for (const TestEdge &E : Edges)
+      Ids.push_back(Net.addEdge(E.From, E.To, E.Capacity, E.Cost));
+    ASSERT_EQ(Net.numEdges(), Edges.size());
+    auto R = Net.solve(Source, Sink, Amount);
+    ASSERT_EQ(Net.numEdges(), Edges.size()) << "trial " << Trial;
+
+    std::vector<int64_t> Flow(Edges.size());
+    std::vector<int64_t> Excess(NumNodes, 0); // outflow minus inflow
+    int64_t Cost = 0;
+    for (size_t K = 0; K < Edges.size(); ++K) {
+      Flow[K] = Net.flowOnEdge(Ids[K]);
+      ASSERT_GE(Flow[K], 0) << "trial " << Trial << " edge " << K;
+      ASSERT_LE(Flow[K], Edges[K].Capacity) << "trial " << Trial;
+      Excess[Edges[K].From] += Flow[K];
+      Excess[Edges[K].To] -= Flow[K];
+      Cost += Flow[K] * Edges[K].Cost;
+    }
+    for (size_t V = 0; V < NumNodes; ++V) {
+      if (V != Source && V != Sink) {
+        EXPECT_EQ(Excess[V], 0) << "trial " << Trial << " node " << V;
+      }
+    }
+    EXPECT_EQ(Excess[Source], R.FlowSent) << "trial " << Trial;
+    EXPECT_EQ(Excess[Sink], -R.FlowSent) << "trial " << Trial;
+    EXPECT_LE(R.FlowSent, Amount);
+    EXPECT_EQ(R.Feasible, R.FlowSent == Amount);
+    // A short flow must be a maximum flow: no augmenting path remains.
+    if (!R.Feasible) {
+      EXPECT_FALSE(residualReaches(NumNodes, Edges, Flow, Source, Sink))
+          << "trial " << Trial;
+    }
+    EXPECT_EQ(R.TotalCost, Cost) << "trial " << Trial;
+    EXPECT_FALSE(residualHasNegativeCycle(NumNodes, Edges, Flow))
+        << "trial " << Trial;
+  }
+}
+
+namespace {
+
+/// FNV-1a over the IEEE-754 bits of every entry, row-major.
+uint64_t matrixBitsHash(const TransitionMatrix &P) {
+  uint64_t H = serial::FNVOffset;
+  for (size_t I = 0; I < P.size(); ++I)
+    for (size_t J = 0; J < P.size(); ++J) {
+      double V = P.at(I, J);
+      uint64_t Bits;
+      std::memcpy(&Bits, &V, sizeof Bits);
+      H = serial::fnv1aWord(Bits, H);
+    }
+  return H;
+}
+
+} // namespace
+
+TEST(FlowMatrixGoldenTest, OHMinusPgcAndPrpBitsAreFrozen) {
+  // Pins every bit of the MCFP transition matrices on a registry workload:
+  // the solver's arc layout and the builders' edge numbering may change,
+  // the flows may not (cached .mat components depend on it).
+  Hamiltonian H =
+      SimulationService::prepare(makeBenchmark(*findBenchmark("OH-")));
+  TransitionMatrix Pgc = buildGateCancellation(H);
+  RNG Rng(0x5EED);
+  TransitionMatrix Prp = buildRandomPerturbation(H, 2, Rng);
+  EXPECT_EQ(matrixBitsHash(Pgc), 0x98376d3c1ed176e3ULL);
+  EXPECT_EQ(matrixBitsHash(Prp), 0xb37f6c52baa657a2ULL);
 }

@@ -571,6 +571,32 @@ TEST(ServiceTaskTest, InvalidSpecsAndSourcesAreRejected) {
   EXPECT_NE(Error.find("NotABenchmark"), std::string::npos);
 }
 
+TEST(ServiceTaskTest, InfeasibleFlowModelIsAnErrorNotACrash) {
+  // A one-unit probability quantum gives the heaviest term (pi = 1/2)
+  // the only unit, which no off-diagonal edge can absorb. The builder
+  // throws; every service entry point must turn that into an error (a
+  // daemon would otherwise terminate on a client's --prob-scale).
+  TaskSpec Spec = testSpec(
+      Hamiltonian::parse({{0.5, "ZZ"}, {0.3, "XX"}, {0.2, "YI"}}));
+  Spec.Flow.ProbScale = 1;
+  SimulationService Service;
+  std::string Error;
+  EXPECT_FALSE(Service.run(Spec, &Error));
+  EXPECT_NE(Error.find("MCFP builder"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_FALSE(Service.prewarm(Spec, &Error));
+  EXPECT_NE(Error.find("MCFP builder"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_FALSE(Service.graphFor(Spec, &Error));
+  EXPECT_NE(Error.find("MCFP builder"), std::string::npos) << Error;
+  Error.clear();
+  EXPECT_FALSE(Service.exportArtifacts(Spec, &Error));
+  EXPECT_NE(Error.find("MCFP builder"), std::string::npos) << Error;
+  // The default quantum solves the same operator.
+  Spec.Flow = MCFPOptions();
+  EXPECT_TRUE(Service.run(Spec, &Error)) << Error;
+}
+
 //===----------------------------------------------------------------------===//
 // TaskSpec CLI parsing (shared flag surface)
 //===----------------------------------------------------------------------===//
