@@ -10,8 +10,7 @@
 // every SIMD kernel tier must all emit *byte-identical* fidelity hex to
 // the textbook reference path (a faithful copy of the original two-pass
 // scratch kernel replayed column by column), while being substantially
-// faster. The opt-in FP32 panel tier is the one exception: it is gated
-// against the reference to a tolerance, not bitwise.
+// faster.
 //
 // Paths timed per column count:
 //   reference     — fresh state per column, two-pass scratch applyPauliExp
@@ -25,7 +24,6 @@
 //                   across tiers)
 //   panel         — the same under the dispatched tier
 //   chunked       — panel with EvalJobs=4 (bit-identity under fan-out)
-//   panel-fp32    — the FP32 panel tier (tolerance gate, not hex)
 //
 // A second, overlap-heavy table (16 columns, 2 rotations — overlap
 // accumulation dominates) separates the fused evolve+overlap tail from
@@ -43,16 +41,15 @@
 // table's reference row, and evolve_ms/overlap_ms split eval_ms into the
 // rotation sweeps vs the overlap reduction where the bench can observe
 // the boundary (0 for the production-evaluator rows, which time the whole
-// evaluation). Exit code 1 when any FP64 path's hex differs from the
-// reference, when the FP32 fidelity strays beyond --fp32-tol, or when a
-// speedup gate fails.
+// evaluation). Exit code 1 when any path's hex differs from the reference
+// or when a speedup gate fails.
 //
 // Speedup gates (each disabled by passing 0):
 //   --min-speedup=X        panel vs reference at >= 8 columns (default 3)
 //   --min-simd-speedup=X   panel vs panel-scalar at >= 8 columns (default
 //                          1.5); skipped — not failed — when the
 //                          dispatched tier is already scalar (no ISA, or
-//                          the process runs under MARQSIM_FORCE_SCALAR=1)
+//                          the process runs under MARQSIM_KERNEL_TIER=scalar)
 //   --min-fused-speedup=X  fused-<tier> vs unfused-<tier> on the
 //                          overlap-heavy table (default 1.15), gated on
 //                          the scalar tier and on the best tier the host
@@ -64,7 +61,6 @@
 //
 // Flags: --qubits=N (10) --reps=R (8 Trotter reps; ~R*terms rotations)
 //        --time=T (0.9) --min-seconds=S (0.25 per timing cell)
-//        --fp32-tol=E (1e-3)
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,7 +150,7 @@ SplitEval fusedSerialFidelity(const FidelityEvaluator &Eval,
   return R;
 }
 
-/// Packs \p Eval's targets block by block at the FP64 panel stride, once,
+/// Packs \p Eval's targets block by block at the panel stride, once,
 /// mirroring the evaluator's cached TargetPanels so the fused timing below
 /// excludes the one-time packing cost exactly as production does.
 std::vector<TargetPanel> packTargets(const FidelityEvaluator &Eval) {
@@ -170,7 +166,7 @@ std::vector<TargetPanel> packTargets(const FidelityEvaluator &Eval) {
   return Packed;
 }
 
-/// Bench-local FP64 panel evaluation with an observable evolve/overlap
+/// Bench-local panel evaluation with an observable evolve/overlap
 /// boundary. Unfused (\p Packed == nullptr): sweep every rotation, then
 /// one strided overlapWith walk per column. Fused: sweep all but the last
 /// rotation, then the fused evolve+overlap tail against the pre-packed
@@ -216,7 +212,6 @@ struct Row {
   double OverlapMs;
   double Ms;
   double Fidelity;
-  bool BitExact; // gate: hex-identical to reference vs fp32 tolerance
 };
 
 /// Times \p Run with enough iterations to fill \p MinSeconds and appends a
@@ -225,7 +220,7 @@ struct Row {
 /// identical every time).
 template <typename Fn>
 void timeRow(std::vector<Row> &Rows, double MinSeconds, std::string Name,
-             std::string Kernel, bool BitExact, const Fn &Run) {
+             std::string Kernel, const Fn &Run) {
   SplitEval Sample = Run(); // warm-up + correctness sample
   Timer Once;
   (void)Run();
@@ -242,7 +237,7 @@ void timeRow(std::vector<Row> &Rows, double MinSeconds, std::string Name,
   const double Scale = 1e3 / static_cast<double>(Iters);
   Rows.push_back({std::move(Name), std::move(Kernel), Acc.EvolveSec * Scale,
                   Acc.OverlapSec * Scale, Clock.seconds() * Scale,
-                  Sample.Fidelity, BitExact});
+                  Sample.Fidelity});
 }
 
 } // namespace
@@ -262,19 +257,18 @@ int main(int Argc, char **Argv) {
   const double MinSpeedup = CL.getDouble("min-speedup", 3.0);
   const double MinSimdSpeedup = CL.getDouble("min-simd-speedup", 1.5);
   const double MinFusedSpeedup = CL.getDouble("min-fused-speedup", 1.15);
-  const double Fp32Tol = CL.getDouble("fp32-tol", 1e-3);
 
-  // The dispatched tier for this process: MARQSIM_KERNEL_TIER /
-  // MARQSIM_FORCE_SCALAR pin every dispatched row (including "panel"), so
-  // a pinned CI run produces a table whose hex column must match the
-  // free-dispatch run's. The per-tier rows pin explicitly and are immune
-  // to the environment: availableOps() reflects the CPU, not the pin.
-  const bool EnvScalar = kernels::forcedScalarByEnv();
+  // The dispatched tier for this process: MARQSIM_KERNEL_TIER pins every
+  // dispatched row (including "panel"), so a pinned CI run produces a
+  // table whose hex column must match the free-dispatch run's. The
+  // per-tier rows pin explicitly and are immune to the environment:
+  // availableOps() reflects the CPU, not the pin.
+  const bool EnvScalar = kernels::tierOverrideFromEnv() == "scalar";
   const char *Dispatched = kernels::activeName();
   const std::vector<const kernels::Ops *> Tiers = kernels::availableOps();
   std::cerr << "eval-kernels: dispatch=" << Dispatched << " detected="
             << kernels::detectedName()
-            << (EnvScalar ? " (MARQSIM_FORCE_SCALAR)" : "") << "\n";
+            << (EnvScalar ? " (MARQSIM_KERNEL_TIER=scalar)" : "") << "\n";
 
   // A strongly-interacting spin chain: XX/YY butterflies plus ZZ/Z
   // diagonal terms, so every kernel path is exercised.
@@ -292,25 +286,17 @@ int main(int Argc, char **Argv) {
       << "columns,path,kernel,evolve_ms,overlap_ms,eval_ms,speedup,"
          "fidelity_hex\n";
 
-  auto printRows = [&](size_t Columns, const std::vector<Row> &Rows,
-                       double Fp32Ref) {
+  auto printRows = [&](size_t Columns, const std::vector<Row> &Rows) {
     const uint64_t RefBits = serial::doubleBits(Rows[0].Fidelity);
     for (const Row &R : Rows) {
       const uint64_t Bits = serial::doubleBits(R.Fidelity);
       std::cout << Columns << "," << R.Name << "," << R.Kernel << ","
                 << R.EvolveMs << "," << R.OverlapMs << "," << R.Ms << ","
                 << Rows[0].Ms / R.Ms << "," << serial::hex16(Bits) << "\n";
-      if (R.BitExact && Bits != RefBits) {
+      if (Bits != RefBits) {
         std::cerr << "FAIL: " << R.Name << " at " << Columns
                   << " columns diverges from the reference path ("
                   << serial::hex16(Bits) << " != " << serial::hex16(RefBits)
-                  << ")\n";
-        Ok = false;
-      }
-      if (!R.BitExact && std::abs(R.Fidelity - Fp32Ref) > Fp32Tol) {
-        std::cerr << "FAIL: " << R.Name << " at " << Columns
-                  << " columns strays " << std::abs(R.Fidelity - Fp32Ref)
-                  << " from the reference fidelity (tolerance " << Fp32Tol
                   << ")\n";
         Ok = false;
       }
@@ -321,29 +307,25 @@ int main(int Argc, char **Argv) {
     FidelityEvaluator Eval(H, T, Columns, /*Seed=*/7);
 
     std::vector<Row> Rows;
-    timeRow(Rows, MinSeconds, "reference", "none", true,
+    timeRow(Rows, MinSeconds, "reference", "none",
             [&] { return referenceFidelity(Eval, Schedule); });
-    timeRow(Rows, MinSeconds, "fused", Dispatched, true,
+    timeRow(Rows, MinSeconds, "fused", Dispatched,
             [&] { return fusedSerialFidelity(Eval, Schedule); });
     for (const kernels::Ops *Tier : Tiers) {
       // Production evaluator pinned to each runnable tier: the hex column
       // is the cross-tier bit-identity gate.
       kernels::selectTierForTesting(*Tier);
       timeRow(Rows, MinSeconds, std::string("panel-") + Tier->Name,
-              Tier->Name, true,
+              Tier->Name,
               [&] { return SplitEval{Eval.fidelity(Schedule, 1), 0.0, 0.0}; });
       kernels::selectAuto();
     }
-    timeRow(Rows, MinSeconds, "panel", Dispatched, true,
+    timeRow(Rows, MinSeconds, "panel", Dispatched,
             [&] { return SplitEval{Eval.fidelity(Schedule, 1), 0.0, 0.0}; });
-    timeRow(Rows, MinSeconds, "chunked", Dispatched, true,
+    timeRow(Rows, MinSeconds, "chunked", Dispatched,
             [&] { return SplitEval{Eval.fidelity(Schedule, 4), 0.0, 0.0}; });
-    timeRow(Rows, MinSeconds, "panel-fp32", Dispatched, false, [&] {
-      return SplitEval{Eval.fidelity(Schedule, 1, EvalPrecision::FP32), 0.0,
-                       0.0};
-    });
 
-    printRows(Columns, Rows, Rows[0].Fidelity);
+    printRows(Columns, Rows);
 
     double PanelMs = 0.0, PanelScalarMs = 0.0;
     for (const Row &R : Rows) {
@@ -384,19 +366,19 @@ int main(int Argc, char **Argv) {
     const std::vector<TargetPanel> Packed = packTargets(Eval);
 
     std::vector<Row> Rows;
-    timeRow(Rows, MinSeconds, "reference-ov", "none", true,
+    timeRow(Rows, MinSeconds, "reference-ov", "none",
             [&] { return referenceFidelity(Eval, Short); });
     for (const kernels::Ops *Tier : Tiers) {
       kernels::selectTierForTesting(*Tier);
       timeRow(Rows, MinSeconds, std::string("unfused-") + Tier->Name,
-              Tier->Name, true,
+              Tier->Name,
               [&] { return panelFidelity(Eval, Short, nullptr); });
       timeRow(Rows, MinSeconds, std::string("fused-") + Tier->Name,
-              Tier->Name, true,
+              Tier->Name,
               [&] { return panelFidelity(Eval, Short, &Packed); });
       kernels::selectAuto();
     }
-    printRows(Columns, Rows, Rows[0].Fidelity);
+    printRows(Columns, Rows);
 
     // Gate the fused reduction on the scalar tier and on the best tier
     // the host runs (the ends of the precedence chain); report — never
@@ -431,7 +413,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (Ok)
-    std::cerr << "eval-kernels: all FP64 paths byte-identical to the "
+    std::cerr << "eval-kernels: all paths byte-identical to the "
                  "reference\n";
   return Ok ? 0 : 1;
 }

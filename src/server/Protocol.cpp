@@ -110,10 +110,6 @@ json::Value kernelDispatchJson() {
       .set("avx512_os", SimulationService::avx512OsEnabled());
 }
 
-json::Value kernelsJson(EvalPrecision Precision) {
-  return kernelDispatchJson().set("precision", precisionName(Precision));
-}
-
 json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
                          const Circuit *ShotZeroCircuit,
                          const ArtifactStore::Stats *Store,
@@ -159,7 +155,9 @@ json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
               .set("hex", std::move(Hexes)));
   }
 
-  V.set("kernels", kernelsJson(Spec.Precision));
+  // "precision" is a constant: evaluation runs in FP64 only, and the key
+  // stays so marqsim-stats-v1 loses no member.
+  V.set("kernels", kernelDispatchJson().set("precision", "fp64"));
   // Always present so consumers need no existence probe; a noiseless run
   // reports channel "none".
   V.set("noise",

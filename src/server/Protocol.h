@@ -131,10 +131,6 @@ json::Value storeStatsJson(const ArtifactStore::Stats &S, size_t LimitBytes);
 /// the daemon's stats frame so the two surfaces can never disagree.
 json::Value kernelDispatchJson();
 
-/// The dispatched SIMD tier (kernelDispatchJson keys) plus the evaluation
-/// precision tier.
-json::Value kernelsJson(EvalPrecision Precision);
-
 /// The complete per-run stats object: fingerprint, batch aggregates and
 /// hash, shot-0 gate counts, fidelity summary with exact per-shot hexes,
 /// kernel tiers, cache and (optionally) store accounting. This is the one

@@ -595,16 +595,15 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
                           H.numQubits() <= SuperoperatorMaxQubits;
     // UseSuper is captured by value: the hook runs inside compileBatch,
     // after this block and its locals have ended.
-    Req.PerShot = [&, UseSuper, EvalJobs = Req.EvalJobs,
-                   Precision = Spec.Precision](size_t Shot,
-                                               const CompilationResult &R) {
+    Req.PerShot = [&, UseSuper, EvalJobs = Req.EvalJobs](
+                      size_t Shot, const CompilationResult &R) {
       if (Eval && (!EvalOnce || Shot == 0)) {
         Timer EvalClock;
         if (StochasticNoise) {
           RNG NoiseRng = RNG::forShot(
               NoiseModel::noiseStreamSeed(Spec.Seed), Range.Begin + Shot);
           Result.ShotFidelities[Shot] = Eval->stateFidelity(
-              Noise->injectErrors(R.Schedule, NoiseRng), EvalJobs, Precision);
+              Noise->injectErrors(R.Schedule, NoiseRng), EvalJobs);
         } else if (Noise && UseSuper) {
           const size_t SuperDim = (size_t(1) << H.numQubits()) *
                                   (size_t(1) << H.numQubits());
@@ -627,8 +626,7 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
           Result.ShotFidelities[Shot] =
               Noise->densityFidelity(R.Schedule, H.numQubits(), *Eval);
         } else {
-          Result.ShotFidelities[Shot] =
-              Eval->fidelity(R.Schedule, EvalJobs, Precision);
+          Result.ShotFidelities[Shot] = Eval->fidelity(R.Schedule, EvalJobs);
         }
         EvalSecs[Shot] = EvalClock.seconds();
       }

@@ -253,13 +253,12 @@ public:
 
   /// The kernel tier the evaluation substrate dispatched to ("avx512",
   /// "avx2-fma", "neon", or "scalar") — the self-describing sibling of
-  /// storeStats, reported alongside the precision tier by the CLI's
-  /// --stats.
+  /// storeStats, reported by the CLI's --stats.
   static const char *kernelName();
 
-  /// The best tier the CPU supports, ignoring MARQSIM_KERNEL_TIER /
-  /// MARQSIM_FORCE_SCALAR — reported next to kernelName so a pinned
-  /// process is visible in every stats surface.
+  /// The best tier the CPU supports, ignoring MARQSIM_KERNEL_TIER —
+  /// reported next to kernelName so a pinned process is visible in every
+  /// stats surface.
   static const char *detectedKernelName();
 
   /// Whether the OS exposes the full AVX-512 register state (always false

@@ -98,11 +98,6 @@ bool TaskSpec::validate(std::string *Error) const {
       return detail::fail(Error,
                           "noise only affects fidelity evaluation; enable it "
                           "with --columns=N");
-    if (Noise.enabled() && Noise.Mode == NoiseMode::Density &&
-        Precision != EvalPrecision::FP64)
-      return detail::fail(Error,
-                          "the density-matrix noise oracle evaluates in "
-                          "double precision; use --precision=fp64");
   }
   switch (Method) {
   case TaskMethod::Sampling: {
@@ -144,14 +139,9 @@ uint64_t TaskSpec::contentKey() const {
   H = fnv1aWord(Lowering.UseCDFSampler ? 1 : 0, H);
   H = fnv1aWord(Evaluate.FidelityColumns, H);
   H = fnv1aWord(Evaluate.ColumnSeed, H);
-  // The precision tier participates only when it deviates from the FP64
-  // default: fp32 fidelities are different bits, but folding a constant
-  // for fp64 would shift every cache key minted before the tier existed.
-  if (Precision != EvalPrecision::FP64)
-    H = fnv1aWord(static_cast<uint64_t>(Precision), H);
-  // Noise follows the same rule: it participates only when enabled, so
-  // every noiseless key (goldens, manifests, cache files) minted before
-  // the noisy tier existed stays valid.
+  // Noise participates only when enabled, so every noiseless key
+  // (goldens, manifests, cache files) minted before the noisy tier existed
+  // stays valid.
   if (Noise.enabled()) {
     H = fnv1aWord(static_cast<uint64_t>(Noise.Kind), H);
     H = fnv1aWord(doubleBits(Noise.Prob), H);
@@ -274,15 +264,6 @@ std::optional<TaskSpec> TaskSpec::fromCommandLine(const CommandLine &CL,
     return std::nullopt;
   }
   Spec.Evaluate.FidelityColumns = static_cast<size_t>(Columns);
-
-  const std::string PrecName = CL.getString("precision", "fp64");
-  std::optional<EvalPrecision> Prec = parsePrecision(PrecName);
-  if (!Prec) {
-    detail::fail(Error, "--precision must be fp64 or fp32 (got '" + PrecName +
-                            "')");
-    return std::nullopt;
-  }
-  Spec.Precision = *Prec;
 
   const std::string NoiseName = CL.getString("noise", "none");
   std::optional<NoiseChannelKind> Channel = parseNoiseChannel(NoiseName);
@@ -497,7 +478,6 @@ std::optional<json::Value> TaskSpec::toJson(std::string *Error) const {
   V.set("jobs", Jobs);
   V.set("eval_jobs", EvalJobs);
   V.set("seed", hexWord(Seed));
-  V.set("precision", precisionName(Precision));
   V.set("noise", json::Value::object()
                      .set("channel", noiseChannelName(Noise.Kind))
                      .set("mode", noiseModeName(Noise.Mode))
@@ -654,15 +634,18 @@ std::optional<TaskSpec> TaskSpec::fromJson(const json::Value &V,
   if (!readHexWord(V, "seed", Spec.Seed, Error))
     return std::nullopt;
 
-  std::string PrecText;
-  if (!readString(V, "precision", PrecText, Error))
-    return std::nullopt;
-  std::optional<EvalPrecision> Prec = parsePrecision(PrecText);
-  if (!Prec) {
-    detail::fail(Error, "spec json: unknown precision '" + PrecText + "'");
-    return std::nullopt;
+  // "precision" is optional: peers built while an FP32 tier existed send
+  // "fp64". Any other value asks for a tier this build does not have, so
+  // it is rejected instead of being evaluated in FP64.
+  if (V.find("precision")) {
+    std::string PrecText;
+    if (!readString(V, "precision", PrecText, Error))
+      return std::nullopt;
+    if (PrecText != "fp64") {
+      detail::fail(Error, "spec json: unknown precision '" + PrecText + "'");
+      return std::nullopt;
+    }
   }
-  Spec.Precision = *Prec;
 
   // "noise" is optional: v1 frames minted before the noisy tier carry no
   // noise object, and its absence means exactly what the default spec

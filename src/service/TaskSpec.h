@@ -28,7 +28,6 @@
 #include "core/TransitionBuilders.h"
 #include "pauli/Hamiltonian.h"
 #include "sim/NoiseModel.h"
-#include "sim/Precision.h"
 #include "support/CommandLine.h"
 #include "support/Json.h"
 
@@ -208,13 +207,6 @@ struct TaskSpec {
   /// contentKey.
   unsigned EvalJobs = 1;
 
-  /// Which panel tier evaluates fidelity. FP64 (the default) is the
-  /// bit-exact contract; FP32 is the opt-in throughput tier, rejected
-  /// wherever a bit-exact artifact is demanded (shard runs) and mixed
-  /// into contentKey only when selected, so every existing FP64 cache
-  /// key is untouched.
-  EvalPrecision Precision = EvalPrecision::FP64;
-
   /// Per-gate noise channel (sim/NoiseModel.h). Default-inert: a disabled
   /// spec leaves contentKey, manifests, and JSON frames exactly as they
   /// were before the noisy tier existed. Noise only affects fidelity
@@ -245,11 +237,10 @@ struct TaskSpec {
   /// Parses the common CLI surface into a spec: positional Hamiltonian
   /// file or --model=NAME, --time/--epsilon, --config + --qd/--gc/--rp,
   /// --rounds/--perturb-seed, --seed/--shots/--jobs/--eval-jobs,
-  /// --columns (fidelity), --precision (fp64/fp32),
-  /// --noise/--noise-prob/--noise-2q-factor/--noise-mode, --cdf. Rejects
-  /// negative counts/seeds, non-positive or non-finite time/epsilon,
-  /// out-of-range noise probabilities, and unknown precision/channel/mode
-  /// names.
+  /// --columns (fidelity), --noise/--noise-prob/--noise-2q-factor/
+  /// --noise-mode, --cdf. Rejects negative counts/seeds, non-positive or
+  /// non-finite time/epsilon, out-of-range noise probabilities, and
+  /// unknown channel/mode names.
   static std::optional<TaskSpec> fromCommandLine(const CommandLine &CL,
                                                  std::string *Error = nullptr);
 
@@ -267,7 +258,9 @@ struct TaskSpec {
   /// Inverse of toJson. Strict: unknown versions, missing fields, bad hex
   /// widths, and malformed Pauli strings are rejected with \p Error. The
   /// round trip preserves contentKey() and the resolved Hamiltonian's
-  /// fingerprint() exactly.
+  /// fingerprint() exactly. An optional "precision" member, which older
+  /// peers send, must read "fp64" — evaluation has no other precision, so
+  /// any other value is rejected rather than silently run in FP64.
   static std::optional<TaskSpec> fromJson(const json::Value &V,
                                           std::string *Error = nullptr);
 };

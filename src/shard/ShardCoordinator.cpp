@@ -58,9 +58,6 @@ std::optional<std::vector<std::string>> ShardCoordinator::workerArgs(
   };
   if (Spec.Method != TaskMethod::Sampling)
     return Fail("only sampling tasks can re-exec through marqsim-cli");
-  if (Spec.Precision != EvalPrecision::FP64)
-    return Fail("manifests are bit-exact artifacts and the fp32 tier is "
-                "tolerance-defined; use --precision=fp64 for sharded runs");
   if (!Spec.Lowering.Emit.CrossCancellation || Spec.Lowering.UseCDFSampler)
     return Fail("custom lowering options cannot travel over the command "
                 "line");
@@ -134,13 +131,6 @@ std::optional<std::vector<std::string>> ShardCoordinator::workerArgs(
 std::optional<ShardManifest> ShardCoordinator::runShard(
     SimulationService &Service, const TaskSpec &Spec, unsigned Index,
     unsigned Count, std::string *Error) {
-  if (Spec.Precision != EvalPrecision::FP64) {
-    detail::fail(Error,
-                 "shard worker: manifests are bit-exact artifacts and the "
-                 "fp32 tier is tolerance-defined; use --precision=fp64 for "
-                 "sharded runs");
-    return std::nullopt;
-  }
   ShardPlan Plan = ShardPlan::split(Spec.Shots, Count);
   if (Index >= Plan.shardCount()) {
     detail::fail(Error, "shard index " + std::to_string(Index) +
@@ -268,12 +258,6 @@ std::optional<TaskResult> ShardCoordinator::run(const TaskSpec &Spec,
   std::string Validation;
   if (!Spec.validate(&Validation))
     return Fail(Validation);
-  // Shard manifests carry bit-exact per-shot fidelity hex that the merge
-  // re-checks; the fp32 tier only promises a tolerance, so it can never
-  // travel through a manifest.
-  if (Spec.Precision != EvalPrecision::FP64)
-    return Fail("manifests are bit-exact artifacts and the fp32 tier is "
-                "tolerance-defined; use --precision=fp64 for sharded runs");
   if (Spec.Evaluate.KeepResults || Spec.Evaluate.ExportShotZero ||
       Spec.Evaluate.DumpDot)
     return Fail("per-shot artifacts (KeepResults/ExportShotZero/DumpDot) "

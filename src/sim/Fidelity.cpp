@@ -18,12 +18,11 @@
 using namespace marqsim;
 
 /// Packed target panels, built lazily the first time a block is evaluated
-/// fused at a given stride and reused across every subsequent schedule
-/// replay. Keyed by (block index, stride) — the FP64 and FP32 tiers pack
-/// at different strides and coexist in one cache.
+/// fused and reused across every subsequent schedule replay. Keyed by
+/// block index.
 struct marqsim::detail::TargetPanelCache {
   std::mutex M;
-  std::map<std::pair<size_t, size_t>, std::unique_ptr<TargetPanel>> Panels;
+  std::map<size_t, std::unique_ptr<TargetPanel>> Panels;
 };
 
 double marqsim::unitaryFidelity(const Matrix &UApp, const Matrix &UExact) {
@@ -87,22 +86,21 @@ const TargetPanel &FidelityEvaluator::targetPanelFor(size_t Block,
                                                      size_t Count,
                                                      size_t Stride) const {
   std::lock_guard<std::mutex> Lock(PanelCache->M);
-  std::unique_ptr<TargetPanel> &Slot = PanelCache->Panels[{Block, Stride}];
+  std::unique_ptr<TargetPanel> &Slot = PanelCache->Panels[Block];
   if (!Slot)
     Slot = std::make_unique<TargetPanel>(Targets.data() + Begin, Count, Stride);
   return *Slot;
 }
 
-template <typename PanelT, typename EvolveFn>
+template <typename EvolveFn>
 std::vector<Complex>
 FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
                                    const ScheduledRotation *FusedTail) const {
-  using Real = typename PanelT::RealType;
   const size_t NumCols = Columns.size();
   // The block partition is a fixed function of the column count — never
   // of EvalJobs — so every worker count computes the same blocks and the
   // fixed-order reductions over the result yield the same bits.
-  constexpr size_t Width = PanelT::PreferredWidth;
+  constexpr size_t Width = StatePanel::PreferredWidth;
   const size_t Blocks = (NumCols + Width - 1) / Width;
   std::vector<Complex> Overlaps(NumCols);
   const unsigned Jobs =
@@ -112,20 +110,19 @@ FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
     const size_t End = std::min(Begin + Width, NumCols);
     if (End - Begin == 1) {
       // A width-1 tail block walks one interleaved statevector instead of
-      // a panel padded to a full vector of lanes — less wasted work, the
-      // same per-element arithmetic (bit-identical for FP64), and the
-      // home of the FP32 interleaved walk kernels. The fused tail, when
-      // split off, is applied here before the single overlap — for one
-      // column, rotate-then-overlap is literally the same operation
-      // sequence either way.
-      BasicStateVector<Real> Walk(NQubits, Columns[Begin]);
+      // a panel padded to a full vector of lanes — less wasted work and
+      // the same per-element arithmetic, so the same bits. The fused
+      // tail, when split off, is applied here before the single overlap
+      // — for one column, rotate-then-overlap is literally the same
+      // operation sequence either way.
+      StateVector Walk(NQubits, Columns[Begin]);
       Evolve(Walk);
       if (FusedTail)
         Walk.applyPauliExpAll(FusedTail->String, FusedTail->Tau);
       Overlaps[Begin] = Walk.overlapWithTarget(Targets[Begin]);
       return;
     }
-    PanelT Panel(NQubits, Columns.data() + Begin, End - Begin);
+    StatePanel Panel(NQubits, Columns.data() + Begin, End - Begin);
     Evolve(Panel);
     if (FusedTail) {
       const TargetPanel &Packed =
@@ -140,17 +137,14 @@ FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
   return Overlaps;
 }
 
-template <typename PanelT, typename EvolveFn>
+template <typename EvolveFn>
 double FidelityEvaluator::evaluatePanels(
     unsigned EvalJobs, const EvolveFn &Evolve,
     const ScheduledRotation *FusedTail) const {
-  std::vector<Complex> Overlaps =
-      collectOverlaps<PanelT>(EvalJobs, Evolve, FusedTail);
+  std::vector<Complex> Overlaps = collectOverlaps(EvalJobs, Evolve, FusedTail);
   // Per-column overlaps are pure functions of their column, so this
   // serial chain over ascending columns reproduces the single-state
   // evaluation loop bit for bit no matter how the blocks were scheduled.
-  // (FP32 panels widen their overlaps to double before this chain, so
-  // only the panel evolution itself runs in float.)
   Complex Acc = 0.0;
   for (const Complex &O : Overlaps)
     Acc += O;
@@ -159,8 +153,7 @@ double FidelityEvaluator::evaluatePanels(
 
 double
 FidelityEvaluator::fidelity(const std::vector<ScheduledRotation> &Schedule,
-                            unsigned EvalJobs,
-                            EvalPrecision Precision) const {
+                            unsigned EvalJobs) const {
   // The final rotation runs fused with the overlap accumulation; the
   // replay lambda stops one step short of it.
   const ScheduledRotation *Tail = Schedule.empty() ? nullptr : &Schedule.back();
@@ -169,14 +162,11 @@ FidelityEvaluator::fidelity(const std::vector<ScheduledRotation> &Schedule,
     for (size_t I = 0; I < ReplaySteps; ++I)
       State.applyPauliExpAll(Schedule[I].String, Schedule[I].Tau);
   };
-  if (Precision == EvalPrecision::FP32)
-    return evaluatePanels<StatePanelF32>(EvalJobs, Replay, Tail);
-  return evaluatePanels<StatePanel>(EvalJobs, Replay, Tail);
+  return evaluatePanels(EvalJobs, Replay, Tail);
 }
 
 double FidelityEvaluator::stateFidelity(
-    const std::vector<ScheduledRotation> &Schedule, unsigned EvalJobs,
-    EvalPrecision Precision) const {
+    const std::vector<ScheduledRotation> &Schedule, unsigned EvalJobs) const {
   const ScheduledRotation *Tail = Schedule.empty() ? nullptr : &Schedule.back();
   const size_t ReplaySteps = Schedule.size() - (Tail ? 1 : 0);
   const auto Replay = [&](auto &State) {
@@ -189,14 +179,11 @@ double FidelityEvaluator::stateFidelity(
       Acc += std::norm(O);
     return Acc / static_cast<double>(Overlaps.size());
   };
-  if (Precision == EvalPrecision::FP32)
-    return Reduce(collectOverlaps<StatePanelF32>(EvalJobs, Replay, Tail));
-  return Reduce(collectOverlaps<StatePanel>(EvalJobs, Replay, Tail));
+  return Reduce(collectOverlaps(EvalJobs, Replay, Tail));
 }
 
 double FidelityEvaluator::fidelityOfCircuit(const Circuit &C,
                                             unsigned EvalJobs) const {
   assert(C.numQubits() == NQubits && "circuit width mismatch");
-  return evaluatePanels<StatePanel>(
-      EvalJobs, [&](auto &State) { State.applyAll(C); });
+  return evaluatePanels(EvalJobs, [&](auto &State) { State.applyAll(C); });
 }

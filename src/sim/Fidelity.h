@@ -33,11 +33,13 @@
 /// accumulation (StatePanel::applyPauliExpAllFused — one streaming pass
 /// instead of a rotation sweep plus one strided overlapWith re-read per
 /// column; targets are packed once per block and cached), and width-1
-/// tail blocks evolve a single interleaved BasicStateVector walk instead
-/// of a padded panel — which is also where the FP32 tier's interleaved
-/// walk kernels earn their keep. Both refinements preserve each column's
-/// ascending-basis overlap chain, so FP64 results are bit-identical to
-/// the unfused panel-only evaluation.
+/// tail blocks evolve a single interleaved StateVector walk instead of a
+/// panel padded to eight lanes. Both refinements preserve each column's
+/// ascending-basis overlap chain, so results are bit-identical to the
+/// unfused panel-only evaluation.
+///
+/// Evaluation runs in FP64 only: every golden, shard manifest and cache
+/// key pins the fidelity's exact bits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +48,6 @@
 
 #include "circuit/PauliEvolution.h"
 #include "pauli/Hamiltonian.h"
-#include "sim/Precision.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
 #include "support/RNG.h"
@@ -83,12 +84,9 @@ public:
 
   /// Fidelity of a schedule of analytic Pauli exponentials. \p EvalJobs
   /// fans the fixed-width column blocks across that many workers (0 = all
-  /// cores); the result is bit-identical for every value. \p Precision
-  /// selects the panel tier: FP64 (the bit-exact default) or the opt-in
-  /// FP32 throughput tier, whose result only tracks FP64 to a tolerance.
+  /// cores); the result is bit-identical for every value.
   double fidelity(const std::vector<ScheduledRotation> &Schedule,
-                  unsigned EvalJobs = 1,
-                  EvalPrecision Precision = EvalPrecision::FP64) const;
+                  unsigned EvalJobs = 1) const;
 
   /// Mean column *state* fidelity (1/C) sum_x |<psi_x| V |x>|^2 of a
   /// schedule — the noisy tier's metric. Unlike fidelity()'s |trace|
@@ -97,8 +95,7 @@ public:
   /// equals the density-matrix oracle's value exactly. Same panel
   /// harness, same bit-identity contract for every EvalJobs.
   double stateFidelity(const std::vector<ScheduledRotation> &Schedule,
-                       unsigned EvalJobs = 1,
-                       EvalPrecision Precision = EvalPrecision::FP64) const;
+                       unsigned EvalJobs = 1) const;
 
   /// Fidelity of an explicit gate-level circuit (slower; for validation).
   double fidelityOfCircuit(const Circuit &C, unsigned EvalJobs = 1) const;
@@ -114,26 +111,27 @@ public:
 
 private:
   /// Shared evaluation harness: partitions the columns into fixed-width
-  /// panel blocks, lets \p Evolve drive each block's state (a PanelT for
-  /// multi-column blocks, a BasicStateVector walk of the same precision
-  /// for width-1 blocks), and returns the per-column overlaps in column
+  /// panel blocks, lets \p Evolve drive each block's state (a StatePanel
+  /// for multi-column blocks, a StateVector walk for width-1 blocks), and
+  /// returns the per-column overlaps in column
   /// order. When \p FusedTail is non-null, \p Evolve must leave that
   /// final rotation unapplied: panel blocks then run it fused with the
   /// overlap accumulation against a cached TargetPanel, and walk blocks
   /// apply it before their (single) overlap — both orders bit-identical
   /// to evolving everything and overlapping afterwards. Both metrics
   /// reduce the returned vector in fixed order.
-  template <typename PanelT, typename EvolveFn>
+  template <typename EvolveFn>
   std::vector<Complex>
   collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
                   const ScheduledRotation *FusedTail = nullptr) const;
 
   /// collectOverlaps reduced to |sum|/C (the unitary-fidelity metric).
-  template <typename PanelT, typename EvolveFn>
+  template <typename EvolveFn>
   double evaluatePanels(unsigned EvalJobs, const EvolveFn &Evolve,
                         const ScheduledRotation *FusedTail = nullptr) const;
 
-  /// The packed targets of one block at one stride, built on first use.
+  /// The packed targets of one block, built on first use at the block
+  /// panel's \p Stride.
   const TargetPanel &targetPanelFor(size_t Block, size_t Begin, size_t Count,
                                     size_t Stride) const;
 

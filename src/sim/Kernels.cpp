@@ -5,12 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The scalar tier is the semantic definition of every kernel: the SIMD
-// tiers must reproduce its per-element arithmetic bit for bit (FP64) or
-// lane for lane in float (FP32). The statevector bodies are the original
-// fused loops of StateVector::applyPauliExp, moved here verbatim; the
-// panel bodies are the SoA restatement of StatePanel::applyPauliExpAll
-// with identical per-element expressions; the fused overlap bodies chain
-// the rotation sweep with the ascending-basis accumulation loop of
+// tiers must reproduce its per-element arithmetic bit for bit. The
+// statevector bodies are the original fused loops of
+// StateVector::applyPauliExp, moved here verbatim; the panel bodies are the
+// SoA restatement of StatePanel::applyPauliExpAll with identical
+// per-element expressions; the fused overlap body chains the rotation
+// sweep with the ascending-basis accumulation loop of
 // StatePanel::overlapWith, one lane chain per column.
 //
 //===----------------------------------------------------------------------===//
@@ -26,7 +26,6 @@
 
 using namespace marqsim;
 using marqsim::detail::PauliPhases;
-using marqsim::detail::PauliPhasesF32;
 
 namespace {
 
@@ -34,11 +33,8 @@ namespace {
 // Scalar statevector kernels (interleaved complex amplitudes)
 //===----------------------------------------------------------------------===//
 
-template <typename Real, typename Phases>
-void expButterfly(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
-                  std::complex<Real> CosT, std::complex<Real> ISinT,
-                  const Phases &Ph) {
-  using C = std::complex<Real>;
+void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM, Complex CosT,
+                           Complex ISinT, const PauliPhases &Ph) {
   // Fused butterfly: each {X, X ^ XM} pair is visited once and updated in
   // place with the same per-element arithmetic as the two-pass scratch
   // formulation (cos * psi + i sin * P psi), so results are bit-identical.
@@ -47,49 +43,24 @@ void expButterfly(std::complex<Real> *Amp, size_t Dim, uint64_t XM,
     if (X & Pivot)
       continue;
     const uint64_t Y = X ^ XM;
-    const C A0 = Amp[X];
-    const C A1 = Amp[Y];
+    const Complex A0 = Amp[X];
+    const Complex A1 = Amp[Y];
     Amp[X] = CosT * A0 + ISinT * (Ph.at(Y) * A1);
     Amp[Y] = CosT * A1 + ISinT * (Ph.at(X) * A0);
   }
 }
 
-template <typename Real, typename Phases>
-void expDiagonal(std::complex<Real> *Amp, size_t Dim,
-                 std::complex<Real> CosT, std::complex<Real> ISinT,
-                 const Phases &Ph) {
-  using C = std::complex<Real>;
+void scalarExpDiagonalF64(Complex *Amp, size_t Dim, Complex CosT,
+                          Complex ISinT, const PauliPhases &Ph) {
   // Diagonal fast path: P|X> = (+/-1)|X>, so each element only needs its
   // own slot. The update keeps the literal two-product expression (rather
   // than one fused factor cos +/- i sin) because a single multiply flips
   // the sign of exact-zero amplitudes when cos(Theta) < 0; this form is
   // bit-identical to the reference kernel including zero signs.
   for (uint64_t X = 0; X < Dim; ++X) {
-    const C A = Amp[X];
+    const Complex A = Amp[X];
     Amp[X] = CosT * A + ISinT * (Ph.at(X) * A);
   }
-}
-
-void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM, Complex CosT,
-                           Complex ISinT, const PauliPhases &Phases) {
-  expButterfly<double>(Amp, Dim, XM, CosT, ISinT, Phases);
-}
-
-void scalarExpDiagonalF64(Complex *Amp, size_t Dim, Complex CosT,
-                          Complex ISinT, const PauliPhases &Phases) {
-  expDiagonal<double>(Amp, Dim, CosT, ISinT, Phases);
-}
-
-void scalarExpButterflyF32(kernels::ComplexF *Amp, size_t Dim, uint64_t XM,
-                           kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                           const PauliPhasesF32 &Phases) {
-  expButterfly<float>(Amp, Dim, XM, CosT, ISinT, Phases);
-}
-
-void scalarExpDiagonalF32(kernels::ComplexF *Amp, size_t Dim,
-                          kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                          const PauliPhasesF32 &Phases) {
-  expDiagonal<float>(Amp, Dim, CosT, ISinT, Phases);
 }
 
 //===----------------------------------------------------------------------===//
@@ -101,25 +72,23 @@ void scalarExpDiagonalF32(kernels::ComplexF *Amp, size_t Dim,
 // stay zero (times cos/sin factors) and never leak into live columns.
 // This matches the SIMD tiers, which process whole vectors per row.
 
-template <typename Real, typename Phases>
-void panelExpButterfly(Real *Re, Real *Im, size_t Dim, size_t Stride,
-                       uint64_t XM, std::complex<Real> CosT,
-                       std::complex<Real> ISinT, const Phases &Ph) {
-  using C = std::complex<Real>;
+void scalarPanelExpButterflyF64(double *Re, double *Im, size_t Dim,
+                                size_t Stride, uint64_t XM, Complex CosT,
+                                Complex ISinT, const PauliPhases &Ph) {
   const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
   for (uint64_t X = 0; X < Dim; ++X) {
     if (X & Pivot)
       continue;
     const uint64_t Y = X ^ XM;
-    const C PhX = Ph.at(X);
-    const C PhY = Ph.at(Y);
-    Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    Real *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
+    const Complex PhX = Ph.at(X);
+    const Complex PhY = Ph.at(Y);
+    double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
+    double *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
     for (size_t L = 0; L < Stride; ++L) {
-      const C A0(ReX[L], ImX[L]);
-      const C A1(ReY[L], ImY[L]);
-      const C N0 = CosT * A0 + ISinT * (PhY * A1);
-      const C N1 = CosT * A1 + ISinT * (PhX * A0);
+      const Complex A0(ReX[L], ImX[L]);
+      const Complex A1(ReY[L], ImY[L]);
+      const Complex N0 = CosT * A0 + ISinT * (PhY * A1);
+      const Complex N1 = CosT * A1 + ISinT * (PhX * A0);
       ReX[L] = N0.real();
       ImX[L] = N0.imag();
       ReY[L] = N1.real();
@@ -128,17 +97,15 @@ void panelExpButterfly(Real *Re, Real *Im, size_t Dim, size_t Stride,
   }
 }
 
-template <typename Real, typename Phases>
-void panelExpDiagonal(Real *Re, Real *Im, size_t Dim, size_t Stride,
-                      std::complex<Real> CosT, std::complex<Real> ISinT,
-                      const Phases &Ph) {
-  using C = std::complex<Real>;
+void scalarPanelExpDiagonalF64(double *Re, double *Im, size_t Dim,
+                               size_t Stride, Complex CosT, Complex ISinT,
+                               const PauliPhases &Ph) {
   for (uint64_t X = 0; X < Dim; ++X) {
-    const C PhX = Ph.at(X);
-    Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
+    const Complex PhX = Ph.at(X);
+    double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
     for (size_t L = 0; L < Stride; ++L) {
-      const C A(ReX[L], ImX[L]);
-      const C N = CosT * A + ISinT * (PhX * A);
+      const Complex A(ReX[L], ImX[L]);
+      const Complex N = CosT * A + ISinT * (PhX * A);
       ReX[L] = N.real();
       ImX[L] = N.imag();
     }
@@ -152,64 +119,21 @@ void panelExpDiagonal(Real *Re, Real *Im, size_t Dim, size_t Stride,
 //   re: TRe*ar - TImNeg*ai ; im: TRe*ai + TImNeg*ar
 // with each multiply, the subtract/add, and the accumulate add rounded
 // individually — operation for operation the std::complex chain of
-// StatePanel::overlapWith. FP32 amplitudes widen to double first (exact),
-// matching at()'s widening.
-template <typename Real>
-void panelOverlapAccum(const Real *Re, const Real *Im, size_t Dim,
-                       size_t Stride, const double *TRe, const double *TImNeg,
-                       double *AccRe, double *AccIm) {
+// StatePanel::overlapWith.
+void scalarPanelOverlapAccumF64(const double *Re, const double *Im,
+                                size_t Dim, size_t Stride, const double *TRe,
+                                const double *TImNeg, double *AccRe,
+                                double *AccIm) {
   for (uint64_t X = 0; X < Dim; ++X) {
-    const Real *ReX = Re + X * Stride, *ImX = Im + X * Stride;
+    const double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
     const double *WR = TRe + X * Stride, *WI = TImNeg + X * Stride;
     for (size_t L = 0; L < Stride; ++L) {
-      const double Ar = static_cast<double>(ReX[L]);
-      const double Ai = static_cast<double>(ImX[L]);
+      const double Ar = ReX[L];
+      const double Ai = ImX[L];
       AccRe[L] += WR[L] * Ar - WI[L] * Ai;
       AccIm[L] += WR[L] * Ai + WI[L] * Ar;
     }
   }
-}
-
-template <typename Real, typename Phases>
-void panelExpOverlap(Real *Re, Real *Im, size_t Dim, size_t Stride,
-                     uint64_t XM, std::complex<Real> CosT,
-                     std::complex<Real> ISinT, const Phases &Ph,
-                     const double *TRe, const double *TImNeg, double *AccRe,
-                     double *AccIm) {
-  // Rotation sweep first, then one streaming accumulation pass: the
-  // butterfly visits rows in pair order, so accumulating inside it would
-  // reorder the per-column chains. Two passes inside one kernel call is
-  // still one panel re-read instead of one strided re-read per column.
-  if (XM == 0)
-    panelExpDiagonal<Real>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    panelExpButterfly<Real>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-  panelOverlapAccum<Real>(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
-}
-
-void scalarPanelExpButterflyF64(double *Re, double *Im, size_t Dim,
-                                size_t Stride, uint64_t XM, Complex CosT,
-                                Complex ISinT, const PauliPhases &Ph) {
-  panelExpButterfly<double>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpDiagonalF64(double *Re, double *Im, size_t Dim,
-                               size_t Stride, Complex CosT, Complex ISinT,
-                               const PauliPhases &Ph) {
-  panelExpDiagonal<double>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpButterflyF32(float *Re, float *Im, size_t Dim,
-                                size_t Stride, uint64_t XM,
-                                kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                                const PauliPhasesF32 &Ph) {
-  panelExpButterfly<float>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-}
-
-void scalarPanelExpDiagonalF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                               kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                               const PauliPhasesF32 &Ph) {
-  panelExpDiagonal<float>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
 }
 
 void scalarPanelExpOverlapF64(double *Re, double *Im, size_t Dim,
@@ -217,18 +141,15 @@ void scalarPanelExpOverlapF64(double *Re, double *Im, size_t Dim,
                               Complex ISinT, const PauliPhases &Ph,
                               const double *TRe, const double *TImNeg,
                               double *AccRe, double *AccIm) {
-  panelExpOverlap<double>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph, TRe,
-                          TImNeg, AccRe, AccIm);
-}
-
-void scalarPanelExpOverlapF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                              uint64_t XM, kernels::ComplexF CosT,
-                              kernels::ComplexF ISinT,
-                              const PauliPhasesF32 &Ph, const double *TRe,
-                              const double *TImNeg, double *AccRe,
-                              double *AccIm) {
-  panelExpOverlap<float>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph, TRe,
-                         TImNeg, AccRe, AccIm);
+  // Rotation sweep first, then one streaming accumulation pass: the
+  // butterfly visits rows in pair order, so accumulating inside it would
+  // reorder the per-column chains. Two passes inside one kernel call is
+  // still one panel re-read instead of one strided re-read per column.
+  if (XM == 0)
+    scalarPanelExpDiagonalF64(Re, Im, Dim, Stride, CosT, ISinT, Ph);
+  else
+    scalarPanelExpButterflyF64(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
+  scalarPanelOverlapAccumF64(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
 const kernels::Ops ScalarOps = {
@@ -237,12 +158,7 @@ const kernels::Ops ScalarOps = {
     scalarExpDiagonalF64,
     scalarPanelExpButterflyF64,
     scalarPanelExpDiagonalF64,
-    scalarPanelExpButterflyF32,
-    scalarPanelExpDiagonalF32,
-    scalarExpButterflyF32,
-    scalarExpDiagonalF32,
     scalarPanelExpOverlapF64,
-    scalarPanelExpOverlapF32,
 };
 
 //===----------------------------------------------------------------------===//
@@ -295,15 +211,9 @@ std::atomic<const kernels::Ops *> Active{nullptr};
 
 } // namespace
 
-bool kernels::forcedScalarByEnv() {
-  const char *E = std::getenv("MARQSIM_FORCE_SCALAR");
-  return E && *E && std::string(E) != "0";
-}
-
 std::string kernels::tierOverrideFromEnv() {
-  if (const char *E = std::getenv("MARQSIM_KERNEL_TIER"); E && *E)
-    return E;
-  return forcedScalarByEnv() ? "scalar" : "";
+  const char *E = std::getenv("MARQSIM_KERNEL_TIER");
+  return E ? E : "";
 }
 
 std::vector<const kernels::Ops *> kernels::availableOps() {
@@ -341,11 +251,6 @@ const char *kernels::activeName() { return active().Name; }
 const char *kernels::detectedName() { return bestOpsForHost()->Name; }
 
 const kernels::Ops &kernels::scalarOps() { return ScalarOps; }
-
-void kernels::selectForTesting(bool ForceScalar) {
-  Active.store(ForceScalar ? &ScalarOps : bestOpsForHost(),
-               std::memory_order_release);
-}
 
 void kernels::selectTierForTesting(const Ops &Tier) {
   Active.store(&Tier, std::memory_order_release);

@@ -15,12 +15,14 @@
 /// hosts whose OS enables the ZMM state get 512-bit kernels ("avx512"),
 /// AVX2+FMA hosts get 256-bit kernels ("avx2-fma"), AArch64 gets NEON,
 /// and everything else the scalar reference implementations, which are
-/// always compiled in. MARQSIM_KERNEL_TIER pins a specific tier by name
-/// (the legacy MARQSIM_FORCE_SCALAR=1 is an alias for "scalar"); pinning
-/// a tier the host cannot run aborts the process with a message naming
-/// the detected features, never a silent fallback.
+/// always compiled in. MARQSIM_KERNEL_TIER pins a specific tier by name;
+/// pinning a tier the host cannot run aborts the process with a message
+/// naming the detected features, never a silent fallback.
 ///
-/// Determinism contract: the FP64 vector kernels perform, lane for lane,
+/// Every kernel is FP64: fidelity evaluation has one precision, and every
+/// golden, manifest and cache key is pinned to its bits.
+///
+/// Determinism contract: the vector kernels perform, lane for lane,
 /// exactly the per-element arithmetic of the scalar reference — the same
 /// complex-multiply expansion std::complex<double> uses, each operation
 /// individually rounded, no fused multiply-adds in value-producing
@@ -31,18 +33,15 @@
 /// frozen fidelity goldens hold on every ISA. The fused overlap kernels
 /// accumulate each column's overlap as its own lane chain in ascending
 /// basis order — the exact chain StatePanel::overlapWith runs — so fusing
-/// never changes a single bit either. The FP32 kernels keep the same
-/// scalar-vs-SIMD bit-identity among themselves but are only
-/// tolerance-comparable to FP64 (sim/Precision.h).
+/// never changes a single bit either.
 ///
-/// Panel-plane layout contract (BasicStatePanel): split real/imag planes,
+/// Panel-plane layout contract (StatePanel): split real/imag planes,
 /// row-major by basis index — element (X, column) of a plane lives at
 /// [X * Stride + column] — with Stride a multiple of one 64-byte vector
-/// (8 doubles / 16 floats) and both plane bases 64-byte aligned. Rows
-/// therefore start on cache lines and a column sweep is a run of
-/// contiguous full-width vector lanes; kernels process the zero-filled
-/// padding lanes along with the live ones (lanes never interact, so
-/// padding stays inert).
+/// (8 doubles) and both plane bases 64-byte aligned. Rows therefore start
+/// on cache lines and a column sweep is a run of contiguous full-width
+/// vector lanes; kernels process the zero-filled padding lanes along with
+/// the live ones (lanes never interact, so padding stays inert).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +51,6 @@
 #include "linalg/Matrix.h"
 #include "pauli/PauliString.h"
 
-#include <complex>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -80,27 +78,9 @@ struct PauliPhases {
     return (__builtin_popcountll(ZMask & X) & 1) ? Neg : Pos;
   }
 };
-
-/// The FP32 tier's phase table: the same +/- i^k constants narrowed once.
-/// The constants are 0/±1 valued, so the narrowing is exact.
-struct PauliPhasesF32 {
-  std::complex<float> Pos, Neg;
-  uint64_t ZMask;
-
-  explicit PauliPhasesF32(const PauliPhases &P)
-      : Pos(static_cast<float>(P.Pos.real()),
-            static_cast<float>(P.Pos.imag())),
-        Neg(-Pos), ZMask(P.ZMask) {}
-
-  const std::complex<float> &at(uint64_t X) const {
-    return (__builtin_popcountll(ZMask & X) & 1) ? Neg : Pos;
-  }
-};
 } // namespace detail
 
 namespace kernels {
-
-using ComplexF = std::complex<float>;
 
 /// One implementation tier of every dispatched kernel. CosT carries
 /// (cos Theta, 0) and ISinT (0, sin Theta) — the exact constants the
@@ -132,29 +112,7 @@ struct Ops {
                               size_t Stride, Complex CosT, Complex ISinT,
                               const detail::PauliPhases &Ph);
 
-  /// FP32 panel butterfly: identical structure, float planes, twice the
-  /// lanes per vector.
-  void (*PanelExpButterflyF32)(float *Re, float *Im, size_t Dim,
-                               size_t Stride, uint64_t XM, ComplexF CosT,
-                               ComplexF ISinT,
-                               const detail::PauliPhasesF32 &Ph);
-
-  /// FP32 panel Z-diagonal sweep.
-  void (*PanelExpDiagonalF32)(float *Re, float *Im, size_t Dim,
-                              size_t Stride, ComplexF CosT, ComplexF ISinT,
-                              const detail::PauliPhasesF32 &Ph);
-
-  /// exp(i Theta P) on one interleaved std::complex<float> statevector —
-  /// the FP32 walk tier behind BasicStateVector<float> (xMask != 0).
-  void (*ExpButterflyF32)(ComplexF *Amp, size_t Dim, uint64_t XM,
-                          ComplexF CosT, ComplexF ISinT,
-                          const detail::PauliPhasesF32 &Ph);
-
-  /// The interleaved FP32 Z-diagonal fast path (xMask == 0).
-  void (*ExpDiagonalF32)(ComplexF *Amp, size_t Dim, ComplexF CosT,
-                         ComplexF ISinT, const detail::PauliPhasesF32 &Ph);
-
-  /// Fused final-rotation + overlap sweep over an FP64 panel: applies
+  /// Fused final-rotation + overlap sweep over a panel: applies
   /// exp(i Theta P) to the planes exactly like PanelExp{Butterfly,
   /// Diagonal}F64 (XM == 0 selects the diagonal path), then accumulates
   /// per-lane overlaps against a packed conjugated target panel in one
@@ -173,24 +131,12 @@ struct Ops {
                              Complex ISinT, const detail::PauliPhases &Ph,
                              const double *TRe, const double *TImNeg,
                              double *AccRe, double *AccIm);
-
-  /// The FP32 panel's fused final-rotation + overlap sweep: amplitudes
-  /// rotate in float, then widen to double (exact) before the overlap
-  /// multiply-accumulate — the same widening StatePanel::at performs, so
-  /// fused FP32 overlaps equal the unfused FP32 overlaps bit for bit.
-  /// Targets and accumulators stay double.
-  void (*PanelExpOverlapF32)(float *Re, float *Im, size_t Dim,
-                             size_t Stride, uint64_t XM, ComplexF CosT,
-                             ComplexF ISinT,
-                             const detail::PauliPhasesF32 &Ph,
-                             const double *TRe, const double *TImNeg,
-                             double *AccRe, double *AccIm);
 };
 
 /// The dispatched table: selected on first use from the CPU probe and the
-/// MARQSIM_KERNEL_TIER / MARQSIM_FORCE_SCALAR environment overrides, then
-/// cached. Thread-safe. Aborts the process (exit 1, message on stderr)
-/// when the environment pins a tier this host cannot run.
+/// MARQSIM_KERNEL_TIER environment override, then cached. Thread-safe.
+/// Aborts the process (exit 1, message on stderr) when the environment
+/// pins a tier this host cannot run.
 const Ops &active();
 
 /// Name of the dispatched tier ("avx512" / "avx2-fma" / "neon" /
@@ -214,22 +160,13 @@ std::vector<const Ops *> availableOps();
 /// tier is not runnable on this host.
 const Ops *findTier(const std::string &Name);
 
-/// The environment's tier pin: MARQSIM_KERNEL_TIER verbatim, or "scalar"
-/// when only the legacy MARQSIM_FORCE_SCALAR=1 alias is set; empty when
-/// neither is set.
+/// The environment's tier pin: MARQSIM_KERNEL_TIER verbatim, empty when
+/// unset.
 std::string tierOverrideFromEnv();
 
-/// True when MARQSIM_FORCE_SCALAR is set (non-empty, not "0") in the
-/// process environment.
-bool forcedScalarByEnv();
-
-/// Test/bench hook: pin dispatch to the scalar tier (true) or to the best
-/// tier the CPU supports regardless of the environment (false). Production
-/// code never calls this; use selectAuto() to restore the default policy.
-void selectForTesting(bool ForceScalar);
-
 /// Test/bench hook: pin dispatch to an explicit tier (one of
-/// availableOps()). Restore with selectAuto().
+/// availableOps()). Production code never calls this; restore the default
+/// policy with selectAuto().
 void selectTierForTesting(const Ops &Tier);
 
 /// Restores the default dispatch policy (CPU probe + environment).

@@ -30,7 +30,6 @@
 
 using namespace marqsim;
 using marqsim::detail::PauliPhases;
-using marqsim::detail::PauliPhasesF32;
 
 namespace {
 
@@ -124,83 +123,6 @@ void avx2ExpDiagonalF64(Complex *AmpC, size_t Dim, Complex CosT, Complex ISinT,
 }
 
 //===----------------------------------------------------------------------===//
-// Interleaved FP32 statevector kernels (4 complexes per __m256)
-//===----------------------------------------------------------------------===//
-
-inline __m256 cmulDup(__m256 WrDup, __m256 WiDup, __m256 A) {
-  const __m256 T1 = _mm256_mul_ps(WrDup, A);
-  const __m256 ASwap = _mm256_permute_ps(A, 0xB1); // [ai, ar] per complex
-  const __m256 T2 = _mm256_mul_ps(WiDup, ASwap);
-  return _mm256_addsub_ps(T1, T2);
-}
-
-inline __m256 cmulVec(__m256 Ph, __m256 A) {
-  return cmulDup(_mm256_moveldup_ps(Ph), _mm256_movehdup_ps(Ph), A);
-}
-
-// Loads the phases of four consecutive basis indices as one vector.
-inline __m256 loadPhases(const PauliPhasesF32 &Ph, uint64_t X) {
-  const kernels::ComplexF P0 = Ph.at(X);
-  const kernels::ComplexF P1 = Ph.at(X + 1);
-  const kernels::ComplexF P2 = Ph.at(X + 2);
-  const kernels::ComplexF P3 = Ph.at(X + 3);
-  return _mm256_set_ps(P3.imag(), P3.real(), P2.imag(), P2.real(), P1.imag(),
-                       P1.real(), P0.imag(), P0.real());
-}
-
-void avx2ExpButterflyF32(kernels::ComplexF *AmpC, size_t Dim, uint64_t XM,
-                         kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                         const PauliPhasesF32 &Ph) {
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  if (Pivot < 4) {
-    // A float vector holds four complexes; shorter pivot runs cannot load
-    // contiguously, so defer to the (lane-identical) scalar reference.
-    kernels::scalarOps().ExpButterflyF32(AmpC, Dim, XM, CosT, ISinT, Ph);
-    return;
-  }
-  float *Amp = reinterpret_cast<float *>(AmpC);
-  const __m256 CDup = _mm256_set1_ps(CosT.real());
-  const __m256 SDup = _mm256_set1_ps(ISinT.imag());
-  const __m256 Zero = _mm256_setzero_ps();
-  for (uint64_t Base = 0; Base < Dim; Base += 2 * Pivot) {
-    for (uint64_t Off = 0; Off < Pivot; Off += 4) {
-      const uint64_t X = Base + Off;
-      const uint64_t Y = X ^ XM;
-      float *PX = Amp + 2 * X;
-      float *PY = Amp + 2 * Y;
-      const __m256 A0 = _mm256_load_ps(PX);
-      const __m256 A1 = _mm256_load_ps(PY);
-      const __m256 T0 = cmulDup(CDup, Zero, A0);
-      const __m256 U0 = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, Y), A1));
-      const __m256 T1 = cmulDup(CDup, Zero, A1);
-      const __m256 U1 = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, X), A0));
-      _mm256_store_ps(PX, _mm256_add_ps(T0, U0));
-      _mm256_store_ps(PY, _mm256_add_ps(T1, U1));
-    }
-  }
-}
-
-void avx2ExpDiagonalF32(kernels::ComplexF *AmpC, size_t Dim,
-                        kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                        const PauliPhasesF32 &Ph) {
-  if (Dim < 4) {
-    kernels::scalarOps().ExpDiagonalF32(AmpC, Dim, CosT, ISinT, Ph);
-    return;
-  }
-  float *Amp = reinterpret_cast<float *>(AmpC);
-  const __m256 CDup = _mm256_set1_ps(CosT.real());
-  const __m256 SDup = _mm256_set1_ps(ISinT.imag());
-  const __m256 Zero = _mm256_setzero_ps();
-  for (uint64_t X = 0; X < Dim; X += 4) {
-    float *P = Amp + 2 * X;
-    const __m256 A = _mm256_load_ps(P);
-    const __m256 T = cmulDup(CDup, Zero, A);
-    const __m256 U = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, X), A));
-    _mm256_store_ps(P, _mm256_add_ps(T, U));
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Panel kernels (split planes; a row is Stride contiguous lanes)
 //===----------------------------------------------------------------------===//
 
@@ -212,30 +134,21 @@ inline __m256d mulRe(__m256d Wr, __m256d Wi, __m256d Ar, __m256d Ai) {
 inline __m256d mulIm(__m256d Wr, __m256d Wi, __m256d Ar, __m256d Ai) {
   return _mm256_add_pd(_mm256_mul_pd(Wr, Ai), _mm256_mul_pd(Wi, Ar));
 }
-inline __m256 mulRe(__m256 Wr, __m256 Wi, __m256 Ar, __m256 Ai) {
-  return _mm256_sub_ps(_mm256_mul_ps(Wr, Ar), _mm256_mul_ps(Wi, Ai));
-}
-inline __m256 mulIm(__m256 Wr, __m256 Wi, __m256 Ar, __m256 Ai) {
-  return _mm256_add_ps(_mm256_mul_ps(Wr, Ai), _mm256_mul_ps(Wi, Ar));
-}
 
 // One panel element update, all lanes of one row chunk:
 //   N = CosT * A + ISinT * (PhW * A2)
 // where A2 is the partner row (or A itself on the diagonal path).
-#define MARQSIM_PANEL_UPDATE(VEC, Ar, Ai, Pr, Pi, A2r, A2i, NrOut, NiOut)      \
+#define MARQSIM_PANEL_UPDATE(Ar, Ai, Pr, Pi, A2r, A2i, NrOut, NiOut)           \
   do {                                                                         \
-    const VEC Ur = mulRe(Pr, Pi, A2r, A2i);                                    \
-    const VEC Ui = mulIm(Pr, Pi, A2r, A2i);                                    \
-    const VEC T2r = mulRe(Zero, SDup, Ur, Ui);                                 \
-    const VEC T2i = mulIm(Zero, SDup, Ur, Ui);                                 \
-    const VEC T1r = mulRe(CDup, Zero, Ar, Ai);                                 \
-    const VEC T1i = mulIm(CDup, Zero, Ar, Ai);                                 \
-    NrOut = addv(T1r, T2r);                                                    \
-    NiOut = addv(T1i, T2i);                                                    \
+    const __m256d Ur = mulRe(Pr, Pi, A2r, A2i);                                \
+    const __m256d Ui = mulIm(Pr, Pi, A2r, A2i);                                \
+    const __m256d T2r = mulRe(Zero, SDup, Ur, Ui);                             \
+    const __m256d T2i = mulIm(Zero, SDup, Ur, Ui);                             \
+    const __m256d T1r = mulRe(CDup, Zero, Ar, Ai);                             \
+    const __m256d T1i = mulIm(CDup, Zero, Ar, Ai);                             \
+    NrOut = _mm256_add_pd(T1r, T2r);                                           \
+    NiOut = _mm256_add_pd(T1i, T2i);                                           \
   } while (0)
-
-inline __m256d addv(__m256d A, __m256d B) { return _mm256_add_pd(A, B); }
-inline __m256 addv(__m256 A, __m256 B) { return _mm256_add_ps(A, B); }
 
 void avx2PanelExpButterflyF64(double *Re, double *Im, size_t Dim,
                               size_t Stride, uint64_t XM, Complex CosT,
@@ -262,8 +175,8 @@ void avx2PanelExpButterflyF64(double *Re, double *Im, size_t Dim,
       const __m256d A1r = _mm256_load_pd(ReY + L);
       const __m256d A1i = _mm256_load_pd(ImY + L);
       __m256d N0r, N0i, N1r, N1i;
-      MARQSIM_PANEL_UPDATE(__m256d, A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
-      MARQSIM_PANEL_UPDATE(__m256d, A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
+      MARQSIM_PANEL_UPDATE(A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
+      MARQSIM_PANEL_UPDATE(A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
       _mm256_store_pd(ReX + L, N0r);
       _mm256_store_pd(ImX + L, N0i);
       _mm256_store_pd(ReY + L, N1r);
@@ -287,67 +200,9 @@ void avx2PanelExpDiagonalF64(double *Re, double *Im, size_t Dim, size_t Stride,
       const __m256d Ar = _mm256_load_pd(ReX + L);
       const __m256d Ai = _mm256_load_pd(ImX + L);
       __m256d Nr, Ni;
-      MARQSIM_PANEL_UPDATE(__m256d, Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
+      MARQSIM_PANEL_UPDATE(Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
       _mm256_store_pd(ReX + L, Nr);
       _mm256_store_pd(ImX + L, Ni);
-    }
-  }
-}
-
-void avx2PanelExpButterflyF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                              uint64_t XM, kernels::ComplexF CosT,
-                              kernels::ComplexF ISinT,
-                              const PauliPhasesF32 &Ph) {
-  const uint64_t Pivot = XM & (~XM + 1);
-  const __m256 CDup = _mm256_set1_ps(CosT.real());
-  const __m256 SDup = _mm256_set1_ps(ISinT.imag());
-  const __m256 Zero = _mm256_setzero_ps();
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const kernels::ComplexF PhX = Ph.at(X);
-    const kernels::ComplexF PhY = Ph.at(Y);
-    const __m256 PXr = _mm256_set1_ps(PhX.real());
-    const __m256 PXi = _mm256_set1_ps(PhX.imag());
-    const __m256 PYr = _mm256_set1_ps(PhY.real());
-    const __m256 PYi = _mm256_set1_ps(PhY.imag());
-    float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    float *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
-    for (size_t L = 0; L < Stride; L += 8) {
-      const __m256 A0r = _mm256_load_ps(ReX + L);
-      const __m256 A0i = _mm256_load_ps(ImX + L);
-      const __m256 A1r = _mm256_load_ps(ReY + L);
-      const __m256 A1i = _mm256_load_ps(ImY + L);
-      __m256 N0r, N0i, N1r, N1i;
-      MARQSIM_PANEL_UPDATE(__m256, A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
-      MARQSIM_PANEL_UPDATE(__m256, A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
-      _mm256_store_ps(ReX + L, N0r);
-      _mm256_store_ps(ImX + L, N0i);
-      _mm256_store_ps(ReY + L, N1r);
-      _mm256_store_ps(ImY + L, N1i);
-    }
-  }
-}
-
-void avx2PanelExpDiagonalF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                             kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                             const PauliPhasesF32 &Ph) {
-  const __m256 CDup = _mm256_set1_ps(CosT.real());
-  const __m256 SDup = _mm256_set1_ps(ISinT.imag());
-  const __m256 Zero = _mm256_setzero_ps();
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const kernels::ComplexF PhX = Ph.at(X);
-    const __m256 Pr = _mm256_set1_ps(PhX.real());
-    const __m256 Pi = _mm256_set1_ps(PhX.imag());
-    float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    for (size_t L = 0; L < Stride; L += 8) {
-      const __m256 Ar = _mm256_load_ps(ReX + L);
-      const __m256 Ai = _mm256_load_ps(ImX + L);
-      __m256 Nr, Ni;
-      MARQSIM_PANEL_UPDATE(__m256, Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
-      _mm256_store_ps(ReX + L, Nr);
-      _mm256_store_ps(ImX + L, Ni);
     }
   }
 }
@@ -356,7 +211,7 @@ void avx2PanelExpDiagonalF32(float *Re, float *Im, size_t Dim, size_t Stride,
 // Fused final-rotation + overlap kernels
 //===----------------------------------------------------------------------===//
 
-// The streaming accumulation pass shared by both fused kernels: row X's
+// The streaming accumulation pass of the fused kernel: row X's
 // contribution lands on every lane's chain before row X+1's, exactly the
 // ascending-basis order of StatePanel::overlapWith. Each mulRe/mulIm is
 // the discretely-rounded expansion of conj(Target) * Amp with the target
@@ -383,30 +238,6 @@ void avx2PanelOverlapAccumF64(const double *Re, const double *Im, size_t Dim,
   }
 }
 
-// FP32 amplitudes widen to double (exact) before the double
-// multiply-accumulate, matching StatePanel::at's widening.
-void avx2PanelOverlapAccumF32(const float *Re, const float *Im, size_t Dim,
-                              size_t Stride, const double *TRe,
-                              const double *TImNeg, double *AccRe,
-                              double *AccIm) {
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    const double *WrX = TRe + X * Stride, *WiX = TImNeg + X * Stride;
-    for (size_t L = 0; L < Stride; L += 4) {
-      const __m256d Ar = _mm256_cvtps_pd(_mm_load_ps(ReX + L));
-      const __m256d Ai = _mm256_cvtps_pd(_mm_load_ps(ImX + L));
-      const __m256d Wr = _mm256_load_pd(WrX + L);
-      const __m256d Wi = _mm256_load_pd(WiX + L);
-      const __m256d SumR =
-          _mm256_add_pd(_mm256_load_pd(AccRe + L), mulRe(Wr, Wi, Ar, Ai));
-      const __m256d SumI =
-          _mm256_add_pd(_mm256_load_pd(AccIm + L), mulIm(Wr, Wi, Ar, Ai));
-      _mm256_store_pd(AccRe + L, SumR);
-      _mm256_store_pd(AccIm + L, SumI);
-    }
-  }
-}
-
 void avx2PanelExpOverlapF64(double *Re, double *Im, size_t Dim, size_t Stride,
                             uint64_t XM, Complex CosT, Complex ISinT,
                             const PauliPhases &Ph, const double *TRe,
@@ -419,30 +250,13 @@ void avx2PanelExpOverlapF64(double *Re, double *Im, size_t Dim, size_t Stride,
   avx2PanelOverlapAccumF64(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
-void avx2PanelExpOverlapF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                            uint64_t XM, kernels::ComplexF CosT,
-                            kernels::ComplexF ISinT, const PauliPhasesF32 &Ph,
-                            const double *TRe, const double *TImNeg,
-                            double *AccRe, double *AccIm) {
-  if (XM == 0)
-    avx2PanelExpDiagonalF32(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    avx2PanelExpButterflyF32(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-  avx2PanelOverlapAccumF32(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
-}
-
 const kernels::Ops AVX2Ops = {
     "avx2-fma",
     avx2ExpButterflyF64,
     avx2ExpDiagonalF64,
     avx2PanelExpButterflyF64,
     avx2PanelExpDiagonalF64,
-    avx2PanelExpButterflyF32,
-    avx2PanelExpDiagonalF32,
-    avx2ExpButterflyF32,
-    avx2ExpDiagonalF32,
     avx2PanelExpOverlapF64,
-    avx2PanelExpOverlapF32,
 };
 
 } // namespace

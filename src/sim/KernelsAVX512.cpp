@@ -4,20 +4,22 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// 512-bit implementations of the dispatched kernels: 8 double lanes / 16
-// float lanes per vector. The translation unit is compiled with -mavx512f
-// -mavx512dq (CMake sets the flags per file on x86-64 hosts whose compiler
-// accepts them); everywhere else the #if below leaves only the null stub.
-// Dispatch additionally requires the OS XSAVE state (CpuFeatures::AVX512OS)
-// so ZMM registers are actually preserved across context switches.
+// 512-bit implementations of the panel kernels: 8 double lanes per
+// vector. The translation unit is compiled with -mavx512f -mavx512dq (CMake
+// sets the flags per file on x86-64 hosts whose compiler accepts them);
+// everywhere else the #if below leaves only the null stub. Dispatch
+// additionally requires the OS XSAVE state (CpuFeatures::AVX512OS) so ZMM
+// registers are actually preserved across context switches.
 //
-// Bit-identity: AVX-512 has no addsub instruction, so the interleaved
-// kernels realize the subtract-in-even-lanes step as an exact sign-bit XOR
-// followed by one rounded add — IEEE-754 defines a - b as a + (-b), so
-// this matches _mm256_addsub_pd and the scalar expression bit for bit.
-// Every other arithmetic intrinsic is a discrete mul/add/sub, never an
-// FMA, each lane evaluating the scalar reference's exact expression on the
-// same operand values, zero signs included.
+// The interleaved single-statevector walk (the width-1 fidelity block)
+// reuses the AVX2 tier's kernels. A 512-bit walk has to gather four
+// per-element phases into one vector through a stack buffer; it measured
+// 2.0-2.3x slower than the AVX2 walk, which loads two phases straight from
+// the table (10-16 qubits, 4-vCPU AVX-512 host).
+//
+// Bit-identity: every arithmetic intrinsic is a discrete mul/add/sub,
+// never an FMA, each lane evaluating the scalar reference's exact
+// expression on the same operand values, zero signs included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,190 +33,27 @@
 
 using namespace marqsim;
 using marqsim::detail::PauliPhases;
-using marqsim::detail::PauliPhasesF32;
 
 namespace {
 
-/// Short-run and tiny-dim fallback: the next tier down the precedence
-/// chain, which keeps its own fallbacks — every path ends at the scalar
-/// reference, and every hop is bit-identical.
+/// The interleaved walk's tier: the next one down the precedence chain,
+/// which keeps its own short-run fallbacks — every path ends at the
+/// scalar reference, and every hop is bit-identical.
 const kernels::Ops &fallbackOps() {
   if (const kernels::Ops *V = kernels::detail::avx2Ops())
     return *V;
   return kernels::scalarOps();
 }
 
-//===----------------------------------------------------------------------===//
-// Interleaved complex helpers (statevector layout: [re, im] pairs)
-//===----------------------------------------------------------------------===//
-
-// addsub emulation: flip the sign of the even (real-slot) lanes with an
-// exact XOR, then add — subtract in even lanes, add in odd lanes, one
-// rounding per lane, exactly _mm256_addsub_pd's semantics.
-inline __m512d addsub(__m512d A, __m512d B) {
-  constexpr long long SignBit = static_cast<long long>(0x8000000000000000ULL);
-  const __m512d SignEven = _mm512_castsi512_pd(
-      _mm512_set_epi64(0, SignBit, 0, SignBit, 0, SignBit, 0, SignBit));
-  return _mm512_add_pd(A, _mm512_xor_pd(B, SignEven));
-}
-
-inline __m512 addsub(__m512 A, __m512 B) {
-  // Each 64-bit chunk is one complex: sign bit in the low (real) dword.
-  const __m512 SignEven =
-      _mm512_castsi512_ps(_mm512_set1_epi64(0x0000000080000000LL));
-  return _mm512_add_ps(A, _mm512_xor_ps(B, SignEven));
-}
-
-// w * a for four interleaved complexes, wr/wi duplicated per lane pair:
-//   re = wr*ar - wi*ai ; im = wr*ai + wi*ar
-inline __m512d cmulDup(__m512d WrDup, __m512d WiDup, __m512d A) {
-  const __m512d T1 = _mm512_mul_pd(WrDup, A);
-  const __m512d ASwap = _mm512_permute_pd(A, 0x55); // [ai, ar] per complex
-  const __m512d T2 = _mm512_mul_pd(WiDup, ASwap);
-  return addsub(T1, T2);
-}
-
-inline __m512 cmulDup(__m512 WrDup, __m512 WiDup, __m512 A) {
-  const __m512 T1 = _mm512_mul_ps(WrDup, A);
-  const __m512 ASwap = _mm512_permute_ps(A, 0xB1); // [ai, ar] per complex
-  const __m512 T2 = _mm512_mul_ps(WiDup, ASwap);
-  return addsub(T1, T2);
-}
-
-// Same with a per-complex phase vector [pr0, pi0, pr1, pi1, ...].
-inline __m512d cmulVec(__m512d Ph, __m512d A) {
-  return cmulDup(_mm512_movedup_pd(Ph), _mm512_permute_pd(Ph, 0xFF), A);
-}
-
-inline __m512 cmulVec(__m512 Ph, __m512 A) {
-  return cmulDup(_mm512_moveldup_ps(Ph), _mm512_movehdup_ps(Ph), A);
-}
-
-// Loads the phases of four consecutive basis indices as one vector.
-inline __m512d loadPhases(const PauliPhases &Ph, uint64_t X) {
-  alignas(64) double Buf[8];
-  for (int I = 0; I < 4; ++I) {
-    const Complex &P = Ph.at(X + I);
-    Buf[2 * I] = P.real();
-    Buf[2 * I + 1] = P.imag();
-  }
-  return _mm512_load_pd(Buf);
-}
-
-// Loads the phases of eight consecutive basis indices as one vector.
-inline __m512 loadPhases(const PauliPhasesF32 &Ph, uint64_t X) {
-  alignas(64) float Buf[16];
-  for (int I = 0; I < 8; ++I) {
-    const kernels::ComplexF P = Ph.at(X + I);
-    Buf[2 * I] = P.real();
-    Buf[2 * I + 1] = P.imag();
-  }
-  return _mm512_load_ps(Buf);
-}
-
-void avx512ExpButterflyF64(Complex *AmpC, size_t Dim, uint64_t XM,
+void avx512ExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM,
                            Complex CosT, Complex ISinT,
                            const PauliPhases &Ph) {
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  if (Pivot < 4) {
-    // A 512-bit vector holds four double complexes; shorter pivot runs
-    // cannot load contiguously, so defer down the (bit-identical) chain.
-    fallbackOps().ExpButterflyF64(AmpC, Dim, XM, CosT, ISinT, Ph);
-    return;
-  }
-  double *Amp = reinterpret_cast<double *>(AmpC);
-  const __m512d CDup = _mm512_set1_pd(CosT.real());
-  const __m512d SDup = _mm512_set1_pd(ISinT.imag());
-  const __m512d Zero = _mm512_setzero_pd();
-  // X indices without the pivot bit form runs of Pivot consecutive values
-  // every 2*Pivot; their partners Y = X ^ XM are consecutive too.
-  for (uint64_t Base = 0; Base < Dim; Base += 2 * Pivot) {
-    for (uint64_t Off = 0; Off < Pivot; Off += 4) {
-      const uint64_t X = Base + Off;
-      const uint64_t Y = X ^ XM;
-      double *PX = Amp + 2 * X;
-      double *PY = Amp + 2 * Y;
-      const __m512d A0 = _mm512_load_pd(PX);
-      const __m512d A1 = _mm512_load_pd(PY);
-      // new0 = CosT*A0 + ISinT*(PhY*A1); CosT = (c,0), ISinT = (0,s).
-      const __m512d T0 = cmulDup(CDup, Zero, A0);
-      const __m512d U0 = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, Y), A1));
-      const __m512d T1 = cmulDup(CDup, Zero, A1);
-      const __m512d U1 = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, X), A0));
-      _mm512_store_pd(PX, _mm512_add_pd(T0, U0));
-      _mm512_store_pd(PY, _mm512_add_pd(T1, U1));
-    }
-  }
+  fallbackOps().ExpButterflyF64(Amp, Dim, XM, CosT, ISinT, Ph);
 }
 
-void avx512ExpDiagonalF64(Complex *AmpC, size_t Dim, Complex CosT,
+void avx512ExpDiagonalF64(Complex *Amp, size_t Dim, Complex CosT,
                           Complex ISinT, const PauliPhases &Ph) {
-  if (Dim < 4) {
-    fallbackOps().ExpDiagonalF64(AmpC, Dim, CosT, ISinT, Ph);
-    return;
-  }
-  double *Amp = reinterpret_cast<double *>(AmpC);
-  const __m512d CDup = _mm512_set1_pd(CosT.real());
-  const __m512d SDup = _mm512_set1_pd(ISinT.imag());
-  const __m512d Zero = _mm512_setzero_pd();
-  for (uint64_t X = 0; X < Dim; X += 4) {
-    double *P = Amp + 2 * X;
-    const __m512d A = _mm512_load_pd(P);
-    const __m512d T = cmulDup(CDup, Zero, A);
-    const __m512d U = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, X), A));
-    _mm512_store_pd(P, _mm512_add_pd(T, U));
-  }
-}
-
-void avx512ExpButterflyF32(kernels::ComplexF *AmpC, size_t Dim, uint64_t XM,
-                           kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                           const PauliPhasesF32 &Ph) {
-  const uint64_t Pivot = XM & (~XM + 1);
-  if (Pivot < 8) {
-    // Eight float complexes per vector; the AVX2 tier covers runs of 4+.
-    fallbackOps().ExpButterflyF32(AmpC, Dim, XM, CosT, ISinT, Ph);
-    return;
-  }
-  float *Amp = reinterpret_cast<float *>(AmpC);
-  const __m512 CDup = _mm512_set1_ps(CosT.real());
-  const __m512 SDup = _mm512_set1_ps(ISinT.imag());
-  const __m512 Zero = _mm512_setzero_ps();
-  for (uint64_t Base = 0; Base < Dim; Base += 2 * Pivot) {
-    for (uint64_t Off = 0; Off < Pivot; Off += 8) {
-      const uint64_t X = Base + Off;
-      const uint64_t Y = X ^ XM;
-      float *PX = Amp + 2 * X;
-      float *PY = Amp + 2 * Y;
-      const __m512 A0 = _mm512_load_ps(PX);
-      const __m512 A1 = _mm512_load_ps(PY);
-      const __m512 T0 = cmulDup(CDup, Zero, A0);
-      const __m512 U0 = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, Y), A1));
-      const __m512 T1 = cmulDup(CDup, Zero, A1);
-      const __m512 U1 = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, X), A0));
-      _mm512_store_ps(PX, _mm512_add_ps(T0, U0));
-      _mm512_store_ps(PY, _mm512_add_ps(T1, U1));
-    }
-  }
-}
-
-void avx512ExpDiagonalF32(kernels::ComplexF *AmpC, size_t Dim,
-                          kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                          const PauliPhasesF32 &Ph) {
-  if (Dim < 8) {
-    fallbackOps().ExpDiagonalF32(AmpC, Dim, CosT, ISinT, Ph);
-    return;
-  }
-  float *Amp = reinterpret_cast<float *>(AmpC);
-  const __m512 CDup = _mm512_set1_ps(CosT.real());
-  const __m512 SDup = _mm512_set1_ps(ISinT.imag());
-  const __m512 Zero = _mm512_setzero_ps();
-  for (uint64_t X = 0; X < Dim; X += 8) {
-    float *P = Amp + 2 * X;
-    const __m512 A = _mm512_load_ps(P);
-    const __m512 T = cmulDup(CDup, Zero, A);
-    const __m512 U = cmulDup(Zero, SDup, cmulVec(loadPhases(Ph, X), A));
-    _mm512_store_ps(P, _mm512_add_ps(T, U));
-  }
+  fallbackOps().ExpDiagonalF64(Amp, Dim, CosT, ISinT, Ph);
 }
 
 //===----------------------------------------------------------------------===//
@@ -229,26 +68,18 @@ inline __m512d mulRe(__m512d Wr, __m512d Wi, __m512d Ar, __m512d Ai) {
 inline __m512d mulIm(__m512d Wr, __m512d Wi, __m512d Ar, __m512d Ai) {
   return _mm512_add_pd(_mm512_mul_pd(Wr, Ai), _mm512_mul_pd(Wi, Ar));
 }
-inline __m512 mulRe(__m512 Wr, __m512 Wi, __m512 Ar, __m512 Ai) {
-  return _mm512_sub_ps(_mm512_mul_ps(Wr, Ar), _mm512_mul_ps(Wi, Ai));
-}
-inline __m512 mulIm(__m512 Wr, __m512 Wi, __m512 Ar, __m512 Ai) {
-  return _mm512_add_ps(_mm512_mul_ps(Wr, Ai), _mm512_mul_ps(Wi, Ar));
-}
-inline __m512d addv(__m512d A, __m512d B) { return _mm512_add_pd(A, B); }
-inline __m512 addv(__m512 A, __m512 B) { return _mm512_add_ps(A, B); }
 
 // One panel element update over one row chunk: N = CosT*A + ISinT*(P*A2).
-#define MARQSIM_PANEL_UPDATE(VEC, Ar, Ai, Pr, Pi, A2r, A2i, NrOut, NiOut)      \
+#define MARQSIM_PANEL_UPDATE(Ar, Ai, Pr, Pi, A2r, A2i, NrOut, NiOut)           \
   do {                                                                         \
-    const VEC Ur = mulRe(Pr, Pi, A2r, A2i);                                    \
-    const VEC Ui = mulIm(Pr, Pi, A2r, A2i);                                    \
-    const VEC T2r = mulRe(Zero, SDup, Ur, Ui);                                 \
-    const VEC T2i = mulIm(Zero, SDup, Ur, Ui);                                 \
-    const VEC T1r = mulRe(CDup, Zero, Ar, Ai);                                 \
-    const VEC T1i = mulIm(CDup, Zero, Ar, Ai);                                 \
-    NrOut = addv(T1r, T2r);                                                    \
-    NiOut = addv(T1i, T2i);                                                    \
+    const __m512d Ur = mulRe(Pr, Pi, A2r, A2i);                                \
+    const __m512d Ui = mulIm(Pr, Pi, A2r, A2i);                                \
+    const __m512d T2r = mulRe(Zero, SDup, Ur, Ui);                             \
+    const __m512d T2i = mulIm(Zero, SDup, Ur, Ui);                             \
+    const __m512d T1r = mulRe(CDup, Zero, Ar, Ai);                             \
+    const __m512d T1i = mulIm(CDup, Zero, Ar, Ai);                             \
+    NrOut = _mm512_add_pd(T1r, T2r);                                           \
+    NiOut = _mm512_add_pd(T1i, T2i);                                           \
   } while (0)
 
 void avx512PanelExpButterflyF64(double *Re, double *Im, size_t Dim,
@@ -276,8 +107,8 @@ void avx512PanelExpButterflyF64(double *Re, double *Im, size_t Dim,
       const __m512d A1r = _mm512_load_pd(ReY + L);
       const __m512d A1i = _mm512_load_pd(ImY + L);
       __m512d N0r, N0i, N1r, N1i;
-      MARQSIM_PANEL_UPDATE(__m512d, A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
-      MARQSIM_PANEL_UPDATE(__m512d, A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
+      MARQSIM_PANEL_UPDATE(A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
+      MARQSIM_PANEL_UPDATE(A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
       _mm512_store_pd(ReX + L, N0r);
       _mm512_store_pd(ImX + L, N0i);
       _mm512_store_pd(ReY + L, N1r);
@@ -301,68 +132,9 @@ void avx512PanelExpDiagonalF64(double *Re, double *Im, size_t Dim,
       const __m512d Ar = _mm512_load_pd(ReX + L);
       const __m512d Ai = _mm512_load_pd(ImX + L);
       __m512d Nr, Ni;
-      MARQSIM_PANEL_UPDATE(__m512d, Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
+      MARQSIM_PANEL_UPDATE(Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
       _mm512_store_pd(ReX + L, Nr);
       _mm512_store_pd(ImX + L, Ni);
-    }
-  }
-}
-
-void avx512PanelExpButterflyF32(float *Re, float *Im, size_t Dim,
-                                size_t Stride, uint64_t XM,
-                                kernels::ComplexF CosT,
-                                kernels::ComplexF ISinT,
-                                const PauliPhasesF32 &Ph) {
-  const uint64_t Pivot = XM & (~XM + 1);
-  const __m512 CDup = _mm512_set1_ps(CosT.real());
-  const __m512 SDup = _mm512_set1_ps(ISinT.imag());
-  const __m512 Zero = _mm512_setzero_ps();
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const kernels::ComplexF PhX = Ph.at(X);
-    const kernels::ComplexF PhY = Ph.at(Y);
-    const __m512 PXr = _mm512_set1_ps(PhX.real());
-    const __m512 PXi = _mm512_set1_ps(PhX.imag());
-    const __m512 PYr = _mm512_set1_ps(PhY.real());
-    const __m512 PYi = _mm512_set1_ps(PhY.imag());
-    float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    float *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
-    for (size_t L = 0; L < Stride; L += 16) {
-      const __m512 A0r = _mm512_load_ps(ReX + L);
-      const __m512 A0i = _mm512_load_ps(ImX + L);
-      const __m512 A1r = _mm512_load_ps(ReY + L);
-      const __m512 A1i = _mm512_load_ps(ImY + L);
-      __m512 N0r, N0i, N1r, N1i;
-      MARQSIM_PANEL_UPDATE(__m512, A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
-      MARQSIM_PANEL_UPDATE(__m512, A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
-      _mm512_store_ps(ReX + L, N0r);
-      _mm512_store_ps(ImX + L, N0i);
-      _mm512_store_ps(ReY + L, N1r);
-      _mm512_store_ps(ImY + L, N1i);
-    }
-  }
-}
-
-void avx512PanelExpDiagonalF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                               kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                               const PauliPhasesF32 &Ph) {
-  const __m512 CDup = _mm512_set1_ps(CosT.real());
-  const __m512 SDup = _mm512_set1_ps(ISinT.imag());
-  const __m512 Zero = _mm512_setzero_ps();
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const kernels::ComplexF PhX = Ph.at(X);
-    const __m512 Pr = _mm512_set1_ps(PhX.real());
-    const __m512 Pi = _mm512_set1_ps(PhX.imag());
-    float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    for (size_t L = 0; L < Stride; L += 16) {
-      const __m512 Ar = _mm512_load_ps(ReX + L);
-      const __m512 Ai = _mm512_load_ps(ImX + L);
-      __m512 Nr, Ni;
-      MARQSIM_PANEL_UPDATE(__m512, Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
-      _mm512_store_ps(ReX + L, Nr);
-      _mm512_store_ps(ImX + L, Ni);
     }
   }
 }
@@ -395,40 +167,6 @@ void avx512PanelOverlapAccumF64(const double *Re, const double *Im, size_t Dim,
   }
 }
 
-// FP32 amplitudes widen to double (exact) before the double
-// multiply-accumulate, matching StatePanel::at's widening.
-void avx512PanelOverlapAccumF32(const float *Re, const float *Im, size_t Dim,
-                                size_t Stride, const double *TRe,
-                                const double *TImNeg, double *AccRe,
-                                double *AccIm) {
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    const double *WrX = TRe + X * Stride, *WiX = TImNeg + X * Stride;
-    for (size_t L = 0; L < Stride; L += 16) {
-      const __m512 Fr = _mm512_load_ps(ReX + L);
-      const __m512 Fi = _mm512_load_ps(ImX + L);
-      const __m512d ArLo = _mm512_cvtps_pd(_mm512_castps512_ps256(Fr));
-      const __m512d ArHi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(Fr, 1));
-      const __m512d AiLo = _mm512_cvtps_pd(_mm512_castps512_ps256(Fi));
-      const __m512d AiHi = _mm512_cvtps_pd(_mm512_extractf32x8_ps(Fi, 1));
-      const __m512d WrLo = _mm512_load_pd(WrX + L);
-      const __m512d WrHi = _mm512_load_pd(WrX + L + 8);
-      const __m512d WiLo = _mm512_load_pd(WiX + L);
-      const __m512d WiHi = _mm512_load_pd(WiX + L + 8);
-      _mm512_store_pd(AccRe + L, _mm512_add_pd(_mm512_load_pd(AccRe + L),
-                                               mulRe(WrLo, WiLo, ArLo, AiLo)));
-      _mm512_store_pd(AccIm + L, _mm512_add_pd(_mm512_load_pd(AccIm + L),
-                                               mulIm(WrLo, WiLo, ArLo, AiLo)));
-      _mm512_store_pd(AccRe + L + 8,
-                      _mm512_add_pd(_mm512_load_pd(AccRe + L + 8),
-                                    mulRe(WrHi, WiHi, ArHi, AiHi)));
-      _mm512_store_pd(AccIm + L + 8,
-                      _mm512_add_pd(_mm512_load_pd(AccIm + L + 8),
-                                    mulIm(WrHi, WiHi, ArHi, AiHi)));
-    }
-  }
-}
-
 void avx512PanelExpOverlapF64(double *Re, double *Im, size_t Dim,
                               size_t Stride, uint64_t XM, Complex CosT,
                               Complex ISinT, const PauliPhases &Ph,
@@ -441,31 +179,13 @@ void avx512PanelExpOverlapF64(double *Re, double *Im, size_t Dim,
   avx512PanelOverlapAccumF64(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
-void avx512PanelExpOverlapF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                              uint64_t XM, kernels::ComplexF CosT,
-                              kernels::ComplexF ISinT,
-                              const PauliPhasesF32 &Ph, const double *TRe,
-                              const double *TImNeg, double *AccRe,
-                              double *AccIm) {
-  if (XM == 0)
-    avx512PanelExpDiagonalF32(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    avx512PanelExpButterflyF32(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-  avx512PanelOverlapAccumF32(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
-}
-
 const kernels::Ops AVX512Ops = {
     "avx512",
     avx512ExpButterflyF64,
     avx512ExpDiagonalF64,
     avx512PanelExpButterflyF64,
     avx512PanelExpDiagonalF64,
-    avx512PanelExpButterflyF32,
-    avx512PanelExpDiagonalF32,
-    avx512ExpButterflyF32,
-    avx512ExpDiagonalF32,
     avx512PanelExpOverlapF64,
-    avx512PanelExpOverlapF32,
 };
 
 } // namespace

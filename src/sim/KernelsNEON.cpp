@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // AArch64 AdvSIMD implementations of the dispatched kernels: 2 double
-// lanes / 4 float lanes per vector. AdvSIMD is baseline on AArch64, so no
+// lanes per vector. AdvSIMD is baseline on AArch64, so no
 // per-file flags are needed; on other architectures only the null stub is
 // compiled.
 //
@@ -29,7 +29,6 @@
 
 using namespace marqsim;
 using marqsim::detail::PauliPhases;
-using marqsim::detail::PauliPhasesF32;
 
 namespace {
 
@@ -108,32 +107,18 @@ inline float64x2_t mulIm(float64x2_t Wr, float64x2_t Wi, float64x2_t Ar,
                          float64x2_t Ai) {
   return vaddq_f64(vmulq_f64(Wr, Ai), vmulq_f64(Wi, Ar));
 }
-inline float32x4_t mulRe(float32x4_t Wr, float32x4_t Wi, float32x4_t Ar,
-                         float32x4_t Ai) {
-  return vsubq_f32(vmulq_f32(Wr, Ar), vmulq_f32(Wi, Ai));
-}
-inline float32x4_t mulIm(float32x4_t Wr, float32x4_t Wi, float32x4_t Ar,
-                         float32x4_t Ai) {
-  return vaddq_f32(vmulq_f32(Wr, Ai), vmulq_f32(Wi, Ar));
-}
-inline float64x2_t addv(float64x2_t A, float64x2_t B) {
-  return vaddq_f64(A, B);
-}
-inline float32x4_t addv(float32x4_t A, float32x4_t B) {
-  return vaddq_f32(A, B);
-}
 
 // One panel element update over one row chunk: N = CosT*A + ISinT*(P*A2).
-#define MARQSIM_PANEL_UPDATE(VEC, Ar, Ai, Pr, Pi, A2r, A2i, NrOut, NiOut)      \
+#define MARQSIM_PANEL_UPDATE(Ar, Ai, Pr, Pi, A2r, A2i, NrOut, NiOut)           \
   do {                                                                         \
-    const VEC Ur = mulRe(Pr, Pi, A2r, A2i);                                    \
-    const VEC Ui = mulIm(Pr, Pi, A2r, A2i);                                    \
-    const VEC T2r = mulRe(Zero, SDup, Ur, Ui);                                 \
-    const VEC T2i = mulIm(Zero, SDup, Ur, Ui);                                 \
-    const VEC T1r = mulRe(CDup, Zero, Ar, Ai);                                 \
-    const VEC T1i = mulIm(CDup, Zero, Ar, Ai);                                 \
-    NrOut = addv(T1r, T2r);                                                    \
-    NiOut = addv(T1i, T2i);                                                    \
+    const float64x2_t Ur = mulRe(Pr, Pi, A2r, A2i);                            \
+    const float64x2_t Ui = mulIm(Pr, Pi, A2r, A2i);                            \
+    const float64x2_t T2r = mulRe(Zero, SDup, Ur, Ui);                         \
+    const float64x2_t T2i = mulIm(Zero, SDup, Ur, Ui);                         \
+    const float64x2_t T1r = mulRe(CDup, Zero, Ar, Ai);                         \
+    const float64x2_t T1i = mulIm(CDup, Zero, Ar, Ai);                         \
+    NrOut = vaddq_f64(T1r, T2r);                                               \
+    NiOut = vaddq_f64(T1i, T2i);                                               \
   } while (0)
 
 void neonPanelExpButterflyF64(double *Re, double *Im, size_t Dim,
@@ -161,10 +146,8 @@ void neonPanelExpButterflyF64(double *Re, double *Im, size_t Dim,
       const float64x2_t A1r = vld1q_f64(ReY + L);
       const float64x2_t A1i = vld1q_f64(ImY + L);
       float64x2_t N0r, N0i, N1r, N1i;
-      MARQSIM_PANEL_UPDATE(float64x2_t, A0r, A0i, PYr, PYi, A1r, A1i, N0r,
-                           N0i);
-      MARQSIM_PANEL_UPDATE(float64x2_t, A1r, A1i, PXr, PXi, A0r, A0i, N1r,
-                           N1i);
+      MARQSIM_PANEL_UPDATE(A0r, A0i, PYr, PYi, A1r, A1i, N0r, N0i);
+      MARQSIM_PANEL_UPDATE(A1r, A1i, PXr, PXi, A0r, A0i, N1r, N1i);
       vst1q_f64(ReX + L, N0r);
       vst1q_f64(ImX + L, N0i);
       vst1q_f64(ReY + L, N1r);
@@ -188,92 +171,11 @@ void neonPanelExpDiagonalF64(double *Re, double *Im, size_t Dim, size_t Stride,
       const float64x2_t Ar = vld1q_f64(ReX + L);
       const float64x2_t Ai = vld1q_f64(ImX + L);
       float64x2_t Nr, Ni;
-      MARQSIM_PANEL_UPDATE(float64x2_t, Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
+      MARQSIM_PANEL_UPDATE(Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
       vst1q_f64(ReX + L, Nr);
       vst1q_f64(ImX + L, Ni);
     }
   }
-}
-
-void neonPanelExpButterflyF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                              uint64_t XM, kernels::ComplexF CosT,
-                              kernels::ComplexF ISinT,
-                              const PauliPhasesF32 &Ph) {
-  const uint64_t Pivot = XM & (~XM + 1);
-  const float32x4_t CDup = vdupq_n_f32(CosT.real());
-  const float32x4_t SDup = vdupq_n_f32(ISinT.imag());
-  const float32x4_t Zero = vdupq_n_f32(0.0f);
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const kernels::ComplexF PhX = Ph.at(X);
-    const kernels::ComplexF PhY = Ph.at(Y);
-    const float32x4_t PXr = vdupq_n_f32(PhX.real());
-    const float32x4_t PXi = vdupq_n_f32(PhX.imag());
-    const float32x4_t PYr = vdupq_n_f32(PhY.real());
-    const float32x4_t PYi = vdupq_n_f32(PhY.imag());
-    float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    float *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
-    for (size_t L = 0; L < Stride; L += 4) {
-      const float32x4_t A0r = vld1q_f32(ReX + L);
-      const float32x4_t A0i = vld1q_f32(ImX + L);
-      const float32x4_t A1r = vld1q_f32(ReY + L);
-      const float32x4_t A1i = vld1q_f32(ImY + L);
-      float32x4_t N0r, N0i, N1r, N1i;
-      MARQSIM_PANEL_UPDATE(float32x4_t, A0r, A0i, PYr, PYi, A1r, A1i, N0r,
-                           N0i);
-      MARQSIM_PANEL_UPDATE(float32x4_t, A1r, A1i, PXr, PXi, A0r, A0i, N1r,
-                           N1i);
-      vst1q_f32(ReX + L, N0r);
-      vst1q_f32(ImX + L, N0i);
-      vst1q_f32(ReY + L, N1r);
-      vst1q_f32(ImY + L, N1i);
-    }
-  }
-}
-
-void neonPanelExpDiagonalF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                             kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                             const PauliPhasesF32 &Ph) {
-  const float32x4_t CDup = vdupq_n_f32(CosT.real());
-  const float32x4_t SDup = vdupq_n_f32(ISinT.imag());
-  const float32x4_t Zero = vdupq_n_f32(0.0f);
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const kernels::ComplexF PhX = Ph.at(X);
-    const float32x4_t Pr = vdupq_n_f32(PhX.real());
-    const float32x4_t Pi = vdupq_n_f32(PhX.imag());
-    float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    for (size_t L = 0; L < Stride; L += 4) {
-      const float32x4_t Ar = vld1q_f32(ReX + L);
-      const float32x4_t Ai = vld1q_f32(ImX + L);
-      float32x4_t Nr, Ni;
-      MARQSIM_PANEL_UPDATE(float32x4_t, Ar, Ai, Pr, Pi, Ar, Ai, Nr, Ni);
-      vst1q_f32(ReX + L, Nr);
-      vst1q_f32(ImX + L, Ni);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Interleaved FP32 statevector kernels
-//===----------------------------------------------------------------------===//
-
-// The interleaved FP32 walk currently defers to the scalar reference on
-// this tier: a 128-bit vector holds only two float complexes, so short
-// pivot runs dominate and an AdvSIMD version is remaining headroom rather
-// than a measured win. Dispatch semantics (and bit-identity with scalar)
-// are preserved trivially.
-void neonExpButterflyF32(kernels::ComplexF *Amp, size_t Dim, uint64_t XM,
-                         kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                         const PauliPhasesF32 &Ph) {
-  kernels::scalarOps().ExpButterflyF32(Amp, Dim, XM, CosT, ISinT, Ph);
-}
-
-void neonExpDiagonalF32(kernels::ComplexF *Amp, size_t Dim,
-                        kernels::ComplexF CosT, kernels::ComplexF ISinT,
-                        const PauliPhasesF32 &Ph) {
-  kernels::scalarOps().ExpDiagonalF32(Amp, Dim, CosT, ISinT, Ph);
 }
 
 //===----------------------------------------------------------------------===//
@@ -304,28 +206,6 @@ void neonPanelOverlapAccumF64(const double *Re, const double *Im, size_t Dim,
   }
 }
 
-// FP32 amplitudes widen to double (exact) before the double
-// multiply-accumulate, matching StatePanel::at's widening.
-void neonPanelOverlapAccumF32(const float *Re, const float *Im, size_t Dim,
-                              size_t Stride, const double *TRe,
-                              const double *TImNeg, double *AccRe,
-                              double *AccIm) {
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const float *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    const double *WrX = TRe + X * Stride, *WiX = TImNeg + X * Stride;
-    for (size_t L = 0; L < Stride; L += 2) {
-      const float64x2_t Ar = vcvt_f64_f32(vld1_f32(ReX + L));
-      const float64x2_t Ai = vcvt_f64_f32(vld1_f32(ImX + L));
-      const float64x2_t Wr = vld1q_f64(WrX + L);
-      const float64x2_t Wi = vld1q_f64(WiX + L);
-      vst1q_f64(AccRe + L,
-                vaddq_f64(vld1q_f64(AccRe + L), mulRe(Wr, Wi, Ar, Ai)));
-      vst1q_f64(AccIm + L,
-                vaddq_f64(vld1q_f64(AccIm + L), mulIm(Wr, Wi, Ar, Ai)));
-    }
-  }
-}
-
 void neonPanelExpOverlapF64(double *Re, double *Im, size_t Dim, size_t Stride,
                             uint64_t XM, Complex CosT, Complex ISinT,
                             const PauliPhases &Ph, const double *TRe,
@@ -338,30 +218,13 @@ void neonPanelExpOverlapF64(double *Re, double *Im, size_t Dim, size_t Stride,
   neonPanelOverlapAccumF64(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
-void neonPanelExpOverlapF32(float *Re, float *Im, size_t Dim, size_t Stride,
-                            uint64_t XM, kernels::ComplexF CosT,
-                            kernels::ComplexF ISinT, const PauliPhasesF32 &Ph,
-                            const double *TRe, const double *TImNeg,
-                            double *AccRe, double *AccIm) {
-  if (XM == 0)
-    neonPanelExpDiagonalF32(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    neonPanelExpButterflyF32(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
-  neonPanelOverlapAccumF32(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
-}
-
 const kernels::Ops NEONOps = {
     "neon",
     neonExpButterflyF64,
     neonExpDiagonalF64,
     neonPanelExpButterflyF64,
     neonPanelExpDiagonalF64,
-    neonPanelExpButterflyF32,
-    neonPanelExpDiagonalF32,
-    neonExpButterflyF32,
-    neonExpDiagonalF32,
     neonPanelExpOverlapF64,
-    neonPanelExpOverlapF32,
 };
 
 } // namespace

@@ -9,7 +9,6 @@
 #include "sim/Kernels.h"
 
 #include <cmath>
-#include <type_traits>
 
 using namespace marqsim;
 
@@ -27,27 +26,22 @@ TargetPanel::TargetPanel(const CVector *Targets, size_t Count, size_t Stride)
   }
 }
 
-template <typename Real>
-BasicStatePanel<Real>::BasicStatePanel(unsigned NumQubits,
-                                       const uint64_t *Basis,
-                                       size_t NumColumns)
+StatePanel::StatePanel(unsigned NumQubits, const uint64_t *Basis,
+                       size_t NumColumns)
     : NQubits(NumQubits), Dim(size_t(1) << NumQubits), Cols(NumColumns),
       Stride((NumColumns + LaneMultiple - 1) & ~(LaneMultiple - 1)),
-      Re(Dim * Stride, Real(0)), Im(Dim * Stride, Real(0)) {
+      Re(Dim * Stride, 0.0), Im(Dim * Stride, 0.0) {
   assert(NumQubits <= 26 && "statevector too large");
   for (size_t Col = 0; Col < Cols; ++Col) {
     assert(Basis[Col] < Dim && "basis state out of range");
-    Re[size_t(Basis[Col]) * Stride + Col] = Real(1);
+    Re[size_t(Basis[Col]) * Stride + Col] = 1.0;
   }
 }
 
-template <typename Real>
-BasicStatePanel<Real>::BasicStatePanel(unsigned NumQubits,
-                                       const std::vector<uint64_t> &Basis)
-    : BasicStatePanel(NumQubits, Basis.data(), Basis.size()) {}
+StatePanel::StatePanel(unsigned NumQubits, const std::vector<uint64_t> &Basis)
+    : StatePanel(NumQubits, Basis.data(), Basis.size()) {}
 
-template <typename Real>
-CVector BasicStatePanel<Real>::column(size_t Col) const {
+CVector StatePanel::column(size_t Col) const {
   assert(Col < Cols && "column out of range");
   CVector Out(Dim);
   for (uint64_t X = 0; X < Dim; ++X)
@@ -55,25 +49,20 @@ CVector BasicStatePanel<Real>::column(size_t Col) const {
   return Out;
 }
 
-template <typename Real>
-void BasicStatePanel<Real>::applyPauliExpAll(const PauliString &P,
-                                             double Theta) {
+void StatePanel::applyPauliExpAll(const PauliString &P, double Theta) {
   assert((P.supportMask() >> NQubits) == 0 &&
          "Pauli string acts outside the register");
-  using C = std::complex<Real>;
   // Per-rotation setup — masks, trig, the +/- i^k phase constants — done
-  // once here and amortized over every column below. The trig runs in
-  // double for every instantiation; the FP32 tier narrows the constants
-  // exactly once per rotation.
-  const C CosT(Real(std::cos(Theta)), Real(0));
-  const C ISinT(Real(0), Real(std::sin(Theta)));
+  // once here and amortized over every column below.
+  const Complex CosT(std::cos(Theta), 0.0);
+  const Complex ISinT(0.0, std::sin(Theta));
   if (P.isIdentity()) {
     // exp(i Theta I) is the global phase cos + i sin; elementwise over
     // the planes, padding lanes included (they stay zero).
-    const C Phase = CosT + ISinT;
+    const Complex Phase = CosT + ISinT;
     for (size_t I = 0, E = Re.size(); I < E; ++I) {
-      const C A(Re[I], Im[I]);
-      const C N = A * Phase;
+      const Complex A(Re[I], Im[I]);
+      const Complex N = A * Phase;
       Re[I] = N.real();
       Im[I] = N.imag();
     }
@@ -82,45 +71,32 @@ void BasicStatePanel<Real>::applyPauliExpAll(const PauliString &P,
   const uint64_t XM = P.xMask();
   const detail::PauliPhases Phases(P);
   const kernels::Ops &K = kernels::active();
-  if constexpr (std::is_same_v<Real, double>) {
-    if (XM == 0)
-      K.PanelExpDiagonalF64(Re.data(), Im.data(), Dim, Stride, CosT, ISinT,
-                            Phases);
-    else
-      K.PanelExpButterflyF64(Re.data(), Im.data(), Dim, Stride, XM, CosT,
-                             ISinT, Phases);
-  } else {
-    const detail::PauliPhasesF32 PhasesF(Phases);
-    if (XM == 0)
-      K.PanelExpDiagonalF32(Re.data(), Im.data(), Dim, Stride, CosT, ISinT,
-                            PhasesF);
-    else
-      K.PanelExpButterflyF32(Re.data(), Im.data(), Dim, Stride, XM, CosT,
-                             ISinT, PhasesF);
-  }
+  if (XM == 0)
+    K.PanelExpDiagonalF64(Re.data(), Im.data(), Dim, Stride, CosT, ISinT,
+                          Phases);
+  else
+    K.PanelExpButterflyF64(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
+                           Phases);
 }
 
-template <typename Real> void BasicStatePanel<Real>::applyAll(const Gate &G) {
-  using C = std::complex<Real>;
-  Complex M64[2][2];
-  if (detail::singleQubitMatrix(G, M64)) {
+void StatePanel::applyAll(const Gate &G) {
+  Complex M[2][2];
+  if (detail::singleQubitMatrix(G, M)) {
     assert(G.Qubit0 < NQubits && "qubit out of range");
-    // Matrix entries narrow once per gate; for the double panel this is
-    // the identical matrix a standalone StateVector applies.
-    const C M00(M64[0][0]), M01(M64[0][1]), M10(M64[1][0]), M11(M64[1][1]);
+    // The identical matrix a standalone StateVector applies.
     const uint64_t Bit = 1ULL << G.Qubit0;
     for (uint64_t Base = 0; Base < Dim; ++Base) {
       if (Base & Bit)
         continue;
-      Real *Re0 = Re.data() + Base * Stride;
-      Real *Im0 = Im.data() + Base * Stride;
-      Real *Re1 = Re.data() + (Base | Bit) * Stride;
-      Real *Im1 = Im.data() + (Base | Bit) * Stride;
+      double *Re0 = Re.data() + Base * Stride;
+      double *Im0 = Im.data() + Base * Stride;
+      double *Re1 = Re.data() + (Base | Bit) * Stride;
+      double *Im1 = Im.data() + (Base | Bit) * Stride;
       for (size_t L = 0; L < Stride; ++L) {
-        const C A0(Re0[L], Im0[L]);
-        const C A1(Re1[L], Im1[L]);
-        const C N0 = M00 * A0 + M01 * A1;
-        const C N1 = M10 * A0 + M11 * A1;
+        const Complex A0(Re0[L], Im0[L]);
+        const Complex A1(Re1[L], Im1[L]);
+        const Complex N0 = M[0][0] * A0 + M[0][1] * A1;
+        const Complex N1 = M[1][0] * A0 + M[1][1] * A1;
         Re0[L] = N0.real();
         Im0[L] = N0.imag();
         Re1[L] = N1.real();
@@ -137,10 +113,10 @@ template <typename Real> void BasicStatePanel<Real>::applyAll(const Gate &G) {
   for (uint64_t X = 0; X < Dim; ++X) {
     if (!(X & CBit) || (X & TBit))
       continue;
-    Real *Re0 = Re.data() + X * Stride;
-    Real *Im0 = Im.data() + X * Stride;
-    Real *Re1 = Re.data() + (X | TBit) * Stride;
-    Real *Im1 = Im.data() + (X | TBit) * Stride;
+    double *Re0 = Re.data() + X * Stride;
+    double *Im0 = Im.data() + X * Stride;
+    double *Re1 = Re.data() + (X | TBit) * Stride;
+    double *Im1 = Im.data() + (X | TBit) * Stride;
     for (size_t L = 0; L < Stride; ++L) {
       std::swap(Re0[L], Re1[L]);
       std::swap(Im0[L], Im1[L]);
@@ -148,23 +124,17 @@ template <typename Real> void BasicStatePanel<Real>::applyAll(const Gate &G) {
   }
 }
 
-template <typename Real>
-void BasicStatePanel<Real>::applyAll(const Circuit &C) {
+void StatePanel::applyAll(const Circuit &C) {
   assert(C.numQubits() <= NQubits && "circuit wider than panel");
   for (const Gate &G : C.gates())
     applyAll(G);
 }
 
-template <typename Real>
-void BasicStatePanel<Real>::applyPauliExpAllFused(const PauliString &P,
-                                                  double Theta,
-                                                  const TargetPanel &Targets,
-                                                  Complex *Out) {
+void StatePanel::applyPauliExpAllFused(const PauliString &P, double Theta,
+                                       const TargetPanel &Targets,
+                                       Complex *Out) {
   assert(Targets.laneStride() == Stride && Targets.dim() == Dim &&
          Targets.numColumns() == Cols && "target panel shape mismatch");
-  using C = std::complex<Real>;
-  const C CosT(Real(std::cos(Theta)), Real(0));
-  const C ISinT(Real(0), Real(std::sin(Theta)));
   const double *WR = Targets.realPlane();
   const double *WI = Targets.negImagPlane();
   if (P.isIdentity()) {
@@ -177,37 +147,29 @@ void BasicStatePanel<Real>::applyPauliExpAllFused(const PauliString &P,
       double AccRe = 0.0, AccIm = 0.0;
       for (uint64_t X = 0; X < Dim; ++X) {
         const size_t I = size_t(X) * Stride + Col;
-        const double Ar = static_cast<double>(Re[I]);
-        const double Ai = static_cast<double>(Im[I]);
-        AccRe += WR[I] * Ar - WI[I] * Ai;
-        AccIm += WR[I] * Ai + WI[I] * Ar;
+        AccRe += WR[I] * Re[I] - WI[I] * Im[I];
+        AccIm += WR[I] * Im[I] + WI[I] * Re[I];
       }
       Out[Col] = Complex(AccRe, AccIm);
     }
     return;
   }
+  const Complex CosT(std::cos(Theta), 0.0);
+  const Complex ISinT(0.0, std::sin(Theta));
   const uint64_t XM = P.xMask();
   const detail::PauliPhases Phases(P);
-  const kernels::Ops &K = kernels::active();
   // Lane L of the accumulator planes carries column L's overlap chain;
   // padding lanes accumulate zeros against zero targets and are dropped.
   std::vector<double, AlignedAllocator<double, 64>> AccRe(Stride, 0.0);
   std::vector<double, AlignedAllocator<double, 64>> AccIm(Stride, 0.0);
-  if constexpr (std::is_same_v<Real, double>) {
-    K.PanelExpOverlapF64(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
-                         Phases, WR, WI, AccRe.data(), AccIm.data());
-  } else {
-    const detail::PauliPhasesF32 PhasesF(Phases);
-    K.PanelExpOverlapF32(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
-                         PhasesF, WR, WI, AccRe.data(), AccIm.data());
-  }
+  kernels::active().PanelExpOverlapF64(Re.data(), Im.data(), Dim, Stride, XM,
+                                       CosT, ISinT, Phases, WR, WI,
+                                       AccRe.data(), AccIm.data());
   for (size_t Col = 0; Col < Cols; ++Col)
     Out[Col] = Complex(AccRe[Col], AccIm[Col]);
 }
 
-template <typename Real>
-Complex BasicStatePanel<Real>::overlapWith(const CVector &Target,
-                                           size_t Col) const {
+Complex StatePanel::overlapWith(const CVector &Target, size_t Col) const {
   assert(Target.size() == Dim && "overlap size mismatch");
   assert(Col < Cols && "column out of range");
   Complex S = 0.0;
@@ -215,6 +177,3 @@ Complex BasicStatePanel<Real>::overlapWith(const CVector &Target,
     S += std::conj(Target[X]) * at(Col, X);
   return S;
 }
-
-template class marqsim::BasicStatePanel<double>;
-template class marqsim::BasicStatePanel<float>;

@@ -13,25 +13,21 @@
 /// times and re-reads the schedule C times. The panel stores the C
 /// statevectors as split real/imag planes, row-major by basis index:
 /// element (X, column) of a plane lives at [X * Stride + column], with
-/// Stride rounded up to one full 64-byte vector (8 doubles / 16 floats)
-/// and both planes allocated 64-byte aligned. A rotation's sweep over one
-/// basis row is therefore a
-/// run of contiguous, aligned, full-width vector lanes — the layout the
+/// Stride rounded up to one full 64-byte vector (8 doubles) and both
+/// planes allocated 64-byte aligned. A rotation's sweep over one basis row
+/// is therefore a run of contiguous, aligned, full-width vector lanes — the
+/// layout the
 /// dispatched SIMD kernels (sim/Kernels.h) consume directly, with the
 /// padding lanes held at zero and processed inertly alongside the live
 /// columns. Per-rotation setup happens once per sweep and each butterfly
 /// pair's phase pair is selected once and broadcast across the columns.
 ///
-/// Determinism contract (FP64): every column of the panel evolves with
-/// exactly the per-element arithmetic of a standalone StateVector — the
-/// kernels share the phase-selection helper and gate matrices — so a
-/// panel of C columns is bit-identical to C serial single-state replays
-/// for every panel width and every kernel dispatch. SimTest pins this
-/// across widths and fast paths. The float instantiation (StatePanelF32)
-/// is the opt-in throughput tier: per-rotation constants are computed in
-/// double and narrowed once, amplitudes evolve in float, and overlaps
-/// still accumulate in double; its results are tolerance-defined against
-/// FP64, never bit-exact (sim/Precision.h).
+/// Determinism contract: every column of the panel evolves with exactly
+/// the per-element arithmetic of a standalone StateVector — the kernels
+/// share the phase-selection helper and gate matrices — so a panel of C
+/// columns is bit-identical to C serial single-state replays for every
+/// panel width and every kernel dispatch. SimTest pins this across widths
+/// and fast paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,18 +43,18 @@
 namespace marqsim {
 
 /// A block of fidelity targets packed into the panel-plane layout for the
-/// fused evolve+overlap kernels: double real plane plus a pre-negated
+/// fused evolve+overlap kernels: real plane plus a pre-negated
 /// imaginary plane (TImNeg = -imag, an exact sign flip), element
 /// (X, column) at [X * Stride + column], padding lanes zero, both planes
 /// 64-byte aligned. With the negated plane, conj(Target) * Amp expands to
 /// the discretely-rounded lane arithmetic the kernels run — see
 /// kernels::Ops::PanelExpOverlapF64. Targets are packed once and reused
-/// across schedule replays; planes stay double for both precision tiers.
+/// across schedule replays.
 class TargetPanel {
 public:
   /// Packs \p Count target statevectors (each of the same dimension) at
   /// row stride \p Stride, which must match the evolving panel's
-  /// laneStride() and be a multiple of the panel's LaneMultiple.
+  /// laneStride() and be a multiple of StatePanel::LaneMultiple.
   TargetPanel(const CVector *Targets, size_t Count, size_t Stride);
 
   size_t dim() const { return Dim; }
@@ -78,10 +74,8 @@ private:
 /// evolved together over split real/imag planes. n <= 26 as for
 /// StateVector; callers bound the width (see PreferredWidth) to keep the
 /// working set in cache.
-template <typename Real> class BasicStatePanel {
+class StatePanel {
 public:
-  using RealType = Real;
-
   /// The default column-block width of panel consumers: wide enough to
   /// amortize per-rotation setup, narrow enough that a block of 2^n
   /// columns stays cache-resident at the experiment sizes. Fixed —
@@ -90,14 +84,13 @@ public:
   static constexpr size_t PreferredWidth = 8;
 
   /// Lane stride rounding: rows start every LaneMultiple elements — one
-  /// full 64-byte vector (8 doubles / 16 floats) — so 512-bit loads stay
-  /// aligned for every instantiation and rows begin on cache lines.
-  static constexpr size_t LaneMultiple = 64 / sizeof(Real);
+  /// full 64-byte vector of 8 doubles — so 512-bit loads stay aligned and
+  /// rows begin on cache lines.
+  static constexpr size_t LaneMultiple = 64 / sizeof(double);
 
   /// Initializes column k to the basis state |Basis[k]>.
-  BasicStatePanel(unsigned NumQubits, const uint64_t *Basis,
-                  size_t NumColumns);
-  BasicStatePanel(unsigned NumQubits, const std::vector<uint64_t> &Basis);
+  StatePanel(unsigned NumQubits, const uint64_t *Basis, size_t NumColumns);
+  StatePanel(unsigned NumQubits, const std::vector<uint64_t> &Basis);
 
   unsigned numQubits() const { return NQubits; }
   size_t dim() const { return Dim; }
@@ -107,15 +100,15 @@ public:
   /// element (X, Col) of a plane lives at [X * laneStride() + Col].
   size_t laneStride() const { return Stride; }
 
-  Real *realPlane() { return Re.data(); }
-  Real *imagPlane() { return Im.data(); }
-  const Real *realPlane() const { return Re.data(); }
-  const Real *imagPlane() const { return Im.data(); }
+  double *realPlane() { return Re.data(); }
+  double *imagPlane() { return Im.data(); }
+  const double *realPlane() const { return Re.data(); }
+  const double *imagPlane() const { return Im.data(); }
 
-  /// Amplitude of basis state \p X in column \p Col, widened to double.
+  /// Amplitude of basis state \p X in column \p Col.
   Complex at(size_t Col, uint64_t X) const {
     const size_t I = size_t(X) * Stride + Col;
-    return Complex(static_cast<double>(Re[I]), static_cast<double>(Im[I]));
+    return Complex(Re[I], Im[I]);
   }
 
   /// Materializes column \p Col as one contiguous statevector (the panel
@@ -133,9 +126,9 @@ public:
   /// Applies all gates of a circuit in order to every column.
   void applyAll(const Circuit &C);
 
-  /// <Target | column Col>, accumulated in double in ascending basis
-  /// order — the same chain as innerProduct over a standalone
-  /// statevector (bit-identical for the double instantiation).
+  /// <Target | column Col>, accumulated in ascending basis order — the
+  /// same chain as innerProduct over a standalone statevector, so the two
+  /// are bit-identical.
   Complex overlapWith(const CVector &Target, size_t Col) const;
 
   /// The fused tail of fidelity evaluation: applies exp(i * Theta * P) to
@@ -145,7 +138,7 @@ public:
   /// re-read per column. Each column's overlap runs its own ascending-
   /// basis lane chain — the exact chain overlapWith runs — so the fused
   /// path is bit-identical to applyPauliExpAll followed by overlapWith,
-  /// for both precision tiers and every kernel dispatch. \p Targets must
+  /// for every kernel dispatch. \p Targets must
   /// be packed at this panel's laneStride(). \p Out receives
   /// numColumns() overlaps.
   void applyPauliExpAllFused(const PauliString &P, double Theta,
@@ -156,17 +149,8 @@ private:
   size_t Dim;
   size_t Cols;
   size_t Stride;
-  std::vector<Real, AlignedAllocator<Real, 64>> Re, Im;
+  std::vector<double, AlignedAllocator<double, 64>> Re, Im;
 };
-
-extern template class BasicStatePanel<double>;
-extern template class BasicStatePanel<float>;
-
-/// The bit-exact FP64 panel every default path evaluates on.
-using StatePanel = BasicStatePanel<double>;
-
-/// The opt-in FP32 throughput tier (tolerance-defined; see Precision.h).
-using StatePanelF32 = BasicStatePanel<float>;
 
 } // namespace marqsim
 

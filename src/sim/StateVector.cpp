@@ -10,22 +10,17 @@
 #include "sim/StatePanel.h"
 
 #include <cmath>
-#include <type_traits>
 
 using namespace marqsim;
 
-template <typename Real>
-BasicStateVector<Real>::BasicStateVector(unsigned NumQubits, uint64_t Basis)
-    : NQubits(NumQubits),
-      Amp(size_t(1) << NumQubits, std::complex<Real>(0, 0)) {
+StateVector::StateVector(unsigned NumQubits, uint64_t Basis)
+    : NQubits(NumQubits), Amp(size_t(1) << NumQubits, Complex(0.0, 0.0)) {
   assert(NumQubits <= 26 && "statevector too large");
   assert(Basis < Amp.size() && "basis state out of range");
-  Amp[Basis] = std::complex<Real>(1, 0);
+  Amp[Basis] = Complex(1.0, 0.0);
 }
 
-template <typename Real>
-BasicStateVector<Real>::BasicStateVector(unsigned NumQubits,
-                                         AmpVector Amplitudes)
+StateVector::StateVector(unsigned NumQubits, CVector Amplitudes)
     : NQubits(NumQubits), Amp(std::move(Amplitudes)) {
   assert(Amp.size() == size_t(1) << NumQubits &&
          "amplitude vector size mismatch");
@@ -101,27 +96,21 @@ bool marqsim::detail::singleQubitMatrix(const Gate &G, Complex M[2][2]) {
   return false;
 }
 
-template <typename Real>
-void BasicStateVector<Real>::applySingleQubit(unsigned Q,
-                                              const Complex M[2][2]) {
+void StateVector::applySingleQubit(unsigned Q, const Complex M[2][2]) {
   assert(Q < NQubits && "qubit out of range");
-  using C = std::complex<Real>;
-  // Entries narrow once per gate; the double instantiation applies the
-  // identical matrix this class always has.
-  const C M00(M[0][0]), M01(M[0][1]), M10(M[1][0]), M11(M[1][1]);
   const uint64_t Bit = 1ULL << Q;
   const size_t Dim = Amp.size();
   for (uint64_t Base = 0; Base < Dim; ++Base) {
     if (Base & Bit)
       continue;
-    const C A0 = Amp[Base];
-    const C A1 = Amp[Base | Bit];
-    Amp[Base] = M00 * A0 + M01 * A1;
-    Amp[Base | Bit] = M10 * A0 + M11 * A1;
+    const Complex A0 = Amp[Base];
+    const Complex A1 = Amp[Base | Bit];
+    Amp[Base] = M[0][0] * A0 + M[0][1] * A1;
+    Amp[Base | Bit] = M[1][0] * A0 + M[1][1] * A1;
   }
 }
 
-template <typename Real> void BasicStateVector<Real>::apply(const Gate &G) {
+void StateVector::apply(const Gate &G) {
   Complex M[2][2];
   if (detail::singleQubitMatrix(G, M)) {
     applySingleQubit(G.Qubit0, M);
@@ -138,31 +127,21 @@ template <typename Real> void BasicStateVector<Real>::apply(const Gate &G) {
       std::swap(Amp[X], Amp[X | TBit]);
 }
 
-template <typename Real> void BasicStateVector<Real>::apply(const Circuit &C) {
+void StateVector::apply(const Circuit &C) {
   assert(C.numQubits() <= NQubits && "circuit wider than state");
   for (const Gate &G : C.gates())
     apply(G);
 }
 
-template <typename Real>
-void BasicStateVector<Real>::applyPauli(const PauliString &P) {
+void StateVector::applyPauli(const PauliString &P) {
   assert((P.supportMask() >> NQubits) == 0 &&
          "Pauli string acts outside the register");
   const uint64_t XM = P.xMask();
-  const detail::PauliPhases Phases64(P);
-  // The +/- i^k constants are 0/±1 valued; the FP32 narrowing is exact.
-  const auto phase = [&](uint64_t X) {
-    if constexpr (std::is_same_v<Real, double>)
-      return Phases64.at(X);
-    else
-      return std::complex<Real>(
-          static_cast<Real>(Phases64.at(X).real()),
-          static_cast<Real>(Phases64.at(X).imag()));
-  };
+  const detail::PauliPhases Phases(P);
   if (XM == 0) {
     // Diagonal: a pure per-element phase, in place.
     for (uint64_t X = 0; X < Amp.size(); ++X)
-      Amp[X] = phase(X) * Amp[X];
+      Amp[X] = Phases.at(X) * Amp[X];
     return;
   }
   // One in-place pass over the {X, X ^ XM} pairs: P|psi>[X] is the
@@ -173,27 +152,22 @@ void BasicStateVector<Real>::applyPauli(const PauliString &P) {
     if (X & Pivot)
       continue;
     const uint64_t Y = X ^ XM;
-    const std::complex<Real> A0 = Amp[X];
-    const std::complex<Real> A1 = Amp[Y];
-    Amp[X] = phase(Y) * A1;
-    Amp[Y] = phase(X) * A0;
+    const Complex A0 = Amp[X];
+    const Complex A1 = Amp[Y];
+    Amp[X] = Phases.at(Y) * A1;
+    Amp[Y] = Phases.at(X) * A0;
   }
 }
 
-template <typename Real>
-void BasicStateVector<Real>::applyPauliExp(const PauliString &P,
-                                           double Theta) {
+void StateVector::applyPauliExp(const PauliString &P, double Theta) {
   assert((P.supportMask() >> NQubits) == 0 &&
          "Pauli string acts outside the register");
-  using C = std::complex<Real>;
-  // Trig in double for every instantiation; the FP32 tier narrows the
-  // per-rotation constants exactly once.
-  const C CosT(Real(std::cos(Theta)), Real(0));
-  const C ISinT(Real(0), Real(std::sin(Theta)));
+  const Complex CosT(std::cos(Theta), 0.0);
+  const Complex ISinT(0.0, std::sin(Theta));
   if (P.isIdentity()) {
     // exp(i Theta I) is the global phase cos + i sin.
-    const C Phase = CosT + ISinT;
-    for (C &A : Amp)
+    const Complex Phase = CosT + ISinT;
+    for (Complex &A : Amp)
       A *= Phase;
     return;
   }
@@ -202,70 +176,23 @@ void BasicStateVector<Real>::applyPauliExp(const PauliString &P,
   const uint64_t XM = P.xMask();
   const detail::PauliPhases Phases(P);
   const kernels::Ops &K = kernels::active();
-  if constexpr (std::is_same_v<Real, double>) {
-    if (XM == 0)
-      K.ExpDiagonalF64(Amp.data(), Amp.size(), CosT, ISinT, Phases);
-    else
-      K.ExpButterflyF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
-  } else {
-    const detail::PauliPhasesF32 PhasesF(Phases);
-    if (XM == 0)
-      K.ExpDiagonalF32(Amp.data(), Amp.size(), CosT, ISinT, PhasesF);
-    else
-      K.ExpButterflyF32(Amp.data(), Amp.size(), XM, CosT, ISinT, PhasesF);
-  }
+  if (XM == 0)
+    K.ExpDiagonalF64(Amp.data(), Amp.size(), CosT, ISinT, Phases);
+  else
+    K.ExpButterflyF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
 }
 
-template <typename Real>
-Complex BasicStateVector<Real>::overlap(const BasicStateVector &Other) const {
+Complex StateVector::overlap(const StateVector &Other) const {
   assert(Amp.size() == Other.Amp.size() && "overlap size mismatch");
-  if constexpr (std::is_same_v<Real, double>) {
-    return innerProduct(Amp, Other.Amp);
-  } else {
-    // The same ascending-index double chain as innerProduct, with the
-    // FP32 amplitudes widened exactly first.
-    Complex S = 0.0;
-    for (uint64_t X = 0; X < Amp.size(); ++X) {
-      const Complex A(static_cast<double>(Amp[X].real()),
-                      static_cast<double>(Amp[X].imag()));
-      const Complex B(static_cast<double>(Other.Amp[X].real()),
-                      static_cast<double>(Other.Amp[X].imag()));
-      S += std::conj(A) * B;
-    }
-    return S;
-  }
+  return innerProduct(Amp, Other.Amp);
 }
 
-template <typename Real>
-Complex
-BasicStateVector<Real>::overlapWithTarget(const CVector &Target) const {
+Complex StateVector::overlapWithTarget(const CVector &Target) const {
   assert(Target.size() == Amp.size() && "overlap size mismatch");
-  Complex S = 0.0;
-  for (uint64_t X = 0; X < Amp.size(); ++X) {
-    const Complex A(static_cast<double>(Amp[X].real()),
-                    static_cast<double>(Amp[X].imag()));
-    S += std::conj(Target[X]) * A;
-  }
-  return S;
+  return innerProduct(Target, Amp);
 }
 
-template <typename Real> double BasicStateVector<Real>::norm() const {
-  if constexpr (std::is_same_v<Real, double>) {
-    return vectorNorm(Amp);
-  } else {
-    // Per-element |a|^2 accumulated in double after an exact widening.
-    double S = 0.0;
-    for (const std::complex<Real> &A : Amp) {
-      const double R = static_cast<double>(A.real());
-      const double I = static_cast<double>(A.imag());
-      S += R * R + I * I;
-    }
-    return std::sqrt(S);
-  }
-}
-
-template class marqsim::BasicStateVector<double>;
-template class marqsim::BasicStateVector<float>;
+double StateVector::norm() const { return vectorNorm(Amp); }
 
 Matrix marqsim::circuitUnitary(const Circuit &C) {
   assert(C.numQubits() <= 12 && "circuit unitary too large");

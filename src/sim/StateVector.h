@@ -26,15 +26,6 @@
 /// sim/Kernels.h, which picks AVX-512/AVX2/NEON variants that are
 /// bit-identical to the scalar reference.
 ///
-/// The class is a template over the amplitude precision. The double
-/// instantiation (the StateVector alias) is the bit-exact default every
-/// golden value is frozen against. The float instantiation
-/// (StateVectorF32) is the opt-in walk tier behind --precision=fp32:
-/// per-rotation constants are computed in double and narrowed once,
-/// amplitudes evolve in float through the interleaved FP32 kernels, and
-/// overlaps/norms still accumulate in double. Its results are
-/// tolerance-defined against FP64, never bit-exact (sim/Precision.h).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef MARQSIM_SIM_STATEVECTOR_H
@@ -43,7 +34,6 @@
 #include "circuit/Circuit.h"
 #include "linalg/Matrix.h"
 #include "pauli/PauliString.h"
-#include "support/AlignedAlloc.h"
 
 #include <cstdint>
 
@@ -57,30 +47,23 @@ namespace detail {
 bool singleQubitMatrix(const Gate &G, Complex M[2][2]);
 } // namespace detail
 
-/// An n-qubit pure state (n <= 26 to keep memory bounded).
-template <typename Real> class BasicStateVector {
+/// An n-qubit pure state (n <= 26 to keep memory bounded). Amplitudes are
+/// a CVector, whose storage is cache-line aligned so the dispatched
+/// kernels' full-width vector loads are always aligned.
+class StateVector {
 public:
-  using RealType = Real;
-
-  /// Amplitude storage: cache-line aligned so the dispatched kernels'
-  /// full-width vector loads are always aligned. For the double
-  /// instantiation this is exactly CVector.
-  using AmpVector =
-      std::vector<std::complex<Real>, AlignedAllocator<std::complex<Real>, 64>>;
-
   /// Initializes to the basis state |Basis> over \p NumQubits qubits.
-  explicit BasicStateVector(unsigned NumQubits, uint64_t Basis = 0);
+  explicit StateVector(unsigned NumQubits, uint64_t Basis = 0);
 
   /// Wraps an existing amplitude vector (size must be a power of two).
-  BasicStateVector(unsigned NumQubits, AmpVector Amplitudes);
+  StateVector(unsigned NumQubits, CVector Amplitudes);
 
   unsigned numQubits() const { return NQubits; }
   size_t dim() const { return Amp.size(); }
-  const AmpVector &amplitudes() const { return Amp; }
-  AmpVector &amplitudes() { return Amp; }
+  const CVector &amplitudes() const { return Amp; }
+  CVector &amplitudes() { return Amp; }
 
-  /// Applies one gate. Matrix entries are derived in double and narrowed
-  /// once per gate (a no-op for the double instantiation).
+  /// Applies one gate.
   void apply(const Gate &G);
 
   /// Applies all gates of a circuit in order.
@@ -94,18 +77,15 @@ public:
   /// One fused pass: each butterfly pair is loaded and stored exactly once.
   void applyPauliExp(const PauliString &P, double Theta);
 
-  /// <this | Other>, accumulated in double in ascending basis order for
-  /// every instantiation (FP32 amplitudes widen exactly before the
-  /// multiply).
-  Complex overlap(const BasicStateVector &Other) const;
+  /// <this | Other>, accumulated in ascending basis order.
+  Complex overlap(const StateVector &Other) const;
 
-  /// <Target | this> against a double-precision target, accumulated in
-  /// double in ascending basis order — for the double instantiation this
-  /// is bit-identical to innerProduct(Target, amplitudes()) and to
-  /// StatePanel::overlapWith on a same-state column.
+  /// <Target | this>, accumulated in ascending basis order — bit-identical
+  /// to innerProduct(Target, amplitudes()) and to StatePanel::overlapWith
+  /// on a same-state column.
   Complex overlapWithTarget(const CVector &Target) const;
 
-  /// Euclidean norm (1 for a valid state), accumulated in double.
+  /// Euclidean norm (1 for a valid state).
   double norm() const;
 
   /// Panel-compatible spellings, so one generic evolve lambda can drive
@@ -121,17 +101,8 @@ private:
   void applySingleQubit(unsigned Q, const Complex M[2][2]);
 
   unsigned NQubits;
-  AmpVector Amp;
+  CVector Amp;
 };
-
-extern template class BasicStateVector<double>;
-extern template class BasicStateVector<float>;
-
-/// The bit-exact FP64 simulator every default path and golden runs on.
-using StateVector = BasicStateVector<double>;
-
-/// The opt-in FP32 walk tier (tolerance-defined; see Precision.h).
-using StateVectorF32 = BasicStateVector<float>;
 
 /// Builds the full 2^n x 2^n unitary of a circuit by applying it to panels
 /// of basis columns (intended for tests and small systems).

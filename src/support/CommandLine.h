@@ -8,8 +8,9 @@
 /// Minimal command-line flag parsing for the benchmark harnesses.
 ///
 /// Supports `--name=value`, `--name value`, and bare boolean `--name`.
-/// Unknown flags are collected so a harness can reject typos. This keeps
-/// every table/figure binary self-describing without an external dependency.
+/// flagNames() lists every flag given, so a harness can reject the ones it
+/// does not read (typos). This keeps every table/figure binary
+/// self-describing without an external dependency.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +48,9 @@ public:
 
   const std::vector<std::string> &positionals() const { return Positionals; }
 
-  /// Returns flags the caller never queried about; a harness may print them
-  /// as a warning. (Populated lazily by markKnown/unknownFlags.)
+  /// Returns the name of every flag given, sorted, without the leading
+  /// "--". A harness compares them against the flags it reads to reject
+  /// typos.
   std::vector<std::string> flagNames() const;
 
 private:

@@ -4,19 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Pins the determinism contract of sim/Kernels.h: every FP64 kernel the
+// Pins the determinism contract of sim/Kernels.h: every kernel the
 // dispatcher can select (scalar, AVX2+FMA, AVX-512, NEON) produces
 // bit-identical amplitudes for the same inputs — on interleaved
 // statevectors and on SoA panel planes, across panel widths, for
 // butterfly and Z-diagonal paths, from basis and from random starting
 // states, and at the short pivot runs (1, 2, 4) where the wide tiers
 // delegate down the precedence chain. The fused evolve+overlap tail must
-// reproduce the unfused sweep-then-overlapWith path bit for bit, and the
-// FP32 tier (panels and the interleaved walk) is held to the same
-// scalar-vs-SIMD bit-identity among its own implementations, plus a
-// tolerance band against FP64. On hosts whose best tier *is* scalar the
-// cross-tier comparisons still run (trivially); the contract they pin is
-// then enforced by the AVX2/AVX-512/NEON CI hosts.
+// reproduce the unfused sweep-then-overlapWith path bit for bit. On hosts
+// whose best tier *is* scalar the cross-tier comparisons still run
+// (trivially); the contract they pin is then enforced by the
+// AVX2/AVX-512/NEON CI hosts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,18 +48,7 @@ struct DispatchRestorer {
 
 /// The best table this host can dispatch to, ignoring the environment —
 /// the tier whose output must match the scalar reference bit for bit.
-const kernels::Ops &bestOps() {
-  kernels::selectForTesting(/*ForceScalar=*/false);
-  const kernels::Ops &Best = kernels::active();
-  kernels::selectAuto();
-  return Best;
-}
-
-uint32_t floatBits(float V) {
-  uint32_t Bits;
-  std::memcpy(&Bits, &V, sizeof(Bits));
-  return Bits;
-}
+const kernels::Ops &bestOps() { return *kernels::availableOps().front(); }
 
 CVector randomState(unsigned N, RNG &Rng) {
   CVector V(size_t(1) << N);
@@ -106,15 +93,13 @@ void applyThrough(const kernels::Ops &K, CVector &Amp, const PauliString &P,
   return ::testing::AssertionSuccess();
 }
 
-template <typename Real>
-::testing::AssertionResult
-panelsBitIdentical(const BasicStatePanel<Real> &A,
-                   const BasicStatePanel<Real> &B) {
+::testing::AssertionResult panelsBitIdentical(const StatePanel &A,
+                                              const StatePanel &B) {
   const size_t N = A.dim() * A.laneStride();
   if (B.dim() * B.laneStride() != N)
     return ::testing::AssertionFailure() << "panel shape mismatch";
-  if (std::memcmp(A.realPlane(), B.realPlane(), N * sizeof(Real)) != 0 ||
-      std::memcmp(A.imagPlane(), B.imagPlane(), N * sizeof(Real)) != 0)
+  if (std::memcmp(A.realPlane(), B.realPlane(), N * sizeof(double)) != 0 ||
+      std::memcmp(A.imagPlane(), B.imagPlane(), N * sizeof(double)) != 0)
     return ::testing::AssertionFailure() << "panel planes differ bitwise";
   return ::testing::AssertionSuccess();
 }
@@ -147,8 +132,7 @@ TEST(KernelDispatchTest, ActiveTierIsKnown) {
   EXPECT_TRUE(Name == "scalar" || Name == "avx2-fma" || Name == "avx512" ||
               Name == "neon")
       << "unexpected kernel tier: " << Name;
-  if (kernels::forcedScalarByEnv() &&
-      kernels::tierOverrideFromEnv() == "scalar") {
+  if (kernels::tierOverrideFromEnv() == "scalar") {
     EXPECT_EQ(Name, "scalar");
   }
   EXPECT_STREQ(kernels::scalarOps().Name, "scalar");
@@ -211,30 +195,16 @@ TEST(KernelDispatchDeathTest, UnavailableTierPinFailsFast) {
       ::testing::ExitedWithCode(1), "not runnable on this host");
 }
 
-TEST(KernelDispatchTest, ForceScalarEnvironmentHonored) {
+TEST(KernelDispatchTest, SelectTierForTestingPinsAndAutoRestores) {
   DispatchRestorer Restore;
-  const char *Prev = std::getenv("MARQSIM_FORCE_SCALAR");
-  const std::string Saved = Prev ? Prev : "";
-  ASSERT_EQ(setenv("MARQSIM_FORCE_SCALAR", "1", 1), 0);
-  EXPECT_TRUE(kernels::forcedScalarByEnv());
+  kernels::selectTierForTesting(kernels::scalarOps());
+  EXPECT_STREQ(kernels::activeName(), "scalar");
+  kernels::selectTierForTesting(bestOps());
+  EXPECT_STREQ(kernels::activeName(), bestOps().Name);
   kernels::selectAuto();
-  EXPECT_STREQ(kernels::activeName(), "scalar");
-  // "0" and empty mean unset.
-  ASSERT_EQ(setenv("MARQSIM_FORCE_SCALAR", "0", 1), 0);
-  EXPECT_FALSE(kernels::forcedScalarByEnv());
-  if (Prev)
-    ASSERT_EQ(setenv("MARQSIM_FORCE_SCALAR", Saved.c_str(), 1), 0);
-  else
-    ASSERT_EQ(unsetenv("MARQSIM_FORCE_SCALAR"), 0);
-}
-
-TEST(KernelDispatchTest, SelectForTestingPinsAndAutoRestores) {
-  DispatchRestorer Restore;
-  const kernels::Ops &Best = bestOps(); // before pinning: bestOps repins
-  kernels::selectForTesting(/*ForceScalar=*/true);
-  EXPECT_STREQ(kernels::activeName(), "scalar");
-  kernels::selectForTesting(/*ForceScalar=*/false);
-  EXPECT_STREQ(kernels::activeName(), Best.Name);
+  const std::string Pinned = kernels::tierOverrideFromEnv();
+  EXPECT_STREQ(kernels::activeName(),
+               Pinned.empty() ? kernels::detectedName() : Pinned.c_str());
 }
 
 // Interleaved statevector kernels: the best tier must reproduce the scalar
@@ -274,11 +244,11 @@ TEST(KernelBitIdentityTest, PanelKernelsMatchScalarBitwise) {
   for (size_t Cols : {size_t(1), size_t(3), StatePanel::PreferredWidth,
                       size_t(17)}) {
     const auto Basis = randomBasis(N, Cols, Rng);
-    kernels::selectForTesting(/*ForceScalar=*/true);
+    kernels::selectTierForTesting(kernels::scalarOps());
     StatePanel Scalar(N, Basis);
     for (const auto &[P, Theta] : Sched)
       Scalar.applyPauliExpAll(P, Theta);
-    kernels::selectForTesting(/*ForceScalar=*/false);
+    kernels::selectTierForTesting(bestOps());
     StatePanel Simd(N, Basis);
     for (const auto &[P, Theta] : Sched)
       Simd.applyPauliExpAll(P, Theta);
@@ -306,72 +276,13 @@ TEST(KernelBitIdentityTest, PanelColumnsMatchStateVectorUnderDispatch) {
   }
 }
 
-// The FP32 tier keeps the same scalar-vs-SIMD bit-identity among its own
-// implementations (it is tolerance-defined only relative to FP64).
-TEST(KernelBitIdentityTest, Fp32PanelKernelsMatchScalarBitwise) {
-  DispatchRestorer Restore;
-  const unsigned N = 5;
-  RNG Rng(9090);
-  const auto Sched = mixedSchedule(N, Rng);
-  for (size_t Cols : {size_t(1), size_t(3), size_t(8), size_t(17)}) {
-    const auto Basis = randomBasis(N, Cols, Rng);
-    kernels::selectForTesting(/*ForceScalar=*/true);
-    StatePanelF32 Scalar(N, Basis);
-    for (const auto &[P, Theta] : Sched)
-      Scalar.applyPauliExpAll(P, Theta);
-    kernels::selectForTesting(/*ForceScalar=*/false);
-    StatePanelF32 Simd(N, Basis);
-    for (const auto &[P, Theta] : Sched)
-      Simd.applyPauliExpAll(P, Theta);
-    ASSERT_TRUE(panelsBitIdentical(Scalar, Simd)) << Cols << " columns";
-  }
-}
-
-// The FP32 tier's whole point: amplitudes track the FP64 panel to float
-// accuracy through a realistic rotation count.
-TEST(PrecisionTest, Fp32PanelTracksFp64WithinTolerance) {
-  const unsigned N = 6;
-  RNG Rng(31337);
-  const auto Sched = mixedSchedule(N, Rng);
-  const auto Basis = randomBasis(N, 4, Rng);
-  StatePanel P64(N, Basis);
-  StatePanelF32 P32(N, Basis);
-  for (const auto &[P, Theta] : Sched) {
-    P64.applyPauliExpAll(P, Theta);
-    P32.applyPauliExpAll(P, Theta);
-  }
-  double MaxErr = 0.0;
-  for (size_t C = 0; C < Basis.size(); ++C)
-    for (uint64_t X = 0; X < P64.dim(); ++X)
-      MaxErr = std::max(MaxErr, std::abs(P64.at(C, X) - P32.at(C, X)));
-  EXPECT_GT(MaxErr, 0.0) << "fp32 suspiciously exact — tier not exercised?";
-  EXPECT_LT(MaxErr, 1e-4);
-}
-
-// FP32 narrowing of the phase constants is exact (they are 0/±1 valued).
-TEST(PrecisionTest, Fp32PhaseNarrowingIsExact) {
-  RNG Rng(55);
-  for (unsigned Trial = 0; Trial < 32; ++Trial) {
-    const PauliString P = randomString(6, Rng);
-    const detail::PauliPhases Ph(P);
-    const detail::PauliPhasesF32 PhF(Ph);
-    for (uint64_t X : {uint64_t(0), uint64_t(5), uint64_t(63)}) {
-      EXPECT_EQ(floatBits(PhF.at(X).real()),
-                floatBits(static_cast<float>(Ph.at(X).real())));
-      EXPECT_EQ(floatBits(PhF.at(X).imag()),
-                floatBits(static_cast<float>(Ph.at(X).imag())));
-    }
-  }
-}
-
 // Short pivot runs: a butterfly's contiguous run length equals its pivot
 // (the lowest X bit), and every wide tier delegates runs narrower than
-// its vector width down the precedence chain (AVX-512 F64 needs runs of
-// 4, AVX2 F64 runs of 2, and so on). Sweep single-X strings at every
-// qubit position on tiny registers — run lengths 1, 2, 4, 8 — across
-// every tier this host can run, for the FP64 and FP32 interleaved walks.
+// its vector width down the precedence chain (AVX2 needs runs of 2; the
+// AVX-512 tier forwards its whole walk to AVX2). Sweep single-X strings
+// at every qubit position on tiny registers — run lengths 1, 2, 4, 8 —
+// across every tier this host can run.
 TEST(KernelBitIdentityTest, ShortPivotRunsMatchScalarAcrossTiers) {
-  DispatchRestorer Restore;
   RNG Rng(1234);
   for (const kernels::Ops *Tier : kernels::availableOps()) {
     for (unsigned N : {1u, 2u, 3u, 4u}) {
@@ -389,26 +300,6 @@ TEST(KernelBitIdentityTest, ShortPivotRunsMatchScalarAcrossTiers) {
           applyThrough(*Tier, B, P, Theta);
           ASSERT_TRUE(bitIdentical(A, B))
               << "tier " << Tier->Name << ", " << N << " qubits, X at " << Q;
-
-          StateVectorF32::AmpVector FStart(size_t(1) << N);
-          for (auto &Amp : FStart)
-            Amp = std::complex<float>(static_cast<float>(Rng.gaussian()),
-                                      static_cast<float>(Rng.gaussian()));
-          kernels::selectTierForTesting(kernels::scalarOps());
-          StateVectorF32 FA(N, FStart);
-          FA.applyPauliExp(P, Theta);
-          kernels::selectTierForTesting(*Tier);
-          StateVectorF32 FB(N, FStart);
-          FB.applyPauliExp(P, Theta);
-          kernels::selectAuto();
-          for (size_t I = 0; I < FA.amplitudes().size(); ++I) {
-            ASSERT_EQ(floatBits(FA.amplitudes()[I].real()),
-                      floatBits(FB.amplitudes()[I].real()))
-                << "tier " << Tier->Name << ", fp32 amp " << I;
-            ASSERT_EQ(floatBits(FA.amplitudes()[I].imag()),
-                      floatBits(FB.amplitudes()[I].imag()))
-                << "tier " << Tier->Name << ", fp32 amp " << I;
-          }
         }
       }
     }
@@ -489,89 +380,6 @@ TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
   }
 }
 
-// The FP32 fused tail holds the same contract among FP32 implementations:
-// fused == unfused (overlaps accumulate in double either way), and every
-// tier == scalar, bit for bit.
-TEST(KernelBitIdentityTest, Fp32FusedOverlapMatchesUnfusedBitwise) {
-  DispatchRestorer Restore;
-  const unsigned N = 5;
-  RNG Rng(70707);
-  const size_t Cols = 5;
-  const auto Basis = randomBasis(N, Cols, Rng);
-  std::vector<CVector> Targets;
-  for (size_t C = 0; C < Cols; ++C)
-    Targets.push_back(randomState(N, Rng));
-  const auto Pre = mixedSchedule(N, Rng);
-  PauliString Tail;
-  Tail.setOp(3, PauliOpKind::Y);
-  Tail.setOp(1, PauliOpKind::X);
-  auto evalFused = [&](const kernels::Ops &Tier, std::vector<Complex> &Out,
-                       bool Fuse) {
-    kernels::selectTierForTesting(Tier);
-    StatePanelF32 Panel(N, Basis);
-    for (unsigned I = 0; I < 6; ++I)
-      Panel.applyPauliExpAll(Pre[I].first, Pre[I].second);
-    Out.assign(Cols, Complex(0.0, 0.0));
-    if (Fuse) {
-      TargetPanel Packed(Targets.data(), Cols, Panel.laneStride());
-      Panel.applyPauliExpAllFused(Tail, 0.41, Packed, Out.data());
-    } else {
-      Panel.applyPauliExpAll(Tail, 0.41);
-      for (size_t C = 0; C < Cols; ++C)
-        Out[C] = Panel.overlapWith(Targets[C], C);
-    }
-    kernels::selectAuto();
-  };
-  std::vector<Complex> ScalarUnfused;
-  evalFused(kernels::scalarOps(), ScalarUnfused, /*Fuse=*/false);
-  for (const kernels::Ops *Tier : kernels::availableOps()) {
-    for (bool Fuse : {false, true}) {
-      std::vector<Complex> Out;
-      evalFused(*Tier, Out, Fuse);
-      for (size_t C = 0; C < Cols; ++C) {
-        ASSERT_EQ(serial::doubleBits(ScalarUnfused[C].real()),
-                  serial::doubleBits(Out[C].real()))
-            << "tier " << Tier->Name << ", fused=" << Fuse << ", column "
-            << C;
-        ASSERT_EQ(serial::doubleBits(ScalarUnfused[C].imag()),
-                  serial::doubleBits(Out[C].imag()))
-            << "tier " << Tier->Name << ", fused=" << Fuse << ", column "
-            << C;
-      }
-    }
-  }
-}
-
-// The FP32 interleaved walk (the width-1 fidelity block) is bit-identical
-// to a width-1 FP32 panel column: both mirror the same scalar arithmetic,
-// so the production mix of walk and panel blocks stays self-consistent.
-TEST(KernelBitIdentityTest, Fp32WalkMatchesWidthOnePanelColumn) {
-  const unsigned N = 6;
-  RNG Rng(141414);
-  const auto Sched = mixedSchedule(N, Rng);
-  const uint64_t Basis = 23;
-  StateVectorF32 Walk(N, Basis);
-  StatePanelF32 Panel(N, std::vector<uint64_t>{Basis});
-  for (const auto &[P, Theta] : Sched) {
-    Walk.applyPauliExp(P, Theta);
-    Panel.applyPauliExpAll(P, Theta);
-  }
-  for (uint64_t X = 0; X < Walk.amplitudes().size(); ++X) {
-    ASSERT_EQ(floatBits(Walk.amplitudes()[X].real()),
-              floatBits(static_cast<float>(Panel.at(0, X).real())))
-        << "amp " << X;
-    ASSERT_EQ(floatBits(Walk.amplitudes()[X].imag()),
-              floatBits(static_cast<float>(Panel.at(0, X).imag())))
-        << "amp " << X;
-  }
-  // And the walk's target overlap runs the panel's ascending double chain.
-  const CVector Target = randomState(N, Rng);
-  EXPECT_EQ(serial::doubleBits(Walk.overlapWithTarget(Target).real()),
-            serial::doubleBits(Panel.overlapWith(Target, 0).real()));
-  EXPECT_EQ(serial::doubleBits(Walk.overlapWithTarget(Target).imag()),
-            serial::doubleBits(Panel.overlapWith(Target, 0).imag()));
-}
-
 // End to end: a 17-column fidelity evaluation (two fused panel blocks
 // plus the width-1 walk tail) under live dispatch must reproduce a serial
 // single-state replay bit for bit, for every EvalJobs fan-out.
@@ -611,8 +419,5 @@ TEST(AlignmentTest, AmplitudeStorageIs64ByteAligned) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(P.imagPlane()) % 64, 0u);
     EXPECT_EQ(P.laneStride() % StatePanel::LaneMultiple, 0u);
     EXPECT_GE(P.laneStride(), Cols);
-    StatePanelF32 Q(4, std::vector<uint64_t>(Cols, 0));
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(Q.realPlane()) % 64, 0u);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(Q.imagPlane()) % 64, 0u);
   }
 }

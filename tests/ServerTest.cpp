@@ -211,6 +211,49 @@ TEST(TaskSpecJsonTest, NoiseRoundTripsAndOldFramesParseAsNoiseless) {
   EXPECT_NE(Error.find("channel"), std::string::npos);
 }
 
+TEST(TaskSpecJsonTest, ParentFramesKeepContentKeyAndFp32IsRejected) {
+  // Recorded on the last build that still had an FP32 evaluation tier: the
+  // key this spec's cache entries, manifests and daemon frames carry.
+  constexpr uint64_t PinnedKey = 0x06410f06a8cd3cd9ull;
+  EXPECT_EQ(testSpec().contentKey(), PinnedKey);
+
+  // testSpec() as that build serialized it, "precision":"fp64" included.
+  const std::string ParentFrame = R"json({"format":"marqsim-spec-v1",
+    "hamiltonian":{"qubits":4,"terms":[["3feccccccccccccd","XXII"],
+      ["bfe0000000000000","IZZI"],["3fd0000000000000","IIXY"],
+      ["3fe8000000000000","ZIIZ"]]},
+    "method":"sampling","time":"3fd999999999999a",
+    "epsilon":"3faeb851eb851eb8","mix":{"qd":"3fd999999999999a",
+      "gc":"3fe3333333333333","rp":"0000000000000000"},
+    "perturb_rounds":8,"perturb_seed":"0000000000005eed",
+    "flow":{"prob_scale":1000000000,"cost_scale":2},"use_cdf":false,
+    "trotter_reps":4,"trotter_order":1,"term_order":"given",
+    "sparsto_keep_scale":"3ff8000000000000","shots":3,"jobs":1,
+    "eval_jobs":1,"seed":"00000000000007e8","precision":"fp64",
+    "noise":{"channel":"none","mode":"stochastic",
+      "prob":"0000000000000000","two_qubit_factor":"3ff0000000000000"},
+    "lowering":{"cross_cancellation":true,"use_cdf_sampler":false},
+    "evaluate":{"fidelity_columns":2,"column_seed":"0000000000000007",
+      "export_shot_zero":false,"dump_dot":false,"keep_results":false}})json";
+  std::string Error;
+  std::optional<json::Value> Parent = json::Value::parse(ParentFrame, &Error);
+  ASSERT_TRUE(Parent) << Error;
+  std::optional<TaskSpec> Back = TaskSpec::fromJson(*Parent, &Error);
+  ASSERT_TRUE(Back) << Error;
+  EXPECT_EQ(Back->contentKey(), PinnedKey);
+
+  // This build no longer writes the member ...
+  std::optional<json::Value> Fresh = testSpec().toJson(&Error);
+  ASSERT_TRUE(Fresh) << Error;
+  EXPECT_EQ(Fresh->find("precision"), nullptr);
+
+  // ... and a stale fp32 request is refused, never evaluated in FP64.
+  json::Value Fp32 = *Parent;
+  Fp32.set("precision", "fp32");
+  EXPECT_FALSE(TaskSpec::fromJson(Fp32, &Error));
+  EXPECT_NE(Error.find("precision"), std::string::npos) << Error;
+}
+
 TEST(TaskSpecJsonTest, RejectsMalformedSpecs) {
   TaskSpec Spec = testSpec();
   std::optional<json::Value> Good = Spec.toJson();

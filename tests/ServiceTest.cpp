@@ -659,38 +659,6 @@ TEST(TaskSpecParseTest, PresetsAndOverridesNormalize) {
   EXPECT_FALSE(parseArgs({}, &Error));
 }
 
-TEST(TaskSpecParseTest, PrecisionFlagParsesAndRejectsUnknown) {
-  std::optional<TaskSpec> Default = parseArgs({"h.txt"});
-  ASSERT_TRUE(Default);
-  EXPECT_EQ(Default->Precision, EvalPrecision::FP64);
-
-  std::optional<TaskSpec> Fp64 = parseArgs({"h.txt", "--precision=fp64"});
-  ASSERT_TRUE(Fp64);
-  EXPECT_EQ(Fp64->Precision, EvalPrecision::FP64);
-
-  std::optional<TaskSpec> Fp32 = parseArgs({"h.txt", "--precision=fp32"});
-  ASSERT_TRUE(Fp32);
-  EXPECT_EQ(Fp32->Precision, EvalPrecision::FP32);
-
-  std::string Error;
-  EXPECT_FALSE(parseArgs({"h.txt", "--precision=half"}, &Error));
-  EXPECT_NE(Error.find("precision"), std::string::npos);
-  EXPECT_NE(Error.find("half"), std::string::npos);
-}
-
-TEST(TaskSpecParseTest, Fp32LeavesFp64ContentKeysUntouched) {
-  // The precision knob is mixed into contentKey only when FP32 is
-  // selected: every FP64 spec — including ones written before the knob
-  // existed — must keep its exact pre-existing key, so on-disk manifests
-  // and cache entries stay valid. FP32 must still force a distinct key.
-  TaskSpec Base = testSpec(testHamiltonian());
-  const uint64_t DefaultKey = Base.contentKey();
-  Base.Precision = EvalPrecision::FP64;
-  EXPECT_EQ(Base.contentKey(), DefaultKey);
-  Base.Precision = EvalPrecision::FP32;
-  EXPECT_NE(Base.contentKey(), DefaultKey);
-}
-
 TEST(TaskSpecParseTest, ChannelMixRejectsNegativeAndAllZeroWeights) {
   std::string Error;
   // Negative and NaN weights name the offending flag.
@@ -753,19 +721,12 @@ TEST(TaskSpecParseTest, NoiseFlagsParseAndValidate) {
   EXPECT_FALSE(parseArgs({"h.txt", Phase, "--noise-2q-factor=nan"}, &Error));
   EXPECT_FALSE(parseArgs({"h.txt", Phase, "--noise-mode=exact"}, &Error));
 
-  // validate(): enabled noise demands fidelity columns, and the density
-  // oracle demands the fp64 tier.
+  // validate(): enabled noise demands fidelity columns.
   std::optional<TaskSpec> NoColumns =
       parseArgs({"h.txt", Phase, "--noise-prob=0.1"});
   ASSERT_TRUE(NoColumns);
   EXPECT_FALSE(NoColumns->validate(&Error));
   EXPECT_NE(Error.find("--columns"), std::string::npos);
-  std::optional<TaskSpec> Fp32Density =
-      parseArgs({"h.txt", Phase, "--noise-prob=0.1", "--columns=2",
-                 "--noise-mode=density", "--precision=fp32"});
-  ASSERT_TRUE(Fp32Density);
-  EXPECT_FALSE(Fp32Density->validate(&Error));
-  EXPECT_NE(Error.find("fp64"), std::string::npos);
 }
 
 TEST(TaskSpecParseTest, NoiseOffSpecsKeepContentKeys) {
@@ -795,32 +756,4 @@ TEST(TaskSpecParseTest, NoiseOffSpecsKeepContentKeys) {
   EXPECT_NE(Base.contentKey(), NoisyKey);
   Base.Noise.Kind = NoiseChannelKind::Depolarizing;
   EXPECT_EQ(Base.contentKey(), NoisyKey);
-}
-
-TEST(ServiceFidelityTest, Fp32PrecisionTracksFp64) {
-  SimulationService Service;
-  TaskSpec Spec = testSpec(testHamiltonian());
-  Spec.Shots = 4;
-  Spec.Evaluate.FidelityColumns = 6;
-
-  std::optional<TaskResult> F64 = Service.run(Spec);
-  Spec.Precision = EvalPrecision::FP32;
-  std::optional<TaskResult> F32 = Service.run(Spec);
-  ASSERT_TRUE(F64 && F32);
-
-  // Identical schedules (the compile path is precision-independent) ...
-  EXPECT_EQ(F64->Batch.batchHash(), F32->Batch.batchHash());
-  // ... evaluated on the float panel: within float tolerance of FP64 but
-  // not the identical doubles — the opt-in tier really ran.
-  ASSERT_EQ(F32->ShotFidelities.size(), Spec.Shots);
-  bool AnyDiffers = false;
-  for (size_t Shot = 0; Shot < Spec.Shots; ++Shot) {
-    EXPECT_NEAR(F64->ShotFidelities[Shot], F32->ShotFidelities[Shot], 1e-3)
-        << "shot " << Shot;
-    AnyDiffers |= serial::doubleBits(F64->ShotFidelities[Shot]) !=
-                  serial::doubleBits(F32->ShotFidelities[Shot]);
-  }
-  EXPECT_TRUE(AnyDiffers) << "fp32 run bit-matched fp64 on every shot — "
-                             "did the precision knob reach the evaluator?";
-  EXPECT_NEAR(F64->Fidelity.Mean, F32->Fidelity.Mean, 1e-3);
 }

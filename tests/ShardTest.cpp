@@ -33,6 +33,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 
 using namespace marqsim;
 
@@ -494,6 +495,29 @@ TEST(SubprocessTest, ReportsExitCodesAndExecFailures) {
   EXPECT_FALSE(Empty.spawn({{}, "", ""}, &Error));
 }
 
+TEST(CliFlagTest, UnknownFlagsAreUsageErrorsNamingTheFlag) {
+  std::string Binary = cliBinary();
+  if (Binary.empty())
+    GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
+  // A removed flag and a typo: neither may run something other than what
+  // was asked.
+  const std::pair<std::string, std::string> Flags[] = {{"precision", "fp32"},
+                                                       {"colums", "8"}};
+  for (const auto &[Name, Value] : Flags) {
+    const std::string Log = testing::TempDir() + "cli_unknown_flag.log";
+    Subprocess Cli;
+    ASSERT_TRUE(Cli.spawn({{Binary, "--model=Na+", "--columns=1",
+                            "--" + Name + "=" + Value},
+                           "",
+                           Log}));
+    EXPECT_EQ(Cli.wait(), 1) << Name;
+    std::ifstream In(Log);
+    const std::string Text((std::istreambuf_iterator<char>(In)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(Text.find("unknown flag --" + Name), std::string::npos) << Text;
+  }
+}
+
 TEST(ShardSubprocessTest, WorkersShareOneCacheAndMergeBitIdentically) {
   std::string Binary = cliBinary();
   if (Binary.empty())
@@ -657,29 +681,4 @@ TEST(ShardSubprocessTest, InlineSourcesCannotReExec) {
   EXPECT_FALSE(ShardCoordinator::workerArgs("marqsim-cli", Spec, 0, 2,
                                             "out.manifest", "", 0, &Error));
   EXPECT_NE(Error.find("inline"), std::string::npos);
-}
-
-TEST(ShardCoordinatorTest, Fp32PrecisionIsRejected) {
-  // Shard manifests carry per-shot fidelities as exact bit patterns and
-  // the merge is validated byte for byte; the FP32 tier is only
-  // tolerance-defined, so sharded runs must refuse it loudly at every
-  // entry point rather than produce a manifest that can never be
-  // cross-checked.
-  TaskSpec Spec = testSpec(4);
-  Spec.Precision = EvalPrecision::FP32;
-
-  ShardOptions Options;
-  Options.ShardCount = 2;
-  Options.WorkDir = freshDir("shard_fp32_rejected");
-  std::string Error;
-  EXPECT_FALSE(ShardCoordinator(Options).run(Spec, &Error));
-  EXPECT_NE(Error.find("fp64"), std::string::npos) << Error;
-  EXPECT_NE(Error.find("bit-exact"), std::string::npos) << Error;
-
-  // The worker-side entry point rejects it too (a doctored worker command
-  // line must not silently produce a tolerance-grade manifest).
-  Error.clear();
-  SimulationService Service;
-  EXPECT_FALSE(ShardCoordinator::runShard(Service, Spec, 0, 2, &Error));
-  EXPECT_NE(Error.find("fp64"), std::string::npos) << Error;
 }

@@ -54,10 +54,6 @@
 //                         (default 0 = wait forever)
 //     --columns=K         fidelity-estimation columns (default 0 = off);
 //                         evaluated per shot on the batch workers
-//     --precision=P       fidelity panel tier: fp64 (default, bit-exact)
-//                         or fp32 (opt-in throughput tier, tolerance-
-//                         defined; rejected by --shards, which demands
-//                         bit-exact manifests)
 //     --noise=MODEL       noise channel applied during fidelity
 //                         evaluation: none (default) | depolarizing |
 //                         phase-flip | amplitude-damping. Requires
@@ -71,7 +67,7 @@
 //                         substream, bit-identical for every --jobs/
 //                         --eval-jobs/--shards split; or density: the
 //                         exact density-matrix oracle of the twirled
-//                         channel (<= 6 qubits, fp64 only)
+//                         channel (<= 6 qubits)
 //     --cache-dir=DIR     persistent artifact store: MCFP components,
 //                         alias bundles, fidelity columns (default from
 //                         $MARQSIM_CACHE_DIR; empty = in-memory only);
@@ -84,8 +80,8 @@
 //     --out=FILE          write QASM here (default stdout)
 //     --stats             print gate + cache statistics to stderr (with
 //                         --shots>1, the per-batch aggregate table), the
-//                         dispatched kernel tier and precision, plus the
-//                         walk/emission vs evaluation phase timing
+//                         dispatched kernel tier, plus the walk/emission
+//                         vs evaluation phase timing
 //     --stats-json        emit the same accounting as one machine-readable
 //                         JSON object ("marqsim-stats-v1") on stdout —
 //                         the exact serializer behind the daemon's stats
@@ -117,6 +113,9 @@
 // coordinator's, and --cache-limit-bytes carries the coordinator's cache
 // budget without a decimal round trip.
 //
+// Any other flag is a usage error naming it: a typo must never run
+// something other than what was asked.
+//
 // Exit codes: 0 success, 1 usage error, 2 malformed input / failed run.
 //
 //===----------------------------------------------------------------------===//
@@ -140,6 +139,28 @@
 using namespace marqsim;
 
 namespace {
+
+/// Every flag this driver reads, the hidden worker flags included.
+constexpr const char *KnownFlags[] = {
+    "cache-dir", "cache-limit-bytes", "cache-limit-mb", "cdf",
+    "column-seed", "columns", "config", "connect", "cost-scale", "dot",
+    "epsilon", "epsilon-bits", "eval-jobs", "fleet-timeout-ms", "gc",
+    "help", "jobs", "mix-gc-bits", "mix-qd-bits", "mix-rp-bits", "model",
+    "noise", "noise-2q-factor", "noise-2q-factor-bits", "noise-mode",
+    "noise-prob", "noise-prob-bits", "out", "perturb-seed", "prob-scale",
+    "qd", "rounds", "rp", "seed", "server-stats", "shard-count",
+    "shard-dir", "shard-index", "shard-out", "shards", "shots", "stats",
+    "stats-json", "stream", "time", "time-bits", "workers"};
+
+/// The first flag on the command line this driver does not read, or
+/// empty when every flag is known.
+std::string unknownFlag(const CommandLine &CL) {
+  for (const std::string &Name : CL.flagNames())
+    if (std::find(std::begin(KnownFlags), std::end(KnownFlags), Name) ==
+        std::end(KnownFlags))
+      return Name;
+  return "";
+}
 
 /// Applies one hidden --NAME=HEX16 bit-pattern override.
 bool applyBitsFlag(const CommandLine &CL, const char *Name, double &Out) {
@@ -292,6 +313,11 @@ int runConnectMode(const CommandLine &CL, TaskSpec Spec) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (std::string Unknown = unknownFlag(CL); !Unknown.empty()) {
+    std::cerr << "error: unknown flag --" << Unknown
+              << " (see --help for the supported flags)\n";
+    return 1;
+  }
   // A pure stats query needs no Hamiltonian; handle it before the usage
   // gate below would demand one.
   if (CL.has("connect") && CL.getBool("server-stats")) {
@@ -315,7 +341,7 @@ int main(int Argc, char **Argv) {
                  "  [--rounds=K] [--perturb-seed=S] [--seed=S] [--shots=N]\n"
                  "  [--jobs=J] [--eval-jobs=J] [--shards=K] [--shard-dir=DIR]\n"
                  "  [--workers=HOST:PORT,...] [--fleet-timeout-ms=T]\n"
-                 "  [--columns=K] [--precision=fp64|fp32]\n"
+                 "  [--columns=K]\n"
                  "  [--noise=MODEL] [--noise-prob=P] [--noise-2q-factor=F]\n"
                  "  [--noise-mode=stochastic|density]\n"
                  "  [--cache-dir=DIR] [--cache-limit-mb=M] [--out=FILE]\n"
@@ -524,7 +550,7 @@ int main(int Argc, char **Argv) {
               << " detected=" << SimulationService::detectedKernelName()
               << " avx512-os="
               << (SimulationService::avx512OsEnabled() ? "yes" : "no")
-              << " precision=" << precisionName(Spec->Precision) << "\n";
+              << "\n";
     if (Spec->Noise.enabled())
       std::cerr << "noise: " << noiseChannelName(Spec->Noise.Kind)
                 << " mode=" << noiseModeName(Spec->Noise.Mode)
