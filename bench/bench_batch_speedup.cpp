@@ -10,7 +10,7 @@
 //
 //   * sequential baseline — the pre-engine pattern: every shot rebuilds the
 //     transition matrix (min-cost-flow + perturbation rounds), the HTT
-//     graph, and the per-row alias tables before sampling;
+//     graph, and the sampling tables before sampling;
 //   * batch — setup once, shots fanned across --jobs workers from
 //     counter-based RNG substreams.
 //

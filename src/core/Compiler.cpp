@@ -70,7 +70,7 @@ CompilationResult marqsim::compileBySampling(const HTTGraph &Graph, double T,
   // Non-owning view: the strategy only lives for this call.
   std::shared_ptr<const HTTGraph> View(std::shared_ptr<const HTTGraph>(),
                                        &Graph);
-  SamplingStrategy Strategy(View, T, Epsilon, Opts.UseCDFSampler);
+  SamplingStrategy Strategy(View, T, Epsilon);
   ShotContext Ctx{0, Rng};
   return materializePlan(Graph.hamiltonian(), Strategy.produce(Ctx), Opts);
 }

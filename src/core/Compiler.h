@@ -34,10 +34,6 @@ namespace marqsim {
 /// Knobs of the sampling compiler.
 struct CompilationOptions {
   EmitOptions Emit;
-
-  /// Use the O(log n) CDF sampler instead of the O(1) alias sampler
-  /// (ablation; identical distribution, different draws).
-  bool UseCDFSampler = false;
 };
 
 /// Everything a compilation run produces.

@@ -22,64 +22,36 @@ using namespace marqsim;
 //===----------------------------------------------------------------------===//
 
 SamplingStrategy::SamplingStrategy(std::shared_ptr<const HTTGraph> G,
-                                   double T, double Epsilon, bool CDF)
-    : Graph(std::move(G)), UseCDF(CDF) {
+                                   double T, double Epsilon, bool UseCDF)
+    : Graph(std::move(G)) {
   assert(Graph && "sampling strategy needs a graph");
   const Hamiltonian &H = Graph->hamiltonian();
   assert(!H.empty() && "cannot compile an empty Hamiltonian");
   NumSamples = qdriftSampleCount(H.lambda(), T, Epsilon);
   TauStep = H.lambda() * T / static_cast<double>(NumSamples);
-
-  if (UseCDF) {
-    // CDF-based walk (ablation): same chain, O(log n) draws.
-    auto Rows = std::make_shared<std::vector<CDFSampler>>();
-    Rows->reserve(Graph->numStates());
-    for (size_t I = 0; I < Graph->numStates(); ++I) {
-      std::vector<double> Row(Graph->transitionMatrix().row(I),
-                              Graph->transitionMatrix().row(I) +
-                                  Graph->numStates());
-      Rows->emplace_back(Row);
-    }
-    CDFRows = std::move(Rows);
-    CDFInitial = std::make_shared<const CDFSampler>(Graph->stationary());
-  } else {
-    Chain = std::make_shared<const MarkovChainSampler>(
-        Graph->transitionMatrix(), Graph->stationary());
-  }
+  // The CDF ablation walks the same chain with O(log n) draws.
+  Chain = std::make_shared<const MarkovChainSampler>(
+      Graph->transitionMatrix(), Graph->stationary(),
+      UseCDF ? SamplerKind::CDF : SamplerKind::Alias);
 }
 
 SamplingStrategy::SamplingStrategy(const SamplingStrategy &Other, double T,
                                    double Epsilon)
-    : Graph(Other.Graph), Chain(Other.Chain), CDFInitial(Other.CDFInitial),
-      CDFRows(Other.CDFRows), UseCDF(Other.UseCDF) {
+    : Graph(Other.Graph), Chain(Other.Chain) {
   const Hamiltonian &H = Graph->hamiltonian();
   NumSamples = qdriftSampleCount(H.lambda(), T, Epsilon);
   TauStep = H.lambda() * T / static_cast<double>(NumSamples);
 }
 
 std::string SamplingStrategy::name() const {
-  return UseCDF ? "sampling(cdf)" : "sampling";
+  return Chain->kind() == SamplerKind::CDF ? "sampling(cdf)" : "sampling";
 }
 
 ShotPlan SamplingStrategy::produce(ShotContext &Ctx) const {
   ShotPlan Plan;
   Plan.TauStep = TauStep;
   Plan.Sequence.resize(NumSamples);
-  if (UseCDF) {
-    size_t State = CDFInitial->sample(Ctx.Rng);
-    Plan.Sequence[0] = State;
-    for (size_t K = 1; K < NumSamples; ++K) {
-      State = (*CDFRows)[State].sample(Ctx.Rng);
-      Plan.Sequence[K] = State;
-    }
-  } else {
-    size_t State = Chain->initial(Ctx.Rng);
-    Plan.Sequence[0] = State;
-    for (size_t K = 1; K < NumSamples; ++K) {
-      State = Chain->stepFrom(State, Ctx.Rng);
-      Plan.Sequence[K] = State;
-    }
-  }
+  Chain->walk(Ctx.Rng, Plan.Sequence.data(), NumSamples);
   return Plan;
 }
 

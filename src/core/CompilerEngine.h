@@ -21,8 +21,8 @@
 ///     gate-count comparisons isolate the scheduling policy.
 ///
 /// Batch compilation amortizes setup (HTT graph, transition matrix, and
-/// per-row alias tables are built once and shared read-only) and fans shots
-/// across a ThreadPool. Shot k draws from RNG::forShot(Seed, k), a
+/// the chain's sampling tables are built once and shared read-only) and
+/// fans shots across a ThreadPool. Shot k draws from RNG::forShot(Seed, k), a
 /// counter-based substream independent of scheduling order, so a batch is
 /// bit-identical for every worker count.
 ///
@@ -73,9 +73,9 @@ public:
 };
 
 /// Algorithm 1: walk the HTT graph's Markov chain for
-/// N = ceil(2 lambda^2 t^2 / eps) steps. The alias tables (or CDF rows for
-/// the ablation sampler) are built once at construction and shared
-/// read-only by every shot.
+/// N = ceil(2 lambda^2 t^2 / eps) steps. The chain's alias tables (or CDF
+/// tables for the ablation sampler) are built once at construction and
+/// shared read-only by every shot.
 class SamplingStrategy : public ScheduleStrategy {
 public:
   SamplingStrategy(std::shared_ptr<const HTTGraph> Graph, double T,
@@ -101,17 +101,13 @@ public:
   size_t sampleCount() const { return NumSamples; }
   double tauStep() const { return TauStep; }
   const HTTGraph &graph() const { return *Graph; }
+  const MarkovChainSampler &chain() const { return *Chain; }
 
 private:
   std::shared_ptr<const HTTGraph> Graph;
-  /// Alias-method walk tables (default sampler).
   std::shared_ptr<const MarkovChainSampler> Chain;
-  /// Binary-search tables (UseCDF ablation).
-  std::shared_ptr<const CDFSampler> CDFInitial;
-  std::shared_ptr<const std::vector<CDFSampler>> CDFRows;
   size_t NumSamples = 0;
   double TauStep = 0.0;
-  bool UseCDF = false;
 };
 
 /// Deterministic product formulas: first-order Trotter (Order 1), the

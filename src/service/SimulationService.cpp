@@ -65,24 +65,31 @@ struct GraphBundle {
 
 /// Builds a bundle over \p P — the one construction path shared by the
 /// compute and disk-decode tiers, so a reloaded matrix reproduces the
-/// computed bundle exactly (alias-table construction is a deterministic
+/// computed bundle exactly (the sampler's tables are a deterministic
 /// function of the matrix bits).
 GraphBundle makeBundle(const Hamiltonian &H, TransitionMatrix P,
                        const TaskSpec &Spec) {
   GraphBundle B;
   B.Graph = std::make_shared<const HTTGraph>(H, std::move(P));
   B.Valid = B.Graph->isValidForCompilation();
-  if (B.Valid)
+  if (!B.Valid)
+    return B;
+  try {
     B.Base = std::make_shared<const SamplingStrategy>(
         B.Graph, Spec.Time, Spec.Epsilon, Spec.UseCDF);
+  } catch (const std::invalid_argument &) {
+    // The validation tolerance admits entries down to -1e-6; the sampler
+    // takes no negative weight, so such a matrix is invalid as well.
+    B.Valid = false;
+  }
   return B;
 }
 
 /// LRU charge of a bundle: the combined matrix (8 bytes/entry) plus the
-/// alias or CDF row tables (~12 bytes/entry) plus per-state vectors.
+/// chain's sampling tables.
 size_t bundleBytes(const GraphBundle &B) {
   size_t N = B.Graph->numStates();
-  return N * N * 20 + N * 32;
+  return N * N * sizeof(double) + (B.Base ? B.Base->chain().bytes() : 0);
 }
 
 } // namespace
@@ -498,7 +505,7 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
     if (!Bundle)
       return std::nullopt;
     // Re-target the cached tables to this task's (time, epsilon) budget;
-    // the alias/CDF rows are shared, only N and tau are recomputed.
+    // the alias/CDF tables are shared, only N and tau are recomputed.
     std::shared_ptr<const SamplingStrategy> Sampling =
         Bundle->Base->retargeted(Spec.Time, Spec.Epsilon);
     Result.NumSamples = Sampling->sampleCount();

@@ -136,7 +136,9 @@ uint64_t TaskSpec::contentKey() const {
   H = fnv1aWord(static_cast<uint64_t>(Method), H);
   H = fnv1aWord(doubleBits(Time), H);
   H = fnv1aWord(Lowering.Emit.CrossCancellation ? 1 : 0, H);
-  H = fnv1aWord(Lowering.UseCDFSampler ? 1 : 0, H);
+  // The retired lowering.use_cdf_sampler slot: always 0, so keys minted
+  // while it existed stay valid.
+  H = fnv1aWord(0, H);
   H = fnv1aWord(Evaluate.FidelityColumns, H);
   H = fnv1aWord(Evaluate.ColumnSeed, H);
   // Noise participates only when enabled, so every noiseless key
@@ -487,7 +489,9 @@ std::optional<json::Value> TaskSpec::toJson(std::string *Error) const {
   V.set("lowering", json::Value::object()
                         .set("cross_cancellation",
                              Lowering.Emit.CrossCancellation)
-                        .set("use_cdf_sampler", Lowering.UseCDFSampler));
+                        // Retired; peers that predate its removal still
+                        // require the field.
+                        .set("use_cdf_sampler", false));
   V.set("evaluate",
         json::Value::object()
             .set("fidelity_columns",
@@ -683,11 +687,17 @@ std::optional<TaskSpec> TaskSpec::fromJson(const json::Value &V,
     detail::fail(Error, "spec json: missing 'lowering' object");
     return std::nullopt;
   }
+  bool UseCDFSampler = false;
   if (!readBool(*Lowering, "cross_cancellation",
                 Spec.Lowering.Emit.CrossCancellation, Error) ||
-      !readBool(*Lowering, "use_cdf_sampler", Spec.Lowering.UseCDFSampler,
-                Error))
+      !readBool(*Lowering, "use_cdf_sampler", UseCDFSampler, Error))
     return std::nullopt;
+  if (UseCDFSampler) {
+    detail::fail(Error, "spec json: 'lowering.use_cdf_sampler' is no longer "
+                        "supported; set 'use_cdf' for the CDF sampler "
+                        "ablation");
+    return std::nullopt;
+  }
 
   const json::Value *Eval = V.find("evaluate");
   if (!Eval || !Eval->isObject()) {

@@ -58,7 +58,7 @@ std::optional<std::vector<std::string>> ShardCoordinator::workerArgs(
   };
   if (Spec.Method != TaskMethod::Sampling)
     return Fail("only sampling tasks can re-exec through marqsim-cli");
-  if (!Spec.Lowering.Emit.CrossCancellation || Spec.Lowering.UseCDFSampler)
+  if (!Spec.Lowering.Emit.CrossCancellation)
     return Fail("custom lowering options cannot travel over the command "
                 "line");
   // The CLI parses every count/seed as a signed 64-bit integer; a value

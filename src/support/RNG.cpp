@@ -18,43 +18,11 @@ static uint64_t splitMix64(uint64_t &X) {
   return Z ^ (Z >> 31);
 }
 
-static uint64_t rotl(uint64_t X, int K) {
-  return (X << K) | (X >> (64 - K));
-}
-
 void RNG::reseed(uint64_t Seed) {
   uint64_t S = Seed;
   for (uint64_t &Word : State)
     Word = splitMix64(S);
   HasCachedGaussian = false;
-}
-
-uint64_t RNG::next() {
-  const uint64_t Result = rotl(State[1] * 5, 7) * 9;
-  const uint64_t T = State[1] << 17;
-  State[2] ^= State[0];
-  State[3] ^= State[1];
-  State[1] ^= State[2];
-  State[0] ^= State[3];
-  State[2] ^= T;
-  State[3] = rotl(State[3], 45);
-  return Result;
-}
-
-double RNG::uniform() {
-  // 53 high-quality bits -> [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-uint64_t RNG::uniformInt(uint64_t Bound) {
-  assert(Bound > 0 && "uniformInt bound must be positive");
-  // Rejection sampling to avoid modulo bias.
-  const uint64_t Threshold = (~Bound + 1) % Bound; // == 2^64 mod Bound
-  for (;;) {
-    uint64_t X = next();
-    if (X >= Threshold)
-      return X % Bound;
-  }
 }
 
 double RNG::gaussian() {

@@ -41,15 +41,29 @@ public:
   /// Re-initializes the state from \p Seed via SplitMix64.
   void reseed(uint64_t Seed);
 
-  /// Returns the next raw 64-bit value.
-  uint64_t next();
+  /// Returns the next raw 64-bit value. Inline, like the two draws below:
+  /// the Markov walk makes about three of them per step.
+  uint64_t next() {
+    const uint64_t Result = rotl(State[1] * 5, 7) * 9;
+    const uint64_t T = State[1] << 17;
+    State[2] ^= State[0];
+    State[3] ^= State[1];
+    State[1] ^= State[2];
+    State[0] ^= State[3];
+    State[2] ^= T;
+    State[3] = rotl(State[3], 45);
+    return Result;
+  }
 
   uint64_t operator()() { return next(); }
   static constexpr uint64_t min() { return 0; }
   static constexpr uint64_t max() { return ~0ULL; }
 
   /// Returns a double uniformly distributed in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high-quality bits -> [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Returns a double uniformly distributed in [Lo, Hi).
   double uniform(double Lo, double Hi) {
@@ -58,7 +72,16 @@ public:
   }
 
   /// Returns an integer uniformly distributed in [0, Bound).
-  uint64_t uniformInt(uint64_t Bound);
+  uint64_t uniformInt(uint64_t Bound) {
+    assert(Bound > 0 && "uniformInt bound must be positive");
+    // Rejection sampling to avoid modulo bias.
+    const uint64_t Threshold = (~Bound + 1) % Bound; // == 2^64 mod Bound
+    for (;;) {
+      uint64_t X = next();
+      if (X >= Threshold)
+        return X % Bound;
+    }
+  }
 
   /// Returns a standard normal deviate (Box-Muller, cached pair).
   double gaussian();
@@ -87,6 +110,10 @@ public:
   static RNG forShot(uint64_t Seed, uint64_t Shot);
 
 private:
+  static uint64_t rotl(uint64_t X, int K) {
+    return (X << K) | (X >> (64 - K));
+  }
+
   uint64_t State[4];
   double CachedGaussian = 0.0;
   bool HasCachedGaussian = false;

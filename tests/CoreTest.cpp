@@ -14,6 +14,7 @@
 #include "core/Baselines.h"
 #include "core/CNOTCountOracle.h"
 #include "core/Compiler.h"
+#include "core/CompilerEngine.h"
 #include "core/Emitter.h"
 #include "core/HTTGraph.h"
 #include "core/TransitionBuilders.h"
@@ -620,11 +621,11 @@ TEST(CompilerTest, NegativeCoefficientsGetNegativeTau) {
 
 TEST(CompilerTest, CDFSamplerAblationProducesValidRuns) {
   Hamiltonian H = example41();
-  HTTGraph G = HTTGraph::withQDriftMatrix(H);
-  CompilationOptions Opts;
-  Opts.UseCDFSampler = true;
+  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  SamplingStrategy Strategy(G, 0.5, 0.002, /*UseCDF=*/true);
   RNG Rng(108);
-  CompilationResult R = compileBySampling(G, 0.5, 0.002, Rng, Opts);
+  ShotContext Ctx{0, Rng};
+  CompilationResult R = materializePlan(H, Strategy.produce(Ctx));
   EXPECT_EQ(R.Sequence.size(), R.NumSamples);
   EXPECT_GE(R.NumSamples, 1000u);
   // Empirical distribution of visited terms approximates pi.

@@ -18,6 +18,7 @@
 #include "circuit/QasmExport.h"
 #include "core/CompilerEngine.h"
 #include "core/TransitionBuilders.h"
+#include "hamgen/Registry.h"
 #include "service/SimulationService.h"
 #include "sim/Fidelity.h"
 #include "support/Serial.h"
@@ -251,6 +252,113 @@ TEST(SamplerAgreementTest, ChiSquareAgainstExpectedOnRandomWeights) {
 }
 
 //===----------------------------------------------------------------------===//
+// Markov chain sampler: shared qDrift table plus sparse rows
+//===----------------------------------------------------------------------===//
+
+TEST(ChainSamplerTest, ChiSquarePerRowOnMixedMatrix) {
+  // A qDrift row plus two sparse entries per row: every step mixes the
+  // coin, the shared table and the row table. Each row's transitions must
+  // fit the dense row, for both component samplers.
+  const size_t N = 7;
+  RNG Gen(404);
+  std::vector<double> Pi(N);
+  double PiTotal = 0.0;
+  for (double &X : Pi)
+    PiTotal += (X = 0.2 + Gen.uniform());
+  for (double &X : Pi)
+    X /= PiTotal;
+  TransitionMatrix P = TransitionMatrix::fromStationary(Pi);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J) {
+      P.at(I, J) *= 0.35;
+      if (J == (I + 1) % N)
+        P.at(I, J) += 0.65 * 0.7;
+      if (J == (I + 3) % N)
+        P.at(I, J) += 0.65 * 0.3;
+    }
+  const int Draws = 40000;
+  const double Critical = chiSquareCritical(N - 1, 3.29); // ~p = 0.9995
+  for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
+    MarkovChainSampler Chain(P, Pi, Kind);
+    ASSERT_TRUE(Chain.hasSharedTable());
+    EXPECT_EQ(Chain.numRowCells(), 2 * N);
+    RNG Rng(17 + static_cast<int>(Kind));
+    for (size_t I = 0; I < N; ++I) {
+      std::vector<int> Counts(N, 0);
+      for (int D = 0; D < Draws; ++D)
+        ++Counts[Chain.stepFrom(I, Rng)];
+      double Stat = 0.0;
+      for (size_t J = 0; J < N; ++J) {
+        double Expected = Draws * P.at(I, J);
+        Stat += (Counts[J] - Expected) * (Counts[J] - Expected) / Expected;
+      }
+      EXPECT_LT(Stat, Critical) << "row " << I << ", kind "
+                                << static_cast<int>(Kind);
+    }
+  }
+}
+
+TEST(ChainSamplerTest, WalkDrawsWhatInitialAndStepFromDraw) {
+  auto Graph = testGraph();
+  for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
+    MarkovChainSampler Chain(Graph->transitionMatrix(), Graph->stationary(),
+                             Kind);
+    std::vector<size_t> Walked(500);
+    RNG R1(9), R2(9);
+    Chain.walk(R1, Walked.data(), Walked.size());
+    size_t State = Chain.initial(R2);
+    EXPECT_EQ(Walked[0], State);
+    for (size_t K = 1; K < Walked.size(); ++K) {
+      State = Chain.stepFrom(State, R2);
+      ASSERT_EQ(Walked[K], State) << "step " << K;
+    }
+    EXPECT_EQ(R1.next(), R2.next());
+  }
+}
+
+TEST(ChainSamplerTest, RowLawMatchesDenseRowOnPaperWorkloads) {
+  // Tolerance proof of the sampler re-freeze: the law each row's tables
+  // imply (t_i * shared + (1 - t_i) * row) equals the dense combined row
+  // P_i / sum_j P_ij within a few ulps on every row, and the sparsity of
+  // the MCFP components is found (LiH keeps <= 8 cells per row where the
+  // dense tables had 614). LiH runs one perturbation round for speed.
+  struct Case {
+    const char *Model;
+    const char *Mix;
+    unsigned Rounds;
+  };
+  const Case Cases[] = {{"Na+", "gc", 8}, {"OH-", "gc", 8}, {"LiH", "gc-rp", 1}};
+  for (const Case &C : Cases) {
+    Hamiltonian H =
+        makeBenchmark(*findBenchmark(C.Model)).merged().splitLargeTerms();
+    ChannelMix Mix = *ChannelMix::preset(C.Mix);
+    TransitionMatrix P =
+        makeConfigMatrix(H, Mix.WQd, Mix.WGc, Mix.WRp, C.Rounds, 0x5eed);
+    const std::vector<double> Pi = H.stationaryDistribution();
+    const size_t N = P.size();
+    for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
+      MarkovChainSampler Chain(P, Pi, Kind);
+      ASSERT_TRUE(Chain.hasSharedTable()) << C.Model;
+      double MaxError = 0.0;
+      for (size_t I = 0; I < N; ++I) {
+        std::vector<double> Law = Chain.rowLaw(I);
+        double RowSum = 0.0;
+        for (size_t J = 0; J < N; ++J)
+          RowSum += P.at(I, J);
+        for (size_t J = 0; J < N; ++J)
+          MaxError =
+              std::max(MaxError, std::fabs(Law[J] - P.at(I, J) / RowSum));
+      }
+      EXPECT_LE(MaxError, 4e-15) << C.Model << ", kind "
+                                 << static_cast<int>(Kind);
+      if (std::string(C.Model) == "LiH") {
+        EXPECT_LE(static_cast<double>(Chain.numRowCells()) / N, 8.0);
+      }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Fixed-seed draw regression
 //===----------------------------------------------------------------------===//
 
@@ -290,7 +398,9 @@ TEST(SamplerRegressionTest, ForShotSubstreamIsFrozen) {
 TEST(SamplerRegressionTest, BatchHashesAreFrozen) {
   // End-to-end pin over the whole pipeline: graph construction, alias (and
   // CDF) table layout, the Markov walk, and the sequence hashing. Recorded
-  // shard manifests and cached sweeps all assume these values.
+  // shard manifests and cached sweeps all assume these values. Re-frozen
+  // once when the walk moved to the shared + sparse-row tables (same law,
+  // different draws; ChainSamplerTest holds the tolerance proof).
   auto Graph = testGraph();
   CompilerEngine Engine;
   BatchRequest Req;
@@ -298,10 +408,10 @@ TEST(SamplerRegressionTest, BatchHashesAreFrozen) {
   Req.NumShots = 4;
   Req.Seed = 2025;
   BatchResult Batch = Engine.compileBatch(Req);
-  EXPECT_EQ(Batch.batchHash(), 9422497201697092697ULL);
+  EXPECT_EQ(Batch.batchHash(), 7087704909972214917ULL);
   const uint64_t GoldenShots[] = {
-      13436589725562461351ULL, 4164583861295183526ULL,
-      14740134279793469888ULL, 17535853739059979203ULL};
+      18340506026725574722ULL, 15093242630734011012ULL,
+      5743106723516372869ULL, 5462462935375686565ULL};
   ASSERT_EQ(Batch.Shots.size(), std::size(GoldenShots));
   for (size_t I = 0; I < std::size(GoldenShots); ++I)
     EXPECT_EQ(Batch.Shots[I].SequenceHash, GoldenShots[I]) << "shot " << I;
@@ -309,17 +419,18 @@ TEST(SamplerRegressionTest, BatchHashesAreFrozen) {
   Req.Strategy =
       std::make_shared<const SamplingStrategy>(Graph, 0.5, 0.05,
                                                /*UseCDF=*/true);
-  EXPECT_EQ(Engine.compileBatch(Req).batchHash(), 4882182761049389600ULL);
+  EXPECT_EQ(Engine.compileBatch(Req).batchHash(), 12403702277167737980ULL);
 }
 
 TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
   // End-to-end pin over the evaluation substrate: the Markov walk, the
   // fused Pauli kernels (butterfly + diagonal fast path), the StatePanel
-  // sweep, and the fixed-order overlap reduction. These hexes were
-  // recorded against the pre-fusion two-pass implementation (and moved
-  // by at most 2.3e-16 when the exact targets switched from a Taylor to
-  // a Chebyshev propagator, the one deliberate re-freeze); a kernel
-  // change that perturbs one bit of one amplitude lands here. Unlike the
+  // sweep, and the fixed-order overlap reduction. The kernels reproduce
+  // the pre-fusion two-pass implementation's bits; the hexes moved by at
+  // most 2.3e-16 when the exact targets switched from a Taylor to a
+  // Chebyshev propagator, and were re-recorded when the walk's draws
+  // changed (new schedules, not new kernels). A kernel change that
+  // perturbs one bit of one amplitude lands here. Unlike the
   // integer-sequence goldens above they pass through libm cos/sin/exp, so
   // they assume the CI platform's libm (x86-64 glibc); a 1-ulp libm
   // difference elsewhere fails this test without a real kernel
@@ -336,8 +447,8 @@ TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
 
   Hamiltonian H = testHamiltonian();
   FidelityEvaluator Eval(H, 0.5, 8, 7);
-  const char *Golden[] = {"3fefd1c62990a8de", "3fefbee47aa924b0",
-                          "3fef3fd24f07a2e9", "3fefe98d81be7c8e"};
+  const char *Golden[] = {"3feff225b44634e2", "3fefd8a9ca8ae03f",
+                          "3fef986a30623f57", "3fefca40465aafc1"};
   ASSERT_EQ(Batch.Results.size(), std::size(Golden));
   for (size_t Shot = 0; Shot < std::size(Golden); ++Shot)
     EXPECT_EQ(serial::hex16(serial::doubleBits(
@@ -348,7 +459,7 @@ TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
   // The gate-level circuit path shares the panel substrate.
   EXPECT_EQ(serial::hex16(serial::doubleBits(
                 Eval.fidelityOfCircuit(Batch.Results[0].circuit()))),
-            "3fefd1c62990a848");
+            "3feff225b4463447");
 
   // Within-shot fan-out must not move a bit: a 16-column (two-block)
   // evaluator under EvalJobs 1 and 4 yields identical hexes per shot.
@@ -365,9 +476,9 @@ TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
 TEST(SamplerRegressionTest, ShotZeroQasmIsFrozen) {
   // Pins the emitter's gate order, root choices and Rz angles end to end
   // on two registry workloads, through the service and the on-demand
-  // lowering that --out and the daemon use. Recorded while the emitter
-  // still built every shot's circuit eagerly; the count/gate split must
-  // reproduce every byte. LiH runs one perturbation round to keep the
+  // lowering that --out and the daemon use; the count/gate split must
+  // reproduce every byte. Re-frozen with the batch hashes above when the
+  // walk's draws changed. LiH runs one perturbation round to keep the
   // test fast (the MCFP solves dominate it, not the lowering).
   struct Case {
     const char *Model;
@@ -376,8 +487,8 @@ TEST(SamplerRegressionTest, ShotZeroQasmIsFrozen) {
     size_t Gates;
     uint64_t QasmHash;
   };
-  const Case Cases[] = {{"Na+", "gc", 8, 20450, 0x3b635de693ffde49ULL},
-                        {"LiH", "gc-rp", 1, 442923, 0x6713c6fc821d1a72ULL}};
+  const Case Cases[] = {{"Na+", "gc", 8, 20680, 0x922295af9a5539f8ULL},
+                        {"LiH", "gc-rp", 1, 437218, 0xd7a3591badb07348ULL}};
   for (const Case &C : Cases) {
     TaskSpec Spec;
     Spec.Source = HamiltonianSource::fromModel(C.Model);

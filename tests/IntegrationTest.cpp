@@ -114,20 +114,25 @@ TEST(IntegrationTest, PeepholeGainOverEmitterIsBounded) {
 
 TEST(IntegrationTest, EmitterCancellationAgreesWithPeepholeOnNaive) {
   // Emitting without cross-cancellation and then running the peephole pass
-  // should land near the emitter's own cancellation-aware counts.
+  // should land near the emitter's own cancellation-aware counts. One
+  // 81-sample shot is too small to say so: its ratio spans 0.60-1.46
+  // across seeds, so the test pools CNOTs over 400 seeds.
   Hamiltonian H = makeMolecularLike(5, 20, 55).splitLargeTerms();
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
   HTTGraph G(H, P);
-  RNG R1(4000), R2(4000);
   CompilationOptions Naive;
   Naive.Emit.CrossCancellation = false;
-  CompilationResult Plain = compileBySampling(G, 0.4, 0.1, R1, Naive);
-  CompilationResult Fancy = compileBySampling(G, 0.4, 0.1, R2);
-  Circuit PlainOpt = optimizeCircuit(Plain.circuit());
-  // Same sampled sequence (same seed), so counts are directly comparable.
-  ASSERT_EQ(Plain.Sequence, Fancy.Sequence);
-  double Ratio =
-      double(PlainOpt.counts().CNOTs) / double(Fancy.Counts.CNOTs);
+  size_t PeepholeCNOTs = 0, EmitterCNOTs = 0;
+  for (uint64_t Seed = 4000; Seed < 4400; ++Seed) {
+    RNG R1(Seed), R2(Seed);
+    CompilationResult Plain = compileBySampling(G, 0.4, 0.1, R1, Naive);
+    CompilationResult Fancy = compileBySampling(G, 0.4, 0.1, R2);
+    // Same sampled sequence (same seed), so counts are directly comparable.
+    ASSERT_EQ(Plain.Sequence, Fancy.Sequence) << "seed " << Seed;
+    PeepholeCNOTs += optimizeCircuit(Plain.circuit()).counts().CNOTs;
+    EmitterCNOTs += Fancy.Counts.CNOTs;
+  }
+  double Ratio = double(PeepholeCNOTs) / double(EmitterCNOTs);
   EXPECT_GT(Ratio, 0.9);
   EXPECT_LT(Ratio, 1.15);
 }

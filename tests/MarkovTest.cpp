@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 using namespace marqsim;
 
@@ -290,4 +292,71 @@ TEST(MarkovChainSamplerTest, LongRunVisitsMatchStationary) {
     ++Visits[S.next(Rng)];
   for (size_t K = 0; K < 4; ++K)
     EXPECT_NEAR(Visits[K] / double(N), Pi[K], 0.01);
+}
+
+TEST(MarkovChainSamplerTest, PureQDriftHasNoRowCells) {
+  // Every row equals pi: the column minima take all of it, so each step is
+  // one draw from the shared table and no row table exists.
+  const std::vector<double> Pi = {0.1, 0.2, 0.3, 0.4};
+  MarkovChainSampler S(TransitionMatrix::fromStationary(Pi), Pi);
+  EXPECT_TRUE(S.hasSharedTable());
+  EXPECT_EQ(S.numRowCells(), 0u);
+  for (size_t I = 0; I < Pi.size(); ++I) {
+    std::vector<double> Law = S.rowLaw(I);
+    for (size_t J = 0; J < Pi.size(); ++J)
+      EXPECT_NEAR(Law[J], Pi[J], 1e-15);
+  }
+}
+
+TEST(MarkovChainSamplerTest, ZeroColumnMinimaHaveNoSharedTable) {
+  // Every column of the example chain has a zero, so W == 0: no shared
+  // table, no coin, and every step draws from the row's own cells.
+  TransitionMatrix P = paperExampleChain();
+  MarkovChainSampler S(P, P.stationaryDistribution());
+  EXPECT_FALSE(S.hasSharedTable());
+  EXPECT_EQ(S.numRowCells(), 9u); // the example's nine edges
+  for (size_t I = 0; I < 4; ++I) {
+    std::vector<double> Law = S.rowLaw(I);
+    for (size_t J = 0; J < 4; ++J)
+      EXPECT_NEAR(Law[J], P.at(I, J), 1e-15) << I << "->" << J;
+  }
+}
+
+TEST(MarkovChainSamplerTest, SharedTableCarriesTheColumnMinima) {
+  // 0.5 * qDrift + 0.5 * example chain: the minima are exactly 0.5 * pi,
+  // so every row keeps its sparse cells and flips a coin of 1/2.
+  TransitionMatrix Ex = paperExampleChain();
+  std::vector<double> Pi = Ex.stationaryDistribution();
+  TransitionMatrix Qd = TransitionMatrix::fromStationary(Pi);
+  TransitionMatrix P = TransitionMatrix::combine({&Qd, &Ex}, {0.5, 0.5});
+  MarkovChainSampler S(P, Pi);
+  EXPECT_TRUE(S.hasSharedTable());
+  EXPECT_EQ(S.numRowCells(), 9u);
+  for (size_t I = 0; I < 4; ++I) {
+    std::vector<double> Law = S.rowLaw(I);
+    for (size_t J = 0; J < 4; ++J)
+      EXPECT_NEAR(Law[J], P.at(I, J), 1e-15) << I << "->" << J;
+  }
+}
+
+TEST(MarkovChainSamplerTest, InvalidRowsThrowInEveryBuildType) {
+  const std::vector<double> Init = {0.5, 0.5};
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  for (const std::vector<std::vector<double>> &Rows :
+       {std::vector<std::vector<double>>{{0.5, 0.5}, {1.5, -0.5}},
+        std::vector<std::vector<double>>{{NaN, 1.0}, {0.5, 0.5}},
+        std::vector<std::vector<double>>{{0.5, 0.5}, {0.0, 0.0}},
+        std::vector<std::vector<double>>{{Inf, 1.0}, {0.5, 0.5}}}) {
+    TransitionMatrix P = TransitionMatrix::fromRows(Rows);
+    EXPECT_THROW(MarkovChainSampler(P, Init), std::invalid_argument);
+    EXPECT_THROW(MarkovChainSampler(P, Init, SamplerKind::CDF),
+                 std::invalid_argument);
+  }
+  TransitionMatrix Good = TransitionMatrix::fromRows({{0.5, 0.5}, {1, 0}});
+  EXPECT_THROW(MarkovChainSampler(Good, {0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(MarkovChainSampler(Good, {1.0}), std::invalid_argument);
+  EXPECT_THROW(AliasSampler(std::vector<double>{1.0, -1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(CDFSampler(std::vector<double>{}), std::invalid_argument);
 }

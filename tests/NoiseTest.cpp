@@ -594,9 +594,9 @@ TEST(NoiseGoldenTest, FixedSeedNoisyBatchIsFrozen) {
   // streams, twirl weights, injection order, or state-fidelity reduction
   // shows up here as a bit difference, not a drifting tolerance.
   const uint64_t Golden[3] = {
-      0x3fed2c21952a0aaaULL,
-      0x3fa8f2d48bdd408eULL,
-      0x3fef577a168e7251ULL,
+      0x3fee09d4c23e5f2cULL,
+      0x3f861f224ac24745ULL,
+      0x3fef413e0bd5d0a3ULL,
   };
   for (size_t I = 0; I < 3; ++I)
     EXPECT_EQ(serial::doubleBits(Noisy->ShotFidelities[I]), Golden[I])

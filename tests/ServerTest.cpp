@@ -254,6 +254,28 @@ TEST(TaskSpecJsonTest, ParentFramesKeepContentKeyAndFp32IsRejected) {
   EXPECT_NE(Error.find("precision"), std::string::npos) << Error;
 }
 
+TEST(TaskSpecJsonTest, RetiredCDFSamplerFieldIsWrittenFalseAndRejectedTrue) {
+  // lowering.use_cdf_sampler only ever changed the content key, never the
+  // draws; the CDF ablation is the spec's use_cdf. Frames still carry the
+  // field as false for peers that require it, and true is refused.
+  std::string Error;
+  std::optional<json::Value> Fresh = testSpec().toJson(&Error);
+  ASSERT_TRUE(Fresh) << Error;
+  const json::Value *Lowering = Fresh->find("lowering");
+  ASSERT_NE(Lowering, nullptr);
+  const json::Value *Field = Lowering->find("use_cdf_sampler");
+  ASSERT_NE(Field, nullptr);
+  EXPECT_FALSE(Field->asBool());
+
+  json::Value Stale = *Fresh;
+  json::Value StaleLowering = *Lowering;
+  StaleLowering.set("use_cdf_sampler", true);
+  Stale.set("lowering", std::move(StaleLowering));
+  EXPECT_FALSE(TaskSpec::fromJson(Stale, &Error));
+  EXPECT_NE(Error.find("use_cdf_sampler"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("'use_cdf'"), std::string::npos) << Error;
+}
+
 TEST(TaskSpecJsonTest, RejectsMalformedSpecs) {
   TaskSpec Spec = testSpec();
   std::optional<json::Value> Good = Spec.toJson();

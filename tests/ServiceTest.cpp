@@ -20,8 +20,11 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "markov/Sampler.h"
 #include "service/SimulationService.h"
 #include "shard/ShardCoordinator.h"
+#include "store/ArtifactKey.h"
+#include "store/Codecs.h"
 #include "support/Serial.h"
 
 #include <gtest/gtest.h>
@@ -352,6 +355,87 @@ TEST(ServiceCacheTest, RatioSweepPerformsOneGCSolve) {
   EXPECT_EQ(S.GCSolveHits, 2u);  // the other two GC-weighted ratios
   EXPECT_EQ(S.GraphMisses, 4u);  // one bundle per ratio
   EXPECT_EQ(S.GraphHits, 4u);    // the second epsilon of each ratio
+}
+
+TEST(ServiceCacheTest, BundleChargeIsMatrixPlusSamplerTables) {
+  // The LRU charges a bundle what it holds: the dense combined matrix
+  // (8 bytes/entry) plus the sampler's shared and sparse row tables.
+  const Hamiltonian H = testHamiltonian();
+  const size_t N = H.numTerms();
+  const size_t MatrixBytes = N * N * sizeof(double);
+  const std::vector<double> Pi = H.stationaryDistribution();
+
+  // Pure qDrift: no component, and the sampler has no row cells.
+  {
+    SimulationService Service;
+    TaskSpec Spec = testSpec(H);
+    Spec.Mix = *ChannelMix::preset("baseline");
+    ASSERT_TRUE(Service.run(Spec));
+    MarkovChainSampler Chain(TransitionMatrix::fromStationary(Pi), Pi);
+    EXPECT_EQ(Chain.numRowCells(), 0u);
+    EXPECT_EQ(Service.storeStats().BytesInUse, MatrixBytes + Chain.bytes());
+  }
+
+  // GC mix: the Pgc component plus the bundle over the combined matrix,
+  // whose exact bits the exported .alias body carries.
+  SimulationService Service;
+  TaskSpec Spec = testSpec(H);
+  ASSERT_TRUE(Service.run(Spec));
+  ChannelMix Mix = Spec.Mix;
+  Mix.normalize();
+  std::optional<std::string> Body =
+      Service.exportArtifactBody(store::aliasBundleKey(
+          H.fingerprint(), Mix.WQd, Mix.WGc, Mix.WRp, Spec.Flow,
+          Spec.PerturbRounds, Spec.PerturbSeed, Spec.UseCDF));
+  ASSERT_TRUE(Body);
+  std::optional<TransitionMatrix> P =
+      store::decodeMatrixBody(store::AliasMagic, N, *Body);
+  ASSERT_TRUE(P);
+  MarkovChainSampler Chain(*P, Pi);
+  EXPECT_LT(Chain.numRowCells(), N * N);
+  EXPECT_EQ(Service.storeStats().BytesInUse,
+            MatrixBytes + MatrixBytes + Chain.bytes());
+}
+
+TEST(ServiceCacheTest, ImportRejectsABundleTheSamplerRefuses) {
+  // Theorem 4.1 validation tolerates entries down to -1e-6, but the
+  // sampler takes no negative weight: such a body must be refused at
+  // import, not thrown from the decode or cached.
+  TaskSpec Spec = testSpec(testHamiltonian());
+  Spec.Mix = ChannelMix{0.0, 1.0, 0.0};
+  SimulationService Source;
+  std::string Error;
+  ASSERT_TRUE(Source.run(Spec, &Error)) << Error;
+  const ArtifactKey Key = store::aliasBundleKey(
+      testHamiltonian().fingerprint(), 0.0, 1.0, 0.0, Spec.Flow,
+      Spec.PerturbRounds, Spec.PerturbSeed, Spec.UseCDF);
+  std::optional<std::string> Body = Source.exportArtifactBody(Key);
+  ASSERT_TRUE(Body);
+  const size_t N = testHamiltonian().numTerms();
+  std::optional<TransitionMatrix> P =
+      store::decodeMatrixBody(store::AliasMagic, N, *Body);
+  ASSERT_TRUE(P);
+
+  // Move 1e-9 of some row's mass from a zero entry to a positive one.
+  bool Moved = false;
+  for (size_t I = 0; I < N && !Moved; ++I)
+    for (size_t Zero = 0; Zero < N && !Moved; ++Zero)
+      if (P->at(I, Zero) == 0.0)
+        for (size_t J = 0; J < N && !Moved; ++J)
+          if (P->at(I, J) > 0.0) {
+            P->at(I, Zero) = -1e-9;
+            P->at(I, J) += 1e-9;
+            Moved = true;
+          }
+  ASSERT_TRUE(Moved);
+  ASSERT_TRUE(HTTGraph(testHamiltonian().merged().splitLargeTerms(), *P)
+                  .isValidForCompilation());
+
+  SimulationService Target;
+  EXPECT_FALSE(Target.importArtifact(
+      Spec, Key, store::encodeMatrixBody(store::AliasMagic, *P), &Error));
+  EXPECT_TRUE(Target.run(Spec, &Error)) << Error;
+  EXPECT_EQ(Target.stats().GraphMisses, 1u);
 }
 
 //===----------------------------------------------------------------------===//
