@@ -22,12 +22,16 @@
 /// Every kernel is FP64: fidelity evaluation has one precision, and every
 /// golden, manifest and cache key is pinned to its bits.
 ///
+/// The vector tiers share one body (sim/KernelsSimd.h), written with
+/// GCC/Clang vector extensions and instantiated per tier at its widths;
+/// each tier file compiles it with that ISA's flags.
+///
 /// Determinism contract: the vector kernels perform, lane for lane,
 /// exactly the per-element arithmetic of the scalar reference — the same
-/// complex-multiply expansion std::complex<double> uses, each operation
-/// individually rounded, no fused multiply-adds in value-producing
-/// arithmetic (the whole project builds with -ffp-contract=off, and the
-/// SIMD translation units use discrete mul/add/sub intrinsics only).
+/// complex-multiply expansion std::complex<double> uses on the same
+/// operand values. Each vector operator is one individually rounded
+/// operation per lane, and no FMA is ever emitted: the whole project
+/// builds with -ffp-contract=off, so no multiply+add is contracted.
 /// Amplitude updates are elementwise-independent maps, so lane order never
 /// matters, and every dispatch choice emits bit-identical amplitudes; the
 /// frozen fidelity goldens hold on every ISA. The fused overlap kernels
@@ -174,9 +178,10 @@ void selectAuto();
 
 namespace detail {
 /// Per-ISA tables; null when the binary was built without the ISA or the
-/// host CPU (or, for AVX-512, the OS XSAVE state) lacks it. Defined in
-/// KernelsAVX512.cpp / KernelsAVX2.cpp / KernelsNEON.cpp so the stubs
-/// exist on every platform.
+/// host CPU (or, for AVX-512, the OS XSAVE state) lacks it. Each is the
+/// shared body of sim/KernelsSimd.h instantiated at its tier's widths in
+/// KernelsAVX512.cpp / KernelsAVX2.cpp / KernelsNEON.cpp, which also
+/// define the null stubs, so every accessor exists on every platform.
 const Ops *avx512Ops();
 const Ops *avx2Ops();
 const Ops *neonOps();

@@ -117,7 +117,7 @@ public:
 
   /// Applies exp(i * Theta * P) to every column in one schedule sweep.
   /// Diagonal (Z-only) strings take the per-element phase fast path.
-  /// Dispatches to the active kernel tier (scalar/AVX2/NEON).
+  /// Dispatches to the active kernel tier.
   void applyPauliExpAll(const PauliString &P, double Theta);
 
   /// Applies one gate to every column.

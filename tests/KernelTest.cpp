@@ -8,19 +8,22 @@
 // dispatcher can select (scalar, AVX2+FMA, AVX-512, NEON) produces
 // bit-identical amplitudes for the same inputs — on interleaved
 // statevectors and on SoA panel planes, across panel widths, for
-// butterfly and Z-diagonal paths, from basis and from random starting
-// states, and at the short pivot runs (1, 2, 4) where the wide tiers
-// delegate down the precedence chain. The fused evolve+overlap tail must
-// reproduce the unfused sweep-then-overlapWith path bit for bit. On hosts
-// whose best tier *is* scalar the cross-tier comparisons still run
-// (trivially); the contract they pin is then enforced by the
-// AVX2/AVX-512/NEON CI hosts.
+// butterfly and Z-diagonal paths, from basis, random and signed-zero
+// starting states, at Theta = +0, -0 and pi as well as random angles, and
+// at the short pivot runs (1, 2, 4) where the 4-wide walk defers to the
+// scalar reference. The fused evolve+overlap tail must reproduce the
+// unfused sweep-then-overlapWith path bit for bit. All vector tiers are
+// one body (sim/KernelsSimd.h); the cross-tier loops also run it at
+// NEON's widths <2,2>, compiled for the host's baseline ISA, so every
+// host checks the NEON arithmetic. On hosts whose best tier *is* scalar
+// the AVX2/AVX-512 comparisons are trivial; the AVX CI hosts enforce them.
 //
 //===----------------------------------------------------------------------===//
 
 #include "hamgen/Models.h"
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
+#include "sim/KernelsSimd.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
 #include "support/AlignedAlloc.h"
@@ -49,6 +52,50 @@ struct DispatchRestorer {
 /// The best table this host can dispatch to, ignoring the environment —
 /// the tier whose output must match the scalar reference bit for bit.
 const kernels::Ops &bestOps() { return *kernels::availableOps().front(); }
+
+/// The shared vector body at NEON's widths, built for this host: test
+/// only, never dispatched, listed, or pinnable.
+constexpr kernels::Ops Width2Ops = kernels::simd::makeOps<2, 2>("simd-2");
+
+/// What the cross-tier loops sweep: every runnable tier plus Width2Ops.
+std::vector<const kernels::Ops *> crossTierOps() {
+  std::vector<const kernels::Ops *> Tiers = kernels::availableOps();
+  Tiers.push_back(&Width2Ops);
+  return Tiers;
+}
+
+/// \p Theta, then +0, -0 and pi: angles whose sin/cos carry signed zeros
+/// (sin(-0) = -0, cos(pi) = -1), on which a vector broadcast that loses a
+/// zero's sign changes bits.
+std::vector<double> withSignedZeroThetas(double Theta) {
+  return {Theta, 0.0, -0.0, M_PI};
+}
+
+/// A value that is +0, -0, or a Gaussian, with equal odds.
+double signedZeroPart(RNG &Rng) {
+  const uint64_t Kind = Rng.uniformInt(3);
+  return Kind == 0 ? 0.0 : Kind == 1 ? -0.0 : Rng.gaussian();
+}
+
+/// A state whose amplitude parts are mostly +0 and -0.
+CVector signedZeroState(unsigned N, RNG &Rng) {
+  CVector V(size_t(1) << N);
+  for (auto &A : V) {
+    const double Re = signedZeroPart(Rng);
+    A = Complex(Re, signedZeroPart(Rng));
+  }
+  return V;
+}
+
+/// Overwrites the live columns of \p P with signed-zero states; padding
+/// lanes keep their zeros.
+void fillSignedZeros(StatePanel &P, RNG &Rng) {
+  for (uint64_t X = 0; X < P.dim(); ++X)
+    for (size_t C = 0; C < P.numColumns(); ++C) {
+      P.realPlane()[X * P.laneStride() + C] = signedZeroPart(Rng);
+      P.imagPlane()[X * P.laneStride() + C] = signedZeroPart(Rng);
+    }
+}
 
 CVector randomState(unsigned N, RNG &Rng) {
   CVector V(size_t(1) << N);
@@ -83,6 +130,8 @@ void applyThrough(const kernels::Ops &K, CVector &Amp, const PauliString &P,
 ::testing::AssertionResult bitIdentical(const CVector &A, const CVector &B) {
   if (A.size() != B.size())
     return ::testing::AssertionFailure() << "size mismatch";
+  if (std::memcmp(A.data(), B.data(), A.size() * sizeof(Complex)) == 0)
+    return ::testing::AssertionSuccess();
   for (size_t I = 0; I < A.size(); ++I)
     if (serial::doubleBits(A[I].real()) != serial::doubleBits(B[I].real()) ||
         serial::doubleBits(A[I].imag()) != serial::doubleBits(B[I].imag()))
@@ -277,54 +326,72 @@ TEST(KernelBitIdentityTest, PanelColumnsMatchStateVectorUnderDispatch) {
 }
 
 // Short pivot runs: a butterfly's contiguous run length equals its pivot
-// (the lowest X bit), and every wide tier delegates runs narrower than
-// its vector width down the precedence chain (AVX2 needs runs of 2; the
-// AVX-512 tier forwards its whole walk to AVX2). Sweep single-X strings
+// (the lowest X bit), and the 4-wide walk defers runs of 1 to the scalar
+// reference. Sweep single-X strings (and a single Z, the diagonal path)
 // at every qubit position on tiny registers — run lengths 1, 2, 4, 8 —
-// across every tier this host can run.
+// across every tier this host can run plus the width-2 body, from random
+// and signed-zero starts, at a random angle and at +0, -0 and pi.
 TEST(KernelBitIdentityTest, ShortPivotRunsMatchScalarAcrossTiers) {
   RNG Rng(1234);
-  for (const kernels::Ops *Tier : kernels::availableOps()) {
+  for (const kernels::Ops *Tier : crossTierOps()) {
     for (unsigned N : {1u, 2u, 3u, 4u}) {
       for (unsigned Q = 0; Q < N; ++Q) {
-        for (unsigned Variant = 0; Variant < 3; ++Variant) {
+        for (unsigned Variant = 0; Variant < 4; ++Variant) {
           PauliString P;
-          P.setOp(Q, Variant == 1 ? PauliOpKind::Y : PauliOpKind::X);
+          P.setOp(Q, Variant == 1   ? PauliOpKind::Y
+                     : Variant == 3 ? PauliOpKind::Z
+                                    : PauliOpKind::X);
           if (Variant == 2 && N > 1) // phase-carrying high bit
             P.setOp((Q + 1) % N, PauliOpKind::Z);
-          const double Theta = Rng.gaussian() * 0.6;
-
-          CVector Start = randomState(N, Rng);
-          CVector A = Start, B = Start;
-          applyThrough(kernels::scalarOps(), A, P, Theta);
-          applyThrough(*Tier, B, P, Theta);
-          ASSERT_TRUE(bitIdentical(A, B))
-              << "tier " << Tier->Name << ", " << N << " qubits, X at " << Q;
+          for (const double Theta :
+               withSignedZeroThetas(Rng.gaussian() * 0.6)) {
+            for (const CVector &Start :
+                 {randomState(N, Rng), signedZeroState(N, Rng)}) {
+              CVector A = Start, B = Start;
+              applyThrough(kernels::scalarOps(), A, P, Theta);
+              applyThrough(*Tier, B, P, Theta);
+              ASSERT_TRUE(bitIdentical(A, B))
+                  << "tier " << Tier->Name << ", " << N << " qubits, "
+                  << P.str(N) << ", theta " << Theta;
+            }
+          }
         }
       }
     }
   }
 }
 
-// Panels under every runnable tier (not just best-vs-scalar): the planes
-// must agree bitwise, including at one- and two-qubit dims.
+// Panels under every runnable tier and the width-2 body (not just
+// best-vs-scalar): the planes must agree bitwise, including at one- and
+// two-qubit dims, from basis and signed-zero starts, with the schedule's
+// own angles and with every angle replaced by +0, -0 or pi.
 TEST(KernelBitIdentityTest, PanelKernelsMatchScalarAcrossAllTiers) {
   DispatchRestorer Restore;
   RNG Rng(8787);
   for (unsigned N : {1u, 2u, 5u}) {
     const auto Sched = mixedSchedule(N, Rng);
     const auto Basis = randomBasis(N, 5, Rng);
-    kernels::selectTierForTesting(kernels::scalarOps());
-    StatePanel Scalar(N, Basis);
-    for (const auto &[P, Theta] : Sched)
-      Scalar.applyPauliExpAll(P, Theta);
-    for (const kernels::Ops *Tier : kernels::availableOps()) {
-      kernels::selectTierForTesting(*Tier);
-      StatePanel Simd(N, Basis);
-      for (const auto &[P, Theta] : Sched)
-        Simd.applyPauliExpAll(P, Theta);
-      ASSERT_TRUE(panelsBitIdentical(Scalar, Simd))
-          << "tier " << Tier->Name << ", " << N << " qubits";
+    for (const bool SignedZeroStart : {false, true}) {
+      const uint64_t FillSeed = Rng.next();
+      // NaN keeps the schedule's own angles.
+      for (const double Override : withSignedZeroThetas(NAN)) {
+        // Runs the schedule under Tier from this case's start state.
+        const auto Evolve = [&](const kernels::Ops &Tier) {
+          kernels::selectTierForTesting(Tier);
+          StatePanel Panel(N, Basis);
+          RNG Fill(FillSeed);
+          if (SignedZeroStart)
+            fillSignedZeros(Panel, Fill);
+          for (const auto &[P, Theta] : Sched)
+            Panel.applyPauliExpAll(P, std::isnan(Override) ? Theta : Override);
+          return Panel;
+        };
+        const StatePanel Scalar = Evolve(kernels::scalarOps());
+        for (const kernels::Ops *Tier : crossTierOps())
+          ASSERT_TRUE(panelsBitIdentical(Scalar, Evolve(*Tier)))
+              << "tier " << Tier->Name << ", " << N << " qubits, signed-zero "
+              << SignedZeroStart << ", theta " << Override;
+      }
     }
     kernels::selectAuto();
   }
@@ -332,7 +399,10 @@ TEST(KernelBitIdentityTest, PanelKernelsMatchScalarAcrossAllTiers) {
 
 // The fused evolve+overlap tail vs the unfused sweep-then-overlapWith
 // path: panel planes and every per-column overlap must agree bit for bit,
-// for butterfly, diagonal, and identity tails, under every runnable tier.
+// for butterfly, diagonal, and identity tails, at a random angle and at
+// +0, -0 and pi, from rotated-basis and signed-zero starts, under every
+// runnable tier and the width-2 body — and every tier's fused overlaps
+// must equal the scalar tier's.
 TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
   DispatchRestorer Restore;
   const unsigned N = 5;
@@ -342,37 +412,61 @@ TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
   Tails[0].setOp(0, PauliOpKind::Z);
   Tails[1].setOp(1, PauliOpKind::Z); // diagonal tail
   // Tails[2] stays the identity (global-phase tail).
+  std::vector<const kernels::Ops *> Sweep = {&kernels::scalarOps()};
+  for (const kernels::Ops *Tier : crossTierOps())
+    Sweep.push_back(Tier);
   for (size_t Cols : {size_t(1), size_t(3), size_t(8)}) {
     const auto Basis = randomBasis(N, Cols, Rng);
-    std::vector<CVector> Targets;
-    for (size_t C = 0; C < Cols; ++C)
-      Targets.push_back(randomState(N, Rng));
     const auto Pre = mixedSchedule(N, Rng);
-    for (const kernels::Ops *Tier : kernels::availableOps()) {
-      kernels::selectTierForTesting(*Tier);
+    for (const bool SignedZeroStart : {false, true}) {
+      std::vector<CVector> Targets;
+      for (size_t C = 0; C < Cols; ++C)
+        Targets.push_back(SignedZeroStart ? signedZeroState(N, Rng)
+                                          : randomState(N, Rng));
+      const uint64_t FillSeed = Rng.next();
+      // The case's start under the active tier: four rotations of the
+      // basis columns, or signed-zero planes.
+      const auto Start = [&] {
+        StatePanel Panel(N, Basis);
+        RNG Fill(FillSeed);
+        if (SignedZeroStart)
+          fillSignedZeros(Panel, Fill);
+        else
+          for (unsigned I = 0; I < 4; ++I)
+            Panel.applyPauliExpAll(Pre[I].first, Pre[I].second);
+        return Panel;
+      };
+      const size_t Bytes = Cols * sizeof(Complex);
       for (const PauliString &Tail : Tails) {
-        const double Theta = 0.31;
-        StatePanel A(N, Basis), B(N, Basis);
-        for (unsigned I = 0; I < 4; ++I) {
-          A.applyPauliExpAll(Pre[I].first, Pre[I].second);
-          B.applyPauliExpAll(Pre[I].first, Pre[I].second);
-        }
-        A.applyPauliExpAll(Tail, Theta);
-        std::vector<Complex> Unfused(Cols);
-        for (size_t C = 0; C < Cols; ++C)
-          Unfused[C] = A.overlapWith(Targets[C], C);
-        TargetPanel Packed(Targets.data(), Cols, B.laneStride());
-        std::vector<Complex> Fused(Cols);
-        B.applyPauliExpAllFused(Tail, Theta, Packed, Fused.data());
-        ASSERT_TRUE(panelsBitIdentical(A, B))
-            << "tier " << Tier->Name << ", " << Cols << " columns";
-        for (size_t C = 0; C < Cols; ++C) {
-          ASSERT_EQ(serial::doubleBits(Unfused[C].real()),
-                    serial::doubleBits(Fused[C].real()))
-              << "tier " << Tier->Name << ", column " << C;
-          ASSERT_EQ(serial::doubleBits(Unfused[C].imag()),
-                    serial::doubleBits(Fused[C].imag()))
-              << "tier " << Tier->Name << ", column " << C;
+        for (const double Theta : withSignedZeroThetas(0.31)) {
+          std::vector<Complex> ScalarFused; // the first (scalar) run's
+          StatePanel ScalarPanel(N, Basis);
+          for (const kernels::Ops *Tier : Sweep) {
+            kernels::selectTierForTesting(*Tier);
+            StatePanel A = Start(), B = Start();
+            A.applyPauliExpAll(Tail, Theta);
+            std::vector<Complex> Unfused(Cols);
+            for (size_t C = 0; C < Cols; ++C)
+              Unfused[C] = A.overlapWith(Targets[C], C);
+            TargetPanel Packed(Targets.data(), Cols, B.laneStride());
+            std::vector<Complex> Fused(Cols);
+            B.applyPauliExpAllFused(Tail, Theta, Packed, Fused.data());
+            if (ScalarFused.empty()) {
+              ScalarFused = Fused;
+              ScalarPanel = B;
+            }
+            ASSERT_TRUE(panelsBitIdentical(A, B))
+                << "tier " << Tier->Name << ", " << Cols << " columns";
+            ASSERT_TRUE(panelsBitIdentical(ScalarPanel, B))
+                << "tier " << Tier->Name << " vs scalar, " << Cols
+                << " columns, " << Tail.str(N) << ", theta " << Theta;
+            ASSERT_EQ(std::memcmp(Unfused.data(), Fused.data(), Bytes), 0)
+                << "tier " << Tier->Name << ", " << Cols << " columns, "
+                << Tail.str(N) << ", theta " << Theta;
+            ASSERT_EQ(std::memcmp(ScalarFused.data(), Fused.data(), Bytes), 0)
+                << "tier " << Tier->Name << " vs scalar, " << Cols
+                << " columns, " << Tail.str(N) << ", theta " << Theta;
+          }
         }
       }
     }
