@@ -13,7 +13,7 @@
 
 #include "core/Compiler.h"
 #include "core/TransitionBuilders.h"
-#include "flow/MinCostFlow.h"
+#include "flow/TransportFlow.h"
 #include "hamgen/Models.h"
 #include "linalg/Expm.h"
 #include "markov/Sampler.h"
@@ -82,30 +82,26 @@ static void BM_CDFSampler(benchmark::State &State) {
 }
 BENCHMARK(BM_CDFSampler)->Arg(100)->Arg(1000);
 
-static void BM_MinCostFlowBipartite(benchmark::State &State) {
+static void BM_TransportFlowBipartite(benchmark::State &State) {
   const size_t N = static_cast<size_t>(State.range(0));
   for (auto _ : State) {
     State.PauseTiming();
     RNG Rng(7);
-    MinCostFlow Net(2 * N + 2);
     int64_t Scale = 1'000'000;
     std::vector<int64_t> Units(N, Scale / static_cast<int64_t>(N));
     Units[0] += Scale % static_cast<int64_t>(N);
-    for (size_t I = 0; I < N; ++I)
-      Net.addEdge(0, 1 + I, Units[I], 0);
+    std::vector<int64_t> Cost(N * N, 0);
     for (size_t I = 0; I < N; ++I)
       for (size_t J = 0; J < N; ++J)
         if (I != J)
-          Net.addEdge(1 + I, 1 + N + J, MinCostFlow::kInfiniteCapacity,
-                      static_cast<int64_t>(Rng.uniformInt(30)));
-    for (size_t J = 0; J < N; ++J)
-      Net.addEdge(1 + N + J, 2 * N + 1, Units[J], 0);
+          Cost[I * N + J] = static_cast<int64_t>(Rng.uniformInt(30));
     State.ResumeTiming();
-    auto R = Net.solve(0, 2 * N + 1, Scale);
+    TransportFlow Net(N, Cost.data());
+    auto R = Net.solve(Units, Units, Scale);
     benchmark::DoNotOptimize(R.TotalCost);
   }
 }
-BENCHMARK(BM_MinCostFlowBipartite)->Arg(60)->Arg(120)->Arg(240)
+BENCHMARK(BM_TransportFlowBipartite)->Arg(60)->Arg(120)->Arg(240)
     ->Unit(benchmark::kMillisecond);
 
 static void BM_SpectrumQR(benchmark::State &State) {

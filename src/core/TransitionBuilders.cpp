@@ -7,9 +7,11 @@
 #include "core/TransitionBuilders.h"
 
 #include "core/CNOTCountOracle.h"
-#include "flow/MinCostFlow.h"
+#include "flow/TransportFlow.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
@@ -45,126 +47,173 @@ static std::vector<int64_t> quantize(const std::vector<double> &Pi,
   return Units;
 }
 
-/// Shared MCFP skeleton of Algorithm 2: builds the bipartite Prev -> Next
-/// network with stationary capacities, costs from \p CostFn (diagonal edges
-/// omitted), solves it, and extracts the transition matrix
-/// p_ij = f_ij / pi_i. Throws std::invalid_argument when a term's
-/// stationary weight exceeds 1/2 (Theorem 5.1), which makes the network
-/// infeasible.
-static TransitionMatrix
-solveFlowMatrix(const Hamiltonian &H, const MCFPOptions &Opts,
-                const std::function<int64_t(size_t, size_t)> &CostFn) {
+namespace {
+
+/// The validated supplies of one Hamiltonian's flow network: its
+/// stationary distribution and the quantized capacities of Algorithm 2.
+struct FlowSupplies {
+  std::vector<double> Pi;
+  std::vector<int64_t> Units;
+};
+
+} // namespace
+
+/// Checks Theorem 5.1's pi_i <= 1/2, quantizes the supplies and checks that
+/// the network routes all of them. Throws std::invalid_argument naming the
+/// offending term otherwise.
+static FlowSupplies flowSupplies(const Hamiltonian &H,
+                                 const MCFPOptions &Opts) {
   const size_t N = H.numTerms();
   assert(N >= 2 && "the flow model needs at least two terms");
-  std::vector<double> Pi = H.stationaryDistribution();
+  FlowSupplies S{H.stationaryDistribution(), {}};
   auto Offending = [&](size_t I) {
     return "term " + std::to_string(I) + " (" +
            H.term(I).String.str(H.numQubits()) + ") has pi = " +
-           std::to_string(Pi[I]);
+           std::to_string(S.Pi[I]);
   };
   for (size_t I = 0; I < N; ++I)
-    if (Pi[I] > 0.5 + 1e-12)
+    if (S.Pi[I] > 0.5 + 1e-12)
       throw std::invalid_argument(
           "MCFP builder: " + Offending(I) +
           " > 0.5; split the Hamiltonian first (Theorem 5.1)");
-  std::vector<int64_t> Units = quantize(Pi, Opts.ProbScale);
-
-  // Node layout: 0 = S, 1..N = Prev, N+1..2N = Next, 2N+1 = T.
-  const size_t S = 0, T = 2 * N + 1;
-  auto PrevNode = [](size_t I) { return 1 + I; };
-  auto NextNode = [N](size_t J) { return 1 + N + J; };
-
-  // Edge ids: S -> Prev edges 0..N-1, then the dense Prev -> Next edges
-  // row-major without the diagonal, then the Next -> T edges.
-  auto MiddleEdgeId = [N](size_t I, size_t J) {
-    return N + I * (N - 1) + J - (J > I);
-  };
-  MinCostFlow Net(2 * N + 2);
-  for (size_t I = 0; I < N; ++I)
-    Net.addEdge(S, PrevNode(I), Units[I], 0);
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J) {
-      if (I == J)
-        continue; // excluded to rule out the trivial identity matrix
-      [[maybe_unused]] size_t Id =
-          Net.addEdge(PrevNode(I), NextNode(J),
-                      MinCostFlow::kInfiniteCapacity, CostFn(I, J));
-      assert(Id == MiddleEdgeId(I, J) && "middle edge id layout");
-    }
-  for (size_t J = 0; J < N; ++J)
-    Net.addEdge(NextNode(J), T, Units[J], 0);
-
-  MinCostFlow::Result Result = Net.solve(S, T, Opts.ProbScale);
-  if (!Result.Feasible) {
-    // Quantization can push a weight at the 1/2 boundary over it; name the
-    // heaviest term, the one that cannot route all of its flow.
-    size_t Heaviest = static_cast<size_t>(
-        std::max_element(Units.begin(), Units.end()) - Units.begin());
+  S.Units = quantize(S.Pi, Opts.ProbScale);
+  // Supply I may ship to every demand but its own, so the network routes
+  // all of ProbScale iff no term holds more than the rest together.
+  // Quantization can push a weight at the 1/2 boundary over it; name the
+  // heaviest term, the one that cannot route all of its flow.
+  size_t Heaviest = static_cast<size_t>(
+      std::max_element(S.Units.begin(), S.Units.end()) - S.Units.begin());
+  if (S.Units[Heaviest] > Opts.ProbScale - S.Units[Heaviest])
     throw std::invalid_argument("MCFP builder: network infeasible; " +
                                 Offending(Heaviest) +
                                 " (quantized weights violate pi_i <= 0.5)");
-  }
+  return S;
+}
 
-  TransitionMatrix P(N);
+/// Shared MCFP skeleton of Algorithm 2: solves the bipartite Prev -> Next
+/// transportation network with stationary capacities \p S and the
+/// row-major cost table \p Cost (diagonal ignored, so the trivial identity
+/// matrix is ruled out), then calls Emit(I, J, p_ij) for every nonzero
+/// entry of p_ij = f_ij / pi_i. A term whose weight quantized to zero
+/// carries no flow and gets the qDrift row (it is (almost) never visited).
+template <typename EmitFn>
+static void solveFlowMatrix(const FlowSupplies &S, const int64_t *Cost,
+                            const MCFPOptions &Opts, EmitFn Emit) {
+  const size_t N = S.Units.size();
+  TransportFlow Net(N, Cost);
+  [[maybe_unused]] TransportFlow::Result Result =
+      Net.solve(S.Units, S.Units, Opts.ProbScale);
+  assert(Result.Feasible && "flowSupplies admitted an infeasible network");
   for (size_t I = 0; I < N; ++I) {
-    if (Units[I] == 0) {
-      // A term whose stationary weight quantized to zero carries no flow;
-      // give it the qDrift row (it is (almost) never visited anyway).
+    if (S.Units[I] == 0) {
       for (size_t J = 0; J < N; ++J)
-        P.at(I, J) = Pi[J];
+        Emit(I, J, S.Pi[J]);
       continue;
     }
-    for (size_t J = 0; J < N; ++J) {
-      if (I == J)
-        continue;
-      P.at(I, J) = static_cast<double>(Net.flowOnEdge(MiddleEdgeId(I, J))) /
-                   static_cast<double>(Units[I]);
-    }
+    for (size_t J = 0; J < N; ++J)
+      if (int64_t F = Net.flow(I, J))
+        Emit(I, J,
+             static_cast<double>(F) / static_cast<double>(S.Units[I]));
   }
+}
+
+/// solveFlowMatrix into a dense matrix.
+static TransitionMatrix solveFlowMatrix(const Hamiltonian &H,
+                                        const std::vector<int64_t> &Cost,
+                                        const MCFPOptions &Opts) {
+  FlowSupplies S = flowSupplies(H, Opts);
+  TransitionMatrix P(H.numTerms());
+  solveFlowMatrix(S, Cost.data(), Opts,
+                  [&](size_t I, size_t J, double V) { P.at(I, J) = V; });
   return P;
+}
+
+/// Opts.CostScale * CNOT_count(i, j) as a row-major table.
+static std::vector<int64_t> scaledCnotCosts(const Hamiltonian &H,
+                                            const MCFPOptions &Opts) {
+  std::vector<std::vector<unsigned>> Cnots = cnotCostTable(H);
+  const size_t N = H.numTerms();
+  std::vector<int64_t> Cost(N * N);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      Cost[I * N + J] = Opts.CostScale * static_cast<int64_t>(Cnots[I][J]);
+  return Cost;
 }
 
 TransitionMatrix
 marqsim::buildGateCancellation(const Hamiltonian &H, const MCFPOptions &Opts) {
-  std::vector<std::vector<unsigned>> Cost = cnotCostTable(H);
-  return solveFlowMatrix(H, Opts, [&](size_t I, size_t J) {
-    return Opts.CostScale * static_cast<int64_t>(Cost[I][J]);
-  });
+  return solveFlowMatrix(H, scaledCnotCosts(H, Opts), Opts);
 }
 
 TransitionMatrix
 marqsim::buildFromCostTable(const Hamiltonian &H,
                             const std::vector<std::vector<int64_t>> &Cost,
                             const MCFPOptions &Opts) {
-  assert(Cost.size() == H.numTerms() && "cost table size mismatch");
-  return solveFlowMatrix(
-      H, Opts, [&](size_t I, size_t J) { return Cost[I][J]; });
+  const size_t N = H.numTerms();
+  auto Square = [N](const std::vector<int64_t> &Row) {
+    return Row.size() == N;
+  };
+  if (Cost.size() != N || !std::all_of(Cost.begin(), Cost.end(), Square))
+    throw std::invalid_argument("MCFP builder: cost table is not " +
+                                std::to_string(N) + " x " + std::to_string(N));
+  std::vector<int64_t> Flat(N * N);
+  for (size_t I = 0; I < N; ++I)
+    std::copy(Cost[I].begin(), Cost[I].end(), Flat.begin() + I * N);
+  return solveFlowMatrix(H, Flat, Opts);
 }
 
 TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
                                                   unsigned Rounds, RNG &Rng,
-                                                  const MCFPOptions &Opts) {
+                                                  const MCFPOptions &Opts,
+                                                  unsigned Jobs) {
   assert(Rounds > 0 && "perturbation averaging needs at least one round");
-  std::vector<std::vector<unsigned>> Cost = cnotCostTable(H);
   const size_t N = H.numTerms();
+  // Everything that can reject the input is checked here, once, so every
+  // Jobs value throws the same error before any round starts.
+  const FlowSupplies S = flowSupplies(H, Opts);
+  if (Opts.CostScale < 0)
+    throw std::invalid_argument("MCFP builder: negative cost scale " +
+                                std::to_string(Opts.CostScale));
+  const std::vector<int64_t> Base = scaledCnotCosts(H, Opts);
 
+  // Independent epsilon per edge: +1 CNOT with probability 1/2 (the
+  // paper's perturbation configuration, Section 6.1). The draws run
+  // serially, row-major over the full table with the diagonal included,
+  // round after round, so the caller's RNG ends where it always did.
+  const size_t Words = (N * N + 63) / 64;
+  std::vector<std::vector<uint64_t>> Bits(Rounds,
+                                          std::vector<uint64_t>(Words, 0));
+  for (std::vector<uint64_t> &Round : Bits)
+    for (size_t K = 0; K < N * N; ++K)
+      if (Rng.bernoulli(0.5))
+        Round[K / 64] |= uint64_t(1) << (K % 64);
+
+  // The rounds are independent once their draws are fixed. Each one keeps
+  // only its nonzero entries, so at most Jobs perturbed cost tables and
+  // flow tables are alive at once.
+  struct Entry {
+    size_t I, J;
+    double Value;
+  };
+  std::vector<std::vector<Entry>> Solved(Rounds);
+  parallelFor(Rounds, Jobs, [&](size_t Round) {
+    const std::vector<uint64_t> &Draws = Bits[Round];
+    std::vector<int64_t> Perturbed(N * N);
+    for (size_t K = 0; K < N * N; ++K)
+      Perturbed[K] =
+          Base[K] + ((Draws[K / 64] >> (K % 64)) & 1 ? Opts.CostScale : 0);
+    solveFlowMatrix(S, Perturbed.data(), Opts,
+                    [&](size_t I, size_t J, double V) {
+                      Solved[Round].push_back({I, J, V});
+                    });
+  });
+
+  // Sum in round order and divide once. Each round's omitted entries are
+  // +0.0, and adding +0.0 to a non-negative sum leaves every bit as is.
   TransitionMatrix Sum(N);
-  std::vector<int64_t> Perturbed(N * N); // row-major, reused every round
-  for (unsigned Round = 0; Round < Rounds; ++Round) {
-    // Independent epsilon per edge: +1 CNOT with probability 1/2
-    // (the paper's perturbation configuration, Section 6.1). Draws run
-    // row-major over the full table, diagonal included.
-    for (size_t I = 0; I < N; ++I)
-      for (size_t J = 0; J < N; ++J)
-        Perturbed[I * N + J] =
-            Opts.CostScale * static_cast<int64_t>(Cost[I][J]) +
-            (Rng.bernoulli(0.5) ? Opts.CostScale : 0);
-    TransitionMatrix P = solveFlowMatrix(
-        H, Opts, [&](size_t I, size_t J) { return Perturbed[I * N + J]; });
-    for (size_t I = 0; I < N; ++I)
-      for (size_t J = 0; J < N; ++J)
-        Sum.at(I, J) += P.at(I, J);
-  }
+  for (const std::vector<Entry> &Round : Solved)
+    for (const Entry &E : Round)
+      Sum.at(E.I, E.J) += E.Value;
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J)
       Sum.at(I, J) /= Rounds;
@@ -174,11 +223,13 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
 TransitionMatrix
 marqsim::buildCommutationGrouping(const Hamiltonian &H,
                                   const MCFPOptions &Opts) {
-  return solveFlowMatrix(H, Opts, [&](size_t I, size_t J) {
-    bool Commute =
-        H.term(I).String.commutesWith(H.term(J).String);
-    return Commute ? 0 : Opts.CostScale;
-  });
+  const size_t N = H.numTerms();
+  std::vector<int64_t> Cost(N * N);
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      Cost[I * N + J] =
+          H.term(I).String.commutesWith(H.term(J).String) ? 0 : Opts.CostScale;
+  return solveFlowMatrix(H, Cost, Opts);
 }
 
 TransitionMatrix marqsim::combineWithQDrift(const Hamiltonian &H,

@@ -58,8 +58,10 @@ TransitionMatrix buildGateCancellation(const Hamiltonian &H,
 /// The generic Algorithm 2 skeleton behind every MCFP builder: the
 /// bipartite stationary-capacity flow network with an arbitrary
 /// non-negative cost table (diagonal entries ignored — those edges are
-/// excluded). Exposed so new objectives (e.g. hardware-aware costs) can
-/// plug in without reimplementing the flow encoding.
+/// excluded). A table that is not N x N or has a negative off-diagonal
+/// cost throws std::invalid_argument. Exposed so new objectives (e.g.
+/// hardware-aware costs) can plug in without reimplementing the flow
+/// encoding.
 TransitionMatrix
 buildFromCostTable(const Hamiltonian &H,
                    const std::vector<std::vector<int64_t>> &Cost,
@@ -67,10 +69,14 @@ buildFromCostTable(const Hamiltonian &H,
 
 /// Prp of Section 5.5: averages \p Rounds solutions of the gate-
 /// cancellation MCFP whose costs receive independent +1 perturbations with
-/// probability 1/2 (the paper's configuration; it uses 100 rounds).
+/// probability 1/2 (the paper's configuration; it uses 100 rounds). The
+/// perturbations are drawn from \p Rng serially; the rounds are then
+/// solved on up to \p Jobs threads (0 = all cores). The result and the
+/// final state of \p Rng are bit-identical for every Jobs value.
 TransitionMatrix buildRandomPerturbation(const Hamiltonian &H,
                                          unsigned Rounds, RNG &Rng,
-                                         const MCFPOptions &Opts = {});
+                                         const MCFPOptions &Opts = {},
+                                         unsigned Jobs = 1);
 
 /// Extension (paper Section 7): MCFP matrix whose costs are 0 for
 /// mutually commuting term pairs and 1 otherwise, biasing the chain toward

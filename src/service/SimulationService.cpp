@@ -189,7 +189,7 @@ struct SimulationService::Impl {
           [&] {
             RNG PerturbRng(Spec.PerturbSeed);
             return buildRandomPerturbation(H, Spec.PerturbRounds, PerturbRng,
-                                           Spec.Flow);
+                                           Spec.Flow, Spec.Jobs);
           },
           Local);
       Parts.push_back(RP.get());

@@ -194,7 +194,8 @@ struct TaskSpec {
   /// SparSto keep-probability scale.
   double SparStoKeepScale = 1.5;
 
-  /// Batch shape.
+  /// Batch shape. Jobs (0 = all cores) also bounds the set-up's
+  /// concurrent Prp perturbation solves (buildRandomPerturbation).
   size_t Shots = 1;
   unsigned Jobs = 1;
   uint64_t Seed = 1;

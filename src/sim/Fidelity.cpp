@@ -61,7 +61,7 @@ FidelityEvaluator::FidelityEvaluator(const Hamiltonian &H, double T,
 
   // One grouped operator serves every column and is dropped on return, so
   // only the targets stay resident. The columns evolve on the calling
-  // thread: pool workers started here would inherit a caller's CPU pin.
+  // thread.
   const PauliOperator Op(H);
   Targets.reserve(Columns.size());
   for (uint64_t X : Columns) {

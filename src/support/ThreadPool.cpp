@@ -11,7 +11,48 @@
 #include <exception>
 #include <memory>
 
+#ifdef __linux__
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 using namespace marqsim;
+
+#ifdef __linux__
+namespace {
+
+/// The CPU set the process started with.
+struct StartupCpus {
+  cpu_set_t Set;
+  bool Valid;
+  StartupCpus() {
+    CPU_ZERO(&Set);
+    Valid = sched_getaffinity(0, sizeof(Set), &Set) == 0;
+  }
+};
+
+const StartupCpus &startupCpus() {
+  static const StartupCpus Cpus;
+  return Cpus;
+}
+
+// Captured during static initialization, before main can pin a thread.
+[[maybe_unused]] const StartupCpus &CapturedAtStartup = startupCpus();
+
+} // namespace
+#endif
+
+/// Runs on each new worker before its first task. A worker inherits the
+/// CPU mask of the thread that spawned it; a pool first grown from a
+/// pinned thread would otherwise keep every helper on that one CPU, long
+/// after the pin is gone. No-op off Linux.
+static void adoptStartupCpus() {
+#ifdef __linux__
+  const StartupCpus &Cpus = startupCpus();
+  if (Cpus.Valid)
+    pthread_setaffinity_np(pthread_self(), sizeof(Cpus.Set), &Cpus.Set);
+#endif
+}
 
 unsigned ThreadPool::hardwareWorkers() {
   unsigned N = std::thread::hardware_concurrency();
@@ -53,6 +94,7 @@ void ThreadPool::wait() {
 }
 
 void ThreadPool::workerLoop() {
+  adoptStartupCpus();
   for (;;) {
     std::function<void()> Task;
     {

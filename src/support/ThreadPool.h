@@ -29,7 +29,9 @@
 
 namespace marqsim {
 
-/// Fixed pool of worker threads draining a FIFO task queue.
+/// Fixed pool of worker threads draining a FIFO task queue. Each worker
+/// runs on the CPU set the process started with (Linux), whatever the
+/// affinity of the thread that spawned it.
 class ThreadPool {
 public:
   /// Spawns \p NumWorkers threads; 0 selects the hardware thread count.

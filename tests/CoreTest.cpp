@@ -296,6 +296,54 @@ TEST(TransitionBuildersTest, InfeasibleQuantizationThrows) {
   EXPECT_TRUE(buildGateCancellation(H).isRowStochastic(1e-9));
 }
 
+TEST(TransitionBuildersTest, PerturbationRejectsInputBeforeRoundsFanOut) {
+  // Prp validates its input once, before any round is solved, so a bad
+  // Hamiltonian or option throws the same message at every Jobs value.
+  auto MessageAt = [](const Hamiltonian &H, const MCFPOptions &Opts,
+                      unsigned Jobs) -> std::string {
+    RNG Rng(7);
+    try {
+      buildRandomPerturbation(H, 6, Rng, Opts, Jobs);
+    } catch (const std::invalid_argument &E) {
+      return E.what();
+    }
+    return "";
+  };
+  MCFPOptions Coarse;
+  Coarse.ProbScale = 1;
+  MCFPOptions NegativeScale;
+  NegativeScale.CostScale = -2;
+  const struct {
+    Hamiltonian H;
+    MCFPOptions Opts;
+  } Cases[] = {
+      {Hamiltonian::parse({{0.8, "ZZ"}, {0.1, "XX"}, {0.1, "YI"}}), {}},
+      {Hamiltonian::parse({{0.5, "ZZ"}, {0.3, "XX"}, {0.2, "YI"}}), Coarse},
+      {example53(), NegativeScale},
+  };
+  for (const auto &Case : Cases) {
+    std::string Serial = MessageAt(Case.H, Case.Opts, 1);
+    EXPECT_FALSE(Serial.empty());
+    EXPECT_EQ(MessageAt(Case.H, Case.Opts, 4), Serial);
+  }
+}
+
+TEST(TransitionBuildersTest, MalformedCostTableThrowsInEveryBuildType) {
+  // The flow solver starts from zero potentials, which needs non-negative
+  // costs; a negative entry is rejected, not silently mis-solved. So is a
+  // table of the wrong shape.
+  Hamiltonian H = example53();
+  const size_t N = H.numTerms();
+  std::vector<std::vector<int64_t>> Cost(N, std::vector<int64_t>(N, 2));
+  Cost[0][1] = -1;
+  EXPECT_THROW(buildFromCostTable(H, Cost), std::invalid_argument);
+  Cost[0][1] = 2;
+  Cost[1][1] = -1; // the diagonal is no arc and is ignored
+  EXPECT_TRUE(buildFromCostTable(H, Cost).isRowStochastic(1e-9));
+  Cost[1].pop_back();
+  EXPECT_THROW(buildFromCostTable(H, Cost), std::invalid_argument);
+}
+
 TEST(TransitionBuildersTest, PreparedOverweightHamiltonianSolves) {
   // The service's canonical form splits the heavy term, so the same
   // operator compiles through SimulationService::prepare.

@@ -7,12 +7,17 @@
 #include "support/CommandLine.h"
 #include "support/RNG.h"
 #include "support/Table.h"
+#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 using namespace marqsim;
 
@@ -178,3 +183,39 @@ TEST(TimerTest, MeasuresElapsedTime) {
   T.reset();
   EXPECT_LT(T.seconds(), First + 1.0);
 }
+
+#ifdef __linux__
+TEST(ThreadPoolTest, WorkersRunOnStartupCpusUnderAPinnedCaller) {
+  // A pool grown from a pinned thread must not hand the pin to its
+  // workers: they run on the CPU set the process started with.
+  cpu_set_t Startup;
+  CPU_ZERO(&Startup);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Startup), &Startup), 0);
+  const int StartupCount = CPU_COUNT(&Startup);
+  if (StartupCount < 2)
+    GTEST_SKIP() << "needs at least two CPUs";
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  for (int C = 0; C < CPU_SETSIZE; ++C)
+    if (CPU_ISSET(C, &Startup)) {
+      CPU_SET(C, &One);
+      break;
+    }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  int Seen[2] = {0, 0};
+  {
+    ThreadPool Pool(2);
+    for (int K = 0; K < 2; ++K)
+      Pool.submit([&Seen, K] {
+        cpu_set_t Mine;
+        CPU_ZERO(&Mine);
+        if (sched_getaffinity(0, sizeof(Mine), &Mine) == 0)
+          Seen[K] = CPU_COUNT(&Mine);
+      });
+    Pool.wait();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(Startup), &Startup), 0);
+  EXPECT_EQ(Seen[0], StartupCount);
+  EXPECT_EQ(Seen[1], StartupCount);
+}
+#endif

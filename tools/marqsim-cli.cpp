@@ -20,7 +20,8 @@
 //     --seed=S            sampling seed (default 1)
 //     --shots=N           independent compilation shots (default 1); the
 //                         QASM output is always shot 0
-//     --jobs=J            worker threads for the batch (default 1, 0 = all
+//     --jobs=J            worker threads for the batch and for the set-up's
+//                         Prp perturbation solves (default 1, 0 = all
 //                         cores); results are bit-identical for every J
 //     --eval-jobs=J       worker threads *within* each shot's fidelity
 //                         evaluation (default 1, 0 = all cores): the
