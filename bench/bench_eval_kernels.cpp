@@ -25,7 +25,15 @@
 //   panel         — the same under the dispatched tier
 //   chunked       — panel with EvalJobs=4 (bit-identity under fan-out)
 //
-// A second, overlap-heavy table (16 columns, 2 rotations — overlap
+// A second table replays a sampled schedule — one shot of the gc Markov
+// walk (0.4 qDrift + 0.6 gate cancellation, epsilon = 0.05) on the Table 1
+// Na+ Hamiltonian at t = pi/4, where most adjacent rotations share an
+// xMask — so the run-fused panel path (FidelityEvaluator's same-xMask
+// runs, one pass each) is checked against the reference hex too:
+//   gc-reference, gc-fused, gc-panel-<tier>, gc-panel, gc-chunked
+// are the same paths on that schedule at 8 and 16 columns.
+//
+// A third, overlap-heavy table (16 columns, 2 rotations — overlap
 // accumulation dominates) separates the fused evolve+overlap tail from
 // the unfused evolve-then-overlapWith path, per runnable tier:
 //   reference-ov     — the scratch yardstick on the overlap-heavy shape
@@ -64,7 +72,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CompilerEngine.h"
+#include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
+#include "hamgen/Registry.h"
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
 #include "sim/StatePanel.h"
@@ -303,28 +314,35 @@ int main(int Argc, char **Argv) {
     }
   };
 
-  for (size_t Columns : {size_t(1), size_t(8), size_t(16)}) {
-    FidelityEvaluator Eval(H, T, Columns, /*Seed=*/7);
-
+  // The evaluation paths of one schedule: the reference yardstick, the
+  // per-column fused walk, the production evaluator pinned to each tier,
+  // dispatched, and fanned out over four workers.
+  auto evalRows = [&](const FidelityEvaluator &Eval,
+                      const std::vector<ScheduledRotation> &Sched,
+                      const std::string &Prefix) {
     std::vector<Row> Rows;
-    timeRow(Rows, MinSeconds, "reference", "none",
-            [&] { return referenceFidelity(Eval, Schedule); });
-    timeRow(Rows, MinSeconds, "fused", Dispatched,
-            [&] { return fusedSerialFidelity(Eval, Schedule); });
+    timeRow(Rows, MinSeconds, Prefix + "reference", "none",
+            [&] { return referenceFidelity(Eval, Sched); });
+    timeRow(Rows, MinSeconds, Prefix + "fused", Dispatched,
+            [&] { return fusedSerialFidelity(Eval, Sched); });
     for (const kernels::Ops *Tier : Tiers) {
       // Production evaluator pinned to each runnable tier: the hex column
       // is the cross-tier bit-identity gate.
       kernels::selectTierForTesting(*Tier);
-      timeRow(Rows, MinSeconds, std::string("panel-") + Tier->Name,
-              Tier->Name,
-              [&] { return SplitEval{Eval.fidelity(Schedule, 1), 0.0, 0.0}; });
+      timeRow(Rows, MinSeconds, Prefix + "panel-" + Tier->Name, Tier->Name,
+              [&] { return SplitEval{Eval.fidelity(Sched, 1), 0.0, 0.0}; });
       kernels::selectAuto();
     }
-    timeRow(Rows, MinSeconds, "panel", Dispatched,
-            [&] { return SplitEval{Eval.fidelity(Schedule, 1), 0.0, 0.0}; });
-    timeRow(Rows, MinSeconds, "chunked", Dispatched,
-            [&] { return SplitEval{Eval.fidelity(Schedule, 4), 0.0, 0.0}; });
+    timeRow(Rows, MinSeconds, Prefix + "panel", Dispatched,
+            [&] { return SplitEval{Eval.fidelity(Sched, 1), 0.0, 0.0}; });
+    timeRow(Rows, MinSeconds, Prefix + "chunked", Dispatched,
+            [&] { return SplitEval{Eval.fidelity(Sched, 4), 0.0, 0.0}; });
+    return Rows;
+  };
 
+  for (size_t Columns : {size_t(1), size_t(8), size_t(16)}) {
+    FidelityEvaluator Eval(H, T, Columns, /*Seed=*/7);
+    const std::vector<Row> Rows = evalRows(Eval, Schedule, "");
     printRows(Columns, Rows);
 
     double PanelMs = 0.0, PanelScalarMs = 0.0;
@@ -351,6 +369,29 @@ int main(int Argc, char **Argv) {
                   << "x\n";
         Ok = false;
       }
+    }
+  }
+
+  // --- Sampled-schedule table: one gc shot on Na+, whose same-xMask runs
+  // the evaluator applies in one panel pass each. Hex-gated only.
+  {
+    const BenchmarkSpec Na = *findBenchmark("Na+");
+    const Hamiltonian NaH = makeBenchmark(Na).merged().splitLargeTerms();
+    auto Graph = std::make_shared<const HTTGraph>(
+        NaH, makeConfigMatrix(NaH, 0.4, 0.6, 0.0));
+    const std::vector<ScheduledRotation> Sampled =
+        CompilerEngine()
+            .compileOne(SamplingStrategy(Graph, Na.Time, 0.05), /*Seed=*/1)
+            .Schedule;
+    size_t Shared = 0;
+    for (size_t I = 1; I < Sampled.size(); ++I)
+      Shared += Sampled[I].String.xMask() == Sampled[I - 1].String.xMask();
+    std::cerr << "eval-kernels: gc sample on Na+: " << Sampled.size()
+              << " rotations, " << Sampled.size() - Shared
+              << " same-xMask runs\n";
+    for (size_t Columns : {size_t(8), size_t(16)}) {
+      FidelityEvaluator Eval(NaH, Na.Time, Columns, /*Seed=*/7);
+      printRows(Columns, evalRows(Eval, Sampled, "gc-"));
     }
   }
 

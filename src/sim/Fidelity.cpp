@@ -7,6 +7,7 @@
 #include "sim/Fidelity.h"
 
 #include "sim/Evolution.h"
+#include "sim/Kernels.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -24,6 +25,66 @@ struct marqsim::detail::TargetPanelCache {
   std::mutex M;
   std::map<size_t, std::unique_ptr<TargetPanel>> Panels;
 };
+
+namespace {
+
+/// A schedule planned once per evaluation, before any block replays it:
+/// the rotations ahead of the fused tail, grouped into runs of consecutive
+/// non-identity rotations with equal xMask — each run one pass through a
+/// panel — with every step's trig and phase constants precomputed. An
+/// identity rotation (a global phase) is a run of its own.
+class SchedulePlan {
+public:
+  SchedulePlan(const std::vector<ScheduledRotation> &Schedule, size_t Count)
+      : Schedule(Schedule) {
+    Steps.reserve(Count);
+    for (size_t I = 0; I < Count; ++I) {
+      const PauliString &P = Schedule[I].String;
+      Steps.push_back(kernels::RotationStep::of(P, Schedule[I].Tau));
+      const bool Identity = P.isIdentity();
+      if (!Identity && !Runs.empty() && !Runs.back().Identity &&
+          Runs.back().XMask == P.xMask())
+        ++Runs.back().End;
+      else
+        Runs.push_back({I, I + 1, P.xMask(), Identity});
+    }
+  }
+
+  /// Applies the planned rotations to \p State (a StatePanel or a
+  /// StateVector), run by run.
+  template <typename StateT> void replay(StateT &State) const {
+    for (const Run &R : Runs) {
+      if (R.Identity)
+        State.applyPauliExpAll(Schedule[R.Begin].String, Schedule[R.Begin].Tau);
+      else
+        State.applyPauliExpRun(R.XMask, Steps.data() + R.Begin,
+                               R.End - R.Begin);
+    }
+  }
+
+private:
+  struct Run {
+    size_t Begin, End; // schedule indices [Begin, End)
+    uint64_t XMask;
+    bool Identity;
+  };
+  const std::vector<ScheduledRotation> &Schedule;
+  std::vector<kernels::RotationStep> Steps; // one per schedule index
+  std::vector<Run> Runs;
+};
+
+/// The unitary-fidelity reduction |sum of overlaps| / C. Per-column
+/// overlaps are pure functions of their column, so this serial chain over
+/// ascending columns reproduces the single-state evaluation loop bit for
+/// bit no matter how the blocks were scheduled.
+double traceFidelity(const std::vector<Complex> &Overlaps) {
+  Complex Acc = 0.0;
+  for (const Complex &O : Overlaps)
+    Acc += O;
+  return std::abs(Acc) / static_cast<double>(Overlaps.size());
+}
+
+} // namespace
 
 double marqsim::unitaryFidelity(const Matrix &UApp, const Matrix &UExact) {
   assert(UApp.rows() == UExact.rows() && UApp.cols() == UExact.cols() &&
@@ -137,53 +198,34 @@ FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
   return Overlaps;
 }
 
-template <typename EvolveFn>
-double FidelityEvaluator::evaluatePanels(
-    unsigned EvalJobs, const EvolveFn &Evolve,
-    const ScheduledRotation *FusedTail) const {
-  std::vector<Complex> Overlaps = collectOverlaps(EvalJobs, Evolve, FusedTail);
-  // Per-column overlaps are pure functions of their column, so this
-  // serial chain over ascending columns reproduces the single-state
-  // evaluation loop bit for bit no matter how the blocks were scheduled.
-  Complex Acc = 0.0;
-  for (const Complex &O : Overlaps)
-    Acc += O;
-  return std::abs(Acc) / static_cast<double>(Overlaps.size());
+std::vector<Complex> FidelityEvaluator::scheduleOverlaps(
+    const std::vector<ScheduledRotation> &Schedule, unsigned EvalJobs) const {
+  // The final rotation runs fused with the overlap accumulation; the plan
+  // stops one step short of it.
+  const ScheduledRotation *Tail = Schedule.empty() ? nullptr : &Schedule.back();
+  const SchedulePlan Plan(Schedule, Schedule.size() - (Tail ? 1 : 0));
+  return collectOverlaps(
+      EvalJobs, [&](auto &State) { Plan.replay(State); }, Tail);
 }
 
 double
 FidelityEvaluator::fidelity(const std::vector<ScheduledRotation> &Schedule,
                             unsigned EvalJobs) const {
-  // The final rotation runs fused with the overlap accumulation; the
-  // replay lambda stops one step short of it.
-  const ScheduledRotation *Tail = Schedule.empty() ? nullptr : &Schedule.back();
-  const size_t ReplaySteps = Schedule.size() - (Tail ? 1 : 0);
-  const auto Replay = [&](auto &State) {
-    for (size_t I = 0; I < ReplaySteps; ++I)
-      State.applyPauliExpAll(Schedule[I].String, Schedule[I].Tau);
-  };
-  return evaluatePanels(EvalJobs, Replay, Tail);
+  return traceFidelity(scheduleOverlaps(Schedule, EvalJobs));
 }
 
 double FidelityEvaluator::stateFidelity(
     const std::vector<ScheduledRotation> &Schedule, unsigned EvalJobs) const {
-  const ScheduledRotation *Tail = Schedule.empty() ? nullptr : &Schedule.back();
-  const size_t ReplaySteps = Schedule.size() - (Tail ? 1 : 0);
-  const auto Replay = [&](auto &State) {
-    for (size_t I = 0; I < ReplaySteps; ++I)
-      State.applyPauliExpAll(Schedule[I].String, Schedule[I].Tau);
-  };
-  const auto Reduce = [](const std::vector<Complex> &Overlaps) {
-    double Acc = 0.0;
-    for (const Complex &O : Overlaps)
-      Acc += std::norm(O);
-    return Acc / static_cast<double>(Overlaps.size());
-  };
-  return Reduce(collectOverlaps(EvalJobs, Replay, Tail));
+  const std::vector<Complex> Overlaps = scheduleOverlaps(Schedule, EvalJobs);
+  double Acc = 0.0;
+  for (const Complex &O : Overlaps)
+    Acc += std::norm(O);
+  return Acc / static_cast<double>(Overlaps.size());
 }
 
 double FidelityEvaluator::fidelityOfCircuit(const Circuit &C,
                                             unsigned EvalJobs) const {
   assert(C.numQubits() == NQubits && "circuit width mismatch");
-  return evaluatePanels(EvalJobs, [&](auto &State) { State.applyAll(C); });
+  return traceFidelity(
+      collectOverlaps(EvalJobs, [&](auto &State) { State.applyAll(C); }));
 }

@@ -28,15 +28,19 @@
 /// fixed-order reduction keep the result bit-identical to the serial
 /// evaluation for every EvalJobs value.
 ///
-/// Two kernel-level refinements keep the same bits while cutting memory
-/// traffic: a schedule's final rotation is fused with the overlap
-/// accumulation (StatePanel::applyPauliExpAllFused — one streaming pass
-/// instead of a rotation sweep plus one strided overlapWith re-read per
-/// column; targets are packed once per block and cached), and width-1
-/// tail blocks evolve a single interleaved StateVector walk instead of a
-/// panel padded to eight lanes. Both refinements preserve each column's
-/// ascending-basis overlap chain, so results are bit-identical to the
-/// unfused panel-only evaluation.
+/// Three kernel-level refinements keep the same bits while cutting memory
+/// traffic: each schedule is planned once into runs of consecutive
+/// rotations sharing an xMask, which a panel applies in one pass
+/// (StatePanel::applyPauliExpRun — each row pair loaded and stored once
+/// per run, not once per rotation); a schedule's final rotation is fused
+/// with the overlap accumulation (StatePanel::applyPauliExpAllFused — one
+/// streaming pass instead of a rotation sweep plus one strided overlapWith
+/// re-read per column; targets are packed once per block and cached); and
+/// width-1 tail blocks evolve a single interleaved StateVector walk instead
+/// of a panel padded to eight lanes. All three hand every amplitude the same
+/// operation sequence and preserve each column's ascending-basis overlap
+/// chain, so results are bit-identical to the unfused one-rotation-per-
+/// sweep panel evaluation.
 ///
 /// Evaluation runs in FP64 only: every golden, shard manifest and cache
 /// key pins the fidelity's exact bits.
@@ -125,10 +129,12 @@ private:
   collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
                   const ScheduledRotation *FusedTail = nullptr) const;
 
-  /// collectOverlaps reduced to |sum|/C (the unitary-fidelity metric).
-  template <typename EvolveFn>
-  double evaluatePanels(unsigned EvalJobs, const EvolveFn &Evolve,
-                        const ScheduledRotation *FusedTail = nullptr) const;
+  /// collectOverlaps over a planned schedule: runs of same-xMask
+  /// rotations replay in one pass each, the last rotation is the fused
+  /// tail.
+  std::vector<Complex>
+  scheduleOverlaps(const std::vector<ScheduledRotation> &Schedule,
+                   unsigned EvalJobs) const;
 
   /// The packed targets of one block, built on first use at the block
   /// panel's \p Stride.

@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // The scalar tier is the semantic definition of every kernel: the SIMD
-// tiers must reproduce its per-element arithmetic bit for bit. The
-// statevector bodies are the original fused loops of
-// StateVector::applyPauliExp, moved here verbatim; the panel bodies are the
-// SoA restatement of StatePanel::applyPauliExpAll with identical
-// per-element expressions; the fused overlap body chains the rotation
-// sweep with the ascending-basis accumulation loop of
-// StatePanel::overlapWith, one lane chain per column.
+// tiers must reproduce its per-element arithmetic bit for bit, zero signs
+// included. Each update is the minimal-arithmetic form of the Kernels.h
+// contract (kernels::rotate with the per-row signed sine). The panel run
+// applies a run's rotations pair by pair, step by step, so each element
+// sees the same operation sequence as one sweep per rotation; the fused
+// overlap body chains the rotation sweep with the ascending-basis
+// accumulation loop of StatePanel::overlapWith, one lane chain per column.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,7 @@
 #include <string>
 
 using namespace marqsim;
-using marqsim::detail::PauliPhases;
+using marqsim::kernels::RotationStep;
 
 namespace {
 
@@ -33,34 +33,41 @@ namespace {
 // Scalar statevector kernels (interleaved complex amplitudes)
 //===----------------------------------------------------------------------===//
 
-void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM, Complex CosT,
-                           Complex ISinT, const PauliPhases &Ph) {
+/// Amp[X]'s new value from itself and its partner B, whose signed sine is
+/// \p S.
+Complex rotated(const RotationStep &R, double S, Complex A, Complex B) {
+  double Re, Im;
+  if (R.KOdd)
+    kernels::rotate<true>(R.Cos, S, A.real(), A.imag(), B.real(), B.imag(), Re,
+                          Im);
+  else
+    kernels::rotate<false>(R.Cos, S, A.real(), A.imag(), B.real(), B.imag(),
+                           Re, Im);
+  return Complex(Re, Im);
+}
+
+void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM,
+                           const RotationStep &R) {
   // Fused butterfly: each {X, X ^ XM} pair is visited once and updated in
-  // place with the same per-element arithmetic as the two-pass scratch
-  // formulation (cos * psi + i sin * P psi), so results are bit-identical.
+  // place.
   const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
   for (uint64_t X = 0; X < Dim; ++X) {
     if (X & Pivot)
       continue;
     const uint64_t Y = X ^ XM;
+    const double SX = R.sinAt(X), SY = RotationStep::flipIf(SX, R.KOdd);
     const Complex A0 = Amp[X];
     const Complex A1 = Amp[Y];
-    Amp[X] = CosT * A0 + ISinT * (Ph.at(Y) * A1);
-    Amp[Y] = CosT * A1 + ISinT * (Ph.at(X) * A0);
+    Amp[X] = rotated(R, SY, A0, A1);
+    Amp[Y] = rotated(R, SX, A1, A0);
   }
 }
 
-void scalarExpDiagonalF64(Complex *Amp, size_t Dim, Complex CosT,
-                          Complex ISinT, const PauliPhases &Ph) {
-  // Diagonal fast path: P|X> = (+/-1)|X>, so each element only needs its
-  // own slot. The update keeps the literal two-product expression (rather
-  // than one fused factor cos +/- i sin) because a single multiply flips
-  // the sign of exact-zero amplitudes when cos(Theta) < 0; this form is
-  // bit-identical to the reference kernel including zero signs.
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const Complex A = Amp[X];
-    Amp[X] = CosT * A + ISinT * (Ph.at(X) * A);
-  }
+void scalarExpDiagonalF64(Complex *Amp, size_t Dim, const RotationStep &R) {
+  // Diagonal fast path: P|X> = (+/-1)|X> (k = 0), so each element is its
+  // own partner.
+  for (uint64_t X = 0; X < Dim; ++X)
+    Amp[X] = rotated(R, R.sinAt(X), Amp[X], Amp[X]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -72,42 +79,48 @@ void scalarExpDiagonalF64(Complex *Amp, size_t Dim, Complex CosT,
 // stay zero (times cos/sin factors) and never leak into live columns.
 // This matches the SIMD tiers, which process whole vectors per row.
 
-void scalarPanelExpButterflyF64(double *Re, double *Im, size_t Dim,
-                                size_t Stride, uint64_t XM, Complex CosT,
-                                Complex ISinT, const PauliPhases &Ph) {
+/// One rotation of the row pair {X, Y} across every lane: row X from
+/// partner Y with signed sine \p SY, row Y from partner X with \p SX.
+template <bool KOdd>
+void rotatePair(double *ReX, double *ImX, double *ReY, double *ImY,
+                size_t Stride, double C, double SX, double SY) {
+  for (size_t L = 0; L < Stride; ++L) {
+    const double A0Re = ReX[L], A0Im = ImX[L];
+    const double A1Re = ReY[L], A1Im = ImY[L];
+    kernels::rotate<KOdd>(C, SY, A0Re, A0Im, A1Re, A1Im, ReX[L], ImX[L]);
+    kernels::rotate<KOdd>(C, SX, A1Re, A1Im, A0Re, A0Im, ReY[L], ImY[L]);
+  }
+}
+
+void scalarPanelExpRunF64(double *Re, double *Im, size_t Dim, size_t Stride,
+                          uint64_t XM, const RotationStep *Steps, size_t K) {
+  if (XM == 0) {
+    // The diagonal run: each row is its own partner (k = 0).
+    for (uint64_t X = 0; X < Dim; ++X) {
+      double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
+      for (size_t J = 0; J < K; ++J) {
+        const double C = Steps[J].Cos, S = Steps[J].sinAt(X);
+        for (size_t L = 0; L < Stride; ++L)
+          kernels::rotate<false>(C, S, ReX[L], ImX[L], ReX[L], ImX[L], ReX[L],
+                                 ImX[L]);
+      }
+    }
+    return;
+  }
   const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
   for (uint64_t X = 0; X < Dim; ++X) {
     if (X & Pivot)
       continue;
     const uint64_t Y = X ^ XM;
-    const Complex PhX = Ph.at(X);
-    const Complex PhY = Ph.at(Y);
     double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
     double *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
-    for (size_t L = 0; L < Stride; ++L) {
-      const Complex A0(ReX[L], ImX[L]);
-      const Complex A1(ReY[L], ImY[L]);
-      const Complex N0 = CosT * A0 + ISinT * (PhY * A1);
-      const Complex N1 = CosT * A1 + ISinT * (PhX * A0);
-      ReX[L] = N0.real();
-      ImX[L] = N0.imag();
-      ReY[L] = N1.real();
-      ImY[L] = N1.imag();
-    }
-  }
-}
-
-void scalarPanelExpDiagonalF64(double *Re, double *Im, size_t Dim,
-                               size_t Stride, Complex CosT, Complex ISinT,
-                               const PauliPhases &Ph) {
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const Complex PhX = Ph.at(X);
-    double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    for (size_t L = 0; L < Stride; ++L) {
-      const Complex A(ReX[L], ImX[L]);
-      const Complex N = CosT * A + ISinT * (PhX * A);
-      ReX[L] = N.real();
-      ImX[L] = N.imag();
+    for (size_t J = 0; J < K; ++J) {
+      const RotationStep &R = Steps[J];
+      const double SX = R.sinAt(X), SY = RotationStep::flipIf(SX, R.KOdd);
+      if (R.KOdd)
+        rotatePair<true>(ReX, ImX, ReY, ImY, Stride, R.Cos, SX, SY);
+      else
+        rotatePair<false>(ReX, ImX, ReY, ImY, Stride, R.Cos, SX, SY);
     }
   }
 }
@@ -137,18 +150,15 @@ void scalarPanelOverlapAccumF64(const double *Re, const double *Im,
 }
 
 void scalarPanelExpOverlapF64(double *Re, double *Im, size_t Dim,
-                              size_t Stride, uint64_t XM, Complex CosT,
-                              Complex ISinT, const PauliPhases &Ph,
-                              const double *TRe, const double *TImNeg,
-                              double *AccRe, double *AccIm) {
+                              size_t Stride, uint64_t XM,
+                              const RotationStep &R, const double *TRe,
+                              const double *TImNeg, double *AccRe,
+                              double *AccIm) {
   // Rotation sweep first, then one streaming accumulation pass: the
   // butterfly visits rows in pair order, so accumulating inside it would
   // reorder the per-column chains. Two passes inside one kernel call is
   // still one panel re-read instead of one strided re-read per column.
-  if (XM == 0)
-    scalarPanelExpDiagonalF64(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    scalarPanelExpButterflyF64(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
+  scalarPanelExpRunF64(Re, Im, Dim, Stride, XM, &R, 1);
   scalarPanelOverlapAccumF64(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
@@ -156,8 +166,7 @@ const kernels::Ops ScalarOps = {
     "scalar",
     scalarExpButterflyF64,
     scalarExpDiagonalF64,
-    scalarPanelExpButterflyF64,
-    scalarPanelExpDiagonalF64,
+    scalarPanelExpRunF64,
     scalarPanelExpOverlapF64,
 };
 

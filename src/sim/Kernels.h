@@ -8,14 +8,15 @@
 /// The runtime-dispatched SIMD layer under StateVector and StatePanel.
 ///
 /// Every hot evaluation loop — the fused Pauli-exponential butterfly, the
-/// Z-diagonal fast path, the panel applyPauliExpAll sweeps, and the fused
-/// final-rotation + target-overlap sweep — resolves through one table of
-/// kernel entry points (Ops). The table is selected once per process from
-/// the CPU probe (support/CpuFeatures.h), best tier first: AVX-512F/DQ
-/// hosts whose OS enables the ZMM state get 512-bit kernels ("avx512"),
-/// AVX2+FMA hosts get 256-bit kernels ("avx2-fma"), AArch64 gets NEON,
-/// and everything else the scalar reference implementations, which are
-/// always compiled in. MARQSIM_KERNEL_TIER pins a specific tier by name;
+/// Z-diagonal fast path, the panel sweeps over runs of same-xMask
+/// rotations, and the fused final-rotation + target-overlap sweep —
+/// resolves through one table of kernel entry points (Ops). The table is
+/// selected once per process from the CPU probe (support/CpuFeatures.h),
+/// best tier first: AVX-512F/DQ hosts whose OS enables the ZMM state get
+/// 512-bit kernels ("avx512"), AVX2+FMA hosts get 256-bit kernels
+/// ("avx2-fma"), AArch64 gets NEON, and everything else the scalar
+/// reference implementations, which are always compiled in.
+/// MARQSIM_KERNEL_TIER pins a specific tier by name;
 /// pinning a tier the host cannot run aborts the process with a message
 /// naming the detected features, never a silent fallback.
 ///
@@ -26,18 +27,34 @@
 /// GCC/Clang vector extensions and instantiated per tier at its widths;
 /// each tier file compiles it with that ISA's flags.
 ///
-/// Determinism contract: the vector kernels perform, lane for lane,
-/// exactly the per-element arithmetic of the scalar reference — the same
-/// complex-multiply expansion std::complex<double> uses on the same
-/// operand values. Each vector operator is one individually rounded
-/// operation per lane, and no FMA is ever emitted: the whole project
-/// builds with -ffp-contract=off, so no multiply+add is contracted.
-/// Amplitude updates are elementwise-independent maps, so lane order never
-/// matters, and every dispatch choice emits bit-identical amplitudes; the
-/// frozen fidelity goldens hold on every ISA. The fused overlap kernels
-/// accumulate each column's overlap as its own lane chain in ascending
-/// basis order — the exact chain StatePanel::overlapWith runs — so fusing
-/// never changes a single bit either.
+/// Minimal arithmetic: P|X> = sigma(X) i^k |X ^ xMask>, with
+/// k = popcount(xMask & zMask) mod 4 and sigma(X) = (-1)^popcount(zMask & X),
+/// so i sin(Theta) P is a sign times i^{k+1}: a swap of the partner's parts
+/// (k even) or none (k odd). Every kernel updates amplitude a0 of row X
+/// from its partner a1 (the row itself on the diagonal) in six individually
+/// rounded operations, with s_Y = +/-sin(Theta) exact (RotationStep::sinAt):
+///   k even: re = c*a0.re - s_Y*a1.im ; im = c*a0.im + s_Y*a1.re
+///   k odd:  re = c*a0.re - s_Y*a1.re ; im = c*a0.im - s_Y*a1.im
+/// No FMA is ever emitted: the whole project builds with -ffp-contract=off.
+///
+/// Determinism contract: every nonzero amplitude, and therefore every
+/// fidelity value, is bit-identical to the textbook expression
+/// CosT*a0 + ISinT*(Ph*a1) evaluated with std::complex<double> on
+/// (c, 0), (0, s) and the +/- i^k phase — the full expansion adds only
+/// exact zero products to the same three roundings. Only the sign of an
+/// exact-zero amplitude may differ from that expression, and a zero's sign
+/// reaches nothing but other zeros (x + (+/-0) = x, and overlaps and
+/// fidelities take magnitudes). Zero signs are defined by the scalar
+/// reference in Kernels.cpp and shared by every tier: the vector kernels
+/// perform, lane for lane, exactly its operations, so every dispatch
+/// choice emits bit-identical amplitudes, zero signs included, and the
+/// frozen fidelity goldens hold on every ISA. Amplitude updates are
+/// elementwise-independent maps, so lane order never matters, and a run of
+/// rotations applied in one pass (PanelExpRunF64) hands each element the
+/// same operation sequence as one sweep per rotation. The fused overlap
+/// kernels accumulate each column's overlap as its own lane chain in
+/// ascending basis order — the exact chain StatePanel::overlapWith runs —
+/// so fusing never changes a single bit either.
 ///
 /// Panel-plane layout contract (StatePanel): split real/imag planes,
 /// row-major by basis index — element (X, column) of a plane lives at
@@ -55,18 +72,20 @@
 #include "linalg/Matrix.h"
 #include "pauli/PauliString.h"
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 namespace marqsim {
 
 namespace detail {
-/// The per-rotation phase table of one Pauli string. applyToBasis(X) is
+/// The per-string phase table of one Pauli string. applyToBasis(X) is
 /// always +/- i^{|xMask & zMask|} with the sign given by the parity of
-/// zMask & X, so a kernel can precompute the two constants once per
-/// rotation and select per element — the selected value is bit-identical
-/// to what PauliString::applyToBasis returns, at a fraction of the cost.
+/// zMask & X, so StateVector::applyPauli precomputes the two constants once
+/// per string and selects per element — the selected value is
+/// bit-identical to what PauliString::applyToBasis returns.
 struct PauliPhases {
   Complex Pos, Neg;
   uint64_t ZMask;
@@ -86,10 +105,66 @@ struct PauliPhases {
 
 namespace kernels {
 
-/// One implementation tier of every dispatched kernel. CosT carries
-/// (cos Theta, 0) and ISinT (0, sin Theta) — the exact constants the
-/// scalar expressions use, so the 0-component products (and their
-/// sign-of-zero effects) are reproduced verbatim.
+/// One non-identity rotation exp(i Theta P) planned for the minimal
+/// arithmetic of the determinism contract: everything a kernel needs per
+/// rotation, computed once (FidelityEvaluator plans a whole schedule).
+struct RotationStep {
+  double Cos;     ///< cos Theta
+  double Sin;     ///< sin Theta, negated when k >= 2 (i^{k+1} = -i or -1)
+  uint64_t ZMask; ///< P's zMask: sigma(X) = (-1)^popcount(ZMask & X)
+  bool KOdd;      ///< k odd: i^{k+1} is real, the partner's parts stay put
+
+  static RotationStep of(const PauliString &P, double Theta) {
+    return of(P, std::cos(Theta), std::sin(Theta));
+  }
+
+  /// The step of exp(i Theta P) given c = cos Theta and s = sin Theta.
+  static RotationStep of(const PauliString &P, double C, double S) {
+    const unsigned K = __builtin_popcountll(P.xMask() & P.zMask()) % 4;
+    return {C, K >= 2 ? -S : S, P.zMask(), (K & 1) != 0};
+  }
+
+  // The helpers the vector body calls are always inlined, so no tier
+  // object emits an ISA-specific out-of-line copy the linker could hand to
+  // another tier, even in an unoptimized build.
+
+  /// s_X = sigma(X) * Sin, the signed sine every update from a partner at
+  /// basis index X uses. The sign flip is an XOR of the sign bit — exact
+  /// for every value, zeros included — and branch-free, because the
+  /// parity is data-dependent.
+  __attribute__((always_inline)) double sinAt(uint64_t X) const {
+    return flipIf(Sin, __builtin_parityll(ZMask & X));
+  }
+
+  /// \p S negated when \p Flip is set: s_Y = flipIf(s_X, KOdd), since
+  /// sigma(X ^ xMask) = sigma(X) * (-1)^k.
+  __attribute__((always_inline)) static double flipIf(double S, bool Flip) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &S, sizeof(Bits));
+    Bits ^= uint64_t(Flip) << 63;
+    std::memcpy(&S, &Bits, sizeof(S));
+    return S;
+  }
+};
+
+/// Row X's new value (NRe, NIm) from its own amplitude (ARe, AIm) and its
+/// partner's (BRe, BIm), given the partner's signed sine S — the contract's
+/// two forms, written once for scalar doubles and vector lanes alike so
+/// every tier runs the same operations in the same order.
+template <bool KOdd, class T>
+__attribute__((always_inline)) inline void rotate(T C, T S, T ARe, T AIm,
+                                                  T BRe, T BIm, T &NRe,
+                                                  T &NIm) {
+  if constexpr (KOdd) {
+    NRe = C * ARe - S * BRe;
+    NIm = C * AIm - S * BIm;
+  } else {
+    NRe = C * ARe - S * BIm;
+    NIm = C * AIm + S * BRe;
+  }
+}
+
+/// One implementation tier of every dispatched kernel.
 struct Ops {
   /// Tier name as reported by --stats and the bench CSVs:
   /// "avx512", "avx2-fma", "neon", or "scalar".
@@ -98,29 +173,25 @@ struct Ops {
   /// exp(i Theta P) on one interleaved std::complex<double> statevector,
   /// xMask != 0: the fused in-place butterfly over {X, X ^ xMask} pairs.
   void (*ExpButterflyF64)(Complex *Amp, size_t Dim, uint64_t XM,
-                          Complex CosT, Complex ISinT,
-                          const detail::PauliPhases &Ph);
+                          const RotationStep &R);
 
   /// exp(i Theta P) for Z-only strings (xMask == 0): the per-element
   /// diagonal fast path on an interleaved statevector.
-  void (*ExpDiagonalF64)(Complex *Amp, size_t Dim, Complex CosT,
-                         Complex ISinT, const detail::PauliPhases &Ph);
+  void (*ExpDiagonalF64)(Complex *Amp, size_t Dim, const RotationStep &R);
 
-  /// The panel butterfly sweep over SoA planes (layout contract above).
-  void (*PanelExpButterflyF64)(double *Re, double *Im, size_t Dim,
-                               size_t Stride, uint64_t XM, Complex CosT,
-                               Complex ISinT, const detail::PauliPhases &Ph);
-
-  /// The panel Z-diagonal sweep over SoA planes.
-  void (*PanelExpDiagonalF64)(double *Re, double *Im, size_t Dim,
-                              size_t Stride, Complex CosT, Complex ISinT,
-                              const detail::PauliPhases &Ph);
+  /// A run of K rotations sharing xMask \p XM over SoA planes (layout
+  /// contract above), applied in one pass: each {X, X ^ XM} row pair (each
+  /// row when XM == 0, the diagonal run) is loaded once, takes Steps[0],
+  /// ..., Steps[K-1] in order, and is stored once — bit-identical to K
+  /// one-step sweeps. K == 1 is the single-rotation sweep.
+  void (*PanelExpRunF64)(double *Re, double *Im, size_t Dim, size_t Stride,
+                         uint64_t XM, const RotationStep *Steps, size_t K);
 
   /// Fused final-rotation + overlap sweep over a panel: applies
-  /// exp(i Theta P) to the planes exactly like PanelExp{Butterfly,
-  /// Diagonal}F64 (XM == 0 selects the diagonal path), then accumulates
-  /// per-lane overlaps against a packed conjugated target panel in one
-  /// streaming pass instead of one strided re-read per column.
+  /// exp(i Theta P) to the planes exactly like PanelExpRunF64 with K == 1,
+  /// then accumulates per-lane overlaps against a packed conjugated target
+  /// panel in one streaming pass instead of one strided re-read per
+  /// column.
   ///
   /// TRe / TImNeg hold the targets at the same [X * Stride + column]
   /// layout with the imaginary plane already negated (exact, sign flip
@@ -131,8 +202,7 @@ struct Ops {
   /// is column L's overlap, accumulated in ascending basis order, so
   /// fused and unfused evaluation are bit-identical.
   void (*PanelExpOverlapF64)(double *Re, double *Im, size_t Dim,
-                             size_t Stride, uint64_t XM, Complex CosT,
-                             Complex ISinT, const detail::PauliPhases &Ph,
+                             size_t Stride, uint64_t XM, const RotationStep &R,
                              const double *TRe, const double *TImNeg,
                              double *AccRe, double *AccIm);
 };

@@ -13,11 +13,13 @@
 /// flags, and instantiates one table with makeOps<WalkW, PanelW>().
 ///
 /// Bit-identity: every vector operator below is one IEEE-754 operation per
-/// lane, rounded on its own, on the operand values the scalar reference
-/// uses; the build's -ffp-contract=off means no FMA is ever emitted. So
-/// each lane reproduces the scalar expression bit for bit, zero signs
-/// included — which is why broadcasts are written x - V{} (exact for -0)
-/// and never V{} + x (which turns -0 into +0).
+/// lane, rounded on its own, and each lane runs the scalar reference's
+/// minimal-arithmetic update (kernels::rotate, the same template) on the
+/// same operand values; the build's -ffp-contract=off means no FMA is ever
+/// emitted. So each lane reproduces the scalar reference bit for bit, zero
+/// signs included — which is why broadcasts are written x - V{} (exact for
+/// -0) and never V{} + x (which turns -0 into +0), and sign flips are
+/// exact negations.
 ///
 /// Everything here has internal linkage (an unnamed namespace): each tier's
 /// translation unit owns its own ISA-specific copy, and the linker can
@@ -35,7 +37,7 @@ namespace kernels {
 namespace {
 namespace simd {
 
-using marqsim::detail::PauliPhases;
+using marqsim::kernels::RotationStep;
 
 template <unsigned W> struct VecOf {
   typedef double Type __attribute__((vector_size(W * sizeof(double))));
@@ -44,8 +46,8 @@ template <unsigned W> using Vec = typename VecOf<W>::Type;
 
 // Whole-vector moves through a copy of V that may sit at any double's
 // address and may alias double, the idiom of the intrinsics' unaligned
-// loads. A memcpy here, or phases built from scalars, made the 4-wide walk
-// 3-6% slower (4-vCPU AVX-512 host).
+// loads. A memcpy here made the 4-wide walk 3-6% slower (4-vCPU AVX-512
+// host).
 template <class V> struct Unaligned {
   typedef V Type __attribute__((aligned(sizeof(double)), may_alias));
 };
@@ -56,26 +58,10 @@ template <class V> inline void store(double *P, V X) {
   *reinterpret_cast<typename Unaligned<V>::Type *>(P) = X;
 }
 
-/// Complex values as two vectors, real parts and imaginary parts. On split
-/// planes (Cx * Cx) the lanes are independent complexes; as the multiplier
-/// of an interleaved vector (Cx * V) each part is duplicated across the
-/// [re, im] pair it multiplies.
+/// Complex values as two vectors, real parts and imaginary parts; on split
+/// planes the lanes are independent complexes.
 template <class V> struct Cx {
   V Re, Im;
-};
-
-// x - 0 is x for every x, -0 included.
-template <class V> inline Cx<V> splat(Complex Z) {
-  return {Z.real() - V{}, Z.imag() - V{}};
-}
-
-/// CosT = (c, 0) and ISinT = (0, s), as the Ops contract fixes. The two
-/// zero parts share one zero vector, which keeps the 4-wide panel loop
-/// within AVX2's 16 registers.
-template <class V> struct Rotation {
-  Cx<V> C, S;
-  Rotation(Complex CosT, Complex ISinT)
-      : C{CosT.real() - V{}, V{}}, S{V{}, ISinT.imag() - V{}} {}
 };
 
 // std::complex's expansion: re = wr*ar - wi*ai ; im = wr*ai + wi*ar.
@@ -86,55 +72,58 @@ template <class V> inline Cx<V> operator+(Cx<V> A, Cx<V> B) {
   return {A.Re + B.Re, A.Im + B.Im};
 }
 
-// The same expansion on interleaved [re, im] pairs: t1 = [wr*ar, wr*ai],
-// t2 = [wi*ai, wi*ar]; even lanes take t1 - t2, odd lanes t1 + t2. GCC
-// lowers the width-4 shuffle to vaddsubpd, still one rounding per lane.
-template <class V> inline V operator*(Cx<V> W, V A) {
-  constexpr unsigned N = sizeof(V) / sizeof(double);
-  static_assert(N == 2 || N == 4, "the walk runs at width 2 or 4");
-  if constexpr (N == 2) {
-    const V T1 = W.Re * A, T2 = W.Im * __builtin_shufflevector(A, A, 1, 0);
-    return __builtin_shufflevector(T1 - T2, T1 + T2, 0, 3);
-  } else {
-    const V T1 = W.Re * A,
-            T2 = W.Im * __builtin_shufflevector(A, A, 1, 0, 3, 2);
-    return __builtin_shufflevector(T1 - T2, T1 + T2, 0, 5, 2, 7);
-  }
-}
-
-// The phases of V's complexes (basis indices X, X+1, ...), duplicated per
-// pair: one 2-wide load per phase, joined in pairs at width 4.
-template <class V> inline Cx<V> phasesAt(const PauliPhases &Ph, uint64_t X) {
-  using V2 = Vec<2>;
-  const V2 P0 = load<V2>(reinterpret_cast<const double *>(&Ph.at(X)));
-  if constexpr (sizeof(V) == sizeof(V2)) {
-    return {__builtin_shufflevector(P0, P0, 0, 0),
-            __builtin_shufflevector(P0, P0, 1, 1)};
-  } else {
-    const V2 P1 = load<V2>(reinterpret_cast<const double *>(&Ph.at(X + 1)));
-    return {__builtin_shufflevector(P0, P1, 0, 0, 2, 2),
-            __builtin_shufflevector(P0, P1, 1, 1, 3, 3)};
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Interleaved statevector walk
 //===----------------------------------------------------------------------===//
 
-template <unsigned W>
-void expButterfly(Complex *AmpC, size_t Dim, uint64_t XM, Complex CosT,
-                  Complex ISinT, const PauliPhases &Ph) {
+/// The signed sines of the complexes in one interleaved vector at basis
+/// index X (X a multiple of the complexes per vector), each duplicated
+/// over its [re, im] pair: S[0] when popcount(ZMask & X) is even, S[1]
+/// when odd. At width 4 the upper pair is X + 1's, whose sign differs
+/// from X's by ZMask's bit 0. An array, not a branch: the parity is
+/// data-dependent.
+template <class V> struct WalkSines {
+  V S[2];
+  uint64_t ZMask;
+  explicit WalkSines(const RotationStep &R) : ZMask(R.ZMask) {
+    constexpr unsigned N = sizeof(V) / sizeof(double);
+    static_assert(N == 2 || N == 4, "the walk runs at width 2 or 4");
+    if constexpr (N == 2) {
+      S[0] = V{R.Sin, R.Sin};
+    } else {
+      const double Up = RotationStep::flipIf(R.Sin, R.ZMask & 1);
+      S[0] = V{R.Sin, R.Sin, Up, Up};
+    }
+    S[1] = -S[0];
+  }
+  V at(uint64_t X) const { return S[__builtin_parityll(ZMask & X)]; }
+};
+
+/// kernels::rotate on interleaved [re, im] pairs of A (the row) and B (its
+/// partner) with the partner's signed sines S: k even takes t1 = C*A and
+/// t2 = S*[b.im, b.re], even lanes t1 - t2, odd lanes t1 + t2 (GCC lowers
+/// the width-4 shuffle to vaddsubpd); k odd is C*A - S*B on every lane.
+template <bool KOdd, class V> inline V rotateWalk(V C, V S, V A, V B) {
+  constexpr unsigned N = sizeof(V) / sizeof(double);
+  const V T1 = C * A;
+  if constexpr (KOdd) {
+    return T1 - S * B;
+  } else if constexpr (N == 2) {
+    const V T2 = S * __builtin_shufflevector(B, B, 1, 0);
+    return __builtin_shufflevector(T1 - T2, T1 + T2, 0, 3);
+  } else {
+    const V T2 = S * __builtin_shufflevector(B, B, 1, 0, 3, 2);
+    return __builtin_shufflevector(T1 - T2, T1 + T2, 0, 5, 2, 7);
+  }
+}
+
+template <unsigned W, bool KOdd>
+void expButterflyRuns(double *Amp, size_t Dim, uint64_t XM, uint64_t Pivot,
+                      const RotationStep &R) {
   using V = Vec<W>;
   constexpr uint64_t Run = W / 2; // complexes per vector
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  if (Pivot < Run) {
-    // Pivot runs narrower than a vector alternate inside it; the
-    // (bit-identical) scalar reference handles them.
-    scalarOps().ExpButterflyF64(AmpC, Dim, XM, CosT, ISinT, Ph);
-    return;
-  }
-  double *Amp = reinterpret_cast<double *>(AmpC);
-  const Rotation<V> R(CosT, ISinT);
+  const WalkSines<V> Sines(R);
+  const V C = R.Cos - V{};
   // X indices without the pivot bit form runs of Pivot consecutive values
   // every 2*Pivot; their partners Y = X ^ XM are consecutive too (XM has
   // no bits below the pivot), so both sides load as whole vectors.
@@ -142,25 +131,42 @@ void expButterfly(Complex *AmpC, size_t Dim, uint64_t XM, Complex CosT,
     for (uint64_t X = Base; X < Base + Pivot; X += Run) {
       const uint64_t Y = X ^ XM;
       const V A0 = load<V>(Amp + 2 * X), A1 = load<V>(Amp + 2 * Y);
-      store(Amp + 2 * X, R.C * A0 + R.S * (phasesAt<V>(Ph, Y) * A1));
-      store(Amp + 2 * Y, R.C * A1 + R.S * (phasesAt<V>(Ph, X) * A0));
+      store(Amp + 2 * X, rotateWalk<KOdd>(C, Sines.at(Y), A0, A1));
+      store(Amp + 2 * Y, rotateWalk<KOdd>(C, Sines.at(X), A1, A0));
     }
   }
 }
 
 template <unsigned W>
-void expDiagonal(Complex *AmpC, size_t Dim, Complex CosT, Complex ISinT,
-                 const PauliPhases &Ph) {
-  using V = Vec<W>;
-  if (Dim < W / 2) {
-    scalarOps().ExpDiagonalF64(AmpC, Dim, CosT, ISinT, Ph);
+void expButterfly(Complex *AmpC, size_t Dim, uint64_t XM,
+                  const RotationStep &R) {
+  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
+  if (Pivot < W / 2) {
+    // Pivot runs narrower than a vector alternate inside it; the
+    // (bit-identical) scalar reference handles them.
+    scalarOps().ExpButterflyF64(AmpC, Dim, XM, R);
     return;
   }
   double *Amp = reinterpret_cast<double *>(AmpC);
-  const Rotation<V> R(CosT, ISinT);
+  if (R.KOdd)
+    expButterflyRuns<W, true>(Amp, Dim, XM, Pivot, R);
+  else
+    expButterflyRuns<W, false>(Amp, Dim, XM, Pivot, R);
+}
+
+template <unsigned W>
+void expDiagonal(Complex *AmpC, size_t Dim, const RotationStep &R) {
+  using V = Vec<W>;
+  if (Dim < W / 2) {
+    scalarOps().ExpDiagonalF64(AmpC, Dim, R);
+    return;
+  }
+  double *Amp = reinterpret_cast<double *>(AmpC);
+  const WalkSines<V> Sines(R);
+  const V C = R.Cos - V{};
   for (uint64_t X = 0; X < Dim; X += W / 2) {
     const V A = load<V>(Amp + 2 * X);
-    store(Amp + 2 * X, R.C * A + R.S * (phasesAt<V>(Ph, X) * A));
+    store(Amp + 2 * X, rotateWalk<false>(C, Sines.at(X), A, A));
   }
 }
 
@@ -176,42 +182,101 @@ template <class V> inline void storeRow(double *Re, double *Im, Cx<V> A) {
   store(Im, A.Im);
 }
 
-template <unsigned W>
-void panelButterfly(double *Re, double *Im, size_t Dim, size_t Stride,
-                    uint64_t XM, Complex CosT, Complex ISinT,
-                    const PauliPhases &Ph) {
+/// Row pairs (rows, on the diagonal) a run step updates together: the
+/// pairs' updates are independent chains, so interleaving them hides the
+/// multiply-then-add latency of each. Four pairs keep 16 row vectors in
+/// AVX-512's 32 registers (eight spill and measured ~25% slower on OH-),
+/// two keep 8 in AVX2's 16.
+template <unsigned W> constexpr unsigned PairsPerStep = W == 4 ? 2 : 4;
+
+/// One step of a run on G pairs held in registers: A0[g] is row X[g],
+/// A1[g] its partner X[g] ^ XM.
+template <bool KOdd, unsigned G, class V>
+inline void stepPairs(const RotationStep &R, const uint64_t *X, Cx<V> *A0,
+                      Cx<V> *A1) {
+  const V C = R.Cos - V{};
+  for (unsigned G0 = 0; G0 < G; ++G0) {
+    const double SX = R.sinAt(X[G0]);
+    const V SXv = SX - V{}, SYv = RotationStep::flipIf(SX, KOdd) - V{};
+    const Cx<V> B0 = A0[G0], B1 = A1[G0];
+    kernels::rotate<KOdd>(C, SYv, B0.Re, B0.Im, B1.Re, B1.Im, A0[G0].Re,
+                          A0[G0].Im);
+    kernels::rotate<KOdd>(C, SXv, B1.Re, B1.Im, B0.Re, B0.Im, A1[G0].Re,
+                          A1[G0].Im);
+  }
+}
+
+template <unsigned W, unsigned G>
+void panelRunPairs(double *Re, double *Im, size_t Dim, size_t Stride,
+                   uint64_t XM, const RotationStep *Steps, size_t K) {
   using V = Vec<W>;
-  const uint64_t Pivot = XM & (~XM + 1);
-  const Rotation<V> R(CosT, ISinT);
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const Cx<V> PhX = splat<V>(Ph.at(X)), PhY = splat<V>(Ph.at(Y));
-    double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
-    double *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
+  const uint64_t Low = (XM & (~XM + 1)) - 1; // the bits below the pivot
+  for (uint64_t P0 = 0; P0 < Dim / 2; P0 += G) {
+    // Pair P's row X is P with a zero spliced in at the pivot bit.
+    uint64_t X[G];
+    for (unsigned G0 = 0; G0 < G; ++G0)
+      X[G0] = (((P0 + G0) & ~Low) << 1) | ((P0 + G0) & Low);
     for (size_t L = 0; L < Stride; L += W) {
-      const Cx<V> A0 = loadRow<V>(ReX + L, ImX + L);
-      const Cx<V> A1 = loadRow<V>(ReY + L, ImY + L);
-      storeRow(ReX + L, ImX + L, R.C * A0 + R.S * (PhY * A1));
-      storeRow(ReY + L, ImY + L, R.C * A1 + R.S * (PhX * A0));
+      Cx<V> A0[G], A1[G];
+      for (unsigned G0 = 0; G0 < G; ++G0) {
+        A0[G0] = loadRow<V>(Re + X[G0] * Stride + L, Im + X[G0] * Stride + L);
+        const uint64_t Y = X[G0] ^ XM;
+        A1[G0] = loadRow<V>(Re + Y * Stride + L, Im + Y * Stride + L);
+      }
+      for (size_t J = 0; J < K; ++J) {
+        if (Steps[J].KOdd)
+          stepPairs<true, G>(Steps[J], X, A0, A1);
+        else
+          stepPairs<false, G>(Steps[J], X, A0, A1);
+      }
+      for (unsigned G0 = 0; G0 < G; ++G0) {
+        storeRow(Re + X[G0] * Stride + L, Im + X[G0] * Stride + L, A0[G0]);
+        const uint64_t Y = X[G0] ^ XM;
+        storeRow(Re + Y * Stride + L, Im + Y * Stride + L, A1[G0]);
+      }
     }
   }
 }
 
-template <unsigned W>
-void panelDiagonal(double *Re, double *Im, size_t Dim, size_t Stride,
-                   Complex CosT, Complex ISinT, const PauliPhases &Ph) {
+template <unsigned W, unsigned G>
+void panelRunDiagonal(double *Re, double *Im, size_t Dim, size_t Stride,
+                      const RotationStep *Steps, size_t K) {
   using V = Vec<W>;
-  const Rotation<V> R(CosT, ISinT);
-  for (uint64_t X = 0; X < Dim; ++X) {
-    const Cx<V> PhX = splat<V>(Ph.at(X));
-    double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
+  for (uint64_t X0 = 0; X0 < Dim; X0 += G) {
     for (size_t L = 0; L < Stride; L += W) {
-      const Cx<V> A = loadRow<V>(ReX + L, ImX + L);
-      storeRow(ReX + L, ImX + L, R.C * A + R.S * (PhX * A));
+      Cx<V> A[G];
+      for (unsigned G0 = 0; G0 < G; ++G0)
+        A[G0] = loadRow<V>(Re + (X0 + G0) * Stride + L,
+                           Im + (X0 + G0) * Stride + L);
+      for (size_t J = 0; J < K; ++J) {
+        const V C = Steps[J].Cos - V{};
+        for (unsigned G0 = 0; G0 < G; ++G0) {
+          const V S = Steps[J].sinAt(X0 + G0) - V{};
+          const Cx<V> B = A[G0];
+          kernels::rotate<false>(C, S, B.Re, B.Im, B.Re, B.Im, A[G0].Re,
+                                 A[G0].Im);
+        }
+      }
+      for (unsigned G0 = 0; G0 < G; ++G0)
+        storeRow(Re + (X0 + G0) * Stride + L, Im + (X0 + G0) * Stride + L,
+                 A[G0]);
     }
   }
+}
+
+/// The run entry: G pairs per step, fewer when the panel has fewer (pair
+/// and row counts are powers of two, so G divides any count >= G).
+template <unsigned W, unsigned G = PairsPerStep<W>>
+void panelRun(double *Re, double *Im, size_t Dim, size_t Stride, uint64_t XM,
+              const RotationStep *Steps, size_t K) {
+  if constexpr (G > 1) {
+    if ((XM ? Dim / 2 : Dim) < G)
+      return panelRun<W, G / 2>(Re, Im, Dim, Stride, XM, Steps, K);
+  }
+  if (XM)
+    panelRunPairs<W, G>(Re, Im, Dim, Stride, XM, Steps, K);
+  else
+    panelRunDiagonal<W, G>(Re, Im, Dim, Stride, Steps, K);
 }
 
 // The fused final rotation, then one streaming accumulation pass: row X
@@ -220,14 +285,10 @@ void panelDiagonal(double *Re, double *Im, size_t Dim, size_t Stride,
 // rounded conj(Target) * Amp expansion.
 template <unsigned W>
 void panelExpOverlap(double *Re, double *Im, size_t Dim, size_t Stride,
-                     uint64_t XM, Complex CosT, Complex ISinT,
-                     const PauliPhases &Ph, const double *TRe,
+                     uint64_t XM, const RotationStep &R, const double *TRe,
                      const double *TImNeg, double *AccRe, double *AccIm) {
   using V = Vec<W>;
-  if (XM == 0)
-    panelDiagonal<W>(Re, Im, Dim, Stride, CosT, ISinT, Ph);
-  else
-    panelButterfly<W>(Re, Im, Dim, Stride, XM, CosT, ISinT, Ph);
+  panelRun<W>(Re, Im, Dim, Stride, XM, &R, 1);
   for (uint64_t X = 0; X < Dim; ++X) {
     const size_t Row = X * Stride;
     for (size_t L = 0; L < Stride; L += W) {
@@ -241,11 +302,7 @@ void panelExpOverlap(double *Re, double *Im, size_t Dim, size_t Stride,
 /// One tier's table: the walk at WalkW doubles, the panels at PanelW.
 template <unsigned WalkW, unsigned PanelW>
 constexpr Ops makeOps(const char *Name) {
-  return {Name,
-          expButterfly<WalkW>,
-          expDiagonal<WalkW>,
-          panelButterfly<PanelW>,
-          panelDiagonal<PanelW>,
+  return {Name, expButterfly<WalkW>, expDiagonal<WalkW>, panelRun<PanelW>,
           panelExpOverlap<PanelW>};
 }
 

@@ -52,14 +52,11 @@ CVector StatePanel::column(size_t Col) const {
 void StatePanel::applyPauliExpAll(const PauliString &P, double Theta) {
   assert((P.supportMask() >> NQubits) == 0 &&
          "Pauli string acts outside the register");
-  // Per-rotation setup — masks, trig, the +/- i^k phase constants — done
-  // once here and amortized over every column below.
-  const Complex CosT(std::cos(Theta), 0.0);
-  const Complex ISinT(0.0, std::sin(Theta));
   if (P.isIdentity()) {
     // exp(i Theta I) is the global phase cos + i sin; elementwise over
     // the planes, padding lanes included (they stay zero).
-    const Complex Phase = CosT + ISinT;
+    const Complex Phase =
+        Complex(std::cos(Theta), 0.0) + Complex(0.0, std::sin(Theta));
     for (size_t I = 0, E = Re.size(); I < E; ++I) {
       const Complex A(Re[I], Im[I]);
       const Complex N = A * Phase;
@@ -68,15 +65,18 @@ void StatePanel::applyPauliExpAll(const PauliString &P, double Theta) {
     }
     return;
   }
-  const uint64_t XM = P.xMask();
-  const detail::PauliPhases Phases(P);
-  const kernels::Ops &K = kernels::active();
-  if (XM == 0)
-    K.PanelExpDiagonalF64(Re.data(), Im.data(), Dim, Stride, CosT, ISinT,
-                          Phases);
-  else
-    K.PanelExpButterflyF64(Re.data(), Im.data(), Dim, Stride, XM, CosT, ISinT,
-                           Phases);
+  // Per-rotation setup — trig, the signed-sine constants — done once here
+  // and amortized over every column.
+  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
+  applyPauliExpRun(P.xMask(), &R, 1);
+}
+
+void StatePanel::applyPauliExpRun(uint64_t XMask,
+                                  const kernels::RotationStep *Steps,
+                                  size_t K) {
+  assert((XMask >> NQubits) == 0 && "run acts outside the register");
+  kernels::active().PanelExpRunF64(Re.data(), Im.data(), Dim, Stride, XMask,
+                                   Steps, K);
 }
 
 void StatePanel::applyAll(const Gate &G) {
@@ -154,17 +154,14 @@ void StatePanel::applyPauliExpAllFused(const PauliString &P, double Theta,
     }
     return;
   }
-  const Complex CosT(std::cos(Theta), 0.0);
-  const Complex ISinT(0.0, std::sin(Theta));
-  const uint64_t XM = P.xMask();
-  const detail::PauliPhases Phases(P);
+  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
   // Lane L of the accumulator planes carries column L's overlap chain;
   // padding lanes accumulate zeros against zero targets and are dropped.
   std::vector<double, AlignedAllocator<double, 64>> AccRe(Stride, 0.0);
   std::vector<double, AlignedAllocator<double, 64>> AccIm(Stride, 0.0);
-  kernels::active().PanelExpOverlapF64(Re.data(), Im.data(), Dim, Stride, XM,
-                                       CosT, ISinT, Phases, WR, WI,
-                                       AccRe.data(), AccIm.data());
+  kernels::active().PanelExpOverlapF64(Re.data(), Im.data(), Dim, Stride,
+                                       P.xMask(), R, WR, WI, AccRe.data(),
+                                       AccIm.data());
   for (size_t Col = 0; Col < Cols; ++Col)
     Out[Col] = Complex(AccRe[Col], AccIm[Col]);
 }

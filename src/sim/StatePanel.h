@@ -19,15 +19,19 @@
 /// layout the
 /// dispatched SIMD kernels (sim/Kernels.h) consume directly, with the
 /// padding lanes held at zero and processed inertly alongside the live
-/// columns. Per-rotation setup happens once per sweep and each butterfly
-/// pair's phase pair is selected once and broadcast across the columns.
+/// columns. Per-rotation setup happens once per sweep (once per schedule
+/// for a planned run), and each butterfly pair's signed sines are selected
+/// once per step and broadcast across the columns.
 ///
 /// Determinism contract: every column of the panel evolves with exactly
-/// the per-element arithmetic of a standalone StateVector — the kernels
-/// share the phase-selection helper and gate matrices — so a panel of C
-/// columns is bit-identical to C serial single-state replays for every
-/// panel width and every kernel dispatch. SimTest pins this across widths
-/// and fast paths.
+/// the per-element arithmetic of a standalone StateVector — both run the
+/// minimal-arithmetic updates of sim/Kernels.h, zero signs included — so a
+/// panel of C columns is bit-identical to C serial single-state replays
+/// for every panel width, every run grouping and every kernel dispatch.
+/// Against the textbook std::complex expression, every nonzero amplitude
+/// and every overlap and fidelity is bit-identical; only the signs of
+/// exact-zero amplitudes are the scalar reference's own. SimTest pins this
+/// across widths and fast paths.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,6 +123,13 @@ public:
   /// Diagonal (Z-only) strings take the per-element phase fast path.
   /// Dispatches to the active kernel tier.
   void applyPauliExpAll(const PauliString &P, double Theta);
+
+  /// Applies a planned run of \p K non-identity rotations that share
+  /// \p XMask in one pass through the panel (kernels::Ops::PanelExpRunF64):
+  /// each row pair is loaded once, takes every step in order, and is
+  /// stored once — bit-identical to one applyPauliExpAll per step.
+  void applyPauliExpRun(uint64_t XMask, const kernels::RotationStep *Steps,
+                        size_t K);
 
   /// Applies one gate to every column.
   void applyAll(const Gate &G);

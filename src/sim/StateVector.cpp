@@ -162,24 +162,30 @@ void StateVector::applyPauli(const PauliString &P) {
 void StateVector::applyPauliExp(const PauliString &P, double Theta) {
   assert((P.supportMask() >> NQubits) == 0 &&
          "Pauli string acts outside the register");
-  const Complex CosT(std::cos(Theta), 0.0);
-  const Complex ISinT(0.0, std::sin(Theta));
   if (P.isIdentity()) {
     // exp(i Theta I) is the global phase cos + i sin.
-    const Complex Phase = CosT + ISinT;
+    const Complex Phase =
+        Complex(std::cos(Theta), 0.0) + Complex(0.0, std::sin(Theta));
     for (Complex &A : Amp)
       A *= Phase;
     return;
   }
+  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
+  applyPauliExpRun(P.xMask(), &R, 1);
+}
+
+void StateVector::applyPauliExpRun(uint64_t XMask,
+                                   const kernels::RotationStep *Steps,
+                                   size_t K) {
   // The diagonal fast path and the fused butterfly both live behind the
   // kernel dispatch: scalar reference or a bit-identical SIMD variant.
-  const uint64_t XM = P.xMask();
-  const detail::PauliPhases Phases(P);
-  const kernels::Ops &K = kernels::active();
-  if (XM == 0)
-    K.ExpDiagonalF64(Amp.data(), Amp.size(), CosT, ISinT, Phases);
-  else
-    K.ExpButterflyF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
+  const kernels::Ops &Ops = kernels::active();
+  for (size_t J = 0; J < K; ++J) {
+    if (XMask == 0)
+      Ops.ExpDiagonalF64(Amp.data(), Amp.size(), Steps[J]);
+    else
+      Ops.ExpButterflyF64(Amp.data(), Amp.size(), XMask, Steps[J]);
+  }
 }
 
 Complex StateVector::overlap(const StateVector &Other) const {

@@ -17,14 +17,15 @@
 /// each {X, X^xMask} butterfly pair exactly once and updates it in place
 /// (no scratch round trip), and Z-only strings take a diagonal fast path
 /// that touches each element's own slot only — half the memory traffic
-/// again. Both paths perform bit-for-bit the arithmetic of the textbook
-/// two-pass formulation (including the signs of zeros), so fidelities and
-/// golden schedules are unchanged — see detail::PauliPhases in
-/// sim/Kernels.h for the phase-selection helper (shared with StatePanel)
-/// and SimTest's reference-kernel equivalence tests for the pinning. The
-/// loops themselves live behind the runtime-dispatched kernel table of
-/// sim/Kernels.h, which picks AVX-512/AVX2/NEON variants that are
-/// bit-identical to the scalar reference.
+/// again. Both paths run the minimal arithmetic of sim/Kernels.h: every
+/// nonzero amplitude is bit-identical to the textbook two-pass formulation
+/// cos|psi> + i sin P|psi>, and so is every fidelity; zero signs are the
+/// scalar reference kernel's, shared by every tier and by StatePanel.
+/// SimTest's reference-kernel equivalence tests and KernelTest's
+/// exhaustive sign/zero sweep pin this. The loops themselves live behind
+/// the runtime-dispatched kernel table of sim/Kernels.h, which picks
+/// AVX-512/AVX2/NEON variants that are bit-identical to the scalar
+/// reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,10 @@
 #include <cstdint>
 
 namespace marqsim {
+
+namespace kernels {
+struct RotationStep;
+} // namespace kernels
 
 namespace detail {
 /// Fills \p M with the 2x2 unitary of a single-qubit gate. Returns false
@@ -76,6 +81,11 @@ public:
   /// cos(Theta) |psi> + i sin(Theta) P|psi>.
   /// One fused pass: each butterfly pair is loaded and stored exactly once.
   void applyPauliExp(const PauliString &P, double Theta);
+
+  /// Applies a planned run of \p K non-identity rotations that share
+  /// \p XMask, in order — bit-identical to one applyPauliExp per step.
+  void applyPauliExpRun(uint64_t XMask, const kernels::RotationStep *Steps,
+                        size_t K);
 
   /// <this | Other>, accumulated in ascending basis order.
   Complex overlap(const StateVector &Other) const;

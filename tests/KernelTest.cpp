@@ -12,15 +12,21 @@
 // starting states, at Theta = +0, -0 and pi as well as random angles, and
 // at the short pivot runs (1, 2, 4) where the 4-wide walk defers to the
 // scalar reference. The fused evolve+overlap tail must reproduce the
-// unfused sweep-then-overlapWith path bit for bit. All vector tiers are
-// one body (sim/KernelsSimd.h); the cross-tier loops also run it at
-// NEON's widths <2,2>, compiled for the host's baseline ISA, so every
+// unfused sweep-then-overlapWith path bit for bit, and a run of same-xMask
+// rotations applied in one pass must reproduce one sweep per rotation. An
+// exhaustive sign/zero sweep proves every tier's minimal arithmetic equal
+// to the std::complex expression on every nonzero result. All vector
+// tiers are one body (sim/KernelsSimd.h); the cross-tier loops also run it
+// at NEON's widths <2,2>, compiled for the host's baseline ISA, so every
 // host checks the NEON arithmetic. On hosts whose best tier *is* scalar
 // the AVX2/AVX-512 comparisons are trivial; the AVX CI hosts enforce them.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CompilerEngine.h"
+#include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
+#include "hamgen/Registry.h"
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
 #include "sim/KernelsSimd.h"
@@ -117,14 +123,12 @@ PauliString randomString(unsigned N, RNG &Rng, bool ZOnly = false) {
 /// does (butterfly when xMask != 0, diagonal fast path otherwise).
 void applyThrough(const kernels::Ops &K, CVector &Amp, const PauliString &P,
                   double Theta) {
-  const Complex CosT(std::cos(Theta), 0.0);
-  const Complex ISinT(0.0, std::sin(Theta));
-  const detail::PauliPhases Phases(P);
+  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
   const uint64_t XM = P.xMask();
   if (XM == 0)
-    K.ExpDiagonalF64(Amp.data(), Amp.size(), CosT, ISinT, Phases);
+    K.ExpDiagonalF64(Amp.data(), Amp.size(), R);
   else
-    K.ExpButterflyF64(Amp.data(), Amp.size(), XM, CosT, ISinT, Phases);
+    K.ExpButterflyF64(Amp.data(), Amp.size(), XM, R);
 }
 
 ::testing::AssertionResult bitIdentical(const CVector &A, const CVector &B) {
@@ -474,6 +478,188 @@ TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
   }
 }
 
+// The zero-tolerance proof of the minimal-arithmetic contract: for every
+// phase +/- i^k (k = 0..3, both signs, on butterflies; +/-1 on diagonals),
+// c in {+0.6, -0.6, 1}, s in {+0.8, -0.8, +0, -0}, and every combination of
+// +0, -0, +v and -v in the four parts of (a0, a1), each tier's walk, panel
+// run and fused-overlap rotation must give every nonzero output part the
+// bits of CosT*A0 + ISinT*(Ph*A1) computed with std::complex — and a zero
+// wherever that expression is a zero, of either sign.
+TEST(KernelBitIdentityTest, MinimalArithmeticMatchesComplexExpansion) {
+  const unsigned N = 4;
+  const size_t Dim = size_t(1) << N;
+  // Strings by k = popcount(xMask & zMask) mod 4, every pivot >= 2 so the
+  // width-4 walk runs its vector body, Z on qubit 0 so both phase signs
+  // occur inside one vector. The last two are diagonals.
+  const std::vector<std::vector<std::pair<unsigned, PauliOpKind>>> Specs = {
+      {{2, PauliOpKind::X}, {0, PauliOpKind::Z}},
+      {{2, PauliOpKind::Y}, {0, PauliOpKind::Z}},
+      {{2, PauliOpKind::Y}, {1, PauliOpKind::Y}, {0, PauliOpKind::Z}},
+      {{3, PauliOpKind::Y}, {2, PauliOpKind::Y}, {1, PauliOpKind::Y},
+       {0, PauliOpKind::Z}},
+      {{1, PauliOpKind::Z}, {0, PauliOpKind::Z}},
+      {{3, PauliOpKind::Z}}};
+  // Part magnitudes differ so no product pair cancels exactly.
+  const double Mag[4] = {0.3, 1.1, 0.7, 1.9};
+  const auto Part = [&](unsigned Combo, unsigned I) {
+    const unsigned Kind = (Combo >> (2 * I)) & 3;
+    return Kind == 0 ? 0.0 : Kind == 1 ? -0.0 : Kind == 2 ? Mag[I] : -Mag[I];
+  };
+  const auto Check = [](double Got, double Want) {
+    return Want == 0.0 ? Got == 0.0
+                       : serial::doubleBits(Got) == serial::doubleBits(Want);
+  };
+  size_t Cases = 0;
+  for (const auto &Spec : Specs) {
+    PauliString P;
+    for (const auto &[Q, Op] : Spec)
+      P.setOp(Q, Op);
+    const uint64_t XM = P.xMask();
+    const detail::PauliPhases Ph(P);
+    for (const double C : {0.6, -0.6, 1.0}) {
+      for (const double S : {0.8, -0.8, 0.0, -0.0}) {
+        const kernels::RotationStep R = kernels::RotationStep::of(P, C, S);
+        const Complex CosT(C, 0.0), ISinT(0.0, S);
+        // Start state for combo M: every row pair {X, X ^ XM} (every row
+        // on a diagonal) holds a0 = (part 0, part 1), a1 = (part 2, 3).
+        const auto Fill = [&](unsigned M, uint64_t X) {
+          const bool Low = XM == 0 || !(X & (XM & (~XM + 1)));
+          return Low ? Complex(Part(M, 0), Part(M, 1))
+                     : Complex(Part(M, 2), Part(M, 3));
+        };
+        const auto Expected = [&](const Complex *A, uint64_t X) {
+          return CosT * A[X] + ISinT * (Ph.at(X ^ XM) * A[X ^ XM]);
+        };
+        for (const kernels::Ops *Tier : crossTierOps()) {
+          for (unsigned M = 0; M < 256; ++M) {
+            CVector In(Dim);
+            for (uint64_t X = 0; X < Dim; ++X)
+              In[X] = Fill(M, X);
+            CVector Out = In;
+            if (XM == 0)
+              Tier->ExpDiagonalF64(Out.data(), Dim, R);
+            else
+              Tier->ExpButterflyF64(Out.data(), Dim, XM, R);
+            for (uint64_t X = 0; X < Dim; ++X) {
+              const Complex Want = Expected(In.data(), X);
+              ASSERT_TRUE(Check(Out[X].real(), Want.real()) &&
+                          Check(Out[X].imag(), Want.imag()))
+                  << "walk, tier " << Tier->Name << ", " << P.str(N)
+                  << ", c " << C << ", s " << S << ", combo " << M
+                  << ", X " << X;
+            }
+          }
+          // Panels: lane L of call M carries combo 8 * M + L; the run
+          // kernel and the fused tail's rotation both go through it.
+          for (unsigned M = 0; M < 32; ++M) {
+            StatePanel Run(N, std::vector<uint64_t>(8, 0));
+            for (uint64_t X = 0; X < Dim; ++X)
+              for (unsigned L = 0; L < 8; ++L) {
+                const Complex A = Fill(8 * M + L, X);
+                Run.realPlane()[X * 8 + L] = A.real();
+                Run.imagPlane()[X * 8 + L] = A.imag();
+              }
+            StatePanel Fused = Run;
+            const StatePanel In = Run;
+            Tier->PanelExpRunF64(Run.realPlane(), Run.imagPlane(), Dim, 8, XM,
+                                 &R, 1);
+            std::vector<double> Zero(Dim * 8, 0.0), Acc(16, 0.0);
+            Tier->PanelExpOverlapF64(Fused.realPlane(), Fused.imagPlane(),
+                                     Dim, 8, XM, R, Zero.data(), Zero.data(),
+                                     Acc.data(), Acc.data() + 8);
+            ASSERT_TRUE(panelsBitIdentical(Run, Fused)) << Tier->Name;
+            for (unsigned L = 0; L < 8; ++L) {
+              const CVector Col = In.column(L), Got = Run.column(L);
+              for (uint64_t X = 0; X < Dim; ++X) {
+                const Complex Want = Expected(Col.data(), X);
+                ASSERT_TRUE(Check(Got[X].real(), Want.real()) &&
+                            Check(Got[X].imag(), Want.imag()))
+                    << "panel, tier " << Tier->Name << ", " << P.str(N)
+                    << ", c " << C << ", s " << S << ", combo " << 8 * M + L
+                    << ", X " << X;
+              }
+            }
+          }
+        }
+        Cases += 256;
+      }
+    }
+  }
+  // 6 strings x 3 cosines x 4 sines x 256 amplitude combinations.
+  EXPECT_EQ(Cases, 6u * 3 * 4 * 256);
+}
+
+// A run of K rotations sharing an xMask, applied in one PanelExpRunF64
+// pass, must equal K one-step sweeps with memcmp — zero signs included —
+// on every tier and the width-2 body, for K = 1..8, diagonal runs,
+// pivot-1 runs (adjacent rows) and wider masks, one- to five-qubit
+// registers (fewer pairs than a step interleaves), one- and three-vector
+// strides, random and signed-zero starts, with angles including +0, -0
+// and pi. Every tier's run must also equal the scalar tier's.
+TEST(KernelBitIdentityTest, PanelRunMatchesSingleStepSweepsBitwise) {
+  RNG Rng(31337);
+  for (unsigned N : {1u, 2u, 3u, 5u}) {
+    const uint64_t Dim = uint64_t(1) << N;
+    for (const uint64_t XM :
+         {uint64_t(0), uint64_t(1), Dim - 1, (Dim >> 1) | 1}) {
+      for (size_t K = 1; K <= 8; ++K) {
+        // K steps sharing XM: each X-bit position draws X or Y, every
+        // other position I or Z.
+        std::vector<kernels::RotationStep> Steps;
+        for (size_t J = 0; J < K; ++J) {
+          PauliString P;
+          for (unsigned Q = 0; Q < N; ++Q) {
+            const bool Flip = Rng.bernoulli(0.5);
+            P.setOp(Q, (XM >> Q) & 1
+                           ? (Flip ? PauliOpKind::Y : PauliOpKind::X)
+                           : (Flip ? PauliOpKind::Z : PauliOpKind::I));
+          }
+          if (XM == 0 && P.isIdentity())
+            P.setOp(0, PauliOpKind::Z); // a diagonal run has no identity
+          const double Angles[4] = {Rng.gaussian(), 0.0, -0.0, M_PI};
+          Steps.push_back(kernels::RotationStep::of(
+              P, Angles[J % 3 == 2 ? Rng.uniformInt(4) : 0]));
+        }
+        for (const size_t Cols : {size_t(5), size_t(17)}) {
+          for (const bool SignedZeroStart : {false, true}) {
+            StatePanel Start(N, randomBasis(N, Cols, Rng));
+            if (SignedZeroStart) {
+              fillSignedZeros(Start, Rng);
+            } else {
+              for (uint64_t X = 0; X < Dim; ++X)
+                for (size_t C = 0; C < Cols; ++C) {
+                  Start.realPlane()[X * Start.laneStride() + C] =
+                      Rng.gaussian();
+                  Start.imagPlane()[X * Start.laneStride() + C] =
+                      Rng.gaussian();
+                }
+            }
+            const size_t Stride = Start.laneStride();
+            StatePanel ScalarRun = Start;
+            kernels::scalarOps().PanelExpRunF64(
+                ScalarRun.realPlane(), ScalarRun.imagPlane(), Dim, Stride, XM,
+                Steps.data(), K);
+            for (const kernels::Ops *Tier : crossTierOps()) {
+              StatePanel Run = Start, Swept = Start;
+              Tier->PanelExpRunF64(Run.realPlane(), Run.imagPlane(), Dim,
+                                   Stride, XM, Steps.data(), K);
+              for (size_t J = 0; J < K; ++J)
+                Tier->PanelExpRunF64(Swept.realPlane(), Swept.imagPlane(),
+                                     Dim, Stride, XM, &Steps[J], 1);
+              ASSERT_TRUE(panelsBitIdentical(Run, Swept))
+                  << "tier " << Tier->Name << ", " << N << " qubits, xMask "
+                  << XM << ", K " << K << ", " << Cols << " columns";
+              ASSERT_TRUE(panelsBitIdentical(ScalarRun, Run))
+                  << "tier " << Tier->Name << " vs scalar, " << N
+                  << " qubits, xMask " << XM << ", K " << K;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // End to end: a 17-column fidelity evaluation (two fused panel blocks
 // plus the width-1 walk tail) under live dispatch must reproduce a serial
 // single-state replay bit for bit, for every EvalJobs fan-out.
@@ -497,6 +683,56 @@ TEST(KernelBitIdentityTest, FidelityWithFusedTailMatchesSerialReference) {
             serial::doubleBits(Eval.fidelity(Schedule, 1)));
   EXPECT_EQ(serial::doubleBits(Ref),
             serial::doubleBits(Eval.fidelity(Schedule, 4)));
+}
+
+// End to end on a schedule with runs: a Markov-sampled Na+ gc schedule,
+// where most adjacent rotations share an xMask, must evaluate bit for bit
+// like a serial single-state replay — fidelity() and stateFidelity(), 17
+// columns (two run-fused panel blocks plus the width-1 walk), EvalJobs 1
+// and 4 — and so must the same schedule with identity rotations spliced
+// into its runs.
+TEST(KernelBitIdentityTest, SampledScheduleRunsMatchSerialReference) {
+  const Hamiltonian H =
+      makeBenchmark(*findBenchmark("Na+")).merged().splitLargeTerms();
+  const double T = M_PI / 4;
+  auto Graph = std::make_shared<const HTTGraph>(
+      H, makeConfigMatrix(H, 0.4, 0.6, 0.0));
+  const SamplingStrategy Strategy(Graph, T, 0.05);
+  std::vector<ScheduledRotation> Sampled =
+      CompilerEngine().compileOne(Strategy, 5).Schedule;
+  size_t Shared = 0;
+  for (size_t I = 1; I < Sampled.size(); ++I)
+    Shared += Sampled[I].String.xMask() == Sampled[I - 1].String.xMask();
+  ASSERT_GT(Shared * 2, Sampled.size()) << "the schedule has too few runs";
+  std::vector<ScheduledRotation> Broken;
+  for (size_t I = 0; I < Sampled.size(); ++I) {
+    if (I % 7 == 3)
+      Broken.emplace_back(PauliString(), 0.05 * double(I % 5));
+    Broken.push_back(Sampled[I]);
+  }
+
+  FidelityEvaluator Eval(H, T, /*NumColumns=*/17, /*Seed=*/3);
+  for (const auto *Schedule : {&Sampled, &Broken}) {
+    Complex Acc = 0.0;
+    double StateAcc = 0.0;
+    for (size_t C = 0; C < Eval.numColumns(); ++C) {
+      StateVector SV(Eval.numQubits(), Eval.columns()[C]);
+      for (const ScheduledRotation &Step : *Schedule)
+        SV.applyPauliExp(Step.String, Step.Tau);
+      const Complex O = innerProduct(Eval.targets()[C], SV.amplitudes());
+      Acc += O;
+      StateAcc += std::norm(O);
+    }
+    const uint64_t Ref = serial::doubleBits(std::abs(Acc) / 17.0);
+    const uint64_t StateRef = serial::doubleBits(StateAcc / 17.0);
+    for (unsigned Jobs : {1u, 4u}) {
+      EXPECT_EQ(serial::doubleBits(Eval.fidelity(*Schedule, Jobs)), Ref)
+          << Schedule->size() << " rotations, eval-jobs " << Jobs;
+      EXPECT_EQ(serial::doubleBits(Eval.stateFidelity(*Schedule, Jobs)),
+                StateRef)
+          << Schedule->size() << " rotations, eval-jobs " << Jobs;
+    }
+  }
 }
 
 // Satellite: amplitude storage is 64-byte aligned everywhere the kernels

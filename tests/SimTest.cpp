@@ -10,6 +10,7 @@
 #include "service/SimulationService.h"
 #include "sim/Evolution.h"
 #include "sim/Fidelity.h"
+#include "sim/Kernels.h"
 #include "sim/Observables.h"
 #include "sim/PauliOperator.h"
 #include "sim/StatePanel.h"
@@ -43,9 +44,9 @@ CVector randomState(unsigned N, RNG &Rng) {
 }
 
 /// The pre-fusion two-pass scratch kernels, kept verbatim as the reference
-/// the fused in-place kernels must reproduce bit for bit (including the
-/// signs of zeros — EXPECT_EQ on doubles treats -0.0 == +0.0, so the
-/// comparisons below go through the raw bit patterns).
+/// the fused in-place kernels must reproduce bit for bit on every nonzero
+/// amplitude (EXPECT_EQ on doubles treats -0.0 == +0.0, so the comparisons
+/// below go through the raw bit patterns).
 void referencePauliExp(CVector &Amp, const PauliString &P, double Theta) {
   const Complex CosT(std::cos(Theta), 0.0);
   const Complex ISinT(0.0, std::sin(Theta));
@@ -76,6 +77,25 @@ void referencePauli(CVector &Amp, const PauliString &P) {
   for (size_t I = 0; I < N; ++I) {
     if (serial::doubleBits(A[I].real()) != serial::doubleBits(B[I].real()) ||
         serial::doubleBits(A[I].imag()) != serial::doubleBits(B[I].imag()))
+      return ::testing::AssertionFailure()
+             << "amplitude " << I << " differs: (" << A[I].real() << ", "
+             << A[I].imag() << ") vs (" << B[I].real() << ", " << B[I].imag()
+             << ")";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Bit-identical on every nonzero part of \p A; where \p A has an exact
+/// zero, \p B must be a zero of either sign.
+::testing::AssertionResult bitIdenticalUpToZeroSigns(const CVector &A,
+                                                     const Complex *B,
+                                                     size_t N) {
+  const auto Same = [](double X, double Y) {
+    return X == 0.0 ? Y == 0.0
+                    : serial::doubleBits(X) == serial::doubleBits(Y);
+  };
+  for (size_t I = 0; I < N; ++I) {
+    if (!Same(A[I].real(), B[I].real()) || !Same(A[I].imag(), B[I].imag()))
       return ::testing::AssertionFailure()
              << "amplitude " << I << " differs: (" << A[I].real() << ", "
              << A[I].imag() << ") vs (" << B[I].real() << ", " << B[I].imag()
@@ -489,9 +509,13 @@ TEST(FidelityEvaluatorTest, CircuitAndScheduleAgree) {
 //===----------------------------------------------------------------------===//
 
 TEST(FusedKernelTest, MatchesTwoPassReferenceBitForBit) {
-  // Random states AND basis states (exact zeros exercise the sign-of-zero
-  // corners of the diagonal fast path), across the full string alphabet,
-  // Z-only strings, and the identity.
+  // Random states AND basis states, across the full string alphabet,
+  // Z-only strings, and the identity. Random states have no exact zeros:
+  // every bit must match the two-pass reference. Basis states are mostly
+  // exact zeros, whose signs the minimal-arithmetic kernels define for
+  // themselves (sim/Kernels.h): there nonzero parts must match the
+  // reference bit for bit and zeros by value, and every bit, zero signs
+  // included, must match the scalar reference kernel.
   RNG Rng(90);
   for (int Trial = 0; Trial < 60; ++Trial) {
     unsigned N = 1 + Rng.uniformInt(5);
@@ -508,9 +532,23 @@ TEST(FusedKernelTest, MatchesTwoPassReferenceBitForBit) {
     referencePauliExp(Reference, P, Theta);
     StateVector Fused(N, In);
     Fused.applyPauliExp(P, Theta);
-    ASSERT_TRUE(bitIdentical(Reference, Fused.amplitudes().data(),
-                             Reference.size()))
-        << "exp trial " << Trial << " string " << P.str(N);
+    if (Trial % 2) {
+      ASSERT_TRUE(bitIdentical(Reference, Fused.amplitudes().data(),
+                               Reference.size()))
+          << "exp trial " << Trial << " string " << P.str(N);
+    } else {
+      ASSERT_TRUE(bitIdenticalUpToZeroSigns(
+          Reference, Fused.amplitudes().data(), Reference.size()))
+          << "exp trial " << Trial << " string " << P.str(N);
+      kernels::selectTierForTesting(kernels::scalarOps());
+      StateVector Scalar(N, In);
+      Scalar.applyPauliExp(P, Theta);
+      kernels::selectAuto();
+      ASSERT_TRUE(bitIdentical(Scalar.amplitudes(), Fused.amplitudes().data(),
+                               Scalar.dim()))
+          << "exp trial " << Trial << " string " << P.str(N)
+          << " vs the scalar kernel";
+    }
 
     CVector PauliRef = In;
     referencePauli(PauliRef, P);
