@@ -4,15 +4,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures what CompilerEngine::compileBatch buys over the legacy
-// shot-at-a-time loop on the Fig. 11 / Example 5.3 Hamiltonian with the
-// MarQSim-GC-RP configuration:
-//
-//   * sequential baseline — the pre-engine pattern: every shot rebuilds the
-//     transition matrix (min-cost-flow + perturbation rounds), the HTT
-//     graph, and the sampling tables before sampling;
-//   * batch — setup once, shots fanned across --jobs workers from
-//     counter-based RNG substreams.
+// Times CompilerEngine::compileBatch on the Fig. 11 / Example 5.3
+// Hamiltonian with the MarQSim-GC-RP configuration: set-up once (the
+// transition matrix, HTT graph and sampling tables), then the shots on one
+// worker and fanned across --jobs workers from counter-based RNG
+// substreams.
 //
 // The harness also cross-checks determinism: the batch hash must be
 // identical for jobs=1 and jobs=--jobs.
@@ -62,20 +58,6 @@ int main(int Argc, char **Argv) {
             << ", eps=" << formatDouble(Eps) << ", " << Shots
             << " shots, config " << Config.Name << ")\n\n";
 
-  // Legacy loop: per-shot setup, sequential compilation.
-  Timer Sequential;
-  GateCounts SeqTotal;
-  for (size_t Shot = 0; Shot < Shots; ++Shot) {
-    TransitionMatrix P =
-        makeConfigMatrix(H, Config.Mix.WQd, Config.Mix.WGc, Config.Mix.WRp,
-                         Rounds, Seed ^ 0xBA7C);
-    HTTGraph Graph(H, std::move(P));
-    RNG Rng = RNG::forShot(Seed, Shot);
-    CompilationResult R = compileBySampling(Graph, Time, Eps, Rng);
-    SeqTotal += R.Counts;
-  }
-  double SeqSeconds = Sequential.seconds();
-
   // Batch: setup once, shots in parallel.
   CompilerEngine Engine;
   Timer Setup;
@@ -90,7 +72,7 @@ int main(int Argc, char **Argv) {
   double SetupSeconds = Setup.seconds();
 
   // Both compileBatch rows charge the shared setup once, so they are
-  // comparable to each other and to the legacy loop.
+  // comparable to each other.
   Req.Jobs = Jobs;
   Timer Parallel;
   BatchResult Batch = Engine.compileBatch(Req);
@@ -101,8 +83,6 @@ int main(int Argc, char **Argv) {
   double SerialSeconds = Serial.Seconds + SetupSeconds;
 
   Table T({"mode", "wall(s)", "CNOT(mean)", "CNOT(std)", "batch hash"});
-  T.addRow({"legacy loop (setup per shot)", formatDouble(SeqSeconds),
-            formatDouble(double(SeqTotal.CNOTs) / double(Shots)), "-", "-"});
   T.addRow({"compileBatch jobs=1", formatDouble(SerialSeconds),
             formatDouble(Serial.CNOTs.Mean), formatDouble(Serial.CNOTs.Std),
             std::to_string(Serial.batchHash())});
@@ -115,9 +95,7 @@ int main(int Argc, char **Argv) {
   bool Deterministic = Batch.batchHash() == Serial.batchHash();
   std::cout << "\nsetup (matrix + graph + alias tables): "
             << formatDouble(SetupSeconds) << " s, amortized over " << Shots
-            << " shots\nspeedup vs legacy loop: "
-            << formatDouble(SeqSeconds / BatchSeconds, 2)
-            << "x\njobs=1 vs jobs=" << std::to_string(Batch.JobsUsed)
+            << " shots\njobs=1 vs jobs=" << std::to_string(Batch.JobsUsed)
             << " bit-identical: " << (Deterministic ? "yes" : "NO") << "\n";
 
   // Service-level amortization: the same workload as declarative tasks

@@ -30,27 +30,14 @@ CompilationResult marqsim::materializePlan(const Hamiltonian &H,
   R.NumSamples = Plan.Sequence.size();
   R.Lambda = H.lambda();
   R.Tau = Plan.TauStep;
-
-  // Merge runs of identical samples: exp(i tau P) exp(i tau P) folds into a
-  // single rotation with doubled time parameter (paper Section 5.2).
-  R.Schedule.reserve(Plan.Sequence.size());
-  for (size_t K = 0; K < Plan.Sequence.size(); ++K) {
-    size_t Index = Plan.Sequence[K];
-    assert(Index < H.numTerms() && "sampled index out of range");
-    const PauliTerm &Term = H.term(Index);
-    double Tau = Plan.Taus.empty()
-                     ? (Term.Coeff >= 0.0 ? Plan.TauStep : -Plan.TauStep)
-                     : Plan.Taus[K];
-    if (!R.Schedule.empty() && R.Schedule.back().String == Term.String)
-      R.Schedule.back().Tau += Tau;
-    else
-      R.Schedule.emplace_back(Term.String, Tau);
-  }
-  R.Sequence = std::move(Plan.Sequence);
-
   R.NumQubits = H.numQubits();
   R.Emit = Opts.Emit;
-  R.Counts = countSchedule(R.Schedule, Opts.Emit, &R.Stats);
+  // Merge runs of identical samples: exp(i tau P) exp(i tau P) folds into a
+  // single rotation with doubled time parameter (paper Section 5.2); the
+  // same pass counts the gates.
+  R.Counts = foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep,
+                          Opts.Emit, R.Schedule, &R.Stats);
+  R.Sequence = std::move(Plan.Sequence);
   return R;
 }
 

@@ -91,8 +91,9 @@ CompilationResult compileBySampling(const HTTGraph &Graph, double T,
 
 /// Deterministic back end shared by all compilers and strategies: merges
 /// runs of equal consecutive terms into single rotations and counts the
-/// gates of the schedule's cancellation-aware lowering (the gates
-/// themselves come from CompilationResult::circuit on demand).
+/// gates of the schedule's cancellation-aware lowering in the same pass
+/// (foldAndCount; the gates themselves come from
+/// CompilationResult::circuit on demand).
 CompilationResult materializePlan(const Hamiltonian &H, ShotPlan Plan,
                                   const CompilationOptions &Opts = {});
 

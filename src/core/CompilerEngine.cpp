@@ -207,11 +207,19 @@ ShotPlan SparStoStrategy::produce(ShotContext &Ctx) const {
 // CompilerEngine
 //===----------------------------------------------------------------------===//
 
-/// FNV-1a over the byte representation of the index sequence.
-static uint64_t hashSequence(const std::vector<size_t> &Sequence) {
+uint64_t marqsim::hashSequence(const std::vector<size_t> &Sequence) {
+  // An index below 2^16 has six zero upper bytes, and FNV-1a folds a zero
+  // byte in as a bare multiply, so its 8-byte step is
+  // ((H ^ b0) P ^ b1) P^7: two multiplies instead of eight.
+  constexpr uint64_t P = serial::FNVPrime;
+  constexpr uint64_t P7 = P * P * P * P * P * P * P;
   uint64_t H = serial::FNVOffset;
-  for (size_t Value : Sequence)
-    H = serial::fnv1aWord(static_cast<uint64_t>(Value), H);
+  for (size_t Value : Sequence) {
+    if (Value < 0x10000)
+      H = (((H ^ (Value & 0xFF)) * P) ^ (Value >> 8)) * P7;
+    else
+      H = serial::fnv1aWord(static_cast<uint64_t>(Value), H);
+  }
   return H;
 }
 

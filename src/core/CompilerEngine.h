@@ -229,10 +229,15 @@ struct ShotSummary {
   size_t NumSamples = 0;
   GateCounts Counts;
   EmitStats Stats;
-  /// FNV-1a hash of the term-visit sequence; lets callers check
+  /// hashSequence of the term-visit sequence; lets callers check
   /// bit-identical scheduling without retaining the sequence itself.
   uint64_t SequenceHash = 0;
 };
+
+/// FNV-1a over the 8 little-endian bytes of every index in turn
+/// (serial::fnv1aWord chained from serial::FNVOffset): the per-shot
+/// ShotSummary::SequenceHash.
+uint64_t hashSequence(const std::vector<size_t> &Sequence);
 
 /// Order-sensitive hash chain over per-shot sequence hashes. The one
 /// implementation behind BatchResult::batchHash and the shard manifests'

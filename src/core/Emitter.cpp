@@ -6,38 +6,87 @@
 
 #include "core/Emitter.h"
 
+#include "support/CpuFeatures.h"
+
 using namespace marqsim;
 
-/// Inline population count. The x86-64 baseline this library builds for
-/// has no POPCNT, so __builtin_popcountll is an out-of-line libgcc call
-/// there; this form made the per-shot count pass ~30% faster.
-static unsigned popcount(uint64_t X) {
-  X = X - ((X >> 1) & 0x5555555555555555ULL);
-  X = (X & 0x3333333333333333ULL) + ((X >> 2) & 0x3333333333333333ULL);
-  X = (X + (X >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return static_cast<unsigned>((X * 0x0101010101010101ULL) >> 56);
-}
+#if defined(__x86_64__) || defined(__i386__)
+#define MARQSIM_TARGET_POPCNT __attribute__((target("popcnt")))
+#else
+#define MARQSIM_TARGET_POPCNT
+#endif
+
+namespace {
+
+/// Population count without the POPCNT instruction. The x86-64 baseline
+/// this library builds for lacks it, so __builtin_popcountll would be an
+/// out-of-line libgcc call there.
+struct PortablePopcount {
+  static unsigned count(uint64_t X) {
+    X = X - ((X >> 1) & 0x5555555555555555ULL);
+    X = (X & 0x3333333333333333ULL) + ((X >> 2) & 0x3333333333333333ULL);
+    X = (X + (X >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return static_cast<unsigned>((X * 0x0101010101010101ULL) >> 56);
+  }
+};
+
+/// The POPCNT instruction: inlined only into MARQSIM_TARGET_POPCNT
+/// functions, which run only on hosts that have it.
+struct HardwarePopcount {
+  __attribute__((always_inline)) static unsigned count(uint64_t X) {
+    return static_cast<unsigned>(__builtin_popcountll(X));
+  }
+};
 
 /// Mask of qubits where \p A and \p B carry the same non-identity operator.
-static uint64_t matchedMask(const PauliString &A, const PauliString &B) {
-  uint64_t SameX = ~(A.xMask() ^ B.xMask());
-  uint64_t SameZ = ~(A.zMask() ^ B.zMask());
-  return SameX & SameZ & A.supportMask() & B.supportMask();
+uint64_t matchedMask(uint64_t AX, uint64_t AZ, uint64_t BX, uint64_t BZ) {
+  return ~(AX ^ BX) & ~(AZ ^ BZ) & (AX | AZ) & (BX | BZ);
 }
 
-/// Basis-change gates \p P needs on the qubits of \p Mask: H costs 1 (X),
-/// the Sdg,H / H,S pair costs 2 (Y), Z and I cost 0.
-static size_t basisGateCount(const PauliString &P, uint64_t Mask) {
-  uint64_t X = P.xMask() & Mask;
-  return popcount(X) + popcount(X & P.zMask());
+uint64_t matchedMask(const PauliString &A, const PauliString &B) {
+  return matchedMask(A.xMask(), A.zMask(), B.xMask(), B.zMask());
 }
 
-static unsigned highestBit(uint64_t Mask) {
+/// Basis-change gates a string with x mask \p X and z mask \p Z needs on
+/// the qubits of \p Mask: H costs 1 (X), the Sdg,H / H,S pair costs 2 (Y),
+/// Z and I cost 0.
+template <class Popcount>
+unsigned basisGateCount(uint64_t X, uint64_t Z, uint64_t Mask) {
+  return Popcount::count(X & Mask) + Popcount::count(X & Z & Mask);
+}
+
+unsigned highestBit(uint64_t Mask) {
   assert(Mask != 0 && "highestBit of zero mask");
   return 63 - __builtin_clzll(Mask);
 }
 
-namespace {
+/// A snippet's root and the ladder CNOTs it cancels against the previous
+/// snippet (counted once; the pair is twice that).
+struct RootChoice {
+  unsigned Root;
+  uint64_t Cancel;
+};
+
+/// The one decision routine behind every lowering. \p MPrev and \p MNext
+/// are the qubits matched with the previous and the next string (0 when
+/// there is none, or without cross cancellation), \p PrevRoot the previous
+/// snippet's root. Priorities, with one step of lookahead:
+///  1. keep the previous root when the operator on it matches — that is
+///     what unlocks ladder CNOT cancellation at this boundary;
+///  2. otherwise move the root into the set matched with the *next*
+///     string, so the following boundary can cancel;
+///  3. otherwise any qubit matched with the previous string;
+///  4. otherwise the highest support qubit.
+RootChoice chooseRoot(uint64_t MPrev, unsigned PrevRoot, uint64_t MNext,
+                      uint64_t Support) {
+  if ((MPrev >> PrevRoot) & 1)
+    return {PrevRoot, MPrev & ~(1ULL << PrevRoot)};
+  if (MNext != 0) {
+    uint64_t Both = MNext & MPrev;
+    return {highestBit(Both != 0 ? Both : MNext), 0};
+  }
+  return {highestBit(MPrev != 0 ? MPrev : Support), 0};
+}
 
 /// Walks a schedule the way the emitter lowers it: identity strings
 /// (global phase only) are dropped and runs of equal strings fold into one
@@ -102,111 +151,203 @@ struct GateSink {
   }
 };
 
-/// Counts the gates GateSink would append, by popcount.
-struct CountSink {
-  GateCounts Counts;
-
-  void enter(const PauliString &P, uint64_t Basis, uint64_t Ladder, unsigned,
-             double) {
-    Counts.SingleQubit += basisGateCount(P, Basis) + 1; // + the Rz
-    Counts.CNOTs += popcount(Ladder);
-  }
-
-  void leave(const PauliString &P, uint64_t Basis, uint64_t Ladder,
-             unsigned) {
-    Counts.SingleQubit += basisGateCount(P, Basis);
-    Counts.CNOTs += popcount(Ladder);
-  }
+/// What the count pass needs of one term: its masks, its weight
+/// w = |supp P| and its basis cost b = basis(P, supp P).
+struct TermCost {
+  uint64_t X = 0, Z = 0, Support = 0;
+  unsigned Weight = 0, Basis = 0;
 };
 
-} // namespace
-
-/// The one lowering routine behind emitSchedule and countSchedule: chooses
-/// every root and cancellation mask and hands each snippet half to \p Out,
-/// so gates and counts can never disagree.
-template <typename Sink>
-static EmitStats lowerSchedule(const std::vector<ScheduledRotation> &Schedule,
-                               const EmitOptions &Opts, Sink &Out) {
-  EmitStats Stats;
-  NormalizedSteps Steps(Schedule);
-  ScheduledRotation Cur, Next;
-  if (!Steps.next(Cur))
-    return Stats;
-  bool HasNext = Steps.next(Next);
-
-  PauliString Prev;
-  unsigned PrevRoot = 0;
-  uint64_t PrevSupport = 0;
-  for (bool First = true;; First = false) {
-    const PauliString &P = Cur.String;
-    const uint64_t Support = P.supportMask();
-
-    // Root selection with one step of lookahead. Priorities:
-    //  1. keep the previous root when the operator on it matches — that is
-    //     what unlocks ladder CNOT cancellation at this boundary;
-    //  2. otherwise move the root into the set matched with the *next*
-    //     string, so the following boundary can cancel;
-    //  3. otherwise any qubit matched with the previous string;
-    //  4. otherwise the highest support qubit.
-    uint64_t MPrev = 0, MNext = 0;
-    if (Opts.CrossCancellation) {
-      if (!First)
-        MPrev = matchedMask(Prev, P);
-      if (HasNext)
-        MNext = matchedMask(P, Next.String);
-    }
-    unsigned Root;
-    uint64_t CancelCNOTs = 0;
-    if (!First && ((MPrev >> PrevRoot) & 1)) {
-      Root = PrevRoot;
-      CancelCNOTs = MPrev & ~(1ULL << Root);
-    } else if (MNext != 0) {
-      uint64_t Both = MNext & MPrev;
-      Root = highestBit(Both != 0 ? Both : MNext);
-    } else if (MPrev != 0) {
-      Root = highestBit(MPrev);
-    } else {
-      Root = highestBit(Support);
-    }
-
-    // The previous snippet's tail minus the pairs cancelled against P.
-    if (!First) {
-      Out.leave(Prev, PrevSupport & ~MPrev,
-                PrevSupport & ~(1ULL << PrevRoot) & ~CancelCNOTs, PrevRoot);
-      Stats.CancelledCNOTs += 2 * popcount(CancelCNOTs);
-      Stats.CancelledSingles += 2 * basisGateCount(P, MPrev);
-    }
-    Out.enter(P, Support & ~MPrev, Support & ~(1ULL << Root) & ~CancelCNOTs,
-              Root, Cur.Tau);
-
-    Prev = P;
-    PrevRoot = Root;
-    PrevSupport = Support;
-    if (!HasNext)
-      break;
-    Cur = Next;
-    HasNext = Steps.next(Next);
-  }
-  Out.leave(Prev, PrevSupport, PrevSupport & ~(1ULL << PrevRoot), PrevRoot);
-  return Stats;
+template <class Popcount> TermCost termCost(const PauliString &P) {
+  TermCost T;
+  T.X = P.xMask();
+  T.Z = P.zMask();
+  T.Support = P.supportMask();
+  T.Weight = Popcount::count(T.Support);
+  T.Basis = basisGateCount<Popcount>(T.X, T.Z, T.Support);
+  return T;
 }
+
+/// The gate counts of emitSchedule's lowering, fed one rotation at a time.
+/// A rotation's snippet alone costs 2 (w - 1) ladder CNOTs and 2 b + 1
+/// single-qubit gates (with the Rz). A boundary whose strings match on M
+/// (chooseRoot's MPrev) elides basis(P, M) gates on each side — the two
+/// strings agree on M — and, when the root is kept, |Cancel| ladder CNOTs
+/// on each side. That is three popcounts per boundary; the roots come from
+/// the same chooseRoot as the gates.
+template <class Popcount> class CountPass {
+public:
+  explicit CountPass(bool CrossCancellation)
+      : CrossCancellation(CrossCancellation) {}
+
+  /// Feeds the next rotation's term. Identities drop out and a string
+  /// equal to the previous one folds into it, as in NormalizedSteps.
+  void push(const TermCost &T) {
+    if (T.Support == 0)
+      return;
+    if (HasCur) {
+      if (T.X == Cur.X && T.Z == Cur.Z)
+        return;
+      uint64_t M =
+          CrossCancellation ? matchedMask(Cur.X, Cur.Z, T.X, T.Z) : 0;
+      settle(M);
+      MPrev = M;
+    }
+    Cur = T;
+    HasCur = true;
+    Ladders += Cur.Weight - 1;
+    Singles += 2 * Cur.Basis + 1;
+  }
+
+  /// The counts of everything pushed so far, as emitSchedule lowers it.
+  GateCounts finish(EmitStats *Stats) {
+    if (HasCur)
+      settle(0);
+    GateCounts Counts;
+    Counts.CNOTs = 2 * (Ladders - CancelledLadders);
+    Counts.SingleQubit = Singles - 2 * CancelledBasis;
+    if (Stats) {
+      Stats->CancelledCNOTs = 2 * CancelledLadders;
+      Stats->CancelledSingles = 2 * CancelledBasis;
+    }
+    return Counts;
+  }
+
+private:
+  /// Chooses Cur's root now that the next string's match \p MNext is
+  /// known, and counts the boundary into Cur.
+  void settle(uint64_t MNext) {
+    RootChoice R = chooseRoot(MPrev, PrevRoot, MNext, Cur.Support);
+    CancelledLadders += Popcount::count(R.Cancel);
+    CancelledBasis += basisGateCount<Popcount>(Cur.X, Cur.Z, MPrev);
+    PrevRoot = R.Root;
+  }
+
+  bool CrossCancellation;
+  bool HasCur = false;
+  TermCost Cur;
+  uint64_t MPrev = 0;
+  unsigned PrevRoot = 0;
+  size_t Ladders = 0, Singles = 0, CancelledLadders = 0, CancelledBasis = 0;
+};
+
+/// foldAndCount on one popcount; always inlined, so the popcount the
+/// caller is compiled for is the one that runs.
+template <class Popcount>
+__attribute__((always_inline)) inline GateCounts
+foldAndCountWith(const Hamiltonian &H, const std::vector<size_t> &Sequence,
+                 const std::vector<double> &Taus, double TauStep,
+                 const EmitOptions &Opts,
+                 std::vector<ScheduledRotation> &Schedule, EmitStats *Stats) {
+  std::vector<TermCost> Costs(H.numTerms());
+  for (size_t I = 0; I < Costs.size(); ++I)
+    Costs[I] = termCost<Popcount>(H.term(I).String);
+
+  CountPass<Popcount> Count(Opts.CrossCancellation);
+  Schedule.clear();
+  Schedule.reserve(Sequence.size());
+  for (size_t K = 0; K < Sequence.size(); ++K) {
+    size_t Index = Sequence[K];
+    assert(Index < H.numTerms() && "sampled index out of range");
+    const PauliTerm &Term = H.term(Index);
+    double Tau = Taus.empty() ? (Term.Coeff >= 0.0 ? TauStep : -TauStep)
+                              : Taus[K];
+    if (!Schedule.empty() && Schedule.back().String == Term.String) {
+      Schedule.back().Tau += Tau;
+    } else {
+      Schedule.emplace_back(Term.String, Tau);
+      Count.push(Costs[Index]);
+    }
+  }
+  return Count.finish(Stats);
+}
+
+GateCounts foldAndCountPortable(const Hamiltonian &H,
+                                const std::vector<size_t> &Sequence,
+                                const std::vector<double> &Taus,
+                                double TauStep, const EmitOptions &Opts,
+                                std::vector<ScheduledRotation> &Schedule,
+                                EmitStats *Stats) {
+  return foldAndCountWith<PortablePopcount>(H, Sequence, Taus, TauStep, Opts,
+                                            Schedule, Stats);
+}
+
+MARQSIM_TARGET_POPCNT GateCounts foldAndCountHardware(
+    const Hamiltonian &H, const std::vector<size_t> &Sequence,
+    const std::vector<double> &Taus, double TauStep, const EmitOptions &Opts,
+    std::vector<ScheduledRotation> &Schedule, EmitStats *Stats) {
+  return foldAndCountWith<HardwarePopcount>(H, Sequence, Taus, TauStep, Opts,
+                                            Schedule, Stats);
+}
+
+} // namespace
 
 Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
                               unsigned NumQubits, const EmitOptions &Opts,
                               EmitStats *Stats) {
   Circuit C(NumQubits);
   GateSink Out{C};
-  EmitStats S = lowerSchedule(Schedule, Opts, Out);
+  EmitStats S;
+  NormalizedSteps Steps(Schedule);
+  ScheduledRotation Cur, Next;
+  if (Steps.next(Cur)) {
+    bool HasNext = Steps.next(Next);
+    PauliString Prev;
+    unsigned PrevRoot = 0;
+    uint64_t PrevSupport = 0, MPrev = 0; // PrevSupport 0: first snippet
+    for (;;) {
+      const PauliString &P = Cur.String;
+      const uint64_t Support = P.supportMask();
+      const uint64_t MNext = Opts.CrossCancellation && HasNext
+                                 ? matchedMask(P, Next.String)
+                                 : 0;
+      RootChoice R = chooseRoot(MPrev, PrevRoot, MNext, Support);
+
+      // The previous snippet's tail minus the pairs cancelled against P.
+      if (PrevSupport != 0) {
+        Out.leave(Prev, PrevSupport & ~MPrev,
+                  PrevSupport & ~(1ULL << PrevRoot) & ~R.Cancel, PrevRoot);
+        S.CancelledCNOTs += 2 * PortablePopcount::count(R.Cancel);
+        S.CancelledSingles +=
+            2 * basisGateCount<PortablePopcount>(P.xMask(), P.zMask(), MPrev);
+      }
+      Out.enter(P, Support & ~MPrev, Support & ~(1ULL << R.Root) & ~R.Cancel,
+                R.Root, Cur.Tau);
+
+      Prev = P;
+      PrevRoot = R.Root;
+      PrevSupport = Support;
+      MPrev = MNext;
+      if (!HasNext)
+        break;
+      Cur = Next;
+      HasNext = Steps.next(Next);
+    }
+    Out.leave(Prev, PrevSupport, PrevSupport & ~(1ULL << PrevRoot), PrevRoot);
+  }
   if (Stats)
     *Stats = S;
   return C;
 }
 
-GateCounts marqsim::countSchedule(const std::vector<ScheduledRotation> &Schedule,
-                                  const EmitOptions &Opts, EmitStats *Stats) {
-  CountSink Out;
-  EmitStats S = lowerSchedule(Schedule, Opts, Out);
-  if (Stats)
-    *Stats = S;
-  return Out.Counts;
+PopcountPath marqsim::hostPopcountPath() {
+  return cpuFeatures().POPCNT ? PopcountPath::Hardware
+                              : PopcountPath::Portable;
+}
+
+GateCounts marqsim::foldAndCount(const Hamiltonian &H,
+                                 const std::vector<size_t> &Sequence,
+                                 const std::vector<double> &Taus,
+                                 double TauStep, const EmitOptions &Opts,
+                                 std::vector<ScheduledRotation> &Schedule,
+                                 EmitStats *Stats, PopcountPath Path) {
+  assert((Taus.empty() || Taus.size() == Sequence.size()) &&
+         "per-visit tau vector must match the sequence length");
+  if (Path == PopcountPath::Hardware) {
+    assert(cpuFeatures().POPCNT && "hardware popcount on a host without it");
+    return foldAndCountHardware(H, Sequence, Taus, TauStep, Opts, Schedule,
+                                Stats);
+  }
+  return foldAndCountPortable(H, Sequence, Taus, TauStep, Opts, Schedule,
+                              Stats);
 }

@@ -24,10 +24,17 @@
 /// pairs are operator-level inverses separated only by commuting gates (the
 /// tests check emitted unitaries against analytic products).
 ///
-/// One decision routine drives two outputs: emitSchedule appends the gates,
-/// countSchedule only popcounts them. The per-shot compile path needs just
-/// the counts, so it never builds a Circuit; callers that read gates lower
-/// on demand (CompilationResult::circuit).
+/// One decision routine chooses every root for two outputs: emitSchedule
+/// appends the gates, the count pass only counts them. The per-shot
+/// compile path needs just the counts, so it never builds a Circuit;
+/// callers that read gates lower on demand (CompilationResult::circuit).
+/// The count pass works per rotation from two constants of each term, its
+/// weight w and basis cost b, and per boundary from three popcounts:
+///   ladder CNOTs = 2 (w - 1) per rotation, less 2 |Cancel| per boundary;
+///   singles = 2 b + 1 per rotation, less 2 basis(P, M) per boundary with
+///   M the qubits matched across it.
+/// On x86-64 hosts with POPCNT it runs a clone compiled for that
+/// instruction; the portable path computes the same counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,6 +42,7 @@
 #define MARQSIM_CORE_EMITTER_H
 
 #include "circuit/PauliEvolution.h"
+#include "pauli/Hamiltonian.h"
 
 namespace marqsim {
 
@@ -62,11 +70,26 @@ Circuit emitSchedule(const std::vector<ScheduledRotation> &Schedule,
                      unsigned NumQubits, const EmitOptions &Opts = {},
                      EmitStats *Stats = nullptr);
 
-/// Returns emitSchedule(Schedule, n, Opts).counts() — and the same
-/// \p Stats — without creating a single gate.
-GateCounts countSchedule(const std::vector<ScheduledRotation> &Schedule,
-                         const EmitOptions &Opts = {},
-                         EmitStats *Stats = nullptr);
+/// The population count the count pass of foldAndCount runs on. Hardware
+/// is the x86-64 POPCNT instruction and needs CpuFeatures::POPCNT.
+enum class PopcountPath { Portable, Hardware };
+
+/// Hardware when the host has POPCNT, else Portable.
+PopcountPath hostPopcountPath();
+
+/// The per-shot back end in one pass over the term visits: fills
+/// \p Schedule with visit k — term Sequence[k] of \p H at angle Taus[k],
+/// or sgn(h) * TauStep when \p Taus is empty — folding runs of equal
+/// strings, and returns emitSchedule(Schedule, n, Opts).counts() and the
+/// same \p Stats without creating a single gate. Both \p Path values give
+/// the same result.
+GateCounts foldAndCount(const Hamiltonian &H,
+                        const std::vector<size_t> &Sequence,
+                        const std::vector<double> &Taus, double TauStep,
+                        const EmitOptions &Opts,
+                        std::vector<ScheduledRotation> &Schedule,
+                        EmitStats *Stats,
+                        PopcountPath Path = hostPopcountPath());
 
 } // namespace marqsim
 

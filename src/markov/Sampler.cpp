@@ -75,6 +75,13 @@ void buildAlias(const double *W, size_t N, double Total, double *Prob,
     Prob[I] = 1.0;
 }
 
+/// Cond ? A : B by masking, so the compiler cannot turn it into a branch:
+/// the walk's coin and alias tests are close to fair flips, which a branch
+/// would mispredict about half the time.
+template <typename T> T pick(bool Cond, T A, T B) {
+  return B ^ ((A ^ B) & (T(0) - T(Cond)));
+}
+
 /// The index a quantile \p U selects in running sums \p Cum[0, N), clamped
 /// to the last entry that adds weight (see CDFSampler::indexForQuantile).
 size_t quantileIndex(const double *Cum, size_t N, double U) {
@@ -103,12 +110,7 @@ AliasSampler::AliasSampler(const std::vector<double> &Weights) {
   Prob.resize(N);
   Alias.resize(N);
   buildAlias(Weights.data(), N, Total, Prob.data(), Alias.data());
-}
-
-size_t AliasSampler::sample(RNG &Rng) const {
-  assert(!Prob.empty() && "sampling from an unbuilt alias table");
-  size_t Cell = Rng.uniformInt(Prob.size());
-  return Rng.uniform() < Prob[Cell] ? Cell : Alias[Cell];
+  Draw = BoundedDraw(N);
 }
 
 std::vector<double> AliasSampler::law() const {
@@ -178,16 +180,12 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
   }
   for (double M : Min)
     Shared += M;
-  if (Shared > 0.0) {
-    if (Kind == SamplerKind::Alias)
-      SharedAlias = AliasSampler(Min);
-    else
-      SharedCDF = CDFSampler(Min);
-  }
+  if (Shared > 0.0 && Kind == SamplerKind::CDF)
+    SharedCDF = CDFSampler(Min);
 
   // Row residuals R_ij = P_ij - m_j (exactly >= 0: P_ij >= m_j and
   // rounding is monotone), kept sparse.
-  Rows.resize(N);
+  Rows.resize(N + 1);
   std::vector<double> Weights, Prob;
   std::vector<uint32_t> Cols, Alias;
   for (size_t I = 0; I < N; ++I) {
@@ -211,6 +209,7 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
       Out.Begin = static_cast<uint32_t>(AliasCells.size());
       if (Size == 0)
         continue;
+      Out.Draw = BoundedDraw(Size);
       Prob.resize(Size);
       Alias.resize(Size);
       buildAlias(Weights.data(), Size, Residual, Prob.data(), Alias.data());
@@ -226,34 +225,73 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
       }
     }
   }
+
+  // Rows[N] describes the shared alias table, whose cells follow the row
+  // cells: the same table AliasSampler(Min) builds (Shared is Min's
+  // left-to-right sum). Its Size stays 0 without one.
+  Row &SharedRow = Rows[N];
+  SharedRow.Coin = 1.0;
+  SharedRow.Begin = static_cast<uint32_t>(AliasCells.size());
+  SharedRow.Size = 0;
+  if (Shared > 0.0 && Kind == SamplerKind::Alias) {
+    SharedRow.Size = static_cast<uint32_t>(N);
+    SharedRow.Draw = BoundedDraw(N);
+    Prob.resize(N);
+    Alias.resize(N);
+    buildAlias(Min.data(), N, Shared, Prob.data(), Alias.data());
+    for (size_t C = 0; C < N; ++C)
+      AliasCells.push_back({Prob[C], static_cast<uint32_t>(C), Alias[C]});
+  }
 }
 
+// Always inlined: in walkWith that keeps the generator in registers.
 template <SamplerKind K>
-size_t MarkovChainSampler::step(size_t State, RNG &Rng) const {
-  assert(State < Rows.size() && "chain state out of range");
+__attribute__((always_inline)) inline size_t
+MarkovChainSampler::step(size_t State, RNG &Rng) const {
+  assert(State < numStates() && "chain state out of range");
   const Row &R = Rows[State];
-  if (R.Coin == 1.0 || (R.Coin > 0.0 && Rng.uniform() < R.Coin))
-    return K == SamplerKind::Alias ? SharedAlias.sample(Rng)
-                                   : SharedCDF.sample(Rng);
+  // Heads (the shared table) always when t_i is 1, never when it is 0.
+  bool Heads = R.Coin == 1.0;
+  if (R.Coin > 0.0 && !Heads)
+    Heads = Rng.uniform() < R.Coin;
   if constexpr (K == SamplerKind::Alias) {
-    const AliasCell &C = AliasCells[R.Begin + Rng.uniformInt(R.Size)];
-    return Rng.uniform() < C.Prob ? C.Own : C.Alias;
+    // Both tables draw a cell and then a uniform, so the coin only picks
+    // which table's bound rejects and which cell comes out. Reducing X
+    // for both tables keeps the coin off the path to the multiplies.
+    const Row &SharedTable = Rows[numStates()];
+    const Row &Table = Rows[pick(Heads, numStates(), State)];
+    uint64_t X = Rng.next();
+    while (X < Table.Draw.threshold())
+      X = Rng.next();
+    const AliasCell &C =
+        AliasCells[pick<size_t>(Heads,
+                                SharedTable.Begin + SharedTable.Draw.mod(X),
+                                R.Begin + R.Draw.mod(X))];
+    return pick(Rng.uniform() < C.Prob, C.Own, C.Alias);
   } else {
+    if (Heads)
+      return SharedCDF.sample(Rng);
     return CDFCols[R.Begin + quantileIndex(&CDFCumulative[R.Begin], R.Size,
                                            Rng.uniform())];
   }
 }
 
 template <SamplerKind K>
-void MarkovChainSampler::walkWith(RNG &Rng, size_t *Out, size_t Count) const {
+void MarkovChainSampler::walkWith(RNG &Caller, size_t *Out,
+                                  size_t Count) const {
   if (Count == 0)
     return;
-  size_t State = initial(Rng);
+  // Out and the generator state are both 64-bit words, so stores to Out
+  // would force the caller's state through memory every step.
+  RNG Rng = Caller;
+  size_t State = K == SamplerKind::Alias ? InitialAlias.sample(Rng)
+                                         : InitialCDF.sample(Rng);
   Out[0] = State;
   for (size_t I = 1; I < Count; ++I) {
     State = step<K>(State, Rng);
     Out[I] = State;
   }
+  Caller = Rng;
 }
 
 size_t MarkovChainSampler::initial(RNG &Rng) const {
@@ -283,36 +321,43 @@ size_t MarkovChainSampler::bytes() const {
     return A.size() * (sizeof(double) + sizeof(uint32_t));
   };
   auto CDFBytes = [](const CDFSampler &C) { return C.size() * sizeof(double); };
-  return AliasBytes(InitialAlias) + AliasBytes(SharedAlias) +
-         CDFBytes(InitialCDF) + CDFBytes(SharedCDF) +
+  return AliasBytes(InitialAlias) + CDFBytes(InitialCDF) +
+         CDFBytes(SharedCDF) +
          Rows.size() * sizeof(Row) + AliasCells.size() * sizeof(AliasCell) +
          CDFCumulative.size() * sizeof(double) +
          CDFCols.size() * sizeof(uint32_t);
 }
 
 size_t MarkovChainSampler::numRowCells() const {
-  return AliasCells.size() + CDFCumulative.size();
+  return AliasCells.size() - Rows.back().Size + CDFCumulative.size();
 }
 
 std::vector<double> MarkovChainSampler::rowLaw(size_t State) const {
-  assert(State < Rows.size() && "chain state out of range");
+  assert(State < numStates() && "chain state out of range");
   const Row &R = Rows[State];
-  std::vector<double> L(Rows.size(), 0.0);
+  std::vector<double> L(numStates(), 0.0);
+  // Adds \p Weight times the law of alias table \p T.
+  auto AddAliasLaw = [&](const Row &T, double Weight) {
+    const double Cell = Weight / static_cast<double>(T.Size);
+    for (uint32_t C = T.Begin; C < T.Begin + T.Size; ++C) {
+      L[AliasCells[C].Own] += AliasCells[C].Prob * Cell;
+      L[AliasCells[C].Alias] += (1.0 - AliasCells[C].Prob) * Cell;
+    }
+  };
   if (R.Coin > 0.0) {
-    std::vector<double> S =
-        Kind == SamplerKind::Alias ? SharedAlias.law() : SharedCDF.law();
-    for (size_t J = 0; J < L.size(); ++J)
-      L[J] = R.Coin * S[J];
+    if (Kind == SamplerKind::Alias) {
+      AddAliasLaw(Rows.back(), R.Coin);
+    } else {
+      std::vector<double> S = SharedCDF.law();
+      for (size_t J = 0; J < L.size(); ++J)
+        L[J] = R.Coin * S[J];
+    }
   }
   if (R.Coin == 1.0 || R.Size == 0)
     return L;
   const double Tails = 1.0 - R.Coin;
   if (Kind == SamplerKind::Alias) {
-    const double Cell = Tails / static_cast<double>(R.Size);
-    for (uint32_t C = R.Begin; C < R.Begin + R.Size; ++C) {
-      L[AliasCells[C].Own] += AliasCells[C].Prob * Cell;
-      L[AliasCells[C].Alias] += (1.0 - AliasCells[C].Prob) * Cell;
-    }
+    AddAliasLaw(R, Tails);
   } else {
     const double Total = CDFCumulative[R.Begin + R.Size - 1];
     double Prev = 0.0;

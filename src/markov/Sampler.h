@@ -23,6 +23,7 @@
 #include "markov/TransitionMatrix.h"
 #include "support/RNG.h"
 
+#include <cassert>
 #include <cstdint>
 
 namespace marqsim {
@@ -37,8 +38,14 @@ public:
   /// std::invalid_argument otherwise.
   explicit AliasSampler(const std::vector<double> &Weights);
 
-  /// Draws one index.
-  size_t sample(RNG &Rng) const;
+  /// Draws one index: a cell uniformly (by Draw), then the cell's own
+  /// index or its alias. Inline: the Markov walk draws every step from one
+  /// of these tables.
+  size_t sample(RNG &Rng) const {
+    assert(!Prob.empty() && "sampling from an unbuilt alias table");
+    size_t Cell = Draw(Rng);
+    return Rng.uniform() < Prob[Cell] ? Cell : Alias[Cell];
+  }
 
   /// The distribution the table draws from, cell by cell (sums to 1 up to
   /// rounding). Tests compare it against the weights it was built from.
@@ -49,6 +56,7 @@ public:
 private:
   std::vector<double> Prob;
   std::vector<uint32_t> Alias;
+  BoundedDraw Draw;
 };
 
 /// Binary-search inverse-CDF sampler over a fixed discrete distribution.
@@ -119,7 +127,9 @@ public:
   size_t stepFrom(size_t State, RNG &Rng) const;
 
   /// Fills \p Out[0, Count) with one walk: an initial draw, then Count - 1
-  /// steps. Draws exactly what initial() and stepFrom() would.
+  /// steps. Draws exactly what initial() and stepFrom() would, and leaves
+  /// \p Rng where they would; the walk itself runs on a local copy of the
+  /// generator, so the state stays in registers across the stores to Out.
   void walk(RNG &Rng, size_t *Out, size_t Count) const;
 
   /// Resets to the pre-first-draw state (next draw uses the initial
@@ -127,7 +137,7 @@ public:
   void reset() { Current = kNoState; }
 
   /// Number of states in the chain.
-  size_t numStates() const { return Rows.size(); }
+  size_t numStates() const { return Rows.size() - 1; }
 
   SamplerKind kind() const { return Kind; }
 
@@ -147,11 +157,13 @@ public:
 private:
   static constexpr size_t kNoState = static_cast<size_t>(-1);
 
-  /// Row i's coin t_i and its cells [Begin, Begin + Size).
+  /// Row i's coin t_i and its cells [Begin, Begin + Size); alias rows draw
+  /// their cell with Draw (bound Size).
   struct Row {
     double Coin;
     uint32_t Begin;
     uint32_t Size;
+    BoundedDraw Draw;
   };
   /// One alias cell: keep Own with probability Prob, else take Alias.
   struct AliasCell {
@@ -167,9 +179,12 @@ private:
   SamplerKind Kind;
   double Shared = 0.0; // W
   /// Tables of the kind in use; the other kind's stay empty.
-  AliasSampler InitialAlias, SharedAlias;
+  AliasSampler InitialAlias;
   CDFSampler InitialCDF, SharedCDF;
+  /// One row per state, then Rows[numStates()] for the shared alias table
+  /// (Size 0 without one, and for the CDF kind).
   std::vector<Row> Rows;
+  /// Alias kind: the cells of every row, then those of the shared table.
   std::vector<AliasCell> AliasCells;
   /// CDF rows: running sums over each row's cells and their columns.
   std::vector<double> CDFCumulative;

@@ -49,6 +49,7 @@ CpuFeatures probe() {
   // so AVX2=true means the registers are actually usable.
   F.AVX2 = __builtin_cpu_supports("avx2");
   F.FMA = __builtin_cpu_supports("fma");
+  F.POPCNT = __builtin_cpu_supports("popcnt");
 
   // AVX-512 feature bits from a raw leaf-7 query, decoupled from the OS
   // state so --stats can report "CPU has it, OS state off" distinctly.

@@ -7,7 +7,8 @@
 /// \file
 /// A one-shot runtime probe of the SIMD capabilities of the host CPU, used
 /// by the evaluation-kernel dispatcher (sim/Kernels.h) to pick the widest
-/// implementation the hardware supports.
+/// implementation the hardware supports, and of POPCNT, used by the
+/// emitter's count pass.
 ///
 /// On x86-64 the probe goes through cpuid (__builtin_cpu_supports plus a
 /// raw leaf-7 query for the AVX-512 bits) and through XGETBV for the OS
@@ -55,6 +56,11 @@ struct CpuFeatures {
 
   /// AArch64 Advanced SIMD (NEON with 2-lane double support).
   bool NEON = false;
+
+  /// x86-64 POPCNT (CPUID leaf 1 ECX bit 23). Not part of the x86-64
+  /// baseline the library builds for; the emitter's count pass runs a
+  /// clone compiled for it when this is set (core/Emitter.h).
+  bool POPCNT = false;
 };
 
 /// The host CPU's features, probed once on first use (thread-safe).

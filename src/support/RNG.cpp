@@ -62,6 +62,19 @@ size_t RNG::sampleDiscrete(const std::vector<double> &Weights) {
   return Weights.size() - 1;
 }
 
+BoundedDraw::BoundedDraw(uint64_t B) : Bound(B) {
+  assert(Bound > 0 && "BoundedDraw bound must be positive");
+  __extension__ using U128 = unsigned __int128;
+  Threshold = (~Bound + 1) % Bound;
+  // L = ceil(log2 Bound); Magic = floor(2^64 (2^L - Bound) / Bound) + 1,
+  // which is below 2^64 because 2^L < 2 Bound. Bound 1 (L = 0) and powers
+  // of two get Magic 1, so t = 0 and the shifts alone divide.
+  const unsigned L = Bound == 1 ? 0 : 64 - __builtin_clzll(Bound - 1);
+  Magic = static_cast<uint64_t>((((U128(1) << L) - Bound) << 64) / Bound + 1);
+  Shift1 = L == 0 ? 0 : 1;
+  Shift2 = L == 0 ? 0 : static_cast<uint8_t>(L - 1);
+}
+
 RNG RNG::split() {
   RNG Child(next() ^ 0xa5a5a5a5deadbeefULL);
   return Child;

@@ -71,7 +71,9 @@ public:
     return Lo + (Hi - Lo) * uniform();
   }
 
-  /// Returns an integer uniformly distributed in [0, Bound).
+  /// Returns an integer uniformly distributed in [0, Bound). Costs two
+  /// 64-bit divisions; code that draws many times from one Bound keeps a
+  /// BoundedDraw, which returns the same values without dividing.
   uint64_t uniformInt(uint64_t Bound) {
     assert(Bound > 0 && "uniformInt bound must be positive");
     // Rejection sampling to avoid modulo bias.
@@ -117,6 +119,46 @@ private:
   uint64_t State[4];
   double CachedGaussian = 0.0;
   bool HasCachedGaussian = false;
+};
+
+/// RNG::uniformInt(Bound) for one Bound fixed in advance, without a
+/// division: the constructor precomputes the rejection threshold
+/// 2^64 mod Bound and a multiply-shift form of X / Bound that is exact for
+/// every 64-bit X (Granlund and Montgomery, "Division by Invariant
+/// Integers using Multiplication", PLDI 1994, Figure 4.1). A draw consumes
+/// the same next() values as uniformInt(Bound) and returns the same value.
+class BoundedDraw {
+public:
+  /// Prepares draws from [0, \p Bound); \p Bound must be positive.
+  explicit BoundedDraw(uint64_t Bound = 1);
+
+  uint64_t bound() const { return Bound; }
+
+  /// Raw values below this are rejected (uniformInt's Threshold).
+  uint64_t threshold() const { return Threshold; }
+
+  /// X % bound(): q = (t + ((X - t) >> S1)) >> S2 with t the high word of
+  /// X * Magic, then X - q * Bound. No intermediate overflows, since t <= X.
+  uint64_t mod(uint64_t X) const {
+    __extension__ using U128 = unsigned __int128;
+    const uint64_t T = static_cast<uint64_t>((U128(X) * Magic) >> 64);
+    const uint64_t Q = (T + ((X - T) >> Shift1)) >> Shift2;
+    return X - Q * Bound;
+  }
+
+  uint64_t operator()(RNG &Rng) const {
+    for (;;) {
+      uint64_t X = Rng.next();
+      if (X >= Threshold)
+        return mod(X);
+    }
+  }
+
+private:
+  uint64_t Bound;
+  uint64_t Threshold;
+  uint64_t Magic;
+  uint8_t Shift1, Shift2;
 };
 
 } // namespace marqsim

@@ -23,6 +23,7 @@
 #include "service/SimulationService.h"
 #include "sim/Fidelity.h"
 #include "sim/StateVector.h"
+#include "support/CpuFeatures.h"
 
 #include <gtest/gtest.h>
 
@@ -528,12 +529,17 @@ static PauliString randomString(unsigned N, double PY, RNG &Rng) {
 }
 
 TEST(EmitterTest, CountPassAgreesWithGatePass) {
-  // countSchedule and emitSchedule share one decision routine; this pins
+  // The count pass and emitSchedule share one decision routine; this pins
   // that they also agree on every count and statistic, and that the
   // on-demand CompilationResult::circuit() is the emitter's circuit gate
   // for gate. The term pools mix identity strings, duplicated strings and
   // Y-heavy strings; the plans repeat terms back to back and interleave
-  // identities between repeats (A I A folds into one rotation).
+  // identities between repeats (A I A folds into one rotation). Every case
+  // runs on the portable popcount and, when the host has POPCNT, on the
+  // clone compiled for it.
+  std::vector<PopcountPath> Paths = {PopcountPath::Portable};
+  if (cpuFeatures().POPCNT)
+    Paths.push_back(PopcountPath::Hardware);
   RNG Rng(1313);
   for (unsigned N = 1; N <= 12; ++N) {
     for (int Trial = 0; Trial < 4; ++Trial) {
@@ -577,30 +583,46 @@ TEST(EmitterTest, CountPassAgreesWithGatePass) {
           return C;
         };
 
-        // The raw per-visit schedule exercises the emitter's own folding.
-        std::vector<ScheduledRotation> Raw;
-        for (size_t Index : Plan.Sequence)
-          Raw.emplace_back(H.term(Index).String, H.term(Index).Coeff);
-        EmitStats RawStats;
-        GateCounts RawCounts = countSchedule(Raw, Opts.Emit, &RawStats);
-        ExpectAgree(Raw, RawCounts, RawStats);
-
         // The merged schedule is what materializePlan counted.
         Circuit C = ExpectAgree(R.Schedule, R.Counts, R.Stats);
         Circuit Lowered = R.circuit();
         EXPECT_EQ(Lowered.numQubits(), N);
         EXPECT_TRUE(Lowered.gates() == C.gates());
+
+        // The raw per-visit schedule exercises the emitter's own folding,
+        // which must land on the same counts.
+        std::vector<ScheduledRotation> Raw;
+        for (size_t Index : Plan.Sequence)
+          Raw.emplace_back(H.term(Index).String, H.term(Index).Coeff);
+        ExpectAgree(Raw, R.Counts, R.Stats);
+
+        for (PopcountPath Path : Paths) {
+          SCOPED_TRACE("popcnt=" +
+                       std::to_string(Path == PopcountPath::Hardware));
+          std::vector<ScheduledRotation> Schedule;
+          EmitStats Stats;
+          GateCounts Counts =
+              foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep,
+                           Opts.Emit, Schedule, &Stats, Path);
+          EXPECT_EQ(Schedule.size(), R.Schedule.size());
+          ExpectAgree(Schedule, Counts, Stats);
+        }
       }
     }
   }
 
-  // A schedule of identities lowers to nothing.
-  std::vector<ScheduledRotation> Identities(3, {PauliString(), 0.2});
-  EmitStats Stats;
-  GateCounts Counts = countSchedule(Identities, {}, &Stats);
-  EXPECT_EQ(Counts.total(), 0u);
-  EXPECT_EQ(Stats.CancelledCNOTs + Stats.CancelledSingles, 0u);
-  EXPECT_TRUE(emitSchedule(Identities, 2).empty());
+  // A plan of identities lowers to nothing.
+  Hamiltonian Identity(2);
+  Identity.addTerm(0.2, PauliString());
+  for (PopcountPath Path : Paths) {
+    std::vector<ScheduledRotation> Schedule;
+    EmitStats Stats;
+    GateCounts Counts =
+        foldAndCount(Identity, {0, 0, 0}, {}, 0.1, {}, Schedule, &Stats, Path);
+    EXPECT_EQ(Counts.total(), 0u);
+    EXPECT_EQ(Stats.CancelledCNOTs + Stats.CancelledSingles, 0u);
+    EXPECT_TRUE(emitSchedule(Schedule, 2).empty());
+  }
 }
 
 //===----------------------------------------------------------------------===//

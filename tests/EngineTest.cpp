@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <numeric>
 
@@ -542,6 +543,39 @@ TEST(CompilerEngineTest, BatchBitIdenticalAcrossJobCounts) {
   }
   EXPECT_DOUBLE_EQ(Serial.CNOTs.Mean, Parallel.CNOTs.Mean);
   EXPECT_DOUBLE_EQ(Serial.CNOTs.Std, Parallel.CNOTs.Std);
+}
+
+TEST(CompilerEngineTest, SequenceHashIsTheByteWiseFNVChain) {
+  // hashSequence folds an index below 2^16 in two multiplies; every index
+  // must still hash exactly as the 8-byte FNV-1a chain of serial::fnv1aWord.
+  // A Hamiltonian with 2^16 terms is out of reach, so the byte-loop
+  // fallback is checked on bare sequences.
+  auto ByteWise = [](const std::vector<size_t> &Sequence) {
+    uint64_t H = serial::FNVOffset;
+    for (size_t Value : Sequence)
+      H = serial::fnv1aWord(static_cast<uint64_t>(Value), H);
+    return H;
+  };
+  const std::vector<size_t> Edges = {
+      0, 255, 256, 65535, 65536, static_cast<size_t>(uint64_t(1) << 32),
+      SIZE_MAX};
+  EXPECT_EQ(hashSequence({}), serial::FNVOffset);
+  for (size_t Value : Edges)
+    EXPECT_EQ(hashSequence({Value}), ByteWise({Value})) << Value;
+  EXPECT_EQ(hashSequence(Edges), ByteWise(Edges));
+
+  BatchRequest Req;
+  Req.Strategy = std::make_shared<const SamplingStrategy>(testGraph(), 0.5,
+                                                          0.05);
+  Req.NumShots = 4;
+  Req.Seed = 2718;
+  Req.KeepResults = true;
+  BatchResult B = CompilerEngine().compileBatch(Req);
+  for (size_t Shot = 0; Shot < B.NumShots; ++Shot) {
+    const std::vector<size_t> &Sequence = B.Results[Shot].Sequence;
+    EXPECT_EQ(B.Shots[Shot].SequenceHash, hashSequence(Sequence));
+    EXPECT_EQ(hashSequence(Sequence), ByteWise(Sequence));
+  }
 }
 
 TEST(CompilerEngineTest, CompileOneMatchesBatchShotZero) {

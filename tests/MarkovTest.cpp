@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 using namespace marqsim;
 
@@ -336,6 +337,56 @@ TEST(MarkovChainSamplerTest, SharedTableCarriesTheColumnMinima) {
     std::vector<double> Law = S.rowLaw(I);
     for (size_t J = 0; J < 4; ++J)
       EXPECT_NEAR(Law[J], P.at(I, J), 1e-15) << I << "->" << J;
+  }
+}
+
+TEST(MarkovChainSamplerTest, WalkDrawsWhatStepFromDraws) {
+  // walk() runs its own inlined, branch-free copy of the step on a local
+  // generator. It must produce exactly initial() + stepFrom() and leave
+  // the caller's generator where they would.
+  //
+  // Mixed has column minima m = (0.1, 0.2, 0.1, 0.1): row 0 equals m
+  // (coin t = 1, no row cells), row 1 adds one cell, rows 2 and 3 several
+  // (0 < t < 1); rows need not be normalized. Sparse has no shared table
+  // (every coin 0), and rows 0 and 2 have one cell.
+  struct Chain {
+    TransitionMatrix P;
+    std::vector<double> Init;
+    bool Shared;
+    size_t RowCells;
+  };
+  const Chain Chains[] = {
+      {TransitionMatrix::fromRows({{0.1, 0.2, 0.1, 0.1},
+                                   {0.1, 0.2, 0.6, 0.1},
+                                   {0.3, 0.2, 0.1, 0.4},
+                                   {0.1, 0.5, 0.3, 0.2}}),
+       {0.3, 0.3, 0.2, 0.2}, true, 6},
+      {TransitionMatrix::fromRows({{0, 1, 0}, {0, 0.5, 0.5}, {1, 0, 0}}),
+       {0.2, 0.5, 0.3}, false, 4}};
+  for (const Chain &C : Chains) {
+    for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
+      MarkovChainSampler S(C.P, C.Init, Kind);
+      ASSERT_EQ(S.hasSharedTable(), C.Shared);
+      ASSERT_EQ(S.numRowCells(), C.RowCells);
+      for (uint64_t Seed : {1u, 2u, 3u}) {
+        for (size_t Count : {size_t(0), size_t(1), size_t(2), size_t(500)}) {
+          SCOPED_TRACE("states=" + std::to_string(S.numStates()) +
+                       " cdf=" + std::to_string(Kind == SamplerKind::CDF) +
+                       " seed=" + std::to_string(Seed) +
+                       " count=" + std::to_string(Count));
+          RNG Walked(Seed), Stepped(Seed);
+          std::vector<size_t> Out(Count);
+          S.walk(Walked, Out.data(), Count);
+          for (size_t I = 0; I < Count; ++I) {
+            size_t Expect = I == 0 ? S.initial(Stepped)
+                                   : S.stepFrom(Out[I - 1], Stepped);
+            ASSERT_EQ(Out[I], Expect) << "step " << I;
+          }
+          for (int I = 0; I < 4; ++I)
+            ASSERT_EQ(Walked.next(), Stepped.next()) << "streams diverged";
+        }
+      }
+    }
   }
 }
 

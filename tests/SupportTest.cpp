@@ -14,6 +14,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #ifdef __linux__
 #include <sched.h>
@@ -74,6 +76,53 @@ TEST(RNGTest, UniformIntBoundsAndCoverage) {
   }
   for (int C : Counts)
     EXPECT_NEAR(C, 10000, 500);
+}
+
+TEST(RNGTest, BoundedDrawMatchesUniformInt) {
+  // BoundedDraw trades uniformInt's two divisions for a precomputed
+  // threshold and multiply-shift. It must return uniformInt's values and
+  // consume the same stream for every bound, so the reduction is probed at
+  // its edges: 0, threshold - 1, threshold, multiples of the bound and
+  // their predecessors, and 2^64 - 1.
+  std::vector<uint64_t> Bounds;
+  for (uint64_t B = 1; B <= 4096; ++B)
+    Bounds.push_back(B);
+  for (unsigned K = 13; K < 64; ++K) {
+    Bounds.push_back((1ULL << K) - 1);
+    Bounds.push_back(1ULL << K);
+    Bounds.push_back((1ULL << K) + 1);
+  }
+  Bounds.push_back(~0ULL);
+
+  RNG Probe(2024);
+  for (uint64_t B : Bounds) {
+    SCOPED_TRACE("bound=" + std::to_string(B));
+    const BoundedDraw D(B);
+    ASSERT_EQ(D.bound(), B);
+    const uint64_t T = (~B + 1) % B; // uniformInt's threshold
+    ASSERT_EQ(D.threshold(), T);
+
+    std::vector<uint64_t> Xs = {0, T, ~0ULL, B - 1};
+    if (T > 0)
+      Xs.push_back(T - 1);
+    const uint64_t MaxK = ~0ULL / B; // largest K with K * B representable
+    for (uint64_t K : {uint64_t(1), uint64_t(2), uint64_t(3), MaxK / 2,
+                       MaxK - 1, MaxK}) {
+      if (K == 0)
+        continue;
+      Xs.push_back(K * B - 1);
+      Xs.push_back(K * B);
+    }
+    for (int I = 0; I < 8; ++I)
+      Xs.push_back(Probe.next());
+    for (uint64_t X : Xs)
+      ASSERT_EQ(D.mod(X), X % B) << "X=" << X;
+
+    RNG A(B), C(B);
+    for (int I = 0; I < 32; ++I)
+      ASSERT_EQ(D(A), C.uniformInt(B)) << "draw " << I;
+    EXPECT_EQ(A.next(), C.next()) << "streams diverged";
+  }
 }
 
 TEST(RNGTest, GaussianMoments) {
