@@ -20,11 +20,9 @@
 
 #include "BenchCommon.h"
 #include "shard/ShardCoordinator.h"
-#include "support/Subprocess.h"
 #include "support/Timer.h"
 
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 
@@ -149,46 +147,23 @@ int main(int Argc, char **Argv) {
   if (!OneSolvePerConfig)
     std::cout << "ERROR: expected at most one MCFP solve per component\n";
 
-  // Process scaling: the same task split over K worker processes
-  // (re-exec'd marqsim-cli sharing a fresh cache directory per row, so
-  // every row shows the whole-run solve count). Subprocess workers can
-  // only re-parse a file, so the operator goes through one; when the CLI
-  // is not built alongside this bench the shards run in-process instead.
-  std::cout << "\nProcess sharding (ShardCoordinator, --shards analogue):\n";
-  std::filesystem::path Self = currentExecutablePath(Argv[0]);
-  std::string Cli = (Self.parent_path() / "marqsim-cli").string();
-  if (!std::filesystem::exists(Cli)) {
-    std::cout << "(marqsim-cli not found next to this bench; running "
-                 "shards in-process)\n";
-    Cli.clear();
-  }
+  // Sharding: the same task split into K shot ranges that run
+  // concurrently in-process. Each row uses a fresh coordinator-owned
+  // service, so it shows the whole-run solve count.
+  std::cout << "\nSharding (ShardCoordinator, --shards analogue):\n";
   std::filesystem::path ShardBase =
       std::filesystem::temp_directory_path() / "marqsim_bench_shards";
   std::filesystem::remove_all(ShardBase);
-  std::string HamPath = (ShardBase / "ham.txt").string();
-  std::filesystem::create_directories(ShardBase);
-  {
-    std::ofstream Out(HamPath);
-    char Buf[32];
-    for (const PauliTerm &Term : H.terms()) {
-      std::snprintf(Buf, sizeof(Buf), "%.17g", Term.Coeff);
-      Out << Buf << " " << Term.String.str(H.numQubits()) << "\n";
-    }
-  }
   TaskSpec ShardTask = Task;
-  ShardTask.Source = HamiltonianSource::fromFile(HamPath);
   ShardTask.Epsilon = Eps;
 
-  Table Sh({"shards", "mode", "wall(s)", "batch hash", "MCFP solves",
-            "disk loads", "retries"});
+  Table Sh({"shards", "wall(s)", "batch hash", "MCFP solves", "retries"});
   bool ShardDeterministic = true, ShardOneSolve = true;
   uint64_t ShardHash = 0;
   for (unsigned K : {1u, 2u, 4u}) {
     ShardOptions Options;
     Options.ShardCount = K;
     Options.WorkDir = (ShardBase / ("work" + std::to_string(K))).string();
-    Options.CacheDir = (ShardBase / ("cache" + std::to_string(K))).string();
-    Options.WorkerBinary = Cli;
     ShardCoordinator Coordinator(Options);
     ShardReport Report;
     std::string Error;
@@ -205,16 +180,14 @@ int main(int Argc, char **Argv) {
       ShardDeterministic = false;
     size_t Solves = Report.LocalStats.matrixMisses() +
                     Report.WorkerStats.matrixMisses();
-    size_t Disk =
-        Report.LocalStats.DiskLoads + Report.WorkerStats.DiskLoads;
     // The GC-RP configuration has two MCFP components (Pgc and Prp): one
-    // solve each for the whole sharded run, no matter how many workers.
+    // solve each for the whole sharded run, no matter how many ranges.
     if (Solves > 2)
       ShardOneSolve = false;
-    Sh.row(K, Cli.empty() ? "in-process" : "subprocess",
-           formatDouble(Seconds), std::to_string(R->Batch.batchHash()),
-           Solves, Disk, Report.Retries);
+    Sh.row(K, formatDouble(Seconds), std::to_string(R->Batch.batchHash()),
+           Solves, Report.Retries);
   }
+  std::filesystem::remove_all(ShardBase);
   Sh.print(std::cout);
   std::cout << "K-shard merge bit-identical: "
             << (ShardDeterministic ? "yes" : "NO")

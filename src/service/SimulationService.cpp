@@ -201,8 +201,8 @@ struct SimulationService::Impl {
   }
 
   /// bundle() for the public entry points: a flow network the MCFP
-  /// builders reject (std::invalid_argument, e.g. a --prob-scale too coarse
-  /// to route every stationary weight) or a matrix that fails Theorem 4.1
+  /// builders reject (std::invalid_argument, e.g. a spec's prob_scale too
+  /// coarse to route every stationary weight) or a matrix that fails Theorem 4.1
   /// becomes an \p Error instead of a result.
   std::shared_ptr<const GraphBundle>
   validBundle(const Hamiltonian &H, uint64_t Fingerprint, const TaskSpec &Spec,

@@ -176,8 +176,8 @@ public:
   /// \p Spec's batch. Shots keep their *global* indices — shot k draws
   /// from RNG::forShot(Seed, k) no matter which range compiles it — so
   /// concatenating the results of a partition of [0, Shots) reproduces
-  /// run(Spec) bit for bit. This is the worker-side entry point of the
-  /// cross-process sharding layer (shard/ShardCoordinator). The range
+  /// run(Spec) bit for bit. This is the per-range entry point of the
+  /// sharding layer (shard/ShardCoordinator). The range
   /// must be non-empty and end within Spec.Shots; Evaluate.ExportShotZero
   /// is honored only by the range containing global shot 0, and
   /// TaskResult vectors (ShotFidelities, Batch.Shots) are indexed

@@ -1,4 +1,4 @@
-//===- shard/ShardCoordinator.cpp - Cross-process batch sharding -------------===//
+//===- shard/ShardCoordinator.cpp - Batch sharding ------------------------===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
@@ -8,16 +8,12 @@
 
 #include "server/Client.h"
 #include "stats/Stats.h"
-#include "support/Serial.h"
-#include "support/Subprocess.h"
 #include "support/Timer.h"
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdio>
 #include <deque>
 #include <filesystem>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -31,98 +27,31 @@ std::string ShardCoordinator::manifestPath(const std::string &WorkDir,
       .string();
 }
 
-//===----------------------------------------------------------------------===//
-// Worker command line
-//===----------------------------------------------------------------------===//
-
 namespace {
 
-std::string bitsFlag(const char *Name, double Value) {
-  return std::string("--") + Name + "=" + serial::hex16(serial::doubleBits(Value));
-}
-
-std::string intFlag(const char *Name, uint64_t Value) {
-  return std::string("--") + Name + "=" + std::to_string(Value);
+/// Why \p M cannot stand for \p Range of \p Spec (compiled from the
+/// Hamiltonian with \p Fingerprint), or empty when it can. Every manifest
+/// — reused from the work directory or received from a fleet worker —
+/// passes this gate before it can merge.
+std::string rejectReason(const ShardManifest &M, const TaskSpec &Spec,
+                         uint64_t Fingerprint, const ShotRange &Range) {
+  if (M.Fingerprint != Fingerprint)
+    return "fingerprint mismatch (different Hamiltonian)";
+  if (M.Seed != Spec.Seed || M.TotalShots != Spec.Shots)
+    return "seed or batch size mismatch (stale manifest)";
+  if (M.SpecKey != Spec.contentKey())
+    return "task configuration mismatch (manifest from a run with "
+           "different parameters)";
+  if (M.Range.Begin != Range.Begin || M.Range.Count != Range.Count)
+    return "shot range disagrees with the shard plan";
+  if (M.HasFidelity != (Spec.Evaluate.FidelityColumns > 0))
+    return "fidelity presence disagrees with the task";
+  if (M.Shots.size() != M.Range.Count)
+    return "manifest shot count disagrees with its range";
+  return {};
 }
 
 } // namespace
-
-std::optional<std::vector<std::string>> ShardCoordinator::workerArgs(
-    const std::string &Binary, const TaskSpec &Spec, unsigned Index,
-    unsigned Count, const std::string &ManifestPath,
-    const std::string &CacheDir, size_t CacheLimitBytes,
-    std::string *Error) {
-  auto Fail = [&](const std::string &Message) {
-    detail::fail(Error, "shard worker: " + Message);
-    return std::nullopt;
-  };
-  if (Spec.Method != TaskMethod::Sampling)
-    return Fail("only sampling tasks can re-exec through marqsim-cli");
-  if (!Spec.Lowering.Emit.CrossCancellation)
-    return Fail("custom lowering options cannot travel over the command "
-                "line");
-  // The CLI parses every count/seed as a signed 64-bit integer; a value
-  // past INT64_MAX would wrap in the worker and silently change its key.
-  const uint64_t SignedMax =
-      static_cast<uint64_t>(std::numeric_limits<int64_t>::max());
-  if (Spec.Seed > SignedMax || Spec.PerturbSeed > SignedMax ||
-      Spec.Evaluate.ColumnSeed > SignedMax)
-    return Fail("seeds above INT64_MAX cannot travel over the command line");
-  if (Spec.Flow.ProbScale < 0 || Spec.Flow.CostScale < 0)
-    return Fail("negative MCFP scales cannot travel over the command line");
-
-  std::vector<std::string> Argv;
-  Argv.push_back(Binary);
-  switch (Spec.Source.SourceKind) {
-  case HamiltonianSource::Kind::File:
-    Argv.push_back(Spec.Source.Path);
-    break;
-  case HamiltonianSource::Kind::Model:
-    Argv.push_back("--model=" + Spec.Source.Model);
-    break;
-  case HamiltonianSource::Kind::Inline:
-    return Fail("inline Hamiltonian sources cannot re-exec; write the "
-                "operator to a file first");
-  }
-  // Weights, time, and epsilon travel as raw IEEE-754 bit patterns
-  // (hidden worker flags): a decimal round trip could perturb the last
-  // ulp, which would change cache keys and the transition matrix itself.
-  Argv.push_back(bitsFlag("mix-qd-bits", Spec.Mix.WQd));
-  Argv.push_back(bitsFlag("mix-gc-bits", Spec.Mix.WGc));
-  Argv.push_back(bitsFlag("mix-rp-bits", Spec.Mix.WRp));
-  Argv.push_back(bitsFlag("time-bits", Spec.Time));
-  Argv.push_back(bitsFlag("epsilon-bits", Spec.Epsilon));
-  Argv.push_back(intFlag("rounds", Spec.PerturbRounds));
-  Argv.push_back(intFlag("perturb-seed", Spec.PerturbSeed));
-  Argv.push_back(intFlag("prob-scale", static_cast<uint64_t>(Spec.Flow.ProbScale)));
-  Argv.push_back(intFlag("cost-scale", static_cast<uint64_t>(Spec.Flow.CostScale)));
-  Argv.push_back(intFlag("seed", Spec.Seed));
-  Argv.push_back(intFlag("shots", Spec.Shots));
-  Argv.push_back(intFlag("jobs", Spec.Jobs));
-  Argv.push_back(intFlag("eval-jobs", Spec.EvalJobs));
-  Argv.push_back(intFlag("columns", Spec.Evaluate.FidelityColumns));
-  Argv.push_back(intFlag("column-seed", Spec.Evaluate.ColumnSeed));
-  // The noise spec travels like time/epsilon: names in the clear, the
-  // probability and factor as raw bit patterns (an ulp of drift would
-  // change the contentKey and every noise draw).
-  if (Spec.Noise.Kind != NoiseChannelKind::None) {
-    Argv.push_back(std::string("--noise=") + noiseChannelName(Spec.Noise.Kind));
-    Argv.push_back(std::string("--noise-mode=") +
-                   noiseModeName(Spec.Noise.Mode));
-    Argv.push_back(bitsFlag("noise-prob-bits", Spec.Noise.Prob));
-    Argv.push_back(bitsFlag("noise-2q-factor-bits", Spec.Noise.TwoQubitFactor));
-  }
-  if (Spec.UseCDF)
-    Argv.push_back("--cdf");
-  if (!CacheDir.empty())
-    Argv.push_back("--cache-dir=" + CacheDir);
-  if (CacheLimitBytes > 0)
-    Argv.push_back(intFlag("cache-limit-bytes", CacheLimitBytes));
-  Argv.push_back(intFlag("shard-index", Index));
-  Argv.push_back(intFlag("shard-count", Count));
-  Argv.push_back("--shard-out=" + ManifestPath);
-  return Argv;
-}
 
 //===----------------------------------------------------------------------===//
 // Worker-side execution
@@ -265,9 +194,7 @@ std::optional<TaskResult> ShardCoordinator::run(const TaskSpec &Spec,
                 "ranged single-process run instead");
   if (Options.WorkDir.empty())
     return Fail("a work directory is required");
-  // A broken shared store must fail loudly: silently degrading to
-  // per-worker MCFP solves would violate the one-solve contract without
-  // any visible signal.
+  // A broken cache directory must fail loudly, never run uncached.
   std::string DirError;
   if (!ArtifactStore::validateCacheDir(Options.CacheDir, &DirError))
     return Fail(DirError);
@@ -280,160 +207,58 @@ std::optional<TaskResult> ShardCoordinator::run(const TaskSpec &Spec,
   ShardReport &R = Report ? *Report : LocalReport;
   R.Plan = ShardPlan::split(Spec.Shots, Options.ShardCount);
   const size_t K = R.Plan.shardCount();
-  const bool InProcess = Options.WorkerBinary.empty();
 
   std::optional<Hamiltonian> H =
       SimulationService::resolveHamiltonian(Spec.Source, Error);
   if (!H)
     return std::nullopt;
   const uint64_t Fingerprint = H->fingerprint();
-  const uint64_t SpecKey = Spec.contentKey();
   Timer Clock;
 
-  if (!Options.Workers.empty()) {
-    std::optional<TaskResult> Merged = runFleet(Spec, *H, R, Error);
-    if (Merged)
-      Merged->Batch.Seconds = Clock.seconds();
-    return Merged;
+  // Pre-warm the service every range resolves through with each artifact
+  // type the ranges will ask for — the alias bundle (with its MCFP
+  // components) and the fidelity target columns — so the whole sharded
+  // run costs one solve per component and one column evolution. This also
+  // front-loads the Theorem 4.1 validation before any range starts.
+  std::unique_ptr<SimulationService> Owned;
+  SimulationService *Service = Options.SharedService;
+  if (!Service) {
+    ServiceOptions LocalOptions;
+    LocalOptions.CacheDir = Options.CacheDir;
+    LocalOptions.CacheLimitBytes = Options.CacheLimitBytes;
+    Owned = std::make_unique<SimulationService>(LocalOptions);
+    Service = Owned.get();
   }
+  if (!Service->prewarm(Spec, Error))
+    return std::nullopt;
+  R.LocalStats = Service->stats();
 
-  ServiceOptions LocalOptions;
-  LocalOptions.CacheDir = Options.CacheDir;
-  LocalOptions.CacheLimitBytes = Options.CacheLimitBytes;
-  SimulationService LocalService(LocalOptions);
-  if (!InProcess) {
-    // Reject inexpressible specs (non-sampling methods, inline sources,
-    // oversized seeds) before spending any pre-warm work on them: the
-    // fidelity-column evolution alone can dwarf the whole run.
-    if (!workerArgs(Options.WorkerBinary, Spec, 0, static_cast<unsigned>(K),
-                    manifestPath(Options.WorkDir, 0), Options.CacheDir,
-                    Options.CacheLimitBytes, Error))
-      return std::nullopt;
-    if (Options.CacheDir.empty()) {
-      R.Notes.push_back("no cache directory: every worker performs its own "
-                        "MCFP solves");
-    } else {
-      // Pre-warm the shared store with every artifact type the workers
-      // will ask for — the alias bundle (with its MCFP components) and
-      // the fidelity target columns — so the whole sharded run costs one
-      // solve per component and one column evolution total. This also
-      // front-loads the Theorem 4.1 validation before any process is
-      // spawned.
-      if (!LocalService.prewarm(Spec, Error))
-        return std::nullopt;
-      R.LocalStats = LocalService.stats();
-    }
-  }
-
+  // Reuse whatever valid manifests the work directory already holds.
   std::vector<std::optional<ShardManifest>> Accepted(K);
-  const unsigned MaxAttempts = std::max(1u, Options.MaxAttempts);
-  unsigned LaunchRounds = 0;
-  bool FirstCollection = true;
-  while (true) {
-    // Collect: validate whatever manifests exist for still-open ranges.
-    for (size_t I = 0; I < K; ++I) {
-      if (Accepted[I])
-        continue;
-      std::string Path = manifestPath(Options.WorkDir, I);
-      if (!std::filesystem::exists(Path))
-        continue;
-      std::string ReadError;
-      std::optional<ShardManifest> M =
-          ShardManifest::readFile(Path, &ReadError);
-      if (M) {
-        if (M->Fingerprint != Fingerprint)
-          ReadError = "fingerprint mismatch (different Hamiltonian)";
-        else if (M->Seed != Spec.Seed || M->TotalShots != Spec.Shots)
-          ReadError = "seed or batch size mismatch (stale manifest)";
-        else if (M->SpecKey != SpecKey)
-          ReadError = "task configuration mismatch (manifest from a run "
-                      "with different parameters)";
-        else if (M->Range.Begin != R.Plan.Ranges[I].Begin ||
-                 M->Range.Count != R.Plan.Ranges[I].Count)
-          ReadError = "shot range disagrees with the shard plan";
-        else if (M->HasFidelity != (Spec.Evaluate.FidelityColumns > 0))
-          ReadError = "fidelity presence disagrees with the task";
-      }
-      if (M && ReadError.empty()) {
-        Accepted[I] = std::move(M);
-        if (FirstCollection)
-          ++R.Reused;
-        continue;
-      }
-      R.Notes.push_back("shard " + std::to_string(I) + ": rejected '" +
-                        Path + "': " + ReadError + "; re-running the range");
-      std::filesystem::remove(Path, EC);
+  for (size_t I = 0; I < K; ++I) {
+    std::string Path = manifestPath(Options.WorkDir, I);
+    if (!std::filesystem::exists(Path))
+      continue;
+    std::string ReadError;
+    std::optional<ShardManifest> M = ShardManifest::readFile(Path, &ReadError);
+    if (M)
+      ReadError = rejectReason(*M, Spec, Fingerprint, R.Plan.Ranges[I]);
+    if (M && ReadError.empty()) {
+      Accepted[I] = std::move(M);
+      ++R.Reused;
+      continue;
     }
-    FirstCollection = false;
-
-    std::vector<size_t> Missing;
-    for (size_t I = 0; I < K; ++I)
-      if (!Accepted[I])
-        Missing.push_back(I);
-    if (Missing.empty())
-      break;
-    if (LaunchRounds >= MaxAttempts) {
-      std::string Message = "range still invalid after " +
-                            std::to_string(MaxAttempts) + " attempts:";
-      for (const std::string &Note : R.Notes)
-        Message += "\n  " + Note;
-      return Fail(Message);
-    }
-    if (LaunchRounds > 0)
-      R.Retries += static_cast<unsigned>(Missing.size());
-
-    if (InProcess) {
-      for (size_t I : Missing) {
-        std::string ShardError;
-        std::optional<ShardManifest> M = runShard(
-            LocalService, Spec, static_cast<unsigned>(I),
-            static_cast<unsigned>(K), &ShardError);
-        // Round-trip through the file even in-process: the on-disk
-        // manifest is the interface under test, and it doubles as the
-        // resume state a later coordinator can pick up.
-        if (!M || !M->writeFile(manifestPath(Options.WorkDir, I),
-                                &ShardError))
-          R.Notes.push_back("shard " + std::to_string(I) + ": " +
-                            ShardError);
-      }
-    } else {
-      // Launch every missing range, then wait on all of them. Each child
-      // is paired with its shard index: a failed spawn must not shift
-      // which shard a later exit status is attributed to.
-      std::vector<std::pair<size_t, Subprocess>> Children;
-      Children.reserve(Missing.size());
-      for (size_t I : Missing) {
-        SubprocessSpec Child;
-        std::optional<std::vector<std::string>> Argv = workerArgs(
-            Options.WorkerBinary, Spec, static_cast<unsigned>(I),
-            static_cast<unsigned>(K), manifestPath(Options.WorkDir, I),
-            Options.CacheDir, Options.CacheLimitBytes, Error);
-        if (!Argv)
-          return std::nullopt; // inexpressible spec: no round can fix it
-        Child.Argv = std::move(*Argv);
-        Child.StdoutFile = (std::filesystem::path(Options.WorkDir) /
-                            ("shard-" + std::to_string(I) + ".log"))
-                               .string();
-        Child.StderrFile = Child.StdoutFile;
-        std::string SpawnError;
-        Subprocess Proc;
-        if (!Proc.spawn(Child, &SpawnError)) {
-          R.Notes.push_back("shard " + std::to_string(I) + ": " +
-                            SpawnError);
-          continue;
-        }
-        Children.emplace_back(I, std::move(Proc));
-      }
-      for (auto &[Shard, Proc] : Children) {
-        int Exit = Proc.wait();
-        if (Exit != 0)
-          R.Notes.push_back("shard " + std::to_string(Shard) +
-                            ": worker exited with status " +
-                            std::to_string(Exit));
-      }
-    }
-    ++LaunchRounds;
+    R.Notes.push_back("shard " + std::to_string(I) + ": rejected '" + Path +
+                      "': " + ReadError + "; re-running the range");
+    std::filesystem::remove(Path, EC);
   }
+
+  bool Complete = Options.Workers.empty()
+                      ? runLocal(Spec, *Service, Accepted, R, Error)
+                      : runFleet(Spec, *Service, Fingerprint, Accepted, R,
+                                 Error);
+  if (!Complete)
+    return std::nullopt;
 
   std::vector<ShardManifest> Manifests;
   Manifests.reserve(K);
@@ -444,27 +269,75 @@ std::optional<TaskResult> ShardCoordinator::run(const TaskSpec &Spec,
   std::optional<TaskResult> Merged =
       merge(Spec, Fingerprint, std::move(Manifests), Error);
   if (Merged)
-    // Wall clock of the whole sharded phase (launching, workers,
+    // Wall clock of the whole sharded phase (pre-warm, ranges,
     // validation, merge) — the honest analogue of BatchResult::Seconds.
     Merged->Batch.Seconds = Clock.seconds();
   return Merged;
 }
 
 //===----------------------------------------------------------------------===//
+// Local ranges
+//===----------------------------------------------------------------------===//
+
+bool ShardCoordinator::runLocal(
+    const TaskSpec &Spec, SimulationService &Service,
+    std::vector<std::optional<ShardManifest>> &Accepted, ShardReport &R,
+    std::string *Error) {
+  const unsigned K = static_cast<unsigned>(Accepted.size());
+  std::mutex NotesMutex;
+  std::vector<std::string> Failures;
+  // One plain thread per open range rather than ThreadPool::shared(): each
+  // range's own --jobs fan-out already drains through that pool.
+  auto RunRange = [&](unsigned I) {
+    std::string ShardError;
+    std::optional<ShardManifest> M;
+    try {
+      M = runShard(Service, Spec, I, K, &ShardError);
+    } catch (const std::exception &E) {
+      ShardError = E.what();
+    }
+    // Persist for resume; a write failure costs resumability, not
+    // correctness.
+    std::string WriteError;
+    bool Persisted =
+        M && M->writeFile(manifestPath(Options.WorkDir, I), &WriteError);
+    std::lock_guard<std::mutex> Lock(NotesMutex);
+    if (!M)
+      Failures.push_back("shard " + std::to_string(I) + ": " + ShardError);
+    else if (!Persisted)
+      R.Notes.push_back("shard " + std::to_string(I) +
+                        ": cannot persist manifest: " + WriteError);
+    Accepted[I] = std::move(M);
+  };
+  std::vector<std::thread> Threads;
+  for (unsigned I = 0; I < K; ++I)
+    if (!Accepted[I])
+      Threads.emplace_back(RunRange, I);
+  for (std::thread &T : Threads)
+    T.join();
+
+  if (Failures.empty())
+    return true;
+  std::string Message = "shard coordinator: range(s) failed:";
+  for (const std::string &Failure : Failures)
+    Message += "\n  " + Failure;
+  detail::fail(Error, Message);
+  return false;
+}
+
+//===----------------------------------------------------------------------===//
 // Fleet dispatch
 //===----------------------------------------------------------------------===//
 
-std::optional<TaskResult> ShardCoordinator::runFleet(const TaskSpec &Spec,
-                                                     const Hamiltonian &H,
-                                                     ShardReport &R,
-                                                     std::string *Error) {
+bool ShardCoordinator::runFleet(
+    const TaskSpec &Spec, SimulationService &Service, uint64_t Fingerprint,
+    std::vector<std::optional<ShardManifest>> &Accepted, ShardReport &R,
+    std::string *Error) {
   auto Fail = [&](const std::string &Message) {
     detail::fail(Error, "fleet coordinator: " + Message);
-    return std::nullopt;
+    return false;
   };
-  const uint64_t Fingerprint = H.fingerprint();
-  const uint64_t SpecKey = Spec.contentKey();
-  const size_t K = R.Plan.shardCount();
+  const size_t K = Accepted.size();
   const unsigned MaxAttempts = std::max(1u, Options.MaxAttempts);
 
   R.Fleet.Used = true;
@@ -477,70 +350,14 @@ std::optional<TaskResult> ShardCoordinator::runFleet(const TaskSpec &Spec,
 
   std::optional<json::Value> SpecJson = Spec.toJson(Error);
   if (!SpecJson)
-    return std::nullopt;
+    return false;
 
-  // The coordinator-side service is the fleet's artifact origin: this
-  // prewarm is the single MCFP solve (and column evolution) of the whole
-  // batch; every worker is then seeded over the wire from this store, no
-  // shared filesystem involved. It also front-loads the Theorem 4.1
-  // validation before any connection is opened.
-  std::unique_ptr<SimulationService> Owned;
-  SimulationService *LocalService = Options.SharedService;
-  if (!LocalService) {
-    ServiceOptions LocalOptions;
-    LocalOptions.CacheDir = Options.CacheDir;
-    LocalOptions.CacheLimitBytes = Options.CacheLimitBytes;
-    Owned = std::make_unique<SimulationService>(LocalOptions);
-    LocalService = Owned.get();
-  }
-  if (!LocalService->prewarm(Spec, Error))
-    return std::nullopt;
-  R.LocalStats = LocalService->stats();
+  // The prewarmed service is the fleet's artifact origin: every worker is
+  // seeded over the wire from its store, no shared filesystem involved.
   std::optional<std::vector<TaskArtifact>> Artifacts =
-      LocalService->exportArtifacts(Spec, Error);
+      Service.exportArtifacts(Spec, Error);
   if (!Artifacts)
-    return std::nullopt;
-
-  // The same acceptance gate the single-host collect pass applies; every
-  // manifest — reused from disk or received over the wire — passes
-  // through it before it can merge.
-  auto RejectReason = [&](const ShardManifest &M, size_t I) -> std::string {
-    if (M.Fingerprint != Fingerprint)
-      return "fingerprint mismatch (different Hamiltonian)";
-    if (M.Seed != Spec.Seed || M.TotalShots != Spec.Shots)
-      return "seed or batch size mismatch (stale manifest)";
-    if (M.SpecKey != SpecKey)
-      return "task configuration mismatch (manifest from a run with "
-             "different parameters)";
-    if (M.Range.Begin != R.Plan.Ranges[I].Begin ||
-        M.Range.Count != R.Plan.Ranges[I].Count)
-      return "shot range disagrees with the shard plan";
-    if (M.HasFidelity != (Spec.Evaluate.FidelityColumns > 0))
-      return "fidelity presence disagrees with the task";
-    if (M.Shots.size() != M.Range.Count)
-      return "manifest shot count disagrees with its range";
-    return {};
-  };
-
-  std::vector<std::optional<ShardManifest>> Accepted(K);
-  std::error_code EC;
-  for (size_t I = 0; I < K; ++I) {
-    std::string Path = manifestPath(Options.WorkDir, I);
-    if (!std::filesystem::exists(Path))
-      continue;
-    std::string ReadError;
-    std::optional<ShardManifest> M = ShardManifest::readFile(Path, &ReadError);
-    if (M)
-      ReadError = RejectReason(*M, I);
-    if (M && ReadError.empty()) {
-      Accepted[I] = std::move(M);
-      ++R.Reused;
-      continue;
-    }
-    R.Notes.push_back("shard " + std::to_string(I) + ": rejected '" + Path +
-                      "': " + ReadError + "; dispatching the range");
-    std::filesystem::remove(Path, EC);
-  }
+    return false;
 
   // Shared dispatch state. Pending holds shard indices awaiting (re-)
   // dispatch; Open counts ranges not yet accepted, whether queued or in
@@ -671,7 +488,8 @@ std::optional<TaskResult> ShardCoordinator::runFleet(const TaskSpec &Spec,
       if (ManifestText) {
         M = ShardManifest::parse(*ManifestText, &RangeError);
         if (M) {
-          std::string Reject = RejectReason(*M, I);
+          std::string Reject =
+              rejectReason(*M, Spec, Fingerprint, R.Plan.Ranges[I]);
           if (!Reject.empty()) {
             RangeError = Reject;
             M.reset();
@@ -745,11 +563,5 @@ std::optional<TaskResult> ShardCoordinator::runFleet(const TaskSpec &Spec,
     }
   }
 
-  std::vector<ShardManifest> Manifests;
-  Manifests.reserve(K);
-  for (std::optional<ShardManifest> &M : Accepted) {
-    R.WorkerStats += M->Stats;
-    Manifests.push_back(std::move(*M));
-  }
-  return merge(Spec, Fingerprint, std::move(Manifests), Error);
+  return true;
 }

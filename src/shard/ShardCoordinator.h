@@ -1,15 +1,15 @@
-//===- shard/ShardCoordinator.h - Cross-process batch sharding --*- C++ -*-===//
+//===- shard/ShardCoordinator.h - Batch sharding ----------------*- C++ -*-===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cross-process scaling layer: split a TaskSpec's shot range over K
-/// workers, run each range through SimulationService (in a re-exec'd
-/// marqsim-cli or in-process), and merge the resulting ShardManifests back
-/// into the TaskResult a single-process run of the same spec produces —
-/// bit-identically, for any K.
+/// The sharding layer: split a TaskSpec's shot range into K ranges, run
+/// each range through SimulationService (concurrently in this process, or
+/// on remote marqsim-daemon workers), and merge the resulting
+/// ShardManifests back into the TaskResult a single run of the same spec
+/// produces — bit-identically, for any K.
 ///
 /// The bit-identity argument is the same one that makes --jobs free of
 /// scheduling noise: shot k always draws from the counter-based substream
@@ -19,20 +19,21 @@
 /// same shot stream, and concatenating windows in order reproduces the
 /// batch exactly.
 ///
-/// Workers sharing one ServiceOptions::CacheDir also share every
-/// deterministic artifact through the on-disk tier of the ArtifactStore;
-/// the coordinator pre-warms that store before launching
-/// (SimulationService::prewarm), so a K-shard run performs exactly one
-/// gate-cancellation solve per Hamiltonian and every worker loads the
-/// alias bundle and fidelity target columns from disk instead of
-/// rebuilding them.
+/// Local ranges run on one SimulationService, one thread per open range,
+/// and the coordinator pre-warms that service first
+/// (SimulationService::prewarm): a K-shard run performs exactly one
+/// gate-cancellation solve per Hamiltonian and one fidelity column
+/// evolution, with or without a cache directory. Fleet ranges travel as
+/// shard-submit frames, and the same prewarmed service seeds every worker
+/// over the wire.
 ///
-/// Failure handling: manifests are validated (checksum, fingerprint, shot
-/// range, range hash) before merging. A missing, corrupt, truncated, or
-/// mismatched manifest is reported in ShardReport::Notes, its file is
-/// discarded, and the range is re-run — up to ShardOptions::MaxAttempts
-/// launch rounds. Valid manifests already present in the work directory
-/// are reused, which doubles as crash recovery for interrupted sweeps.
+/// Failure handling: every manifest — found in the work directory or
+/// returned by a worker — passes one acceptance check (fingerprint, seed,
+/// spec key, shot range) before it can merge. A missing, corrupt,
+/// truncated, or mismatched manifest is reported in ShardReport::Notes,
+/// its file is discarded, and the range is re-run. Valid manifests already
+/// present in the work directory are reused, which doubles as crash
+/// recovery for interrupted sweeps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,36 +50,34 @@ struct ShardOptions {
   /// Number of worker ranges (clamped to the shot count).
   unsigned ShardCount = 1;
 
-  /// Directory for manifests and worker logs. Required; created on
-  /// demand. Valid manifests found here are reused instead of re-run.
+  /// Directory for manifests. Required; created on demand. Valid
+  /// manifests found here are reused instead of re-run.
   std::string WorkDir;
 
-  /// Shared persistent artifact store handed to every worker
-  /// (--cache-dir). Empty disables cross-process artifact sharing: each
-  /// worker then performs its own MCFP solves (correct but wasteful).
-  /// Validated up front: an unwritable path fails the run instead of
-  /// silently degrading to per-worker solves.
+  /// Persistent artifact store of the coordinator-owned service
+  /// (--cache-dir); empty keeps artifacts in memory. Ignored when
+  /// SharedService is set. Validated up front: an unwritable path fails
+  /// the run instead of silently running uncached.
   std::string CacheDir;
 
-  /// In-memory cache budget per process (coordinator and workers), in
-  /// bytes; 0 means unbounded. Travels to re-exec'd workers as a hidden
-  /// flag. Eviction never changes results, only recompute counts.
+  /// In-memory cache budget of the coordinator-owned service, in bytes;
+  /// 0 means unbounded. Eviction never changes results, only recompute
+  /// counts.
   size_t CacheLimitBytes = 0;
 
-  /// The marqsim-cli binary to re-exec per shard. Empty runs every shard
-  /// in-process through one shared service (library use and tests).
-  std::string WorkerBinary;
-
-  /// Launch rounds per range before giving up (>= 1). A range whose
-  /// manifest fails validation is re-run in the next round.
+  /// Fleet mode: dispatch attempts per range before giving up (>= 1). A
+  /// range a live worker answers with a failed or invalid manifest is
+  /// re-dispatched until it has used them all. A local range runs
+  /// in-process, where a failure is deterministic, so it fails the run at
+  /// once.
   unsigned MaxAttempts = 2;
 
   /// Remote marqsim-daemon workers ("host:port"). Non-empty selects fleet
   /// mode: ranges travel as shard-submit frames over the JSON protocol,
-  /// the coordinator warms each worker through artifact-put frames (one
-  /// MCFP solve fleet-wide, no shared filesystem), and WorkerBinary is
-  /// ignored. A worker that dies or times out is dropped and its in-flight
-  /// range re-dispatched to the survivors.
+  /// and the coordinator warms each worker through artifact-put frames
+  /// (one MCFP solve fleet-wide, no shared filesystem). A worker that dies
+  /// or times out is dropped and its in-flight range re-dispatched to the
+  /// survivors. Empty runs every range in-process.
   std::vector<std::string> Workers;
 
   /// Per-range result timeout in fleet mode; a worker that exceeds it is
@@ -92,10 +91,10 @@ struct ShardOptions {
   unsigned ConnectAttempts = 10;
   unsigned ConnectDelayMs = 100;
 
-  /// Fleet mode: resolve the prewarm and artifact exports through this
-  /// service instead of a coordinator-owned one (not owned; must outlive
-  /// the run). The CLI passes its own service so the post-merge shot-0
-  /// recompile hits the same in-memory store — keeping the whole
+  /// Run the prewarm, the local ranges and the fleet's artifact exports
+  /// on this service instead of a coordinator-owned one (not owned; must
+  /// outlive the run). The CLI passes its own service so the post-merge
+  /// shot-0 recompile hits the same in-memory store — keeping the whole
   /// invocation at one MCFP solve even without any cache directory.
   SimulationService *SharedService = nullptr;
 };
@@ -140,10 +139,12 @@ struct ShardReport {
   /// Manifests reused from a previous run in the work directory.
   unsigned Reused = 0;
 
-  /// Summed cache accounting of the accepted worker manifests.
+  /// Summed cache accounting of the accepted manifests (per-range runs).
   CacheStats WorkerStats;
 
-  /// The coordinator's own service accounting (store pre-warm).
+  /// The coordinator's service accounting after the store pre-warm. Local
+  /// ranges run on that same service afterwards, so for them WorkerStats
+  /// is a per-range view of work the service also counts.
   CacheStats LocalStats;
 
   /// Fleet-mode accounting (Used only when ShardOptions::Workers was
@@ -151,11 +152,11 @@ struct ShardReport {
   FleetStats Fleet;
 
   /// Human-readable diagnostics: every rejected manifest and failed
-  /// worker, with the reason.
+  /// range or worker, with the reason.
   std::vector<std::string> Notes;
 };
 
-/// Splits, launches, validates, and merges. One coordinator runs one task
+/// Splits, runs, validates, and merges. One coordinator runs one task
 /// at a time; construct per task or reuse freely (it holds only options).
 class ShardCoordinator {
 public:
@@ -168,15 +169,14 @@ public:
   /// through a manifest (KeepResults, ExportShotZero, DumpDot) are
   /// rejected; compile those separately (a one-shot ranged run suffices
   /// for shot 0). Returns std::nullopt and fills \p Error when a range
-  /// still has no valid manifest after MaxAttempts rounds.
+  /// has no valid manifest in the end.
   std::optional<TaskResult> run(const TaskSpec &Spec,
                                 std::string *Error = nullptr,
                                 ShardReport *Report = nullptr);
 
   /// Worker-side entry point: compiles shard \p Index of \p Count through
   /// \p Service (global shot indices, so seeding matches the full batch)
-  /// and packages the manifest. marqsim-cli's hidden worker mode is a
-  /// thin shell around this.
+  /// and packages the manifest. Every local range runs through this.
   static std::optional<ShardManifest> runShard(SimulationService &Service,
                                                const TaskSpec &Spec,
                                                unsigned Index,
@@ -193,32 +193,27 @@ public:
                                          std::vector<ShardManifest> Manifests,
                                          std::string *Error = nullptr);
 
-  /// The re-exec command line of one shard worker: the spec-defining
-  /// flags (weights, time, and epsilon travel as IEEE-754 bit patterns so
-  /// the worker's spec is bit-identical to \p Spec), the shard triple,
-  /// the shared cache directory, and the in-memory cache budget
-  /// (\p CacheLimitBytes, 0 = unbounded). Fails for specs a command line
-  /// cannot express (inline Hamiltonians, non-sampling methods, custom
-  /// lowering options).
-  static std::optional<std::vector<std::string>>
-  workerArgs(const std::string &Binary, const TaskSpec &Spec, unsigned Index,
-             unsigned Count, const std::string &ManifestPath,
-             const std::string &CacheDir, size_t CacheLimitBytes = 0,
-             std::string *Error = nullptr);
-
   /// Manifest path of shard \p Index under \p WorkDir.
   static std::string manifestPath(const std::string &WorkDir,
                                   unsigned Index);
 
 private:
+  /// Runs every range \p Accepted still lacks on \p Service, one thread
+  /// per range, and persists each manifest to the work directory.
+  bool runLocal(const TaskSpec &Spec, SimulationService &Service,
+                std::vector<std::optional<ShardManifest>> &Accepted,
+                ShardReport &R, std::string *Error);
+
   /// The networked dispatch loop behind run() when Options.Workers is
   /// non-empty: connect (with retry/backoff), warm each worker through
-  /// artifact-get/artifact-put, dispatch ranges as shard-submit frames
-  /// from a shared pending queue, validate every returned manifest, and
-  /// re-dispatch ranges of dead or lying workers to the survivors.
-  std::optional<TaskResult> runFleet(const TaskSpec &Spec,
-                                     const Hamiltonian &H, ShardReport &R,
-                                     std::string *Error);
+  /// artifact-get/artifact-put from \p Service, dispatch the ranges
+  /// \p Accepted still lacks as shard-submit frames from a shared pending
+  /// queue, validate every returned manifest, and re-dispatch ranges of
+  /// dead or lying workers to the survivors.
+  bool runFleet(const TaskSpec &Spec, SimulationService &Service,
+                uint64_t Fingerprint,
+                std::vector<std::optional<ShardManifest>> &Accepted,
+                ShardReport &R, std::string *Error);
 
   ShardOptions Options;
 };

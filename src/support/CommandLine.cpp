@@ -6,6 +6,8 @@
 
 #include "support/CommandLine.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 using namespace marqsim;
@@ -73,4 +75,14 @@ std::vector<std::string> CommandLine::flagNames() const {
   for (const auto &KV : Flags)
     Names.push_back(KV.first);
   return Names;
+}
+
+std::optional<size_t> marqsim::mebibytesToBytes(double MiB) {
+  if (!(MiB >= 0.0))
+    return std::nullopt;
+  if (MiB == 0.0)
+    return 0;
+  constexpr double MaxBytes = 9.0e18;
+  return static_cast<size_t>(
+      std::min(std::max(std::ceil(MiB * 1024.0 * 1024.0), 1.0), MaxBytes));
 }

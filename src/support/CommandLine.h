@@ -17,8 +17,10 @@
 #ifndef MARQSIM_SUPPORT_COMMANDLINE_H
 #define MARQSIM_SUPPORT_COMMANDLINE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,13 @@ private:
   std::map<std::string, std::string> Flags;
   std::vector<std::string> Positionals;
 };
+
+/// Converts a cache budget in MiB (a --cache-limit-mb value, fractions
+/// allowed) to bytes. 0 means unbounded; a positive budget rounds up and
+/// never truncates to 0, the opposite of the tightest cap a sub-byte
+/// fraction asks for; a huge one clamps to 9e18 bytes instead of
+/// overflowing. NaN and negative budgets give std::nullopt.
+std::optional<size_t> mebibytesToBytes(double MiB);
 
 } // namespace marqsim
 

@@ -509,23 +509,13 @@ TEST(ServiceFidelityTest, EvalJobsBitIdenticalAndTimed) {
 }
 
 TEST(ServiceFidelityTest, EvalJobsTravelsThroughShardWorkersByteIdentically) {
-  // The within-shot knob must survive the shard path end to end: it is
-  // placed on the worker command line, and a sharded run under any
-  // EvalJobs merges to the exact bytes of the single-process run.
+  // The within-shot knob must survive the shard path end to end: a
+  // sharded run under any EvalJobs merges to the exact bytes of the
+  // single-process run.
   TaskSpec Spec = testSpec(testHamiltonian());
   Spec.Shots = 5;
   Spec.Evaluate.FidelityColumns = 12;
   Spec.EvalJobs = 3;
-
-  // Command-line transport: workerArgs forwards the knob verbatim.
-  TaskSpec FileSpec = Spec;
-  FileSpec.Source = HamiltonianSource::fromFile("h.txt");
-  std::optional<std::vector<std::string>> Argv = ShardCoordinator::workerArgs(
-      "marqsim-cli", FileSpec, 0, 2, "out.manifest", "");
-  ASSERT_TRUE(Argv);
-  EXPECT_NE(std::find(Argv->begin(), Argv->end(),
-                      std::string("--eval-jobs=3")),
-            Argv->end());
 
   SimulationService Single;
   TaskSpec SerialSpec = Spec;
@@ -537,7 +527,7 @@ TEST(ServiceFidelityTest, EvalJobsTravelsThroughShardWorkersByteIdentically) {
   Options.ShardCount = 2;
   Options.WorkDir = testing::TempDir() + "mq-evaljobs-shards";
   std::filesystem::remove_all(Options.WorkDir);
-  ShardCoordinator Coordinator(Options); // in-process workers
+  ShardCoordinator Coordinator(Options);
   std::string Error;
   std::optional<TaskResult> Sharded = Coordinator.run(Spec, &Error);
   ASSERT_TRUE(Sharded) << Error;
@@ -659,7 +649,7 @@ TEST(ServiceTaskTest, InfeasibleFlowModelIsAnErrorNotACrash) {
   // A one-unit probability quantum gives the heaviest term (pi = 1/2)
   // the only unit, which no off-diagonal edge can absorb. The builder
   // throws; every service entry point must turn that into an error (a
-  // daemon would otherwise terminate on a client's --prob-scale).
+  // daemon would otherwise terminate on a client's prob_scale).
   TaskSpec Spec = testSpec(
       Hamiltonian::parse({{0.5, "ZZ"}, {0.3, "XX"}, {0.2, "YI"}}));
   Spec.Flow.ProbScale = 1;

@@ -1,4 +1,4 @@
-//===- tests/ShardTest.cpp - Cross-process sharding contracts -----------------===//
+//===- tests/ShardTest.cpp - Sharding contracts ---------------------------===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
@@ -15,20 +15,19 @@
 //   * a corrupted or stale manifest is reported and its range re-run; a
 //     manifest from a different Hamiltonian is rejected by fingerprint,
 //   * valid manifests in the work directory are reused (crash recovery),
-//   * the subprocess path (re-exec'd marqsim-cli workers sharing one
-//     cache directory) produces the same bits with exactly one
-//     gate-cancellation MCFP solve across the whole run.
+//   * concurrent local ranges on one service produce the same bits with
+//     exactly one gate-cancellation MCFP solve across the whole run, with
+//     no cache directory,
+//   * marqsim-cli rejects unknown and retired flags as usage errors.
 //
 //===----------------------------------------------------------------------===//
 
 #include "shard/ShardCoordinator.h"
-#include "support/Subprocess.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
+#include <sys/wait.h>
 
-#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -464,80 +463,11 @@ TEST(ShardCoordinatorTest, MergeRejectsInconsistentManifestSets) {
   EXPECT_NE(Error.find("configuration mismatch"), std::string::npos);
 }
 
-//===----------------------------------------------------------------------===//
-// Subprocess workers (re-exec'd marqsim-cli)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Path of the marqsim-cli binary, provided by CMake through the test
-/// environment.
-std::string cliBinary() {
-  const char *Env = std::getenv("MARQSIM_CLI");
-  return Env ? Env : "";
-}
-
-} // namespace
-
-TEST(SubprocessTest, ReportsExitCodesAndExecFailures) {
-  Subprocess True;
-  ASSERT_TRUE(True.spawn({{"/bin/sh", "-c", "exit 0"}, "", ""}));
-  EXPECT_EQ(True.wait(), 0);
-  Subprocess False;
-  ASSERT_TRUE(False.spawn({{"/bin/sh", "-c", "exit 3"}, "", ""}));
-  EXPECT_EQ(False.wait(), 3);
-  Subprocess Missing;
-  ASSERT_TRUE(Missing.spawn(
-      {{testing::TempDir() + "no_such_binary_zzz"}, "", ""}));
-  EXPECT_EQ(Missing.wait(), 127);
-  std::string Error;
-  Subprocess Empty;
-  EXPECT_FALSE(Empty.spawn({{}, "", ""}, &Error));
-}
-
-TEST(CliFlagTest, UnknownFlagsAreUsageErrorsNamingTheFlag) {
-  std::string Binary = cliBinary();
-  if (Binary.empty())
-    GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
-  // A removed flag and a typo: neither may run something other than what
-  // was asked.
-  const std::pair<std::string, std::string> Flags[] = {{"precision", "fp32"},
-                                                       {"colums", "8"}};
-  for (const auto &[Name, Value] : Flags) {
-    const std::string Log = testing::TempDir() + "cli_unknown_flag.log";
-    Subprocess Cli;
-    ASSERT_TRUE(Cli.spawn({{Binary, "--model=Na+", "--columns=1",
-                            "--" + Name + "=" + Value},
-                           "",
-                           Log}));
-    EXPECT_EQ(Cli.wait(), 1) << Name;
-    std::ifstream In(Log);
-    const std::string Text((std::istreambuf_iterator<char>(In)),
-                           std::istreambuf_iterator<char>());
-    EXPECT_NE(Text.find("unknown flag --" + Name), std::string::npos) << Text;
-  }
-}
-
-TEST(ShardSubprocessTest, WorkersShareOneCacheAndMergeBitIdentically) {
-  std::string Binary = cliBinary();
-  if (Binary.empty())
-    GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
-
-  // The worker re-parses the spec from its command line, so the source
-  // must be a file.
-  std::string HamPath = testing::TempDir() + "shard_sub_ham.txt";
-  {
-    Hamiltonian H = testHamiltonian();
-    std::ofstream Out(HamPath);
-    for (const PauliTerm &T : H.terms())
-      Out << T.Coeff << " " << T.String.str(H.numQubits()) << "\n";
-  }
+TEST(ShardCoordinatorTest, ConcurrentRangesShareOneServiceAndOneSolve) {
   TaskSpec Spec = testSpec(5); // 3 shards -> uneven 2+2+1
-  Spec.Source = HamiltonianSource::fromFile(HamPath);
   Spec.Evaluate.FidelityColumns = 2;
-  // Non-default values for every spec field with its own transport flag:
-  // a field the worker command line dropped would flunk the SpecKey
-  // check and show up below as retries.
+  // Non-default values for spec fields the defaults would hide: a field
+  // lost on the way to a range would flunk the SpecKey check at merge.
   Spec.Flow.ProbScale = 500'000'000;
   Spec.Evaluate.ColumnSeed = 11;
   Spec.PerturbSeed = 0xFEED;
@@ -546,11 +476,10 @@ TEST(ShardSubprocessTest, WorkersShareOneCacheAndMergeBitIdentically) {
   std::optional<TaskResult> Single = Reference.run(Spec);
   ASSERT_TRUE(Single);
 
+  // No CacheDir: the one-solve contract rests on the shared service alone.
   ShardOptions Options;
   Options.ShardCount = 3;
-  Options.WorkDir = freshDir("shard_subprocess");
-  Options.CacheDir = freshDir("shard_subprocess_cache");
-  Options.WorkerBinary = Binary;
+  Options.WorkDir = freshDir("shard_concurrent");
   ShardCoordinator Coordinator(Options);
   std::string Error;
   ShardReport Report;
@@ -558,127 +487,49 @@ TEST(ShardSubprocessTest, WorkersShareOneCacheAndMergeBitIdentically) {
   ASSERT_TRUE(Merged) << Error;
   expectBitIdentical(*Single, *Merged);
 
-  // The coordinator pre-warmed the shared store with the only solve;
-  // every worker loaded both the alias bundle (which subsumes the MCFP
-  // component) and the fidelity target columns from disk — two disk
-  // loads per worker, zero solves and zero evaluator rebuilds.
+  // The pre-warm performed the only solve and the only column evolution;
+  // every range resolved both from the same in-memory store.
   EXPECT_EQ(Report.LocalStats.GCSolveMisses, 1u);
   EXPECT_EQ(Report.LocalStats.EvaluatorMisses, 1u);
   EXPECT_EQ(Report.WorkerStats.GCSolveMisses, 0u);
   EXPECT_EQ(Report.WorkerStats.EvaluatorMisses, 0u);
-  EXPECT_EQ(Report.WorkerStats.DiskLoads, 6u);
   EXPECT_EQ(Report.Retries, 0u);
+  EXPECT_TRUE(Report.Notes.empty());
+  for (unsigned I = 0; I < 3; ++I)
+    EXPECT_TRUE(std::filesystem::exists(
+        ShardCoordinator::manifestPath(Options.WorkDir, I)))
+        << "shard " << I;
 }
 
-TEST(SubprocessTest, TerminateDeliversSigtermAndReaps) {
-  Subprocess Sleeper;
-  ASSERT_TRUE(Sleeper.spawn({{"/bin/sh", "-c", "exec sleep 30"}, "", ""}));
-  EXPECT_GT(Sleeper.pid(), 0);
-  EXPECT_EQ(Sleeper.terminate(/*GraceMs=*/5000), 128 + SIGTERM);
-  EXPECT_FALSE(Sleeper.running());
-  EXPECT_EQ(Sleeper.pid(), -1);
-  // Idempotent after the child is gone.
-  EXPECT_FALSE(Sleeper.signalChild(SIGTERM));
-  EXPECT_EQ(Sleeper.terminate(), 128 + SIGTERM);
-}
+//===----------------------------------------------------------------------===//
+// marqsim-cli flags
+//===----------------------------------------------------------------------===//
 
-TEST(SubprocessTest, TerminateEscalatesToSigkillForStubbornChildren) {
-  // A child that ignores SIGTERM must not stall teardown past the grace
-  // window: terminate() escalates to SIGKILL.
-  // Short sleeps in a loop: when SIGKILL takes the shell, any orphaned
-  // sleep exits within a second instead of pinning the test's inherited
-  // stdout pipe open for the full duration.
-  Subprocess Stubborn;
-  ASSERT_TRUE(Stubborn.spawn(
-      {{"/bin/sh", "-c", "trap '' TERM; while :; do sleep 1; done"}, "",
-       ""}));
-  // Give the shell a moment to install the trap, or the first SIGTERM
-  // lands before it and the test measures nothing.
-  std::ifstream Stat("/proc/" + std::to_string(Stubborn.pid()) + "/stat");
-  ASSERT_TRUE(Stat.good());
-  usleep(100000);
-  EXPECT_EQ(Stubborn.terminate(/*GraceMs=*/200), 128 + SIGKILL);
-}
-
-TEST(ShardSubprocessTest, KilledWorkerRangeIsDetectedStaleAndReRun) {
-  std::string Binary = cliBinary();
-  if (Binary.empty())
+TEST(CliFlagTest, UnknownFlagsAreUsageErrorsNamingTheFlag) {
+  // Path of the marqsim-cli binary, provided by CMake through the test
+  // environment.
+  const char *Binary = std::getenv("MARQSIM_CLI");
+  if (!Binary)
     GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
-
-  std::string HamPath = testing::TempDir() + "shard_kill_ham.txt";
-  {
-    Hamiltonian H = testHamiltonian();
-    std::ofstream Out(HamPath);
-    for (const PauliTerm &T : H.terms())
-      Out << T.Coeff << " " << T.String.str(H.numQubits()) << "\n";
+  // A removed flag, a typo, and flags of the retired shard worker mode:
+  // none may run something other than what was asked.
+  const std::pair<std::string, std::string> Flags[] = {
+      {"precision", "fp32"},
+      {"colums", "8"},
+      {"shard-index", "0"},
+      {"time-bits", "3ff0000000000000"},
+      {"prob-scale", "5"}};
+  const std::string Log = testing::TempDir() + "cli_unknown_flag.log";
+  for (const auto &[Name, Value] : Flags) {
+    const std::string Command = std::string("\"") + Binary +
+                                "\" --model=Na+ --columns=1 --" + Name + "=" +
+                                Value + " > /dev/null 2> \"" + Log + "\"";
+    const int Status = std::system(Command.c_str());
+    ASSERT_TRUE(WIFEXITED(Status)) << Name;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Name;
+    std::ifstream In(Log);
+    const std::string Text((std::istreambuf_iterator<char>(In)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_NE(Text.find("unknown flag --" + Name), std::string::npos) << Text;
   }
-  TaskSpec Spec = testSpec(5);
-  Spec.Source = HamiltonianSource::fromFile(HamPath);
-  Spec.Evaluate.FidelityColumns = 2;
-
-  SimulationService Reference;
-  std::optional<TaskResult> Single = Reference.run(Spec);
-  ASSERT_TRUE(Single);
-
-  // Interpose a wrapper worker that simulates an external SIGTERM
-  // arriving mid-shard: on its first shard-0 invocation it leaves a
-  // half-written manifest behind and dies of the signal; afterwards it
-  // execs the real CLI. The coordinator must report the signal death,
-  // reject the partial manifest as stale, and re-run exactly that range.
-  std::string Dir = freshDir("shard_killed_worker");
-  std::string Marker = Dir + "/died-once";
-  std::string Wrapper = Dir + "/worker.sh";
-  {
-    std::ofstream Script(Wrapper);
-    Script << "#!/bin/sh\nout=\"\"\nidx=\"\"\nfor a in \"$@\"; do\n"
-              "  case \"$a\" in\n"
-              "    --shard-out=*) out=\"${a#--shard-out=}\";;\n"
-              "    --shard-index=*) idx=\"${a#--shard-index=}\";;\n"
-              "  esac\ndone\n"
-              "if [ \"$idx\" = \"0\" ] && [ ! -e \""
-           << Marker
-           << "\" ]; then\n"
-              "  : > \""
-           << Marker
-           << "\"\n"
-              "  printf 'marqsim-shard-v1\\ntrunc' > \"$out\"\n"
-              "  kill -TERM $$\n"
-              "  exit 1\nfi\n"
-              "exec \""
-           << Binary << "\" \"$@\"\n";
-  }
-  std::filesystem::permissions(Wrapper,
-                               std::filesystem::perms::owner_all |
-                                   std::filesystem::perms::group_read |
-                                   std::filesystem::perms::others_read);
-
-  ShardOptions Options;
-  Options.ShardCount = 2;
-  Options.WorkDir = freshDir("shard_killed_worker_wd");
-  Options.CacheDir = freshDir("shard_killed_worker_cache");
-  Options.WorkerBinary = Wrapper;
-  ShardCoordinator Coordinator(Options);
-  std::string Error;
-  ShardReport Report;
-  std::optional<TaskResult> Merged = Coordinator.run(Spec, &Error, &Report);
-  ASSERT_TRUE(Merged) << Error;
-  expectBitIdentical(*Single, *Merged);
-  EXPECT_EQ(Report.Retries, 1u);
-  // Both symptoms must be on the record: the signal exit and the partial
-  // manifest that got rejected before its range was re-run.
-  bool SawSignalExit = false, SawRejected = false;
-  for (const std::string &Note : Report.Notes) {
-    SawSignalExit |= Note.find("exited with status 143") != std::string::npos;
-    SawRejected |= Note.find("rejected") != std::string::npos;
-  }
-  EXPECT_TRUE(SawSignalExit) << "missing worker signal-exit note";
-  EXPECT_TRUE(SawRejected) << "missing stale-manifest rejection note";
-}
-
-TEST(ShardSubprocessTest, InlineSourcesCannotReExec) {
-  TaskSpec Spec = testSpec(4);
-  std::string Error;
-  EXPECT_FALSE(ShardCoordinator::workerArgs("marqsim-cli", Spec, 0, 2,
-                                            "out.manifest", "", 0, &Error));
-  EXPECT_NE(Error.find("inline"), std::string::npos);
 }

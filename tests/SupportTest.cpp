@@ -221,6 +221,24 @@ TEST(CommandLineTest, BoolForms) {
   EXPECT_TRUE(CL.getBool("c"));
 }
 
+TEST(CommandLineTest, CacheLimitMebibytesToBytes) {
+  EXPECT_EQ(mebibytesToBytes(0.0), std::optional<size_t>(0));
+  // Budgets round up: a sub-byte one is the tightest cap, never 0
+  // (unbounded), and 1e-6 MiB is 1.048576 bytes.
+  EXPECT_EQ(mebibytesToBytes(1e-7), std::optional<size_t>(1));
+  EXPECT_EQ(mebibytesToBytes(1e-6), std::optional<size_t>(2));
+  EXPECT_EQ(mebibytesToBytes(1.0), std::optional<size_t>(1048576));
+  // A budget past size_t clamps instead of wrapping to a tiny cap.
+  EXPECT_EQ(mebibytesToBytes(1e30),
+            std::optional<size_t>(static_cast<size_t>(9.0e18)));
+  // The flag's text goes through getDouble, so "nan" arrives as NaN.
+  const char *Argv[] = {"prog", "--cache-limit-mb=nan"};
+  CommandLine CL(2, Argv);
+  EXPECT_FALSE(mebibytesToBytes(CL.getDouble("cache-limit-mb", 0.0)));
+  EXPECT_FALSE(mebibytesToBytes(-1.0));
+  EXPECT_FALSE(mebibytesToBytes(-1e-9));
+}
+
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer T;
   volatile double Sink = 0;

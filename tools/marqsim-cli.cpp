@@ -29,18 +29,19 @@
 //                         across J threads; results are bit-identical for
 //                         every J. Complements --jobs when shots are few
 //                         and columns are many
-//     --shards=K          split the batch over K re-exec'd worker
-//                         processes and merge their manifests; the merged
-//                         output is bit-identical to --shards=1 (give a
-//                         shared --cache-dir so the sweep performs one
-//                         MCFP solve total)
-//     --shard-dir=DIR     manifest/log directory for --shards (default: a
+//     --shards=K          split the batch into K shot ranges, run them
+//                         concurrently in this process (one thread per
+//                         range, each with its own --jobs) and merge their
+//                         manifests; the merged output is bit-identical to
+//                         --shards=1, and the whole run performs one MCFP
+//                         solve, with or without --cache-dir
+//     --shard-dir=DIR     manifest directory for --shards (default: a
 //                         per-invocation directory under the system temp
 //                         dir; valid manifests found there are reused)
 //     --workers=H:P,...   cross-host fleet mode: dispatch the shard shot
 //                         ranges to resident marqsim-daemon workers over
-//                         the JSON protocol instead of re-exec'd local
-//                         processes (--shards defaults to the worker
+//                         the JSON protocol instead of running them in
+//                         this process (--shards defaults to the worker
 //                         count). The coordinator performs the single
 //                         MCFP solve and pushes the deterministic
 //                         artifacts to every worker as content-addressed
@@ -104,16 +105,6 @@
 //                         submits of one spec
 //     --dot=FILE          also dump the HTT graph as Graphviz DOT
 //
-// Hidden worker mode (used by the --shards coordinator when it re-execs
-// this binary; not part of the supported surface): --shard-index=I
-// --shard-count=K --shard-out=FILE compiles shard I's shot range and
-// writes its manifest instead of QASM, --mix-qd-bits/--mix-gc-bits/
-// --mix-rp-bits/--time-bits/--epsilon-bits/--noise-prob-bits/
-// --noise-2q-factor-bits override the corresponding spec fields with raw
-// IEEE-754 bit patterns so the worker's spec is bit-identical to the
-// coordinator's, and --cache-limit-bytes carries the coordinator's cache
-// budget without a decimal round trip.
-//
 // Any other flag is a usage error naming it: a typo must never run
 // something other than what was asked.
 //
@@ -124,14 +115,11 @@
 #include "circuit/QasmExport.h"
 #include "server/Client.h"
 #include "shard/ShardCoordinator.h"
-#include "support/Serial.h"
-#include "support/Subprocess.h"
 #include "support/Table.h"
 
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -141,17 +129,14 @@ using namespace marqsim;
 
 namespace {
 
-/// Every flag this driver reads, the hidden worker flags included.
+/// Every flag this driver reads.
 constexpr const char *KnownFlags[] = {
-    "cache-dir", "cache-limit-bytes", "cache-limit-mb", "cdf",
-    "column-seed", "columns", "config", "connect", "cost-scale", "dot",
-    "epsilon", "epsilon-bits", "eval-jobs", "fleet-timeout-ms", "gc",
-    "help", "jobs", "mix-gc-bits", "mix-qd-bits", "mix-rp-bits", "model",
-    "noise", "noise-2q-factor", "noise-2q-factor-bits", "noise-mode",
-    "noise-prob", "noise-prob-bits", "out", "perturb-seed", "prob-scale",
-    "qd", "rounds", "rp", "seed", "server-stats", "shard-count",
-    "shard-dir", "shard-index", "shard-out", "shards", "shots", "stats",
-    "stats-json", "stream", "time", "time-bits", "workers"};
+    "cache-dir", "cache-limit-mb", "cdf", "columns", "config", "connect",
+    "dot", "epsilon", "eval-jobs", "fleet-timeout-ms", "gc", "help",
+    "jobs", "model", "noise", "noise-2q-factor", "noise-mode",
+    "noise-prob", "out", "perturb-seed", "qd", "rounds", "rp", "seed",
+    "server-stats", "shard-dir", "shards", "shots", "stats", "stats-json",
+    "stream", "time", "workers"};
 
 /// The first flag on the command line this driver does not read, or
 /// empty when every flag is known.
@@ -161,19 +146,6 @@ std::string unknownFlag(const CommandLine &CL) {
         std::end(KnownFlags))
       return Name;
   return "";
-}
-
-/// Applies one hidden --NAME=HEX16 bit-pattern override.
-bool applyBitsFlag(const CommandLine &CL, const char *Name, double &Out) {
-  if (!CL.has(Name))
-    return true;
-  uint64_t Bits = 0;
-  if (!serial::parseHex64(CL.getString(Name), Bits)) {
-    std::cerr << "error: --" << Name << " expects 16 hex digits\n";
-    return false;
-  }
-  Out = serial::bitsToDouble(Bits);
-  return true;
 }
 
 void printBatchTable(const TaskSpec &Spec, const TaskResult &Result) {
@@ -212,30 +184,6 @@ void printStoreStats(const ArtifactStore::Stats &S, size_t LimitBytes) {
             << " bytes=" << S.BytesInUse << " peak=" << S.PeakBytes
             << " limit=" << LimitBytes << " disk-writes=" << S.DiskWrites
             << "\n";
-}
-
-/// The hidden re-exec entry point: compile one shard's shot range and
-/// write its manifest.
-int runWorkerMode(const CommandLine &CL, const TaskSpec &Spec,
-                  const ServiceOptions &Options) {
-  int64_t Index = CL.getInt("shard-index", -1);
-  int64_t Count = CL.getInt("shard-count", 0);
-  std::string OutPath = CL.getString("shard-out");
-  if (Index < 0 || Count < 1 || Index >= Count || OutPath.empty()) {
-    std::cerr << "error: worker mode needs --shard-index in [0, "
-                 "--shard-count) and --shard-out=FILE\n";
-    return 1;
-  }
-  SimulationService Service(Options);
-  std::string Error;
-  std::optional<ShardManifest> Manifest = ShardCoordinator::runShard(
-      Service, Spec, static_cast<unsigned>(Index),
-      static_cast<unsigned>(Count), &Error);
-  if (!Manifest || !Manifest->writeFile(OutPath, &Error)) {
-    std::cerr << "error: " << Error << "\n";
-    return 2;
-  }
-  return 0;
 }
 
 /// --connect mode: ship the spec to a resident daemon and rebuild the
@@ -357,22 +305,6 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
-  // Hidden bit-exact overrides (see the worker-mode note above).
-  if (!applyBitsFlag(CL, "mix-qd-bits", Spec->Mix.WQd) ||
-      !applyBitsFlag(CL, "mix-gc-bits", Spec->Mix.WGc) ||
-      !applyBitsFlag(CL, "mix-rp-bits", Spec->Mix.WRp) ||
-      !applyBitsFlag(CL, "time-bits", Spec->Time) ||
-      !applyBitsFlag(CL, "epsilon-bits", Spec->Epsilon) ||
-      !applyBitsFlag(CL, "noise-prob-bits", Spec->Noise.Prob) ||
-      !applyBitsFlag(CL, "noise-2q-factor-bits", Spec->Noise.TwoQubitFactor))
-    return 1;
-  // Remaining worker-transport flags for spec fields fromCommandLine does
-  // not expose (they complete TaskSpec::contentKey coverage).
-  Spec->Flow.ProbScale = CL.getInt("prob-scale", Spec->Flow.ProbScale);
-  Spec->Flow.CostScale = CL.getInt("cost-scale", Spec->Flow.CostScale);
-  Spec->Evaluate.ColumnSeed = static_cast<uint64_t>(
-      CL.getInt("column-seed", static_cast<int64_t>(Spec->Evaluate.ColumnSeed)));
-
   ServiceOptions Options;
   if (const char *Env = std::getenv("MARQSIM_CACHE_DIR"))
     Options.CacheDir = Env;
@@ -384,48 +316,28 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
-  double LimitMB = CL.getDouble("cache-limit-mb", 0.0);
-  if (LimitMB < 0.0) {
-    std::cerr << "error: --cache-limit-mb must be non-negative\n";
+  std::optional<size_t> LimitBytes =
+      mebibytesToBytes(CL.getDouble("cache-limit-mb", 0.0));
+  if (!LimitBytes) {
+    std::cerr << "error: --cache-limit-mb must be a non-negative number\n";
     return 1;
   }
-  if (LimitMB > 0.0) {
-    // A positive budget must never truncate to 0 (0 means unbounded —
-    // the opposite of the tightest cap a sub-byte fraction asks for),
-    // and a huge one must not overflow the size_t cast.
-    constexpr double MaxBytes = 9.0e18;
-    Options.CacheLimitBytes = static_cast<size_t>(
-        std::min(std::max(std::ceil(LimitMB * 1024.0 * 1024.0), 1.0),
-                 MaxBytes));
-  }
-  // Hidden worker transport: the coordinator's budget, byte-exact.
-  int64_t LimitBytes = CL.getInt("cache-limit-bytes", -1);
-  if (LimitBytes >= 0)
-    Options.CacheLimitBytes = static_cast<size_t>(LimitBytes);
+  Options.CacheLimitBytes = *LimitBytes;
 
-  bool WorkerMode =
-      CL.has("shard-index") || CL.has("shard-count") || CL.has("shard-out");
   bool CoordinatorMode = CL.has("shards") || CL.has("workers");
-  if (WorkerMode && CoordinatorMode) {
-    std::cerr << "error: --shards (coordinator) and --shard-index/--shard-"
-                 "out (worker) are mutually exclusive\n";
-    return 1;
-  }
   if (CL.getBool("stats-json") && !CL.has("out")) {
     std::cerr << "error: --stats-json needs --out so stdout carries only "
                  "the JSON object\n";
     return 1;
   }
   if (CL.has("connect")) {
-    if (WorkerMode || CoordinatorMode) {
+    if (CoordinatorMode) {
       std::cerr << "error: --connect runs on the daemon; it is mutually "
-                   "exclusive with --shards and worker mode\n";
+                   "exclusive with --shards and --workers\n";
       return 1;
     }
     return runConnectMode(CL, *Spec);
   }
-  if (WorkerMode)
-    return runWorkerMode(CL, *Spec, Options);
 
   SimulationService Service(Options);
   std::optional<TaskResult> Result;
@@ -473,14 +385,11 @@ int main(int Argc, char **Argv) {
       Shard.WorkDir = (std::filesystem::temp_directory_path() /
                        ("marqsim-shards-" + std::to_string(::getpid())))
                           .string();
-    Shard.CacheDir = Options.CacheDir;
-    Shard.CacheLimitBytes = Options.CacheLimitBytes;
-    Shard.WorkerBinary = currentExecutablePath(Argv[0]);
-    // Fleet mode shares this process's service: the prewarm there is the
-    // fleet's one MCFP solve, and the shot-0 recompile below then hits
-    // the same in-memory store instead of solving again.
-    if (!Shard.Workers.empty())
-      Shard.SharedService = &Service;
+    // The coordinator runs on this process's service: the prewarm there
+    // is the run's one MCFP solve, local ranges resolve through the same
+    // store, and the shot-0 recompile below hits it instead of solving
+    // again.
+    Shard.SharedService = &Service;
     ShardCoordinator Coordinator(Shard);
     Result = Coordinator.run(*Spec, &Error, &Report);
     Sharded = true;
@@ -565,8 +474,8 @@ int main(int Argc, char **Argv) {
     // vs per-shot evaluation (the fidelity calls). Both are CPU-seconds
     // summed per shot, so either can exceed the wall figure when shots
     // run concurrently. For sharded runs the wall figure is the
-    // coordinator's whole run (spawn + workers + merge), not a batch
-    // clock, and only the summed worker eval time travels back.
+    // coordinator's whole run (pre-warm + ranges + merge), not a batch
+    // clock, and only the summed per-range eval time travels back.
     if (!Sharded) {
       std::cerr << "phase: wall=" << formatDouble(Result->Batch.Seconds)
                 << " s walk+emit-cpu="
@@ -577,18 +486,16 @@ int main(int Argc, char **Argv) {
       std::cerr << "phase: coordinator-wall="
                 << formatDouble(Result->Batch.Seconds)
                 << " s eval-cpu=" << formatDouble(Result->Batch.EvalSeconds)
-                << " s (summed across workers)\n";
+                << " s (summed across ranges)\n";
     }
     if (Sharded) {
-      // Whole-run accounting: coordinator pre-warm + every worker + the
-      // local shot-0 service. "gc-solves=1" is the one-solve contract.
-      // In fleet mode the coordinator's prewarm ran *inside* this
-      // process's service (SharedService), so Service.stats() already
-      // includes LocalStats — adding both would double-count the solve.
-      CacheStats Total = Report.WorkerStats;
-      if (!Report.Fleet.Used)
-        Total += Report.LocalStats;
-      Total += Service.stats();
+      // Whole-run accounting; "gc-solves=1" is the one-solve contract.
+      // The pre-warm, every local range and the shot-0 recompile all ran
+      // on this process's service, so Service.stats() counts each solve
+      // once. Only fleet ranges ran elsewhere.
+      CacheStats Total = Service.stats();
+      if (Report.Fleet.Used)
+        Total += Report.WorkerStats;
       if (Report.Fleet.Used) {
         size_t Dead = 0;
         for (const FleetWorkerStats &W : Report.Fleet.Workers) {
@@ -615,23 +522,24 @@ int main(int Argc, char **Argv) {
       for (const std::string &Note : Report.Notes)
         std::cerr << "shard-note: " << Note << "\n";
       printCacheStats(Total);
-      // No store: line here — each worker process has its own store, so
-      // this process's tier counters would misleadingly sit next to the
-      // whole-run shard accounting above.
     } else {
       printCacheStats(Result->Stats);
-      printStoreStats(Service.storeStats(), Options.CacheLimitBytes);
     }
+    // No store: line for fleet runs — each worker has its own store, so
+    // this process's tier counters would misleadingly sit next to the
+    // whole-run shard accounting above.
+    if (!Report.Fleet.Used)
+      printStoreStats(Service.storeStats(), Options.CacheLimitBytes);
   }
 
   if (CL.getBool("stats-json")) {
     // The same serializer that backs the daemon's stats frames; for
-    // sharded runs the per-process store tiers are omitted (each worker
-    // had its own store, so this process's counters would mislead).
+    // fleet runs the per-process store tiers are omitted (each worker had
+    // its own store, so this process's counters would mislead).
     ArtifactStore::Stats Store = Service.storeStats();
     json::Value StatsJson =
         server::runStatsJson(*Spec, *Result, &ShotZeroCircuit,
-                             Sharded ? nullptr : &Store,
+                             Report.Fleet.Used ? nullptr : &Store,
                              Options.CacheLimitBytes);
     // Additive key: present only when fleet mode actually dispatched, so
     // existing marqsim-stats-v1 consumers parse unchanged.

@@ -120,14 +120,13 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << Error << "\n";
     return 1;
   }
-  double LimitMB = CL.getDouble("cache-limit-mb", 0.0);
-  if (LimitMB < 0.0) {
-    std::cerr << "error: --cache-limit-mb must be non-negative\n";
+  std::optional<size_t> LimitBytes =
+      mebibytesToBytes(CL.getDouble("cache-limit-mb", 0.0));
+  if (!LimitBytes) {
+    std::cerr << "error: --cache-limit-mb must be a non-negative number\n";
     return 1;
   }
-  if (LimitMB > 0.0)
-    Service.CacheLimitBytes =
-        static_cast<size_t>(LimitMB * 1024.0 * 1024.0) + 1;
+  Service.CacheLimitBytes = *LimitBytes;
   Opts.StoreLimitBytes = Service.CacheLimitBytes;
 
   SimulationService Sim(Service);
