@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 using namespace marqsim;
@@ -194,10 +195,6 @@ std::optional<TaskResult> ShardCoordinator::run(const TaskSpec &Spec,
                 "ranged single-process run instead");
   if (Options.WorkDir.empty())
     return Fail("a work directory is required");
-  // A broken cache directory must fail loudly, never run uncached.
-  std::string DirError;
-  if (!ArtifactStore::validateCacheDir(Options.CacheDir, &DirError))
-    return Fail(DirError);
   std::error_code EC;
   std::filesystem::create_directories(Options.WorkDir, EC);
   if (EC)
@@ -215,43 +212,44 @@ std::optional<TaskResult> ShardCoordinator::run(const TaskSpec &Spec,
   const uint64_t Fingerprint = H->fingerprint();
   Timer Clock;
 
+  // Reuse whatever valid manifests the work directory already holds.
+  std::vector<std::optional<ShardManifest>> Accepted(K);
+  bool AnyOpen = false;
+  for (size_t I = 0; I < K; ++I) {
+    std::string Path = manifestPath(Options.WorkDir, I);
+    if (std::filesystem::exists(Path)) {
+      std::string ReadError;
+      std::optional<ShardManifest> M =
+          ShardManifest::readFile(Path, &ReadError);
+      if (M)
+        ReadError = rejectReason(*M, Spec, Fingerprint, R.Plan.Ranges[I]);
+      if (M && ReadError.empty()) {
+        Accepted[I] = std::move(M);
+        ++R.Reused;
+        continue;
+      }
+      R.Notes.push_back("shard " + std::to_string(I) + ": rejected '" +
+                        Path + "': " + ReadError + "; re-running the range");
+      std::filesystem::remove(Path, EC);
+    }
+    AnyOpen = true;
+  }
+
   // Pre-warm the service every range resolves through with each artifact
   // type the ranges will ask for — the alias bundle (with its MCFP
   // components) and the fidelity target columns — so the whole sharded
   // run costs one solve per component and one column evolution. This also
-  // front-loads the Theorem 4.1 validation before any range starts.
+  // front-loads the Theorem 4.1 validation before any range starts. A
+  // fully resumed run needs neither, and skips it.
   std::unique_ptr<SimulationService> Owned;
   SimulationService *Service = Options.SharedService;
   if (!Service) {
-    ServiceOptions LocalOptions;
-    LocalOptions.CacheDir = Options.CacheDir;
-    LocalOptions.CacheLimitBytes = Options.CacheLimitBytes;
-    Owned = std::make_unique<SimulationService>(LocalOptions);
+    Owned = std::make_unique<SimulationService>();
     Service = Owned.get();
   }
-  if (!Service->prewarm(Spec, Error))
+  if (AnyOpen && !Service->prewarm(Spec, Error))
     return std::nullopt;
   R.LocalStats = Service->stats();
-
-  // Reuse whatever valid manifests the work directory already holds.
-  std::vector<std::optional<ShardManifest>> Accepted(K);
-  for (size_t I = 0; I < K; ++I) {
-    std::string Path = manifestPath(Options.WorkDir, I);
-    if (!std::filesystem::exists(Path))
-      continue;
-    std::string ReadError;
-    std::optional<ShardManifest> M = ShardManifest::readFile(Path, &ReadError);
-    if (M)
-      ReadError = rejectReason(*M, Spec, Fingerprint, R.Plan.Ranges[I]);
-    if (M && ReadError.empty()) {
-      Accepted[I] = std::move(M);
-      ++R.Reused;
-      continue;
-    }
-    R.Notes.push_back("shard " + std::to_string(I) + ": rejected '" + Path +
-                      "': " + ReadError + "; re-running the range");
-    std::filesystem::remove(Path, EC);
-  }
 
   bool Complete = Options.Workers.empty()
                       ? runLocal(Spec, *Service, Accepted, R, Error)
@@ -310,9 +308,18 @@ bool ShardCoordinator::runLocal(
     Accepted[I] = std::move(M);
   };
   std::vector<std::thread> Threads;
-  for (unsigned I = 0; I < K; ++I)
-    if (!Accepted[I])
+  Threads.reserve(K);
+  for (unsigned I = 0; I < K; ++I) {
+    if (Accepted[I])
+      continue;
+    // K is the caller's choice: a range whose thread cannot start runs
+    // on this one instead, which changes the wall time, never the bits.
+    try {
       Threads.emplace_back(RunRange, I);
+    } catch (const std::system_error &) {
+      RunRange(I);
+    }
+  }
   for (std::thread &T : Threads)
     T.join();
 
@@ -347,6 +354,13 @@ bool ShardCoordinator::runFleet(
     WS.HostPort = HostPort;
     R.Fleet.Workers.push_back(std::move(WS));
   }
+  // A fully resumed run has nothing to dispatch, and so no artifacts to
+  // export.
+  if (std::all_of(Accepted.begin(), Accepted.end(),
+                  [](const std::optional<ShardManifest> &M) {
+                    return M.has_value();
+                  }))
+    return true;
 
   std::optional<json::Value> SpecJson = Spec.toJson(Error);
   if (!SpecJson)

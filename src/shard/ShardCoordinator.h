@@ -19,13 +19,14 @@
 /// same shot stream, and concatenating windows in order reproduces the
 /// batch exactly.
 ///
-/// Local ranges run on one SimulationService, one thread per open range,
-/// and the coordinator pre-warms that service first
-/// (SimulationService::prewarm): a K-shard run performs exactly one
+/// Local ranges run on one SimulationService, one thread per open range.
+/// When any range is still open, the coordinator pre-warms that service
+/// first (SimulationService::prewarm): a K-shard run performs exactly one
 /// gate-cancellation solve per Hamiltonian and one fidelity column
 /// evolution, with or without a cache directory. Fleet ranges travel as
 /// shard-submit frames, and the same prewarmed service seeds every worker
-/// over the wire.
+/// over the wire. A run whose every range resumes from the work directory
+/// solves and evolves nothing.
 ///
 /// Failure handling: every manifest — found in the work directory or
 /// returned by a worker — passes one acceptance check (fingerprint, seed,
@@ -54,17 +55,6 @@ struct ShardOptions {
   /// manifests found here are reused instead of re-run.
   std::string WorkDir;
 
-  /// Persistent artifact store of the coordinator-owned service
-  /// (--cache-dir); empty keeps artifacts in memory. Ignored when
-  /// SharedService is set. Validated up front: an unwritable path fails
-  /// the run instead of silently running uncached.
-  std::string CacheDir;
-
-  /// In-memory cache budget of the coordinator-owned service, in bytes;
-  /// 0 means unbounded. Eviction never changes results, only recompute
-  /// counts.
-  size_t CacheLimitBytes = 0;
-
   /// Fleet mode: dispatch attempts per range before giving up (>= 1). A
   /// range a live worker answers with a failed or invalid manifest is
   /// re-dispatched until it has used them all. A local range runs
@@ -92,10 +82,12 @@ struct ShardOptions {
   unsigned ConnectDelayMs = 100;
 
   /// Run the prewarm, the local ranges and the fleet's artifact exports
-  /// on this service instead of a coordinator-owned one (not owned; must
-  /// outlive the run). The CLI passes its own service so the post-merge
-  /// shot-0 recompile hits the same in-memory store — keeping the whole
-  /// invocation at one MCFP solve even without any cache directory.
+  /// on this service instead of a coordinator-owned default one (not
+  /// owned; must outlive the run). The CLI passes its own service so the
+  /// post-merge shot-0 recompile hits the same in-memory store — keeping
+  /// the whole invocation at one MCFP solve even without any cache
+  /// directory. A caller that wants a persistent or capped store passes
+  /// a service configured that way.
   SimulationService *SharedService = nullptr;
 };
 
@@ -142,9 +134,10 @@ struct ShardReport {
   /// Summed cache accounting of the accepted manifests (per-range runs).
   CacheStats WorkerStats;
 
-  /// The coordinator's service accounting after the store pre-warm. Local
-  /// ranges run on that same service afterwards, so for them WorkerStats
-  /// is a per-range view of work the service also counts.
+  /// The coordinator's service accounting after the store pre-warm (or
+  /// before any work, when every range was reused). Local ranges run on
+  /// that same service afterwards, so for them WorkerStats is a per-range
+  /// view of work the service also counts.
   CacheStats LocalStats;
 
   /// Fleet-mode accounting (Used only when ShardOptions::Workers was

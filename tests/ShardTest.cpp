@@ -15,6 +15,9 @@
 //   * a corrupted or stale manifest is reported and its range re-run; a
 //     manifest from a different Hamiltonian is rejected by fingerprint,
 //   * valid manifests in the work directory are reused (crash recovery),
+//     and a fully resumed run does no pre-warm work,
+//   * a manifest that cannot be written costs resumability, not the
+//     merged result,
 //   * concurrent local ranges on one service produce the same bits with
 //     exactly one gate-cancellation MCFP solve across the whole run, with
 //     no cache directory,
@@ -299,6 +302,13 @@ TEST(ShardCoordinatorTest, ValidManifestsAreReused) {
   ASSERT_TRUE(B);
   EXPECT_EQ(Second.Reused, 3u);
   EXPECT_EQ(A->Batch.batchHash(), B->Batch.batchHash());
+  // Nothing left to run, so nothing to pre-warm: a fully resumed run
+  // neither solves nor evolves the fidelity columns.
+  EXPECT_EQ(First.LocalStats.GCSolveMisses, 1u);
+  EXPECT_EQ(First.LocalStats.EvaluatorMisses, 1u);
+  EXPECT_EQ(Second.LocalStats.GCSolveMisses, 0u);
+  EXPECT_EQ(Second.LocalStats.EvaluatorMisses, 0u);
+  EXPECT_TRUE(Second.Notes.empty());
 
   // A different seed must not reuse them (stale-manifest detection).
   TaskSpec Reseeded = Spec;
@@ -384,6 +394,41 @@ TEST(ShardCoordinatorTest, CorruptManifestIsReportedAndReRun) {
   for (const std::string &Note : Report.Notes)
     EXPECT_NE(Note.find("rejected"), std::string::npos) << Note;
   expectBitIdentical(*Single, *Merged);
+}
+
+TEST(ShardCoordinatorTest, UnwritableManifestIsReportedAndStillMerges) {
+  TaskSpec Spec = testSpec(6);
+  SimulationService Reference;
+  std::optional<TaskResult> Single = Reference.run(Spec);
+  ASSERT_TRUE(Single);
+
+  // A non-empty directory squats on shard 1's manifest path: the reuse
+  // pass cannot read or remove it, and the range's manifest cannot be
+  // written there. Losing the file costs resumability, not the result.
+  ShardOptions Options;
+  Options.ShardCount = 3;
+  Options.WorkDir = freshDir("shard_unwritable");
+  std::string Squatter = ShardCoordinator::manifestPath(Options.WorkDir, 1);
+  std::filesystem::create_directories(Squatter);
+  std::ofstream(Squatter + "/keep") << "x";
+
+  ShardReport Report;
+  std::string Error;
+  std::optional<TaskResult> Merged =
+      ShardCoordinator(Options).run(Spec, &Error, &Report);
+  ASSERT_TRUE(Merged) << Error;
+  expectBitIdentical(*Single, *Merged);
+  EXPECT_EQ(Report.Reused, 0u);
+  EXPECT_EQ(Report.Retries, 0u);
+  bool Persist = false;
+  for (const std::string &Note : Report.Notes)
+    Persist |= Note.find("shard 1: cannot persist manifest") == 0;
+  EXPECT_TRUE(Persist) << "no persist note among " << Report.Notes.size();
+  EXPECT_TRUE(std::filesystem::is_directory(Squatter));
+  for (unsigned I : {0u, 2u})
+    EXPECT_TRUE(std::filesystem::is_regular_file(
+        ShardCoordinator::manifestPath(Options.WorkDir, I)))
+        << "shard " << I;
 }
 
 TEST(ShardCoordinatorTest, ForeignFingerprintManifestIsRejectedAndReRun) {
