@@ -33,9 +33,10 @@
 //   gc-reference, gc-fused, gc-panel-<tier>, gc-panel, gc-chunked
 // are the same paths on that schedule at 8 and 16 columns.
 //
-// A third, overlap-heavy table (16 columns, 2 rotations — overlap
-// accumulation dominates) separates the fused evolve+overlap tail from
-// the unfused evolve-then-overlapWith path, per runnable tier:
+// A third, overlap-heavy table (16 columns, 2 rotations on the full
+// layout — overlap accumulation dominates) separates the fused
+// evolve+overlap tail from the unfused evolve-then-overlapWith path, per
+// runnable tier:
 //   reference-ov     — the scratch yardstick on the overlap-heavy shape
 //   unfused-<tier>   — panel sweep of every rotation, then one strided
 //                      overlapWith walk per column
@@ -161,28 +162,27 @@ SplitEval fusedSerialFidelity(const FidelityEvaluator &Eval,
   return R;
 }
 
-/// Packs \p Eval's targets block by block at the panel stride, once,
-/// mirroring the evaluator's cached TargetPanels so the fused timing below
-/// excludes the one-time packing cost exactly as production does.
+/// Packs \p Eval's targets block by block into full-layout panels, once,
+/// as the evaluator gathers them for a full-rank schedule, so the fused
+/// timing below isolates the fused kernel from the gather.
 std::vector<TargetPanel> packTargets(const FidelityEvaluator &Eval) {
   std::vector<TargetPanel> Packed;
   const size_t N = Eval.numColumns();
   constexpr size_t W = StatePanel::PreferredWidth;
-  constexpr size_t Lane = StatePanel::LaneMultiple;
   for (size_t Begin = 0; Begin < N; Begin += W) {
-    const size_t Width = std::min(Begin + W, N) - Begin;
-    const size_t Stride = (Width + Lane - 1) / Lane * Lane;
-    Packed.emplace_back(Eval.targets().data() + Begin, Width, Stride);
+    const StatePanel Layout(Eval.numQubits(), Eval.columns().data() + Begin,
+                            std::min(Begin + W, N) - Begin);
+    Packed.emplace_back(Layout, Eval.targets().data() + Begin);
   }
   return Packed;
 }
 
-/// Bench-local panel evaluation with an observable evolve/overlap
-/// boundary. Unfused (\p Packed == nullptr): sweep every rotation, then
-/// one strided overlapWith walk per column. Fused: sweep all but the last
-/// rotation, then the fused evolve+overlap tail against the pre-packed
-/// targets. Both reduce overlaps in ascending column order — the
-/// evaluator's chain — so the hex must match the reference path.
+/// Bench-local full-layout panel evaluation with an observable
+/// evolve/overlap boundary. Unfused (\p Packed == nullptr): sweep every
+/// rotation, then one strided overlapWith walk per column. Fused: sweep
+/// all but the last rotation, then the fused evolve+overlap tail against
+/// the pre-packed targets. Both reduce overlaps in ascending column order
+/// — the evaluator's chain — so the hex must match the reference path.
 SplitEval panelFidelity(const FidelityEvaluator &Eval,
                         const std::vector<ScheduledRotation> &Schedule,
                         const std::vector<TargetPanel> *Packed) {
@@ -397,8 +397,10 @@ int main(int Argc, char **Argv) {
 
   // --- Overlap-heavy table: the fused evolve+overlap tail vs the unfused
   // sweep-then-overlapWith path, per runnable tier. Two rotations over 16
-  // columns: the per-column strided overlap walk dominates, which is the
-  // regime the fused kernel exists for.
+  // columns on the full layout: the per-column strided overlap walk
+  // dominates, which is the regime the fused kernel exists for. (The
+  // evaluator would replay these two rotations in their 2-row sector,
+  // where nothing is overlap-heavy.)
   {
     const size_t Columns = 16;
     std::vector<ScheduledRotation> Short(Schedule.begin(),

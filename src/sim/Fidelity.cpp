@@ -13,18 +13,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
-#include <mutex>
 
 using namespace marqsim;
-
-/// Packed target panels, built lazily the first time a block is evaluated
-/// fused and reused across every subsequent schedule replay. Keyed by
-/// block index.
-struct marqsim::detail::TargetPanelCache {
-  std::mutex M;
-  std::map<size_t, std::unique_ptr<TargetPanel>> Panels;
-};
 
 namespace {
 
@@ -33,10 +23,17 @@ namespace {
 /// non-identity rotations with equal xMask — each run one pass through a
 /// panel — with every step's trig and phase constants precomputed. An
 /// identity rotation (a global phase) is a run of its own.
+///
+/// The plan also spans the x-masks of the whole schedule, fused tail
+/// included, into the Sector its panels evolve in, and keeps every step in
+/// both coordinate systems: the full layout for a width-1 StateVector
+/// walk, the sector's for panels (whose per-block lane flips replay()
+/// adds).
 class SchedulePlan {
 public:
-  SchedulePlan(const std::vector<ScheduledRotation> &Schedule, size_t Count)
-      : Schedule(Schedule) {
+  SchedulePlan(const std::vector<ScheduledRotation> &Schedule, size_t Count,
+               unsigned NQubits)
+      : Schedule(Schedule), Span(NQubits) {
     Steps.reserve(Count);
     for (size_t I = 0; I < Count; ++I) {
       const PauliString &P = Schedule[I].String;
@@ -46,13 +43,25 @@ public:
           Runs.back().XMask == P.xMask())
         ++Runs.back().End;
       else
-        Runs.push_back({I, I + 1, P.xMask(), Identity});
+        Runs.push_back({I, I + 1, P.xMask(), 0, Identity});
     }
+    for (const Run &R : Runs)
+      Span.insert(R.XMask);
+    for (size_t I = Count; I < Schedule.size(); ++I)
+      Span.insert(Schedule[I].String.xMask());
+    for (Run &R : Runs)
+      R.SectorXMask = Span.coords(R.XMask);
+    SectorSteps = Steps;
+    for (kernels::RotationStep &R : SectorSteps)
+      R.ZMask = Span.zMask(R.ZMask);
   }
 
-  /// Applies the planned rotations to \p State (a StatePanel or a
-  /// StateVector), run by run.
-  template <typename StateT> void replay(StateT &State) const {
+  /// The span of every x-mask in the schedule.
+  const Sector &sector() const { return Span; }
+
+  /// Applies the planned rotations to a full-layout StateVector, run by
+  /// run.
+  void replay(StateVector &State) const {
     for (const Run &R : Runs) {
       if (R.Identity)
         State.applyPauliExpAll(Schedule[R.Begin].String, Schedule[R.Begin].Tau);
@@ -62,14 +71,38 @@ public:
     }
   }
 
+  /// Applies the planned rotations to a panel over sector(), run by run,
+  /// in the panel's row coordinates.
+  void replay(StatePanel &Panel) const {
+    assert(Panel.sector() == Span && "panel outside the plan's sector");
+    const kernels::RotationStep *Local = SectorSteps.data();
+    std::vector<kernels::RotationStep> Flipped;
+    if (Panel.hasLaneFlips()) {
+      Flipped = SectorSteps;
+      for (size_t J = 0; J < Flipped.size(); ++J)
+        Flipped[J].LaneFlips = Panel.laneFlips(Steps[J].ZMask);
+      Local = Flipped.data();
+    }
+    for (const Run &R : Runs) {
+      if (R.Identity)
+        Panel.applyPauliExpAll(Schedule[R.Begin].String, Schedule[R.Begin].Tau);
+      else
+        Panel.applyPauliExpRun(R.SectorXMask, Local + R.Begin,
+                               R.End - R.Begin);
+    }
+  }
+
 private:
   struct Run {
     size_t Begin, End; // schedule indices [Begin, End)
     uint64_t XMask;
+    uint64_t SectorXMask; // XMask in sector coordinates
     bool Identity;
   };
   const std::vector<ScheduledRotation> &Schedule;
-  std::vector<kernels::RotationStep> Steps; // one per schedule index
+  Sector Span;
+  std::vector<kernels::RotationStep> Steps;       // full layout, per index
+  std::vector<kernels::RotationStep> SectorSteps; // sector coordinates
   std::vector<Run> Runs;
 };
 
@@ -99,8 +132,7 @@ double marqsim::unitaryFidelity(const Matrix &UApp, const Matrix &UExact) {
 
 FidelityEvaluator::FidelityEvaluator(const Hamiltonian &H, double T,
                                      size_t NumColumns, uint64_t Seed)
-    : NQubits(H.numQubits()),
-      PanelCache(std::make_shared<detail::TargetPanelCache>()) {
+    : NQubits(H.numQubits()) {
   const size_t Dim = size_t(1) << NQubits;
   if (NumColumns >= Dim) {
     Columns.resize(Dim);
@@ -136,26 +168,15 @@ FidelityEvaluator::FidelityEvaluator(unsigned NQubits,
                                      std::vector<uint64_t> Columns,
                                      std::vector<CVector> Targets)
     : NQubits(NQubits), Columns(std::move(Columns)),
-      Targets(std::move(Targets)),
-      PanelCache(std::make_shared<detail::TargetPanelCache>()) {
+      Targets(std::move(Targets)) {
   assert(this->Columns.size() == this->Targets.size() &&
          "one target per column");
 }
 
-const TargetPanel &FidelityEvaluator::targetPanelFor(size_t Block,
-                                                     size_t Begin,
-                                                     size_t Count,
-                                                     size_t Stride) const {
-  std::lock_guard<std::mutex> Lock(PanelCache->M);
-  std::unique_ptr<TargetPanel> &Slot = PanelCache->Panels[Block];
-  if (!Slot)
-    Slot = std::make_unique<TargetPanel>(Targets.data() + Begin, Count, Stride);
-  return *Slot;
-}
-
 template <typename EvolveFn>
 std::vector<Complex>
-FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
+FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const Sector &Span,
+                                   const EvolveFn &Evolve,
                                    const ScheduledRotation *FusedTail) const {
   const size_t NumCols = Columns.size();
   // The block partition is a fixed function of the column count — never
@@ -183,11 +204,12 @@ FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
       Overlaps[Begin] = Walk.overlapWithTarget(Targets[Begin]);
       return;
     }
-    StatePanel Panel(NQubits, Columns.data() + Begin, End - Begin);
+    StatePanel Panel(Span, Columns.data() + Begin, End - Begin);
     Evolve(Panel);
     if (FusedTail) {
-      const TargetPanel &Packed =
-          targetPanelFor(Block, Begin, End - Begin, Panel.laneStride());
+      // The packed targets follow the panel's sector, which is the
+      // schedule's: gathered per evaluation (2^rank rows), never cached.
+      const TargetPanel Packed(Panel, Targets.data() + Begin);
       Panel.applyPauliExpAllFused(FusedTail->String, FusedTail->Tau, Packed,
                                   Overlaps.data() + Begin);
       return;
@@ -203,9 +225,11 @@ std::vector<Complex> FidelityEvaluator::scheduleOverlaps(
   // The final rotation runs fused with the overlap accumulation; the plan
   // stops one step short of it.
   const ScheduledRotation *Tail = Schedule.empty() ? nullptr : &Schedule.back();
-  const SchedulePlan Plan(Schedule, Schedule.size() - (Tail ? 1 : 0));
+  const SchedulePlan Plan(Schedule, Schedule.size() - (Tail ? 1 : 0),
+                          NQubits);
   return collectOverlaps(
-      EvalJobs, [&](auto &State) { Plan.replay(State); }, Tail);
+      EvalJobs, Plan.sector(), [&](auto &State) { Plan.replay(State); },
+      Tail);
 }
 
 double
@@ -226,6 +250,8 @@ double FidelityEvaluator::stateFidelity(
 double FidelityEvaluator::fidelityOfCircuit(const Circuit &C,
                                             unsigned EvalJobs) const {
   assert(C.numQubits() == NQubits && "circuit width mismatch");
-  return traceFidelity(
-      collectOverlaps(EvalJobs, [&](auto &State) { State.applyAll(C); }));
+  // Gates leave a sector mid-gadget: circuits run on the full layout.
+  return traceFidelity(collectOverlaps(
+      EvalJobs, Sector::full(NQubits),
+      [&](auto &State) { State.applyAll(C); }));
 }

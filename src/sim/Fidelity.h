@@ -35,12 +35,26 @@
 /// per run, not once per rotation); a schedule's final rotation is fused
 /// with the overlap accumulation (StatePanel::applyPauliExpAllFused — one
 /// streaming pass instead of a rotation sweep plus one strided overlapWith
-/// re-read per column; targets are packed once per block and cached); and
-/// width-1 tail blocks evolve a single interleaved StateVector walk instead
-/// of a panel padded to eight lanes. All three hand every amplitude the same
-/// operation sequence and preserve each column's ascending-basis overlap
-/// chain, so results are bit-identical to the unfused one-rotation-per-
-/// sweep panel evaluation.
+/// re-read per column, against targets gathered into the panel's layout
+/// once per block and evaluation); and width-1 tail blocks evolve a single
+/// interleaved StateVector walk instead of a panel padded to eight lanes.
+/// All three hand every amplitude the same operation sequence and
+/// preserve each column's ascending-basis overlap chain, so results are
+/// bit-identical to the unfused one-rotation-per-sweep panel evaluation.
+///
+/// Symmetry sectors: the plan also spans the x-masks of the schedule it
+/// evaluates into a GF(2) basis of rank r (a Sector), and every panel
+/// block replays in that sector's coordinates — 2^r rows per column
+/// instead of 2^n. A column that starts at |x> never leaves x + span, so
+/// the rows skipped hold exact zeros in the state; in the overlap they
+/// only ever add exact zeros, and ascending rows are ascending basis
+/// states, so every overlap agrees with the full layout on every bit of
+/// every nonzero part and every fidelity keeps its bits. The basis comes
+/// from the schedule, never from H: injected noise Paulis, store-decoded
+/// evaluators and full-rank inline Hamiltonians need no special case, and
+/// a full-rank schedule (r = n) is the full layout on the same code path.
+/// Circuits (fidelityOfCircuit), whose gates leave a sector mid-gadget,
+/// and width-1 walks stay on the full layout.
 ///
 /// Evaluation runs in FP64 only: every golden, shard manifest and cache
 /// key pins the fidelity's exact bits.
@@ -56,16 +70,7 @@
 #include "sim/StateVector.h"
 #include "support/RNG.h"
 
-#include <memory>
-
 namespace marqsim {
-
-namespace detail {
-/// Lazily packed per-block TargetPanels (Fidelity.cpp). Held behind a
-/// shared_ptr so FidelityEvaluator stays movable/copyable — the targets
-/// are immutable, so sharing the cache across copies is safe.
-struct TargetPanelCache;
-} // namespace detail
 
 /// Exact |tr(A * B^dag)| / dim for two equal-size square matrices.
 double unitaryFidelity(const Matrix &UApp, const Matrix &UExact);
@@ -116,35 +121,30 @@ public:
 private:
   /// Shared evaluation harness: partitions the columns into fixed-width
   /// panel blocks, lets \p Evolve drive each block's state (a StatePanel
-  /// for multi-column blocks, a StateVector walk for width-1 blocks), and
-  /// returns the per-column overlaps in column
+  /// over \p Span for multi-column blocks, a full-layout StateVector walk
+  /// for width-1 blocks), and returns the per-column overlaps in column
   /// order. When \p FusedTail is non-null, \p Evolve must leave that
   /// final rotation unapplied: panel blocks then run it fused with the
-  /// overlap accumulation against a cached TargetPanel, and walk blocks
-  /// apply it before their (single) overlap — both orders bit-identical
-  /// to evolving everything and overlapping afterwards. Both metrics
-  /// reduce the returned vector in fixed order.
+  /// overlap accumulation against a TargetPanel gathered for the block,
+  /// and walk blocks apply it before their (single) overlap — both orders
+  /// bit-identical to evolving everything and overlapping afterwards. Both
+  /// metrics reduce the returned vector in fixed order.
   template <typename EvolveFn>
   std::vector<Complex>
-  collectOverlaps(unsigned EvalJobs, const EvolveFn &Evolve,
+  collectOverlaps(unsigned EvalJobs, const Sector &Span,
+                  const EvolveFn &Evolve,
                   const ScheduledRotation *FusedTail = nullptr) const;
 
-  /// collectOverlaps over a planned schedule: runs of same-xMask
-  /// rotations replay in one pass each, the last rotation is the fused
-  /// tail.
+  /// collectOverlaps over a planned schedule: panels in the schedule's
+  /// sector, runs of same-xMask rotations in one pass each, the last
+  /// rotation the fused tail.
   std::vector<Complex>
   scheduleOverlaps(const std::vector<ScheduledRotation> &Schedule,
                    unsigned EvalJobs) const;
 
-  /// The packed targets of one block, built on first use at the block
-  /// panel's \p Stride.
-  const TargetPanel &targetPanelFor(size_t Block, size_t Begin, size_t Count,
-                                    size_t Stride) const;
-
   unsigned NQubits;
   std::vector<uint64_t> Columns;  // basis indices
   std::vector<CVector> Targets;   // e^{iHt}|x> per column
-  std::shared_ptr<detail::TargetPanelCache> PanelCache;
 };
 
 } // namespace marqsim

@@ -7,7 +7,9 @@
 // The scalar tier is the semantic definition of every kernel: the SIMD
 // tiers must reproduce its per-element arithmetic bit for bit, zero signs
 // included. Each update is the minimal-arithmetic form of the Kernels.h
-// contract (kernels::rotate with the per-row signed sine). The panel run
+// contract (kernels::rotate with the per-row signed sine; on a panel, the
+// per-lane sine of the row's parity from the run's lane-sine table, which
+// carries each step's LaneFlips). The panel run
 // applies a run's rotations pair by pair, step by step, so each element
 // sees the same operation sequence as one sweep per rotation; the fused
 // overlap body chains the rotation sweep with the ascending-basis
@@ -80,29 +82,36 @@ void scalarExpDiagonalF64(Complex *Amp, size_t Dim, const RotationStep &R) {
 // This matches the SIMD tiers, which process whole vectors per row.
 
 /// One rotation of the row pair {X, Y} across every lane: row X from
-/// partner Y with signed sine \p SY, row Y from partner X with \p SX.
+/// partner Y with the lane sines \p SY, row Y from partner X with \p SX.
 template <bool KOdd>
 void rotatePair(double *ReX, double *ImX, double *ReY, double *ImY,
-                size_t Stride, double C, double SX, double SY) {
+                size_t Stride, double C, const double *SX, const double *SY) {
   for (size_t L = 0; L < Stride; ++L) {
     const double A0Re = ReX[L], A0Im = ImX[L];
     const double A1Re = ReY[L], A1Im = ImY[L];
-    kernels::rotate<KOdd>(C, SY, A0Re, A0Im, A1Re, A1Im, ReX[L], ImX[L]);
-    kernels::rotate<KOdd>(C, SX, A1Re, A1Im, A0Re, A0Im, ReY[L], ImY[L]);
+    kernels::rotate<KOdd>(C, SY[L], A0Re, A0Im, A1Re, A1Im, ReX[L], ImX[L]);
+    kernels::rotate<KOdd>(C, SX[L], A1Re, A1Im, A0Re, A0Im, ReY[L], ImY[L]);
   }
 }
 
-void scalarPanelExpRunF64(double *Re, double *Im, size_t Dim, size_t Stride,
-                          uint64_t XM, const RotationStep *Steps, size_t K) {
+/// One piece of a run (kernels::withLaneSines): row u's lane sines for
+/// step J are Tab's parity(ZMask & u) row of that step.
+void scalarPanelRunPiece(double *Re, double *Im, size_t Dim, size_t Stride,
+                         uint64_t XM, const RotationStep *Steps, size_t K,
+                         const double *Tab) {
+  const auto Sines = [&](size_t J, unsigned Parity) {
+    return Tab + (2 * J + Parity) * Stride;
+  };
   if (XM == 0) {
     // The diagonal run: each row is its own partner (k = 0).
     for (uint64_t X = 0; X < Dim; ++X) {
       double *ReX = Re + X * Stride, *ImX = Im + X * Stride;
       for (size_t J = 0; J < K; ++J) {
-        const double C = Steps[J].Cos, S = Steps[J].sinAt(X);
+        const double C = Steps[J].Cos;
+        const double *S = Sines(J, __builtin_parityll(Steps[J].ZMask & X));
         for (size_t L = 0; L < Stride; ++L)
-          kernels::rotate<false>(C, S, ReX[L], ImX[L], ReX[L], ImX[L], ReX[L],
-                                 ImX[L]);
+          kernels::rotate<false>(C, S[L], ReX[L], ImX[L], ReX[L], ImX[L],
+                                 ReX[L], ImX[L]);
       }
     }
     return;
@@ -116,13 +125,23 @@ void scalarPanelExpRunF64(double *Re, double *Im, size_t Dim, size_t Stride,
     double *ReY = Re + Y * Stride, *ImY = Im + Y * Stride;
     for (size_t J = 0; J < K; ++J) {
       const RotationStep &R = Steps[J];
-      const double SX = R.sinAt(X), SY = RotationStep::flipIf(SX, R.KOdd);
+      const unsigned PX = __builtin_parityll(R.ZMask & X);
+      const double *SX = Sines(J, PX), *SY = Sines(J, PX ^ R.KOdd);
       if (R.KOdd)
         rotatePair<true>(ReX, ImX, ReY, ImY, Stride, R.Cos, SX, SY);
       else
         rotatePair<false>(ReX, ImX, ReY, ImY, Stride, R.Cos, SX, SY);
     }
   }
+}
+
+void scalarPanelExpRunF64(double *Re, double *Im, size_t Dim, size_t Stride,
+                          uint64_t XM, const RotationStep *Steps, size_t K) {
+  kernels::withLaneSines(
+      Steps, K, Stride,
+      [&](const RotationStep *Piece, size_t N, const double *Tab) {
+        scalarPanelRunPiece(Re, Im, Dim, Stride, XM, Piece, N, Tab);
+      });
 }
 
 // The overlap accumulation: lane L of AccRe/AccIm runs column L's chain

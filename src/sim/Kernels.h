@@ -32,7 +32,8 @@
 /// so i sin(Theta) P is a sign times i^{k+1}: a swap of the partner's parts
 /// (k even) or none (k odd). Every kernel updates amplitude a0 of row X
 /// from its partner a1 (the row itself on the diagonal) in six individually
-/// rounded operations, with s_Y = +/-sin(Theta) exact (RotationStep::sinAt):
+/// rounded operations, with s_Y = +/-sin(Theta) exact (RotationStep::sinAt;
+/// on a panel lane, laneSin):
 ///   k even: re = c*a0.re - s_Y*a1.im ; im = c*a0.im + s_Y*a1.re
 ///   k odd:  re = c*a0.re - s_Y*a1.re ; im = c*a0.im - s_Y*a1.im
 /// No FMA is ever emitted: the whole project builds with -ffp-contract=off.
@@ -57,12 +58,29 @@
 /// so fusing never changes a single bit either.
 ///
 /// Panel-plane layout contract (StatePanel): split real/imag planes,
-/// row-major by basis index — element (X, column) of a plane lives at
-/// [X * Stride + column] — with Stride a multiple of one 64-byte vector
+/// row-major by sector coordinate — element (u, column) of a plane lives
+/// at [u * Stride + column] — with Stride a multiple of one 64-byte vector
 /// (8 doubles) and both plane bases 64-byte aligned. Rows therefore start
 /// on cache lines and a column sweep is a run of contiguous full-width
 /// vector lanes; kernels process the zero-filled padding lanes along with
 /// the live ones (lanes never interact, so padding stays inert).
+///
+/// Rows are sector coordinates (sim/StatePanel.h, Sector): each of the
+/// 2^r rows is a coefficient vector u over a GF(2) basis b_1..b_r of the
+/// schedule's x-masks, and row u of lane L holds the amplitude of basis
+/// state X_L(u) = rep_L ^ (sum of u_i b_i), rep_L being the lane's coset
+/// representative. With the identity basis (r = n, every rep 0) row u is
+/// basis state u: the full layout. A rotation enters the kernels in these
+/// coordinates: its xMask becomes the pivot bits of xMask (the partner of
+/// row u is row u ^ xMask' in every lane), its ZMask becomes
+/// zMask'_i = parity(zMask & b_i), and k, hence Sin's sign and KOdd, stay
+/// those of the original string. Since
+///   parity(zMask & X_L(u)) = parity(zMask & rep_L) ^ parity(zMask' & u),
+/// lane L's sine on row u is flipIf(Sin, parity(ZMask & u) ^ lane L's bit
+/// of LaneFlips) — RotationStep::laneSin gives the parity-0 value — and
+/// every in-sector amplitude sees the operations of the full layout. The
+/// panel kernels build each run's per-lane sines once, ahead of the row
+/// loop (withLaneSines), and pick a row's by its parity.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,7 +130,11 @@ struct RotationStep {
   double Cos;     ///< cos Theta
   double Sin;     ///< sin Theta, negated when k >= 2 (i^{k+1} = -i or -1)
   uint64_t ZMask; ///< P's zMask: sigma(X) = (-1)^popcount(ZMask & X)
-  bool KOdd;      ///< k odd: i^{k+1} is real, the partner's parts stay put
+  /// Panel lanes whose sine is negated: bit L = parity(zMask & rep_L) in
+  /// sector coordinates (layout contract above); zero on the full layout
+  /// and ignored by the statevector walk.
+  uint64_t LaneFlips;
+  bool KOdd; ///< k odd: i^{k+1} is real, the partner's parts stay put
 
   static RotationStep of(const PauliString &P, double Theta) {
     return of(P, std::cos(Theta), std::sin(Theta));
@@ -121,7 +143,7 @@ struct RotationStep {
   /// The step of exp(i Theta P) given c = cos Theta and s = sin Theta.
   static RotationStep of(const PauliString &P, double C, double S) {
     const unsigned K = __builtin_popcountll(P.xMask() & P.zMask()) % 4;
-    return {C, K >= 2 ? -S : S, P.zMask(), (K & 1) != 0};
+    return {C, K >= 2 ? -S : S, P.zMask(), 0, (K & 1) != 0};
   }
 
   // The helpers the vector body calls are always inlined, so no tier
@@ -136,6 +158,12 @@ struct RotationStep {
     return flipIf(Sin, __builtin_parityll(ZMask & X));
   }
 
+  /// Lane \p L's signed sine on a panel row u with parity(ZMask & u) = 0;
+  /// a row of odd parity negates it. Lanes past 64 never flip.
+  __attribute__((always_inline)) double laneSin(size_t L) const {
+    return flipIf(Sin, L < 64 && ((LaneFlips >> L) & 1));
+  }
+
   /// \p S negated when \p Flip is set: s_Y = flipIf(s_X, KOdd), since
   /// sigma(X ^ xMask) = sigma(X) * (-1)^k.
   __attribute__((always_inline)) static double flipIf(double S, bool Flip) {
@@ -146,6 +174,35 @@ struct RotationStep {
     return S;
   }
 };
+
+/// Doubles in one panel run's lane-sine table (16 KB on the stack).
+constexpr size_t LaneSineTableSize = 2048;
+
+/// Hands a run of \p K steps over \p Stride lanes to \p Pass in pieces,
+/// each with its lane-sine table built once, ahead of the row loop:
+/// Pass(Steps, N, Tab) with Tab[(2 * J + P) * Stride + L] step J's signed
+/// sine at lane L on a row of parity P (laneSin(L), exactly negated for
+/// P = 1). A piece holds as many steps as the table fits; each piece is
+/// one pass, which hands every element the same operation sequence as one
+/// pass for the whole run. Stride <= LaneSineTableSize / 2.
+template <class PassFn>
+__attribute__((always_inline)) inline void
+withLaneSines(const RotationStep *Steps, size_t K, size_t Stride,
+              PassFn &&Pass) {
+  alignas(64) double Tab[LaneSineTableSize];
+  const size_t Piece = LaneSineTableSize / (2 * Stride);
+  for (size_t J0 = 0; J0 < K; J0 += Piece) {
+    const size_t N = K - J0 < Piece ? K - J0 : Piece;
+    for (size_t J = 0; J < N; ++J) {
+      double *Even = Tab + 2 * J * Stride, *Odd = Even + Stride;
+      for (size_t L = 0; L < Stride; ++L) {
+        Even[L] = Steps[J0 + J].laneSin(L);
+        Odd[L] = -Even[L];
+      }
+    }
+    Pass(Steps + J0, N, static_cast<const double *>(Tab));
+  }
+}
 
 /// Row X's new value (NRe, NIm) from its own amplitude (ARe, AIm) and its
 /// partner's (BRe, BIm), given the partner's signed sine S — the contract's
@@ -179,11 +236,13 @@ struct Ops {
   /// diagonal fast path on an interleaved statevector.
   void (*ExpDiagonalF64)(Complex *Amp, size_t Dim, const RotationStep &R);
 
-  /// A run of K rotations sharing xMask \p XM over SoA planes (layout
-  /// contract above), applied in one pass: each {X, X ^ XM} row pair (each
-  /// row when XM == 0, the diagonal run) is loaded once, takes Steps[0],
-  /// ..., Steps[K-1] in order, and is stored once — bit-identical to K
-  /// one-step sweeps. K == 1 is the single-rotation sweep.
+  /// A run of K rotations sharing xMask \p XM over SoA planes of \p Dim
+  /// rows (layout contract above: \p XM and each step's ZMask and
+  /// LaneFlips in sector coordinates), applied in one pass: each
+  /// {u, u ^ XM} row pair (each row when XM == 0, the diagonal run) is
+  /// loaded once, takes Steps[0], ..., Steps[K-1] in order, and is stored
+  /// once — bit-identical to K one-step sweeps. K == 1 is the
+  /// single-rotation sweep.
   void (*PanelExpRunF64)(double *Re, double *Im, size_t Dim, size_t Stride,
                          uint64_t XM, const RotationStep *Steps, size_t K);
 
@@ -193,14 +252,15 @@ struct Ops {
   /// panel in one streaming pass instead of one strided re-read per
   /// column.
   ///
-  /// TRe / TImNeg hold the targets at the same [X * Stride + column]
+  /// TRe / TImNeg hold the targets at the same [u * Stride + column]
   /// layout with the imaginary plane already negated (exact, sign flip
   /// only), so each lane's update is AccRe += TRe*ar - TImNeg*ai and
   /// AccIm += TRe*ai + TImNeg*ar — operation for operation the chain
   /// S += conj(Target[X]) * at(Col, X) runs in overlapWith. AccRe/AccIm
   /// are Stride doubles each, zeroed by the caller; lane L's final value
-  /// is column L's overlap, accumulated in ascending basis order, so
-  /// fused and unfused evaluation are bit-identical.
+  /// is column L's overlap, accumulated in ascending row order — which is
+  /// ascending basis order (the Sector order lemma) — so fused and unfused
+  /// evaluation are bit-identical.
   void (*PanelExpOverlapF64)(double *Re, double *Im, size_t Dim,
                              size_t Stride, uint64_t XM, const RotationStep &R,
                              const double *TRe, const double *TImNeg,

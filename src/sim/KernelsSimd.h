@@ -190,14 +190,18 @@ template <class V> inline void storeRow(double *Re, double *Im, Cx<V> A) {
 template <unsigned W> constexpr unsigned PairsPerStep = W == 4 ? 2 : 4;
 
 /// One step of a run on G pairs held in registers: A0[g] is row X[g],
-/// A1[g] its partner X[g] ^ XM.
+/// A1[g] its partner X[g] ^ XM. \p Sines is the step's lane-sine table
+/// row pair at this vector's lanes (kernels::withLaneSines): parity 0 at
+/// Sines, parity 1 at Sines + Stride.
 template <bool KOdd, unsigned G, class V>
-inline void stepPairs(const RotationStep &R, const uint64_t *X, Cx<V> *A0,
+inline void stepPairs(const RotationStep &R, const double *Sines,
+                      size_t Stride, const uint64_t *X, Cx<V> *A0,
                       Cx<V> *A1) {
   const V C = R.Cos - V{};
   for (unsigned G0 = 0; G0 < G; ++G0) {
-    const double SX = R.sinAt(X[G0]);
-    const V SXv = SX - V{}, SYv = RotationStep::flipIf(SX, KOdd) - V{};
+    const unsigned PX = __builtin_parityll(R.ZMask & X[G0]);
+    const V SXv = load<V>(Sines + PX * Stride);
+    const V SYv = load<V>(Sines + (PX ^ KOdd) * Stride);
     const Cx<V> B0 = A0[G0], B1 = A1[G0];
     kernels::rotate<KOdd>(C, SYv, B0.Re, B0.Im, B1.Re, B1.Im, A0[G0].Re,
                           A0[G0].Im);
@@ -208,7 +212,8 @@ inline void stepPairs(const RotationStep &R, const uint64_t *X, Cx<V> *A0,
 
 template <unsigned W, unsigned G>
 void panelRunPairs(double *Re, double *Im, size_t Dim, size_t Stride,
-                   uint64_t XM, const RotationStep *Steps, size_t K) {
+                   uint64_t XM, const RotationStep *Steps, size_t K,
+                   const double *Tab) {
   using V = Vec<W>;
   const uint64_t Low = (XM & (~XM + 1)) - 1; // the bits below the pivot
   for (uint64_t P0 = 0; P0 < Dim / 2; P0 += G) {
@@ -224,10 +229,11 @@ void panelRunPairs(double *Re, double *Im, size_t Dim, size_t Stride,
         A1[G0] = loadRow<V>(Re + Y * Stride + L, Im + Y * Stride + L);
       }
       for (size_t J = 0; J < K; ++J) {
+        const double *Sines = Tab + 2 * J * Stride + L;
         if (Steps[J].KOdd)
-          stepPairs<true, G>(Steps[J], X, A0, A1);
+          stepPairs<true, G>(Steps[J], Sines, Stride, X, A0, A1);
         else
-          stepPairs<false, G>(Steps[J], X, A0, A1);
+          stepPairs<false, G>(Steps[J], Sines, Stride, X, A0, A1);
       }
       for (unsigned G0 = 0; G0 < G; ++G0) {
         storeRow(Re + X[G0] * Stride + L, Im + X[G0] * Stride + L, A0[G0]);
@@ -240,7 +246,8 @@ void panelRunPairs(double *Re, double *Im, size_t Dim, size_t Stride,
 
 template <unsigned W, unsigned G>
 void panelRunDiagonal(double *Re, double *Im, size_t Dim, size_t Stride,
-                      const RotationStep *Steps, size_t K) {
+                      const RotationStep *Steps, size_t K,
+                      const double *Tab) {
   using V = Vec<W>;
   for (uint64_t X0 = 0; X0 < Dim; X0 += G) {
     for (size_t L = 0; L < Stride; L += W) {
@@ -250,8 +257,10 @@ void panelRunDiagonal(double *Re, double *Im, size_t Dim, size_t Stride,
                            Im + (X0 + G0) * Stride + L);
       for (size_t J = 0; J < K; ++J) {
         const V C = Steps[J].Cos - V{};
+        const double *Sines = Tab + 2 * J * Stride + L;
         for (unsigned G0 = 0; G0 < G; ++G0) {
-          const V S = Steps[J].sinAt(X0 + G0) - V{};
+          const unsigned P = __builtin_parityll(Steps[J].ZMask & (X0 + G0));
+          const V S = load<V>(Sines + P * Stride);
           const Cx<V> B = A[G0];
           kernels::rotate<false>(C, S, B.Re, B.Im, B.Re, B.Im, A[G0].Re,
                                  A[G0].Im);
@@ -265,7 +274,8 @@ void panelRunDiagonal(double *Re, double *Im, size_t Dim, size_t Stride,
 }
 
 /// The run entry: G pairs per step, fewer when the panel has fewer (pair
-/// and row counts are powers of two, so G divides any count >= G).
+/// and row counts are powers of two, so G divides any count >= G); the
+/// lane sines of each piece of the run are built once, before its rows.
 template <unsigned W, unsigned G = PairsPerStep<W>>
 void panelRun(double *Re, double *Im, size_t Dim, size_t Stride, uint64_t XM,
               const RotationStep *Steps, size_t K) {
@@ -273,14 +283,18 @@ void panelRun(double *Re, double *Im, size_t Dim, size_t Stride, uint64_t XM,
     if ((XM ? Dim / 2 : Dim) < G)
       return panelRun<W, G / 2>(Re, Im, Dim, Stride, XM, Steps, K);
   }
-  if (XM)
-    panelRunPairs<W, G>(Re, Im, Dim, Stride, XM, Steps, K);
-  else
-    panelRunDiagonal<W, G>(Re, Im, Dim, Stride, Steps, K);
+  kernels::withLaneSines(
+      Steps, K, Stride,
+      [&](const RotationStep *Piece, size_t N, const double *Tab) {
+        if (XM)
+          panelRunPairs<W, G>(Re, Im, Dim, Stride, XM, Piece, N, Tab);
+        else
+          panelRunDiagonal<W, G>(Re, Im, Dim, Stride, Piece, N, Tab);
+      });
 }
 
-// The fused final rotation, then one streaming accumulation pass: row X
-// lands on every lane's chain before row X+1, the ascending-basis order of
+// The fused final rotation, then one streaming accumulation pass: row u
+// lands on every lane's chain before row u+1, the ascending-basis order of
 // StatePanel::overlapWith, and {TRe, TImNeg} * A is the discretely
 // rounded conj(Target) * Amp expansion.
 template <unsigned W>

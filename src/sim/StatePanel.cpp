@@ -12,45 +12,151 @@
 
 using namespace marqsim;
 
-TargetPanel::TargetPanel(const CVector *Targets, size_t Count, size_t Stride)
-    : Dim(Count ? Targets[0].size() : 0), Cols(Count), Stride(Stride),
-      TRe(Dim * Stride, 0.0), TImNeg(Dim * Stride, 0.0) {
-  assert(Count > 0 && Stride >= Count && "bad target panel shape");
-  for (size_t Col = 0; Col < Cols; ++Col) {
-    assert(Targets[Col].size() == Dim && "target size mismatch");
-    for (uint64_t X = 0; X < Dim; ++X) {
-      const Complex &T = Targets[Col][X];
-      TRe[size_t(X) * Stride + Col] = T.real();
-      TImNeg[size_t(X) * Stride + Col] = -T.imag(); // exact sign flip
+Sector Sector::full(unsigned NumQubits) {
+  Sector S(NumQubits);
+  for (unsigned Q = 0; Q < NumQubits; ++Q)
+    S.Basis.push_back(uint64_t(1) << Q);
+  return S;
+}
+
+void Sector::insert(uint64_t XMask) {
+  const uint64_t V = reduce(XMask);
+  if (V == 0)
+    return;
+  // V is zero at every pivot, so its leading bit is a new pivot. Clearing
+  // that bit from the other basis vectors keeps the form reduced and
+  // leaves their (higher) leading bits where they are.
+  const uint64_t Lead = lead(V);
+  for (uint64_t &B : Basis)
+    if (B & Lead)
+      B ^= V;
+  auto Pos = Basis.begin();
+  while (Pos != Basis.end() && lead(*Pos) < Lead)
+    ++Pos;
+  Basis.insert(Pos, V);
+}
+
+// The identity basis (full rank) maps every mask to itself; the fast paths
+// below keep full-layout panels free of per-element basis walks.
+
+uint64_t Sector::reduce(uint64_t X) const {
+  if (rank() == NQubits)
+    return 0;
+  for (uint64_t B : Basis)
+    if (X & lead(B))
+      X ^= B;
+  return X;
+}
+
+uint64_t Sector::coords(uint64_t X) const {
+  if (rank() == NQubits)
+    return X;
+  uint64_t U = 0;
+  for (size_t I = 0; I < Basis.size(); ++I)
+    U |= uint64_t((X & lead(Basis[I])) != 0) << I;
+  return U;
+}
+
+uint64_t Sector::expand(uint64_t U) const {
+  if (rank() == NQubits)
+    return U;
+  uint64_t X = 0;
+  for (size_t I = 0; U; ++I, U >>= 1)
+    if (U & 1)
+      X ^= Basis[I];
+  return X;
+}
+
+uint64_t Sector::zMask(uint64_t ZMask) const {
+  if (rank() == NQubits)
+    return ZMask;
+  uint64_t Z = 0;
+  for (size_t I = 0; I < Basis.size(); ++I)
+    Z |= uint64_t(__builtin_parityll(ZMask & Basis[I])) << I;
+  return Z;
+}
+
+TargetPanel::TargetPanel(const StatePanel &Layout, const CVector *Targets)
+    : Rows(Layout.rows()), Cols(Layout.numColumns()),
+      Stride(Layout.laneStride()), TRe(Rows * Stride, 0.0),
+      TImNeg(Rows * Stride, 0.0) {
+  assert(Cols > 0 && "empty target panel");
+  for (size_t Col = 0; Col < Cols; ++Col)
+    assert(Targets[Col].size() == (size_t(1) << Layout.numQubits()) &&
+           "target size mismatch");
+  for (uint64_t U = 0; U < Rows; ++U) {
+    for (size_t Col = 0; Col < Cols; ++Col) {
+      const Complex &T = Targets[Col][Layout.basisIndex(Col, U)];
+      TRe[size_t(U) * Stride + Col] = T.real();
+      TImNeg[size_t(U) * Stride + Col] = -T.imag(); // exact sign flip
     }
   }
 }
 
 StatePanel::StatePanel(unsigned NumQubits, const uint64_t *Basis,
                        size_t NumColumns)
-    : NQubits(NumQubits), Dim(size_t(1) << NumQubits), Cols(NumColumns),
-      Stride((NumColumns + LaneMultiple - 1) & ~(LaneMultiple - 1)),
-      Re(Dim * Stride, 0.0), Im(Dim * Stride, 0.0) {
-  assert(NumQubits <= 26 && "statevector too large");
-  for (size_t Col = 0; Col < Cols; ++Col) {
-    assert(Basis[Col] < Dim && "basis state out of range");
-    Re[size_t(Basis[Col]) * Stride + Col] = 1.0;
-  }
-}
+    : StatePanel(Sector::full(NumQubits), Basis, NumColumns) {}
 
 StatePanel::StatePanel(unsigned NumQubits, const std::vector<uint64_t> &Basis)
     : StatePanel(NumQubits, Basis.data(), Basis.size()) {}
 
+StatePanel::StatePanel(const Sector &Span, const uint64_t *Basis,
+                       size_t NumColumns)
+    : Span(Span), Rows(size_t(1) << Span.rank()), Cols(NumColumns),
+      Stride((NumColumns + LaneMultiple - 1) & ~(LaneMultiple - 1)),
+      Reps(NumColumns), Re(Rows * Stride, 0.0), Im(Rows * Stride, 0.0) {
+  assert(Span.numQubits() <= 26 && "statevector too large");
+  assert(Stride <= kernels::LaneSineTableSize / 2 &&
+         "a run's lane sines must fit one table");
+  for (size_t Col = 0; Col < Cols; ++Col) {
+    assert(Basis[Col] >> Span.numQubits() == 0 && "basis state out of range");
+    Reps[Col] = Span.reduce(Basis[Col]);
+    Re[size_t(Span.coords(Basis[Col])) * Stride + Col] = 1.0;
+    assert((Reps[Col] == 0 || Col < 64) &&
+           "a sector panel has at most 64 columns");
+    Flipping |= Reps[Col] != 0;
+  }
+}
+
+uint64_t StatePanel::laneFlips(uint64_t ZMask) const {
+  uint64_t Flips = 0;
+  // Columns past 64 sit in the zero coset (constructor), so never flip.
+  for (size_t Col = 0; Col < Cols && Col < 64; ++Col)
+    Flips |= uint64_t(__builtin_parityll(ZMask & Reps[Col])) << Col;
+  return Flips;
+}
+
+Complex StatePanel::at(size_t Col, uint64_t X) const {
+  assert(Col < Cols && "column out of range");
+  if (Span.reduce(X) != Reps[Col])
+    return Complex(0.0, 0.0);
+  const size_t I = size_t(Span.coords(X)) * Stride + Col;
+  return Complex(Re[I], Im[I]);
+}
+
 CVector StatePanel::column(size_t Col) const {
   assert(Col < Cols && "column out of range");
-  CVector Out(Dim);
-  for (uint64_t X = 0; X < Dim; ++X)
-    Out[X] = at(Col, X);
+  CVector Out(size_t(1) << numQubits(), Complex(0.0, 0.0));
+  for (uint64_t U = 0; U < Rows; ++U) {
+    const size_t I = size_t(U) * Stride + Col;
+    Out[basisIndex(Col, U)] = Complex(Re[I], Im[I]);
+  }
   return Out;
 }
 
+kernels::RotationStep StatePanel::localStep(const PauliString &P,
+                                            double Theta,
+                                            uint64_t &XMask) const {
+  assert(Span.contains(P.xMask()) && "rotation leaves the panel's sector");
+  kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
+  R.ZMask = Span.zMask(P.zMask());
+  R.LaneFlips = laneFlips(P.zMask());
+  XMask = Span.coords(P.xMask());
+  return R;
+}
+
 void StatePanel::applyPauliExpAll(const PauliString &P, double Theta) {
-  assert((P.supportMask() >> NQubits) == 0 &&
+  assert((P.supportMask() >> numQubits()) == 0 &&
          "Pauli string acts outside the register");
   if (P.isIdentity()) {
     // exp(i Theta I) is the global phase cos + i sin; elementwise over
@@ -67,22 +173,25 @@ void StatePanel::applyPauliExpAll(const PauliString &P, double Theta) {
   }
   // Per-rotation setup — trig, the signed-sine constants — done once here
   // and amortized over every column.
-  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
-  applyPauliExpRun(P.xMask(), &R, 1);
+  uint64_t XMask;
+  const kernels::RotationStep R = localStep(P, Theta, XMask);
+  applyPauliExpRun(XMask, &R, 1);
 }
 
 void StatePanel::applyPauliExpRun(uint64_t XMask,
                                   const kernels::RotationStep *Steps,
                                   size_t K) {
-  assert((XMask >> NQubits) == 0 && "run acts outside the register");
-  kernels::active().PanelExpRunF64(Re.data(), Im.data(), Dim, Stride, XMask,
+  assert(XMask < Rows && "run acts outside the panel's rows");
+  kernels::active().PanelExpRunF64(Re.data(), Im.data(), Rows, Stride, XMask,
                                    Steps, K);
 }
 
 void StatePanel::applyAll(const Gate &G) {
+  assert(isFullLayout() && "gates run on the full layout only");
+  const size_t Dim = Rows;
   Complex M[2][2];
   if (detail::singleQubitMatrix(G, M)) {
-    assert(G.Qubit0 < NQubits && "qubit out of range");
+    assert(G.Qubit0 < numQubits() && "qubit out of range");
     // The identical matrix a standalone StateVector applies.
     const uint64_t Bit = 1ULL << G.Qubit0;
     for (uint64_t Base = 0; Base < Dim; ++Base) {
@@ -125,7 +234,7 @@ void StatePanel::applyAll(const Gate &G) {
 }
 
 void StatePanel::applyAll(const Circuit &C) {
-  assert(C.numQubits() <= NQubits && "circuit wider than panel");
+  assert(C.numQubits() <= numQubits() && "circuit wider than panel");
   for (const Gate &G : C.gates())
     applyAll(G);
 }
@@ -133,7 +242,7 @@ void StatePanel::applyAll(const Circuit &C) {
 void StatePanel::applyPauliExpAllFused(const PauliString &P, double Theta,
                                        const TargetPanel &Targets,
                                        Complex *Out) {
-  assert(Targets.laneStride() == Stride && Targets.dim() == Dim &&
+  assert(Targets.laneStride() == Stride && Targets.rows() == Rows &&
          Targets.numColumns() == Cols && "target panel shape mismatch");
   const double *WR = Targets.realPlane();
   const double *WI = Targets.negImagPlane();
@@ -145,8 +254,8 @@ void StatePanel::applyPauliExpAllFused(const PauliString &P, double Theta,
     applyPauliExpAll(P, Theta);
     for (size_t Col = 0; Col < Cols; ++Col) {
       double AccRe = 0.0, AccIm = 0.0;
-      for (uint64_t X = 0; X < Dim; ++X) {
-        const size_t I = size_t(X) * Stride + Col;
+      for (uint64_t U = 0; U < Rows; ++U) {
+        const size_t I = size_t(U) * Stride + Col;
         AccRe += WR[I] * Re[I] - WI[I] * Im[I];
         AccIm += WR[I] * Im[I] + WI[I] * Re[I];
       }
@@ -154,23 +263,28 @@ void StatePanel::applyPauliExpAllFused(const PauliString &P, double Theta,
     }
     return;
   }
-  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
+  uint64_t XMask;
+  const kernels::RotationStep R = localStep(P, Theta, XMask);
   // Lane L of the accumulator planes carries column L's overlap chain;
   // padding lanes accumulate zeros against zero targets and are dropped.
   std::vector<double, AlignedAllocator<double, 64>> AccRe(Stride, 0.0);
   std::vector<double, AlignedAllocator<double, 64>> AccIm(Stride, 0.0);
-  kernels::active().PanelExpOverlapF64(Re.data(), Im.data(), Dim, Stride,
-                                       P.xMask(), R, WR, WI, AccRe.data(),
+  kernels::active().PanelExpOverlapF64(Re.data(), Im.data(), Rows, Stride,
+                                       XMask, R, WR, WI, AccRe.data(),
                                        AccIm.data());
   for (size_t Col = 0; Col < Cols; ++Col)
     Out[Col] = Complex(AccRe[Col], AccIm[Col]);
 }
 
 Complex StatePanel::overlapWith(const CVector &Target, size_t Col) const {
-  assert(Target.size() == Dim && "overlap size mismatch");
+  assert(Target.size() == (size_t(1) << numQubits()) &&
+         "overlap size mismatch");
   assert(Col < Cols && "column out of range");
+  // Ascending rows are ascending basis states (the Sector order lemma).
   Complex S = 0.0;
-  for (uint64_t X = 0; X < Dim; ++X)
-    S += std::conj(Target[X]) * at(Col, X);
+  for (uint64_t U = 0; U < Rows; ++U) {
+    const size_t I = size_t(U) * Stride + Col;
+    S += std::conj(Target[basisIndex(Col, U)]) * Complex(Re[I], Im[I]);
+  }
   return S;
 }

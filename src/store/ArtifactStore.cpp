@@ -63,8 +63,40 @@ ArtifactStore::acquire(const std::string &Id) {
   return Ref;
 }
 
-void ArtifactStore::commit(const std::string &Id, size_t Bytes) {
+bool ArtifactStore::claim(Entry &E) {
+  std::unique_lock<std::mutex> Lock(Mutex);
+  Resolved.wait(Lock, [&] { return E.St != Entry::State::Computing; });
+  if (E.St == Entry::State::Ready)
+    return false;
+  E.St = Entry::State::Computing;
+  return true;
+}
+
+void ArtifactStore::publish(const std::string &Id, Entry &E,
+                            std::shared_ptr<const void> Value, size_t Bytes) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    E.Value = std::move(Value);
+    E.St = Entry::State::Ready;
+    commitLocked(Id, Bytes);
+  }
+  Resolved.notify_all();
+}
+
+void ArtifactStore::abandon(Entry &E) {
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    E.St = Entry::State::Pending;
+  }
+  Resolved.notify_all();
+}
+
+std::shared_ptr<const void> ArtifactStore::valueOf(const Entry &E) const {
   std::lock_guard<std::mutex> Lock(Mutex);
+  return E.Value;
+}
+
+void ArtifactStore::commitLocked(const std::string &Id, size_t Bytes) {
   auto It = Entries.find(Id);
   // Invariant: an in-flight entry is uncharged, eviction only removes
   // charged entries, and Charged is set only here — so the entry must

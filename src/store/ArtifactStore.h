@@ -45,6 +45,7 @@
 
 #include "store/ArtifactKey.h"
 
+#include <condition_variable>
 #include <functional>
 #include <list>
 #include <map>
@@ -141,34 +142,38 @@ public:
                                Outcome *Out = nullptr) {
     std::shared_ptr<Entry> E = acquire(Key.Id);
     Outcome How = Outcome::MemoryHit;
-    std::call_once(E->Once, [&] {
+    if (claim(*E)) {
       std::shared_ptr<const T> Value;
-      if (Codec.Decode) {
-        if (std::optional<std::string> Body = loadBody(Key)) {
-          if (std::optional<T> Decoded = Codec.Decode(*Body)) {
-            How = Outcome::DiskHit;
-            Value = std::make_shared<const T>(std::move(*Decoded));
+      try {
+        if (Codec.Decode) {
+          if (std::optional<std::string> Body = loadBody(Key)) {
+            if (std::optional<T> Decoded = Codec.Decode(*Body)) {
+              How = Outcome::DiskHit;
+              Value = std::make_shared<const T>(std::move(*Decoded));
+            }
           }
         }
-      }
-      if (!Value) {
-        How = Outcome::Computed;
-        Value = std::make_shared<const T>(Compute());
-        // Serializing is pure waste without a disk tier to write to.
-        if (Codec.Encode && !Opts.CacheDir.empty()) {
-          std::string Body = Codec.Encode(*Value);
-          if (!Body.empty())
-            storeBody(Key, Body);
+        if (!Value) {
+          How = Outcome::Computed;
+          Value = std::make_shared<const T>(Compute());
+          // Serializing is pure waste without a disk tier to write to.
+          if (Codec.Encode && !Opts.CacheDir.empty()) {
+            std::string Body = Codec.Encode(*Value);
+            if (!Body.empty())
+              storeBody(Key, Body);
+          }
         }
+      } catch (...) {
+        abandon(*E);
+        throw;
       }
-      size_t Bytes = Codec.Size ? Codec.Size(*Value) : 0;
-      E->Value = std::move(Value);
-      commit(Key.Id, Bytes);
-    });
+      const size_t Bytes = Codec.Size ? Codec.Size(*Value) : 0;
+      publish(Key.Id, *E, std::move(Value), Bytes);
+    }
     noteOutcome(How);
     if (Out)
       *Out = How;
-    return std::static_pointer_cast<const T>(E->Value);
+    return std::static_pointer_cast<const T>(valueOf(*E));
   }
 
   /// Injects an already-encoded \p Body for \p Key — the receiving half of
@@ -185,23 +190,26 @@ public:
                  const std::string &Body) {
     if (!Codec.Decode)
       return PutOutcome::Rejected;
-    // Decode before touching the entry: a corrupt body must not poison
-    // the once_flag (the key stays computable by a later get()).
+    // Decode before touching the entry: a corrupt body must not claim it
+    // (the key stays computable by a later get()).
     std::optional<T> Decoded = Codec.Decode(Body);
     if (!Decoded)
       return PutOutcome::Rejected;
     std::shared_ptr<Entry> E = acquire(Key.Id);
-    bool Inserted = false;
-    std::call_once(E->Once, [&] {
-      auto Value = std::make_shared<const T>(std::move(*Decoded));
+    if (!claim(*E))
+      return PutOutcome::AlreadyPresent;
+    std::shared_ptr<const T> Value;
+    try {
+      Value = std::make_shared<const T>(std::move(*Decoded));
       if (!Opts.CacheDir.empty())
         storeBody(Key, Body);
-      size_t Bytes = Codec.Size ? Codec.Size(*Value) : 0;
-      E->Value = std::move(Value);
-      commit(Key.Id, Bytes);
-      Inserted = true;
-    });
-    return Inserted ? PutOutcome::Inserted : PutOutcome::AlreadyPresent;
+    } catch (...) {
+      abandon(*E);
+      throw;
+    }
+    const size_t Bytes = Codec.Size ? Codec.Size(*Value) : 0;
+    publish(Key.Id, *E, std::move(Value), Bytes);
+    return PutOutcome::Inserted;
   }
 
   /// Whether \p Id is resolved in the memory tier (charged, not merely
@@ -232,7 +240,12 @@ private:
   /// builder (Ids are type-prefixed), so the erased pointer is safe to
   /// cast back in get().
   struct Entry {
-    std::once_flag Once;
+    /// Single-flight state, guarded by the store mutex: Pending until a
+    /// caller claims the entry, Computing while that caller resolves it
+    /// (others wait on the store's condition variable), Ready once the
+    /// value is published. A failed resolution returns it to Pending.
+    enum class State { Pending, Computing, Ready };
+    State St = State::Pending;
     std::shared_ptr<const void> Value;
     size_t Bytes = 0;
     /// True once commit() charged the entry (eviction skips in-flight
@@ -245,9 +258,26 @@ private:
   /// Finds or creates the entry of \p Id and marks it most recently used.
   std::shared_ptr<Entry> acquire(const std::string &Id);
 
+  /// Waits out an in-flight resolution of \p E, then returns true when
+  /// the caller now owns its resolution (the entry was Pending and is now
+  /// Computing) or false when it is Ready.
+  bool claim(Entry &E);
+
+  /// Publishes a claimed entry's \p Value, charges \p Bytes to \p Id
+  /// (see commitLocked) and wakes every waiter.
+  void publish(const std::string &Id, Entry &E,
+               std::shared_ptr<const void> Value, size_t Bytes);
+
+  /// Returns a claimed entry to Pending after a failed resolution and
+  /// wakes the waiters, one of which claims it next.
+  void abandon(Entry &E);
+
+  /// The published value of a Ready entry.
+  std::shared_ptr<const void> valueOf(const Entry &E) const;
+
   /// Charges \p Bytes to \p Id and evicts least-recently-used charged
-  /// entries (never \p Id itself) until the budget fits.
-  void commit(const std::string &Id, size_t Bytes);
+  /// entries (never \p Id itself) until the budget fits. Mutex held.
+  void commitLocked(const std::string &Id, size_t Bytes);
 
   void noteOutcome(Outcome How);
 
@@ -263,6 +293,7 @@ private:
   Options Opts;
 
   mutable std::mutex Mutex;
+  std::condition_variable Resolved; // an entry left the Computing state
   std::map<std::string, std::shared_ptr<Entry>> Entries;
   std::list<std::string> Lru;
   Stats Counters;

@@ -13,7 +13,8 @@
 // at the short pivot runs (1, 2, 4) where the 4-wide walk defers to the
 // scalar reference. The fused evolve+overlap tail must reproduce the
 // unfused sweep-then-overlapWith path bit for bit, and a run of same-xMask
-// rotations applied in one pass must reproduce one sweep per rotation. An
+// rotations applied in one pass must reproduce one sweep per rotation, in
+// full and in sector coordinates (per-lane sine flips). An
 // exhaustive sign/zero sweep proves every tier's minimal arithmetic equal
 // to the std::complex expression on every nonzero result. All vector
 // tiers are one body (sim/KernelsSimd.h); the cross-tier loops also run it
@@ -96,7 +97,7 @@ CVector signedZeroState(unsigned N, RNG &Rng) {
 /// Overwrites the live columns of \p P with signed-zero states; padding
 /// lanes keep their zeros.
 void fillSignedZeros(StatePanel &P, RNG &Rng) {
-  for (uint64_t X = 0; X < P.dim(); ++X)
+  for (uint64_t X = 0; X < P.rows(); ++X)
     for (size_t C = 0; C < P.numColumns(); ++C) {
       P.realPlane()[X * P.laneStride() + C] = signedZeroPart(Rng);
       P.imagPlane()[X * P.laneStride() + C] = signedZeroPart(Rng);
@@ -148,8 +149,8 @@ void applyThrough(const kernels::Ops &K, CVector &Amp, const PauliString &P,
 
 ::testing::AssertionResult panelsBitIdentical(const StatePanel &A,
                                               const StatePanel &B) {
-  const size_t N = A.dim() * A.laneStride();
-  if (B.dim() * B.laneStride() != N)
+  const size_t N = A.rows() * A.laneStride();
+  if (B.rows() * B.laneStride() != N)
     return ::testing::AssertionFailure() << "panel shape mismatch";
   if (std::memcmp(A.realPlane(), B.realPlane(), N * sizeof(double)) != 0 ||
       std::memcmp(A.imagPlane(), B.imagPlane(), N * sizeof(double)) != 0)
@@ -452,7 +453,7 @@ TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
             std::vector<Complex> Unfused(Cols);
             for (size_t C = 0; C < Cols; ++C)
               Unfused[C] = A.overlapWith(Targets[C], C);
-            TargetPanel Packed(Targets.data(), Cols, B.laneStride());
+            TargetPanel Packed(B, Targets.data());
             std::vector<Complex> Fused(Cols);
             B.applyPauliExpAllFused(Tail, Theta, Packed, Fused.data());
             if (ScalarFused.empty()) {
@@ -653,6 +654,94 @@ TEST(KernelBitIdentityTest, PanelRunMatchesSingleStepSweepsBitwise) {
                   << "tier " << Tier->Name << " vs scalar, " << N
                   << " qubits, xMask " << XM << ", K " << K;
             }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Sector coordinates: steps carry per-lane sine flips (LaneFlips). A
+// lane-masked run and the fused overlap tail on raw planes must match the
+// scalar reference with memcmp — zero signs included — on every tier and
+// the width-2 body, for 2^r-row planes (r = 0..5, including runs with
+// fewer pairs than a step interleaves), one- and three-vector strides,
+// diagonal and butterfly masks, random and signed-zero starts, angles
+// including +0, -0 and pi, and random flips on every live lane. Each
+// tier's run must also equal K single sweeps.
+TEST(KernelBitIdentityTest, LaneMaskedRunAndFusedOverlapMatchScalar) {
+  RNG Rng(4711);
+  for (unsigned R : {0u, 1u, 2u, 3u, 5u}) {
+    const uint64_t Rows = uint64_t(1) << R;
+    for (const size_t Stride : {size_t(8), size_t(24)}) {
+      for (int Trial = 0; Trial < 6; ++Trial) {
+        const uint64_t XM = Trial == 0 ? 0 : Rng.uniformInt(Rows);
+        const size_t K = 1 + Rng.uniformInt(8);
+        std::vector<kernels::RotationStep> Steps;
+        for (size_t J = 0; J < K; ++J) {
+          PauliString P;
+          for (unsigned Q = 0; Q < R; ++Q) {
+            const bool Flip = Rng.bernoulli(0.5);
+            P.setOp(Q, (XM >> Q) & 1
+                           ? (Flip ? PauliOpKind::Y : PauliOpKind::X)
+                           : (Flip ? PauliOpKind::Z : PauliOpKind::I));
+          }
+          const double Angles[4] = {Rng.gaussian(), 0.0, -0.0, M_PI};
+          kernels::RotationStep Step =
+              kernels::RotationStep::of(P, Angles[Rng.uniformInt(4)]);
+          Step.LaneFlips = Rng.next() & ((uint64_t(1) << (Stride - 3)) - 1);
+          Steps.push_back(Step);
+        }
+        const size_t N = Rows * Stride;
+        const bool SignedZeroStart = Trial % 2;
+        std::vector<double> Re0(N), Im0(N), TRe(N), TImNeg(N);
+        for (size_t I = 0; I < N; ++I) {
+          Re0[I] = SignedZeroStart ? signedZeroPart(Rng) : Rng.gaussian();
+          Im0[I] = SignedZeroStart ? signedZeroPart(Rng) : Rng.gaussian();
+          TRe[I] = signedZeroPart(Rng);
+          TImNeg[I] = signedZeroPart(Rng);
+        }
+        using Plane = std::vector<double, AlignedAllocator<double, 64>>;
+        struct Result {
+          Plane Re, Im, FusedRe, FusedIm, Acc;
+        };
+        const auto Evolve = [&](const kernels::Ops &Tier, bool Sweeps) {
+          Result Out{Plane(Re0.begin(), Re0.end()),
+                     Plane(Im0.begin(), Im0.end()),
+                     Plane(Re0.begin(), Re0.end()),
+                     Plane(Im0.begin(), Im0.end()), Plane(2 * Stride, 0.0)};
+          if (Sweeps)
+            for (size_t J = 0; J < K; ++J)
+              Tier.PanelExpRunF64(Out.Re.data(), Out.Im.data(), Rows, Stride,
+                                  XM, &Steps[J], 1);
+          else
+            Tier.PanelExpRunF64(Out.Re.data(), Out.Im.data(), Rows, Stride,
+                                XM, Steps.data(), K);
+          Tier.PanelExpOverlapF64(Out.FusedRe.data(), Out.FusedIm.data(),
+                                  Rows, Stride, XM, Steps.back(), TRe.data(),
+                                  TImNeg.data(), Out.Acc.data(),
+                                  Out.Acc.data() + Stride);
+          return Out;
+        };
+        const auto Same = [](const Plane &A, const Plane &B) {
+          return std::memcmp(A.data(), B.data(), A.size() * sizeof(double)) ==
+                 0;
+        };
+        const Result Scalar = Evolve(kernels::scalarOps(), false);
+        for (const kernels::Ops *Tier : crossTierOps()) {
+          for (const bool Sweeps : {false, true}) {
+            const Result Got = Evolve(*Tier, Sweeps);
+            const std::string Where =
+                std::string("tier ") + Tier->Name + ", rows " +
+                std::to_string(Rows) + ", stride " + std::to_string(Stride) +
+                ", xMask " + std::to_string(XM) + ", K " + std::to_string(K) +
+                (Sweeps ? ", single sweeps" : ", one run");
+            ASSERT_TRUE(Same(Scalar.Re, Got.Re) && Same(Scalar.Im, Got.Im))
+                << Where;
+            ASSERT_TRUE(Same(Scalar.FusedRe, Got.FusedRe) &&
+                        Same(Scalar.FusedIm, Got.FusedIm) &&
+                        Same(Scalar.Acc, Got.Acc))
+                << "fused, " << Where;
           }
         }
       }

@@ -4,6 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CompilerEngine.h"
+#include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
 #include "hamgen/Registry.h"
 #include "linalg/Expm.h"
@@ -11,6 +13,7 @@
 #include "sim/Evolution.h"
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
+#include "sim/NoiseModel.h"
 #include "sim/Observables.h"
 #include "sim/PauliOperator.h"
 #include "sim/StatePanel.h"
@@ -671,4 +674,213 @@ TEST(FidelityEvaluatorTest, TrotterFidelityImprovesWithReps) {
     Prev = F;
   }
   EXPECT_GT(Prev, 0.99);
+}
+
+//===----------------------------------------------------------------------===//
+// Symmetry sectors
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The span of a schedule's x-masks: the sector FidelityEvaluator
+/// evaluates it in.
+Sector scheduleSector(unsigned N,
+                      const std::vector<ScheduledRotation> &Schedule) {
+  Sector Span(N);
+  for (const ScheduledRotation &Step : Schedule)
+    Span.insert(Step.String.xMask());
+  return Span;
+}
+
+/// One gc shot (0.4 qDrift + 0.6 gate cancellation) of a Table 1 model.
+std::vector<ScheduledRotation> gcShot(const Hamiltonian &H, double T,
+                                      double Epsilon, uint64_t Seed) {
+  auto Graph = std::make_shared<const HTTGraph>(
+      H, makeConfigMatrix(H, 0.4, 0.6, 0.0));
+  return CompilerEngine()
+      .compileOne(SamplingStrategy(Graph, T, Epsilon), Seed)
+      .Schedule;
+}
+
+Hamiltonian registryModel(const std::string &Name) {
+  return makeBenchmark(*findBenchmark(Name)).merged().splitLargeTerms();
+}
+
+/// Restores the default kernel dispatch when a tier-pinning test exits.
+struct DispatchRestorer {
+  ~DispatchRestorer() { kernels::selectAuto(); }
+};
+
+} // namespace
+
+// The basis is reduced row-echelon with ascending leading-bit pivots, the
+// coordinates invert, and the order lemma holds: for a reduced
+// representative, u -> rep ^ expand(u) is strictly increasing. Random
+// spans of every rank on up to 12 qubits, random representatives.
+TEST(SectorTest, OrderLemmaOverRandomBasesAndRepresentatives) {
+  RNG Rng(2026);
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    const unsigned N = 1 + Rng.uniformInt(12);
+    const uint64_t All = (uint64_t(1) << N) - 1;
+    Sector Span(N);
+    const size_t Masks = Rng.uniformInt(N + 2);
+    for (size_t I = 0; I < Masks; ++I)
+      Span.insert(Rng.next() & All & (Rng.bernoulli(0.5) ? All : Rng.next()));
+    const std::vector<uint64_t> &B = Span.basis();
+    ASSERT_EQ(B.size(), Span.rank());
+    uint64_t PrevLead = 0;
+    for (size_t I = 0; I < B.size(); ++I) {
+      const uint64_t Lead = uint64_t(1) << (63 - __builtin_clzll(B[I]));
+      ASSERT_GT(Lead, PrevLead) << "pivots ascend";
+      PrevLead = Lead;
+      for (size_t J = 0; J < B.size(); ++J)
+        ASSERT_TRUE(I == J || !(B[J] & Lead)) << "pivot columns are unique";
+    }
+    for (int Probe = 0; Probe < 20; ++Probe) {
+      const uint64_t X = Rng.next() & All, Z = Rng.next() & All;
+      const uint64_t Rep = Span.reduce(X), U = Span.coords(X);
+      ASSERT_EQ(Rep ^ Span.expand(U), X);
+      ASSERT_EQ(Span.reduce(Rep), Rep);
+      ASSERT_EQ(Span.coords(Rep), 0u);
+      ASSERT_EQ(__builtin_parityll(Z & Span.expand(U)),
+                __builtin_parityll(Span.zMask(Z) & U));
+      uint64_t Prev = Rep;
+      for (uint64_t V = 1; V < (uint64_t(1) << Span.rank()); ++V) {
+        const uint64_t Next = Rep ^ Span.expand(V);
+        ASSERT_GT(Next, Prev) << N << " qubits, rank " << Span.rank();
+        ASSERT_TRUE(Span.contains(Next ^ Rep));
+        Prev = Next;
+      }
+    }
+  }
+  EXPECT_EQ(Sector::full(5).basis(),
+            (std::vector<uint64_t>{1, 2, 4, 8, 16}));
+}
+
+// A sector panel holds each column's coset: every in-sector amplitude is
+// bit-identical to the full-layout panel's, zero signs included, and the
+// rows it drops are zeros there.
+TEST(StatePanelTest, SectorPanelMatchesFullLayoutInSector) {
+  RNG Rng(93);
+  const unsigned N = 6;
+  std::vector<ScheduledRotation> Schedule;
+  // x-masks from {XX on (0,1), X on 3, XX on (4,5)}: rank 3, 8 cosets.
+  const uint64_t Masks[3] = {0b000011, 0b001000, 0b110000};
+  for (int Step = 0; Step < 40; ++Step) {
+    PauliString P = randomString(N, Rng, /*ZOnly=*/true);
+    const uint64_t XM = Masks[Rng.uniformInt(3)] * (Step % 5 != 4);
+    for (unsigned Q = 0; Q < N; ++Q)
+      if ((XM >> Q) & 1)
+        P.setOp(Q, Rng.bernoulli(0.5) ? PauliOpKind::X : PauliOpKind::Y);
+    Schedule.emplace_back(Step % 13 == 12 ? PauliString() : P,
+                          Rng.uniform(-1.5, 1.5));
+  }
+  const Sector Span = scheduleSector(N, Schedule);
+  ASSERT_EQ(Span.rank(), 3u);
+  const std::vector<uint64_t> Basis = {0, 5, 7, 12, 33, 40, 63, 9, 18};
+  StatePanel Full(N, Basis), InSector(Span, Basis.data(), Basis.size());
+  EXPECT_EQ(InSector.rows(), 8u);
+  for (const ScheduledRotation &Step : Schedule) {
+    Full.applyPauliExpAll(Step.String, Step.Tau);
+    InSector.applyPauliExpAll(Step.String, Step.Tau);
+  }
+  for (size_t C = 0; C < Basis.size(); ++C) {
+    const CVector Want = Full.column(C), Got = InSector.column(C);
+    for (uint64_t X = 0; X < Want.size(); ++X) {
+      if (Span.reduce(X) == Span.reduce(Basis[C])) {
+        ASSERT_TRUE(serial::doubleBits(Want[X].real()) ==
+                        serial::doubleBits(Got[X].real()) &&
+                    serial::doubleBits(Want[X].imag()) ==
+                        serial::doubleBits(Got[X].imag()))
+            << "column " << C << ", basis state " << X;
+      } else {
+        ASSERT_TRUE(Want[X] == Complex(0.0, 0.0) && Got[X] == Complex(0.0, 0.0))
+            << "column " << C << ", basis state " << X;
+      }
+    }
+  }
+}
+
+// The evaluator replays every panel block in the schedule's sector; both
+// metrics must equal a full-layout StatePanel replay of the same schedule
+// bit for bit — at 8 and 17 columns (two panel blocks plus the width-1
+// walk), EvalJobs 1 and 4, on every runnable tier — for Na+ and OH- gc
+// shots (several cosets per block), a full-rank schedule, an all-diagonal
+// one (rank 0), one ending in an identity rotation, an empty one, and a
+// stochastic-noise schedule whose injected Paulis widen the span.
+TEST(FidelityEvaluatorTest, SectorEvaluationMatchesFullLayoutReplay) {
+  struct Case {
+    std::string Name;
+    const Hamiltonian *H;
+    double T;
+    std::vector<ScheduledRotation> Schedule;
+  };
+  const Hamiltonian Na = registryModel("Na+"), OH = registryModel("OH-");
+  const double NaT = findBenchmark("Na+")->Time;
+  const double OHT = findBenchmark("OH-")->Time;
+  const unsigned N = Na.numQubits();
+  std::vector<Case> Cases;
+  Cases.push_back({"Na+ gc", &Na, NaT, gcShot(Na, NaT, 0.05, 1)});
+  Cases.push_back({"OH- gc", &OH, OHT, gcShot(OH, OHT, 0.2, 2)});
+  RNG Rng(94);
+  std::vector<ScheduledRotation> FullRank, Diagonal;
+  for (unsigned Q = 0; Q < N; ++Q) {
+    PauliString P = randomString(N, Rng, /*ZOnly=*/true);
+    P.setOp(Q, PauliOpKind::Y);
+    FullRank.emplace_back(P, Rng.uniform(-0.5, 0.5));
+    Diagonal.emplace_back(randomString(N, Rng, /*ZOnly=*/true),
+                          Rng.uniform(-0.5, 0.5));
+  }
+  Cases.push_back({"full rank", &Na, NaT, FullRank});
+  Cases.push_back({"diagonal", &Na, NaT, Diagonal});
+  std::vector<ScheduledRotation> IdentityTail = Cases[0].Schedule;
+  IdentityTail.emplace_back(PauliString(), 0.3);
+  Cases.push_back({"identity tail", &Na, NaT, IdentityTail});
+  Cases.push_back({"empty", &Na, NaT, {}});
+  NoiseSpec Spec;
+  Spec.Kind = NoiseChannelKind::Depolarizing;
+  Spec.Prob = 0.002;
+  RNG NoiseRng = RNG::forShot(NoiseModel::noiseStreamSeed(5), 0);
+  Cases.push_back({"noisy", &Na, NaT,
+                   NoiseModel(Spec).injectErrors(Cases[0].Schedule, NoiseRng)});
+
+  EXPECT_EQ(scheduleSector(N, Cases[0].Schedule).rank(), 6u);
+  EXPECT_EQ(scheduleSector(OH.numQubits(), Cases[1].Schedule).rank(), 9u);
+  EXPECT_EQ(scheduleSector(N, FullRank).rank(), N);
+  EXPECT_EQ(scheduleSector(N, Diagonal).rank(), 0u);
+  EXPECT_GT(scheduleSector(N, Cases.back().Schedule).rank(), 6u)
+      << "the injected errors must widen the span";
+
+  DispatchRestorer Restore;
+  for (const Case &C : Cases) {
+    for (size_t Columns : {size_t(8), size_t(17)}) {
+      const FidelityEvaluator Eval(*C.H, C.T, Columns, /*Seed=*/7);
+      StatePanel Full(Eval.numQubits(), Eval.columns());
+      for (const ScheduledRotation &Step : C.Schedule)
+        Full.applyPauliExpAll(Step.String, Step.Tau);
+      Complex Acc = 0.0;
+      double StateAcc = 0.0;
+      for (size_t Col = 0; Col < Columns; ++Col) {
+        const Complex O = Full.overlapWith(Eval.targets()[Col], Col);
+        Acc += O;
+        StateAcc += std::norm(O);
+      }
+      const double D = static_cast<double>(Columns);
+      const uint64_t Want = serial::doubleBits(std::abs(Acc) / D);
+      const uint64_t StateWant = serial::doubleBits(StateAcc / D);
+      for (const kernels::Ops *Tier : kernels::availableOps()) {
+        kernels::selectTierForTesting(*Tier);
+        for (unsigned Jobs : {1u, 4u}) {
+          EXPECT_EQ(serial::doubleBits(Eval.fidelity(C.Schedule, Jobs)), Want)
+              << C.Name << ", " << Columns << " columns, tier " << Tier->Name
+              << ", eval-jobs " << Jobs;
+          EXPECT_EQ(serial::doubleBits(Eval.stateFidelity(C.Schedule, Jobs)),
+                    StateWant)
+              << C.Name << ", " << Columns << " columns, tier " << Tier->Name
+              << ", eval-jobs " << Jobs;
+        }
+      }
+      kernels::selectAuto();
+    }
+  }
 }

@@ -30,6 +30,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 using namespace marqsim;
@@ -201,6 +202,53 @@ TEST(ArtifactStoreTest, ConcurrentGetsComputeOnce) {
     EXPECT_EQ(R.get(), Results[0].get()) << "all callers share one value";
   EXPECT_EQ(Store.stats().Computes, 1u);
   EXPECT_EQ(Store.stats().MemoryHits, Results.size() - 1);
+}
+
+// A compute that throws hands the key back: the exception reaches its own
+// caller, a caller waiting on that compute then resolves the key itself,
+// and later lookups are served from memory. Nothing is charged or counted
+// for the failed attempt.
+TEST(ArtifactStoreTest, ThrowingComputeWakesWaiterWhichRetries) {
+  ArtifactStore Store({"", 0});
+  ArtifactCodec<Blob> Codec = blobCodec();
+  std::atomic<bool> FailerStarted{false};
+  std::atomic<int> Attempts{0};
+  bool Threw = false;
+  std::thread Failer([&] {
+    try {
+      Store.get<Blob>(blobKey("flaky"), Codec, [&]() -> Blob {
+        Attempts++;
+        FailerStarted = true;
+        // Long enough for the waiter below to block on this compute.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        throw std::runtime_error("infeasible");
+      });
+    } catch (const std::runtime_error &) {
+      Threw = true;
+    }
+  });
+  while (!FailerStarted)
+    std::this_thread::yield();
+  ArtifactStore::Outcome How = ArtifactStore::Outcome::MemoryHit;
+  std::shared_ptr<const Blob> Waited = Store.get<Blob>(
+      blobKey("flaky"), Codec,
+      [&] {
+        Attempts++;
+        return Blob{"retried"};
+      },
+      &How);
+  Failer.join();
+  EXPECT_TRUE(Threw) << "the failing compute's exception must propagate";
+  EXPECT_EQ(How, ArtifactStore::Outcome::Computed);
+  EXPECT_EQ(Waited->Payload, "retried");
+  EXPECT_EQ(Attempts.load(), 2);
+
+  std::shared_ptr<const Blob> Again = Store.get<Blob>(
+      blobKey("flaky"), Codec, [] { return Blob{"unused"}; }, &How);
+  EXPECT_EQ(How, ArtifactStore::Outcome::MemoryHit);
+  EXPECT_EQ(Again.get(), Waited.get());
+  EXPECT_EQ(Store.stats().Computes, 1u);
+  EXPECT_EQ(Store.stats().BytesInUse, std::string("retried").size());
 }
 
 //===----------------------------------------------------------------------===//
