@@ -44,14 +44,23 @@
 //                      fused tail (rotate + streaming per-lane overlap
 //                      accumulation in one kernel call)
 //
+// A fourth table builds the exact targets e^{iHt}|x> of OH-'s 8 columns
+// (Table 1, seed 7) both ways, bit-gated with no speed gate:
+//   targets-per-column    — one single-vector evolveExact per column, the
+//                           construction before lane batching
+//   targets-panel-<tier>  — FidelityEvaluator's constructor pinned to
+//                           <tier>: the 8 columns evolve as one panel
+// Every part of every target must be memcmp-equal to the per-column
+// build; the hex column holds an FNV-1a digest of all target bits.
+//
 // Output is CSV (stdout):
 //   columns,path,kernel,evolve_ms,overlap_ms,eval_ms,speedup,fidelity_hex
 // where kernel is the tier that produced the row, speedup is vs the
 // table's reference row, and evolve_ms/overlap_ms split eval_ms into the
 // rotation sweeps vs the overlap reduction where the bench can observe
-// the boundary (0 for the production-evaluator rows, which time the whole
-// evaluation). Exit code 1 when any path's hex differs from the reference
-// or when a speedup gate fails.
+// the boundary (0 for the production-evaluator and target rows, which
+// time the whole call). Exit code 1 when any path's hex differs from the
+// reference, when a target part differs, or when a speedup gate fails.
 //
 // Speedup gates (each disabled by passing 0):
 //   --min-speedup=X        panel vs reference at >= 8 columns (default 3)
@@ -77,6 +86,7 @@
 #include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
 #include "hamgen/Registry.h"
+#include "sim/Evolution.h"
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
 #include "sim/StatePanel.h"
@@ -86,6 +96,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -222,7 +233,7 @@ struct Row {
   double EvolveMs;
   double OverlapMs;
   double Ms;
-  double Fidelity;
+  uint64_t Bits; ///< the fidelity's bits, or a digest of target bits
 };
 
 /// Times \p Run with enough iterations to fill \p MinSeconds and appends a
@@ -248,7 +259,17 @@ void timeRow(std::vector<Row> &Rows, double MinSeconds, std::string Name,
   const double Scale = 1e3 / static_cast<double>(Iters);
   Rows.push_back({std::move(Name), std::move(Kernel), Acc.EvolveSec * Scale,
                   Acc.OverlapSec * Scale, Clock.seconds() * Scale,
-                  Sample.Fidelity});
+                  serial::doubleBits(Sample.Fidelity)});
+}
+
+/// FNV-1a over the bits of every part of every target, in column order.
+uint64_t targetDigest(const std::vector<CVector> &Targets) {
+  uint64_t H = serial::FNVOffset;
+  for (const CVector &T : Targets)
+    for (const Complex &A : T)
+      H = serial::fnv1aWord(serial::doubleBits(A.imag()),
+                            serial::fnv1aWord(serial::doubleBits(A.real()), H));
+  return H;
 }
 
 } // namespace
@@ -298,9 +319,9 @@ int main(int Argc, char **Argv) {
          "fidelity_hex\n";
 
   auto printRows = [&](size_t Columns, const std::vector<Row> &Rows) {
-    const uint64_t RefBits = serial::doubleBits(Rows[0].Fidelity);
+    const uint64_t RefBits = Rows[0].Bits;
     for (const Row &R : Rows) {
-      const uint64_t Bits = serial::doubleBits(R.Fidelity);
+      const uint64_t Bits = R.Bits;
       std::cout << Columns << "," << R.Name << "," << R.Kernel << ","
                 << R.EvolveMs << "," << R.OverlapMs << "," << R.Ms << ","
                 << Rows[0].Ms / R.Ms << "," << serial::hex16(Bits) << "\n";
@@ -453,6 +474,53 @@ int main(int Argc, char **Argv) {
         }
       }
     }
+  }
+
+  // --- Targets table: OH-'s 8 exact targets per column and lane-batched,
+  // per runnable tier. Bit-gated only.
+  {
+    const BenchmarkSpec OH = *findBenchmark("OH-");
+    const Hamiltonian OHH = makeBenchmark(OH).merged().splitLargeTerms();
+    const size_t Columns = StatePanel::PreferredWidth;
+    const std::vector<uint64_t> Basis =
+        FidelityEvaluator(OHH, 0.0, Columns, /*Seed=*/7).columns();
+    const auto PerColumn = [&] {
+      const PauliOperator Op(OHH);
+      std::vector<CVector> Targets;
+      for (uint64_t X : Basis) {
+        CVector In(size_t(1) << OHH.numQubits(), Complex(0.0, 0.0));
+        In[X] = 1.0;
+        Targets.push_back(evolveExact(Op, OH.Time, In));
+      }
+      return Targets;
+    };
+    std::vector<Row> Rows;
+    std::vector<CVector> Want, Got;
+    timeRow(Rows, MinSeconds, "targets-per-column", "none", [&] {
+      Want = PerColumn();
+      return SplitEval{};
+    });
+    Rows.back().Bits = targetDigest(Want);
+    for (const kernels::Ops *Tier : Tiers) {
+      kernels::selectTierForTesting(*Tier);
+      timeRow(Rows, MinSeconds, std::string("targets-panel-") + Tier->Name,
+              Tier->Name, [&] {
+                Got = FidelityEvaluator(OHH, OH.Time, Columns, /*Seed=*/7)
+                          .targets();
+                return SplitEval{};
+              });
+      kernels::selectAuto();
+      Rows.back().Bits = targetDigest(Got);
+      for (size_t C = 0; C < Columns; ++C) {
+        if (std::memcmp(Got[C].data(), Want[C].data(),
+                        Want[C].size() * sizeof(Complex)) != 0) {
+          std::cerr << "FAIL: targets-panel-" << Tier->Name << " column "
+                    << C << " differs from per-column evolveExact\n";
+          Ok = false;
+        }
+      }
+    }
+    printRows(Columns, Rows);
   }
 
   if (Ok)

@@ -7,7 +7,10 @@
 #include "sim/Evolution.h"
 
 #include "linalg/Expm.h"
+#include "sim/StatePanel.h"
+#include "support/AlignedAlloc.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <vector>
@@ -46,6 +49,13 @@ std::vector<Complex> chebyshevCoefficients(double A) {
   }
 }
 
+/// The Chebyshev coefficients of one slice of an evolution by
+/// \p Angle = lambda T, and the number of equal slices it runs as.
+std::vector<Complex> sliceCoefficients(double Angle, unsigned &Slices) {
+  Slices = static_cast<unsigned>(std::ceil(std::fabs(Angle) / MaxSliceAngle));
+  return chebyshevCoefficients(Angle / Slices);
+}
+
 } // namespace
 
 CVector marqsim::applyHamiltonian(const Hamiltonian &H, const CVector &X) {
@@ -68,9 +78,8 @@ CVector marqsim::evolveExact(const PauliOperator &H, double T,
   const double Angle = Lambda * T;
   if (Angle == 0.0)
     return In;
-  const unsigned Slices =
-      static_cast<unsigned>(std::ceil(std::fabs(Angle) / MaxSliceAngle));
-  const std::vector<Complex> C = chebyshevCoefficients(Angle / Slices);
+  unsigned Slices;
+  const std::vector<Complex> C = sliceCoefficients(Angle, Slices);
   const double Scale = 1.0 / Lambda;
   const size_t Dim = In.size();
   CVector State = In, Prev(Dim), Cur(Dim), HCur(Dim);
@@ -93,6 +102,59 @@ CVector marqsim::evolveExact(const PauliOperator &H, double T,
     }
   }
   return State;
+}
+
+void marqsim::evolveExact(const PauliOperator &H, double T,
+                          StatePanel &Panel) {
+  assert(Panel.isFullLayout() && Panel.numQubits() == H.numQubits() &&
+         "the panel propagator runs on the full layout");
+  assert(std::isfinite(T) && "evolution time must be finite");
+  const double Lambda = H.lambda();
+  const double Angle = Lambda * T;
+  if (Angle == 0.0)
+    return;
+  unsigned Slices;
+  const std::vector<Complex> C = sliceCoefficients(Angle, Slices);
+  const double Scale = 1.0 / Lambda;
+  const size_t Stride = Panel.laneStride();
+  const size_t N = Panel.rows() * Stride;
+  // The vector form's recurrence on split planes: State lives in the
+  // panel's own planes, and every complex operation below is spelled out
+  // as std::complex evaluates it — a scale by a real scales both parts,
+  // and a product by a coefficient is the naive four-multiply expansion.
+  double *SRe = Panel.realPlane(), *SIm = Panel.imagPlane();
+  using Plane = std::vector<double, AlignedAllocator<double, 64>>;
+  Plane PRe(N), PIm(N), CRe(N), CIm(N), HRe(N), HIm(N);
+  const double TwoScale = 2.0 * Scale;
+  for (unsigned S = 0; S < Slices; ++S) {
+    // Prev = T_0 v = v, Cur = T_1 v = (H / lambda) v.
+    std::copy(SRe, SRe + N, PRe.begin());
+    std::copy(SIm, SIm + N, PIm.begin());
+    H.applyPanel(PRe.data(), PIm.data(), CRe.data(), CIm.data(), Stride);
+    const double C0Re = C[0].real(), C0Im = C[0].imag();
+    const double C1Re = C[1].real(), C1Im = C[1].imag();
+    for (size_t I = 0; I < N; ++I) {
+      CRe[I] *= Scale;
+      CIm[I] *= Scale;
+      SRe[I] = (C0Re * PRe[I] - C0Im * PIm[I]) +
+               (C1Re * CRe[I] - C1Im * CIm[I]);
+      SIm[I] = (C0Re * PIm[I] + C0Im * PRe[I]) +
+               (C1Re * CIm[I] + C1Im * CRe[I]);
+    }
+    // T_{k+1} = 2 (H / lambda) T_k - T_{k-1}, written over T_{k-1}.
+    for (size_t K = 2; K < C.size(); ++K) {
+      H.applyPanel(CRe.data(), CIm.data(), HRe.data(), HIm.data(), Stride);
+      const double CKRe = C[K].real(), CKIm = C[K].imag();
+      for (size_t I = 0; I < N; ++I) {
+        PRe[I] = TwoScale * HRe[I] - PRe[I];
+        PIm[I] = TwoScale * HIm[I] - PIm[I];
+        SRe[I] += CKRe * PRe[I] - CKIm * PIm[I];
+        SIm[I] += CKRe * PIm[I] + CKIm * PRe[I];
+      }
+      PRe.swap(CRe);
+      PIm.swap(CIm);
+    }
+  }
 }
 
 Matrix marqsim::exactUnitary(const Hamiltonian &H, double T) {

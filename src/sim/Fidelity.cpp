@@ -154,13 +154,24 @@ FidelityEvaluator::FidelityEvaluator(const Hamiltonian &H, double T,
 
   // One grouped operator serves every column and is dropped on return, so
   // only the targets stay resident. The columns evolve on the calling
-  // thread.
+  // thread, in the blocks collectOverlaps evaluates: each block of several
+  // columns as one full-layout panel, a width-1 block as one vector (no
+  // padding lanes). Both give each column evolveExact's bits.
   const PauliOperator Op(H);
   Targets.reserve(Columns.size());
-  for (uint64_t X : Columns) {
-    CVector Basis(Dim, Complex(0.0, 0.0));
-    Basis[X] = 1.0;
-    Targets.push_back(evolveExact(Op, T, Basis));
+  constexpr size_t Width = StatePanel::PreferredWidth;
+  for (size_t Begin = 0; Begin < Columns.size(); Begin += Width) {
+    const size_t End = std::min(Begin + Width, Columns.size());
+    if (End - Begin == 1) {
+      CVector Basis(Dim, Complex(0.0, 0.0));
+      Basis[Columns[Begin]] = 1.0;
+      Targets.push_back(evolveExact(Op, T, Basis));
+      continue;
+    }
+    StatePanel Block(NQubits, Columns.data() + Begin, End - Begin);
+    evolveExact(Op, T, Block);
+    for (size_t C = 0; C < End - Begin; ++C)
+      Targets.push_back(Block.column(C));
   }
 }
 

@@ -16,7 +16,10 @@
 /// a random column subset. FidelityEvaluator precomputes the exact target
 /// columns once per (H, t) and reuses them across every configuration,
 /// epsilon, and repetition — mirroring how the paper amortizes its GPU
-/// evaluation.
+/// evaluation. The targets evolve in the evaluation's column blocks: each
+/// block of several columns as one full-layout panel (the lane-batched
+/// evolveExact of sim/Evolution.h), a width-1 block as one vector, every
+/// target bit-identical to per-column evolveExact either way.
 ///
 /// Evaluation runs on StatePanel: columns are partitioned into fixed-width
 /// panel blocks (StatePanel::PreferredWidth, independent of any worker

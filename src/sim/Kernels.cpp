@@ -13,7 +13,9 @@
 // applies a run's rotations pair by pair, step by step, so each element
 // sees the same operation sequence as one sweep per rotation; the fused
 // overlap body chains the rotation sweep with the ascending-basis
-// accumulation loop of StatePanel::overlapWith, one lane chain per column.
+// accumulation loop of StatePanel::overlapWith, one lane chain per column;
+// the grouped product runs PauliOperator::apply's complex expansion on
+// every lane.
 //
 //===----------------------------------------------------------------------===//
 
@@ -181,12 +183,30 @@ void scalarPanelExpOverlapF64(double *Re, double *Im, size_t Dim,
   scalarPanelOverlapAccumF64(Re, Im, Dim, Stride, TRe, TImNeg, AccRe, AccIm);
 }
 
+// One X-mask group of the grouped Hamiltonian product, row by row: the
+// product of PauliOperator::apply, (d.re*x.re - d.im*x.im,
+// d.re*x.im + d.im*x.re), added into the partner row's lanes.
+void scalarPanelGroupProductF64(const Complex *D, const double *XRe,
+                                const double *XIm, double *YRe, double *YIm,
+                                size_t Dim, size_t Stride, uint64_t XM) {
+  for (uint64_t U = 0; U < Dim; ++U) {
+    const double DRe = D[U].real(), DIm = D[U].imag();
+    const double *XR = XRe + U * Stride, *XI = XIm + U * Stride;
+    double *YR = YRe + (U ^ XM) * Stride, *YI = YIm + (U ^ XM) * Stride;
+    for (size_t L = 0; L < Stride; ++L) {
+      YR[L] += DRe * XR[L] - DIm * XI[L];
+      YI[L] += DRe * XI[L] + DIm * XR[L];
+    }
+  }
+}
+
 const kernels::Ops ScalarOps = {
     "scalar",
     scalarExpButterflyF64,
     scalarExpDiagonalF64,
     scalarPanelExpRunF64,
     scalarPanelExpOverlapF64,
+    scalarPanelGroupProductF64,
 };
 
 //===----------------------------------------------------------------------===//

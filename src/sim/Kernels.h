@@ -9,7 +9,8 @@
 ///
 /// Every hot evaluation loop — the fused Pauli-exponential butterfly, the
 /// Z-diagonal fast path, the panel sweeps over runs of same-xMask
-/// rotations, and the fused final-rotation + target-overlap sweep —
+/// rotations, the fused final-rotation + target-overlap sweep, and the
+/// grouped Hamiltonian product of the lane-batched exact targets —
 /// resolves through one table of kernel entry points (Ops). The table is
 /// selected once per process from the CPU probe (support/CpuFeatures.h),
 /// best tier first: AVX-512F/DQ hosts whose OS enables the ZMM state get
@@ -265,6 +266,19 @@ struct Ops {
                              size_t Stride, uint64_t XM, const RotationStep &R,
                              const double *TRe, const double *TImNeg,
                              double *AccRe, double *AccIm);
+
+  /// One X-mask group of a PauliOperator product over full-layout panel
+  /// planes of \p Dim rows: for every row u and lane,
+  ///   Y[u ^ XM] += D[u] * X[u],
+  /// the product expanded as (d.re*x.re - d.im*x.im, d.re*x.im + d.im*x.re)
+  /// and then added — the operations of PauliOperator::apply, so every
+  /// lane's column gets the bits the single-vector product gives it, zero
+  /// signs included. \p D is the group's diagonal (one complex per row,
+  /// shared by every lane); \p X and \p Y must not alias. XM == 0 is the
+  /// diagonal group.
+  void (*PanelGroupProductF64)(const Complex *D, const double *XRe,
+                               const double *XIm, double *YRe, double *YIm,
+                               size_t Dim, size_t Stride, uint64_t XM);
 };
 
 /// The dispatched table: selected on first use from the CPU probe and the

@@ -313,11 +313,30 @@ void panelExpOverlap(double *Re, double *Im, size_t Dim, size_t Stride,
   }
 }
 
+// One X-mask group of the grouped Hamiltonian product: row u's diagonal
+// entry is broadcast once (d - V{}, exact for -0) and updates every lane
+// of row u ^ XM with the std::complex expansion, then the add.
+template <unsigned W>
+void panelGroupProduct(const Complex *D, const double *XRe, const double *XIm,
+                       double *YRe, double *YIm, size_t Dim, size_t Stride,
+                       uint64_t XM) {
+  using V = Vec<W>;
+  for (uint64_t U = 0; U < Dim; ++U) {
+    const Cx<V> Du = {D[U].real() - V{}, D[U].imag() - V{}};
+    const size_t XRow = U * Stride, YRow = (U ^ XM) * Stride;
+    for (size_t L = 0; L < Stride; L += W) {
+      const Cx<V> P = Du * loadRow<V>(XRe + XRow + L, XIm + XRow + L);
+      storeRow(YRe + YRow + L, YIm + YRow + L,
+               loadRow<V>(YRe + YRow + L, YIm + YRow + L) + P);
+    }
+  }
+}
+
 /// One tier's table: the walk at WalkW doubles, the panels at PanelW.
 template <unsigned WalkW, unsigned PanelW>
 constexpr Ops makeOps(const char *Name) {
   return {Name, expButterfly<WalkW>, expDiagonal<WalkW>, panelRun<PanelW>,
-          panelExpOverlap<PanelW>};
+          panelExpOverlap<PanelW>, panelGroupProduct<PanelW>};
 }
 
 } // namespace simd

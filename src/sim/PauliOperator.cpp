@@ -6,6 +6,8 @@
 
 #include "sim/PauliOperator.h"
 
+#include "sim/Kernels.h"
+
 #include <algorithm>
 #include <cassert>
 #include <map>
@@ -56,4 +58,15 @@ CVector PauliOperator::apply(const CVector &X) const {
   CVector Y(X.size());
   apply(X.data(), Y.data());
   return Y;
+}
+
+void PauliOperator::applyPanel(const double *XRe, const double *XIm,
+                               double *YRe, double *YIm, size_t Stride) const {
+  const size_t Dim = size_t(1) << NQubits;
+  std::fill(YRe, YRe + Dim * Stride, 0.0);
+  std::fill(YIm, YIm + Dim * Stride, 0.0);
+  const kernels::Ops &K = kernels::active();
+  for (size_t G = 0; G < XMasks.size(); ++G)
+    K.PanelGroupProductF64(Diagonals[G].data(), XRe, XIm, YRe, YIm, Dim,
+                           Stride, XMasks[G]);
 }

@@ -19,6 +19,12 @@
 /// streaming pass per distinct X mask (47 for OH-, 98 for LiH) rather than
 /// one pass per term with a per-element phase computation.
 ///
+/// applyPanel runs the same product on a full-layout panel of columns
+/// (split real/imag planes, sim/StatePanel.h): each group's diagonal entry
+/// is loaded once per row and updates every column in one vector operation
+/// (kernels::Ops::PanelGroupProductF64), and every column gets the bits
+/// apply() gives it, zero signs included.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MARQSIM_SIM_PAULIOPERATOR_H
@@ -48,6 +54,13 @@ public:
   void apply(const Complex *X, Complex *Y) const;
 
   CVector apply(const CVector &X) const;
+
+  /// Y = H X for every lane of full-layout split planes: element (b, L)
+  /// at [b * Stride + L], 2^n rows. Groups run in apply()'s order with its
+  /// per-element operations, so each lane is bit-identical to apply() on
+  /// that column. \p X and \p Y must not alias.
+  void applyPanel(const double *XRe, const double *XIm, double *YRe,
+                  double *YIm, size_t Stride) const;
 
 private:
   unsigned NQubits;

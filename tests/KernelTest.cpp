@@ -14,12 +14,13 @@
 // scalar reference. The fused evolve+overlap tail must reproduce the
 // unfused sweep-then-overlapWith path bit for bit, and a run of same-xMask
 // rotations applied in one pass must reproduce one sweep per rotation, in
-// full and in sector coordinates (per-lane sine flips). An
-// exhaustive sign/zero sweep proves every tier's minimal arithmetic equal
-// to the std::complex expression on every nonzero result. All vector
-// tiers are one body (sim/KernelsSimd.h); the cross-tier loops also run it
-// at NEON's widths <2,2>, compiled for the host's baseline ISA, so every
-// host checks the NEON arithmetic. On hosts whose best tier *is* scalar
+// full and in sector coordinates (per-lane sine flips). The grouped
+// Hamiltonian product of the lane-batched exact targets must match the
+// scalar reference on every tier. An exhaustive sign/zero sweep proves
+// every tier's minimal arithmetic equal to the std::complex expression on
+// every nonzero result. All vector tiers are one body (sim/KernelsSimd.h);
+// the cross-tier loops also run it at NEON's widths <2,2>, compiled for
+// the host's baseline ISA, so every host checks the NEON arithmetic. On hosts whose best tier *is* scalar
 // the AVX2/AVX-512 comparisons are trivial; the AVX CI hosts enforce them.
 //
 //===----------------------------------------------------------------------===//
@@ -820,6 +821,53 @@ TEST(KernelBitIdentityTest, SampledScheduleRunsMatchSerialReference) {
       EXPECT_EQ(serial::doubleBits(Eval.stateFidelity(*Schedule, Jobs)),
                 StateRef)
           << Schedule->size() << " rotations, eval-jobs " << Jobs;
+    }
+  }
+}
+
+// The grouped Hamiltonian product of the lane-batched targets,
+// Y[u ^ XM] += D[u] * X[u]: every tier and the width-2 body must leave
+// planes memcmp-equal to the scalar reference, zero signs included — with
+// diagonal, amplitude and accumulator parts drawn from +0, -0 and
+// Gaussians, XM = 0 (the diagonal group) and random masks, on 1 to 32
+// rows and one- and three-vector strides.
+TEST(KernelBitIdentityTest, PanelGroupProductMatchesScalar) {
+  RNG Rng(5150);
+  for (unsigned R : {0u, 1u, 3u, 5u}) {
+    const uint64_t Rows = uint64_t(1) << R;
+    for (const size_t Stride : {size_t(8), size_t(24)}) {
+      for (int Trial = 0; Trial < 4; ++Trial) {
+        const uint64_t XM = Trial == 0 ? 0 : Rng.uniformInt(Rows);
+        CVector D(Rows);
+        for (Complex &V : D) {
+          const double Re = signedZeroPart(Rng);
+          V = Complex(Re, signedZeroPart(Rng));
+        }
+        const size_t N = Rows * Stride;
+        std::vector<double> XRe(N), XIm(N), YRe0(N), YIm0(N);
+        for (size_t I = 0; I < N; ++I) {
+          XRe[I] = signedZeroPart(Rng);
+          XIm[I] = signedZeroPart(Rng);
+          YRe0[I] = signedZeroPart(Rng);
+          YIm0[I] = signedZeroPart(Rng);
+        }
+        const auto Run = [&](const kernels::Ops &Tier) {
+          std::vector<double> Y(YRe0);
+          Y.insert(Y.end(), YIm0.begin(), YIm0.end());
+          Tier.PanelGroupProductF64(D.data(), XRe.data(), XIm.data(),
+                                    Y.data(), Y.data() + N, Rows, Stride, XM);
+          return Y;
+        };
+        const std::vector<double> Scalar = Run(kernels::scalarOps());
+        for (const kernels::Ops *Tier : crossTierOps()) {
+          const std::vector<double> Got = Run(*Tier);
+          ASSERT_EQ(std::memcmp(Scalar.data(), Got.data(),
+                                Scalar.size() * sizeof(double)),
+                    0)
+              << "tier " << Tier->Name << ", rows " << Rows << ", stride "
+              << Stride << ", xMask " << XM;
+        }
+      }
     }
   }
 }

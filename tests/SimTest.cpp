@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 using namespace marqsim;
 
@@ -881,6 +882,102 @@ TEST(FidelityEvaluatorTest, SectorEvaluationMatchesFullLayoutReplay) {
         }
       }
       kernels::selectAuto();
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Lane-batched exact targets
+//===----------------------------------------------------------------------===//
+
+// FidelityEvaluator evolves each block of StatePanel::PreferredWidth
+// columns as one full-layout panel and a width-1 block as one vector.
+// Every part of every target must be memcmp-equal to per-column
+// evolveExact, zero signs included, on every runnable tier: on Na+ at 1,
+// 2, 4, 8, 9 and 17 columns (full blocks, short blocks, width-1 tails) and
+// all 256, on OH- at 8 and 17, with lambda t > 500 (several slices), at
+// t = 0 and at negative t.
+TEST(FidelityEvaluatorTest, LaneBatchedTargetsMatchPerColumnEvolution) {
+  struct Case {
+    std::string Name;
+    Hamiltonian H;
+    double T;
+    std::vector<size_t> Counts;
+  };
+  const Hamiltonian Na = registryModel("Na+");
+  const double NaT = findBenchmark("Na+")->Time;
+  const Hamiltonian Long =
+      makeTransverseFieldIsing(5, 1.0, 0.7).rescaledToLambda(1200.0);
+  std::vector<Case> Cases = {
+      {"Na+", Na, NaT, {1, 2, 4, 8, 9, 17, 256}},
+      {"OH-", registryModel("OH-"), findBenchmark("OH-")->Time, {8, 17}},
+      {"lambda t = 1200", Long, 1.0, {9}},
+      {"t = 0", Na, 0.0, {9}},
+      {"negative t", Na, -NaT, {9, 17}},
+  };
+
+  DispatchRestorer Restore;
+  for (const Case &C : Cases) {
+    const PauliOperator Op(C.H);
+    const size_t Dim = size_t(1) << C.H.numQubits();
+    for (size_t Count : C.Counts) {
+      const std::vector<uint64_t> Columns =
+          FidelityEvaluator(C.H, 0.0, Count, /*Seed=*/3).columns();
+      std::vector<CVector> Want;
+      for (uint64_t X : Columns) {
+        CVector Basis(Dim, Complex(0.0, 0.0));
+        Basis[X] = 1.0;
+        Want.push_back(evolveExact(Op, C.T, Basis));
+      }
+      for (const kernels::Ops *Tier : kernels::availableOps()) {
+        kernels::selectTierForTesting(*Tier);
+        const FidelityEvaluator Eval(C.H, C.T, Count, /*Seed=*/3);
+        ASSERT_EQ(Eval.columns(), Columns);
+        ASSERT_EQ(Eval.targets().size(), Want.size());
+        for (size_t Col = 0; Col < Want.size(); ++Col)
+          ASSERT_EQ(std::memcmp(Eval.targets()[Col].data(), Want[Col].data(),
+                                Dim * sizeof(Complex)),
+                    0)
+              << C.Name << ", " << Count << " columns, column " << Col
+              << ", tier " << Tier->Name;
+      }
+    }
+  }
+}
+
+// The panel product alone: PauliOperator::applyPanel on random and
+// signed-zero columns equals apply() on each column, bit for bit, on every
+// runnable tier.
+TEST(PauliOperatorTest, PanelProductMatchesPerColumnApplyBitwise) {
+  RNG Rng(95);
+  const unsigned N = 5;
+  const Hamiltonian H = makeRandomHamiltonian(N, 12, Rng);
+  const PauliOperator Op(H);
+  const size_t Dim = size_t(1) << N, Cols = 11, Stride = 16;
+  std::vector<CVector> In(Cols, CVector(Dim));
+  for (size_t C = 0; C < Cols; ++C)
+    for (Complex &A : In[C]) {
+      const double Parts[3] = {0.0, -0.0, Rng.gaussian()};
+      A = Complex(Parts[Rng.uniformInt(3)], Parts[Rng.uniformInt(3)]);
+    }
+  std::vector<double> XRe(Dim * Stride, 0.0), XIm(Dim * Stride, 0.0);
+  for (size_t C = 0; C < Cols; ++C)
+    for (size_t B = 0; B < Dim; ++B) {
+      XRe[B * Stride + C] = In[C][B].real();
+      XIm[B * Stride + C] = In[C][B].imag();
+    }
+  DispatchRestorer Restore;
+  for (const kernels::Ops *Tier : kernels::availableOps()) {
+    kernels::selectTierForTesting(*Tier);
+    std::vector<double> YRe(Dim * Stride), YIm(Dim * Stride);
+    Op.applyPanel(XRe.data(), XIm.data(), YRe.data(), YIm.data(), Stride);
+    for (size_t C = 0; C < Cols; ++C) {
+      const CVector Want = Op.apply(In[C]);
+      CVector Got(Dim);
+      for (size_t B = 0; B < Dim; ++B)
+        Got[B] = Complex(YRe[B * Stride + C], YIm[B * Stride + C]);
+      EXPECT_TRUE(bitIdentical(Want, Got.data(), Dim))
+          << "column " << C << ", tier " << Tier->Name;
     }
   }
 }
