@@ -16,8 +16,9 @@
 //   reference     — fresh state per column, two-pass scratch applyPauliExp
 //                   with a PauliString::applyToBasis call per element (the
 //                   pre-fusion seed path, kept here as the yardstick)
-//   fused         — fresh StateVector per column, fused single-pass
-//                   kernels under the dispatched tier
+//   fused         — fresh StateVector per column: the fused single-pass
+//                   scalar reference walk, which dispatches no kernel
+//                   (its kernel column is always "scalar")
 //   panel-<tier>  — FidelityEvaluator::fidelity with the kernel dispatch
 //                   pinned to <tier>, one row per tier the host can run
 //                   (always at least panel-scalar; the hex must not change
@@ -154,7 +155,7 @@ SplitEval referenceFidelity(const FidelityEvaluator &Eval,
   return R;
 }
 
-/// Per-column replay through the fused StateVector kernels (no panel).
+/// Per-column replay through StateVector's fused scalar loops (no panel).
 SplitEval fusedSerialFidelity(const FidelityEvaluator &Eval,
                               const std::vector<ScheduledRotation> &Schedule) {
   Complex Acc = 0.0;
@@ -336,7 +337,7 @@ int main(int Argc, char **Argv) {
   };
 
   // The evaluation paths of one schedule: the reference yardstick, the
-  // per-column fused walk, the production evaluator pinned to each tier,
+  // per-column scalar walk, the production evaluator pinned to each tier,
   // dispatched, and fanned out over four workers.
   auto evalRows = [&](const FidelityEvaluator &Eval,
                       const std::vector<ScheduledRotation> &Sched,
@@ -344,7 +345,7 @@ int main(int Argc, char **Argv) {
     std::vector<Row> Rows;
     timeRow(Rows, MinSeconds, Prefix + "reference", "none",
             [&] { return referenceFidelity(Eval, Sched); });
-    timeRow(Rows, MinSeconds, Prefix + "fused", Dispatched,
+    timeRow(Rows, MinSeconds, Prefix + "fused", "scalar",
             [&] { return fusedSerialFidelity(Eval, Sched); });
     for (const kernels::Ops *Tier : Tiers) {
       // Production evaluator pinned to each runnable tier: the hex column

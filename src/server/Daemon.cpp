@@ -515,7 +515,7 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
 
 json::Value Daemon::statsJson() const {
   json::Value V = json::Value::object();
-  V.set("format", "marqsim-server-stats-v1");
+  V.set("format", "marqsim-server-stats-v2");
   size_t Open;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
@@ -527,9 +527,6 @@ json::Value Daemon::statsJson() const {
   V.set("server", std::move(Server));
   V.set("cache", cacheStatsJson(Service.stats()));
   V.set("store", storeStatsJson(Service.storeStats(), Opts.StoreLimitBytes));
-  // "kernel" (flat tier string) predates the dispatch object; kept so
-  // marqsim-server-stats-v1 consumers parse unchanged.
-  V.set("kernel", SimulationService::kernelName());
   V.set("kernels", kernelDispatchJson());
   FabricServerStats FS;
   FS.ShardSubmits = Fabric.ShardSubmits.load(std::memory_order_relaxed);

@@ -89,7 +89,8 @@ public:
   /// start() + serve() convenience used by the binary.
   int run(std::string *Error = nullptr);
 
-  /// stats-frame body ("server" + "cache" + "store" + "kernels").
+  /// stats-frame body, format "marqsim-server-stats-v2": "server" +
+  /// "cache" + "store" + "kernels" + "fabric".
   json::Value statsJson() const;
 
 private:

@@ -150,7 +150,7 @@ json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
 json::Value fleetStatsJson(const FleetStats &S);
 
 /// Worker-daemon-side fabric accounting, embedded in the daemon's stats
-/// frame ("fabric" section of marqsim-server-stats-v1, additive).
+/// frame ("fabric" section of marqsim-server-stats-v2).
 struct FabricServerStats {
   /// shard-submit frames admitted and shard-result frames answered.
   size_t ShardSubmits = 0;

@@ -26,9 +26,8 @@ namespace {
 ///
 /// The plan also spans the x-masks of the whole schedule, fused tail
 /// included, into the Sector its panels evolve in, and keeps every step in
-/// both coordinate systems: the full layout for a width-1 StateVector
-/// walk, the sector's for panels (whose per-block lane flips replay()
-/// adds).
+/// that sector's coordinates (replay() adds each block's lane flips, read
+/// off the full zMask of the step's string).
 class SchedulePlan {
 public:
   SchedulePlan(const std::vector<ScheduledRotation> &Schedule, size_t Count,
@@ -43,66 +42,50 @@ public:
           Runs.back().XMask == P.xMask())
         ++Runs.back().End;
       else
-        Runs.push_back({I, I + 1, P.xMask(), 0, Identity});
+        Runs.push_back({I, I + 1, P.xMask(), Identity});
     }
     for (const Run &R : Runs)
       Span.insert(R.XMask);
     for (size_t I = Count; I < Schedule.size(); ++I)
       Span.insert(Schedule[I].String.xMask());
     for (Run &R : Runs)
-      R.SectorXMask = Span.coords(R.XMask);
-    SectorSteps = Steps;
-    for (kernels::RotationStep &R : SectorSteps)
+      R.XMask = Span.coords(R.XMask);
+    for (kernels::RotationStep &R : Steps)
       R.ZMask = Span.zMask(R.ZMask);
   }
 
   /// The span of every x-mask in the schedule.
   const Sector &sector() const { return Span; }
 
-  /// Applies the planned rotations to a full-layout StateVector, run by
-  /// run.
-  void replay(StateVector &State) const {
-    for (const Run &R : Runs) {
-      if (R.Identity)
-        State.applyPauliExpAll(Schedule[R.Begin].String, Schedule[R.Begin].Tau);
-      else
-        State.applyPauliExpRun(R.XMask, Steps.data() + R.Begin,
-                               R.End - R.Begin);
-    }
-  }
-
   /// Applies the planned rotations to a panel over sector(), run by run,
   /// in the panel's row coordinates.
   void replay(StatePanel &Panel) const {
     assert(Panel.sector() == Span && "panel outside the plan's sector");
-    const kernels::RotationStep *Local = SectorSteps.data();
+    const kernels::RotationStep *Local = Steps.data();
     std::vector<kernels::RotationStep> Flipped;
     if (Panel.hasLaneFlips()) {
-      Flipped = SectorSteps;
+      Flipped = Steps;
       for (size_t J = 0; J < Flipped.size(); ++J)
-        Flipped[J].LaneFlips = Panel.laneFlips(Steps[J].ZMask);
+        Flipped[J].LaneFlips = Panel.laneFlips(Schedule[J].String.zMask());
       Local = Flipped.data();
     }
     for (const Run &R : Runs) {
       if (R.Identity)
         Panel.applyPauliExpAll(Schedule[R.Begin].String, Schedule[R.Begin].Tau);
       else
-        Panel.applyPauliExpRun(R.SectorXMask, Local + R.Begin,
-                               R.End - R.Begin);
+        Panel.applyPauliExpRun(R.XMask, Local + R.Begin, R.End - R.Begin);
     }
   }
 
 private:
   struct Run {
     size_t Begin, End; // schedule indices [Begin, End)
-    uint64_t XMask;
-    uint64_t SectorXMask; // XMask in sector coordinates
+    uint64_t XMask;    // in sector coordinates
     bool Identity;
   };
   const std::vector<ScheduledRotation> &Schedule;
   Sector Span;
-  std::vector<kernels::RotationStep> Steps;       // full layout, per index
-  std::vector<kernels::RotationStep> SectorSteps; // sector coordinates
+  std::vector<kernels::RotationStep> Steps; // sector coordinates, per index
   std::vector<Run> Runs;
 };
 
@@ -201,20 +184,6 @@ FidelityEvaluator::collectOverlaps(unsigned EvalJobs, const Sector &Span,
   parallelFor(Blocks, Jobs, [&](size_t Block) {
     const size_t Begin = Block * Width;
     const size_t End = std::min(Begin + Width, NumCols);
-    if (End - Begin == 1) {
-      // A width-1 tail block walks one interleaved statevector instead of
-      // a panel padded to a full vector of lanes — less wasted work and
-      // the same per-element arithmetic, so the same bits. The fused
-      // tail, when split off, is applied here before the single overlap
-      // — for one column, rotate-then-overlap is literally the same
-      // operation sequence either way.
-      StateVector Walk(NQubits, Columns[Begin]);
-      Evolve(Walk);
-      if (FusedTail)
-        Walk.applyPauliExpAll(FusedTail->String, FusedTail->Tau);
-      Overlaps[Begin] = Walk.overlapWithTarget(Targets[Begin]);
-      return;
-    }
     StatePanel Panel(Span, Columns.data() + Begin, End - Begin);
     Evolve(Panel);
     if (FusedTail) {
@@ -239,7 +208,7 @@ std::vector<Complex> FidelityEvaluator::scheduleOverlaps(
   const SchedulePlan Plan(Schedule, Schedule.size() - (Tail ? 1 : 0),
                           NQubits);
   return collectOverlaps(
-      EvalJobs, Plan.sector(), [&](auto &State) { Plan.replay(State); },
+      EvalJobs, Plan.sector(), [&](StatePanel &Panel) { Plan.replay(Panel); },
       Tail);
 }
 
@@ -264,5 +233,5 @@ double FidelityEvaluator::fidelityOfCircuit(const Circuit &C,
   // Gates leave a sector mid-gadget: circuits run on the full layout.
   return traceFidelity(collectOverlaps(
       EvalJobs, Sector::full(NQubits),
-      [&](auto &State) { State.applyAll(C); }));
+      [&](StatePanel &Panel) { Panel.applyAll(C); }));
 }

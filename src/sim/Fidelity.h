@@ -21,29 +21,30 @@
 /// evolveExact of sim/Evolution.h), a width-1 block as one vector, every
 /// target bit-identical to per-column evolveExact either way.
 ///
-/// Evaluation runs on StatePanel: columns are partitioned into fixed-width
-/// panel blocks (StatePanel::PreferredWidth, independent of any worker
-/// count), each block replays the schedule once for all its columns, and
-/// the per-column overlaps are reduced in ascending column order. The
-/// blocks are independent, so an EvalJobs argument fans them across
-/// ThreadPool workers — the within-shot parallelism the schedule's
-/// sequential Markov walk cannot offer — while the fixed partition and
-/// fixed-order reduction keep the result bit-identical to the serial
-/// evaluation for every EvalJobs value.
+/// Evaluation runs on StatePanel, its one substrate: columns are
+/// partitioned into fixed-width panel blocks (StatePanel::PreferredWidth,
+/// independent of any worker count; a block of one column is a 1-column
+/// panel like any other), each block replays the schedule once for all
+/// its columns, and the per-column overlaps are reduced in ascending
+/// column order. The blocks are independent, so an EvalJobs argument fans
+/// them across ThreadPool workers — the within-shot parallelism the
+/// schedule's sequential Markov walk cannot offer — while the fixed
+/// partition and fixed-order reduction keep the result bit-identical to
+/// the serial evaluation for every EvalJobs value.
 ///
-/// Three kernel-level refinements keep the same bits while cutting memory
+/// Two kernel-level refinements keep the same bits while cutting memory
 /// traffic: each schedule is planned once into runs of consecutive
 /// rotations sharing an xMask, which a panel applies in one pass
 /// (StatePanel::applyPauliExpRun — each row pair loaded and stored once
-/// per run, not once per rotation); a schedule's final rotation is fused
-/// with the overlap accumulation (StatePanel::applyPauliExpAllFused — one
-/// streaming pass instead of a rotation sweep plus one strided overlapWith
-/// re-read per column, against targets gathered into the panel's layout
-/// once per block and evaluation); and width-1 tail blocks evolve a single
-/// interleaved StateVector walk instead of a panel padded to eight lanes.
-/// All three hand every amplitude the same operation sequence and
-/// preserve each column's ascending-basis overlap chain, so results are
-/// bit-identical to the unfused one-rotation-per-sweep panel evaluation.
+/// per run, not once per rotation); and a schedule's final rotation is
+/// fused with the overlap accumulation (StatePanel::applyPauliExpAllFused
+/// — one streaming pass instead of a rotation sweep plus one strided
+/// overlapWith re-read per column, against targets gathered into the
+/// panel's layout once per block and evaluation). Both hand every
+/// amplitude the same operation sequence and preserve each column's
+/// ascending-basis overlap chain, so results are bit-identical to the
+/// unfused one-rotation-per-sweep panel evaluation and to a per-column
+/// StateVector replay.
 ///
 /// Symmetry sectors: the plan also spans the x-masks of the schedule it
 /// evaluates into a GF(2) basis of rank r (a Sector), and every panel
@@ -57,7 +58,7 @@
 /// evaluators and full-rank inline Hamiltonians need no special case, and
 /// a full-rank schedule (r = n) is the full layout on the same code path.
 /// Circuits (fidelityOfCircuit), whose gates leave a sector mid-gadget,
-/// and width-1 walks stay on the full layout.
+/// stay on the full layout.
 ///
 /// Evaluation runs in FP64 only: every golden, shard manifest and cache
 /// key pins the fidelity's exact bits.
@@ -70,7 +71,6 @@
 #include "circuit/PauliEvolution.h"
 #include "pauli/Hamiltonian.h"
 #include "sim/StatePanel.h"
-#include "sim/StateVector.h"
 #include "support/RNG.h"
 
 namespace marqsim {
@@ -123,13 +123,11 @@ public:
 
 private:
   /// Shared evaluation harness: partitions the columns into fixed-width
-  /// panel blocks, lets \p Evolve drive each block's state (a StatePanel
-  /// over \p Span for multi-column blocks, a full-layout StateVector walk
-  /// for width-1 blocks), and returns the per-column overlaps in column
-  /// order. When \p FusedTail is non-null, \p Evolve must leave that
-  /// final rotation unapplied: panel blocks then run it fused with the
-  /// overlap accumulation against a TargetPanel gathered for the block,
-  /// and walk blocks apply it before their (single) overlap — both orders
+  /// panel blocks, lets \p Evolve drive each block's StatePanel over
+  /// \p Span, and returns the per-column overlaps in column order. When
+  /// \p FusedTail is non-null, \p Evolve must leave that final rotation
+  /// unapplied: each block then runs it fused with the overlap
+  /// accumulation against a TargetPanel gathered for the block —
   /// bit-identical to evolving everything and overlapping afterwards. Both
   /// metrics reduce the returned vector in fixed order.
   template <typename EvolveFn>

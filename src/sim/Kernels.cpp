@@ -7,9 +7,10 @@
 // The scalar tier is the semantic definition of every kernel: the SIMD
 // tiers must reproduce its per-element arithmetic bit for bit, zero signs
 // included. Each update is the minimal-arithmetic form of the Kernels.h
-// contract (kernels::rotate with the per-row signed sine; on a panel, the
-// per-lane sine of the row's parity from the run's lane-sine table, which
-// carries each step's LaneFlips). The panel run
+// contract: kernels::rotate with the per-lane sine of the row's parity
+// from the run's lane-sine table, which carries each step's LaneFlips
+// (StateVector's butterfly runs the same rotate with the per-row signed
+// sine, so one column of a panel and a single-state walk agree). The run
 // applies a run's rotations pair by pair, step by step, so each element
 // sees the same operation sequence as one sweep per rotation; the fused
 // overlap body chains the rotation sweep with the ascending-basis
@@ -32,47 +33,6 @@ using namespace marqsim;
 using marqsim::kernels::RotationStep;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Scalar statevector kernels (interleaved complex amplitudes)
-//===----------------------------------------------------------------------===//
-
-/// Amp[X]'s new value from itself and its partner B, whose signed sine is
-/// \p S.
-Complex rotated(const RotationStep &R, double S, Complex A, Complex B) {
-  double Re, Im;
-  if (R.KOdd)
-    kernels::rotate<true>(R.Cos, S, A.real(), A.imag(), B.real(), B.imag(), Re,
-                          Im);
-  else
-    kernels::rotate<false>(R.Cos, S, A.real(), A.imag(), B.real(), B.imag(),
-                           Re, Im);
-  return Complex(Re, Im);
-}
-
-void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM,
-                           const RotationStep &R) {
-  // Fused butterfly: each {X, X ^ XM} pair is visited once and updated in
-  // place.
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  for (uint64_t X = 0; X < Dim; ++X) {
-    if (X & Pivot)
-      continue;
-    const uint64_t Y = X ^ XM;
-    const double SX = R.sinAt(X), SY = RotationStep::flipIf(SX, R.KOdd);
-    const Complex A0 = Amp[X];
-    const Complex A1 = Amp[Y];
-    Amp[X] = rotated(R, SY, A0, A1);
-    Amp[Y] = rotated(R, SX, A1, A0);
-  }
-}
-
-void scalarExpDiagonalF64(Complex *Amp, size_t Dim, const RotationStep &R) {
-  // Diagonal fast path: P|X> = (+/-1)|X> (k = 0), so each element is its
-  // own partner.
-  for (uint64_t X = 0; X < Dim; ++X)
-    Amp[X] = rotated(R, R.sinAt(X), Amp[X], Amp[X]);
-}
 
 //===----------------------------------------------------------------------===//
 // Scalar panel kernels (split real/imag planes, row X at [X * Stride])
@@ -202,8 +162,6 @@ void scalarPanelGroupProductF64(const Complex *D, const double *XRe,
 
 const kernels::Ops ScalarOps = {
     "scalar",
-    scalarExpButterflyF64,
-    scalarExpDiagonalF64,
     scalarPanelExpRunF64,
     scalarPanelExpOverlapF64,
     scalarPanelGroupProductF64,

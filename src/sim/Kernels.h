@@ -5,13 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime-dispatched SIMD layer under StateVector and StatePanel.
+/// The runtime-dispatched SIMD layer under StatePanel.
 ///
-/// Every hot evaluation loop — the fused Pauli-exponential butterfly, the
-/// Z-diagonal fast path, the panel sweeps over runs of same-xMask
-/// rotations, the fused final-rotation + target-overlap sweep, and the
-/// grouped Hamiltonian product of the lane-batched exact targets —
-/// resolves through one table of kernel entry points (Ops). The table is
+/// Every hot evaluation loop — the panel sweeps over runs of same-xMask
+/// rotations (the Z-diagonal run included), the fused final-rotation +
+/// target-overlap sweep, and the grouped Hamiltonian product of the
+/// lane-batched exact targets — resolves through one table of three
+/// kernel entry points (Ops). The table is
 /// selected once per process from the CPU probe (support/CpuFeatures.h),
 /// best tier first: AVX-512F/DQ hosts whose OS enables the ZMM state get
 /// 512-bit kernels ("avx512"), AVX2+FMA hosts get 256-bit kernels
@@ -19,7 +19,9 @@
 /// reference implementations, which are always compiled in.
 /// MARQSIM_KERNEL_TIER pins a specific tier by name;
 /// pinning a tier the host cannot run aborts the process with a message
-/// naming the detected features, never a silent fallback.
+/// naming the detected features, never a silent fallback. StateVector
+/// dispatches nothing: its butterfly and diagonal loops are the scalar
+/// reference every panel tier is tested against.
 ///
 /// Every kernel is FP64: fidelity evaluation has one precision, and every
 /// golden, manifest and cache key is pinned to its bits.
@@ -47,7 +49,8 @@
 /// exact-zero amplitude may differ from that expression, and a zero's sign
 /// reaches nothing but other zeros (x + (+/-0) = x, and overlaps and
 /// fidelities take magnitudes). Zero signs are defined by the scalar
-/// reference in Kernels.cpp and shared by every tier: the vector kernels
+/// reference in Kernels.cpp (and StateVector's loops, which run the same
+/// kernels::rotate) and shared by every tier: the vector kernels
 /// perform, lane for lane, exactly its operations, so every dispatch
 /// choice emits bit-identical amplitudes, zero signs included, and the
 /// frozen fidelity goldens hold on every ISA. Amplitude updates are
@@ -133,7 +136,7 @@ struct RotationStep {
   uint64_t ZMask; ///< P's zMask: sigma(X) = (-1)^popcount(ZMask & X)
   /// Panel lanes whose sine is negated: bit L = parity(zMask & rep_L) in
   /// sector coordinates (layout contract above); zero on the full layout
-  /// and ignored by the statevector walk.
+  /// and ignored by StateVector.
   uint64_t LaneFlips;
   bool KOdd; ///< k odd: i^{k+1} is real, the partner's parts stay put
 
@@ -227,15 +230,6 @@ struct Ops {
   /// Tier name as reported by --stats and the bench CSVs:
   /// "avx512", "avx2-fma", "neon", or "scalar".
   const char *Name;
-
-  /// exp(i Theta P) on one interleaved std::complex<double> statevector,
-  /// xMask != 0: the fused in-place butterfly over {X, X ^ xMask} pairs.
-  void (*ExpButterflyF64)(Complex *Amp, size_t Dim, uint64_t XM,
-                          const RotationStep &R);
-
-  /// exp(i Theta P) for Z-only strings (xMask == 0): the per-element
-  /// diagonal fast path on an interleaved statevector.
-  void (*ExpDiagonalF64)(Complex *Amp, size_t Dim, const RotationStep &R);
 
   /// A run of K rotations sharing xMask \p XM over SoA planes of \p Dim
   /// rows (layout contract above: \p XM and each step's ZMask and

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// sim/KernelsSimd.h with a 4-wide walk and 4-wide panels, compiled with
+// sim/KernelsSimd.h with 4-wide panels, compiled with
 // -mavx2 -mfma on x86-64 (CMake); elsewhere only the null stub remains.
 // The FMA bit stays in the dispatch gate so the tier name pins the
 // microarchitecture class benchmarks report.
@@ -19,7 +19,7 @@ using namespace marqsim;
 #include "sim/KernelsSimd.h"
 #include "support/CpuFeatures.h"
 
-constexpr kernels::Ops AVX2Ops = kernels::simd::makeOps<4, 4>("avx2-fma");
+constexpr kernels::Ops AVX2Ops = kernels::simd::makeOps<4>("avx2-fma");
 
 const kernels::Ops *kernels::detail::avx2Ops() {
   const CpuFeatures &F = cpuFeatures();

@@ -4,10 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// sim/KernelsSimd.h with 8-wide panels and the 4-wide walk (the walk loads
-// one phase per complex; an 8-wide walk measured 2.0-2.3x slower), compiled
-// with -mavx512f -mavx512dq on x86-64 (CMake); elsewhere only the null
-// stub remains. Dispatch also needs the OS XSAVE state
+// sim/KernelsSimd.h with 8-wide panels, compiled with -mavx512f
+// -mavx512dq on x86-64 (CMake); elsewhere only the null stub remains. Dispatch also needs the OS XSAVE state
 // (CpuFeatures::AVX512OS) so ZMM registers survive context switches.
 //
 //===----------------------------------------------------------------------===//
@@ -20,7 +18,7 @@ using namespace marqsim;
 #include "sim/KernelsSimd.h"
 #include "support/CpuFeatures.h"
 
-constexpr kernels::Ops AVX512Ops = kernels::simd::makeOps<4, 8>("avx512");
+constexpr kernels::Ops AVX512Ops = kernels::simd::makeOps<8>("avx512");
 
 const kernels::Ops *kernels::detail::avx512Ops() {
   const CpuFeatures &F = cpuFeatures();

@@ -4,9 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// sim/KernelsSimd.h with a 2-wide walk and 2-wide panels. AdvSIMD is
+// sim/KernelsSimd.h with 2-wide panels. AdvSIMD is
 // baseline on AArch64, so no per-file flags are needed; elsewhere only the
-// null stub remains. KernelTest runs the same widths on every host.
+// null stub remains. KernelTest runs the same width on every host.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,7 @@ using namespace marqsim;
 #include "sim/KernelsSimd.h"
 #include "support/CpuFeatures.h"
 
-constexpr kernels::Ops NEONOps = kernels::simd::makeOps<2, 2>("neon");
+constexpr kernels::Ops NEONOps = kernels::simd::makeOps<2>("neon");
 
 const kernels::Ops *kernels::detail::neonOps() {
   return cpuFeatures().NEON ? &NEONOps : nullptr;

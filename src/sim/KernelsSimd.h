@@ -6,11 +6,10 @@
 ///
 /// \file
 /// The one body of every vector kernel tier, written with GCC/Clang vector
-/// extensions and templated on the vector width in doubles: the interleaved
-/// single-statevector walk at WalkW (2 or 4: one or two complexes per
-/// vector), the panel sweeps at PanelW (2, 4 or 8 lanes). Each tier file
-/// includes it under its ISA guard, compiles it with its own per-file ISA
-/// flags, and instantiates one table with makeOps<WalkW, PanelW>().
+/// extensions and templated on the panel vector width in doubles, PanelW
+/// (2, 4 or 8 lanes). Each tier file includes it under its ISA guard,
+/// compiles it with its own per-file ISA flags, and instantiates one table
+/// with makeOps<PanelW>().
 ///
 /// Bit-identity: every vector operator below is one IEEE-754 operation per
 /// lane, rounded on its own, and each lane runs the scalar reference's
@@ -46,8 +45,7 @@ template <unsigned W> using Vec = typename VecOf<W>::Type;
 
 // Whole-vector moves through a copy of V that may sit at any double's
 // address and may alias double, the idiom of the intrinsics' unaligned
-// loads. A memcpy here made the 4-wide walk 3-6% slower (4-vCPU AVX-512
-// host).
+// loads.
 template <class V> struct Unaligned {
   typedef V Type __attribute__((aligned(sizeof(double)), may_alias));
 };
@@ -70,104 +68,6 @@ template <class V> inline Cx<V> operator*(Cx<V> W, Cx<V> A) {
 }
 template <class V> inline Cx<V> operator+(Cx<V> A, Cx<V> B) {
   return {A.Re + B.Re, A.Im + B.Im};
-}
-
-//===----------------------------------------------------------------------===//
-// Interleaved statevector walk
-//===----------------------------------------------------------------------===//
-
-/// The signed sines of the complexes in one interleaved vector at basis
-/// index X (X a multiple of the complexes per vector), each duplicated
-/// over its [re, im] pair: S[0] when popcount(ZMask & X) is even, S[1]
-/// when odd. At width 4 the upper pair is X + 1's, whose sign differs
-/// from X's by ZMask's bit 0. An array, not a branch: the parity is
-/// data-dependent.
-template <class V> struct WalkSines {
-  V S[2];
-  uint64_t ZMask;
-  explicit WalkSines(const RotationStep &R) : ZMask(R.ZMask) {
-    constexpr unsigned N = sizeof(V) / sizeof(double);
-    static_assert(N == 2 || N == 4, "the walk runs at width 2 or 4");
-    if constexpr (N == 2) {
-      S[0] = V{R.Sin, R.Sin};
-    } else {
-      const double Up = RotationStep::flipIf(R.Sin, R.ZMask & 1);
-      S[0] = V{R.Sin, R.Sin, Up, Up};
-    }
-    S[1] = -S[0];
-  }
-  V at(uint64_t X) const { return S[__builtin_parityll(ZMask & X)]; }
-};
-
-/// kernels::rotate on interleaved [re, im] pairs of A (the row) and B (its
-/// partner) with the partner's signed sines S: k even takes t1 = C*A and
-/// t2 = S*[b.im, b.re], even lanes t1 - t2, odd lanes t1 + t2 (GCC lowers
-/// the width-4 shuffle to vaddsubpd); k odd is C*A - S*B on every lane.
-template <bool KOdd, class V> inline V rotateWalk(V C, V S, V A, V B) {
-  constexpr unsigned N = sizeof(V) / sizeof(double);
-  const V T1 = C * A;
-  if constexpr (KOdd) {
-    return T1 - S * B;
-  } else if constexpr (N == 2) {
-    const V T2 = S * __builtin_shufflevector(B, B, 1, 0);
-    return __builtin_shufflevector(T1 - T2, T1 + T2, 0, 3);
-  } else {
-    const V T2 = S * __builtin_shufflevector(B, B, 1, 0, 3, 2);
-    return __builtin_shufflevector(T1 - T2, T1 + T2, 0, 5, 2, 7);
-  }
-}
-
-template <unsigned W, bool KOdd>
-void expButterflyRuns(double *Amp, size_t Dim, uint64_t XM, uint64_t Pivot,
-                      const RotationStep &R) {
-  using V = Vec<W>;
-  constexpr uint64_t Run = W / 2; // complexes per vector
-  const WalkSines<V> Sines(R);
-  const V C = R.Cos - V{};
-  // X indices without the pivot bit form runs of Pivot consecutive values
-  // every 2*Pivot; their partners Y = X ^ XM are consecutive too (XM has
-  // no bits below the pivot), so both sides load as whole vectors.
-  for (uint64_t Base = 0; Base < Dim; Base += 2 * Pivot) {
-    for (uint64_t X = Base; X < Base + Pivot; X += Run) {
-      const uint64_t Y = X ^ XM;
-      const V A0 = load<V>(Amp + 2 * X), A1 = load<V>(Amp + 2 * Y);
-      store(Amp + 2 * X, rotateWalk<KOdd>(C, Sines.at(Y), A0, A1));
-      store(Amp + 2 * Y, rotateWalk<KOdd>(C, Sines.at(X), A1, A0));
-    }
-  }
-}
-
-template <unsigned W>
-void expButterfly(Complex *AmpC, size_t Dim, uint64_t XM,
-                  const RotationStep &R) {
-  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
-  if (Pivot < W / 2) {
-    // Pivot runs narrower than a vector alternate inside it; the
-    // (bit-identical) scalar reference handles them.
-    scalarOps().ExpButterflyF64(AmpC, Dim, XM, R);
-    return;
-  }
-  double *Amp = reinterpret_cast<double *>(AmpC);
-  if (R.KOdd)
-    expButterflyRuns<W, true>(Amp, Dim, XM, Pivot, R);
-  else
-    expButterflyRuns<W, false>(Amp, Dim, XM, Pivot, R);
-}
-
-template <unsigned W>
-void expDiagonal(Complex *AmpC, size_t Dim, const RotationStep &R) {
-  using V = Vec<W>;
-  if (Dim < W / 2) {
-    scalarOps().ExpDiagonalF64(AmpC, Dim, R);
-    return;
-  }
-  double *Amp = reinterpret_cast<double *>(AmpC);
-  const WalkSines<V> Sines(R);
-  const V C = R.Cos - V{};
-  for (uint64_t X = 0; X < Dim; X += W / 2) {
-    const V A = load<V>(Amp + 2 * X);
-    store(Amp + 2 * X, rotateWalk<false>(C, Sines.at(X), A, A));
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -332,11 +232,10 @@ void panelGroupProduct(const Complex *D, const double *XRe, const double *XIm,
   }
 }
 
-/// One tier's table: the walk at WalkW doubles, the panels at PanelW.
-template <unsigned WalkW, unsigned PanelW>
-constexpr Ops makeOps(const char *Name) {
-  return {Name, expButterfly<WalkW>, expDiagonal<WalkW>, panelRun<PanelW>,
-          panelExpOverlap<PanelW>, panelGroupProduct<PanelW>};
+/// One tier's table: the panels at PanelW doubles per vector.
+template <unsigned PanelW> constexpr Ops makeOps(const char *Name) {
+  return {Name, panelRun<PanelW>, panelExpOverlap<PanelW>,
+          panelGroupProduct<PanelW>};
 }
 
 } // namespace simd

@@ -24,6 +24,12 @@
 /// for a planned run), and each run's per-lane signed sines are built
 /// once, ahead of its row loop.
 ///
+/// The panel is fidelity evaluation's one substrate: every block of
+/// columns, a single column included, evolves as a panel, and the
+/// dispatched kernels have no other client. A 1-column panel still pays
+/// for a full vector of lanes per row, but in a sector of 2^r rows, with
+/// every run in one pass and the fused overlap tail.
+///
 /// Symmetry sectors: a rotation exp(i Theta P) maps basis state |X> only
 /// to |X> and |X ^ xMask>, so a column that starts at |x> and takes
 /// rotations whose x-masks span a GF(2) subspace S never leaves the coset
@@ -36,12 +42,12 @@
 /// identity basis (r = n) is the full layout: row u is basis state u.
 ///
 /// Determinism contract: every column of the panel evolves with exactly
-/// the per-element arithmetic of a standalone StateVector — both run the
-/// minimal-arithmetic updates of sim/Kernels.h, zero signs included — so a
-/// panel of C columns is bit-identical to C serial single-state replays
-/// (on every in-sector amplitude; out-of-sector amplitudes are exact
-/// zeros either way) for every panel width, every run grouping and every
-/// kernel dispatch. Against the textbook std::complex expression, every
+/// the per-element arithmetic of a standalone StateVector, the scalar
+/// reference — both run the minimal-arithmetic updates of sim/Kernels.h,
+/// zero signs included — so a panel of C columns is bit-identical to C
+/// serial single-state replays (on every in-sector amplitude;
+/// out-of-sector amplitudes are exact zeros either way) for every panel
+/// width, every run grouping and every kernel dispatch. Against the textbook std::complex expression, every
 /// nonzero amplitude and every overlap and fidelity is bit-identical;
 /// only the signs of exact-zero amplitudes are the scalar reference's
 /// own. SimTest pins this across widths, fast paths and sectors.
@@ -58,6 +64,10 @@
 #include <vector>
 
 namespace marqsim {
+
+namespace kernels {
+struct RotationStep;
+} // namespace kernels
 
 /// The GF(2) span S of a set of x-masks over n qubits, held as a reduced
 /// row-echelon basis b_1..b_r: the pivot of b_i is its leading (highest)

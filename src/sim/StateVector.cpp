@@ -12,6 +12,48 @@
 #include <cmath>
 
 using namespace marqsim;
+using marqsim::kernels::RotationStep;
+
+namespace {
+
+/// Amp[X]'s new value from itself and its partner B, whose signed sine is
+/// \p S.
+Complex rotated(const RotationStep &R, double S, Complex A, Complex B) {
+  double Re, Im;
+  if (R.KOdd)
+    kernels::rotate<true>(R.Cos, S, A.real(), A.imag(), B.real(), B.imag(), Re,
+                          Im);
+  else
+    kernels::rotate<false>(R.Cos, S, A.real(), A.imag(), B.real(), B.imag(),
+                           Re, Im);
+  return Complex(Re, Im);
+}
+
+void scalarExpButterflyF64(Complex *Amp, size_t Dim, uint64_t XM,
+                           const RotationStep &R) {
+  // Fused butterfly: each {X, X ^ XM} pair is visited once and updated in
+  // place.
+  const uint64_t Pivot = XM & (~XM + 1); // lowest set bit of XM
+  for (uint64_t X = 0; X < Dim; ++X) {
+    if (X & Pivot)
+      continue;
+    const uint64_t Y = X ^ XM;
+    const double SX = R.sinAt(X), SY = RotationStep::flipIf(SX, R.KOdd);
+    const Complex A0 = Amp[X];
+    const Complex A1 = Amp[Y];
+    Amp[X] = rotated(R, SY, A0, A1);
+    Amp[Y] = rotated(R, SX, A1, A0);
+  }
+}
+
+void scalarExpDiagonalF64(Complex *Amp, size_t Dim, const RotationStep &R) {
+  // Diagonal fast path: P|X> = (+/-1)|X> (k = 0), so each element is its
+  // own partner.
+  for (uint64_t X = 0; X < Dim; ++X)
+    Amp[X] = rotated(R, R.sinAt(X), Amp[X], Amp[X]);
+}
+
+} // namespace
 
 StateVector::StateVector(unsigned NumQubits, uint64_t Basis)
     : NQubits(NumQubits), Amp(size_t(1) << NumQubits, Complex(0.0, 0.0)) {
@@ -170,32 +212,16 @@ void StateVector::applyPauliExp(const PauliString &P, double Theta) {
       A *= Phase;
     return;
   }
-  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
-  applyPauliExpRun(P.xMask(), &R, 1);
-}
-
-void StateVector::applyPauliExpRun(uint64_t XMask,
-                                   const kernels::RotationStep *Steps,
-                                   size_t K) {
-  // The diagonal fast path and the fused butterfly both live behind the
-  // kernel dispatch: scalar reference or a bit-identical SIMD variant.
-  const kernels::Ops &Ops = kernels::active();
-  for (size_t J = 0; J < K; ++J) {
-    if (XMask == 0)
-      Ops.ExpDiagonalF64(Amp.data(), Amp.size(), Steps[J]);
-    else
-      Ops.ExpButterflyF64(Amp.data(), Amp.size(), XMask, Steps[J]);
-  }
+  const RotationStep R = RotationStep::of(P, Theta);
+  if (P.xMask() == 0)
+    scalarExpDiagonalF64(Amp.data(), Amp.size(), R);
+  else
+    scalarExpButterflyF64(Amp.data(), Amp.size(), P.xMask(), R);
 }
 
 Complex StateVector::overlap(const StateVector &Other) const {
   assert(Amp.size() == Other.Amp.size() && "overlap size mismatch");
   return innerProduct(Amp, Other.Amp);
-}
-
-Complex StateVector::overlapWithTarget(const CVector &Target) const {
-  assert(Target.size() == Amp.size() && "overlap size mismatch");
-  return innerProduct(Target, Amp);
 }
 
 double StateVector::norm() const { return vectorNorm(Amp); }

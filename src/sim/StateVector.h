@@ -19,13 +19,11 @@
 /// that touches each element's own slot only — half the memory traffic
 /// again. Both paths run the minimal arithmetic of sim/Kernels.h: every
 /// nonzero amplitude is bit-identical to the textbook two-pass formulation
-/// cos|psi> + i sin P|psi>, and so is every fidelity; zero signs are the
-/// scalar reference kernel's, shared by every tier and by StatePanel.
-/// SimTest's reference-kernel equivalence tests and KernelTest's
-/// exhaustive sign/zero sweep pin this. The loops themselves live behind
-/// the runtime-dispatched kernel table of sim/Kernels.h, which picks
-/// AVX-512/AVX2/NEON variants that are bit-identical to the scalar
-/// reference.
+/// cos|psi> + i sin P|psi>, and so is every fidelity. The loops are plain
+/// scalar code, never dispatched: they are the reference that every
+/// StatePanel tier (and so every fidelity evaluation) is compared against,
+/// zero signs included. SimTest's reference-kernel equivalence tests and
+/// KernelTest's exhaustive sign/zero sweep pin this.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,10 +38,6 @@
 
 namespace marqsim {
 
-namespace kernels {
-struct RotationStep;
-} // namespace kernels
-
 namespace detail {
 /// Fills \p M with the 2x2 unitary of a single-qubit gate. Returns false
 /// for CNOT (the only two-qubit gate; callers special-case the controlled
@@ -53,8 +47,7 @@ bool singleQubitMatrix(const Gate &G, Complex M[2][2]);
 } // namespace detail
 
 /// An n-qubit pure state (n <= 26 to keep memory bounded). Amplitudes are
-/// a CVector, whose storage is cache-line aligned so the dispatched
-/// kernels' full-width vector loads are always aligned.
+/// a CVector (cache-line aligned storage).
 class StateVector {
 public:
   /// Initializes to the basis state |Basis> over \p NumQubits qubits.
@@ -82,30 +75,11 @@ public:
   /// One fused pass: each butterfly pair is loaded and stored exactly once.
   void applyPauliExp(const PauliString &P, double Theta);
 
-  /// Applies a planned run of \p K non-identity rotations that share
-  /// \p XMask, in order — bit-identical to one applyPauliExp per step.
-  void applyPauliExpRun(uint64_t XMask, const kernels::RotationStep *Steps,
-                        size_t K);
-
   /// <this | Other>, accumulated in ascending basis order.
   Complex overlap(const StateVector &Other) const;
 
-  /// <Target | this>, accumulated in ascending basis order — bit-identical
-  /// to innerProduct(Target, amplitudes()) and to StatePanel::overlapWith
-  /// on a same-state column.
-  Complex overlapWithTarget(const CVector &Target) const;
-
   /// Euclidean norm (1 for a valid state).
   double norm() const;
-
-  /// Panel-compatible spellings, so one generic evolve lambda can drive
-  /// both a StatePanel block and a single-state walk (the width-1 block
-  /// path of fidelity evaluation).
-  void applyPauliExpAll(const PauliString &P, double Theta) {
-    applyPauliExp(P, Theta);
-  }
-  void applyAll(const Gate &G) { apply(G); }
-  void applyAll(const Circuit &C) { apply(C); }
 
 private:
   void applySingleQubit(unsigned Q, const Complex M[2][2]);

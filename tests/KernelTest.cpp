@@ -6,22 +6,22 @@
 //
 // Pins the determinism contract of sim/Kernels.h: every kernel the
 // dispatcher can select (scalar, AVX2+FMA, AVX-512, NEON) produces
-// bit-identical amplitudes for the same inputs — on interleaved
-// statevectors and on SoA panel planes, across panel widths, for
-// butterfly and Z-diagonal paths, from basis, random and signed-zero
-// starting states, at Theta = +0, -0 and pi as well as random angles, and
-// at the short pivot runs (1, 2, 4) where the 4-wide walk defers to the
-// scalar reference. The fused evolve+overlap tail must reproduce the
-// unfused sweep-then-overlapWith path bit for bit, and a run of same-xMask
+// bit-identical panel planes for the same inputs — across panel widths,
+// for butterfly and Z-diagonal runs, from basis, random and signed-zero
+// starting states, at Theta = +0, -0 and pi as well as random angles —
+// and every panel column matches StateVector, the scalar reference walk.
+// The fused evolve+overlap tail must reproduce the unfused
+// sweep-then-overlapWith path bit for bit, and a run of same-xMask
 // rotations applied in one pass must reproduce one sweep per rotation, in
 // full and in sector coordinates (per-lane sine flips). The grouped
 // Hamiltonian product of the lane-batched exact targets must match the
 // scalar reference on every tier. An exhaustive sign/zero sweep proves
-// every tier's minimal arithmetic equal to the std::complex expression on
-// every nonzero result. All vector tiers are one body (sim/KernelsSimd.h);
-// the cross-tier loops also run it at NEON's widths <2,2>, compiled for
-// the host's baseline ISA, so every host checks the NEON arithmetic. On hosts whose best tier *is* scalar
-// the AVX2/AVX-512 comparisons are trivial; the AVX CI hosts enforce them.
+// StateVector's and every tier's minimal arithmetic equal to the
+// std::complex expression on every nonzero result. All vector tiers are
+// one body (sim/KernelsSimd.h); the cross-tier loops also run it at
+// NEON's width <2>, compiled for the host's baseline ISA, so every host
+// checks the NEON arithmetic. On hosts whose best tier *is* scalar the
+// AVX2/AVX-512 comparisons are trivial; the AVX CI hosts enforce them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,9 +61,9 @@ struct DispatchRestorer {
 /// the tier whose output must match the scalar reference bit for bit.
 const kernels::Ops &bestOps() { return *kernels::availableOps().front(); }
 
-/// The shared vector body at NEON's widths, built for this host: test
+/// The shared vector body at NEON's width, built for this host: test
 /// only, never dispatched, listed, or pinnable.
-constexpr kernels::Ops Width2Ops = kernels::simd::makeOps<2, 2>("simd-2");
+constexpr kernels::Ops Width2Ops = kernels::simd::makeOps<2>("simd-2");
 
 /// What the cross-tier loops sweep: every runnable tier plus Width2Ops.
 std::vector<const kernels::Ops *> crossTierOps() {
@@ -119,18 +119,6 @@ PauliString randomString(unsigned N, RNG &Rng, bool ZOnly = false) {
     P.setOp(Q, ZOnly ? (Rng.bernoulli(0.5) ? PauliOpKind::Z : PauliOpKind::I)
                      : static_cast<PauliOpKind>(Rng.uniformInt(4)));
   return P;
-}
-
-/// Routes one rotation through \p K exactly as StateVector::applyPauliExp
-/// does (butterfly when xMask != 0, diagonal fast path otherwise).
-void applyThrough(const kernels::Ops &K, CVector &Amp, const PauliString &P,
-                  double Theta) {
-  const kernels::RotationStep R = kernels::RotationStep::of(P, Theta);
-  const uint64_t XM = P.xMask();
-  if (XM == 0)
-    K.ExpDiagonalF64(Amp.data(), Amp.size(), R);
-  else
-    K.ExpButterflyF64(Amp.data(), Amp.size(), XM, R);
 }
 
 ::testing::AssertionResult bitIdentical(const CVector &A, const CVector &B) {
@@ -262,31 +250,6 @@ TEST(KernelDispatchTest, SelectTierForTestingPinsAndAutoRestores) {
                Pinned.empty() ? kernels::detectedName() : Pinned.c_str());
 }
 
-// Interleaved statevector kernels: the best tier must reproduce the scalar
-// reference bit for bit — random states, basis states, every dim from a
-// two-amplitude vector (below every SIMD width) up through 2^7, butterfly
-// pivots both below and above the vector width, and Z-diagonals.
-TEST(KernelBitIdentityTest, StateVectorKernelsMatchScalarBitwise) {
-  const kernels::Ops &Best = bestOps();
-  RNG Rng(2025);
-  for (unsigned N : {1u, 2u, 3u, 5u, 7u}) {
-    for (unsigned Trial = 0; Trial < 16; ++Trial) {
-      CVector Start = randomState(N, Rng);
-      if (Trial < 4) { // basis states exercise the sign-of-zero paths
-        Start.assign(Start.size(), Complex(0.0, 0.0));
-        Start[Trial % Start.size()] = Complex(1.0, 0.0);
-      }
-      const PauliString P = randomString(N, Rng, /*ZOnly=*/Trial % 3 == 0);
-      const double Theta = Rng.gaussian() * 0.7;
-      CVector A = Start, B = Start;
-      applyThrough(kernels::scalarOps(), A, P, Theta);
-      applyThrough(Best, B, P, Theta);
-      ASSERT_TRUE(bitIdentical(A, B))
-          << "tier " << Best.Name << ", " << N << " qubits, trial " << Trial;
-    }
-  }
-}
-
 // Panel kernels: a width-1 panel, an odd width straddling the lane padding,
 // the PreferredWidth block, and an "all columns" width wider than a block,
 // each evolved through a mixed schedule under the scalar tier and under the
@@ -311,8 +274,8 @@ TEST(KernelBitIdentityTest, PanelKernelsMatchScalarBitwise) {
   }
 }
 
-// The panel SoA kernels and the interleaved StateVector kernels are
-// different code paths; under the dispatched tier a panel column must
+// The dispatched panel kernels and StateVector's scalar reference loops
+// are different code paths; under the dispatched tier a panel column must
 // still be bit-identical to a serial single-state replay.
 TEST(KernelBitIdentityTest, PanelColumnsMatchStateVectorUnderDispatch) {
   const unsigned N = 5;
@@ -328,42 +291,6 @@ TEST(KernelBitIdentityTest, PanelColumnsMatchStateVectorUnderDispatch) {
       SV.applyPauliExp(P, Theta);
     ASSERT_TRUE(bitIdentical(SV.amplitudes(), Panel.column(C)))
         << "column " << C;
-  }
-}
-
-// Short pivot runs: a butterfly's contiguous run length equals its pivot
-// (the lowest X bit), and the 4-wide walk defers runs of 1 to the scalar
-// reference. Sweep single-X strings (and a single Z, the diagonal path)
-// at every qubit position on tiny registers — run lengths 1, 2, 4, 8 —
-// across every tier this host can run plus the width-2 body, from random
-// and signed-zero starts, at a random angle and at +0, -0 and pi.
-TEST(KernelBitIdentityTest, ShortPivotRunsMatchScalarAcrossTiers) {
-  RNG Rng(1234);
-  for (const kernels::Ops *Tier : crossTierOps()) {
-    for (unsigned N : {1u, 2u, 3u, 4u}) {
-      for (unsigned Q = 0; Q < N; ++Q) {
-        for (unsigned Variant = 0; Variant < 4; ++Variant) {
-          PauliString P;
-          P.setOp(Q, Variant == 1   ? PauliOpKind::Y
-                     : Variant == 3 ? PauliOpKind::Z
-                                    : PauliOpKind::X);
-          if (Variant == 2 && N > 1) // phase-carrying high bit
-            P.setOp((Q + 1) % N, PauliOpKind::Z);
-          for (const double Theta :
-               withSignedZeroThetas(Rng.gaussian() * 0.6)) {
-            for (const CVector &Start :
-                 {randomState(N, Rng), signedZeroState(N, Rng)}) {
-              CVector A = Start, B = Start;
-              applyThrough(kernels::scalarOps(), A, P, Theta);
-              applyThrough(*Tier, B, P, Theta);
-              ASSERT_TRUE(bitIdentical(A, B))
-                  << "tier " << Tier->Name << ", " << N << " qubits, "
-                  << P.str(N) << ", theta " << Theta;
-            }
-          }
-        }
-      }
-    }
   }
 }
 
@@ -481,18 +408,21 @@ TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
 }
 
 // The zero-tolerance proof of the minimal-arithmetic contract: for every
-// phase +/- i^k (k = 0..3, both signs, on butterflies; +/-1 on diagonals),
-// c in {+0.6, -0.6, 1}, s in {+0.8, -0.8, +0, -0}, and every combination of
-// +0, -0, +v and -v in the four parts of (a0, a1), each tier's walk, panel
-// run and fused-overlap rotation must give every nonzero output part the
-// bits of CosT*A0 + ISinT*(Ph*A1) computed with std::complex — and a zero
-// wherever that expression is a zero, of either sign.
+// phase +/- i^k (k = 0..3, both signs, on butterflies; +/-1 on diagonals)
+// and every combination of +0, -0, +v and -v in the four parts of
+// (a0, a1), StateVector::applyPauliExp (the scalar reference walk) and
+// each tier's panel run and fused-overlap rotation must give every
+// nonzero output part the bits of CosT*A0 + ISinT*(Ph*A1) computed with
+// std::complex — and a zero wherever that expression is a zero, of either
+// sign. The walk takes angles whose cosine and sine cover every sign,
+// +/-0 included; the panel kernels take c in {+0.6, -0.6, 1} and s in
+// {+0.8, -0.8, +0, -0} directly.
 TEST(KernelBitIdentityTest, MinimalArithmeticMatchesComplexExpansion) {
   const unsigned N = 4;
   const size_t Dim = size_t(1) << N;
-  // Strings by k = popcount(xMask & zMask) mod 4, every pivot >= 2 so the
-  // width-4 walk runs its vector body, Z on qubit 0 so both phase signs
-  // occur inside one vector. The last two are diagonals.
+  // Strings by k = popcount(xMask & zMask) mod 4, with Z on qubit 0 so
+  // both phase signs occur among adjacent rows. The last two are
+  // diagonals.
   const std::vector<std::vector<std::pair<unsigned, PauliOpKind>>> Specs = {
       {{2, PauliOpKind::X}, {0, PauliOpKind::Z}},
       {{2, PauliOpKind::Y}, {0, PauliOpKind::Z}},
@@ -511,55 +441,61 @@ TEST(KernelBitIdentityTest, MinimalArithmeticMatchesComplexExpansion) {
     return Want == 0.0 ? Got == 0.0
                        : serial::doubleBits(Got) == serial::doubleBits(Want);
   };
-  size_t Cases = 0;
+  // Angles of the walk: cos = 1 with sin = +0 and -0, cos = -1, and the
+  // four sign pairs of (0.6, 0.8).
+  const double A = std::atan2(0.8, 0.6);
+  const double WalkThetas[] = {0.0, -0.0, M_PI, A, -A, M_PI - A, A - M_PI};
+  size_t WalkCases = 0, Cases = 0;
   for (const auto &Spec : Specs) {
     PauliString P;
     for (const auto &[Q, Op] : Spec)
       P.setOp(Q, Op);
     const uint64_t XM = P.xMask();
     const detail::PauliPhases Ph(P);
+    // Start state for combo M: every row pair {X, X ^ XM} (every row on a
+    // diagonal) holds a0 = (part 0, part 1), a1 = (part 2, 3).
+    const auto Fill = [&](unsigned M, uint64_t X) {
+      const bool Low = XM == 0 || !(X & (XM & (~XM + 1)));
+      return Low ? Complex(Part(M, 0), Part(M, 1))
+                 : Complex(Part(M, 2), Part(M, 3));
+    };
+    const auto Expected = [&](Complex CosT, Complex ISinT, const Complex *In,
+                              uint64_t X) {
+      return CosT * In[X] + ISinT * (Ph.at(X ^ XM) * In[X ^ XM]);
+    };
+    for (const double Theta : WalkThetas) {
+      const Complex CosT(std::cos(Theta), 0.0), ISinT(0.0, std::sin(Theta));
+      for (unsigned M = 0; M < 256; ++M) {
+        CVector In(Dim);
+        for (uint64_t X = 0; X < Dim; ++X)
+          In[X] = Fill(M, X);
+        StateVector Walk(N, In);
+        Walk.applyPauliExp(P, Theta);
+        const CVector &Out = Walk.amplitudes();
+        for (uint64_t X = 0; X < Dim; ++X) {
+          const Complex Want = Expected(CosT, ISinT, In.data(), X);
+          ASSERT_TRUE(Check(Out[X].real(), Want.real()) &&
+                      Check(Out[X].imag(), Want.imag()))
+              << "walk, " << P.str(N) << ", theta " << Theta << ", combo "
+              << M << ", X " << X;
+        }
+      }
+      WalkCases += 256;
+    }
     for (const double C : {0.6, -0.6, 1.0}) {
       for (const double S : {0.8, -0.8, 0.0, -0.0}) {
         const kernels::RotationStep R = kernels::RotationStep::of(P, C, S);
         const Complex CosT(C, 0.0), ISinT(0.0, S);
-        // Start state for combo M: every row pair {X, X ^ XM} (every row
-        // on a diagonal) holds a0 = (part 0, part 1), a1 = (part 2, 3).
-        const auto Fill = [&](unsigned M, uint64_t X) {
-          const bool Low = XM == 0 || !(X & (XM & (~XM + 1)));
-          return Low ? Complex(Part(M, 0), Part(M, 1))
-                     : Complex(Part(M, 2), Part(M, 3));
-        };
-        const auto Expected = [&](const Complex *A, uint64_t X) {
-          return CosT * A[X] + ISinT * (Ph.at(X ^ XM) * A[X ^ XM]);
-        };
         for (const kernels::Ops *Tier : crossTierOps()) {
-          for (unsigned M = 0; M < 256; ++M) {
-            CVector In(Dim);
-            for (uint64_t X = 0; X < Dim; ++X)
-              In[X] = Fill(M, X);
-            CVector Out = In;
-            if (XM == 0)
-              Tier->ExpDiagonalF64(Out.data(), Dim, R);
-            else
-              Tier->ExpButterflyF64(Out.data(), Dim, XM, R);
-            for (uint64_t X = 0; X < Dim; ++X) {
-              const Complex Want = Expected(In.data(), X);
-              ASSERT_TRUE(Check(Out[X].real(), Want.real()) &&
-                          Check(Out[X].imag(), Want.imag()))
-                  << "walk, tier " << Tier->Name << ", " << P.str(N)
-                  << ", c " << C << ", s " << S << ", combo " << M
-                  << ", X " << X;
-            }
-          }
-          // Panels: lane L of call M carries combo 8 * M + L; the run
-          // kernel and the fused tail's rotation both go through it.
+          // Lane L of call M carries combo 8 * M + L; the run kernel and
+          // the fused tail's rotation both go through it.
           for (unsigned M = 0; M < 32; ++M) {
             StatePanel Run(N, std::vector<uint64_t>(8, 0));
             for (uint64_t X = 0; X < Dim; ++X)
               for (unsigned L = 0; L < 8; ++L) {
-                const Complex A = Fill(8 * M + L, X);
-                Run.realPlane()[X * 8 + L] = A.real();
-                Run.imagPlane()[X * 8 + L] = A.imag();
+                const Complex V = Fill(8 * M + L, X);
+                Run.realPlane()[X * 8 + L] = V.real();
+                Run.imagPlane()[X * 8 + L] = V.imag();
               }
             StatePanel Fused = Run;
             const StatePanel In = Run;
@@ -573,7 +509,7 @@ TEST(KernelBitIdentityTest, MinimalArithmeticMatchesComplexExpansion) {
             for (unsigned L = 0; L < 8; ++L) {
               const CVector Col = In.column(L), Got = Run.column(L);
               for (uint64_t X = 0; X < Dim; ++X) {
-                const Complex Want = Expected(Col.data(), X);
+                const Complex Want = Expected(CosT, ISinT, Col.data(), X);
                 ASSERT_TRUE(Check(Got[X].real(), Want.real()) &&
                             Check(Got[X].imag(), Want.imag()))
                     << "panel, tier " << Tier->Name << ", " << P.str(N)
@@ -587,7 +523,9 @@ TEST(KernelBitIdentityTest, MinimalArithmeticMatchesComplexExpansion) {
       }
     }
   }
-  // 6 strings x 3 cosines x 4 sines x 256 amplitude combinations.
+  // 6 strings x 7 angles (walk) or x 3 cosines x 4 sines (panels) x 256
+  // amplitude combinations.
+  EXPECT_EQ(WalkCases, 6u * 7 * 256);
   EXPECT_EQ(Cases, 6u * 3 * 4 * 256);
 }
 
@@ -751,8 +689,8 @@ TEST(KernelBitIdentityTest, LaneMaskedRunAndFusedOverlapMatchScalar) {
 }
 
 // End to end: a 17-column fidelity evaluation (two fused panel blocks
-// plus the width-1 walk tail) under live dispatch must reproduce a serial
-// single-state replay bit for bit, for every EvalJobs fan-out.
+// plus a 1-column panel block) under live dispatch must reproduce a
+// serial single-state replay bit for bit, for every EvalJobs fan-out.
 TEST(KernelBitIdentityTest, FidelityWithFusedTailMatchesSerialReference) {
   Hamiltonian H = makeHeisenbergXXZ(6, 1.0, 0.8, 0.6, 0.3);
   const double T = 0.7;
@@ -778,7 +716,7 @@ TEST(KernelBitIdentityTest, FidelityWithFusedTailMatchesSerialReference) {
 // End to end on a schedule with runs: a Markov-sampled Na+ gc schedule,
 // where most adjacent rotations share an xMask, must evaluate bit for bit
 // like a serial single-state replay — fidelity() and stateFidelity(), 17
-// columns (two run-fused panel blocks plus the width-1 walk), EvalJobs 1
+// columns (two run-fused panel blocks plus a 1-column one), EvalJobs 1
 // and 4 — and so must the same schedule with identity rotations spliced
 // into its runs.
 TEST(KernelBitIdentityTest, SampledScheduleRunsMatchSerialReference) {

@@ -17,7 +17,8 @@
 //   * a live daemon serves results byte-identical to local runs, keeps a
 //     connection alive across malformed frames, survives oversized
 //     payloads and mid-stream disconnects, coalesces repeated specs onto
-//     one MCFP solve, and drains cleanly on the shutdown frame.
+//     one MCFP solve, drains cleanly on the shutdown frame, and reports
+//     its kernel tier once, under "kernels", in the v2 stats frame.
 //
 //===----------------------------------------------------------------------===//
 
@@ -653,6 +654,27 @@ TEST(DaemonTest, RepeatedSubmitsCoalesceOnOneSolve) {
   const json::Value *ServerSection = Stats->find("server");
   ASSERT_NE(ServerSection, nullptr);
   EXPECT_EQ(ServerSection->find("completed")->asInt(), 2);
+}
+
+TEST(DaemonTest, StatsFrameIsV2WithTheTierUnderKernelsOnly) {
+  TestDaemon Daemon;
+  ASSERT_TRUE(Daemon.Started);
+  std::string Error;
+  std::optional<server::DaemonClient> Client =
+      server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
+  ASSERT_TRUE(Client) << Error;
+  std::optional<json::Value> Stats = Client->serverStats(&Error);
+  ASSERT_TRUE(Stats) << Error;
+  const json::Value *Format = Stats->find("format");
+  ASSERT_NE(Format, nullptr);
+  EXPECT_EQ(Format->asString(), "marqsim-server-stats-v2");
+  const json::Value *Kernels = Stats->find("kernels");
+  ASSERT_NE(Kernels, nullptr);
+  const json::Value *Tier = Kernels->find("tier");
+  ASSERT_NE(Tier, nullptr);
+  EXPECT_EQ(Tier->asString(), SimulationService::kernelName());
+  // The tier appears once, under "kernels".
+  EXPECT_EQ(Stats->find("kernel"), nullptr);
 }
 
 TEST(DaemonTest, StreamedShotsCoverTheBatchInOrder) {
