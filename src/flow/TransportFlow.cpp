@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -18,9 +17,11 @@ using namespace marqsim;
 static constexpr int64_t kInfDist = std::numeric_limits<int64_t>::max() / 4;
 
 TransportFlow::TransportFlow(size_t N, const int64_t *Cost)
-    : N(N), Cost(Cost) {
+    : N(N), Cost(Cost), FlowWords((N + 63) / 64) {
   assert(2 * N + 2 <= std::numeric_limits<uint32_t>::max() &&
          "too many nodes for 32-bit node indices");
+  assert(N * N <= std::numeric_limits<uint32_t>::max() &&
+         "too many arcs for 32-bit arc-list offsets");
   // Zero start potentials are valid only for non-negative costs.
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J)
@@ -29,6 +30,58 @@ TransportFlow::TransportFlow(size_t N, const int64_t *Cost)
             "transport flow: negative cost " +
             std::to_string(Cost[I * N + J]) + " on arc " + std::to_string(I) +
             " -> " + std::to_string(J));
+}
+
+void TransportFlow::RadixHeap::clear() {
+  for (auto &Bucket : Buckets)
+    Bucket.clear();
+  Last = 0;
+  Size = 0;
+}
+
+size_t TransportFlow::RadixHeap::bucketOf(uint64_t Key) const {
+  return Key == Last ? 0
+                     : 64 - static_cast<size_t>(__builtin_clzll(Key ^ Last));
+}
+
+void TransportFlow::RadixHeap::push(uint64_t Key, uint32_t Node) {
+  assert(Key >= Last && "radix heap keys must not fall below the last pop");
+  Buckets[bucketOf(Key)].push_back({Key, Node});
+  ++Size;
+}
+
+std::pair<uint64_t, uint32_t> TransportFlow::RadixHeap::pop() {
+  assert(Size > 0 && "pop from an empty radix heap");
+  if (Buckets[0].empty()) {
+    // Move the first non-empty bucket's minimum to Last; every entry of
+    // that bucket then differs from Last in a lower bit, so it lands in a
+    // lower bucket, the minimum itself in bucket 0.
+    size_t B = 1;
+    while (Buckets[B].empty())
+      ++B;
+    Last = std::min_element(Buckets[B].begin(), Buckets[B].end())->first;
+    for (const auto &Entry : Buckets[B])
+      Buckets[bucketOf(Entry.first)].push_back(Entry);
+    Buckets[B].clear();
+  }
+  const std::pair<uint64_t, uint32_t> Top = Buckets[0].back();
+  Buckets[0].pop_back();
+  --Size;
+  return Top;
+}
+
+uint32_t TransportFlow::nextPositiveFlow(size_t J, uint32_t From) const {
+  if (From >= N)
+    return static_cast<uint32_t>(N);
+  const uint64_t *Bits = &FlowBits[J * FlowWords];
+  size_t W = From / 64;
+  uint64_t Word = Bits[W] & (~uint64_t(0) << (From % 64));
+  while (Word == 0) {
+    if (++W == FlowWords)
+      return static_cast<uint32_t>(N);
+    Word = Bits[W];
+  }
+  return static_cast<uint32_t>(W * 64 + __builtin_ctzll(Word));
 }
 
 // Every scan below visits a node's residual arcs in the order the header
@@ -41,21 +94,25 @@ bool TransportFlow::dijkstra() {
   Dist.assign(Potential.size(), kInfDist);
   Dist[0] = 0;
   Heap.clear();
-  Heap.push_back({0, 0});
-  using Item = std::pair<int64_t, uint32_t>;
+  Heap.push(0, 0);
+  Tight.clear();
+  TightBegin.assign(N, 0);
+  TightEnd.assign(N, 0);
   auto Relax = [&](uint32_t To, int64_t Cand) {
     if (Cand < Dist[To]) {
       Dist[To] = Cand;
-      Heap.push_back({Cand, To});
-      std::push_heap(Heap.begin(), Heap.end(), std::greater<Item>());
+      Heap.push(static_cast<uint64_t>(Cand), To);
     }
   };
   // Each candidate is D + (arc cost + Potential[V] - Potential[To]), the
-  // arc's non-negative reduced cost added to V's distance.
+  // arc's non-negative reduced cost added to V's distance. Keys past
+  // Dist[T] cannot be on a shortest S -> T path; every tie at Dist[T] is
+  // still settled.
   while (!Heap.empty()) {
-    std::pop_heap(Heap.begin(), Heap.end(), std::greater<Item>());
-    const auto [D, V] = Heap.back();
-    Heap.pop_back();
+    const auto [Key, V] = Heap.pop();
+    const int64_t D = static_cast<int64_t>(Key);
+    if (D > Dist[T])
+      break;
     if (D > Dist[V])
       continue;
     const int64_t Base = D + Potential[V];
@@ -64,19 +121,29 @@ bool TransportFlow::dijkstra() {
         if (SupplyCap[I] > SupplyFlow[I])
           Relax(supplyNode(I), Base - Potential[supplyNode(I)]);
     } else if (V <= N) {
+      // Settled once: record the demands this supply may reach at zero
+      // reduced cost once the potentials fold (see the header).
       const size_t I = V - 1;
       const int64_t *Row = Cost + I * N;
       const int64_t *DemandPot = &Potential[demandNode(0)];
-      for (size_t J = 0; J < N; ++J)
-        if (J != I)
-          Relax(demandNode(J), Base + Row[J] - DemandPot[J]);
+      int64_t *DemandDist = &Dist[demandNode(0)];
+      TightBegin[I] = static_cast<uint32_t>(Tight.size());
+      for (size_t J = 0; J < N; ++J) {
+        const int64_t Cand = Base + Row[J] - DemandPot[J];
+        if (J == I || Cand > DemandDist[J])
+          continue;
+        if (Cand < DemandDist[J]) {
+          DemandDist[J] = Cand;
+          Heap.push(static_cast<uint64_t>(Cand), demandNode(J));
+        }
+        Tight.push_back(static_cast<uint32_t>(J));
+      }
+      TightEnd[I] = static_cast<uint32_t>(Tight.size());
     } else if (V < T) {
       const size_t J = V - 1 - N;
-      const int64_t *Col = &Flow[J * N];
-      for (size_t I = 0; I < N; ++I)
-        if (Col[I] > 0)
-          Relax(supplyNode(I),
-                Base - Cost[I * N + J] - Potential[supplyNode(I)]);
+      for (uint32_t I = nextPositiveFlow(J, 0); I < N;
+           I = nextPositiveFlow(J, I + 1))
+        Relax(supplyNode(I), Base - Cost[I * N + J] - Potential[supplyNode(I)]);
       if (DemandCap[J] > DemandFlow[J])
         Relax(T, Base - Potential[T]);
     } else {
@@ -87,10 +154,11 @@ bool TransportFlow::dijkstra() {
   }
   if (Dist[T] >= kInfDist)
     return false;
-  // Fold distances into the potentials; unreachable nodes move by the sink
-  // distance so future reduced costs stay non-negative.
+  // Fold distances into the potentials. Nodes past the sink, settled or
+  // not, move by the sink distance, which keeps future reduced costs
+  // non-negative.
   for (size_t V = 0; V < Potential.size(); ++V)
-    Potential[V] += Dist[V] < kInfDist ? Dist[V] : Dist[T];
+    Potential[V] += std::min(Dist[V], Dist[T]);
   return true;
 }
 
@@ -121,12 +189,14 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
   } else if (V <= N) {
     const size_t I = V - 1;
     const int64_t *Row = Cost + I * N;
-    for (uint32_t &J = CurrentArc[V]; J < N; ++J) {
-      if (J == I || !Admissible(demandNode(J), Row[J]))
+    for (uint32_t &P = CurrentArc[V]; P < TightEnd[I]; ++P) {
+      const uint32_t J = Tight[P];
+      if (!Admissible(demandNode(J), Row[J]))
         continue;
       int64_t Sub = dfsPush(demandNode(J), Limit - Pushed); // uncapacitated
       if (Sub > 0) {
         Flow[J * N + I] += Sub;
+        FlowBits[J * FlowWords + I / 64] |= uint64_t(1) << (I % 64);
         Pushed += Sub;
         if (Pushed == Limit)
           return Pushed;
@@ -134,23 +204,25 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
     }
   } else {
     const size_t J = V - 1 - N;
-    for (uint32_t &A = CurrentArc[V]; A <= N; ++A) {
-      if (A < N) { // reverse arc to supply A
-        const int64_t Residual = Flow[J * N + A];
-        if (Residual <= 0 || !Admissible(supplyNode(A), -Cost[A * N + J]))
-          continue;
-        int64_t Sub =
-            dfsPush(supplyNode(A), std::min(Limit - Pushed, Residual));
-        if (Sub > 0) {
-          Flow[J * N + A] -= Sub;
-          Pushed += Sub;
-          if (Pushed == Limit)
-            return Pushed;
-        }
-      } else { // the arc to T
-        const int64_t Residual = DemandCap[J] - DemandFlow[J];
-        if (Residual <= 0 || !Admissible(T, 0))
-          continue;
+    uint32_t &A = CurrentArc[V];
+    for (A = nextPositiveFlow(J, A); A < N; A = nextPositiveFlow(J, A + 1)) {
+      // The reverse arc to supply A.
+      if (!Admissible(supplyNode(A), -Cost[A * N + J]))
+        continue;
+      int64_t &F = Flow[J * N + A];
+      int64_t Sub = dfsPush(supplyNode(A), std::min(Limit - Pushed, F));
+      if (Sub > 0) {
+        F -= Sub;
+        if (F == 0)
+          FlowBits[J * FlowWords + A / 64] &= ~(uint64_t(1) << (A % 64));
+        Pushed += Sub;
+        if (Pushed == Limit)
+          return Pushed;
+      }
+    }
+    if (A == N) { // the arc to T
+      const int64_t Residual = DemandCap[J] - DemandFlow[J];
+      if (Residual > 0 && Admissible(T, 0)) {
         int64_t Sub = dfsPush(T, std::min(Limit - Pushed, Residual));
         if (Sub > 0) {
           DemandFlow[J] += Sub;
@@ -159,6 +231,7 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
             return Pushed;
         }
       }
+      ++A;
     }
   }
   // Dead end: prevent revisiting this vertex within the phase.
@@ -192,15 +265,13 @@ int64_t TransportFlow::blockingFlow(int64_t Limit) {
     } else if (V <= N) {
       const size_t I = V - 1;
       const int64_t *Row = Cost + I * N;
-      for (size_t J = 0; J < N; ++J)
-        if (J != I)
-          Visit(demandNode(J), Row[J]);
+      for (uint32_t P = TightBegin[I]; P < TightEnd[I]; ++P)
+        Visit(demandNode(Tight[P]), Row[Tight[P]]);
     } else { // a demand node: T ends the search before it is dequeued
       const size_t J = V - 1 - N;
-      const int64_t *Col = &Flow[J * N];
-      for (size_t I = 0; I < N; ++I)
-        if (Col[I] > 0)
-          Visit(supplyNode(I), -Cost[I * N + J]);
+      for (uint32_t I = nextPositiveFlow(J, 0); I < N;
+           I = nextPositiveFlow(J, I + 1))
+        Visit(supplyNode(I), -Cost[I * N + J]);
       if (DemandCap[J] > DemandFlow[J])
         Visit(T, 0);
     }
@@ -208,6 +279,8 @@ int64_t TransportFlow::blockingFlow(int64_t Limit) {
   if (Level[T] < 0)
     return 0;
   std::fill(CurrentArc.begin(), CurrentArc.end(), 0);
+  for (size_t I = 0; I < N; ++I)
+    CurrentArc[supplyNode(I)] = TightBegin[I];
   return dfsPush(0, Limit);
 }
 
@@ -226,6 +299,7 @@ TransportFlow::Result TransportFlow::solve(const std::vector<int64_t> &Supply,
   SupplyFlow.assign(N, 0);
   DemandFlow.assign(N, 0);
   Flow.assign(N * N, 0);
+  FlowBits.assign(N * FlowWords, 0);
   Potential.assign(2 * N + 2, 0);
   CurrentArc.assign(2 * N + 2, 0);
 
@@ -240,7 +314,8 @@ TransportFlow::Result TransportFlow::solve(const std::vector<int64_t> &Supply,
   }
   R.Feasible = R.FlowSent == Amount;
   for (size_t J = 0; J < N; ++J)
-    for (size_t I = 0; I < N; ++I)
+    for (uint32_t I = nextPositiveFlow(J, 0); I < N;
+         I = nextPositiveFlow(J, I + 1))
       R.TotalCost += Flow[J * N + I] * Cost[I * N + J];
   return R;
 }

@@ -14,19 +14,44 @@
 /// an uncapacitated arc of cost Cost[I][J], and each demand J drains into
 /// the sink T (capacity Demand[J]).
 ///
-/// The algorithm is primal-dual: repeated Dijkstra with Johnson potentials
-/// finds the current shortest-path distance, then a Dinic-style blocking
-/// flow (BFS levels on the zero-reduced-cost admissible subgraph, DFS with
-/// a current-arc pointer per node) saturates that subgraph at once. With
-/// small integer costs the number of phases is bounded by the number of
-/// distinct path costs, which keeps 1000-term instances fast.
+/// Algorithm. Primal-dual: each phase runs Dijkstra with Johnson
+/// potentials to find the shortest S -> T distance, then a Dinic-style
+/// blocking flow (BFS levels on the zero-reduced-cost admissible subgraph,
+/// DFS with a current-arc position per node) saturates that subgraph at
+/// once. With small integer costs the number of phases is bounded by the
+/// number of distinct path costs. Each phase touches only what can matter:
+///   - Dijkstra pops from a radix heap (monotone, no bound on key size)
+///     and stops at the first key above Dist[T], so every tie at Dist[T]
+///     is still settled. Every node then moves its potential by
+///     min(Dist[V], Dist[T]).
+///   - A settled supply I, scanning its row, records each demand J with
+///     candidate distance <= Dist[J] in a flat per-phase list (ascending
+///     J, TightBegin/TightEnd[I]). The BFS and the DFS walk only that list
+///     and recheck the exact zero-reduced-cost condition.
+///   - A bitset per demand column marks the supplies with positive flow
+///     into it; the reverse-arc scans walk its set bits.
+///
+/// Why the flows equal a full scan's. Settled nodes end with potential =
+/// true distance, as a Dijkstra run to exhaustion gives them. A node
+/// farther than T gets Dist[T] in place of its distance, so an arc into it
+/// has positive reduced cost. With its true distance the node could be
+/// admissible, but distances never fall along an admissible path, so it
+/// cannot reach T and would be a dead end for the DFS. Every S -> T
+/// shortest path, its arcs and its BFS levels are the same either way.
+/// The final Dist of a demand only falls after a supply's scan, so the
+/// supply's list is a superset of its admissible arcs, kept in ascending
+/// J; the bitsets are kept equal to Flow > 0. The BFS and the DFS
+/// therefore meet the same admissible arcs in the same order. Which of
+/// equal keys the heap pops first changes nothing: the distances are
+/// exact, and the lists only need to be supersets.
 ///
 /// Storage. The N x N cost table is the caller's, row-major and read in
 /// place (the diagonal is ignored). The middle flows are one column-major
 /// N x N int64 table, so the residual arcs of a demand node are one
-/// contiguous column. Arcs are implicit: a solve holds the flow table plus
-/// O(N) vectors, and the uncapacitated middle arcs are never read for a
-/// residual.
+/// contiguous column, mirrored by an N-bit positive-flow bitset. Arcs are
+/// implicit: a solve holds the flow table, the bitsets, the per-phase arc
+/// list (at most N x N uint32 entries) and O(N) vectors, and the
+/// uncapacitated middle arcs are never read for a residual.
 ///
 /// Arc order. Each node scans its residual arcs in one fixed order, and the
 /// blocking flow's tie-breaking, so every bit of the flows, follows it:
@@ -86,20 +111,45 @@ private:
   bool dijkstra();
   int64_t blockingFlow(int64_t Limit);
   int64_t dfsPush(uint32_t V, int64_t Limit);
+  /// The first supply I >= From with Flow[J * N + I] > 0, or N.
+  uint32_t nextPositiveFlow(size_t J, uint32_t From) const;
+
+  /// Monotone min-queue of (distance, node): every push is >= the last
+  /// pop. Bucket 0 holds keys equal to Last, bucket B > 0 keys whose
+  /// highest bit differing from Last is bit B - 1.
+  class RadixHeap {
+  public:
+    void clear();
+    bool empty() const { return Size == 0; }
+    void push(uint64_t Key, uint32_t Node);
+    /// Removes and returns an entry of minimum key.
+    std::pair<uint64_t, uint32_t> pop();
+
+  private:
+    size_t bucketOf(uint64_t Key) const;
+    uint64_t Last = 0;
+    size_t Size = 0;
+    std::vector<std::pair<uint64_t, uint32_t>> Buckets[65];
+  };
 
   size_t N;
   const int64_t *Cost;
   std::vector<int64_t> Flow; // column-major: Flow[J * N + I] ships I -> J
+  size_t FlowWords;               // 64-bit words per demand column
+  std::vector<uint64_t> FlowBits; // bit I of column J: Flow[J * N + I] > 0
   std::vector<int64_t> SupplyCap, SupplyFlow; // arcs S -> I
   std::vector<int64_t> DemandCap, DemandFlow; // arcs J -> T
 
   std::vector<int64_t> Potential; // per node
   std::vector<int64_t> Dist;
-  std::vector<std::pair<int64_t, uint32_t>> Heap;
+  RadixHeap Heap;
+  // This phase's candidate admissible arcs: supply I's demands are
+  // Tight[TightBegin[I] .. TightEnd[I]), ascending.
+  std::vector<uint32_t> Tight, TightBegin, TightEnd;
   std::vector<int32_t> Level;
   std::vector<uint32_t> Queue;
-  // Next arc to try per node: the supply index for S, the demand index for
-  // a supply, the supply index (N = the arc to T) for a demand.
+  // Next arc to try per node: the supply index for S, the position in
+  // Tight for a supply, the supply index (N = the arc to T) for a demand.
   std::vector<uint32_t> CurrentArc;
 };
 

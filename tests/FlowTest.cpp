@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -226,8 +227,128 @@ INSTANTIATE_TEST_SUITE_P(
                       TransportSweepCase{4, 15}, TransportSweepCase{4, 16},
                       TransportSweepCase{3, 17}, TransportSweepCase{3, 18}));
 
-TEST(TransportFlowTest, LargeBipartiteInstanceRunsQuickly) {
-  // Shape of the MarQSim MCFP: complete bipartite, small integer costs.
+namespace {
+
+/// FNV-1a over every flow(I, J), row-major, then FlowSent, TotalCost and
+/// Feasible: one word that changes if any bit of a solve does.
+uint64_t flowBitsHash(const TransportFlow &Net, size_t N,
+                      const TransportFlow::Result &R) {
+  uint64_t H = serial::FNVOffset;
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      H = serial::fnv1aWord(static_cast<uint64_t>(Net.flow(I, J)), H);
+  H = serial::fnv1aWord(static_cast<uint64_t>(R.FlowSent), H);
+  H = serial::fnv1aWord(static_cast<uint64_t>(R.TotalCost), H);
+  return serial::fnv1aWord(R.Feasible ? 1 : 0, H);
+}
+
+/// Off-diagonal cost alphabets. The small ones make zero-cost arcs and
+/// many equal-length paths; NearTwoTo40 mixes zero with costs just above
+/// 2^40, so distances differ in high bits and in low bits.
+enum class CostAlphabet { ZeroOrTwo, ZeroToThree, ZeroToForty, NearTwoTo40 };
+
+/// How much flow a case asks for, against the smaller capacity total M.
+enum class Request { All, Part, TooMuch };
+
+struct TieCase {
+  size_t N;
+  uint64_t Seed;
+  CostAlphabet Costs;
+  Request Amount;
+  uint64_t Hash;
+};
+
+} // namespace
+
+TEST(TransportFlowGoldenTest, TieHeavyInstanceFlowBitsAreFrozen) {
+  // The flows of a min-cost solve are unique only up to ties; the solver
+  // breaks them by the arc order its header fixes, and the Pgc/Prp
+  // goldens depend on that. These instances are built to be full of ties
+  // (zero-cost arcs, two- and four-letter cost alphabets, zero capacities,
+  // short and infeasible requests), and every flow bit is pinned.
+  const TieCase Cases[] = {
+      {2, 1, CostAlphabet::ZeroOrTwo, Request::All,
+       0xf23cfb97f45be626ULL},
+      {3, 2, CostAlphabet::ZeroToThree, Request::Part,
+       0x6fc55d178587103eULL},
+      {3, 3, CostAlphabet::ZeroOrTwo, Request::TooMuch,
+       0x96d0bb104cc6e8e4ULL},
+      {17, 4, CostAlphabet::ZeroOrTwo, Request::All,
+       0x4f22f561a197b9e8ULL},
+      {17, 5, CostAlphabet::ZeroToThree, Request::Part,
+       0x484932a56c92eb1bULL},
+      {17, 6, CostAlphabet::ZeroToForty, Request::TooMuch,
+       0xd77e243a1c173f98ULL},
+      {64, 7, CostAlphabet::ZeroToThree, Request::All,
+       0x7cd9ebd561dd651dULL},
+      {64, 8, CostAlphabet::ZeroToForty, Request::Part,
+       0xf36424100013e9e8ULL},
+      {64, 9, CostAlphabet::NearTwoTo40, Request::All,
+       0xec3e0e5f2075efb6ULL},
+      {130, 10, CostAlphabet::ZeroOrTwo, Request::Part,
+       0x3db77b5fd0d079c6ULL},
+      {130, 11, CostAlphabet::ZeroToThree, Request::TooMuch,
+       0xf9565c42c1bd7855ULL},
+      {130, 12, CostAlphabet::ZeroToForty, Request::All,
+       0xc0c1553971642b59ULL},
+  };
+  for (const TieCase &Case : Cases) {
+    SCOPED_TRACE(Case.Seed);
+    const size_t N = Case.N;
+    RNG Rng(0x7E5 + Case.Seed);
+    auto Capacity = [&] {
+      return Rng.bernoulli(0.2) ? 0
+                                : 1 + static_cast<int64_t>(Rng.uniformInt(500));
+    };
+    std::vector<int64_t> Supply(N), Demand(N);
+    for (int64_t &C : Supply)
+      C = Capacity();
+    for (int64_t &C : Demand)
+      C = Capacity();
+    std::vector<int64_t> Cost = zeroCosts(N);
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J < N; ++J) {
+        int64_t &C = Cost[I * N + J];
+        switch (Case.Costs) {
+        case CostAlphabet::ZeroOrTwo:
+          C = 2 * static_cast<int64_t>(Rng.uniformInt(2));
+          break;
+        case CostAlphabet::ZeroToThree:
+          C = static_cast<int64_t>(Rng.uniformInt(4));
+          break;
+        case CostAlphabet::ZeroToForty:
+          C = static_cast<int64_t>(Rng.uniformInt(41));
+          break;
+        case CostAlphabet::NearTwoTo40:
+          C = Rng.bernoulli(0.3) ? 0
+                                 : (int64_t(1) << 40) +
+                                       static_cast<int64_t>(Rng.uniformInt(4));
+          break;
+        }
+      }
+    int64_t SupplyTotal = 0, DemandTotal = 0;
+    for (size_t I = 0; I < N; ++I) {
+      SupplyTotal += Supply[I];
+      DemandTotal += Demand[I];
+    }
+    const int64_t M = std::min(SupplyTotal, DemandTotal);
+    const int64_t Amount = Case.Amount == Request::All    ? M
+                           : Case.Amount == Request::Part ? M / 3
+                                                          : M + 1;
+    TransportFlow Net(N, Cost.data());
+    auto R = Net.solve(Supply, Demand, Amount);
+    if (Case.Amount == Request::TooMuch) {
+      EXPECT_FALSE(R.Feasible);
+    }
+    EXPECT_EQ(R.Feasible, R.FlowSent == Amount);
+    EXPECT_EQ(flowBitsHash(Net, N, R), Case.Hash)
+        << std::hex << "0x" << flowBitsHash(Net, N, R);
+  }
+}
+
+TEST(TransportFlowGoldenTest, MillionUnitBipartiteFlowIsFeasibleAndFrozen) {
+  // Shape of the MarQSim MCFP: complete bipartite, small integer costs,
+  // the whole scale routed.
   RNG Rng(62);
   const size_t N = 120;
   const int64_t Scale = 1'000'000;
@@ -241,7 +362,8 @@ TEST(TransportFlowTest, LargeBipartiteInstanceRunsQuickly) {
   TransportFlow Net(N, Cost.data());
   auto R = Net.solve(Units, Units, Scale);
   EXPECT_TRUE(R.Feasible);
-  EXPECT_GE(R.TotalCost, 0);
+  EXPECT_EQ(flowBitsHash(Net, N, R), 0x1e9a5dc5059a9a73ULL)
+      << std::hex << "0x" << flowBitsHash(Net, N, R);
 }
 
 namespace {

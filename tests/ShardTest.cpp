@@ -21,7 +21,8 @@
 //   * concurrent local ranges on one service produce the same bits with
 //     exactly one gate-cancellation MCFP solve across the whole run, with
 //     no cache directory,
-//   * marqsim-cli rejects unknown and retired flags as usage errors.
+//   * marqsim-cli rejects unknown and retired flags as usage errors, and
+//     its --stats reports the set-up wall time of a non-sharded run.
 //
 //===----------------------------------------------------------------------===//
 
@@ -577,4 +578,35 @@ TEST(CliFlagTest, UnknownFlagsAreUsageErrorsNamingTheFlag) {
                            std::istreambuf_iterator<char>());
     EXPECT_NE(Text.find("unknown flag --" + Name), std::string::npos) << Text;
   }
+}
+
+TEST(CliFlagTest, StatsPrintsTheSetUpWallTimeBesideAnUnchangedBatchHash) {
+  const char *Binary = std::getenv("MARQSIM_CLI");
+  if (!Binary)
+    GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
+  // A gc-rp run solves the MCFP during set-up; --stats reports that time on
+  // its own line, and the batch it precedes hashes as before the line
+  // existed.
+  const std::string Log = testing::TempDir() + "cli_setup_line.log";
+  const std::string Command =
+      std::string("\"") + Binary +
+      "\" --model=Na+ --config=gc-rp --rounds=2 --shots=4 --seed=3 --stats "
+      "--out=/dev/null 2> \"" +
+      Log + "\"";
+  const int Status = std::system(Command.c_str());
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0);
+  std::ifstream In(Log);
+  const std::string Text((std::istreambuf_iterator<char>(In)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_NE(Text.find(", hash=2419844960494149181\n"), std::string::npos)
+      << Text;
+  const size_t Setup = Text.find("\nsetup: wall=");
+  ASSERT_NE(Setup, std::string::npos) << Text;
+  const size_t Value = Setup + std::string("\nsetup: wall=").size();
+  const size_t End = Text.find(" s\n", Value);
+  ASSERT_NE(End, std::string::npos) << Text;
+  const double Seconds = std::stod(Text.substr(Value, End - Value));
+  EXPECT_GE(Seconds, 0.0);
+  EXPECT_LT(Text.find("\nsetup: wall="), Text.find("\nphase: wall="));
 }

@@ -82,8 +82,9 @@
 //     --out=FILE          write QASM here (default stdout)
 //     --stats             print gate + cache statistics to stderr (with
 //                         --shots>1, the per-batch aggregate table), the
-//                         dispatched kernel tier, plus the walk/emission
-//                         vs evaluation phase timing
+//                         dispatched kernel tier, the set-up time (MCFP
+//                         solves, targets; not with --shards) and the
+//                         walk/emission vs evaluation phase timing
 //     --stats-json        emit the same accounting as one machine-readable
 //                         JSON object ("marqsim-stats-v1") on stdout —
 //                         the exact serializer behind the daemon's stats
@@ -120,6 +121,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -343,6 +345,8 @@ int main(int Argc, char **Argv) {
   std::optional<TaskResult> Result;
   ShardReport Report;
   bool Sharded = false;
+  // Wall time of the non-sharded Service.run, set-up and batch together.
+  double RunSeconds = 0;
 
   if (CoordinatorMode) {
     // Fleet mode: a comma-separated worker list; one shard per worker by
@@ -424,7 +428,11 @@ int main(int Argc, char **Argv) {
   } else {
     Spec->Evaluate.ExportShotZero = true; // shot 0 carries the QASM output
     Spec->Evaluate.DumpDot = CL.has("dot");
+    const auto RunStart = std::chrono::steady_clock::now();
     Result = Service.run(*Spec, &Error);
+    RunSeconds = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - RunStart)
+                     .count();
   }
   if (!Result) {
     std::cerr << "error: " << Error << "\n";
@@ -477,6 +485,10 @@ int main(int Argc, char **Argv) {
     // coordinator's whole run (pre-warm + ranges + merge), not a batch
     // clock, and only the summed per-range eval time travels back.
     if (!Sharded) {
+      // Everything the run did before the batch: matrix solves or loads,
+      // the walk tables and the exact targets.
+      std::cerr << "setup: wall="
+                << formatDouble(RunSeconds - Result->Batch.Seconds) << " s\n";
       std::cerr << "phase: wall=" << formatDouble(Result->Batch.Seconds)
                 << " s walk+emit-cpu="
                 << formatDouble(Result->Batch.CompileSeconds)
