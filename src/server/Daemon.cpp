@@ -423,19 +423,20 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
         Probe = P->asBool();
       ArtifactKey Key{*Type, IdVal->asString()};
       // Never computes: a daemon serves only artifacts it has already
-      // materialized, so a client cannot farm out solves for free.
-      std::optional<std::string> BodyText = Service.exportArtifactBody(Key);
+      // materialized, so a client cannot farm out solves for free. A
+      // probe answers from presence alone and encodes nothing.
       if (Probe) {
-        if (BodyText)
+        const bool Found = Service.hasArtifact(Key);
+        if (Found)
           Fabric.ArtifactHits.fetch_add(1, std::memory_order_relaxed);
-        Conn->send(
-            encodeFrame("artifact",
-                        json::Value::object()
-                            .set("atype", artifactTypeName(*Type))
-                            .set("id", Key.Id)
-                            .set("found", static_cast<bool>(BodyText))));
+        Conn->send(encodeFrame("artifact",
+                               json::Value::object()
+                                   .set("atype", artifactTypeName(*Type))
+                                   .set("id", Key.Id)
+                                   .set("found", Found)));
         continue;
       }
+      std::optional<std::string> BodyText = Service.exportArtifactBody(Key);
       if (!BodyText) {
         Conn->send(errorFrame("not-found",
                               "artifact '" + Key.Id +

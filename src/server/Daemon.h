@@ -7,8 +7,8 @@
 /// \file
 /// The accept loop of the resident simulation service: a TCP listener,
 /// one handler thread per connection speaking the line-delimited JSON
-/// protocol (server/Protocol.h), a BatchScheduler dispatching admitted
-/// TaskSpecs onto the shared ThreadPool, and a graceful drain:
+/// protocol (server/Protocol.h), a BatchScheduler running admitted
+/// TaskSpecs on its own executor threads, and a graceful drain:
 ///
 ///   SIGTERM/SIGINT -> notifyShutdown() (async-signal-safe: one byte
 ///   down a pipe) -> the accept loop stops admitting connections -> the

@@ -7,7 +7,6 @@
 #include "server/Scheduler.h"
 
 #include "stats/Stats.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -110,12 +109,7 @@ BatchScheduler::BatchScheduler(SimulationService &Service,
                                SchedulerOptions Opts)
     : Service(Service), Opts(Opts),
       EffectiveWorkers(Opts.Workers ? Opts.Workers
-                                    : ThreadPool::hardwareWorkers()) {
-  // Executors occupy pool slots for a whole request; make sure the pool
-  // can hold every executor plus at least the caller-participating shot
-  // workers underneath them (parallelFor nests safely on this pool).
-  ThreadPool::shared().ensureWorkers(EffectiveWorkers);
-}
+                                    : ThreadPool::hardwareWorkers()) {}
 
 BatchScheduler::~BatchScheduler() { drain(); }
 
@@ -200,7 +194,9 @@ void BatchScheduler::maybeDispatchLocked() {
 
     R->State = RequestState::Running;
     ++RunningCount;
-    ThreadPool::shared().submit([this, R] { execute(R); });
+    if (!Executors)
+      Executors.emplace(EffectiveWorkers);
+    Executors->submit([this, R] { execute(R); });
   }
   Counters.QueueDepth = QueuedCount;
   Counters.Running = RunningCount;

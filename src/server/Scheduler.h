@@ -15,9 +15,12 @@
 ///     occupying an executor;
 ///   * fair-share dispatch — requests are drained round-robin across
 ///     client keys, so one chatty connection cannot starve the rest;
-///   * executor concurrency capped at SchedulerOptions::Workers, with
-///     the actual shot-level parallelism delegated to the shared
-///     ThreadPool the service already fans batches across.
+///   * executor threads owned by the scheduler — SchedulerOptions::Workers
+///     of them, so each scheduler runs that many requests at once no
+///     matter how many other schedulers share the process (a fleet's
+///     in-process daemons run their ranges concurrently); the shot-level
+///     fan-out underneath (TaskSpec::Jobs) draws helpers from
+///     ThreadPool::shared(), which holds only those helpers.
 ///
 /// Identical Hamiltonians coalesce on one MCFP solve without any
 /// scheduler-level keying: every execution starts with
@@ -39,6 +42,7 @@
 
 #include "service/SimulationService.h"
 #include "support/Json.h"
+#include "support/ThreadPool.h"
 
 #include <chrono>
 #include <condition_variable>
@@ -58,9 +62,10 @@ struct SchedulerOptions {
   /// Maximum queued (admitted, not yet running) requests.
   size_t MaxQueueDepth = 64;
 
-  /// Concurrently *executing* requests (each fans its shots across the
-  /// shared ThreadPool via the service); 0 selects the hardware thread
-  /// count.
+  /// Concurrently *executing* requests: the number of executor threads
+  /// the scheduler owns. Each request's shot fan-out (TaskSpec::Jobs)
+  /// runs on top, with helpers from ThreadPool::shared(). 0 selects the
+  /// hardware thread count.
   unsigned Workers = 1;
 
   /// Shots per streamed chunk for sink-attached submits.
@@ -212,6 +217,12 @@ private:
   bool Draining = false;
   bool HoldForTesting = false;
   SchedulerStats Counters;
+
+  /// The executor threads, one per concurrently running request, started
+  /// at the first dispatch (an idle daemon holds none). Declared last so
+  /// it is destroyed first: after the destructor's drain(), it joins
+  /// executors that may still be unwinding out of execute().
+  std::optional<ThreadPool> Executors;
 };
 
 } // namespace server

@@ -680,8 +680,29 @@ std::string encodeBundleBody(const GraphBundle &B) {
 
 } // namespace
 
-std::optional<std::vector<TaskArtifact>>
-SimulationService::exportArtifacts(const TaskSpec &Spec, std::string *Error) {
+std::string ResolvedArtifact::encode() const {
+  // The encoders are context-free, so the key's type alone picks the
+  // right cast.
+  switch (Key.Type) {
+  case ArtifactType::ComponentMatrix:
+    return store::encodeMatrixBody(
+        store::MatrixMagic,
+        *std::static_pointer_cast<const TransitionMatrix>(Value));
+  case ArtifactType::AliasBundle:
+    return encodeBundleBody(
+        *std::static_pointer_cast<const GraphBundle>(Value));
+  case ArtifactType::FidelityColumns:
+    return store::encodeFidelityBody(
+        *std::static_pointer_cast<const FidelityEvaluator>(Value));
+  case ArtifactType::Superoperator:
+    return store::encodeSuperBody(
+        *std::static_pointer_cast<const Matrix>(Value));
+  }
+  return std::string();
+}
+
+std::optional<std::vector<ResolvedArtifact>>
+SimulationService::resolveArtifacts(const TaskSpec &Spec, std::string *Error) {
   std::string Validation;
   if (!Spec.validate(&Validation)) {
     detail::fail(Error, Validation);
@@ -694,66 +715,65 @@ SimulationService::exportArtifacts(const TaskSpec &Spec, std::string *Error) {
     return std::nullopt;
   const uint64_t Fingerprint = H->fingerprint();
 
-  std::vector<TaskArtifact> Out;
+  std::vector<ResolvedArtifact> Out;
   if (Spec.Method == TaskMethod::Sampling) {
     ChannelMix Mix = Spec.Mix;
     Mix.normalize();
     // Only flow-backed bundles are worth shipping: a pure-qDrift matrix
     // rebuilds in O(n^2) on the worker with no solve to skip (mirroring
-    // the disk tier's persistence policy).
+    // the disk tier's persistence policy). validBundle admits only
+    // bundles that pass Theorem 4.1, so every listed one encodes.
     if (H->numTerms() >= 2 && (Mix.WGc > 0.0 || Mix.WRp > 0.0)) {
       auto Bundle =
           M->validBundle(*H, Fingerprint, Spec, Mix, nullptr, Error);
       if (!Bundle)
         return std::nullopt;
-      TaskArtifact A;
-      A.Key = store::aliasBundleKey(Fingerprint, Mix.WQd, Mix.WGc, Mix.WRp,
-                                    Spec.Flow, Spec.PerturbRounds,
-                                    Spec.PerturbSeed, Spec.UseCDF);
-      A.Body = encodeBundleBody(*Bundle);
-      if (!A.Body.empty())
-        Out.push_back(std::move(A));
+      Out.push_back({store::aliasBundleKey(Fingerprint, Mix.WQd, Mix.WGc,
+                                           Mix.WRp, Spec.Flow,
+                                           Spec.PerturbRounds,
+                                           Spec.PerturbSeed, Spec.UseCDF),
+                     std::move(Bundle)});
     }
   }
-  if (Spec.Evaluate.FidelityColumns > 0) {
-    auto Eval = M->evaluator(*H, Fingerprint, Spec, nullptr);
-    TaskArtifact A;
-    A.Key = store::fidelityColumnsKey(Fingerprint, Spec.Time,
-                                      Spec.Evaluate.FidelityColumns,
-                                      Spec.Evaluate.ColumnSeed);
-    A.Body = store::encodeFidelityBody(*Eval);
-    Out.push_back(std::move(A));
-  }
+  if (Spec.Evaluate.FidelityColumns > 0)
+    Out.push_back({store::fidelityColumnsKey(Fingerprint, Spec.Time,
+                                             Spec.Evaluate.FidelityColumns,
+                                             Spec.Evaluate.ColumnSeed),
+                   M->evaluator(*H, Fingerprint, Spec, nullptr)});
+  return Out;
+}
+
+std::optional<std::vector<TaskArtifact>>
+SimulationService::exportArtifacts(const TaskSpec &Spec, std::string *Error) {
+  std::optional<std::vector<ResolvedArtifact>> Resolved =
+      resolveArtifacts(Spec, Error);
+  if (!Resolved)
+    return std::nullopt;
+  std::vector<TaskArtifact> Out;
+  Out.reserve(Resolved->size());
+  for (const ResolvedArtifact &A : *Resolved)
+    Out.push_back({A.Key, A.encode()});
   return Out;
 }
 
 std::optional<std::string>
 SimulationService::exportArtifactBody(const ArtifactKey &Key) {
-  // The memory tier holds decoded values; the encoders are context-free,
-  // so the key's type alone picks the right cast.
   if (std::shared_ptr<const void> V = M->Store.peekValue(Key.Id)) {
-    switch (Key.Type) {
-    case ArtifactType::ComponentMatrix:
-      return store::encodeMatrixBody(
-          store::MatrixMagic,
-          *std::static_pointer_cast<const TransitionMatrix>(V));
-    case ArtifactType::AliasBundle: {
-      std::string Body =
-          encodeBundleBody(*std::static_pointer_cast<const GraphBundle>(V));
-      if (Body.empty())
-        return std::nullopt;
-      return Body;
-    }
-    case ArtifactType::FidelityColumns:
-      return store::encodeFidelityBody(
-          *std::static_pointer_cast<const FidelityEvaluator>(V));
-    case ArtifactType::Superoperator:
-      return store::encodeSuperBody(
-          *std::static_pointer_cast<const Matrix>(V));
-    }
+    // Empty only for an alias bundle that failed Theorem 4.1.
+    std::string Body = ResolvedArtifact{Key, std::move(V)}.encode();
+    if (Body.empty())
+      return std::nullopt;
+    return Body;
   }
   // The disk tier already holds the encoded body verbatim.
   return M->Store.peekDiskBody(Key);
+}
+
+bool SimulationService::hasArtifact(const ArtifactKey &Key) const {
+  if (std::shared_ptr<const void> V = M->Store.peekValue(Key.Id))
+    return Key.Type != ArtifactType::AliasBundle ||
+           std::static_pointer_cast<const GraphBundle>(V)->Valid;
+  return M->Store.peekDiskBody(Key).has_value();
 }
 
 std::optional<ArtifactImport>

@@ -149,6 +149,19 @@ struct TaskArtifact {
   std::string Body;
 };
 
+/// A transportable artifact resolved but not yet encoded: its key and a
+/// pin on the resolved value. encode() produces the TaskArtifact body on
+/// demand, so a caller pays for a body only when a peer lacks it; the pin
+/// keeps the value encodable even if the memory tier evicts its entry.
+struct ResolvedArtifact {
+  ArtifactKey Key;
+  /// The store's value for Key; its type follows Key.Type.
+  std::shared_ptr<const void> Value;
+
+  /// The codec-encoded body: the same bytes TaskArtifact::Body carries.
+  std::string encode() const;
+};
+
 /// What importArtifact did with a received body.
 enum class ArtifactImport {
   Inserted, ///< decoded, validated, and cached
@@ -215,15 +228,25 @@ public:
   /// Returns false on invalid specs or Theorem 4.1 validation failures.
   bool prewarm(const TaskSpec &Spec, std::string *Error = nullptr);
 
-  /// Resolves and encodes every transportable deterministic artifact of
-  /// \p Spec: the alias bundle of a flow-backed sampling mix (which
-  /// short-circuits the MCFP component solves on the receiving side) and
-  /// the fidelity target columns when Evaluate.FidelityColumns > 0.
-  /// Artifacts the spec does not need — or that are cheaper to rebuild
-  /// than to ship (pure-qDrift matrices) — are simply absent from the
-  /// list. Resolution goes through the normal caches, so a prewarmed
-  /// service exports without recomputing anything. Returns std::nullopt
-  /// on invalid specs or Theorem 4.1 validation failures.
+  /// Resolves every transportable deterministic artifact of \p Spec
+  /// without encoding any: the alias bundle of a flow-backed sampling mix
+  /// (which short-circuits the MCFP component solves on the receiving
+  /// side) and the fidelity target columns when
+  /// Evaluate.FidelityColumns > 0. Artifacts the spec does not need — or
+  /// that are cheaper to rebuild than to ship (pure-qDrift matrices) — are
+  /// simply absent from the list. Resolution goes through the normal
+  /// caches, so a prewarmed service resolves without recomputing
+  /// anything. Returns std::nullopt on invalid specs or Theorem 4.1
+  /// validation failures.
+  std::optional<std::vector<ResolvedArtifact>>
+  resolveArtifacts(const TaskSpec &Spec, std::string *Error = nullptr);
+
+  /// resolveArtifacts with every body encoded: the same keys in the same
+  /// order, each paired with ResolvedArtifact::encode()'s bytes. Encoding
+  /// costs about as much as a disk-tier write per artifact (a LiH alias
+  /// body is 6.11 MiB of hex), so a caller that may not ship every body
+  /// should resolve and encode on demand instead, as the fleet
+  /// coordinator does.
   std::optional<std::vector<TaskArtifact>>
   exportArtifacts(const TaskSpec &Spec, std::string *Error = nullptr);
 
@@ -233,6 +256,14 @@ public:
   /// client could farm out for free). Checks the memory tier first, then
   /// the disk tier's raw body.
   std::optional<std::string> exportArtifactBody(const ArtifactKey &Key);
+
+  /// Whether exportArtifactBody(\p Key) would return a body, answered
+  /// without encoding one — the serving side of an artifact-get probe.
+  /// A value in the memory tier counts as present, except an alias bundle
+  /// that failed Theorem 4.1 (it never travels). Otherwise the disk tier
+  /// decides: its file must exist and pass the checksum, so a corrupt
+  /// file reads as absent. Never computes, and has no LRU or stats effect.
+  bool hasArtifact(const ArtifactKey &Key) const;
 
   /// Decodes \p Body and injects it under \p Key — the receiving side of
   /// artifact-put. \p Spec supplies the decode context (Hamiltonian

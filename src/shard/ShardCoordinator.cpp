@@ -368,10 +368,23 @@ bool ShardCoordinator::runFleet(
 
   // The prewarmed service is the fleet's artifact origin: every worker is
   // seeded over the wire from its store, no shared filesystem involved.
-  std::optional<std::vector<TaskArtifact>> Artifacts =
-      Service.exportArtifacts(Spec, Error);
+  // Only the keys resolve here. A body is encoded when the first worker's
+  // probe misses it, once per batch, and shared by every worker thread:
+  // a warm fleet encodes nothing (a LiH alias body is 6.11 MiB of hex).
+  std::optional<std::vector<ResolvedArtifact>> Artifacts =
+      Service.resolveArtifacts(Spec, Error);
   if (!Artifacts)
     return false;
+  std::mutex BodyMutex;
+  std::vector<std::optional<std::string>> Bodies(Artifacts->size());
+  auto BodyOf = [&](size_t Ai) -> const std::string & {
+    // Set once under the lock and never modified after, so the returned
+    // reference stays valid and race-free.
+    std::lock_guard<std::mutex> Lock(BodyMutex);
+    if (!Bodies[Ai])
+      Bodies[Ai] = (*Artifacts)[Ai].encode();
+    return *Bodies[Ai];
+  };
 
   // Shared dispatch state. Pending holds shard indices awaiting (re-)
   // dispatch; Open counts ranges not yet accepted, whether queued or in
@@ -435,21 +448,16 @@ bool ShardCoordinator::runFleet(
     if (Options.FleetTimeoutMs)
       Client->setRecvTimeout(Options.FleetTimeoutMs);
 
-    // Warm the worker: probe, then push only what it lacks. An artifact
-    // too large for a request frame is skipped — the worker recomputes
-    // it, which changes cost, never results (and never the one-MCFP-
-    // solve contract: flow artifacts are tiny, only fidelity columns
-    // can grow past the cap).
-    for (const TaskArtifact &A : *Artifacts) {
-      if (A.Body.size() + 4096 > server::MaxRequestFrameBytes) {
-        std::lock_guard<std::mutex> Lock(State.Mutex);
-        R.Notes.push_back("worker " + WS.HostPort + ": artifact '" +
-                          A.Key.Id + "' exceeds the request frame cap; the "
-                          "worker will recompute it");
-        continue;
-      }
+    // Warm the worker: probe each key, then encode and push only what it
+    // lacks. A body too large for a request frame is skipped — the worker
+    // recomputes it, which changes cost, never results. It does break the
+    // one-MCFP-solve contract when the body is an alias bundle: a dense
+    // hex bundle is ~17 N^2 bytes, over the cap from N ~ 500 terms
+    // (H2O, LiH, BeH2).
+    for (size_t Ai = 0; Ai < Artifacts->size(); ++Ai) {
+      const ArtifactKey &Key = (*Artifacts)[Ai].Key;
       std::string FetchError;
-      std::optional<bool> Present = Client->probeArtifact(A.Key, &FetchError);
+      std::optional<bool> Present = Client->probeArtifact(Key, &FetchError);
       if (!Present) {
         std::lock_guard<std::mutex> Lock(State.Mutex);
         MarkDeadLocked(Wi, "artifact probe failed: " + FetchError,
@@ -460,8 +468,16 @@ bool ShardCoordinator::runFleet(
         ++WS.FetchHits;
         continue;
       }
+      const std::string &Body = BodyOf(Ai);
+      if (Body.size() + 4096 > server::MaxRequestFrameBytes) {
+        std::lock_guard<std::mutex> Lock(State.Mutex);
+        R.Notes.push_back("worker " + WS.HostPort + ": artifact '" + Key.Id +
+                          "' exceeds the request frame cap; the worker will "
+                          "recompute it");
+        continue;
+      }
       std::optional<bool> Stored =
-          Client->putArtifact(*SpecJson, A.Key, A.Body, &FetchError);
+          Client->putArtifact(*SpecJson, Key, Body, &FetchError);
       if (!Stored) {
         std::lock_guard<std::mutex> Lock(State.Mutex);
         MarkDeadLocked(Wi, "artifact push failed: " + FetchError,
@@ -469,7 +485,7 @@ bool ShardCoordinator::runFleet(
         return;
       }
       ++WS.FetchMisses;
-      WS.ArtifactBytesServed += A.Body.size();
+      WS.ArtifactBytesServed += Body.size();
     }
 
     for (;;) {

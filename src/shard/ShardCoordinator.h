@@ -198,8 +198,10 @@ private:
                 ShardReport &R, std::string *Error);
 
   /// The networked dispatch loop behind run() when Options.Workers is
-  /// non-empty: connect (with retry/backoff), warm each worker through
-  /// artifact-get/artifact-put from \p Service, dispatch the ranges
+  /// non-empty: connect (with retry/backoff), warm each worker from
+  /// \p Service (an artifact-get probe per key; a body is encoded, once
+  /// per batch, and pushed by artifact-put only when a probe misses),
+  /// dispatch the ranges
   /// \p Accepted still lacks as shard-submit frames from a shared pending
   /// queue, validate every returned manifest, and re-dispatch ranges of
   /// dead or lying workers to the survivors.

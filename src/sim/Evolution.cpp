@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <mutex>
 #include <vector>
 
 using namespace marqsim;
@@ -37,6 +38,10 @@ constexpr double BesselCutoff = 1e-16;
 std::vector<Complex> chebyshevCoefficients(double A) {
   static const Complex IPow[4] = {
       {1.0, 0.0}, {0.0, 1.0}, {-1.0, 0.0}, {0.0, -1.0}};
+  // libstdc++'s series calls lgamma, which writes the global signgam:
+  // two services evolving targets on different threads would race on it.
+  static std::mutex BesselMutex;
+  std::lock_guard<std::mutex> Lock(BesselMutex);
   const double Abs = std::fabs(A);
   std::vector<Complex> C;
   for (unsigned K = 0;; ++K) {

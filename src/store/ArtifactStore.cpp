@@ -195,12 +195,6 @@ void ArtifactStore::storeBody(const ArtifactKey &Key,
   Counters.DiskWrites++;
 }
 
-bool ArtifactStore::hasValue(const std::string &Id) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  auto It = Entries.find(Id);
-  return It != Entries.end() && It->second->Charged;
-}
-
 std::shared_ptr<const void>
 ArtifactStore::peekValue(const std::string &Id) const {
   std::lock_guard<std::mutex> Lock(Mutex);

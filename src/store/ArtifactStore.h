@@ -212,11 +212,6 @@ public:
     return PutOutcome::Inserted;
   }
 
-  /// Whether \p Id is resolved in the memory tier (charged, not merely
-  /// in flight). No LRU or stats effect — this is the probe half of the
-  /// artifact-fetch protocol, not a lookup.
-  bool hasValue(const std::string &Id) const;
-
   /// The resolved value of \p Id, or nullptr. Type-erased: callers cast
   /// per the key's type prefix exactly as get() does. No LRU or stats
   /// effect.

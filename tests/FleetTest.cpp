@@ -17,6 +17,9 @@
 //   * artifact-get for an unknown key answers a typed not-found error
 //     (never a hang), corrupt artifact-put bodies are rejected, and an
 //     oversized frame on the artifact path is cut off cleanly,
+//   * an artifact-get probe answers from presence alone: found in the
+//     memory tier or in a checksum-valid disk file, not found for a
+//     corrupt file or an unknown key,
 //   * DaemonClient::connectTo's bounded retry absorbs daemons still
 //     binding their port and fails fast when nothing ever listens.
 //
@@ -33,7 +36,9 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <thread>
 
 using namespace marqsim;
@@ -95,7 +100,9 @@ struct TestDaemon {
   std::thread Server;
   std::atomic<int> Exit{-1};
 
-  explicit TestDaemon(server::DaemonOptions Opts = {}) : D(Service, Opts) {
+  explicit TestDaemon(server::DaemonOptions Opts = {},
+                      ServiceOptions ServiceOpts = {})
+      : Service(ServiceOpts), D(Service, Opts) {
     std::string Error;
     Started = D.start(&Error);
     EXPECT_TRUE(Started) << Error;
@@ -377,6 +384,89 @@ TEST(ArtifactFabricTest, ContentAddressedFetchRoundTripsAndRejects) {
 
   // The worker daemon answered it all without performing a single solve.
   EXPECT_EQ(Daemon.Service.stats().GCSolveMisses, 0u);
+}
+
+TEST(ArtifactFabricTest, ProbesAnswerFromPresenceOnEveryTier) {
+  TaskSpec Spec = testSpec(3);
+  std::string Error;
+  std::optional<json::Value> SpecJson = Spec.toJson(&Error);
+  ASSERT_TRUE(SpecJson) << Error;
+  SimulationService Origin;
+  ASSERT_TRUE(Origin.prewarm(Spec, &Error)) << Error;
+  std::optional<std::vector<TaskArtifact>> Artifacts =
+      Origin.exportArtifacts(Spec, &Error);
+  ASSERT_TRUE(Artifacts) << Error;
+  ASSERT_FALSE(Artifacts->empty());
+
+  ServiceOptions Disk;
+  Disk.CacheDir = freshDir("fabric_probe_tiers");
+  auto ProbeAll = [&](TestDaemon &Daemon, bool Want, const char *Tier) {
+    std::optional<server::DaemonClient> Client =
+        server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
+    ASSERT_TRUE(Client) << Error;
+    for (const TaskArtifact &A : *Artifacts) {
+      std::optional<bool> Present = Client->probeArtifact(A.Key, &Error);
+      ASSERT_TRUE(Present) << Error;
+      EXPECT_EQ(*Present, Want) << Tier << ": " << A.Key.Id;
+      EXPECT_EQ(Daemon.Service.hasArtifact(A.Key), Want)
+          << Tier << ": " << A.Key.Id;
+    }
+  };
+
+  {
+    // Memory tier: pushed bodies are found.
+    TestDaemon Daemon({}, Disk);
+    ASSERT_TRUE(Daemon.Started);
+    std::optional<server::DaemonClient> Client =
+        server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
+    ASSERT_TRUE(Client) << Error;
+    for (const TaskArtifact &A : *Artifacts) {
+      std::optional<bool> Stored =
+          Client->putArtifact(*SpecJson, A.Key, A.Body, &Error);
+      ASSERT_TRUE(Stored) << Error;
+      EXPECT_TRUE(*Stored);
+    }
+    ProbeAll(Daemon, true, "memory tier");
+  }
+  {
+    // Disk tier: a daemon restarted over the same cache directory holds
+    // nothing in memory, and the checksummed files answer the probes
+    // without being decoded.
+    TestDaemon Daemon({}, Disk);
+    ASSERT_TRUE(Daemon.Started);
+    ProbeAll(Daemon, true, "disk tier");
+    EXPECT_EQ(Daemon.Service.storeStats().DiskHits, 0u);
+    EXPECT_EQ(Daemon.Service.storeStats().BytesInUse, 0u);
+
+    // A corrupt file fails its checksum and reads as absent.
+    for (const TaskArtifact &A : *Artifacts) {
+      std::filesystem::path P =
+          std::filesystem::path(Disk.CacheDir) / A.Key.fileName();
+      std::string Text;
+      {
+        std::ifstream In(P);
+        ASSERT_TRUE(In) << P;
+        std::ostringstream Buf;
+        Buf << In.rdbuf();
+        Text = Buf.str();
+      }
+      size_t Pos = Text.find('\n') + 3;
+      ASSERT_LT(Pos, Text.size());
+      Text[Pos] = Text[Pos] == '0' ? '1' : '0';
+      std::ofstream(P) << Text;
+    }
+    ProbeAll(Daemon, false, "corrupt disk tier");
+
+    // A key nobody ever resolved is absent too.
+    ArtifactKey Unknown = store::fidelityColumnsKey(0xDEADBEEF, 1.0, 2, 7);
+    std::optional<server::DaemonClient> Client =
+        server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
+    ASSERT_TRUE(Client) << Error;
+    std::optional<bool> Present = Client->probeArtifact(Unknown, &Error);
+    ASSERT_TRUE(Present) << Error;
+    EXPECT_FALSE(*Present);
+    EXPECT_FALSE(Daemon.Service.hasArtifact(Unknown));
+  }
 }
 
 TEST(ArtifactFabricTest, OversizedArtifactFrameIsCutOff) {

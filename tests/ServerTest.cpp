@@ -13,7 +13,8 @@
 //     missing type each fail with the right error code,
 //   * the scheduler admits/bounds/cancels/expires/drains correctly, is
 //     fair across client keys, and its streamed chunks concatenate
-//     bit-identically to one full run,
+//     bit-identically to one full run; schedulers sharing a process run
+//     their requests concurrently on their own executor threads,
 //   * a live daemon serves results byte-identical to local runs, keeps a
 //     connection alive across malformed frames, survives oversized
 //     payloads and mid-stream disconnects, coalesces repeated specs onto
@@ -30,6 +31,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -507,6 +510,43 @@ TEST(SchedulerTest, FairShareInterleavesClients) {
   EXPECT_EQ(Order[0], "a1");
   EXPECT_EQ(Order[1], "b1");
   EXPECT_EQ(Order[2], "a2");
+}
+
+TEST(SchedulerTest, SchedulersInOneProcessRunConcurrently) {
+  // Two single-executor schedulers over their own services, as a fleet's
+  // in-process daemons are. Each request's sink waits at a shared
+  // rendezvous for the other request; schedulers that shared one
+  // executor thread would run them one after the other and time out.
+  SimulationService ServiceA, ServiceB;
+  server::SchedulerOptions Opts;
+  Opts.Workers = 1;
+  server::BatchScheduler A(ServiceA, Opts), B(ServiceB, Opts);
+
+  std::mutex M;
+  std::condition_variable CV;
+  size_t Arrived = 0;
+  std::vector<bool> Met;
+  auto Rendezvous = [&](const ShotRange &, const std::vector<ShotSummary> &,
+                        const std::vector<double> &) {
+    std::unique_lock<std::mutex> Lock(M);
+    ++Arrived;
+    CV.notify_all();
+    Met.push_back(CV.wait_for(Lock, std::chrono::seconds(10),
+                              [&] { return Arrived >= 2; }));
+  };
+  TaskSpec Spec = testSpec(1); // one shot: one chunk, one sink call
+  uint64_t IdA = A.submit(Spec, "a", nullptr, nullptr, Rendezvous);
+  uint64_t IdB = B.submit(Spec, "b", nullptr, nullptr, Rendezvous);
+  ASSERT_TRUE(IdA && IdB);
+  std::optional<server::RequestOutcome> OutA = A.wait(IdA);
+  std::optional<server::RequestOutcome> OutB = B.wait(IdB);
+  ASSERT_TRUE(OutA && OutB);
+  EXPECT_EQ(OutA->State, server::RequestState::Done);
+  EXPECT_EQ(OutB->State, server::RequestState::Done);
+  std::lock_guard<std::mutex> Lock(M);
+  ASSERT_EQ(Met.size(), 2u);
+  EXPECT_TRUE(Met[0]) << "the first request never saw the second one run";
+  EXPECT_TRUE(Met[1]);
 }
 
 TEST(SchedulerTest, DrainRefusesNewWorkAndFinishesAdmitted) {
