@@ -226,24 +226,6 @@ std::optional<bool> DaemonClient::probeArtifact(const ArtifactKey &Key,
   return Found && Found->asBool();
 }
 
-std::optional<std::string> DaemonClient::getArtifact(const ArtifactKey &Key,
-                                                     std::string *Error) {
-  json::Value Body = json::Value::object()
-                         .set("atype", artifactTypeName(Key.Type))
-                         .set("id", Key.Id);
-  std::optional<Frame> F =
-      roundTrip(encodeFrame("artifact-get", std::move(Body)), "artifact",
-                Error);
-  if (!F)
-    return std::nullopt;
-  const json::Value *BodyText = F->Body.find("body");
-  if (!BodyText || !BodyText->isString()) {
-    detail::fail(Error, "artifact frame missing body");
-    return std::nullopt;
-  }
-  return BodyText->asString();
-}
-
 std::optional<bool> DaemonClient::putArtifact(const json::Value &SpecJson,
                                               const ArtifactKey &Key,
                                               const std::string &Body,

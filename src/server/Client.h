@@ -97,11 +97,6 @@ public:
   std::optional<bool> probeArtifact(const ArtifactKey &Key,
                                     std::string *Error = nullptr);
 
-  /// artifact-get: the daemon's encoded body for \p Key. std::nullopt
-  /// when the daemon answers "not-found" or on transport failures.
-  std::optional<std::string> getArtifact(const ArtifactKey &Key,
-                                         std::string *Error = nullptr);
-
   /// artifact-put: injects \p Body under \p Key, with \p SpecJson as the
   /// daemon's decode context. Returns whether the daemon stored it (false
   /// = it already held the key); std::nullopt when the daemon rejected

@@ -157,6 +157,41 @@ json::Value shotChunkBody(uint64_t Id, const ShotRange &Range,
   return Body;
 }
 
+/// The "spec" member of a submit, shard-submit or artifact-put frame;
+/// std::nullopt with \p Error (answered "bad-spec") when it is missing or
+/// malformed.
+std::optional<TaskSpec> specMember(const Frame &F, std::string *Error) {
+  const json::Value *SpecJson = F.Body.find("spec");
+  if (!SpecJson) {
+    detail::fail(Error, F.Type + " frame missing 'spec'");
+    return std::nullopt;
+  }
+  return TaskSpec::fromJson(*SpecJson, Error);
+}
+
+/// The optional "deadline_ms" member of a submit or shard-submit; 0 (no
+/// deadline) unless it is a positive integer.
+uint64_t deadlineMs(const json::Value &Body) {
+  const json::Value *D = Body.find("deadline_ms");
+  if (D && D->kind() == json::Value::Kind::Int && D->asInt() > 0)
+    return static_cast<uint64_t>(D->asInt());
+  return 0;
+}
+
+/// The error code a refused submit or shard-submit answers with.
+const char *rejectCode(SubmitReject Reject) {
+  switch (Reject) {
+  case SubmitReject::QueueFull:
+    return "queue-full";
+  case SubmitReject::Draining:
+    return "draining";
+  case SubmitReject::None:
+  case SubmitReject::Invalid:
+    break;
+  }
+  return "bad-spec";
+}
+
 } // namespace
 
 void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
@@ -187,13 +222,8 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
     }
 
     if (F->Type == "submit") {
-      const json::Value *SpecJson = F->Body.find("spec");
       std::string Error;
-      std::optional<TaskSpec> Spec;
-      if (!SpecJson)
-        Error = "submit frame missing 'spec'";
-      else
-        Spec = TaskSpec::fromJson(*SpecJson, &Error);
+      std::optional<TaskSpec> Spec = specMember(*F, &Error);
       if (!Spec) {
         Conn->send(errorFrame("bad-spec", Error));
         continue;
@@ -207,10 +237,6 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
       bool Stream = false;
       if (const json::Value *S = F->Body.find("stream"))
         Stream = S->asBool();
-      uint64_t DeadlineMs = 0;
-      if (const json::Value *D = F->Body.find("deadline_ms"))
-        if (D->kind() == json::Value::Kind::Int && D->asInt() > 0)
-          DeadlineMs = static_cast<uint64_t>(D->asInt());
 
       // The sink fires from executor threads strictly before the request
       // turns terminal, so every shot frame precedes the result frame
@@ -235,15 +261,12 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
 
       SubmitReject Reject = SubmitReject::None;
       uint64_t Id = Sched.submit(std::move(*Spec), ClientKey, &Reject,
-                                 &Error, std::move(Sink), DeadlineMs);
+                                 &Error, std::move(Sink),
+                                 deadlineMs(F->Body));
       if (IdPromise)
         IdPromise->set_value(Id); // unblocks the sink (no-op if rejected)
       if (!Id) {
-        const char *RejectCode =
-            Reject == SubmitReject::QueueFull
-                ? "queue-full"
-                : Reject == SubmitReject::Draining ? "draining" : "bad-spec";
-        Conn->send(errorFrame(RejectCode, Error));
+        Conn->send(errorFrame(rejectCode(Reject), Error));
         continue;
       }
       Conn->send(encodeFrame(
@@ -335,13 +358,8 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
       notifyShutdown();
     } else if (F->Type == "shard-submit") {
       Fabric.ShardSubmits.fetch_add(1, std::memory_order_relaxed);
-      const json::Value *SpecJson = F->Body.find("spec");
       std::string Error;
-      std::optional<TaskSpec> Spec;
-      if (!SpecJson)
-        Error = "shard-submit frame missing 'spec'";
-      else
-        Spec = TaskSpec::fromJson(*SpecJson, &Error);
+      std::optional<TaskSpec> Spec = specMember(*F, &Error);
       if (!Spec) {
         Conn->send(errorFrame("bad-spec", Error));
         continue;
@@ -366,20 +384,11 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
       Spec->Evaluate.KeepResults = false;
       Spec->Evaluate.DumpDot = false;
 
-      uint64_t DeadlineMs = 0;
-      if (const json::Value *D = F->Body.find("deadline_ms"))
-        if (D->kind() == json::Value::Kind::Int && D->asInt() > 0)
-          DeadlineMs = static_cast<uint64_t>(D->asInt());
-
       SubmitReject Reject = SubmitReject::None;
       uint64_t Id = Sched.submit(std::move(*Spec), ClientKey, &Reject,
-                                 &Error, nullptr, DeadlineMs, Range);
+                                 &Error, nullptr, deadlineMs(F->Body), Range);
       if (!Id) {
-        const char *RejectCode =
-            Reject == SubmitReject::QueueFull
-                ? "queue-full"
-                : Reject == SubmitReject::Draining ? "draining" : "bad-spec";
-        Conn->send(errorFrame(RejectCode, Error));
+        Conn->send(errorFrame(rejectCode(Reject), Error));
         continue;
       }
       Conn->send(encodeFrame(
@@ -418,49 +427,23 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
                               "non-empty 'id'"));
         continue;
       }
-      bool Probe = false;
-      if (const json::Value *P = F->Body.find("probe"))
-        Probe = P->asBool();
+      // A presence probe: it answers from what the daemon holds, encodes
+      // nothing and never computes. Workers are only ever pushed to, so
+      // no body leaves the daemon; the "probe" member coordinators send
+      // is accepted and needs no reading.
       ArtifactKey Key{*Type, IdVal->asString()};
-      // Never computes: a daemon serves only artifacts it has already
-      // materialized, so a client cannot farm out solves for free. A
-      // probe answers from presence alone and encodes nothing.
-      if (Probe) {
-        const bool Found = Service.hasArtifact(Key);
-        if (Found)
-          Fabric.ArtifactHits.fetch_add(1, std::memory_order_relaxed);
-        Conn->send(encodeFrame("artifact",
-                               json::Value::object()
-                                   .set("atype", artifactTypeName(*Type))
-                                   .set("id", Key.Id)
-                                   .set("found", Found)));
-        continue;
-      }
-      std::optional<std::string> BodyText = Service.exportArtifactBody(Key);
-      if (!BodyText) {
-        Conn->send(errorFrame("not-found",
-                              "artifact '" + Key.Id +
-                                  "' is not materialized on this daemon"));
-        continue;
-      }
-      Fabric.ArtifactHits.fetch_add(1, std::memory_order_relaxed);
-      Fabric.ArtifactBytesOut.fetch_add(BodyText->size(),
-                                        std::memory_order_relaxed);
+      const bool Found = Service.hasArtifact(Key);
+      if (Found)
+        Fabric.ArtifactHits.fetch_add(1, std::memory_order_relaxed);
       Conn->send(encodeFrame("artifact",
                              json::Value::object()
                                  .set("atype", artifactTypeName(*Type))
                                  .set("id", Key.Id)
-                                 .set("found", true)
-                                 .set("body", *BodyText)));
+                                 .set("found", Found)));
     } else if (F->Type == "artifact-put") {
       Fabric.ArtifactPuts.fetch_add(1, std::memory_order_relaxed);
-      const json::Value *SpecJson = F->Body.find("spec");
       std::string Error;
-      std::optional<TaskSpec> Spec;
-      if (!SpecJson)
-        Error = "artifact-put frame missing 'spec'";
-      else
-        Spec = TaskSpec::fromJson(*SpecJson, &Error);
+      std::optional<TaskSpec> Spec = specMember(*F, &Error);
       if (!Spec) {
         Conn->send(errorFrame("bad-spec", Error));
         continue;
@@ -516,7 +499,7 @@ void Daemon::handleConnection(const std::shared_ptr<Connection> &Conn) {
 
 json::Value Daemon::statsJson() const {
   json::Value V = json::Value::object();
-  V.set("format", "marqsim-server-stats-v2");
+  V.set("format", "marqsim-server-stats-v3");
   size_t Open;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
@@ -537,8 +520,6 @@ json::Value Daemon::statsJson() const {
   FS.ArtifactHits = Fabric.ArtifactHits.load(std::memory_order_relaxed);
   FS.ArtifactMisses = Fabric.ArtifactMisses.load(std::memory_order_relaxed);
   FS.ArtifactBytesIn = Fabric.ArtifactBytesIn.load(std::memory_order_relaxed);
-  FS.ArtifactBytesOut =
-      Fabric.ArtifactBytesOut.load(std::memory_order_relaxed);
   V.set("fabric", fabricStatsJson(FS));
   return V;
 }

@@ -89,7 +89,7 @@ public:
   /// start() + serve() convenience used by the binary.
   int run(std::string *Error = nullptr);
 
-  /// stats-frame body, format "marqsim-server-stats-v2": "server" +
+  /// stats-frame body, format "marqsim-server-stats-v3": "server" +
   /// "cache" + "store" + "kernels" + "fabric".
   json::Value statsJson() const;
 
@@ -107,7 +107,6 @@ private:
     std::atomic<size_t> ArtifactHits{0};
     std::atomic<size_t> ArtifactMisses{0};
     std::atomic<size_t> ArtifactBytesIn{0};
-    std::atomic<size_t> ArtifactBytesOut{0};
   };
 
   void acceptLoop();

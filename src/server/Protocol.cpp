@@ -213,8 +213,7 @@ json::Value fabricStatsJson(const FabricServerStats &S) {
       .set("artifact_puts", S.ArtifactPuts)
       .set("artifact_hits", S.ArtifactHits)
       .set("artifact_misses", S.ArtifactMisses)
-      .set("artifact_bytes_in", S.ArtifactBytesIn)
-      .set("artifact_bytes_out", S.ArtifactBytesOut);
+      .set("artifact_bytes_in", S.ArtifactBytesIn);
 }
 
 } // namespace server

@@ -23,13 +23,13 @@
 ///   shutdown     | —                                      | ok, then drain
 ///   shard-submit | spec, begin, count, deadline_ms?       | accepted, then
 ///                |                                        | shard-result
-///   artifact-get | atype, id, probe?                      | artifact
+///   artifact-get | atype, id, probe?                      | artifact (found)
 ///   artifact-put | spec, atype, id, body                  | ok
 ///
 /// Response frames: accepted, status, shot (streamed per-chunk shot
 /// summaries + fidelity hexes), result, shard-result (manifest text for
-/// one dispatched range), artifact (probe answer or encoded body), ok,
-/// health, stats, error.
+/// one dispatched range), artifact (presence answer), ok, health, stats,
+/// error.
 ///
 /// The last three request types are the cross-host execution fabric: a
 /// fleet coordinator (marqsim-cli --workers=host:port,...) pushes the
@@ -38,9 +38,10 @@
 /// artifactTypeName, "id" the content-hash id, "body" the codec text the
 /// disk tier would hold), then dispatches shot ranges as shard-submit
 /// frames and merges the returned manifests exactly as the single-host
-/// shard path does. An artifact-get for a key the daemon has not
-/// materialized answers error "not-found" (the daemon never computes on
-/// demand); a probe answers presence without the body.
+/// shard path does. Workers are only ever pushed to: an artifact-get is a
+/// presence probe that answers "found" true or false and carries no body
+/// (the daemon never computes on demand, and never serves a body). The
+/// optional "probe" member, which coordinators send, changes nothing.
 ///
 /// Determinism over the wire: a result frame carries the run as a
 /// serialized ShardManifest (the PR 3 bit-exact artifact format), so the
@@ -150,13 +151,13 @@ json::Value runStatsJson(const TaskSpec &Spec, const TaskResult &Result,
 json::Value fleetStatsJson(const FleetStats &S);
 
 /// Worker-daemon-side fabric accounting, embedded in the daemon's stats
-/// frame ("fabric" section of marqsim-server-stats-v2).
+/// frame ("fabric" section of marqsim-server-stats-v3).
 struct FabricServerStats {
   /// shard-submit frames admitted and shard-result frames answered.
   size_t ShardSubmits = 0;
   size_t ShardResults = 0;
 
-  /// artifact-get / artifact-put frames served.
+  /// artifact-get (presence probe) / artifact-put frames served.
   size_t ArtifactGets = 0;
   size_t ArtifactPuts = 0;
 
@@ -165,9 +166,8 @@ struct FabricServerStats {
   size_t ArtifactHits = 0;
   size_t ArtifactMisses = 0;
 
-  /// Body bytes received via artifact-put and served via artifact-get.
+  /// Body bytes received via artifact-put.
   size_t ArtifactBytesIn = 0;
-  size_t ArtifactBytesOut = 0;
 };
 
 json::Value fabricStatsJson(const FabricServerStats &S);

@@ -271,12 +271,6 @@ void BatchScheduler::execute(const std::shared_ptr<Request> &R) {
     } else if (Expired) {
       Terminal = RequestState::Expired;
       Error = "deadline passed before dispatch";
-    } else if (!Service.prewarm(Spec, &Error)) {
-      // prewarm is the coalescing point: the store's single-flight keying
-      // means concurrent requests for one Hamiltonian block on the same
-      // MCFP solve here. It is also the early-out for specs whose
-      // transition matrix fails Theorem 4.1 validation.
-      Terminal = RequestState::Failed;
     } else if (R->Range) {
       std::optional<TaskResult> Run = Service.run(Spec, *R->Range, &Error);
       if (Run) {

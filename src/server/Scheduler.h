@@ -23,11 +23,13 @@
 ///     ThreadPool::shared(), which holds only those helpers.
 ///
 /// Identical Hamiltonians coalesce on one MCFP solve without any
-/// scheduler-level keying: every execution starts with
-/// SimulationService::prewarm, and the ArtifactStore underneath is
+/// scheduler-level keying: every execution resolves its artifacts inside
+/// SimulationService::run, and the ArtifactStore underneath is
 /// single-flight per content key — concurrent requests for one
 /// Hamiltonian block on the same in-flight solve instead of duplicating
-/// it.
+/// it. A request's own solves therefore land in its TaskResult::Stats
+/// (and a shard-submit's manifest), and a spec whose transition matrix
+/// fails Theorem 4.1 fails in run() with the same error.
 ///
 /// Streaming: a submit may attach a ShotSink; the executor then runs the
 /// batch as consecutive ranged sub-runs (the PR 3 determinism contract

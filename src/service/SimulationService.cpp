@@ -56,41 +56,62 @@ constexpr unsigned SuperoperatorMaxQubits = 4;
 
 /// An HTT graph plus the sampling tables built over it. The base strategy
 /// carries the alias (or CDF) tables; tasks re-target it to their own
-/// (time, epsilon) budget, sharing the tables.
+/// (time, epsilon) budget, sharing the tables. Only matrices that pass
+/// Theorem 4.1 and the sampler ever become a bundle.
 struct GraphBundle {
   std::shared_ptr<const HTTGraph> Graph;
   std::shared_ptr<const SamplingStrategy> Base;
-  bool Valid = false; // Theorem 4.1 validation, checked once at build
 };
 
 /// Builds a bundle over \p P — the one construction path shared by the
-/// compute and disk-decode tiers, so a reloaded matrix reproduces the
-/// computed bundle exactly (the sampler's tables are a deterministic
-/// function of the matrix bits).
-GraphBundle makeBundle(const Hamiltonian &H, TransitionMatrix P,
-                       const TaskSpec &Spec) {
-  GraphBundle B;
-  B.Graph = std::make_shared<const HTTGraph>(H, std::move(P));
-  B.Valid = B.Graph->isValidForCompilation();
-  if (!B.Valid)
-    return B;
+/// compute and decode tiers, so a reloaded matrix reproduces the computed
+/// bundle exactly (the sampler's tables are a deterministic function of
+/// the matrix bits). std::nullopt when the matrix fails Theorem 4.1 or
+/// the sampler refuses it: the validation tolerance admits entries down
+/// to -1e-6, and the sampler takes no negative weight.
+std::optional<GraphBundle> makeBundle(const Hamiltonian &H, TransitionMatrix P,
+                                      const TaskSpec &Spec) {
+  auto Graph = std::make_shared<const HTTGraph>(H, std::move(P));
+  if (!Graph->isValidForCompilation())
+    return std::nullopt;
   try {
-    B.Base = std::make_shared<const SamplingStrategy>(
-        B.Graph, Spec.Time, Spec.Epsilon, Spec.UseCDF);
+    auto Base = std::make_shared<const SamplingStrategy>(
+        Graph, Spec.Time, Spec.Epsilon, Spec.UseCDF);
+    return GraphBundle{std::move(Graph), std::move(Base)};
   } catch (const std::invalid_argument &) {
-    // The validation tolerance admits entries down to -1e-6; the sampler
-    // takes no negative weight, so such a matrix is invalid as well.
-    B.Valid = false;
+    return std::nullopt;
   }
-  return B;
 }
 
-/// LRU charge of a bundle: the combined matrix (8 bytes/entry) plus the
-/// chain's sampling tables.
-size_t bundleBytes(const GraphBundle &B) {
-  size_t N = B.Graph->numStates();
-  return N * N * sizeof(double) + (B.Base ? B.Base->chain().bytes() : 0);
-}
+/// One artifact of a spec, spelled once: its content key, the codec the
+/// store's disk tier, importArtifact and the transport encode share, the
+/// compute behind a store miss, and the CacheStats counters its store
+/// outcomes credit.
+template <typename T> struct Artifact {
+  ArtifactKey Key;
+  ArtifactCodec<T> Codec;
+  std::function<T()> Compute;
+  size_t CacheStats::*Hits = nullptr;
+  size_t CacheStats::*Misses = nullptr;
+  /// Credited on top of Hits by a disk load: a bundle read from disk
+  /// skips the component solves behind it, so "hits" keeps meaning
+  /// "solves the cache saved us".
+  CacheStats DiskCredit;
+};
+
+/// What every entry point derives from a spec before touching the store.
+struct Prepared {
+  const TaskSpec &Spec;
+  /// Canonical for sampling only (see prologue()).
+  Hamiltonian H;
+  uint64_t Fingerprint;
+  /// Spec.Mix, normalized.
+  ChannelMix Mix;
+  /// A sampling mix with an MCFP part over at least two terms. Only its
+  /// bundle is worth a disk file or a wire transfer: a pure-qDrift matrix
+  /// rebuilds in O(n^2) with no solve to skip.
+  bool FlowBacked;
+};
 
 } // namespace
 
@@ -116,251 +137,261 @@ struct SimulationService::Impl {
     Total += Delta;
   }
 
+  /// The prologue of every entry point: validate the spec, resolve its
+  /// Hamiltonian, fingerprint it and normalize the mix. Only the sampling
+  /// path canonicalizes (its caches and MCFP need it); Trotter-family
+  /// tasks compile the operator exactly as given so TermOrderKind::Given
+  /// keeps its meaning. fingerprint() merges internally, so both forms
+  /// share one content hash (and hence one cached fidelity evaluator —
+  /// the operator is identical either way).
+  static std::optional<Prepared> prologue(const TaskSpec &Spec,
+                                          std::string *Error) {
+    std::string Validation;
+    if (!Spec.validate(&Validation)) {
+      detail::fail(Error, Validation);
+      return std::nullopt;
+    }
+    const bool Sampling = Spec.Method == TaskMethod::Sampling;
+    std::optional<Hamiltonian> H =
+        resolveHamiltonian(Spec.Source, Error, Sampling);
+    if (!H)
+      return std::nullopt;
+    const uint64_t Fingerprint = H->fingerprint();
+    ChannelMix Mix = Spec.Mix;
+    Mix.normalize();
+    const bool FlowBacked = Sampling && H->numTerms() >= 2 &&
+                            (Mix.WGc > 0.0 || Mix.WRp > 0.0);
+    return Prepared{Spec, std::move(*H), Fingerprint, Mix, FlowBacked};
+  }
+
+  //===--------------------------------------------------------------------===//
+  // The artifact table
+  //===--------------------------------------------------------------------===//
+
+  /// An MCFP component: Pgc (\p GC) or Prp.
+  static Artifact<TransitionMatrix> component(const Prepared &P, bool GC) {
+    const TaskSpec &Spec = P.Spec;
+    const Hamiltonian &H = P.H;
+    Artifact<TransitionMatrix> A;
+    A.Key = GC ? store::componentKeyGC(P.Fingerprint, Spec.Flow)
+               : store::componentKeyRP(P.Fingerprint, Spec.Flow,
+                                       Spec.PerturbRounds, Spec.PerturbSeed);
+    ArtifactCodec<TransitionMatrix> Codec;
+    Codec.Encode = [](const TransitionMatrix &M) {
+      return store::encodeMatrixBody(store::MatrixMagic, M);
+    };
+    Codec.Decode = [N = H.numTerms()](const std::string &Body) {
+      return store::decodeMatrixBody(store::MatrixMagic, N, Body);
+    };
+    Codec.Size = store::matrixBytes;
+    A.Codec = std::move(Codec);
+    if (GC) {
+      A.Compute = [&] { return buildGateCancellation(H, Spec.Flow); };
+      A.Hits = &CacheStats::GCSolveHits;
+      A.Misses = &CacheStats::GCSolveMisses;
+    } else {
+      A.Compute = [&] {
+        RNG PerturbRng(Spec.PerturbSeed);
+        return buildRandomPerturbation(H, Spec.PerturbRounds, PerturbRng,
+                                       Spec.Flow, Spec.Jobs);
+      };
+      A.Hits = &CacheStats::RPSolveHits;
+      A.Misses = &CacheStats::RPSolveMisses;
+    }
+    return A;
+  }
+
+  /// The graph + sampling-table bundle of a sampling spec. The disk tier
+  /// persists the combined matrix of a flow-backed mix, so a warm store
+  /// skips the whole provenance chain (component solves + convex
+  /// combination). A matrix that fails Theorem 4.1 or the sampler is never
+  /// stored: the compute throws, and a decode falls back to the compute
+  /// (which heals the file).
+  Artifact<GraphBundle> bundle(const Prepared &P, CacheStats *Local) {
+    const TaskSpec &Spec = P.Spec;
+    const Hamiltonian &H = P.H;
+    Artifact<GraphBundle> A;
+    A.Key = store::aliasBundleKey(P.Fingerprint, P.Mix.WQd, P.Mix.WGc,
+                                  P.Mix.WRp, Spec.Flow, Spec.PerturbRounds,
+                                  Spec.PerturbSeed, Spec.UseCDF);
+    ArtifactCodec<GraphBundle> Codec;
+    Codec.Size = [](const GraphBundle &B) {
+      // The combined matrix (8 bytes/entry) plus the chain's tables.
+      const size_t N = B.Graph->numStates();
+      return N * N * sizeof(double) + B.Base->chain().bytes();
+    };
+    if (P.FlowBacked) {
+      Codec.Encode = [](const GraphBundle &B) {
+        return store::encodeMatrixBody(store::AliasMagic,
+                                       B.Graph->transitionMatrix());
+      };
+      Codec.Decode =
+          [&H, &Spec](const std::string &Body) -> std::optional<GraphBundle> {
+        std::optional<TransitionMatrix> M =
+            store::decodeMatrixBody(store::AliasMagic, H.numTerms(), Body);
+        if (!M)
+          return std::nullopt;
+        return makeBundle(H, std::move(*M), Spec);
+      };
+    }
+    A.Codec = std::move(Codec);
+    A.Compute = [this, &P, Local] {
+      std::optional<GraphBundle> B =
+          makeBundle(P.H, combinedMatrix(P, Local), P.Spec);
+      if (!B)
+        throw std::invalid_argument(
+            "transition matrix failed Theorem 4.1 validation");
+      return std::move(*B);
+    };
+    A.Hits = &CacheStats::GraphHits;
+    A.Misses = &CacheStats::GraphMisses;
+    A.DiskCredit.GCSolveHits = P.Mix.WGc > 0.0;
+    A.DiskCredit.RPSolveHits = P.Mix.WRp > 0.0;
+    return A;
+  }
+
+  /// The exact fidelity target columns.
+  static Artifact<FidelityEvaluator> fidelity(const Prepared &P) {
+    const TaskSpec &Spec = P.Spec;
+    const Hamiltonian &H = P.H;
+    Artifact<FidelityEvaluator> A;
+    A.Key = store::fidelityColumnsKey(P.Fingerprint, Spec.Time,
+                                      Spec.Evaluate.FidelityColumns,
+                                      Spec.Evaluate.ColumnSeed);
+    // The computing constructor clamps to "all columns" past 2^n; the
+    // stored artifact holds the clamped count.
+    const size_t Columns = std::min(Spec.Evaluate.FidelityColumns,
+                                    size_t(1) << H.numQubits());
+    ArtifactCodec<FidelityEvaluator> Codec;
+    Codec.Encode = store::encodeFidelityBody;
+    Codec.Decode = [NQubits = H.numQubits(), Columns](const std::string &Body) {
+      return store::decodeFidelityBody(NQubits, Columns, Body);
+    };
+    Codec.Size = store::fidelityBytes;
+    A.Codec = std::move(Codec);
+    A.Compute = [&] {
+      return FidelityEvaluator(H, Spec.Time, Spec.Evaluate.FidelityColumns,
+                               Spec.Evaluate.ColumnSeed);
+    };
+    A.Hits = &CacheStats::EvaluatorHits;
+    A.Misses = &CacheStats::EvaluatorMisses;
+    return A;
+  }
+
+  /// A composed noisy-schedule superoperator (density oracle). \p Build
+  /// composes it from the schedule; a corrupt or stale file falls back to
+  /// recomposition like every other type.
+  static Artifact<Matrix> superoperator(const Prepared &P,
+                                        std::function<Matrix()> Build) {
+    const TaskSpec &Spec = P.Spec;
+    Artifact<Matrix> A;
+    A.Key = store::superoperatorKey(
+        P.Fingerprint, Spec.Time, Spec.TrotterReps, Spec.TrotterOrder,
+        static_cast<uint64_t>(Spec.Order),
+        Spec.Lowering.Emit.CrossCancellation,
+        static_cast<uint64_t>(Spec.Noise.Kind),
+        serial::doubleBits(Spec.Noise.Prob),
+        serial::doubleBits(Spec.Noise.TwoQubitFactor));
+    const size_t Dim = size_t(1) << P.H.numQubits();
+    ArtifactCodec<Matrix> Codec;
+    Codec.Encode = store::encodeSuperBody;
+    Codec.Decode = [Dim2 = Dim * Dim](const std::string &Body) {
+      return store::decodeSuperBody(Dim2, Body);
+    };
+    Codec.Size = store::superBytes;
+    A.Codec = std::move(Codec);
+    A.Compute = std::move(Build);
+    A.Hits = &CacheStats::SuperHits;
+    A.Misses = &CacheStats::SuperMisses;
+    return A;
+  }
+
+  /// Visits the spec's transportable artifacts in transport order, until
+  /// \p Visit returns false: the alias bundle of a flow-backed mix (it
+  /// short-circuits the receiver's MCFP solves) and the fidelity columns.
+  /// These are the only keys resolveArtifacts lists and importArtifact
+  /// accepts. Returns false when a visit did.
+  template <typename Fn> bool forEachTransportable(const Prepared &P,
+                                                   Fn &&Visit) {
+    return (!P.FlowBacked || Visit(bundle(P, nullptr))) &&
+           (P.Spec.Evaluate.FidelityColumns == 0 || Visit(fidelity(P)));
+  }
+
   //===--------------------------------------------------------------------===//
   // Cached resolution
   //===--------------------------------------------------------------------===//
 
-  /// Resolves one MCFP component (Pgc or Prp) through the store. \p Solve
-  /// runs at most once per key per process, and not at all when the disk
-  /// tier has the artifact.
-  std::shared_ptr<const TransitionMatrix>
-  component(const ArtifactKey &Key, size_t ExpectedN, bool IsGC,
-            const std::function<TransitionMatrix()> &Solve,
-            CacheStats *Local) {
-    ArtifactCodec<TransitionMatrix> Codec;
-    Codec.Encode = [](const TransitionMatrix &P) {
-      return store::encodeMatrixBody(store::MatrixMagic, P);
-    };
-    Codec.Decode = [ExpectedN](const std::string &Body) {
-      return store::decodeMatrixBody(store::MatrixMagic, ExpectedN, Body);
-    };
-    Codec.Size = store::matrixBytes;
+  /// Resolves \p A through the store and credits the outcome to its
+  /// counters. The compute runs at most once per key per process, and not
+  /// at all when the disk tier has the artifact.
+  template <typename T>
+  std::shared_ptr<const T> get(const Artifact<T> &A, CacheStats *Local) {
     ArtifactStore::Outcome Out;
-    auto Value = Store.get<TransitionMatrix>(Key, Codec, Solve, &Out);
+    auto Value = Store.get<T>(A.Key, A.Codec, A.Compute, &Out);
     CacheStats Delta;
     switch (Out) {
     case ArtifactStore::Outcome::Computed:
-      (IsGC ? Delta.GCSolveMisses : Delta.RPSolveMisses)++;
+      ++(Delta.*A.Misses);
       break;
     case ArtifactStore::Outcome::DiskHit:
+      Delta += A.DiskCredit;
       Delta.DiskLoads++;
       [[fallthrough]];
     case ArtifactStore::Outcome::MemoryHit:
-      (IsGC ? Delta.GCSolveHits : Delta.RPSolveHits)++;
+      ++(Delta.*A.Hits);
       break;
     }
     note(Delta, Local);
     return Value;
   }
 
-  /// Builds the combined transition matrix of \p Mix for the prepared
-  /// Hamiltonian, going through the component caches for the MCFP parts.
-  TransitionMatrix combinedMatrix(const Hamiltonian &H, uint64_t Fingerprint,
-                                  const TaskSpec &Spec, const ChannelMix &Mix,
-                                  CacheStats *Local) {
+  /// get() for the public entry points: a compute the builders reject
+  /// (std::invalid_argument: a flow network the MCFP builders refuse, e.g.
+  /// a prob_scale too coarse to route every stationary weight, or a matrix
+  /// that fails Theorem 4.1) becomes an \p Error instead of a result.
+  template <typename T>
+  std::shared_ptr<const T> resolve(const Artifact<T> &A, CacheStats *Local,
+                                   std::string *Error) {
+    try {
+      return get(A, Local);
+    } catch (const std::invalid_argument &E) {
+      detail::fail(Error, E.what());
+      return nullptr;
+    }
+  }
+
+  /// The combined transition matrix of the spec's mix, going through the
+  /// component artifacts for the MCFP parts.
+  TransitionMatrix combinedMatrix(const Prepared &P, CacheStats *Local) {
+    const ChannelMix &Mix = P.Mix;
     // Single-term Hamiltonians (and pure-qDrift mixes) skip the flow
     // machinery entirely; Pqd itself is O(n^2) to form and not worth
     // persisting.
-    if (H.numTerms() < 2 || (Mix.WGc <= 0.0 && Mix.WRp <= 0.0))
-      return buildQDrift(H);
+    if (!P.FlowBacked)
+      return buildQDrift(P.H);
 
     TransitionMatrix Pqd;
     std::vector<const TransitionMatrix *> Parts;
     std::vector<double> Weights;
     std::shared_ptr<const TransitionMatrix> GC, RP;
     if (Mix.WQd > 0.0) {
-      Pqd = buildQDrift(H);
+      Pqd = buildQDrift(P.H);
       Parts.push_back(&Pqd);
       Weights.push_back(Mix.WQd);
     }
     if (Mix.WGc > 0.0) {
-      GC = component(store::componentKeyGC(Fingerprint, Spec.Flow),
-                     H.numTerms(), /*IsGC=*/true,
-                     [&] { return buildGateCancellation(H, Spec.Flow); },
-                     Local);
+      GC = get(component(P, /*GC=*/true), Local);
       Parts.push_back(GC.get());
       Weights.push_back(Mix.WGc);
     }
     if (Mix.WRp > 0.0) {
-      RP = component(
-          store::componentKeyRP(Fingerprint, Spec.Flow, Spec.PerturbRounds,
-                                Spec.PerturbSeed),
-          H.numTerms(), /*IsGC=*/false,
-          [&] {
-            RNG PerturbRng(Spec.PerturbSeed);
-            return buildRandomPerturbation(H, Spec.PerturbRounds, PerturbRng,
-                                           Spec.Flow, Spec.Jobs);
-          },
-          Local);
+      RP = get(component(P, /*GC=*/false), Local);
       Parts.push_back(RP.get());
       Weights.push_back(Mix.WRp);
     }
     if (Parts.size() == 1)
       return *Parts.front();
     return TransitionMatrix::combine(Parts, Weights);
-  }
-
-  /// bundle() for the public entry points: a flow network the MCFP
-  /// builders reject (std::invalid_argument, e.g. a spec's prob_scale too
-  /// coarse to route every stationary weight) or a matrix that fails Theorem 4.1
-  /// becomes an \p Error instead of a result.
-  std::shared_ptr<const GraphBundle>
-  validBundle(const Hamiltonian &H, uint64_t Fingerprint, const TaskSpec &Spec,
-              const ChannelMix &Mix, CacheStats *Local, std::string *Error) {
-    std::shared_ptr<const GraphBundle> B;
-    try {
-      B = bundle(H, Fingerprint, Spec, Mix, Local);
-    } catch (const std::invalid_argument &E) {
-      detail::fail(Error, E.what());
-      return nullptr;
-    }
-    if (!B->Valid) {
-      detail::fail(Error, "transition matrix failed Theorem 4.1 validation");
-      return nullptr;
-    }
-    return B;
-  }
-
-  /// Resolves the graph + sampling-table bundle of a sampling spec. The
-  /// disk tier persists the combined matrix, so a warm store skips the
-  /// whole provenance chain (component solves + convex combination); a
-  /// disk hit therefore also credits the component hits it made
-  /// unnecessary.
-  std::shared_ptr<const GraphBundle> bundle(const Hamiltonian &H,
-                                            uint64_t Fingerprint,
-                                            const TaskSpec &Spec,
-                                            const ChannelMix &Mix,
-                                            CacheStats *Local) {
-    ArtifactKey Key = store::aliasBundleKey(
-        Fingerprint, Mix.WQd, Mix.WGc, Mix.WRp, Spec.Flow,
-        Spec.PerturbRounds, Spec.PerturbSeed, Spec.UseCDF);
-    // Only flow-backed bundles are worth a disk file: a pure-qDrift
-    // matrix rebuilds in O(n^2) with no solve to skip.
-    const bool FlowBacked =
-        H.numTerms() >= 2 && (Mix.WGc > 0.0 || Mix.WRp > 0.0);
-    ArtifactCodec<GraphBundle> Codec;
-    Codec.Size = bundleBytes;
-    if (FlowBacked) {
-      Codec.Encode = [](const GraphBundle &B) {
-        // Never persist a matrix that failed Theorem 4.1: a warm store
-        // must only ever skip work, not launder invalid artifacts.
-        if (!B.Valid)
-          return std::string();
-        return store::encodeMatrixBody(store::AliasMagic,
-                                       B.Graph->transitionMatrix());
-      };
-      Codec.Decode =
-          [&H, &Spec](const std::string &Body) -> std::optional<GraphBundle> {
-        std::optional<TransitionMatrix> P = store::decodeMatrixBody(
-            store::AliasMagic, H.numTerms(), Body);
-        if (!P)
-          return std::nullopt;
-        return makeBundle(H, std::move(*P), Spec);
-      };
-    }
-    ArtifactStore::Outcome Out;
-    auto Value = Store.get<GraphBundle>(
-        Key, Codec,
-        [&] {
-          return makeBundle(
-              H, combinedMatrix(H, Fingerprint, Spec, Mix, Local), Spec);
-        },
-        &Out);
-    CacheStats Delta;
-    switch (Out) {
-    case ArtifactStore::Outcome::Computed:
-      Delta.GraphMisses++;
-      break;
-    case ArtifactStore::Outcome::DiskHit:
-      Delta.GraphHits++;
-      Delta.DiskLoads++;
-      // The components never had to be resolved: credit the avoided
-      // solves so "hits" keeps meaning "solves the cache saved us".
-      if (Mix.WGc > 0.0)
-        Delta.GCSolveHits++;
-      if (Mix.WRp > 0.0)
-        Delta.RPSolveHits++;
-      break;
-    case ArtifactStore::Outcome::MemoryHit:
-      Delta.GraphHits++;
-      break;
-    }
-    note(Delta, Local);
-    return Value;
-  }
-
-  std::shared_ptr<const FidelityEvaluator>
-  evaluator(const Hamiltonian &H, uint64_t Fingerprint, const TaskSpec &Spec,
-            CacheStats *Local) {
-    ArtifactKey Key = store::fidelityColumnsKey(
-        Fingerprint, Spec.Time, Spec.Evaluate.FidelityColumns,
-        Spec.Evaluate.ColumnSeed);
-    // The computing constructor clamps to "all columns" past 2^n; the
-    // stored artifact holds the clamped count.
-    const size_t Dim = size_t(1) << H.numQubits();
-    const size_t ExpectedColumns =
-        std::min(Spec.Evaluate.FidelityColumns, Dim);
-    ArtifactCodec<FidelityEvaluator> Codec;
-    Codec.Encode = store::encodeFidelityBody;
-    Codec.Decode = [NQubits = H.numQubits(),
-                    ExpectedColumns](const std::string &Body) {
-      return store::decodeFidelityBody(NQubits, ExpectedColumns, Body);
-    };
-    Codec.Size = store::fidelityBytes;
-    ArtifactStore::Outcome Out;
-    auto Value = Store.get<FidelityEvaluator>(
-        Key, Codec,
-        [&] {
-          return FidelityEvaluator(H, Spec.Time,
-                                   Spec.Evaluate.FidelityColumns,
-                                   Spec.Evaluate.ColumnSeed);
-        },
-        &Out);
-    CacheStats Delta;
-    switch (Out) {
-    case ArtifactStore::Outcome::Computed:
-      Delta.EvaluatorMisses++;
-      break;
-    case ArtifactStore::Outcome::DiskHit:
-      Delta.DiskLoads++;
-      [[fallthrough]];
-    case ArtifactStore::Outcome::MemoryHit:
-      Delta.EvaluatorHits++;
-      break;
-    }
-    note(Delta, Local);
-    return Value;
-  }
-
-  /// Resolves a composed noisy-schedule superoperator. \p Build runs at
-  /// most once per key per process (single-flight), and not at all when
-  /// the disk tier has the artifact; a corrupt or stale file falls back
-  /// to recomposition like every other type.
-  std::shared_ptr<const Matrix>
-  superoperator(const ArtifactKey &Key, size_t ExpectedDim,
-                const std::function<Matrix()> &Build, CacheStats *Local) {
-    ArtifactCodec<Matrix> Codec;
-    Codec.Encode = [](const Matrix &S) { return store::encodeSuperBody(S); };
-    Codec.Decode = [ExpectedDim](const std::string &Body) {
-      return store::decodeSuperBody(ExpectedDim, Body);
-    };
-    Codec.Size = store::superBytes;
-    ArtifactStore::Outcome Out;
-    auto Value = Store.get<Matrix>(Key, Codec, Build, &Out);
-    CacheStats Delta;
-    switch (Out) {
-    case ArtifactStore::Outcome::Computed:
-      Delta.SuperMisses++;
-      break;
-    case ArtifactStore::Outcome::DiskHit:
-      Delta.DiskLoads++;
-      [[fallthrough]];
-    case ArtifactStore::Outcome::MemoryHit:
-      Delta.SuperHits++;
-      break;
-    }
-    note(Delta, Local);
-    return Value;
   }
 };
 
@@ -417,43 +448,28 @@ SimulationService::resolveHamiltonian(const HamiltonianSource &S,
 
 std::shared_ptr<const HTTGraph>
 SimulationService::graphFor(const TaskSpec &Spec, std::string *Error) {
-  std::string Validation;
-  if (!Spec.validate(&Validation)) {
-    detail::fail(Error, Validation);
+  std::optional<Prepared> P = Impl::prologue(Spec, Error);
+  if (!P)
+    return nullptr;
+  if (Spec.Method != TaskMethod::Sampling) {
+    detail::fail(Error, "graphFor needs a sampling spec");
     return nullptr;
   }
-  std::optional<Hamiltonian> H = resolveHamiltonian(Spec.Source, Error);
-  if (!H)
-    return nullptr;
-  ChannelMix Mix = Spec.Mix;
-  Mix.normalize();
-  auto Bundle =
-      M->validBundle(*H, H->fingerprint(), Spec, Mix, nullptr, Error);
+  auto Bundle = M->resolve(M->bundle(*P, nullptr), nullptr, Error);
   return Bundle ? Bundle->Graph : nullptr;
 }
 
 bool SimulationService::prewarm(const TaskSpec &Spec, std::string *Error) {
-  std::string Validation;
-  if (!Spec.validate(&Validation))
-    return detail::fail(Error, Validation);
-  // Resolve exactly as run() would (sampling canonicalizes, the Trotter
-  // family does not), so the warmed keys are the keys the run will ask
-  // for.
-  bool Canonical = Spec.Method == TaskMethod::Sampling;
-  std::optional<Hamiltonian> H =
-      resolveHamiltonian(Spec.Source, Error, Canonical);
-  if (!H)
+  // Resolve exactly as run() would, so the warmed keys are the keys the
+  // run will ask for.
+  std::optional<Prepared> P = Impl::prologue(Spec, Error);
+  if (!P)
     return false;
-  const uint64_t Fingerprint = H->fingerprint();
-  if (Spec.Method == TaskMethod::Sampling) {
-    ChannelMix Mix = Spec.Mix;
-    Mix.normalize();
-    if (!M->validBundle(*H, Fingerprint, Spec, Mix, nullptr, Error))
-      return false;
-  }
-  if (Spec.Evaluate.FidelityColumns > 0)
-    M->evaluator(*H, Fingerprint, Spec, nullptr);
-  return true;
+  if (Spec.Method == TaskMethod::Sampling &&
+      !M->resolve(M->bundle(*P, nullptr), nullptr, Error))
+    return false;
+  return Spec.Evaluate.FidelityColumns == 0 ||
+         M->resolve(Impl::fidelity(*P), nullptr, Error);
 }
 
 std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
@@ -464,11 +480,9 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
 std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
                                                  const ShotRange &Range,
                                                  std::string *Error) {
-  std::string Validation;
-  if (!Spec.validate(&Validation)) {
-    detail::fail(Error, Validation);
+  std::optional<Prepared> P = Impl::prologue(Spec, Error);
+  if (!P)
     return std::nullopt;
-  }
   // Overflow-safe: Range.end() could wrap for adversarial Begin/Count.
   if (Range.Count < 1 || Range.Begin > Spec.Shots ||
       Range.Count > Spec.Shots - Range.Begin) {
@@ -478,30 +492,18 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
                             std::to_string(Spec.Shots) + " shots");
     return std::nullopt;
   }
-  // Only the sampling path canonicalizes (its caches and MCFP need it);
-  // Trotter-family tasks compile the operator exactly as given so
-  // TermOrderKind::Given keeps its meaning. fingerprint() merges
-  // internally, so both forms share one content hash (and hence one
-  // cached fidelity evaluator — the operator is identical either way).
-  bool Canonical = Spec.Method == TaskMethod::Sampling;
-  std::optional<Hamiltonian> Resolved =
-      resolveHamiltonian(Spec.Source, Error, Canonical);
-  if (!Resolved)
-    return std::nullopt;
-  const Hamiltonian &H = *Resolved;
+  const Hamiltonian &H = P->H;
 
   TaskResult Result;
-  Result.Fingerprint = H.fingerprint();
+  Result.Fingerprint = P->Fingerprint;
 
   // Schedule strategy: sampling goes through the artifact caches, the
   // Trotter family is cheap enough to construct per task.
   std::shared_ptr<const ScheduleStrategy> Strategy;
   switch (Spec.Method) {
   case TaskMethod::Sampling: {
-    ChannelMix Mix = Spec.Mix;
-    Mix.normalize();
-    auto Bundle = M->validBundle(H, Result.Fingerprint, Spec, Mix,
-                                 &Result.Stats, Error);
+    auto Bundle =
+        M->resolve(M->bundle(*P, &Result.Stats), &Result.Stats, Error);
     if (!Bundle)
       return std::nullopt;
     // Re-target the cached tables to this task's (time, epsilon) budget;
@@ -530,7 +532,9 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
 
   std::shared_ptr<const FidelityEvaluator> Eval;
   if (Spec.Evaluate.FidelityColumns > 0) {
-    Eval = M->evaluator(H, Result.Fingerprint, Spec, &Result.Stats);
+    Eval = M->resolve(Impl::fidelity(*P), &Result.Stats, Error);
+    if (!Eval)
+      return std::nullopt;
     Result.HasFidelity = true;
     Result.ShotFidelities.assign(Range.Count, 0.0);
   }
@@ -612,20 +616,12 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
           Result.ShotFidelities[Shot] = Eval->stateFidelity(
               Noise->injectErrors(R.Schedule, NoiseRng), EvalJobs);
         } else if (Noise && UseSuper) {
-          const size_t SuperDim = (size_t(1) << H.numQubits()) *
-                                  (size_t(1) << H.numQubits());
-          auto Super = M->superoperator(
-              store::superoperatorKey(
-                  Result.Fingerprint, Spec.Time, Spec.TrotterReps,
-                  Spec.TrotterOrder, static_cast<uint64_t>(Spec.Order),
-                  Spec.Lowering.Emit.CrossCancellation,
-                  static_cast<uint64_t>(Spec.Noise.Kind),
-                  serial::doubleBits(Spec.Noise.Prob),
-                  serial::doubleBits(Spec.Noise.TwoQubitFactor)),
-              SuperDim,
-              [&] {
-                return Noise->buildSuperoperator(R.Schedule, H.numQubits());
-              },
+          auto Super = M->get(
+              Impl::superoperator(*P,
+                                  [&] {
+                                    return Noise->buildSuperoperator(
+                                        R.Schedule, H.numQubits());
+                                  }),
               &Result.Stats);
           Result.ShotFidelities[Shot] =
               Noise->densityFidelityFromSuper(*Super, *Eval);
@@ -664,82 +660,28 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
 }
 
 //===----------------------------------------------------------------------===//
-// Artifact transport (the cross-host fabric's content-addressed fetch)
+// Artifact transport (the cross-host fabric's content-addressed push)
 //===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Encoded alias-bundle body, or empty for bundles that must not travel
-/// (invalid matrices, which the store's own Encode refuses too).
-std::string encodeBundleBody(const GraphBundle &B) {
-  if (!B.Valid)
-    return std::string();
-  return store::encodeMatrixBody(store::AliasMagic,
-                                 B.Graph->transitionMatrix());
-}
-
-} // namespace
-
-std::string ResolvedArtifact::encode() const {
-  // The encoders are context-free, so the key's type alone picks the
-  // right cast.
-  switch (Key.Type) {
-  case ArtifactType::ComponentMatrix:
-    return store::encodeMatrixBody(
-        store::MatrixMagic,
-        *std::static_pointer_cast<const TransitionMatrix>(Value));
-  case ArtifactType::AliasBundle:
-    return encodeBundleBody(
-        *std::static_pointer_cast<const GraphBundle>(Value));
-  case ArtifactType::FidelityColumns:
-    return store::encodeFidelityBody(
-        *std::static_pointer_cast<const FidelityEvaluator>(Value));
-  case ArtifactType::Superoperator:
-    return store::encodeSuperBody(
-        *std::static_pointer_cast<const Matrix>(Value));
-  }
-  return std::string();
-}
 
 std::optional<std::vector<ResolvedArtifact>>
 SimulationService::resolveArtifacts(const TaskSpec &Spec, std::string *Error) {
-  std::string Validation;
-  if (!Spec.validate(&Validation)) {
-    detail::fail(Error, Validation);
+  std::optional<Prepared> P = Impl::prologue(Spec, Error);
+  if (!P)
     return std::nullopt;
-  }
-  bool Canonical = Spec.Method == TaskMethod::Sampling;
-  std::optional<Hamiltonian> H =
-      resolveHamiltonian(Spec.Source, Error, Canonical);
-  if (!H)
-    return std::nullopt;
-  const uint64_t Fingerprint = H->fingerprint();
-
   std::vector<ResolvedArtifact> Out;
-  if (Spec.Method == TaskMethod::Sampling) {
-    ChannelMix Mix = Spec.Mix;
-    Mix.normalize();
-    // Only flow-backed bundles are worth shipping: a pure-qDrift matrix
-    // rebuilds in O(n^2) on the worker with no solve to skip (mirroring
-    // the disk tier's persistence policy). validBundle admits only
-    // bundles that pass Theorem 4.1, so every listed one encodes.
-    if (H->numTerms() >= 2 && (Mix.WGc > 0.0 || Mix.WRp > 0.0)) {
-      auto Bundle =
-          M->validBundle(*H, Fingerprint, Spec, Mix, nullptr, Error);
-      if (!Bundle)
-        return std::nullopt;
-      Out.push_back({store::aliasBundleKey(Fingerprint, Mix.WQd, Mix.WGc,
-                                           Mix.WRp, Spec.Flow,
-                                           Spec.PerturbRounds,
-                                           Spec.PerturbSeed, Spec.UseCDF),
-                     std::move(Bundle)});
-    }
-  }
-  if (Spec.Evaluate.FidelityColumns > 0)
-    Out.push_back({store::fidelityColumnsKey(Fingerprint, Spec.Time,
-                                             Spec.Evaluate.FidelityColumns,
-                                             Spec.Evaluate.ColumnSeed),
-                   M->evaluator(*H, Fingerprint, Spec, nullptr)});
+  bool Resolved = M->forEachTransportable(*P, [&](const auto &A) {
+    auto Value = M->resolve(A, nullptr, Error);
+    if (!Value)
+      return false;
+    // The closure pins the value, so it stays encodable even if the
+    // memory tier evicts its entry.
+    Out.push_back({A.Key, [Encode = A.Codec.Encode, Value] {
+                     return Encode(*Value);
+                   }});
+    return true;
+  });
+  if (!Resolved)
+    return std::nullopt;
   return Out;
 }
 
@@ -752,28 +694,12 @@ SimulationService::exportArtifacts(const TaskSpec &Spec, std::string *Error) {
   std::vector<TaskArtifact> Out;
   Out.reserve(Resolved->size());
   for (const ResolvedArtifact &A : *Resolved)
-    Out.push_back({A.Key, A.encode()});
+    Out.push_back({A.Key, A.Encode()});
   return Out;
 }
 
-std::optional<std::string>
-SimulationService::exportArtifactBody(const ArtifactKey &Key) {
-  if (std::shared_ptr<const void> V = M->Store.peekValue(Key.Id)) {
-    // Empty only for an alias bundle that failed Theorem 4.1.
-    std::string Body = ResolvedArtifact{Key, std::move(V)}.encode();
-    if (Body.empty())
-      return std::nullopt;
-    return Body;
-  }
-  // The disk tier already holds the encoded body verbatim.
-  return M->Store.peekDiskBody(Key);
-}
-
 bool SimulationService::hasArtifact(const ArtifactKey &Key) const {
-  if (std::shared_ptr<const void> V = M->Store.peekValue(Key.Id))
-    return Key.Type != ArtifactType::AliasBundle ||
-           std::static_pointer_cast<const GraphBundle>(V)->Valid;
-  return M->Store.peekDiskBody(Key).has_value();
+  return M->Store.peekValue(Key.Id) || M->Store.peekDiskBody(Key);
 }
 
 std::optional<ArtifactImport>
@@ -781,98 +707,26 @@ SimulationService::importArtifact(const TaskSpec &Spec,
                                   const ArtifactKey &Key,
                                   const std::string &Body,
                                   std::string *Error) {
-  std::string Validation;
-  if (!Spec.validate(&Validation)) {
-    detail::fail(Error, Validation);
+  std::optional<Prepared> P = Impl::prologue(Spec, Error);
+  if (!P)
     return std::nullopt;
-  }
-  bool Canonical = Spec.Method == TaskMethod::Sampling;
-  std::optional<Hamiltonian> Resolved =
-      resolveHamiltonian(Spec.Source, Error, Canonical);
-  if (!Resolved)
-    return std::nullopt;
-  const Hamiltonian &H = *Resolved;
-  const uint64_t Fingerprint = H.fingerprint();
-
-  // The spec is the authorization: only keys the spec itself would
-  // resolve are accepted, with the spec supplying the decode context.
-  // Anything else — including a syntactically fine key with the wrong
-  // fingerprint — is rejected, so a client cannot seed mismatched
+  // The spec is the authorization: only its own transportable keys are
+  // accepted, decoded with the spec's context by the same codec the disk
+  // tier uses. Anything else — including a syntactically fine key with the
+  // wrong fingerprint — is rejected, so a client cannot seed mismatched
   // artifacts under colliding ids.
-  ArtifactStore::PutOutcome Put = ArtifactStore::PutOutcome::Rejected;
-  bool Known = false;
-  if (Spec.Method == TaskMethod::Sampling) {
-    ChannelMix Mix = Spec.Mix;
-    Mix.normalize();
-    ArtifactKey BundleKey = store::aliasBundleKey(
-        Fingerprint, Mix.WQd, Mix.WGc, Mix.WRp, Spec.Flow,
-        Spec.PerturbRounds, Spec.PerturbSeed, Spec.UseCDF);
-    if (Key.Id == BundleKey.Id) {
-      Known = true;
-      ArtifactCodec<GraphBundle> Codec;
-      Codec.Size = bundleBytes;
-      Codec.Encode = encodeBundleBody;
-      Codec.Decode =
-          [&H, &Spec](const std::string &B) -> std::optional<GraphBundle> {
-        std::optional<TransitionMatrix> P =
-            store::decodeMatrixBody(store::AliasMagic, H.numTerms(), B);
-        if (!P)
-          return std::nullopt;
-        GraphBundle Bundle = makeBundle(H, std::move(*P), Spec);
-        // Never admit a matrix that fails Theorem 4.1: a poisoned cache
-        // entry would turn every later run of this spec into a failure.
-        if (!Bundle.Valid)
-          return std::nullopt;
-        return Bundle;
-      };
-      Put = M->Store.put(BundleKey, Codec, Body);
-    }
-    if (!Known) {
-      // Component solves are accepted too (symmetric with what a shared
-      // cache directory would hold), though the fleet push normally ships
-      // only the combined bundle.
-      ArtifactKey GC = store::componentKeyGC(Fingerprint, Spec.Flow);
-      ArtifactKey RP = store::componentKeyRP(
-          Fingerprint, Spec.Flow, Spec.PerturbRounds, Spec.PerturbSeed);
-      if (Key.Id == GC.Id || Key.Id == RP.Id) {
-        Known = true;
-        ArtifactCodec<TransitionMatrix> Codec;
-        Codec.Size = store::matrixBytes;
-        Codec.Encode = [](const TransitionMatrix &P) {
-          return store::encodeMatrixBody(store::MatrixMagic, P);
-        };
-        Codec.Decode = [N = H.numTerms()](const std::string &B) {
-          return store::decodeMatrixBody(store::MatrixMagic, N, B);
-        };
-        Put = M->Store.put(Key.Id == GC.Id ? GC : RP, Codec, Body);
-      }
-    }
-  }
-  if (!Known && Spec.Evaluate.FidelityColumns > 0) {
-    ArtifactKey FidKey = store::fidelityColumnsKey(
-        Fingerprint, Spec.Time, Spec.Evaluate.FidelityColumns,
-        Spec.Evaluate.ColumnSeed);
-    if (Key.Id == FidKey.Id) {
-      Known = true;
-      const size_t Dim = size_t(1) << H.numQubits();
-      ArtifactCodec<FidelityEvaluator> Codec;
-      Codec.Size = store::fidelityBytes;
-      Codec.Encode = store::encodeFidelityBody;
-      Codec.Decode = [NQubits = H.numQubits(),
-                      Columns = std::min(Spec.Evaluate.FidelityColumns,
-                                         Dim)](const std::string &B) {
-        return store::decodeFidelityBody(NQubits, Columns, B);
-      };
-      Put = M->Store.put(FidKey, Codec, Body);
-    }
-  }
-
-  if (!Known) {
+  std::optional<ArtifactStore::PutOutcome> Put;
+  M->forEachTransportable(*P, [&](const auto &A) {
+    if (A.Key.Id == Key.Id)
+      Put = M->Store.put(A.Key, A.Codec, Body);
+    return !Put;
+  });
+  if (!Put) {
     detail::fail(Error, "artifact key '" + Key.Id +
                             "' does not belong to this task");
     return std::nullopt;
   }
-  switch (Put) {
+  switch (*Put) {
   case ArtifactStore::PutOutcome::Inserted:
     return ArtifactImport::Inserted;
   case ArtifactStore::PutOutcome::AlreadyPresent:

@@ -52,6 +52,7 @@
 #include "sim/Fidelity.h"
 #include "store/ArtifactStore.h"
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -149,17 +150,15 @@ struct TaskArtifact {
   std::string Body;
 };
 
-/// A transportable artifact resolved but not yet encoded: its key and a
-/// pin on the resolved value. encode() produces the TaskArtifact body on
-/// demand, so a caller pays for a body only when a peer lacks it; the pin
-/// keeps the value encodable even if the memory tier evicts its entry.
+/// A transportable artifact resolved but not yet encoded. Encode()
+/// produces the TaskArtifact body on demand, so a caller pays for a body
+/// only when a peer lacks it.
 struct ResolvedArtifact {
   ArtifactKey Key;
-  /// The store's value for Key; its type follows Key.Type.
-  std::shared_ptr<const void> Value;
-
   /// The codec-encoded body: the same bytes TaskArtifact::Body carries.
-  std::string encode() const;
+  /// It pins the resolved value, which therefore stays encodable even if
+  /// the memory tier evicts its entry.
+  std::function<std::string()> Encode;
 };
 
 /// What importArtifact did with a received body.
@@ -199,7 +198,8 @@ public:
                                 std::string *Error = nullptr);
 
   /// Resolves just the HTT graph of a sampling spec through the caches
-  /// (spectrum inspection, DOT dumps) without compiling anything.
+  /// (spectrum inspection, DOT dumps) without compiling anything. A
+  /// Trotter-family spec has no HTT graph and fails with \p Error.
   std::shared_ptr<const HTTGraph> graphFor(const TaskSpec &Spec,
                                            std::string *Error = nullptr);
 
@@ -233,8 +233,9 @@ public:
   /// (which short-circuits the MCFP component solves on the receiving
   /// side) and the fidelity target columns when
   /// Evaluate.FidelityColumns > 0. Artifacts the spec does not need — or
-  /// that are cheaper to rebuild than to ship (pure-qDrift matrices) — are
-  /// simply absent from the list. Resolution goes through the normal
+  /// that are cheaper to rebuild than to ship (pure-qDrift matrices, and
+  /// the MCFP components the bundle already covers) — are simply absent
+  /// from the list. Resolution goes through the normal
   /// caches, so a prewarmed service resolves without recomputing
   /// anything. Returns std::nullopt on invalid specs or Theorem 4.1
   /// validation failures.
@@ -242,7 +243,7 @@ public:
   resolveArtifacts(const TaskSpec &Spec, std::string *Error = nullptr);
 
   /// resolveArtifacts with every body encoded: the same keys in the same
-  /// order, each paired with ResolvedArtifact::encode()'s bytes. Encoding
+  /// order, each paired with ResolvedArtifact::Encode()'s bytes. Encoding
   /// costs about as much as a disk-tier write per artifact (a LiH alias
   /// body is 6.11 MiB of hex), so a caller that may not ship every body
   /// should resolve and encode on demand instead, as the fleet
@@ -250,27 +251,22 @@ public:
   std::optional<std::vector<TaskArtifact>>
   exportArtifacts(const TaskSpec &Spec, std::string *Error = nullptr);
 
-  /// Encodes the already-resolved artifact of \p Key, or std::nullopt
-  /// when this service holds nothing for it (never computes — the serving
-  /// side of artifact-get answers "not-found" instead of doing work a
-  /// client could farm out for free). Checks the memory tier first, then
-  /// the disk tier's raw body.
-  std::optional<std::string> exportArtifactBody(const ArtifactKey &Key);
-
-  /// Whether exportArtifactBody(\p Key) would return a body, answered
-  /// without encoding one — the serving side of an artifact-get probe.
-  /// A value in the memory tier counts as present, except an alias bundle
-  /// that failed Theorem 4.1 (it never travels). Otherwise the disk tier
+  /// Whether this service holds \p Key, answered without encoding or
+  /// decoding anything — the serving side of an artifact-get probe. A
+  /// value in the memory tier counts as present (the store never holds an
+  /// alias bundle that fails Theorem 4.1). Otherwise the disk tier
   /// decides: its file must exist and pass the checksum, so a corrupt
   /// file reads as absent. Never computes, and has no LRU or stats effect.
   bool hasArtifact(const ArtifactKey &Key) const;
 
   /// Decodes \p Body and injects it under \p Key — the receiving side of
   /// artifact-put. \p Spec supplies the decode context (Hamiltonian
-  /// dimensions, column counts) and is also the authorization: a key that
-  /// is not one \p Spec would itself resolve is rejected, so a client
-  /// cannot seed the cache with mismatched contexts. Returns std::nullopt
-  /// with \p Error on unknown keys or undecodable bodies.
+  /// dimensions, column counts) and is also the authorization: only a key
+  /// resolveArtifacts(\p Spec) would list is accepted, so a client cannot
+  /// seed the cache with mismatched contexts. The body goes through the
+  /// disk tier's codec, so an alias body whose matrix fails Theorem 4.1 or
+  /// the sampler is undecodable. Returns std::nullopt with \p Error on
+  /// unknown keys or undecodable bodies.
   std::optional<ArtifactImport> importArtifact(const TaskSpec &Spec,
                                                const ArtifactKey &Key,
                                                const std::string &Body,

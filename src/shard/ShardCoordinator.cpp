@@ -382,7 +382,7 @@ bool ShardCoordinator::runFleet(
     // reference stays valid and race-free.
     std::lock_guard<std::mutex> Lock(BodyMutex);
     if (!Bodies[Ai])
-      Bodies[Ai] = (*Artifacts)[Ai].encode();
+      Bodies[Ai] = (*Artifacts)[Ai].Encode();
     return *Bodies[Ai];
   };
 

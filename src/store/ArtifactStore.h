@@ -62,7 +62,7 @@ namespace marqsim {
 /// never contributes to the LRU budget).
 template <typename T> struct ArtifactCodec {
   /// Serializes the artifact to a text body (the store adds the checksum
-  /// trailer). Returning an empty body skips persistence for this value.
+  /// trailer).
   std::function<std::string(const T &)> Encode;
 
   /// Parses a body back. Returning std::nullopt (stale dimensions, bad
@@ -157,11 +157,8 @@ public:
           How = Outcome::Computed;
           Value = std::make_shared<const T>(Compute());
           // Serializing is pure waste without a disk tier to write to.
-          if (Codec.Encode && !Opts.CacheDir.empty()) {
-            std::string Body = Codec.Encode(*Value);
-            if (!Body.empty())
-              storeBody(Key, Body);
-          }
+          if (Codec.Encode && !Opts.CacheDir.empty())
+            storeBody(Key, Codec.Encode(*Value));
         }
       } catch (...) {
         abandon(*E);
@@ -177,7 +174,7 @@ public:
   }
 
   /// Injects an already-encoded \p Body for \p Key — the receiving half of
-  /// the cross-host artifact fetch. The body is decoded through \p Codec
+  /// the cross-host artifact push. The body is decoded through \p Codec
   /// exactly as a disk-tier hit would be (same validation, same rejection
   /// of stale dimensions or bad hex), inserted into the memory tier, and —
   /// when a disk tier is configured — persisted so later processes warm
@@ -218,9 +215,8 @@ public:
   std::shared_ptr<const void> peekValue(const std::string &Id) const;
 
   /// Reads and checksum-verifies the disk body of \p Key without decoding
-  /// it — the serving half of the artifact fetch (a body read here is
-  /// exactly what put() accepts on the far side). nullopt when the disk
-  /// tier is off or the file is missing/corrupt.
+  /// it (a presence probe's disk check). nullopt when the disk tier is off
+  /// or the file is missing/corrupt.
   std::optional<std::string> peekDiskBody(const ArtifactKey &Key) const {
     return loadBody(Key);
   }

@@ -14,12 +14,15 @@
 //   * a live worker returning a corrupt or mismatched manifest is
 //     attempt-charged and the range re-run; a fleet of only lying
 //     workers aborts after the bounded attempt budget,
-//   * artifact-get for an unknown key answers a typed not-found error
-//     (never a hang), corrupt artifact-put bodies are rejected, and an
-//     oversized frame on the artifact path is cut off cleanly,
-//   * an artifact-get probe answers from presence alone: found in the
+//   * workers are only pushed to: a key that is not one of the spec's
+//     transportable artifacts (alias bundle, fidelity columns) and a
+//     corrupt artifact-put body are rejected, and an oversized frame on
+//     the artifact path is cut off cleanly,
+//   * artifact-get is a presence probe and carries no body: found in the
 //     memory tier or in a checksum-valid disk file, not found for a
-//     corrupt file or an unknown key,
+//     corrupt file or an unknown key (never a hang or a compute),
+//   * a cold worker's shard-submit solves inside its run, so the solve
+//     shows in the returned manifest's cache stats,
 //   * DaemonClient::connectTo's bounded retry absorbs daemons still
 //     binding their port and fails fast when nothing ever listens.
 //
@@ -338,8 +341,7 @@ TEST(ArtifactFabricTest, ContentAddressedFetchRoundTripsAndRejects) {
   ASSERT_TRUE(Client) << Error;
 
   for (const TaskArtifact &A : *Artifacts) {
-    // Fresh daemon: probe misses, push stores, probe then hits, and the
-    // fetched body is byte-identical to the origin's.
+    // Fresh daemon: probe misses, push stores, probe then hits.
     std::optional<bool> Present = Client->probeArtifact(A.Key, &Error);
     ASSERT_TRUE(Present) << Error;
     EXPECT_FALSE(*Present);
@@ -350,21 +352,15 @@ TEST(ArtifactFabricTest, ContentAddressedFetchRoundTripsAndRejects) {
     Present = Client->probeArtifact(A.Key, &Error);
     ASSERT_TRUE(Present) << Error;
     EXPECT_TRUE(*Present);
-    std::optional<std::string> Body = Client->getArtifact(A.Key, &Error);
-    ASSERT_TRUE(Body) << Error;
-    EXPECT_EQ(*Body, A.Body);
     // A second put is idempotent: the daemon reports it already held it.
     Stored = Client->putArtifact(*SpecJson, A.Key, A.Body, &Error);
     ASSERT_TRUE(Stored) << Error;
     EXPECT_FALSE(*Stored);
   }
 
-  // Unknown key: a typed not-found error, never a hang or a compute.
+  // Probing an unknown key is not an error — just "not here", never a
+  // hang or a compute.
   ArtifactKey Unknown = store::fidelityColumnsKey(0xDEADBEEF, 1.0, 2, 7);
-  Error.clear();
-  EXPECT_FALSE(Client->getArtifact(Unknown, &Error));
-  EXPECT_NE(Error.find("not-found"), std::string::npos) << Error;
-  // Probing the same key is not an error — just "not here".
   std::optional<bool> Probe = Client->probeArtifact(Unknown, &Error);
   ASSERT_TRUE(Probe) << Error;
   EXPECT_FALSE(*Probe);
@@ -373,6 +369,14 @@ TEST(ArtifactFabricTest, ContentAddressedFetchRoundTripsAndRejects) {
   // that does: both rejected, neither stored.
   Error.clear();
   EXPECT_FALSE(Client->putArtifact(*SpecJson, Unknown, "junk", &Error));
+  EXPECT_NE(Error.find("does not belong"), std::string::npos) << Error;
+  // The spec's own Pgc component is not transportable either: the alias
+  // bundle already covers its solve, so only bundle and columns travel.
+  const ArtifactKey GC = store::componentKeyGC(
+      SimulationService::prepare(testHamiltonian()).fingerprint(),
+      Spec.Flow);
+  Error.clear();
+  EXPECT_FALSE(Client->putArtifact(*SpecJson, GC, "junk", &Error));
   EXPECT_NE(Error.find("does not belong"), std::string::npos) << Error;
   Error.clear();
   EXPECT_FALSE(
@@ -467,6 +471,31 @@ TEST(ArtifactFabricTest, ProbesAnswerFromPresenceOnEveryTier) {
     EXPECT_FALSE(*Present);
     EXPECT_FALSE(Daemon.Service.hasArtifact(Unknown));
   }
+}
+
+TEST(ArtifactFabricTest, ColdShardSubmitReportsItsSolveInTheManifest) {
+  // No artifact pushed: the worker solves inside the range's own run, so
+  // the solve lands in the manifest's stats (and from there in the
+  // coordinator's whole-run gc-solves line) instead of vanishing into a
+  // separate pre-run resolution.
+  TaskSpec Spec = testSpec(3);
+  std::string Error;
+  std::optional<json::Value> SpecJson = Spec.toJson(&Error);
+  ASSERT_TRUE(SpecJson) << Error;
+  TestDaemon Daemon;
+  ASSERT_TRUE(Daemon.Started);
+  std::optional<server::DaemonClient> Client =
+      server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
+  ASSERT_TRUE(Client) << Error;
+  std::optional<std::string> Text =
+      Client->runShardRange(*SpecJson, ShotRange{0, 2}, 0, nullptr, &Error);
+  ASSERT_TRUE(Text) << Error;
+  std::optional<ShardManifest> M = ShardManifest::parse(*Text, &Error);
+  ASSERT_TRUE(M) << Error;
+  EXPECT_EQ(M->Stats.GCSolveMisses, 1u);
+  EXPECT_EQ(M->Stats.GraphMisses, 1u);
+  EXPECT_EQ(M->Stats.EvaluatorMisses, 1u);
+  EXPECT_EQ(Daemon.Service.stats().GCSolveMisses, 1u);
 }
 
 TEST(ArtifactFabricTest, OversizedArtifactFrameIsCutOff) {

@@ -707,7 +707,7 @@ TEST(DaemonTest, StatsFrameIsV2WithTheTierUnderKernelsOnly) {
   ASSERT_TRUE(Stats) << Error;
   const json::Value *Format = Stats->find("format");
   ASSERT_NE(Format, nullptr);
-  EXPECT_EQ(Format->asString(), "marqsim-server-stats-v2");
+  EXPECT_EQ(Format->asString(), "marqsim-server-stats-v3");
   const json::Value *Kernels = Stats->find("kernels");
   ASSERT_NE(Kernels, nullptr);
   const json::Value *Tier = Kernels->find("tier");
@@ -715,6 +715,18 @@ TEST(DaemonTest, StatsFrameIsV2WithTheTierUnderKernelsOnly) {
   EXPECT_EQ(Tier->asString(), SimulationService::kernelName());
   // The tier appears once, under "kernels".
   EXPECT_EQ(Stats->find("kernel"), nullptr);
+  // No body ever leaves a daemon, so v3 dropped the outbound byte count:
+  // the fabric section counts only inbound bytes.
+  const json::Value *Fabric = Stats->find("fabric");
+  ASSERT_NE(Fabric, nullptr);
+  ASSERT_NE(Fabric->members(), nullptr);
+  std::vector<std::string> Keys;
+  for (const auto &M : *Fabric->members())
+    Keys.push_back(M.first);
+  EXPECT_EQ(Keys, (std::vector<std::string>{
+                      "shard_submits", "shard_results", "artifact_gets",
+                      "artifact_puts", "artifact_hits", "artifact_misses",
+                      "artifact_bytes_in"}));
 }
 
 TEST(DaemonTest, StreamedShotsCoverTheBatchInOrder) {

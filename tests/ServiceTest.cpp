@@ -12,7 +12,8 @@
 //     any knob change misses,
 //   * concurrent runs never duplicate an MCFP solve,
 //   * the on-disk component store round-trips bit-exactly across service
-//     instances,
+//     instances, and an alias body the sampler refuses is never admitted:
+//     rejected at import, recomputed and healed on disk,
 //   * in-worker fidelity equals the caller-thread evaluator loop and is
 //     bit-identical for every job count,
 //   * a fig14-style ratio sweep performs exactly one gate-cancellation
@@ -32,6 +33,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 using namespace marqsim;
@@ -75,6 +77,23 @@ std::string writeHamiltonianFile(const Hamiltonian &H, const char *Name) {
   for (const PauliTerm &T : H.terms())
     Out << T.Coeff << " " << T.String.str(H.numQubits()) << "\n";
   return Path;
+}
+
+/// Moves 1e-9 of some row's mass from a zero entry to a positive one: the
+/// matrix still passes Theorem 4.1 validation (which tolerates entries
+/// down to -1e-6), but the sampler takes no negative weight.
+bool moveMassOntoAZero(TransitionMatrix &P) {
+  const size_t N = P.size();
+  for (size_t I = 0; I < N; ++I)
+    for (size_t Zero = 0; Zero < N; ++Zero)
+      if (P.at(I, Zero) == 0.0)
+        for (size_t J = 0; J < N; ++J)
+          if (P.at(I, J) > 0.0) {
+            P.at(I, Zero) = -1e-9;
+            P.at(I, J) += 1e-9;
+            return true;
+          }
+  return false;
 }
 
 } // namespace
@@ -381,15 +400,13 @@ TEST(ServiceCacheTest, BundleChargeIsMatrixPlusSamplerTables) {
   SimulationService Service;
   TaskSpec Spec = testSpec(H);
   ASSERT_TRUE(Service.run(Spec));
-  ChannelMix Mix = Spec.Mix;
-  Mix.normalize();
-  std::optional<std::string> Body =
-      Service.exportArtifactBody(store::aliasBundleKey(
-          H.fingerprint(), Mix.WQd, Mix.WGc, Mix.WRp, Spec.Flow,
-          Spec.PerturbRounds, Spec.PerturbSeed, Spec.UseCDF));
-  ASSERT_TRUE(Body);
-  std::optional<TransitionMatrix> P =
-      store::decodeMatrixBody(store::AliasMagic, N, *Body);
+  std::optional<std::vector<TaskArtifact>> Artifacts =
+      Service.exportArtifacts(Spec);
+  ASSERT_TRUE(Artifacts);
+  ASSERT_EQ(Artifacts->size(), 1u);
+  ASSERT_EQ(Artifacts->front().Key.Type, ArtifactType::AliasBundle);
+  std::optional<TransitionMatrix> P = store::decodeMatrixBody(
+      store::AliasMagic, N, Artifacts->front().Body);
   ASSERT_TRUE(P);
   MarkovChainSampler Chain(*P, Pi);
   EXPECT_LT(Chain.numRowCells(), N * N);
@@ -409,25 +426,16 @@ TEST(ServiceCacheTest, ImportRejectsABundleTheSamplerRefuses) {
   const ArtifactKey Key = store::aliasBundleKey(
       testHamiltonian().fingerprint(), 0.0, 1.0, 0.0, Spec.Flow,
       Spec.PerturbRounds, Spec.PerturbSeed, Spec.UseCDF);
-  std::optional<std::string> Body = Source.exportArtifactBody(Key);
-  ASSERT_TRUE(Body);
+  std::optional<std::vector<TaskArtifact>> Artifacts =
+      Source.exportArtifacts(Spec, &Error);
+  ASSERT_TRUE(Artifacts) << Error;
+  ASSERT_EQ(Artifacts->size(), 1u);
+  ASSERT_EQ(Artifacts->front().Key.Id, Key.Id);
   const size_t N = testHamiltonian().numTerms();
-  std::optional<TransitionMatrix> P =
-      store::decodeMatrixBody(store::AliasMagic, N, *Body);
+  std::optional<TransitionMatrix> P = store::decodeMatrixBody(
+      store::AliasMagic, N, Artifacts->front().Body);
   ASSERT_TRUE(P);
-
-  // Move 1e-9 of some row's mass from a zero entry to a positive one.
-  bool Moved = false;
-  for (size_t I = 0; I < N && !Moved; ++I)
-    for (size_t Zero = 0; Zero < N && !Moved; ++Zero)
-      if (P->at(I, Zero) == 0.0)
-        for (size_t J = 0; J < N && !Moved; ++J)
-          if (P->at(I, J) > 0.0) {
-            P->at(I, Zero) = -1e-9;
-            P->at(I, J) += 1e-9;
-            Moved = true;
-          }
-  ASSERT_TRUE(Moved);
+  ASSERT_TRUE(moveMassOntoAZero(*P));
   ASSERT_TRUE(HTTGraph(testHamiltonian().merged().splitLargeTerms(), *P)
                   .isValidForCompilation());
 
@@ -436,6 +444,60 @@ TEST(ServiceCacheTest, ImportRejectsABundleTheSamplerRefuses) {
       Spec, Key, store::encodeMatrixBody(store::AliasMagic, *P), &Error));
   EXPECT_TRUE(Target.run(Spec, &Error)) << Error;
   EXPECT_EQ(Target.stats().GraphMisses, 1u);
+}
+
+TEST(ServiceCacheTest, DiskBundleTheSamplerRefusesIsRecomputedAndHealed) {
+  // A checksummed .alias file can hold a matrix that passes Theorem 4.1
+  // but that the sampler refuses. The decode must reject it like any
+  // stale body: the run recomputes the bundle and overwrites the file,
+  // instead of failing every run of the spec.
+  TaskSpec Spec = testSpec(testHamiltonian());
+  Spec.Mix = ChannelMix{0.0, 1.0, 0.0};
+  std::string Error;
+  std::optional<std::vector<TaskArtifact>> Good =
+      SimulationService().exportArtifacts(Spec, &Error);
+  ASSERT_TRUE(Good) << Error;
+  ASSERT_EQ(Good->size(), 1u);
+  const TaskArtifact &Bundle = Good->front();
+  const size_t N = testHamiltonian().numTerms();
+  std::optional<TransitionMatrix> P =
+      store::decodeMatrixBody(store::AliasMagic, N, Bundle.Body);
+  ASSERT_TRUE(P);
+  ASSERT_TRUE(moveMassOntoAZero(*P));
+
+  const std::string Dir = testing::TempDir() + "service_heal_refused_alias";
+  std::filesystem::remove_all(Dir);
+  {
+    // Plant the refused body through the store itself, so its framing
+    // and checksum are exactly what the disk tier writes.
+    ArtifactStore Store(ArtifactStore::Options{Dir, 0});
+    ArtifactCodec<TransitionMatrix> Plain;
+    Plain.Decode = [N](const std::string &Body) {
+      return store::decodeMatrixBody(store::AliasMagic, N, Body);
+    };
+    ASSERT_EQ(Store.put(Bundle.Key, Plain,
+                        store::encodeMatrixBody(store::AliasMagic, *P)),
+              ArtifactStore::PutOutcome::Inserted);
+  }
+  const std::filesystem::path File =
+      std::filesystem::path(Dir) / Bundle.Key.fileName();
+  auto BodyOnDisk = [&] {
+    std::ifstream In(File);
+    std::ostringstream Text;
+    Text << In.rdbuf();
+    std::string Body;
+    EXPECT_TRUE(serial::splitChecksummed(Text.str(), Body));
+    return Body;
+  };
+  ASSERT_NE(BodyOnDisk(), Bundle.Body);
+
+  ServiceOptions Opts;
+  Opts.CacheDir = Dir;
+  SimulationService Service(Opts);
+  ASSERT_TRUE(Service.run(Spec, &Error)) << Error;
+  EXPECT_EQ(Service.stats().GraphMisses, 1u);
+  EXPECT_EQ(Service.stats().GraphHits, 0u);
+  EXPECT_EQ(BodyOnDisk(), Bundle.Body) << "the refused file was not healed";
 }
 
 //===----------------------------------------------------------------------===//

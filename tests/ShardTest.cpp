@@ -21,6 +21,8 @@
 //   * concurrent local ranges on one service produce the same bits with
 //     exactly one gate-cancellation MCFP solve across the whole run, with
 //     no cache directory,
+//   * local ranges that fail after a successful prewarm fail the run at
+//     once, naming the failure, with no manifest written,
 //   * marqsim-cli rejects unknown and retired flags as usage errors, and
 //     its --stats reports the set-up wall time of a non-sharded run.
 //
@@ -32,6 +34,7 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -545,6 +548,38 @@ TEST(ShardCoordinatorTest, ConcurrentRangesShareOneServiceAndOneSolve) {
     EXPECT_TRUE(std::filesystem::exists(
         ShardCoordinator::manifestPath(Options.WorkDir, I)))
         << "shard " << I;
+}
+
+TEST(ShardCoordinatorTest, RangesFailingAfterASuccessfulPrewarmFailTheRun) {
+  // The prewarm resolves only the bundle and the target columns, so it
+  // accepts a density-noise spec on 7 qubits; every range then fails in
+  // run() at the density oracle's 6-qubit cap. The run must fail at once,
+  // naming the failed ranges and the cap, and persist no manifest.
+  TaskSpec Spec = testSpec(4);
+  Spec.Source = HamiltonianSource::fromHamiltonian(
+      Hamiltonian::parse({{1.0, "IIZYXZI"},
+                          {0.8, "XXIIZZY"},
+                          {0.6, "ZXZYIIX"},
+                          {0.4, "IZZXYXZ"}}));
+  Spec.Evaluate.FidelityColumns = 2;
+  Spec.Noise.Kind = NoiseChannelKind::Depolarizing;
+  Spec.Noise.Prob = 0.01;
+  Spec.Noise.Mode = NoiseMode::Density;
+  std::string Error;
+  ASSERT_TRUE(SimulationService().prewarm(Spec, &Error)) << Error;
+
+  ShardOptions Options;
+  Options.ShardCount = 2;
+  Options.WorkDir = freshDir("shard_ranges_fail_after_prewarm");
+  ShardCoordinator Coordinator(Options);
+  const auto Start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(Coordinator.run(Spec, &Error));
+  EXPECT_LT(std::chrono::steady_clock::now() - Start,
+            std::chrono::seconds(60));
+  EXPECT_NE(Error.find("range(s) failed"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("capped at 6 qubits"), std::string::npos) << Error;
+  EXPECT_TRUE(std::filesystem::is_empty(Options.WorkDir))
+      << "a failed range left a manifest behind";
 }
 
 //===----------------------------------------------------------------------===//
