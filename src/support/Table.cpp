@@ -54,20 +54,6 @@ void Table::print(std::ostream &OS) const {
     PrintRow(Row);
 }
 
-void Table::printCSV(std::ostream &OS) const {
-  auto PrintRow = [&](const std::vector<std::string> &Row) {
-    for (size_t C = 0; C < Row.size(); ++C) {
-      if (C)
-        OS << ',';
-      OS << Row[C];
-    }
-    OS << '\n';
-  };
-  PrintRow(Header);
-  for (const auto &Row : Rows)
-    PrintRow(Row);
-}
-
 std::string marqsim::formatDouble(double V, int Digits) {
   char Buf[64];
   double Mag = std::fabs(V);

@@ -9,7 +9,7 @@
 /// print the rows of the paper's tables and the series of its figures.
 ///
 /// Cells are accumulated as strings; printing right-pads each column to its
-/// widest cell. A CSV emitter is provided for downstream plotting.
+/// widest cell.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,9 +38,6 @@ public:
 
   /// Writes the table, column-aligned, with a rule under the header.
   void print(std::ostream &OS) const;
-
-  /// Writes the table as comma-separated values (no alignment padding).
-  void printCSV(std::ostream &OS) const;
 
   size_t numRows() const { return Rows.size(); }
 

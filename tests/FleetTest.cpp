@@ -5,10 +5,12 @@
 //===----------------------------------------------------------------------===//
 //
 // The contracts of the cross-host fabric:
-//   * a fleet run over loopback daemons is bit-identical to the
+//   * a fleet run over 1, 2 or 4 loopback daemons is bit-identical to the
 //     single-process run, with exactly one MCFP solve fleet-wide — the
 //     workers are warmed over the wire through content-addressed
 //     artifact frames, not a shared filesystem,
+//   * the coordinator keeps a range in flight on every worker at once
+//     (a rendezvous across four relays, no wall-clock threshold),
 //   * a worker that dies mid-range is dropped and its in-flight range
 //     re-dispatched to the survivors without burning the retry budget,
 //   * a live worker returning a corrupt or mismatched manifest is
@@ -38,9 +40,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -189,21 +194,21 @@ bool claimAllArtifacts(Socket &S, const Frame &F) {
 }
 
 /// An honest worker: a real daemon behind a relay that passes every frame
-/// through unchanged but holds each shard range until \p Open() turns
-/// true. The fault-injection tests gate it on the faulty worker having
-/// received a range; an ungated daemon can finish the whole batch before
-/// the faulty worker's thread even connects. Warm-up frames are relayed
-/// too, so the daemon is warmed over the wire like any fleet worker.
+/// through unchanged but calls \p Hold before relaying each shard range.
+/// The fault-injection tests hold ranges until the faulty worker has
+/// received one (holdUntil); an ungated daemon can finish the whole batch
+/// before the faulty worker's thread even connects. Warm-up frames are
+/// relayed too, so the daemon is warmed over the wire like any fleet
+/// worker.
 struct GatedWorker {
   TestDaemon Upstream;
   std::optional<Socket> Link;
   FakeWorker Front;
 
-  explicit GatedWorker(std::function<bool()> Open)
-      : Front([this, Open = std::move(Open)](Socket &S, const Frame &F) {
+  explicit GatedWorker(std::function<void()> Hold)
+      : Front([this, Hold = std::move(Hold)](Socket &S, const Frame &F) {
           if (F.Type == "shard-submit")
-            for (int Waited = 0; !Open() && Waited < 10000; Waited += 5)
-              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            Hold();
           if (!Link)
             Link = Socket::connectTo("127.0.0.1", Upstream.D.port());
           if (!Link || !Link->sendAll(server::encodeFrame(F.Type, F.Body)))
@@ -226,6 +231,14 @@ struct GatedWorker {
 
   std::string hostPort() const { return Front.hostPort(); }
 };
+
+/// A GatedWorker hold that waits until \p Open() turns true, at most 10 s.
+std::function<void()> holdUntil(std::function<bool()> Open) {
+  return [Open = std::move(Open)] {
+    for (int Waited = 0; !Open() && Waited < 10000; Waited += 5)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+}
 
 } // namespace
 
@@ -534,69 +547,129 @@ TEST(ArtifactFabricTest, OversizedArtifactFrameIsCutOff) {
 // Fleet dispatch
 //===----------------------------------------------------------------------===//
 
-TEST(FleetTest, TwoWorkersBitIdenticalWithOneSolveFleetWide) {
+TEST(FleetTest, WorkerCounts124BitIdenticalWithOneSolveFleetWide) {
   TaskSpec Spec = testSpec(6);
   SimulationService Reference;
   std::optional<TaskResult> Single = Reference.run(Spec);
   ASSERT_TRUE(Single);
 
-  TestDaemon W1, W2;
-  ASSERT_TRUE(W1.Started && W2.Started);
+  for (size_t Workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(Workers) + " worker(s)");
+    std::vector<std::unique_ptr<TestDaemon>> Fleet;
+    ShardOptions Options;
+    for (size_t I = 0; I < Workers; ++I) {
+      Fleet.push_back(std::make_unique<TestDaemon>());
+      ASSERT_TRUE(Fleet.back()->Started);
+      Options.Workers.push_back(Fleet.back()->hostPort());
+    }
+    // Three ranges: more than one worker has, fewer than four have.
+    Options.ShardCount = 3;
+    Options.WorkDir = freshDir("fleet_workers_" + std::to_string(Workers));
+    ShardCoordinator Coordinator(Options);
+    std::string Error;
+    ShardReport Report;
+    std::optional<TaskResult> Merged =
+        Coordinator.run(Spec, &Error, &Report);
+    ASSERT_TRUE(Merged) << Error;
+    expectBitIdentical(*Single, *Merged);
 
+    // One MCFP solve fleet-wide: the coordinator's prewarm performed it,
+    // every worker was warmed over the wire and solved nothing.
+    EXPECT_EQ(Report.LocalStats.GCSolveMisses, 1u);
+    EXPECT_EQ(Report.WorkerStats.GCSolveMisses, 0u);
+    for (const std::unique_ptr<TestDaemon> &W : Fleet)
+      EXPECT_EQ(W->Service.stats().GCSolveMisses, 0u);
+
+    // Fleet accounting: every worker alive, every range dispatched
+    // exactly once, and the warm phase pushed bytes to every fresh
+    // daemon, one that ran no range included.
+    ASSERT_TRUE(Report.Fleet.Used);
+    ASSERT_EQ(Report.Fleet.Workers.size(), Workers);
+    size_t Dispatched = 0;
+    for (const FleetWorkerStats &WS : Report.Fleet.Workers) {
+      EXPECT_TRUE(WS.Alive) << WS.HostPort;
+      EXPECT_EQ(WS.RangesRedispatched, 0u);
+      EXPECT_EQ(WS.FetchHits, 0u);
+      EXPECT_GE(WS.FetchMisses, 1u);
+      EXPECT_GT(WS.ArtifactBytesServed, 0u);
+      Dispatched += WS.RangesDispatched;
+    }
+    EXPECT_EQ(Dispatched, 3u);
+    EXPECT_EQ(Report.Retries, 0u);
+
+    // The daemon-side fabric counters surfaced in the stats frame. Every
+    // worker was warmed; which one ran how many ranges is a race (one
+    // fast daemon may drain all three), so submits are checked summed.
+    int64_t Submits = 0;
+    for (const std::unique_ptr<TestDaemon> &W : Fleet) {
+      std::optional<server::DaemonClient> Client =
+          server::DaemonClient::connectTo(W->hostPort(), &Error);
+      ASSERT_TRUE(Client) << Error;
+      std::optional<json::Value> Stats = Client->serverStats(&Error);
+      ASSERT_TRUE(Stats) << Error;
+      const json::Value *Fabric = Stats->find("fabric");
+      ASSERT_NE(Fabric, nullptr);
+      Submits += Fabric->find("shard_submits")->asInt();
+      EXPECT_EQ(Fabric->find("shard_results")->asInt(),
+                Fabric->find("shard_submits")->asInt());
+      EXPECT_GE(Fabric->find("artifact_puts")->asInt(), 1);
+      EXPECT_GE(Fabric->find("artifact_misses")->asInt(), 1);
+      EXPECT_GT(Fabric->find("artifact_bytes_in")->asInt(), 0);
+    }
+    EXPECT_EQ(Submits, 3);
+  }
+}
+
+TEST(FleetTest, EveryWorkerRunsARangeAtTheSameTime) {
+  // Four relayed workers, eight ranges. Each relay holds its first range
+  // until all four relays hold one, or 10 s pass. A coordinator that ran
+  // its workers one after another would leave the first relay waiting
+  // out the 10 s alone and the first worker draining every range.
+  constexpr size_t Workers = 4;
+  TaskSpec Spec = testSpec(8);
+  SimulationService Reference;
+  std::optional<TaskResult> Single = Reference.run(Spec);
+  ASSERT_TRUE(Single);
+
+  std::mutex M;
+  std::condition_variable CV;
+  size_t Arrived = 0;
+  std::vector<char> Held(Workers, 0), Met(Workers, 0);
+  std::vector<std::unique_ptr<GatedWorker>> Relays;
   ShardOptions Options;
-  Options.ShardCount = 3; // more ranges than workers: the queue drains
-  Options.WorkDir = freshDir("fleet_two_workers");
-  Options.Workers = {W1.hostPort(), W2.hostPort()};
-  ShardCoordinator Coordinator(Options);
+  for (size_t I = 0; I < Workers; ++I) {
+    Relays.push_back(std::make_unique<GatedWorker>([&, I] {
+      std::unique_lock<std::mutex> Lock(M);
+      if (Held[I])
+        return; // only the first range waits
+      Held[I] = 1;
+      ++Arrived;
+      CV.notify_all();
+      Met[I] = CV.wait_for(Lock, std::chrono::seconds(10),
+                           [&] { return Arrived == Workers; });
+    }));
+    ASSERT_TRUE(Relays.back()->Upstream.Started);
+    Options.Workers.push_back(Relays.back()->hostPort());
+  }
+  Options.ShardCount = 8;
+  Options.WorkDir = freshDir("fleet_rendezvous");
   std::string Error;
   ShardReport Report;
-  std::optional<TaskResult> Merged = Coordinator.run(Spec, &Error, &Report);
+  std::optional<TaskResult> Merged =
+      ShardCoordinator(Options).run(Spec, &Error, &Report);
   ASSERT_TRUE(Merged) << Error;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    for (size_t I = 0; I < Workers; ++I)
+      if (!Held[I])
+        ADD_FAILURE() << "worker " << I << " never received a range";
+      else
+        EXPECT_TRUE(Met[I]) << "worker " << I
+                            << " was released by the 10 s timeout, not by "
+                               "the other workers' ranges";
+  }
   expectBitIdentical(*Single, *Merged);
-
-  // One MCFP solve fleet-wide: the coordinator's prewarm performed it,
-  // both workers were warmed over the wire and solved nothing.
-  EXPECT_EQ(Report.LocalStats.GCSolveMisses, 1u);
-  EXPECT_EQ(Report.WorkerStats.GCSolveMisses, 0u);
-  EXPECT_EQ(W1.Service.stats().GCSolveMisses, 0u);
-  EXPECT_EQ(W2.Service.stats().GCSolveMisses, 0u);
-
-  // Fleet accounting: both workers alive, every range dispatched exactly
-  // once, and the warm phase pushed bytes to both fresh daemons.
-  ASSERT_TRUE(Report.Fleet.Used);
-  ASSERT_EQ(Report.Fleet.Workers.size(), 2u);
-  size_t Dispatched = 0;
-  for (const FleetWorkerStats &WS : Report.Fleet.Workers) {
-    EXPECT_TRUE(WS.Alive) << WS.HostPort;
-    EXPECT_EQ(WS.RangesRedispatched, 0u);
-    EXPECT_EQ(WS.FetchHits, 0u);
-    EXPECT_GE(WS.FetchMisses, 1u);
-    EXPECT_GT(WS.ArtifactBytesServed, 0u);
-    Dispatched += WS.RangesDispatched;
-  }
-  EXPECT_EQ(Dispatched, 3u);
   EXPECT_EQ(Report.Retries, 0u);
-
-  // The daemon-side fabric counters surfaced in the stats frame. Both
-  // workers were warmed; which one ran how many ranges is a race (one
-  // fast daemon may drain all three), so submits are checked summed.
-  int64_t Submits = 0;
-  for (const TestDaemon *W : {&W1, &W2}) {
-    std::optional<server::DaemonClient> Client =
-        server::DaemonClient::connectTo(W->hostPort(), &Error);
-    ASSERT_TRUE(Client) << Error;
-    std::optional<json::Value> Stats = Client->serverStats(&Error);
-    ASSERT_TRUE(Stats) << Error;
-    const json::Value *Fabric = Stats->find("fabric");
-    ASSERT_NE(Fabric, nullptr);
-    Submits += Fabric->find("shard_submits")->asInt();
-    EXPECT_EQ(Fabric->find("shard_results")->asInt(),
-              Fabric->find("shard_submits")->asInt());
-    EXPECT_GE(Fabric->find("artifact_puts")->asInt(), 1);
-    EXPECT_GE(Fabric->find("artifact_misses")->asInt(), 1);
-    EXPECT_GT(Fabric->find("artifact_bytes_in")->asInt(), 0);
-  }
-  EXPECT_EQ(Submits, 3);
 }
 
 TEST(FleetTest, SecondRunOverWarmWorkersFetchesNothing) {
@@ -640,7 +713,7 @@ TEST(FleetTest, DeadWorkerRangeIsRedispatchedToSurvivor) {
   // Claims every artifact, accepts its first range, then drops the
   // connection with the range in flight — a worker killed mid-range.
   std::atomic<int> Submits{0};
-  GatedWorker Survivor([&Submits] { return Submits > 0; });
+  GatedWorker Survivor(holdUntil([&Submits] { return Submits > 0; }));
   ASSERT_TRUE(Survivor.Upstream.Started);
   FakeWorker Doomed([&Submits](Socket &S, const Frame &F) {
     if (F.Type == "shard-submit") {
@@ -688,7 +761,7 @@ TEST(FleetTest, CorruptShardResultIsRejectedAndReRun) {
   // then hangs up. The coordinator must reject the manifest (attempt
   // charge), re-dispatch, and finish on the honest worker.
   std::atomic<int> Lies{0};
-  GatedWorker Honest([&Lies] { return Lies > 0; });
+  GatedWorker Honest(holdUntil([&Lies] { return Lies > 0; }));
   ASSERT_TRUE(Honest.Upstream.Started);
   FakeWorker Liar([&Lies](Socket &S, const Frame &F) {
     if (F.Type == "shard-submit") {

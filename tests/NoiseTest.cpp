@@ -13,6 +13,9 @@
 //   * the *exact* expectation of the injected state fidelity over all
 //     error patterns equals the density oracle, and the composed
 //     superoperator agrees with direct density evolution,
+//   * for every channel in both modes, the noisy batch hash equals the
+//     noiseless one, noise lowers the fidelity, and the stochastic mean
+//     tracks the density oracle,
 //   * noisy batches are bit-identical across --jobs/--eval-jobs values
 //     and across shard splits (in-process runShard + merge),
 //   * superoperators round-trip through the marqsim-super-v1 codec and
@@ -52,6 +55,11 @@ Hamiltonian noiseHamiltonian() {
                              {0.5, "ZIZ"},
                              {0.3, "YXI"}});
 }
+
+/// Every channel that injects noise.
+constexpr NoiseChannelKind NoisyChannels[] = {
+    NoiseChannelKind::Depolarizing, NoiseChannelKind::PhaseFlip,
+    NoiseChannelKind::AmplitudeDamping};
 
 /// A noisy sampling spec over the 3-qubit operator.
 TaskSpec noisySamplingSpec() {
@@ -204,9 +212,7 @@ TEST(NoiseModelTest, NamesRoundTripAndRejectUnknown) {
 }
 
 TEST(NoiseModelTest, KrausSetsResolveIdentity) {
-  for (NoiseChannelKind K :
-       {NoiseChannelKind::Depolarizing, NoiseChannelKind::PhaseFlip,
-        NoiseChannelKind::AmplitudeDamping})
+  for (NoiseChannelKind K : NoisyChannels)
     for (double P : {0.0, 0.03, 0.4, 1.0}) {
       NoiseSpec Spec;
       Spec.Kind = K;
@@ -370,9 +376,7 @@ TEST(NoiseOracleTest, ExactExpectationMatchesDensityOracle) {
   FidelityEvaluator Eval(H2, 0.5, 4, 11); // 4 columns = exact at n=2
   std::vector<ScheduledRotation> Schedule = tinySchedule();
 
-  for (NoiseChannelKind K :
-       {NoiseChannelKind::Depolarizing, NoiseChannelKind::PhaseFlip,
-        NoiseChannelKind::AmplitudeDamping}) {
+  for (NoiseChannelKind K : NoisyChannels) {
     NoiseSpec Spec;
     Spec.Kind = K;
     Spec.Prob = 0.15;
@@ -401,33 +405,45 @@ TEST(NoiseOracleTest, SuperoperatorRejectsDimensionMismatch) {
 }
 
 TEST(NoiseServiceTest, StochasticMeanConvergesToDensityOracle) {
-  // The same deterministic Trotter schedule under both modes: the
-  // stochastic tier's mean over many shots must approach the density
-  // oracle's exact expectation.
-  TaskSpec Density = noisyTrotterSpec();
-  TaskSpec Stochastic = Density;
-  Stochastic.Noise.Mode = NoiseMode::Stochastic;
-  Stochastic.Shots = 400;
-  Stochastic.Jobs = 4;
-
+  // The same deterministic Trotter schedule under both modes, for every
+  // channel: the stochastic tier's mean over many shots must approach the
+  // density oracle's exact expectation, both must sit below the noiseless
+  // fidelity, and neither may change the compiled batch.
   SimulationService Service;
   std::string Error;
-  std::optional<TaskResult> D = Service.run(Density, &Error);
-  ASSERT_TRUE(D) << Error;
-  std::optional<TaskResult> S = Service.run(Stochastic, &Error);
-  ASSERT_TRUE(S) << Error;
+  TaskSpec CleanOne = noisyTrotterSpec();
+  CleanOne.Noise = NoiseSpec();
+  TaskSpec CleanMany = CleanOne;
+  CleanMany.Shots = 400;
+  CleanMany.Jobs = 4;
+  std::optional<TaskResult> C1 = Service.run(CleanOne, &Error);
+  ASSERT_TRUE(C1) << Error;
+  std::optional<TaskResult> CM = Service.run(CleanMany, &Error);
+  ASSERT_TRUE(CM) << Error;
 
-  ASSERT_TRUE(D->HasFidelity);
-  ASSERT_TRUE(S->HasFidelity);
-  // 400 samples of a [0, 1] quantity: a 0.05 tolerance is > 2 sigma of
-  // headroom at the observed spread.
-  EXPECT_NEAR(S->Fidelity.Mean, D->ShotFidelities[0], 0.05);
-  // The oracle itself sits below the noiseless fidelity: noise must cost.
-  TaskSpec Clean = Density;
-  Clean.Noise = NoiseSpec();
-  std::optional<TaskResult> C = Service.run(Clean, &Error);
-  ASSERT_TRUE(C) << Error;
-  EXPECT_LT(D->ShotFidelities[0], C->ShotFidelities[0]);
+  for (NoiseChannelKind Kind : NoisyChannels) {
+    SCOPED_TRACE(noiseChannelName(Kind));
+    TaskSpec Density = noisyTrotterSpec();
+    Density.Noise.Kind = Kind;
+    TaskSpec Stochastic = Density;
+    Stochastic.Noise.Mode = NoiseMode::Stochastic;
+    Stochastic.Shots = CleanMany.Shots;
+    Stochastic.Jobs = CleanMany.Jobs;
+    std::optional<TaskResult> D = Service.run(Density, &Error);
+    ASSERT_TRUE(D) << Error;
+    std::optional<TaskResult> S = Service.run(Stochastic, &Error);
+    ASSERT_TRUE(S) << Error;
+
+    ASSERT_TRUE(D->HasFidelity);
+    ASSERT_TRUE(S->HasFidelity);
+    // 400 samples of a [0, 1] quantity: a 0.05 tolerance is > 2 sigma of
+    // headroom at the observed spread.
+    EXPECT_NEAR(S->Fidelity.Mean, D->ShotFidelities[0], 0.05);
+    EXPECT_LT(D->ShotFidelities[0], C1->ShotFidelities[0]);
+    EXPECT_LE(S->Fidelity.Mean, CM->Fidelity.Mean);
+    EXPECT_EQ(D->Batch.batchHash(), C1->Batch.batchHash());
+    EXPECT_EQ(S->Batch.batchHash(), CM->Batch.batchHash());
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -435,28 +451,44 @@ TEST(NoiseServiceTest, StochasticMeanConvergesToDensityOracle) {
 //===----------------------------------------------------------------------===//
 
 TEST(NoiseServiceTest, NoisyBatchIsBitIdenticalAcrossJobCounts) {
-  TaskSpec Spec = noisySamplingSpec();
   SimulationService Service;
   std::string Error;
-  std::optional<TaskResult> Base = Service.run(Spec, &Error);
-  ASSERT_TRUE(Base) << Error;
-  ASSERT_TRUE(Base->HasFidelity);
+  TaskSpec Clean = noisySamplingSpec();
+  Clean.Noise = NoiseSpec();
+  std::optional<TaskResult> Noiseless = Service.run(Clean, &Error);
+  ASSERT_TRUE(Noiseless) << Error;
 
-  for (auto [Jobs, EvalJobs] : {std::pair<unsigned, unsigned>{4, 1},
-                                {1, 2},
-                                {4, 2}}) {
-    TaskSpec Alt = Spec;
-    Alt.Jobs = Jobs;
-    Alt.EvalJobs = EvalJobs;
-    std::optional<TaskResult> R = Service.run(Alt, &Error);
-    ASSERT_TRUE(R) << Error;
-    EXPECT_EQ(R->Batch.batchHash(), Base->Batch.batchHash());
-    ASSERT_EQ(R->ShotFidelities.size(), Base->ShotFidelities.size());
-    for (size_t I = 0; I < R->ShotFidelities.size(); ++I)
-      EXPECT_EQ(serial::doubleBits(R->ShotFidelities[I]),
-                serial::doubleBits(Base->ShotFidelities[I]))
-          << "jobs=" << Jobs << " eval-jobs=" << EvalJobs << " shot " << I;
-  }
+  for (NoiseChannelKind Kind : NoisyChannels)
+    for (NoiseMode Mode : {NoiseMode::Stochastic, NoiseMode::Density}) {
+      SCOPED_TRACE(std::string(noiseChannelName(Kind)) + "/" +
+                   noiseModeName(Mode));
+      TaskSpec Spec = noisySamplingSpec();
+      Spec.Noise.Kind = Kind;
+      Spec.Noise.Mode = Mode;
+      std::optional<TaskResult> Base = Service.run(Spec, &Error);
+      ASSERT_TRUE(Base) << Error;
+      ASSERT_TRUE(Base->HasFidelity);
+      // Noise models execution, never compilation, and it costs fidelity.
+      EXPECT_EQ(Base->Batch.batchHash(), Noiseless->Batch.batchHash());
+      EXPECT_LT(Base->Fidelity.Mean, Noiseless->Fidelity.Mean);
+
+      for (auto [Jobs, EvalJobs] : {std::pair<unsigned, unsigned>{4, 1},
+                                    {1, 2},
+                                    {4, 2}}) {
+        TaskSpec Alt = Spec;
+        Alt.Jobs = Jobs;
+        Alt.EvalJobs = EvalJobs;
+        std::optional<TaskResult> R = Service.run(Alt, &Error);
+        ASSERT_TRUE(R) << Error;
+        EXPECT_EQ(R->Batch.batchHash(), Base->Batch.batchHash());
+        ASSERT_EQ(R->ShotFidelities.size(), Base->ShotFidelities.size());
+        for (size_t I = 0; I < R->ShotFidelities.size(); ++I)
+          EXPECT_EQ(serial::doubleBits(R->ShotFidelities[I]),
+                    serial::doubleBits(Base->ShotFidelities[I]))
+              << "jobs=" << Jobs << " eval-jobs=" << EvalJobs << " shot "
+              << I;
+      }
+    }
 }
 
 TEST(NoiseShardTest, ShardedNoisyRunMatchesSingleProcess) {

@@ -17,9 +17,10 @@
 //     their requests concurrently on their own executor threads,
 //   * a live daemon serves results byte-identical to local runs, keeps a
 //     connection alive across malformed frames, survives oversized
-//     payloads and mid-stream disconnects, coalesces repeated specs onto
-//     one MCFP solve, drains cleanly on the shutdown frame, and reports
-//     its kernel tier once, under "kernels", in the v2 stats frame.
+//     payloads and mid-stream disconnects, coalesces repeated specs from
+//     concurrent clients onto one MCFP solve, drains cleanly on the
+//     shutdown frame, and reports its kernel tier once, under "kernels",
+//     in the v3 stats frame.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +34,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -667,25 +669,52 @@ TEST(DaemonTest, RemoteRunIsBitIdenticalToLocal) {
 }
 
 TEST(DaemonTest, RepeatedSubmitsCoalesceOnOneSolve) {
-  TestDaemon Daemon;
+  // Four clients submit the same spec twice each, at once, to a daemon
+  // with four executors. Nothing is warmed before run(): the store's
+  // single flight alone must hold the solve to one.
+  server::DaemonOptions Opts;
+  Opts.Scheduler.Workers = 4;
+  TestDaemon Daemon(Opts);
   ASSERT_TRUE(Daemon.Started);
+  const TaskSpec Spec = testSpec(3);
+  constexpr size_t Clients = 4, Rounds = 2;
+
+  std::mutex M;
+  std::set<uint64_t> Hashes;
+  std::set<std::string> Qasms;
+  std::vector<std::string> Errors;
+  std::vector<std::thread> Threads;
+  for (size_t C = 0; C < Clients; ++C)
+    Threads.emplace_back([&] {
+      std::string Error;
+      std::optional<server::DaemonClient> Client =
+          server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
+      for (size_t R = 0; Client && R < Rounds; ++R) {
+        std::optional<server::RemoteRunResult> Out =
+            Client->runTask(Spec, &Error);
+        std::lock_guard<std::mutex> Lock(M);
+        if (!Out)
+          break;
+        Hashes.insert(Out->Result.Batch.batchHash());
+        Qasms.insert(Out->Qasm);
+      }
+      std::lock_guard<std::mutex> Lock(M);
+      if (!Error.empty())
+        Errors.push_back(Error);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::string &Error : Errors)
+    ADD_FAILURE() << Error;
+  EXPECT_EQ(Hashes.size(), 1u);
+  EXPECT_EQ(Qasms.size(), 1u);
+
+  // The cumulative stats frame proves the one-solve contract: eight full
+  // submits, one MCFP solve.
   std::string Error;
   std::optional<server::DaemonClient> Client =
       server::DaemonClient::connectTo(Daemon.hostPort(), &Error);
   ASSERT_TRUE(Client) << Error;
-
-  TaskSpec Spec = testSpec(3);
-  std::optional<server::RemoteRunResult> First = Client->runTask(Spec, &Error);
-  ASSERT_TRUE(First) << Error;
-  std::optional<server::RemoteRunResult> Second =
-      Client->runTask(Spec, &Error);
-  ASSERT_TRUE(Second) << Error;
-  EXPECT_EQ(First->Result.Batch.batchHash(),
-            Second->Result.Batch.batchHash());
-  EXPECT_EQ(First->Qasm, Second->Qasm);
-
-  // The cumulative stats frame proves the one-solve contract: two full
-  // submits, one MCFP solve.
   std::optional<json::Value> Stats = Client->serverStats(&Error);
   ASSERT_TRUE(Stats) << Error;
   const json::Value *Cache = Stats->find("cache");
@@ -693,10 +722,11 @@ TEST(DaemonTest, RepeatedSubmitsCoalesceOnOneSolve) {
   EXPECT_EQ(Cache->find("gc_solves")->asInt(), 1);
   const json::Value *ServerSection = Stats->find("server");
   ASSERT_NE(ServerSection, nullptr);
-  EXPECT_EQ(ServerSection->find("completed")->asInt(), 2);
+  EXPECT_EQ(ServerSection->find("completed")->asInt(),
+            static_cast<int64_t>(Clients * Rounds));
 }
 
-TEST(DaemonTest, StatsFrameIsV2WithTheTierUnderKernelsOnly) {
+TEST(DaemonTest, StatsFrameIsV3WithTheTierUnderKernelsOnly) {
   TestDaemon Daemon;
   ASSERT_TRUE(Daemon.Started);
   std::string Error;

@@ -9,8 +9,10 @@
 //     hashing,
 //   * the artifact caches key on exactly (fingerprint, weights, flow
 //     options, rounds/perturb seed, time, columns) — equal content hits,
-//     any knob change misses,
-//   * concurrent runs never duplicate an MCFP solve,
+//     any knob change misses; epsilon, which only sets the sampling
+//     budget, hits every artifact,
+//   * concurrent runs never duplicate an MCFP solve and see the same
+//     batches,
 //   * the on-disk component store round-trips bit-exactly across service
 //     instances, and an alias body the sampler refuses is never admitted:
 //     rejected at import, recomputed and healed on disk,
@@ -169,7 +171,8 @@ TEST(ServiceCacheTest, EveryKeyComponentMisses) {
   TaskSpec Base = testSpec(testHamiltonian());
   Base.Mix = *ChannelMix::preset("gc-rp");
   Base.Evaluate.FidelityColumns = 4;
-  ASSERT_TRUE(Service.run(Base));
+  std::optional<TaskResult> Cold = Service.run(Base);
+  ASSERT_TRUE(Cold);
   CacheStats First = Service.stats();
   EXPECT_EQ(First.GCSolveMisses, 1u);
   EXPECT_EQ(First.RPSolveMisses, 1u);
@@ -182,6 +185,21 @@ TEST(ServiceCacheTest, EveryKeyComponentMisses) {
   EXPECT_EQ(Same.matrixMisses(), First.matrixMisses());
   EXPECT_EQ(Same.GraphMisses, First.GraphMisses);
   EXPECT_EQ(Same.EvaluatorMisses, First.EvaluatorMisses);
+
+  // Different epsilon: only the sampling budget changes, so the graph
+  // bundle hits and neither matrix nor the evaluator is rebuilt. Going
+  // back to the first epsilon replays its batch exactly.
+  TaskSpec Eps = Base;
+  Eps.Epsilon = Base.Epsilon * 2;
+  ASSERT_TRUE(Service.run(Eps));
+  CacheStats AfterEps = Service.stats();
+  EXPECT_EQ(AfterEps.GraphHits, Same.GraphHits + 1);
+  EXPECT_EQ(AfterEps.GraphMisses, First.GraphMisses);
+  EXPECT_EQ(AfterEps.matrixMisses(), First.matrixMisses());
+  EXPECT_EQ(AfterEps.EvaluatorMisses, First.EvaluatorMisses);
+  std::optional<TaskResult> Replay = Service.run(Base);
+  ASSERT_TRUE(Replay);
+  EXPECT_EQ(Replay->Batch.batchHash(), Cold->Batch.batchHash());
 
   // Different weights: new graph, but the component solves are reused.
   TaskSpec Weights = Base;
@@ -227,22 +245,35 @@ TEST(ServiceCacheTest, EveryKeyComponentMisses) {
 }
 
 TEST(ServiceCacheTest, ConcurrentRunsNeverDuplicateASolve) {
+  // Four threads run the same two-epsilon sweep on one service.
   SimulationService Service;
-  TaskSpec Spec = testSpec(testHamiltonian());
-  std::optional<TaskResult> A, B;
-  std::thread T1([&] { A = Service.run(Spec); });
-  std::thread T2([&] { B = Service.run(Spec); });
-  T1.join();
-  T2.join();
-  ASSERT_TRUE(A && B);
-  EXPECT_EQ(A->Batch.batchHash(), B->Batch.batchHash());
-  // One thread built the bundle (solving the MCFP inside), the other
+  const double Sweep[] = {0.05, 0.1};
+  std::vector<std::vector<uint64_t>> Hashes(4);
+  std::vector<std::thread> Threads;
+  for (std::vector<uint64_t> &Mine : Hashes)
+    Threads.emplace_back([&Service, &Sweep, &Mine] {
+      for (double Eps : Sweep) {
+        TaskSpec Spec = testSpec(testHamiltonian());
+        Spec.Epsilon = Eps;
+        std::optional<TaskResult> R = Service.run(Spec);
+        if (!R)
+          return;
+        Mine.push_back(R->Batch.batchHash());
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (const std::vector<uint64_t> &Mine : Hashes) {
+    ASSERT_EQ(Mine.size(), 2u);
+    EXPECT_EQ(Mine, Hashes[0]);
+  }
+  // One thread built the bundle (solving the MCFP inside), the others
   // blocked on the in-flight entry and reused it: exactly one solve and
-  // one graph hit, never two solves.
+  // one graph build, never two.
   CacheStats S = Service.stats();
   EXPECT_EQ(S.GCSolveMisses, 1u);
   EXPECT_EQ(S.GraphMisses, 1u);
-  EXPECT_EQ(S.GraphHits, 1u);
+  EXPECT_EQ(S.GraphHits, 7u);
 }
 
 TEST(ServiceCacheTest, DiskStorePersistsAcrossServices) {

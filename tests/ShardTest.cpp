@@ -19,8 +19,8 @@
 //   * a manifest that cannot be written costs resumability, not the
 //     merged result,
 //   * concurrent local ranges on one service produce the same bits with
-//     exactly one gate-cancellation MCFP solve across the whole run, with
-//     no cache directory,
+//     exactly one MCFP solve per component (Pgc, and Prp for gc-rp)
+//     across the whole run, with no cache directory,
 //   * local ranges that fail after a successful prewarm fail the run at
 //     once, naming the failure, with no manifest written,
 //   * marqsim-cli rejects unknown and retired flags as usage errors, and
@@ -513,41 +513,52 @@ TEST(ShardCoordinatorTest, MergeRejectsInconsistentManifestSets) {
 }
 
 TEST(ShardCoordinatorTest, ConcurrentRangesShareOneServiceAndOneSolve) {
-  TaskSpec Spec = testSpec(5); // 3 shards -> uneven 2+2+1
-  Spec.Evaluate.FidelityColumns = 2;
-  // Non-default values for spec fields the defaults would hide: a field
-  // lost on the way to a range would flunk the SpecKey check at merge.
-  Spec.Flow.ProbScale = 500'000'000;
-  Spec.Evaluate.ColumnSeed = 11;
-  Spec.PerturbSeed = 0xFEED;
+  // gc has one MCFP component (Pgc); gc-rp adds the Prp rounds, which
+  // must be solved once per run as well, not once per range.
+  for (const char *Preset : {"gc", "gc-rp"}) {
+    SCOPED_TRACE(Preset);
+    TaskSpec Spec = testSpec(5); // 3 shards -> uneven 2+2+1
+    Spec.Mix = *ChannelMix::preset(Preset);
+    Spec.Evaluate.FidelityColumns = 2;
+    // Non-default values for spec fields the defaults would hide: a field
+    // lost on the way to a range would flunk the SpecKey check at merge.
+    Spec.Flow.ProbScale = 500'000'000;
+    Spec.Evaluate.ColumnSeed = 11;
+    Spec.PerturbSeed = 0xFEED;
 
-  SimulationService Reference;
-  std::optional<TaskResult> Single = Reference.run(Spec);
-  ASSERT_TRUE(Single);
+    SimulationService Reference;
+    std::optional<TaskResult> Single = Reference.run(Spec);
+    ASSERT_TRUE(Single);
 
-  // No CacheDir: the one-solve contract rests on the shared service alone.
-  ShardOptions Options;
-  Options.ShardCount = 3;
-  Options.WorkDir = freshDir("shard_concurrent");
-  ShardCoordinator Coordinator(Options);
-  std::string Error;
-  ShardReport Report;
-  std::optional<TaskResult> Merged = Coordinator.run(Spec, &Error, &Report);
-  ASSERT_TRUE(Merged) << Error;
-  expectBitIdentical(*Single, *Merged);
+    // No CacheDir: the one-solve contract rests on the shared service
+    // alone.
+    ShardOptions Options;
+    Options.ShardCount = 3;
+    Options.WorkDir = freshDir(std::string("shard_concurrent_") + Preset);
+    ShardCoordinator Coordinator(Options);
+    std::string Error;
+    ShardReport Report;
+    std::optional<TaskResult> Merged =
+        Coordinator.run(Spec, &Error, &Report);
+    ASSERT_TRUE(Merged) << Error;
+    expectBitIdentical(*Single, *Merged);
 
-  // The pre-warm performed the only solve and the only column evolution;
-  // every range resolved both from the same in-memory store.
-  EXPECT_EQ(Report.LocalStats.GCSolveMisses, 1u);
-  EXPECT_EQ(Report.LocalStats.EvaluatorMisses, 1u);
-  EXPECT_EQ(Report.WorkerStats.GCSolveMisses, 0u);
-  EXPECT_EQ(Report.WorkerStats.EvaluatorMisses, 0u);
-  EXPECT_EQ(Report.Retries, 0u);
-  EXPECT_TRUE(Report.Notes.empty());
-  for (unsigned I = 0; I < 3; ++I)
-    EXPECT_TRUE(std::filesystem::exists(
-        ShardCoordinator::manifestPath(Options.WorkDir, I)))
-        << "shard " << I;
+    // The pre-warm performed the only solve of each component and the
+    // only column evolution; every range resolved them from the same
+    // in-memory store.
+    const size_t WantRP = Spec.Mix.WRp > 0.0 ? 1u : 0u;
+    EXPECT_EQ(Report.LocalStats.GCSolveMisses, 1u);
+    EXPECT_EQ(Report.LocalStats.RPSolveMisses, WantRP);
+    EXPECT_EQ(Report.LocalStats.EvaluatorMisses, 1u);
+    EXPECT_EQ(Report.WorkerStats.matrixMisses(), 0u);
+    EXPECT_EQ(Report.WorkerStats.EvaluatorMisses, 0u);
+    EXPECT_EQ(Report.Retries, 0u);
+    EXPECT_TRUE(Report.Notes.empty());
+    for (unsigned I = 0; I < 3; ++I)
+      EXPECT_TRUE(std::filesystem::exists(
+          ShardCoordinator::manifestPath(Options.WorkDir, I)))
+          << "shard " << I;
+  }
 }
 
 TEST(ShardCoordinatorTest, RangesFailingAfterASuccessfulPrewarmFailTheRun) {

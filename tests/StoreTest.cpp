@@ -480,12 +480,13 @@ TEST(StoreServiceTest, CappedStoreIsBitIdenticalToUnlimited) {
 TEST(StoreServiceTest, CappedStoreStillSolvesOnceWithDiskTier) {
   // The one-solve-per-Hamiltonian contract survives a tiny memory budget
   // as long as the disk tier backs it: evicted artifacts reload, they do
-  // not re-solve.
+  // not re-solve, and the batches match an unbounded service bit for bit.
   std::string Dir = freshDir("store_capped_disk");
   ServiceOptions Options;
   Options.CacheDir = Dir;
   Options.CacheLimitBytes = 1;
   SimulationService Service(Options);
+  SimulationService Unlimited;
   const ChannelMix Mixes[] = {{0.4, 0.6, 0.0},
                               {0.2, 0.8, 0.0},
                               {0.6, 0.4, 0.0}};
@@ -494,7 +495,11 @@ TEST(StoreServiceTest, CappedStoreStillSolvesOnceWithDiskTier) {
       TaskSpec Spec = testSpec();
       Spec.Mix = Mix;
       Spec.Epsilon = Eps;
-      ASSERT_TRUE(Service.run(Spec));
+      std::optional<TaskResult> A = Service.run(Spec);
+      std::optional<TaskResult> B = Unlimited.run(Spec);
+      ASSERT_TRUE(A && B);
+      EXPECT_EQ(A->Batch.batchHash(), B->Batch.batchHash());
+      EXPECT_EQ(A->ShotFidelities, B->ShotFidelities);
     }
   EXPECT_EQ(Service.stats().GCSolveMisses, 1u)
       << "evictions must reload from disk, not re-solve";

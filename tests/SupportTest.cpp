@@ -181,14 +181,6 @@ TEST(TableTest, AlignedOutput) {
   EXPECT_EQ(T.numRows(), 2u);
 }
 
-TEST(TableTest, CSVOutput) {
-  Table T({"a", "b"});
-  T.row(1, 2);
-  std::ostringstream OS;
-  T.printCSV(OS);
-  EXPECT_EQ(OS.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, FormatDouble) {
   EXPECT_EQ(formatDouble(0.0), "0.0000");
   // Moderate magnitudes use fixed/short form; extremes use scientific.
