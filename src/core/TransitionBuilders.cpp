@@ -184,9 +184,7 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
   std::vector<std::vector<uint64_t>> Bits(Rounds,
                                           std::vector<uint64_t>(Words, 0));
   for (std::vector<uint64_t> &Round : Bits)
-    for (size_t K = 0; K < N * N; ++K)
-      if (Rng.bernoulli(0.5))
-        Round[K / 64] |= uint64_t(1) << (K % 64);
+    Rng.coinFlips(Round.data(), N * N);
 
   // The rounds are independent once their draws are fixed. Each one keeps
   // only its nonzero entries, so at most Jobs perturbed cost tables and

@@ -6,6 +6,8 @@
 
 #include "flow/TransportFlow.h"
 
+#include "sim/Kernels.h"
+
 #include <algorithm>
 #include <cassert>
 #include <limits>
@@ -98,6 +100,7 @@ bool TransportFlow::dijkstra() {
   Tight.clear();
   TightBegin.assign(N, 0);
   TightEnd.assign(N, 0);
+  const auto RowCandidates = kernels::active().RowCandidatesI64;
   auto Relax = [&](uint32_t To, int64_t Cand) {
     if (Cand < Dist[To]) {
       Dist[To] = Cand;
@@ -122,22 +125,26 @@ bool TransportFlow::dijkstra() {
           Relax(supplyNode(I), Base - Potential[supplyNode(I)]);
     } else if (V <= N) {
       // Settled once: record the demands this supply may reach at zero
-      // reduced cost once the potentials fold (see the header).
+      // reduced cost once the potentials fold. The dispatched prefilter
+      // marks every J with candidate <= Dist[J]; the loop below relaxes
+      // only those, in ascending J (see the header).
       const size_t I = V - 1;
       const int64_t *Row = Cost + I * N;
       const int64_t *DemandPot = &Potential[demandNode(0)];
       int64_t *DemandDist = &Dist[demandNode(0)];
+      RowCandidates(Row, DemandPot, DemandDist, Base, N, RowMask.data());
+      RowMask[I / 64] &= ~(uint64_t(1) << (I % 64));
       TightBegin[I] = static_cast<uint32_t>(Tight.size());
-      for (size_t J = 0; J < N; ++J) {
-        const int64_t Cand = Base + Row[J] - DemandPot[J];
-        if (J == I || Cand > DemandDist[J])
-          continue;
-        if (Cand < DemandDist[J]) {
-          DemandDist[J] = Cand;
-          Heap.push(static_cast<uint64_t>(Cand), demandNode(J));
+      for (size_t W = 0; W < FlowWords; ++W)
+        for (uint64_t Bits = RowMask[W]; Bits != 0; Bits &= Bits - 1) {
+          const size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
+          const int64_t Cand = Base + Row[J] - DemandPot[J];
+          if (Cand < DemandDist[J]) {
+            DemandDist[J] = Cand;
+            Heap.push(static_cast<uint64_t>(Cand), demandNode(J));
+          }
+          Tight.push_back(static_cast<uint32_t>(J));
         }
-        Tight.push_back(static_cast<uint32_t>(J));
-      }
       TightEnd[I] = static_cast<uint32_t>(Tight.size());
     } else if (V < T) {
       const size_t J = V - 1 - N;
@@ -300,6 +307,7 @@ TransportFlow::Result TransportFlow::solve(const std::vector<int64_t> &Supply,
   DemandFlow.assign(N, 0);
   Flow.assign(N * N, 0);
   FlowBits.assign(N * FlowWords, 0);
+  RowMask.assign(FlowWords, 0);
   Potential.assign(2 * N + 2, 0);
   CurrentArc.assign(2 * N + 2, 0);
 

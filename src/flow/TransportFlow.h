@@ -24,10 +24,23 @@
 ///     and stops at the first key above Dist[T], so every tie at Dist[T]
 ///     is still settled. Every node then moves its potential by
 ///     min(Dist[V], Dist[T]).
-///   - A settled supply I, scanning its row, records each demand J with
-///     candidate distance <= Dist[J] in a flat per-phase list (ascending
-///     J, TightBegin/TightEnd[I]). The BFS and the DFS walk only that list
-///     and recheck the exact zero-reduced-cost condition.
+///   - A settled supply I scans its row in two passes. A vector prefilter
+///     (kernels::Ops::RowCandidatesI64, dispatched by CPU tier, scalar
+///     under MARQSIM_KERNEL_TIER=scalar) compares each demand J's
+///     candidate distance with Dist[J], a block of lanes at a time, and
+///     sets J's bit in a row mask when it is <= Dist[J]. The scalar body
+///     then walks the set bits, J != I, in ascending J: it relaxes J
+///     (Dist[J] and a heap push when strictly shorter) and records J in a
+///     flat per-phase list (TightBegin/TightEnd[I]). The BFS and the DFS
+///     walk only that list and recheck the exact zero-reduced-cost
+///     condition.
+///   - Why the prefilter keeps the arc order. The scan of row I writes
+///     only Dist[J] while at J, so the Dist[J] the prefilter read before
+///     the scan is the one a one-pass scan would meet at J. The mask is
+///     therefore exactly the set of J the one-pass scan relaxes or
+///     records, and the bit walk visits it in the same ascending order:
+///     the heap receives the same pushes, the list the same entries. The
+///     test is 64-bit integer arithmetic, so every tier sets the same bits.
 ///   - A bitset per demand column marks the supplies with positive flow
 ///     into it; the reverse-arc scans walk its set bits.
 ///
@@ -135,7 +148,7 @@ private:
   size_t N;
   const int64_t *Cost;
   std::vector<int64_t> Flow; // column-major: Flow[J * N + I] ships I -> J
-  size_t FlowWords;               // 64-bit words per demand column
+  size_t FlowWords;               // 64-bit words per N-bit set
   std::vector<uint64_t> FlowBits; // bit I of column J: Flow[J * N + I] > 0
   std::vector<int64_t> SupplyCap, SupplyFlow; // arcs S -> I
   std::vector<int64_t> DemandCap, DemandFlow; // arcs J -> T
@@ -143,6 +156,7 @@ private:
   std::vector<int64_t> Potential; // per node
   std::vector<int64_t> Dist;
   RadixHeap Heap;
+  std::vector<uint64_t> RowMask; // the settled supply's prefilter bits
   // This phase's candidate admissible arcs: supply I's demands are
   // Tight[TightBegin[I] .. TightEnd[I]), ascending.
   std::vector<uint32_t> Tight, TightBegin, TightEnd;

@@ -16,7 +16,7 @@
 // overlap body chains the rotation sweep with the ascending-basis
 // accumulation loop of StatePanel::overlapWith, one lane chain per column;
 // the grouped product runs PauliOperator::apply's complex expansion on
-// every lane.
+// every lane; the transport row prefilter tests one entry at a time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 
 #include "support/CpuFeatures.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -160,11 +161,26 @@ void scalarPanelGroupProductF64(const Complex *D, const double *XRe,
   }
 }
 
+// The transport row prefilter, one entry at a time, a word per 64.
+void scalarRowCandidatesI64(const int64_t *Row, const int64_t *Pot,
+                            const int64_t *Dist, int64_t Base, size_t N,
+                            uint64_t *Mask) {
+  for (size_t J0 = 0; J0 < N; J0 += 64) {
+    const size_t End = std::min(N, J0 + 64);
+    uint64_t Bits = 0;
+    for (size_t J = J0; J < End; ++J)
+      Bits |= uint64_t(kernels::rowCandidate(Base, Row[J], Pot[J], Dist[J]))
+              << (J - J0);
+    Mask[J0 / 64] = Bits;
+  }
+}
+
 const kernels::Ops ScalarOps = {
     "scalar",
     scalarPanelExpRunF64,
     scalarPanelExpOverlapF64,
     scalarPanelGroupProductF64,
+    scalarRowCandidatesI64,
 };
 
 //===----------------------------------------------------------------------===//

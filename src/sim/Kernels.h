@@ -5,13 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The runtime-dispatched SIMD layer under StatePanel.
+/// The runtime-dispatched SIMD layer under StatePanel and the transport
+/// solver.
 ///
 /// Every hot evaluation loop — the panel sweeps over runs of same-xMask
 /// rotations (the Z-diagonal run included), the fused final-rotation +
 /// target-overlap sweep, and the grouped Hamiltonian product of the
-/// lane-batched exact targets — resolves through one table of three
-/// kernel entry points (Ops). The table is
+/// lane-batched exact targets — and the MCFP solver's Dijkstra row scan
+/// (flow/TransportFlow.h) resolve through one table of four kernel entry
+/// points (Ops). The table is
 /// selected once per process from the CPU probe (support/CpuFeatures.h),
 /// best tier first: AVX-512F/DQ hosts whose OS enables the ZMM state get
 /// 512-bit kernels ("avx512"), AVX2+FMA hosts get 256-bit kernels
@@ -23,8 +25,10 @@
 /// dispatches nothing: its butterfly and diagonal loops are the scalar
 /// reference every panel tier is tested against.
 ///
-/// Every kernel is FP64: fidelity evaluation has one precision, and every
-/// golden, manifest and cache key is pinned to its bits.
+/// Every evaluation kernel is FP64: fidelity evaluation has one precision,
+/// and every golden, manifest and cache key is pinned to its bits. The row
+/// scan is 64-bit integer arithmetic, so every tier sets the same bits by
+/// construction.
 ///
 /// The vector tiers share one body (sim/KernelsSimd.h), written with
 /// GCC/Clang vector extensions and instantiated per tier at its widths;
@@ -225,6 +229,17 @@ __attribute__((always_inline)) inline void rotate(T C, T S, T ARe, T AIm,
   }
 }
 
+/// Whether a settled supply's arc to demand J may lie on a shortest path
+/// (TransportFlow::dijkstra): its candidate distance \p Base + \p Cost -
+/// \p Pot, summed modulo 2^64 and read as signed, is at most the demand's
+/// current distance \p Dist. The vector body runs the same test per lane.
+__attribute__((always_inline)) inline bool
+rowCandidate(int64_t Base, int64_t Cost, int64_t Pot, int64_t Dist) {
+  return static_cast<int64_t>(static_cast<uint64_t>(Base) +
+                              static_cast<uint64_t>(Cost) -
+                              static_cast<uint64_t>(Pot)) <= Dist;
+}
+
 /// One implementation tier of every dispatched kernel.
 struct Ops {
   /// Tier name as reported by --stats and the bench CSVs:
@@ -273,6 +288,14 @@ struct Ops {
   void (*PanelGroupProductF64)(const Complex *D, const double *XRe,
                                const double *XIm, double *YRe, double *YIm,
                                size_t Dim, size_t Stride, uint64_t XM);
+
+  /// The transport solver's row prefilter: for every J < \p N, bit J % 64
+  /// of Mask[J / 64] is rowCandidate(Base, Row[J], Pot[J], Dist[J]); the
+  /// bits past N in the last of the ceil(N / 64) words are clear. The
+  /// caller runs its scalar relaxation on the set bits only.
+  void (*RowCandidatesI64)(const int64_t *Row, const int64_t *Pot,
+                           const int64_t *Dist, int64_t Base, size_t N,
+                           uint64_t *Mask);
 };
 
 /// The dispatched table: selected on first use from the CPU probe and the

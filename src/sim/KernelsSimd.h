@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The one body of every vector kernel tier, written with GCC/Clang vector
-/// extensions and templated on the panel vector width in doubles, PanelW
-/// (2, 4 or 8 lanes). Each tier file includes it under its ISA guard,
-/// compiles it with its own per-file ISA flags, and instantiates one table
-/// with makeOps<PanelW>().
+/// extensions and templated on the vector width in 64-bit lanes, PanelW
+/// (2, 4 or 8 doubles or integers). Each tier file includes it under its
+/// ISA guard, compiles it with its own per-file ISA flags, and
+/// instantiates one table with makeOps<PanelW>().
 ///
 /// Bit-identity: every vector operator below is one IEEE-754 operation per
 /// lane, rounded on its own, and each lane runs the scalar reference's
@@ -43,13 +43,13 @@ template <unsigned W> struct VecOf {
 };
 template <unsigned W> using Vec = typename VecOf<W>::Type;
 
-// Whole-vector moves through a copy of V that may sit at any double's
-// address and may alias double, the idiom of the intrinsics' unaligned
-// loads.
+// Whole-vector moves through a copy of V that may sit at any 8-byte
+// element's address and may alias it, the idiom of the intrinsics'
+// unaligned loads.
 template <class V> struct Unaligned {
   typedef V Type __attribute__((aligned(sizeof(double)), may_alias));
 };
-template <class V> inline V load(const double *P) {
+template <class V, class E> inline V load(const E *P) {
   return *reinterpret_cast<const typename Unaligned<V>::Type *>(P);
 }
 template <class V> inline void store(double *P, V X) {
@@ -232,10 +232,64 @@ void panelGroupProduct(const Complex *D, const double *XRe, const double *XIm,
   }
 }
 
-/// One tier's table: the panels at PanelW doubles per vector.
+//===----------------------------------------------------------------------===//
+// Transport row prefilter (64-bit integer lanes)
+//===----------------------------------------------------------------------===//
+
+template <unsigned W> struct UVecOf {
+  typedef uint64_t Type __attribute__((vector_size(W * sizeof(uint64_t))));
+};
+template <unsigned W> struct SVecOf {
+  typedef int64_t Type __attribute__((vector_size(W * sizeof(int64_t))));
+};
+
+/// Row[J..J+K) against Dist as mask bits 0..K-1 (K <= 64): whole vectors
+/// compare lane-parallel — wrapping sums, a signed compare, each lane's
+/// all-ones result kept at its bit — and the last K % W entries run
+/// kernels::rowCandidate one by one. Integer arithmetic is exact, so the
+/// word equals the scalar reference's.
+template <unsigned W>
+inline uint64_t rowCandidateBits(const int64_t *Row, const int64_t *Pot,
+                                 const int64_t *Dist, int64_t Base, size_t J,
+                                 size_t K) {
+  using U = typename UVecOf<W>::Type;
+  using S = typename SVecOf<W>::Type;
+  U Lane;
+  for (unsigned L = 0; L < W; ++L)
+    Lane[L] = uint64_t(1) << L;
+  const U B = static_cast<uint64_t>(Base) - U{};
+  U Acc = {};
+  size_t B0 = 0;
+  for (; B0 + W <= K; B0 += W) {
+    const U Cand = B + load<U>(Row + J + B0) - load<U>(Pot + J + B0);
+    const S Hit = (S)Cand <= load<S>(Dist + J + B0);
+    Acc |= (U)Hit & (Lane << B0);
+  }
+  uint64_t Bits = 0;
+  for (unsigned L = 0; L < W; ++L)
+    Bits |= Acc[L];
+  for (; B0 < K; ++B0)
+    Bits |= uint64_t(kernels::rowCandidate(Base, Row[J + B0], Pot[J + B0],
+                                           Dist[J + B0]))
+            << B0;
+  return Bits;
+}
+
+template <unsigned W>
+void rowCandidates(const int64_t *Row, const int64_t *Pot, const int64_t *Dist,
+                   int64_t Base, size_t N, uint64_t *Mask) {
+  size_t J = 0;
+  for (; J + 64 <= N; J += 64)
+    Mask[J / 64] = rowCandidateBits<W>(Row, Pot, Dist, Base, J, 64);
+  if (J < N)
+    Mask[J / 64] = rowCandidateBits<W>(Row, Pot, Dist, Base, J, N - J);
+}
+
+/// One tier's table: the panels at PanelW doubles per vector, the row
+/// prefilter at PanelW 64-bit integers.
 template <unsigned PanelW> constexpr Ops makeOps(const char *Name) {
   return {Name, panelRun<PanelW>, panelExpOverlap<PanelW>,
-          panelGroupProduct<PanelW>};
+          panelGroupProduct<PanelW>, rowCandidates<PanelW>};
 }
 
 } // namespace simd

@@ -6,6 +6,7 @@
 
 #include "support/RNG.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace marqsim;
@@ -23,6 +24,16 @@ void RNG::reseed(uint64_t Seed) {
   for (uint64_t &Word : State)
     Word = splitMix64(S);
   HasCachedGaussian = false;
+}
+
+void RNG::coinFlips(uint64_t *Words, size_t Count) {
+  for (size_t K0 = 0; K0 < Count; K0 += 64) {
+    const size_t Bits = std::min<size_t>(Count - K0, 64);
+    uint64_t Word = 0;
+    for (size_t B = 0; B < Bits; ++B)
+      Word |= (~next() >> 63) << B;
+    Words[K0 / 64] = Word;
+  }
 }
 
 double RNG::gaussian() {

@@ -96,6 +96,14 @@ public:
   /// Returns true with probability \p P.
   bool bernoulli(double P) { return uniform() < P; }
 
+  /// Draws \p Count fair coins into the bits of \p Words: bit K % 64 of
+  /// Words[K / 64] is what the K-th of \p Count bernoulli(0.5) calls would
+  /// return, from the same next() values, so the generator ends where they
+  /// leave it. Without a branch on the coin: uniform() < 0.5 holds exactly
+  /// when next() >> 11 < 2^52, that is when bit 63 of next() is clear.
+  /// Bits past \p Count in the last of the ceil(Count / 64) words are clear.
+  void coinFlips(uint64_t *Words, size_t Count);
+
   /// Samples an index from an explicit (non-negative, not necessarily
   /// normalized) weight vector by inverse-CDF walk. O(n); use
   /// markov::AliasSampler for repeated draws from the same distribution.

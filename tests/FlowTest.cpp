@@ -8,6 +8,7 @@
 #include "flow/TransportFlow.h"
 #include "hamgen/Registry.h"
 #include "service/SimulationService.h"
+#include "sim/Kernels.h"
 #include "support/RNG.h"
 #include "support/Serial.h"
 
@@ -15,9 +16,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 using namespace marqsim;
@@ -27,6 +30,32 @@ namespace {
 /// An N x N row-major cost table, zero everywhere.
 std::vector<int64_t> zeroCosts(size_t N) {
   return std::vector<int64_t>(N * N, 0);
+}
+
+/// Runs \p Body once per kernel tier this host can run, scalar last, each
+/// time with dispatch pinned through MARQSIM_KERNEL_TIER as KernelTest pins
+/// it. The solver's Dijkstra row prefilter is a dispatched kernel, so every
+/// flow bit must hold on every tier. Restores the environment and the
+/// default dispatch afterwards.
+template <class BodyFn> void onEveryTier(BodyFn &&Body) {
+  struct Restore {
+    const char *Prev = std::getenv("MARQSIM_KERNEL_TIER");
+    const std::string Saved = Prev ? Prev : "";
+    ~Restore() {
+      if (Prev)
+        setenv("MARQSIM_KERNEL_TIER", Saved.c_str(), 1);
+      else
+        unsetenv("MARQSIM_KERNEL_TIER");
+      kernels::selectAuto();
+    }
+  } Restorer;
+  for (const kernels::Ops *Tier : kernels::availableOps()) {
+    SCOPED_TRACE(Tier->Name);
+    ASSERT_EQ(setenv("MARQSIM_KERNEL_TIER", Tier->Name, 1), 0);
+    kernels::selectAuto();
+    ASSERT_STREQ(kernels::activeName(), Tier->Name);
+    Body();
+  }
 }
 
 } // namespace
@@ -96,49 +125,72 @@ namespace {
 
 /// Brute-force optimum of a small transportation problem: supplies[i] units
 /// leave row i, demands[j] units arrive at column j != i, unit cost
-/// Cost[i][j]. Enumerates all integral assignments recursively; INT64_MAX
-/// when no assignment exists.
-int64_t bruteForceTransport(const std::vector<int64_t> &Supplies,
-                            const std::vector<int64_t> &Demands,
-                            const std::vector<std::vector<int64_t>> &Cost) {
-  const size_t R = Supplies.size(), C = Demands.size();
-  std::vector<int64_t> Remaining = Demands;
-  int64_t Best = INT64_MAX;
-  // Flatten rows: assign each row's supply across columns recursively.
-  std::function<void(size_t, int64_t, int64_t)> Go =
-      [&](size_t Row, int64_t LeftInRow, int64_t Acc) {
-        if (Acc >= Best)
-          return;
-        if (Row == R) {
-          for (int64_t D : Remaining)
-            if (D != 0)
-              return;
-          Best = std::min(Best, Acc);
-          return;
-        }
-        if (LeftInRow == 0) {
-          Go(Row + 1, Row + 1 < R ? Supplies[Row + 1] : 0, Acc);
-          return;
-        }
-        for (size_t Col = 0; Col < C; ++Col) {
-          if (Col == Row || Remaining[Col] == 0)
-            continue;
-          int64_t Amount = 1; // move one unit at a time (small instances)
-          Remaining[Col] -= Amount;
-          Go(Row, LeftInRow - Amount, Acc + Cost[Row][Col]);
-          Remaining[Col] += Amount;
-        }
-      };
-  Go(0, Supplies[0], 0);
-  return Best;
-}
+/// Cost[i][j]. Tries every way to split each row's supply over the columns,
+/// row after row, memoizing the best completion of each (row, demands
+/// left) state, so equal states reached by different splits are searched
+/// once; INT64_MAX when no assignment exists. The demands left are packed
+/// four bits a column, so at most 16 columns of at most 15 units each.
+class BruteForceTransport {
+public:
+  BruteForceTransport(const std::vector<int64_t> &Supplies,
+                      const std::vector<int64_t> &Demands,
+                      const std::vector<std::vector<int64_t>> &Cost)
+      : Supplies(Supplies), Cost(Cost), C(Demands.size()),
+        Memo(Supplies.size()) {
+    if (C > 16 || std::any_of(Demands.begin(), Demands.end(),
+                              [](int64_t D) { return D < 0 || D > 15; }))
+      throw std::invalid_argument("brute force: demands do not pack");
+    for (size_t J = 0; J < C; ++J)
+      Start |= static_cast<uint64_t>(Demands[J]) << (4 * J);
+  }
+
+  int64_t optimum() { return best(0, Start); }
+
+private:
+  /// The cheapest completion of rows Row.. with \p Remaining demands left.
+  int64_t best(size_t Row, uint64_t Remaining) {
+    if (Row == Supplies.size())
+      return Remaining == 0 ? 0 : INT64_MAX;
+    const auto Hit = Memo[Row].find(Remaining);
+    if (Hit != Memo[Row].end())
+      return Hit->second;
+    const int64_t Value = split(Row, 0, Supplies[Row], Remaining);
+    Memo[Row].emplace(Remaining, Value);
+    return Value;
+  }
+
+  /// Hands row Row's \p Left remaining units to columns >= \p Col (a
+  /// split is a multiset of columns, so one order per split), then
+  /// completes the rows below.
+  int64_t split(size_t Row, size_t Col, int64_t Left, uint64_t Remaining) {
+    if (Left == 0)
+      return best(Row + 1, Remaining);
+    int64_t Min = INT64_MAX;
+    for (size_t J = Col; J < C; ++J) {
+      if (J == Row || ((Remaining >> (4 * J)) & 15) == 0)
+        continue;
+      const int64_t Rest =
+          split(Row, J, Left - 1, Remaining - (uint64_t(1) << (4 * J)));
+      if (Rest != INT64_MAX)
+        Min = std::min(Min, Rest + Cost[Row][J]);
+    }
+    return Min;
+  }
+
+  const std::vector<int64_t> &Supplies;
+  const std::vector<std::vector<int64_t>> &Cost;
+  size_t C;
+  uint64_t Start = 0;
+  std::vector<std::unordered_map<uint64_t, int64_t>> Memo;
+};
 
 } // namespace
 
 namespace {
 
-/// Solves the instance and compares it with the brute-force optimum: the
-/// same cost when an assignment exists, infeasible when none does.
+/// Solves the instance on every kernel tier and compares each solve with
+/// the brute-force optimum: the same cost when an assignment exists,
+/// infeasible when none does.
 void expectMatchesBruteForce(const std::vector<int64_t> &Supply,
                              const std::vector<int64_t> &Demand,
                              const std::vector<std::vector<int64_t>> &Cost,
@@ -148,15 +200,17 @@ void expectMatchesBruteForce(const std::vector<int64_t> &Supply,
   for (size_t I = 0; I < N; ++I)
     for (size_t J = 0; J < N; ++J)
       Flat[I * N + J] = Cost[I][J];
-  TransportFlow Net(N, Flat.data());
-  auto R = Net.solve(Supply, Demand, Total);
-  int64_t Brute = bruteForceTransport(Supply, Demand, Cost);
-  if (Brute == INT64_MAX) {
-    EXPECT_FALSE(R.Feasible);
-  } else {
-    ASSERT_TRUE(R.Feasible);
-    EXPECT_EQ(R.TotalCost, Brute);
-  }
+  const int64_t Brute = BruteForceTransport(Supply, Demand, Cost).optimum();
+  onEveryTier([&] {
+    TransportFlow Net(N, Flat.data());
+    auto R = Net.solve(Supply, Demand, Total);
+    if (Brute == INT64_MAX) {
+      EXPECT_FALSE(R.Feasible);
+    } else {
+      ASSERT_TRUE(R.Feasible);
+      EXPECT_EQ(R.TotalCost, Brute);
+    }
+  });
 }
 
 } // namespace
@@ -225,7 +279,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TransportSweepCase{2, 11}, TransportSweepCase{2, 12},
                       TransportSweepCase{3, 13}, TransportSweepCase{3, 14},
                       TransportSweepCase{4, 15}, TransportSweepCase{4, 16},
-                      TransportSweepCase{3, 17}, TransportSweepCase{3, 18}));
+                      TransportSweepCase{3, 17}, TransportSweepCase{3, 18},
+                      TransportSweepCase{8, 19}, TransportSweepCase{9, 20},
+                      TransportSweepCase{16, 21}));
 
 namespace {
 
@@ -265,7 +321,9 @@ TEST(TransportFlowGoldenTest, TieHeavyInstanceFlowBitsAreFrozen) {
   // breaks them by the arc order its header fixes, and the Pgc/Prp
   // goldens depend on that. These instances are built to be full of ties
   // (zero-cost arcs, two- and four-letter cost alphabets, zero capacities,
-  // short and infeasible requests), and every flow bit is pinned.
+  // short and infeasible requests), and every flow bit is pinned, on every
+  // kernel tier. N = 17, 64 and 130 give the row prefilter whole vector
+  // blocks, tails and the diagonal inside a block.
   const TieCase Cases[] = {
       {2, 1, CostAlphabet::ZeroOrTwo, Request::All,
        0xf23cfb97f45be626ULL},
@@ -335,14 +393,16 @@ TEST(TransportFlowGoldenTest, TieHeavyInstanceFlowBitsAreFrozen) {
     const int64_t Amount = Case.Amount == Request::All    ? M
                            : Case.Amount == Request::Part ? M / 3
                                                           : M + 1;
-    TransportFlow Net(N, Cost.data());
-    auto R = Net.solve(Supply, Demand, Amount);
-    if (Case.Amount == Request::TooMuch) {
-      EXPECT_FALSE(R.Feasible);
-    }
-    EXPECT_EQ(R.Feasible, R.FlowSent == Amount);
-    EXPECT_EQ(flowBitsHash(Net, N, R), Case.Hash)
-        << std::hex << "0x" << flowBitsHash(Net, N, R);
+    onEveryTier([&] {
+      TransportFlow Net(N, Cost.data());
+      auto R = Net.solve(Supply, Demand, Amount);
+      if (Case.Amount == Request::TooMuch) {
+        EXPECT_FALSE(R.Feasible);
+      }
+      EXPECT_EQ(R.Feasible, R.FlowSent == Amount);
+      EXPECT_EQ(flowBitsHash(Net, N, R), Case.Hash)
+          << std::hex << "0x" << flowBitsHash(Net, N, R);
+    });
   }
 }
 
@@ -359,11 +419,13 @@ TEST(TransportFlowGoldenTest, MillionUnitBipartiteFlowIsFeasibleAndFrozen) {
     for (size_t J = 0; J < N; ++J)
       if (I != J)
         Cost[I * N + J] = static_cast<int64_t>(Rng.uniformInt(40));
-  TransportFlow Net(N, Cost.data());
-  auto R = Net.solve(Units, Units, Scale);
-  EXPECT_TRUE(R.Feasible);
-  EXPECT_EQ(flowBitsHash(Net, N, R), 0x1e9a5dc5059a9a73ULL)
-      << std::hex << "0x" << flowBitsHash(Net, N, R);
+  onEveryTier([&] {
+    TransportFlow Net(N, Cost.data());
+    auto R = Net.solve(Units, Units, Scale);
+    EXPECT_TRUE(R.Feasible);
+    EXPECT_EQ(flowBitsHash(Net, N, R), 0x1e9a5dc5059a9a73ULL)
+        << std::hex << "0x" << flowBitsHash(Net, N, R);
+  });
 }
 
 namespace {
@@ -523,14 +585,16 @@ uint64_t matrixBitsHash(const TransitionMatrix &P) {
 TEST(FlowMatrixGoldenTest, OHMinusPgcAndPrpBitsAreFrozen) {
   // Pins every bit of the MCFP transition matrices on a registry workload:
   // the solver's storage and the builders' cost tables may change, the
-  // flows may not (cached .mat components depend on it).
+  // flows may not (cached .mat components depend on it), on any tier.
   Hamiltonian H =
       SimulationService::prepare(makeBenchmark(*findBenchmark("OH-")));
-  TransitionMatrix Pgc = buildGateCancellation(H);
-  RNG Rng(0x5EED);
-  TransitionMatrix Prp = buildRandomPerturbation(H, 2, Rng);
-  EXPECT_EQ(matrixBitsHash(Pgc), 0x98376d3c1ed176e3ULL);
-  EXPECT_EQ(matrixBitsHash(Prp), 0xb37f6c52baa657a2ULL);
+  onEveryTier([&] {
+    TransitionMatrix Pgc = buildGateCancellation(H);
+    RNG Rng(0x5EED);
+    TransitionMatrix Prp = buildRandomPerturbation(H, 2, Rng);
+    EXPECT_EQ(matrixBitsHash(Pgc), 0x98376d3c1ed176e3ULL);
+    EXPECT_EQ(matrixBitsHash(Prp), 0xb37f6c52baa657a2ULL);
+  });
 }
 
 TEST(FlowMatrixGoldenTest, LiHPgcAndPrpBitsAreFrozenAtEveryJobs) {
@@ -547,4 +611,19 @@ TEST(FlowMatrixGoldenTest, LiHPgcAndPrpBitsAreFrozenAtEveryJobs) {
     EXPECT_EQ(matrixBitsHash(Prp), 0x38adda5e2d05f6dfULL);
     EXPECT_EQ(Rng.next(), 0x9e1d9465a86a1fdcULL);
   }
+}
+
+TEST(FlowMatrixGoldenTest, LiHPgcAndPrpBitsAreFrozenOnEveryTier) {
+  // The same LiH goldens with the row prefilter pinned to each tier, the
+  // rounds spread over pool threads, which dispatch to the pinned tier too.
+  Hamiltonian H =
+      SimulationService::prepare(makeBenchmark(*findBenchmark("LiH")));
+  onEveryTier([&] {
+    EXPECT_EQ(matrixBitsHash(buildGateCancellation(H)),
+              0xa2a7e423091f9b27ULL);
+    RNG Rng(0x5EED);
+    TransitionMatrix Prp = buildRandomPerturbation(H, 8, Rng, {}, 4);
+    EXPECT_EQ(matrixBitsHash(Prp), 0x38adda5e2d05f6dfULL);
+    EXPECT_EQ(Rng.next(), 0x9e1d9465a86a1fdcULL);
+  });
 }

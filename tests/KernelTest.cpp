@@ -15,7 +15,8 @@
 // rotations applied in one pass must reproduce one sweep per rotation, in
 // full and in sector coordinates (per-lane sine flips). The grouped
 // Hamiltonian product of the lane-batched exact targets must match the
-// scalar reference on every tier. An exhaustive sign/zero sweep proves
+// scalar reference on every tier, and so must the transport solver's
+// integer row prefilter. An exhaustive sign/zero sweep proves
 // StateVector's and every tier's minimal arithmetic equal to the
 // std::complex expression on every nonzero result. All vector tiers are
 // one body (sim/KernelsSimd.h); the cross-tier loops also run it at
@@ -805,6 +806,51 @@ TEST(KernelBitIdentityTest, PanelGroupProductMatchesScalar) {
               << "tier " << Tier->Name << ", rows " << Rows << ", stride "
               << Stride << ", xMask " << XM;
         }
+      }
+    }
+  }
+}
+
+TEST(KernelBitIdentityTest, RowCandidatesMatchScalar) {
+  // The transport solver's row prefilter on row lengths that fill whole
+  // vectors and words, end inside one, or are shorter than a vector; rows
+  // start one entry past an aligned base as well. Each distance sits one
+  // below, at or one above its candidate, and some entries are extreme,
+  // so the wrapping sum and the signed compare are both exercised.
+  RNG Rng(6140);
+  const int64_t Extremes[] = {INT64_MIN, INT64_MIN + 1, -1, 0,
+                              INT64_MAX - 1, INT64_MAX};
+  const auto Pick = [&](int64_t Small) {
+    return Rng.bernoulli(0.1) ? Extremes[Rng.uniformInt(6)] : Small;
+  };
+  for (const size_t N : {size_t(1), size_t(2), size_t(7), size_t(8),
+                         size_t(9), size_t(63), size_t(64), size_t(65),
+                         size_t(130), size_t(614)}) {
+    for (const size_t Offset : {size_t(0), size_t(1)}) {
+      std::vector<int64_t> Row(N + 1), Pot(N + 1), Dist(N + 1);
+      const int64_t Base = Pick(static_cast<int64_t>(Rng.uniformInt(1000)));
+      for (size_t J = Offset; J < N + Offset; ++J) {
+        Row[J] = Pick(static_cast<int64_t>(Rng.uniformInt(41)));
+        Pot[J] = Pick(static_cast<int64_t>(Rng.uniformInt(1000)));
+        const int64_t Cand = static_cast<int64_t>(
+            static_cast<uint64_t>(Base) + static_cast<uint64_t>(Row[J]) -
+            static_cast<uint64_t>(Pot[J]));
+        const int64_t Step = static_cast<int64_t>(Rng.uniformInt(3)) - 1;
+        Dist[J] = Pick(static_cast<int64_t>(static_cast<uint64_t>(Cand) +
+                                            static_cast<uint64_t>(Step)));
+      }
+      const size_t Words = (N + 63) / 64;
+      std::vector<uint64_t> Expected(Words, 0);
+      for (size_t J = 0; J < N; ++J)
+        if (kernels::rowCandidate(Base, Row[Offset + J], Pot[Offset + J],
+                                  Dist[Offset + J]))
+          Expected[J / 64] |= uint64_t(1) << (J % 64);
+      for (const kernels::Ops *Tier : crossTierOps()) {
+        std::vector<uint64_t> Got(Words, ~uint64_t(0));
+        Tier->RowCandidatesI64(Row.data() + Offset, Pot.data() + Offset,
+                               Dist.data() + Offset, Base, N, Got.data());
+        ASSERT_EQ(Got, Expected) << "tier " << Tier->Name << ", N " << N
+                                 << ", offset " << Offset;
       }
     }
   }

@@ -42,6 +42,30 @@ TEST(RNGTest, ReseedResetsStream) {
   EXPECT_EQ(A.next(), First);
 }
 
+TEST(RNGTest, CoinFlipsMatchPerDrawBernoulli) {
+  // The perturbation builder's draws: one bit per bernoulli(0.5) call,
+  // written without a branch. Sizes that end inside a word included
+  // (614^2 is LiH's table), and both generators must end in one state.
+  for (uint64_t Seed : {0x5EEDULL, 1ULL, 2ULL, 0xFFFFFFFFFFFFFFFFULL}) {
+    for (size_t Count : {size_t(0), size_t(1), size_t(63), size_t(64),
+                         size_t(65), size_t(17 * 17), size_t(614 * 614)}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << Seed << ", " << Count
+                                        << " draws");
+      const size_t Words = (Count + 63) / 64;
+      RNG PerDraw(Seed), Flips(Seed);
+      std::vector<uint64_t> Expected(Words, 0);
+      for (size_t K = 0; K < Count; ++K)
+        if (PerDraw.bernoulli(0.5))
+          Expected[K / 64] |= uint64_t(1) << (K % 64);
+      std::vector<uint64_t> Got(Words, ~uint64_t(0));
+      Flips.coinFlips(Got.data(), Count);
+      EXPECT_EQ(Got, Expected);
+      for (int I = 0; I < 4; ++I) // every state word feeds these four
+        EXPECT_EQ(Flips.next(), PerDraw.next());
+    }
+  }
+}
+
 TEST(RNGTest, UniformInUnitInterval) {
   RNG Rng(1);
   for (int I = 0; I < 10000; ++I) {
