@@ -7,6 +7,7 @@
 #include "BenchCommon.h"
 
 #include <algorithm>
+#include <iostream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -147,4 +148,17 @@ void marqsim::applyCommonFlags(const CommandLine &CL, SweepOptions &Opts) {
   Opts.PerturbRounds =
       static_cast<unsigned>(CL.getInt("rounds", Opts.PerturbRounds));
   Opts.Jobs = static_cast<unsigned>(CL.getInt("jobs", Opts.Jobs));
+}
+
+bool marqsim::rejectUnknownFlags(const CommandLine &CL,
+                                 std::vector<std::string> Known,
+                                 bool Common) {
+  if (Common)
+    Known.insert(Known.end(),
+                 {"eps", "jobs", "paper", "reps", "rounds", "seed"});
+  std::string Name = CL.unknownFlag(Known);
+  if (Name.empty())
+    return false;
+  std::cerr << "error: unknown flag --" << Name << "\n";
+  return true;
 }

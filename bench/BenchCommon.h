@@ -9,7 +9,8 @@
 /// experimental configurations (Section 6.1), epsilon sweeps with repeated
 /// randomized compilation, fidelity evaluation, and reduction summaries.
 ///
-/// Every harness accepts:
+/// Every sweep harness accepts (and every harness rejects a flag it does
+/// not read, see rejectUnknownFlags):
 ///   --paper         full-scale parameters (paper epsilon list, 20 reps,
 ///                   100 perturbation rounds)
 ///   --reps=K        repetitions (shots) per epsilon
@@ -119,8 +120,16 @@ void printSweepTable(std::ostream &OS, const std::string &Title,
 /// Prints the service's cumulative cache accounting (one line).
 void printCacheStats(std::ostream &OS, const SimulationService &Service);
 
-/// Applies --paper / --reps / --seed / --eps (comma list) to \p Opts.
+/// Applies --paper / --reps / --seed / --eps (comma list) / --rounds /
+/// --jobs to \p Opts.
 void applyCommonFlags(const CommandLine &CL, SweepOptions &Opts);
+
+/// True, after printing "error: unknown flag --NAME" on stderr, when \p CL
+/// has a flag outside \p Known and, for a harness that calls
+/// applyCommonFlags (\p Common), outside its flags too. The harness then
+/// exits 1: a misspelled flag must not time the default workload.
+bool rejectUnknownFlags(const CommandLine &CL, std::vector<std::string> Known,
+                        bool Common);
 
 } // namespace marqsim
 

@@ -34,6 +34,8 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"benchmark", "epsilon"}, /*Common=*/true))
+    return 1;
   SweepOptions Opts;
   applyCommonFlags(CL, Opts);
   std::string Name = CL.getString("benchmark", "Na+");

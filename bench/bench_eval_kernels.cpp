@@ -83,6 +83,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "core/CompilerEngine.h"
 #include "core/TransitionBuilders.h"
 #include "hamgen/Models.h"
@@ -91,7 +92,6 @@
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
 #include "sim/StatePanel.h"
-#include "support/CommandLine.h"
 #include "support/Serial.h"
 #include "support/Timer.h"
 
@@ -277,6 +277,10 @@ uint64_t targetDigest(const std::vector<CVector> &Targets) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"list-tiers", "min-fused-speedup", "min-seconds",
+                              "min-simd-speedup", "min-speedup", "qubits",
+                              "reps", "time"}, /*Common=*/false))
+    return 1;
   if (CL.getBool("list-tiers")) {
     for (const kernels::Ops *O : kernels::availableOps())
       std::cout << O->Name << "\n";

@@ -35,7 +35,8 @@ static void printSpectrum(const std::string &Label,
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  (void)CL;
+  if (rejectUnknownFlags(CL, {}, /*Common=*/false))
+    return 1;
   Hamiltonian H = Hamiltonian::parse({{1.0, "IIIZY"},
                                       {1.0, "XXIII"},
                                       {0.7, "ZXZYI"},

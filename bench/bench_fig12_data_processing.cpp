@@ -29,6 +29,8 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"benchmark", "columns"}, /*Common=*/true))
+    return 1;
   SweepOptions Opts;
   Opts.Epsilons = {0.1, 0.067, 0.05};
   Opts.Reps = 3;

@@ -36,6 +36,8 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"all", "columns", "fidelity-qubits"}, /*Common=*/true))
+    return 1;
   SweepOptions Opts;
   applyCommonFlags(CL, Opts);
   bool All = CL.getBool("all") || CL.getBool("paper");

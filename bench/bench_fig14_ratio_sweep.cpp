@@ -26,6 +26,8 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"all"}, /*Common=*/true))
+    return 1;
   SweepOptions Opts;
   Opts.Epsilons = {0.1, 0.05};
   applyCommonFlags(CL, Opts);

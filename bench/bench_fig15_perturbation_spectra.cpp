@@ -39,6 +39,8 @@ void printTopSpectrum(const std::string &Label, const TransitionMatrix &P,
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"benchmark", "columns", "epsilon"}, /*Common=*/true))
+    return 1;
   SweepOptions Opts;
   Opts.Reps = 8;
   applyCommonFlags(CL, Opts);

@@ -23,6 +23,8 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"skip-large"}, /*Common=*/false))
+    return 1;
   bool SkipLarge = CL.getBool("skip-large");
 
   std::cout << "Table 1: Benchmark Information (paper spec -> generated "

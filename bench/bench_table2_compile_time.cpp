@@ -42,6 +42,9 @@ static std::vector<int64_t> parseList(const std::string &Text) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
+  if (rejectUnknownFlags(CL, {"lambda", "paper", "qubits", "rounds",
+                              "strings"}, /*Common=*/false))
+    return 1;
   bool Paper = CL.getBool("paper");
   std::vector<int64_t> Qubits = parseList(CL.getString("qubits", "10,20,30"));
   std::vector<int64_t> Strings =

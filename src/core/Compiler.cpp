@@ -34,9 +34,10 @@ CompilationResult marqsim::materializePlan(const Hamiltonian &H,
   R.Emit = Opts.Emit;
   // Merge runs of identical samples: exp(i tau P) exp(i tau P) folds into a
   // single rotation with doubled time parameter (paper Section 5.2); the
-  // same pass counts the gates.
+  // same pass counts the gates and hashes the sequence.
   R.Counts = foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep,
-                          Opts.Emit, R.Schedule, &R.Stats);
+                          Opts.Emit, R.Schedule, &R.Stats,
+                          hostPopcountPath(), &R.SequenceHash);
   R.Sequence = std::move(Plan.Sequence);
   return R;
 }

@@ -50,6 +50,9 @@ struct CompilationResult {
   /// Cancellation accounting from the emitter.
   EmitStats Stats;
 
+  /// hashSequence(Sequence), taken in the same pass as the counts.
+  uint64_t SequenceHash = 0;
+
   /// N, lambda, and tau = lambda * t / N of this run.
   size_t NumSamples = 0;
   double Lambda = 0.0;
@@ -91,8 +94,8 @@ CompilationResult compileBySampling(const HTTGraph &Graph, double T,
 
 /// Deterministic back end shared by all compilers and strategies: merges
 /// runs of equal consecutive terms into single rotations and counts the
-/// gates of the schedule's cancellation-aware lowering in the same pass
-/// (foldAndCount; the gates themselves come from
+/// gates of the schedule's cancellation-aware lowering and hashes the
+/// sequence in the same pass (foldAndCount; the gates themselves come from
 /// CompilationResult::circuit on demand).
 CompilationResult materializePlan(const Hamiltonian &H, ShotPlan Plan,
                                   const CompilationOptions &Opts = {});

@@ -17,6 +17,11 @@
 
 using namespace marqsim;
 
+ShotSummary ScheduleStrategy::summarize(ShotContext &Ctx,
+                                        const CompilationOptions &Opts) const {
+  return countSequence(hamiltonian(), produce(Ctx).Sequence, Opts.Emit);
+}
+
 //===----------------------------------------------------------------------===//
 // SamplingStrategy
 //===----------------------------------------------------------------------===//
@@ -53,6 +58,11 @@ ShotPlan SamplingStrategy::produce(ShotContext &Ctx) const {
   Plan.Sequence.resize(NumSamples);
   Chain->walk(Ctx.Rng, Plan.Sequence.data(), NumSamples);
   return Plan;
+}
+
+ShotSummary SamplingStrategy::summarize(ShotContext &Ctx,
+                                        const CompilationOptions &Opts) const {
+  return walkAndCount(*Chain, Ctx.Rng, NumSamples, hamiltonian(), Opts.Emit);
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,18 +218,9 @@ ShotPlan SparStoStrategy::produce(ShotContext &Ctx) const {
 //===----------------------------------------------------------------------===//
 
 uint64_t marqsim::hashSequence(const std::vector<size_t> &Sequence) {
-  // An index below 2^16 has six zero upper bytes, and FNV-1a folds a zero
-  // byte in as a bare multiply, so its 8-byte step is
-  // ((H ^ b0) P ^ b1) P^7: two multiplies instead of eight.
-  constexpr uint64_t P = serial::FNVPrime;
-  constexpr uint64_t P7 = P * P * P * P * P * P * P;
   uint64_t H = serial::FNVOffset;
-  for (size_t Value : Sequence) {
-    if (Value < 0x10000)
-      H = (((H ^ (Value & 0xFF)) * P) ^ (Value >> 8)) * P7;
-    else
-      H = serial::fnv1aWord(static_cast<uint64_t>(Value), H);
-  }
+  for (size_t Value : Sequence)
+    H = serial::fnv1aIndex(Value, H);
   return H;
 }
 
@@ -228,7 +229,7 @@ static ShotSummary summarizeShot(const CompilationResult &R) {
   S.NumSamples = R.NumSamples;
   S.Counts = R.Counts;
   S.Stats = R.Stats;
-  S.SequenceHash = hashSequence(R.Sequence);
+  S.SequenceHash = R.SequenceHash;
   return S;
 }
 
@@ -294,21 +295,28 @@ BatchResult CompilerEngine::compileBatch(const BatchRequest &Req) const {
   Jobs = static_cast<unsigned>(
       std::min<size_t>(Jobs, Req.NumShots));
 
+  // Without a hook or KeepResults nobody reads a shot's result, so each
+  // shot is only summarized: no Sequence or Schedule is written.
+  const bool SummaryOnly = !Req.PerShot && !Req.KeepResults;
+
   // Per-shot walk + emission seconds: each worker writes its own slot,
   // summed into CompileSeconds after the batch.
   std::vector<double> CompileSecs(Req.NumShots, 0.0);
-  auto RunShot = [&](size_t Shot) {
+  // Compiles shot \p Shot into B.Shots[Shot] and, on the materializing
+  // path, \p R.
+  auto CompileShot = [&](size_t Shot, CompilationResult &R) {
     Timer ShotClock;
     RNG Rng = RNG::forShot(Req.Seed, Req.FirstShot + Shot);
     ShotContext Ctx{Shot, Rng};
-    CompilationResult R = materializePlan(Strategy.hamiltonian(),
-                                          Strategy.produce(Ctx), Req.Opts);
+    if (SummaryOnly) {
+      B.Shots[Shot] = Strategy.summarize(Ctx, Req.Opts);
+      CompileSecs[Shot] = ShotClock.seconds();
+      return;
+    }
+    R = materializePlan(Strategy.hamiltonian(), Strategy.produce(Ctx),
+                        Req.Opts);
     CompileSecs[Shot] = ShotClock.seconds();
     B.Shots[Shot] = summarizeShot(R);
-    if (Req.PerShot)
-      Req.PerShot(Shot, R);
-    if (Req.KeepResults)
-      B.Results[Shot] = std::move(R);
   };
 
   Timer Clock;
@@ -316,12 +324,8 @@ BatchResult CompilerEngine::compileBatch(const BatchRequest &Req) const {
     // Every shot is identical: compile once, replicate. (The RNG is never
     // consulted, so the offset is cosmetic; it keeps the derivation rule
     // uniform.)
-    RNG Rng = RNG::forShot(Req.Seed, Req.FirstShot);
-    ShotContext Ctx{0, Rng};
-    CompilationResult R = materializePlan(Strategy.hamiltonian(),
-                                          Strategy.produce(Ctx), Req.Opts);
-    CompileSecs[0] = Clock.seconds();
-    B.Shots[0] = summarizeShot(R);
+    CompilationResult R;
+    CompileShot(0, R);
     for (size_t Shot = 1; Shot < Req.NumShots; ++Shot)
       B.Shots[Shot] = B.Shots[0];
     if (Req.PerShot)
@@ -334,7 +338,14 @@ BatchResult CompilerEngine::compileBatch(const BatchRequest &Req) const {
     }
     B.JobsUsed = 1;
   } else {
-    parallelFor(Req.NumShots, Jobs, RunShot);
+    parallelFor(Req.NumShots, Jobs, [&](size_t Shot) {
+      CompilationResult R;
+      CompileShot(Shot, R);
+      if (Req.PerShot)
+        Req.PerShot(Shot, R);
+      if (Req.KeepResults)
+        B.Results[Shot] = std::move(R);
+    });
     B.JobsUsed = Jobs;
   }
   B.Seconds = Clock.seconds();

@@ -17,8 +17,11 @@
 ///     via the HTT graph), the deterministic Trotter/Suzuki orderings, the
 ///     randomized-order Trotter of Childs et al., and SparSto.
 ///   * CompilerEngine — compiles single shots or whole batches. All shots
-///     funnel through the materializePlan deterministic backend, so
-///     gate-count comparisons isolate the scheduling policy.
+///     funnel through one deterministic per-visit fold (core/Emitter), so
+///     gate-count comparisons isolate the scheduling policy. A shot whose
+///     result somebody reads is materialized (materializePlan); a shot
+///     only summarized is folded without buffers (ScheduleStrategy::
+///     summarize, which for sampling folds inside the Markov walk).
 ///
 /// Batch compilation amortizes setup (HTT graph, transition matrix, and
 /// the chain's sampling tables are built once and shared read-only) and
@@ -53,7 +56,8 @@ struct ShotContext {
 };
 
 /// A schedule-producing policy. Implementations must be immutable after
-/// construction: produce() is called concurrently from batch workers.
+/// construction: produce() and summarize() are called concurrently from
+/// batch workers.
 class ScheduleStrategy {
 public:
   virtual ~ScheduleStrategy() = default;
@@ -70,6 +74,14 @@ public:
 
   /// Produces the term-visit plan of one shot. Must be thread-safe.
   virtual ShotPlan produce(ShotContext &Ctx) const = 0;
+
+  /// The summary of one shot without its Sequence or Schedule: what
+  /// compileBatch records when nobody reads the shot's result. Must equal
+  /// the summary of materializePlan(hamiltonian(), produce(Ctx), Opts) and
+  /// be thread-safe. The default folds produce()'s plan with
+  /// countSequence.
+  virtual ShotSummary summarize(ShotContext &Ctx,
+                                const CompilationOptions &Opts) const;
 };
 
 /// Algorithm 1: walk the HTT graph's Markov chain for
@@ -97,6 +109,9 @@ public:
     return Graph->hamiltonian();
   }
   ShotPlan produce(ShotContext &Ctx) const override;
+  /// Walks and folds in one loop (walkAndCount): no Sequence is written.
+  ShotSummary summarize(ShotContext &Ctx,
+                        const CompilationOptions &Opts) const override;
 
   size_t sampleCount() const { return NumSamples; }
   double tauStep() const { return TauStep; }
@@ -202,7 +217,10 @@ struct BatchRequest {
 
   /// Retain the full CompilationResult (schedule, sequence, counts) of
   /// every shot in BatchResult::Results. Off by default: large batches
-  /// only need the per-shot summaries.
+  /// only need the per-shot summaries. This or a PerShot hook selects the
+  /// materializing path (each shot's Sequence and Schedule are built);
+  /// with neither, each shot is only summarized
+  /// (ScheduleStrategy::summarize) and writes no buffers.
   bool KeepResults = false;
 
   /// Optional per-shot hook, invoked with (shot index, result) on the
@@ -212,7 +230,8 @@ struct BatchRequest {
   /// workers, so the hook must be thread-safe; the result reference is
   /// only valid for the duration of the call. For deterministic strategies
   /// the hook still fires once per shot, every time with the single
-  /// compiled result.
+  /// compiled result. Setting a hook selects the materializing path (see
+  /// KeepResults); the batch's summaries and hash do not change.
   std::function<void(size_t, const CompilationResult &)> PerShot;
 };
 
@@ -222,16 +241,6 @@ struct SummaryStat {
   double Std = 0.0;
   double Min = 0.0;
   double Max = 0.0;
-};
-
-/// The cheap always-retained record of one shot.
-struct ShotSummary {
-  size_t NumSamples = 0;
-  GateCounts Counts;
-  EmitStats Stats;
-  /// hashSequence of the term-visit sequence; lets callers check
-  /// bit-identical scheduling without retaining the sequence itself.
-  uint64_t SequenceHash = 0;
 };
 
 /// FNV-1a over the 8 little-endian bytes of every index in turn

@@ -7,6 +7,7 @@
 #include "core/Emitter.h"
 
 #include "support/CpuFeatures.h"
+#include "support/Serial.h"
 
 using namespace marqsim;
 
@@ -182,7 +183,9 @@ public:
 
   /// Feeds the next rotation's term. Identities drop out and a string
   /// equal to the previous one folds into it, as in NormalizedSteps.
-  void push(const TermCost &T) {
+  /// Always inlined, like settle(): the per-visit fold runs inside the
+  /// popcount clones, whose popcount must be the one that runs.
+  __attribute__((always_inline)) void push(const TermCost &T) {
     if (T.Support == 0)
       return;
     if (HasCur) {
@@ -216,7 +219,7 @@ public:
 private:
   /// Chooses Cur's root now that the next string's match \p MNext is
   /// known, and counts the boundary into Cur.
-  void settle(uint64_t MNext) {
+  __attribute__((always_inline)) void settle(uint64_t MNext) {
     RootChoice R = chooseRoot(MPrev, PrevRoot, MNext, Cur.Support);
     CancelledLadders += Popcount::count(R.Cancel);
     CancelledBasis += basisGateCount<Popcount>(Cur.X, Cur.Z, MPrev);
@@ -231,53 +234,131 @@ private:
   size_t Ladders = 0, Singles = 0, CancelledLadders = 0, CancelledBasis = 0;
 };
 
-/// foldAndCount on one popcount; always inlined, so the popcount the
-/// caller is compiled for is the one that runs.
+/// The per-shot back end, fed one term visit at a time in visit order:
+/// the sequence-hash step (hashSequence's), the count pass, and, when a
+/// Schedule is given, the folded append. Every entry below runs this fold.
+template <class Popcount> class ShotFold {
+public:
+  ShotFold(const Hamiltonian &H, const EmitOptions &Opts,
+           std::vector<ScheduledRotation> *Schedule)
+      : H(H), Costs(H.numTerms()), Count(Opts.CrossCancellation),
+        Schedule(Schedule) {
+    for (size_t I = 0; I < Costs.size(); ++I)
+      Costs[I] = termCost<Popcount>(H.term(I).String);
+  }
+
+  /// Folds in a visit of term \p Index at angle \p Tau (read only by the
+  /// Schedule append).
+  __attribute__((always_inline)) void visit(size_t Index, double Tau) {
+    assert(Index < Costs.size() && "sampled index out of range");
+    Hash = serial::fnv1aIndex(Index, Hash);
+    Count.push(Costs[Index]);
+    if (!Schedule)
+      return;
+    const PauliString &P = H.term(Index).String;
+    if (!Schedule->empty() && Schedule->back().String == P)
+      Schedule->back().Tau += Tau;
+    else
+      Schedule->emplace_back(P, Tau);
+  }
+
+  /// The summary of \p NumSamples visits.
+  ShotSummary finish(size_t NumSamples) {
+    ShotSummary S;
+    S.NumSamples = NumSamples;
+    S.Counts = Count.finish(&S.Stats);
+    S.SequenceHash = Hash;
+    return S;
+  }
+
+private:
+  const Hamiltonian &H;
+  std::vector<TermCost> Costs;
+  CountPass<Popcount> Count;
+  std::vector<ScheduledRotation> *Schedule;
+  uint64_t Hash = serial::FNVOffset;
+};
+
+/// The fold over a Sequence on one popcount; always inlined, so the
+/// popcount the caller is compiled for is the one that runs. The Schedule,
+/// when given, is replaced.
 template <class Popcount>
-__attribute__((always_inline)) inline GateCounts
-foldAndCountWith(const Hamiltonian &H, const std::vector<size_t> &Sequence,
+__attribute__((always_inline)) inline ShotSummary
+foldSequenceWith(const Hamiltonian &H, const std::vector<size_t> &Sequence,
                  const std::vector<double> &Taus, double TauStep,
                  const EmitOptions &Opts,
-                 std::vector<ScheduledRotation> &Schedule, EmitStats *Stats) {
-  std::vector<TermCost> Costs(H.numTerms());
-  for (size_t I = 0; I < Costs.size(); ++I)
-    Costs[I] = termCost<Popcount>(H.term(I).String);
-
-  CountPass<Popcount> Count(Opts.CrossCancellation);
-  Schedule.clear();
-  Schedule.reserve(Sequence.size());
-  for (size_t K = 0; K < Sequence.size(); ++K) {
-    size_t Index = Sequence[K];
-    assert(Index < H.numTerms() && "sampled index out of range");
-    const PauliTerm &Term = H.term(Index);
-    double Tau = Taus.empty() ? (Term.Coeff >= 0.0 ? TauStep : -TauStep)
-                              : Taus[K];
-    if (!Schedule.empty() && Schedule.back().String == Term.String) {
-      Schedule.back().Tau += Tau;
-    } else {
-      Schedule.emplace_back(Term.String, Tau);
-      Count.push(Costs[Index]);
-    }
+                 std::vector<ScheduledRotation> *Schedule) {
+  ShotFold<Popcount> Fold(H, Opts, Schedule);
+  if (Schedule) {
+    Schedule->clear();
+    Schedule->reserve(Sequence.size());
   }
-  return Count.finish(Stats);
+  for (size_t K = 0; K < Sequence.size(); ++K) {
+    double Tau = 0.0;
+    if (Schedule)
+      Tau = !Taus.empty() ? Taus[K]
+            : H.term(Sequence[K]).Coeff >= 0.0 ? TauStep
+                                               : -TauStep;
+    Fold.visit(Sequence[K], Tau);
+  }
+  return Fold.finish(Sequence.size());
 }
 
-GateCounts foldAndCountPortable(const Hamiltonian &H,
-                                const std::vector<size_t> &Sequence,
-                                const std::vector<double> &Taus,
-                                double TauStep, const EmitOptions &Opts,
-                                std::vector<ScheduledRotation> &Schedule,
-                                EmitStats *Stats) {
-  return foldAndCountWith<PortablePopcount>(H, Sequence, Taus, TauStep, Opts,
-                                            Schedule, Stats);
+ShotSummary foldSequencePortable(const Hamiltonian &H,
+                                 const std::vector<size_t> &Sequence,
+                                 const std::vector<double> &Taus,
+                                 double TauStep, const EmitOptions &Opts,
+                                 std::vector<ScheduledRotation> *Schedule) {
+  return foldSequenceWith<PortablePopcount>(H, Sequence, Taus, TauStep, Opts,
+                                            Schedule);
 }
 
-MARQSIM_TARGET_POPCNT GateCounts foldAndCountHardware(
+MARQSIM_TARGET_POPCNT ShotSummary foldSequenceHardware(
     const Hamiltonian &H, const std::vector<size_t> &Sequence,
     const std::vector<double> &Taus, double TauStep, const EmitOptions &Opts,
-    std::vector<ScheduledRotation> &Schedule, EmitStats *Stats) {
-  return foldAndCountWith<HardwarePopcount>(H, Sequence, Taus, TauStep, Opts,
-                                            Schedule, Stats);
+    std::vector<ScheduledRotation> *Schedule) {
+  return foldSequenceWith<HardwarePopcount>(H, Sequence, Taus, TauStep, Opts,
+                                            Schedule);
+}
+
+ShotSummary foldSequence(const Hamiltonian &H,
+                         const std::vector<size_t> &Sequence,
+                         const std::vector<double> &Taus, double TauStep,
+                         const EmitOptions &Opts,
+                         std::vector<ScheduledRotation> *Schedule,
+                         PopcountPath Path) {
+  assert((Taus.empty() || Taus.size() == Sequence.size()) &&
+         "per-visit tau vector must match the sequence length");
+  if (Path == PopcountPath::Hardware) {
+    assert(cpuFeatures().POPCNT && "hardware popcount on a host without it");
+    return foldSequenceHardware(H, Sequence, Taus, TauStep, Opts, Schedule);
+  }
+  return foldSequencePortable(H, Sequence, Taus, TauStep, Opts, Schedule);
+}
+
+/// The fold inside the walk on one popcount (see foldSequenceWith): the
+/// walk loop, the visitor and the fold inline into one loop.
+template <class Popcount>
+__attribute__((always_inline)) inline ShotSummary
+walkAndCountWith(const MarkovChainSampler &Chain, RNG &Rng, size_t Count,
+                 const Hamiltonian &H, const EmitOptions &Opts) {
+  assert(Chain.numStates() == H.numTerms() && "chain and terms differ");
+  ShotFold<Popcount> Fold(H, Opts, nullptr);
+  Chain.walk(Rng, Count, [&Fold](size_t State) __attribute__((
+                             always_inline)) { Fold.visit(State, 0.0); });
+  return Fold.finish(Count);
+}
+
+ShotSummary walkAndCountPortable(const MarkovChainSampler &Chain, RNG &Rng,
+                                 size_t Count, const Hamiltonian &H,
+                                 const EmitOptions &Opts) {
+  return walkAndCountWith<PortablePopcount>(Chain, Rng, Count, H, Opts);
+}
+
+MARQSIM_TARGET_POPCNT ShotSummary
+walkAndCountHardware(const MarkovChainSampler &Chain, RNG &Rng, size_t Count,
+                     const Hamiltonian &H, const EmitOptions &Opts) {
+  return walkAndCountWith<HardwarePopcount>(Chain, Rng, Count, H, Opts);
 }
 
 } // namespace
@@ -340,14 +421,31 @@ GateCounts marqsim::foldAndCount(const Hamiltonian &H,
                                  const std::vector<double> &Taus,
                                  double TauStep, const EmitOptions &Opts,
                                  std::vector<ScheduledRotation> &Schedule,
-                                 EmitStats *Stats, PopcountPath Path) {
-  assert((Taus.empty() || Taus.size() == Sequence.size()) &&
-         "per-visit tau vector must match the sequence length");
+                                 EmitStats *Stats, PopcountPath Path,
+                                 uint64_t *SequenceHash) {
+  ShotSummary S =
+      foldSequence(H, Sequence, Taus, TauStep, Opts, &Schedule, Path);
+  if (Stats)
+    *Stats = S.Stats;
+  if (SequenceHash)
+    *SequenceHash = S.SequenceHash;
+  return S.Counts;
+}
+
+ShotSummary marqsim::countSequence(const Hamiltonian &H,
+                                   const std::vector<size_t> &Sequence,
+                                   const EmitOptions &Opts,
+                                   PopcountPath Path) {
+  return foldSequence(H, Sequence, {}, 0.0, Opts, nullptr, Path);
+}
+
+ShotSummary marqsim::walkAndCount(const MarkovChainSampler &Chain, RNG &Rng,
+                                  size_t Count, const Hamiltonian &H,
+                                  const EmitOptions &Opts,
+                                  PopcountPath Path) {
   if (Path == PopcountPath::Hardware) {
     assert(cpuFeatures().POPCNT && "hardware popcount on a host without it");
-    return foldAndCountHardware(H, Sequence, Taus, TauStep, Opts, Schedule,
-                                Stats);
+    return walkAndCountHardware(Chain, Rng, Count, H, Opts);
   }
-  return foldAndCountPortable(H, Sequence, Taus, TauStep, Opts, Schedule,
-                              Stats);
+  return walkAndCountPortable(Chain, Rng, Count, H, Opts);
 }

@@ -33,8 +33,16 @@
 ///   ladder CNOTs = 2 (w - 1) per rotation, less 2 |Cancel| per boundary;
 ///   singles = 2 b + 1 per rotation, less 2 basis(P, M) per boundary with
 ///   M the qubits matched across it.
-/// On x86-64 hosts with POPCNT it runs a clone compiled for that
-/// instruction; the portable path computes the same counts.
+///
+/// One per-visit fold is the whole per-shot back end. Fed term visits in
+/// order, it takes the sequence-hash step, pushes the term into the count
+/// pass (which drops identities and folds equal strings as the Schedule
+/// does), and appends to a Schedule when one is asked for. foldAndCount
+/// runs it over a Sequence with the append on; countSequence runs it with
+/// the append off; walkAndCount runs it inside the Markov walk, one visit
+/// per drawn state, so a shot nobody reads writes neither a Sequence nor a
+/// Schedule. On x86-64 hosts with POPCNT each entry runs a clone compiled
+/// for that instruction; the portable path computes the same counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +50,7 @@
 #define MARQSIM_CORE_EMITTER_H
 
 #include "circuit/PauliEvolution.h"
+#include "markov/Sampler.h"
 #include "pauli/Hamiltonian.h"
 
 namespace marqsim {
@@ -70,8 +79,18 @@ Circuit emitSchedule(const std::vector<ScheduledRotation> &Schedule,
                      unsigned NumQubits, const EmitOptions &Opts = {},
                      EmitStats *Stats = nullptr);
 
-/// The population count the count pass of foldAndCount runs on. Hardware
-/// is the x86-64 POPCNT instruction and needs CpuFeatures::POPCNT.
+/// The cheap always-retained record of one shot.
+struct ShotSummary {
+  size_t NumSamples = 0;
+  GateCounts Counts;
+  EmitStats Stats;
+  /// hashSequence of the term-visit sequence; lets callers check
+  /// bit-identical scheduling without retaining the sequence itself.
+  uint64_t SequenceHash = 0;
+};
+
+/// The population count the count pass runs on. Hardware is the x86-64
+/// POPCNT instruction and needs CpuFeatures::POPCNT.
 enum class PopcountPath { Portable, Hardware };
 
 /// Hardware when the host has POPCNT, else Portable.
@@ -81,15 +100,34 @@ PopcountPath hostPopcountPath();
 /// \p Schedule with visit k — term Sequence[k] of \p H at angle Taus[k],
 /// or sgn(h) * TauStep when \p Taus is empty — folding runs of equal
 /// strings, and returns emitSchedule(Schedule, n, Opts).counts() and the
-/// same \p Stats without creating a single gate. Both \p Path values give
-/// the same result.
+/// same \p Stats without creating a single gate. The same pass stores
+/// hashSequence(Sequence) in \p SequenceHash when it is given. Both
+/// \p Path values give the same result.
 GateCounts foldAndCount(const Hamiltonian &H,
                         const std::vector<size_t> &Sequence,
                         const std::vector<double> &Taus, double TauStep,
                         const EmitOptions &Opts,
                         std::vector<ScheduledRotation> &Schedule,
                         EmitStats *Stats,
-                        PopcountPath Path = hostPopcountPath());
+                        PopcountPath Path = hostPopcountPath(),
+                        uint64_t *SequenceHash = nullptr);
+
+/// foldAndCount's counts, stats and sequence hash, with NumSamples the
+/// sequence length, and no Schedule (angles do not change gate counts).
+ShotSummary countSequence(const Hamiltonian &H,
+                          const std::vector<size_t> &Sequence,
+                          const EmitOptions &Opts,
+                          PopcountPath Path = hostPopcountPath());
+
+/// One sampling shot with nothing materialized: walks \p Chain for
+/// \p Count states from \p Rng, as MarkovChainSampler::walk does, and
+/// folds, counts and hashes each state as it is drawn. Returns exactly
+/// countSequence(H, <that walk>, Opts) and leaves \p Rng where the walk
+/// would.
+ShotSummary walkAndCount(const MarkovChainSampler &Chain, RNG &Rng,
+                         size_t Count, const Hamiltonian &H,
+                         const EmitOptions &Opts,
+                         PopcountPath Path = hostPopcountPath());
 
 } // namespace marqsim
 

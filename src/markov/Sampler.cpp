@@ -75,29 +75,6 @@ void buildAlias(const double *W, size_t N, double Total, double *Prob,
     Prob[I] = 1.0;
 }
 
-/// Cond ? A : B by masking, so the compiler cannot turn it into a branch:
-/// the walk's coin and alias tests are close to fair flips, which a branch
-/// would mispredict about half the time.
-template <typename T> T pick(bool Cond, T A, T B) {
-  return B ^ ((A ^ B) & (T(0) - T(Cond)));
-}
-
-/// The index a quantile \p U selects in running sums \p Cum[0, N), clamped
-/// to the last entry that adds weight (see CDFSampler::indexForQuantile).
-size_t quantileIndex(const double *Cum, size_t N, double U) {
-  double X = U * Cum[N - 1];
-  size_t I = static_cast<size_t>(std::upper_bound(Cum, Cum + N, X) - Cum);
-  if (I >= N) {
-    // U * back rounded to (or past) the final cumulative sum. Clamp to the
-    // last index with positive weight: trailing zero-weight entries share
-    // the final cumulative value and must never be returned.
-    I = N - 1;
-    while (I > 0 && Cum[I] <= Cum[I - 1])
-      --I;
-  }
-  return I;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -140,7 +117,7 @@ size_t CDFSampler::sample(RNG &Rng) const {
 
 size_t CDFSampler::indexForQuantile(double U) const {
   assert(!Cumulative.empty() && "querying an unbuilt CDF table");
-  return quantileIndex(Cumulative.data(), Cumulative.size(), U);
+  return detail::quantileIndex(Cumulative.data(), Cumulative.size(), U);
 }
 
 std::vector<double> CDFSampler::law() const {
@@ -244,56 +221,6 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
   }
 }
 
-// Always inlined: in walkWith that keeps the generator in registers.
-template <SamplerKind K>
-__attribute__((always_inline)) inline size_t
-MarkovChainSampler::step(size_t State, RNG &Rng) const {
-  assert(State < numStates() && "chain state out of range");
-  const Row &R = Rows[State];
-  // Heads (the shared table) always when t_i is 1, never when it is 0.
-  bool Heads = R.Coin == 1.0;
-  if (R.Coin > 0.0 && !Heads)
-    Heads = Rng.uniform() < R.Coin;
-  if constexpr (K == SamplerKind::Alias) {
-    // Both tables draw a cell and then a uniform, so the coin only picks
-    // which table's bound rejects and which cell comes out. Reducing X
-    // for both tables keeps the coin off the path to the multiplies.
-    const Row &SharedTable = Rows[numStates()];
-    const Row &Table = Rows[pick(Heads, numStates(), State)];
-    uint64_t X = Rng.next();
-    while (X < Table.Draw.threshold())
-      X = Rng.next();
-    const AliasCell &C =
-        AliasCells[pick<size_t>(Heads,
-                                SharedTable.Begin + SharedTable.Draw.mod(X),
-                                R.Begin + R.Draw.mod(X))];
-    return pick(Rng.uniform() < C.Prob, C.Own, C.Alias);
-  } else {
-    if (Heads)
-      return SharedCDF.sample(Rng);
-    return CDFCols[R.Begin + quantileIndex(&CDFCumulative[R.Begin], R.Size,
-                                           Rng.uniform())];
-  }
-}
-
-template <SamplerKind K>
-void MarkovChainSampler::walkWith(RNG &Caller, size_t *Out,
-                                  size_t Count) const {
-  if (Count == 0)
-    return;
-  // Out and the generator state are both 64-bit words, so stores to Out
-  // would force the caller's state through memory every step.
-  RNG Rng = Caller;
-  size_t State = K == SamplerKind::Alias ? InitialAlias.sample(Rng)
-                                         : InitialCDF.sample(Rng);
-  Out[0] = State;
-  for (size_t I = 1; I < Count; ++I) {
-    State = step<K>(State, Rng);
-    Out[I] = State;
-  }
-  Caller = Rng;
-}
-
 size_t MarkovChainSampler::initial(RNG &Rng) const {
   return Kind == SamplerKind::Alias ? InitialAlias.sample(Rng)
                                     : InitialCDF.sample(Rng);
@@ -305,15 +232,7 @@ size_t MarkovChainSampler::stepFrom(size_t State, RNG &Rng) const {
 }
 
 void MarkovChainSampler::walk(RNG &Rng, size_t *Out, size_t Count) const {
-  if (Kind == SamplerKind::Alias)
-    walkWith<SamplerKind::Alias>(Rng, Out, Count);
-  else
-    walkWith<SamplerKind::CDF>(Rng, Out, Count);
-}
-
-size_t MarkovChainSampler::next(RNG &Rng) {
-  Current = Current == kNoState ? initial(Rng) : stepFrom(Current, Rng);
-  return Current;
+  walk(Rng, Count, [&Out](size_t State) { *Out++ = State; });
 }
 
 size_t MarkovChainSampler::bytes() const {

@@ -13,7 +13,9 @@
 /// draw, the complexity the paper's analysis assumes via
 /// Bringmann-Panagiotou). MarkovChainSampler walks the chain over a
 /// column-minimum decomposition of the transition matrix: one table shared
-/// by every row plus a sparse table per row (see its comment).
+/// by every row plus a sparse table per row (see its comment). It is
+/// immutable once built; every walk hands its states to a visitor, which
+/// either stores them or folds them as they are drawn.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +25,38 @@
 #include "markov/TransitionMatrix.h"
 #include "support/RNG.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
 namespace marqsim {
+
+namespace detail {
+
+/// Cond ? A : B by masking, so the compiler cannot turn it into a branch:
+/// the walk's coin and alias tests are close to fair flips, which a branch
+/// would mispredict about half the time.
+template <typename T> T pick(bool Cond, T A, T B) {
+  return B ^ ((A ^ B) & (T(0) - T(Cond)));
+}
+
+/// The index a quantile \p U selects in running sums \p Cum[0, N), clamped
+/// to the last entry that adds weight (see CDFSampler::indexForQuantile).
+inline size_t quantileIndex(const double *Cum, size_t N, double U) {
+  double X = U * Cum[N - 1];
+  size_t I = static_cast<size_t>(std::upper_bound(Cum, Cum + N, X) - Cum);
+  if (I >= N) {
+    // U * back rounded to (or past) the final cumulative sum. Clamp to the
+    // last index with positive weight: trailing zero-weight entries share
+    // the final cumulative value and must never be returned.
+    I = N - 1;
+    while (I > 0 && Cum[I] <= Cum[I - 1])
+      --I;
+  }
+  return I;
+}
+
+} // namespace detail
 
 /// Walker/Vose alias sampler over a fixed discrete distribution.
 class AliasSampler {
@@ -115,9 +145,6 @@ public:
                      const std::vector<double> &Initial,
                      SamplerKind Kind = SamplerKind::Alias);
 
-  /// Draws the next state and advances the chain.
-  size_t next(RNG &Rng);
-
   /// Stateless draw from the initial distribution. Thread-safe: batch
   /// compilation shares one sampler read-only across workers, each walking
   /// its own chain state.
@@ -126,15 +153,25 @@ public:
   /// Stateless draw from the row of \p State. Thread-safe (see initial()).
   size_t stepFrom(size_t State, RNG &Rng) const;
 
-  /// Fills \p Out[0, Count) with one walk: an initial draw, then Count - 1
-  /// steps. Draws exactly what initial() and stepFrom() would, and leaves
-  /// \p Rng where they would; the walk itself runs on a local copy of the
-  /// generator, so the state stays in registers across the stores to Out.
-  void walk(RNG &Rng, size_t *Out, size_t Count) const;
+  /// Runs one walk of \p Count states, an initial draw and then Count - 1
+  /// steps, and calls \p Visit(State) on each state in walk order. Draws
+  /// exactly what initial() and stepFrom() would, and leaves \p Rng where
+  /// they would. This is the only walk loop. It runs on a local copy of the
+  /// generator, so the state stays in registers, and the visitor inlines
+  /// into it: state k is visited once step k + 1 is drawn, so the
+  /// visitor's work (core/Emitter's per-shot fold, say) overlaps the
+  /// walk's serial chain of table loads instead of stalling it.
+  template <class Visitor>
+  __attribute__((always_inline)) void walk(RNG &Rng, size_t Count,
+                                           Visitor &&Visit) const {
+    if (Kind == SamplerKind::Alias)
+      walkWith<SamplerKind::Alias>(Rng, Count, Visit);
+    else
+      walkWith<SamplerKind::CDF>(Rng, Count, Visit);
+  }
 
-  /// Resets to the pre-first-draw state (next draw uses the initial
-  /// distribution again).
-  void reset() { Current = kNoState; }
+  /// Fills \p Out[0, Count) with one walk (see the visitor form).
+  void walk(RNG &Rng, size_t *Out, size_t Count) const;
 
   /// Number of states in the chain.
   size_t numStates() const { return Rows.size() - 1; }
@@ -155,8 +192,6 @@ public:
   std::vector<double> rowLaw(size_t State) const;
 
 private:
-  static constexpr size_t kNoState = static_cast<size_t>(-1);
-
   /// Row i's coin t_i and its cells [Begin, Begin + Size); alias rows draw
   /// their cell with Draw (bound Size).
   struct Row {
@@ -173,8 +208,8 @@ private:
   };
 
   template <SamplerKind K> size_t step(size_t State, RNG &Rng) const;
-  template <SamplerKind K> void walkWith(RNG &Rng, size_t *Out,
-                                         size_t Count) const;
+  template <SamplerKind K, class Visitor>
+  void walkWith(RNG &Rng, size_t Count, Visitor &Visit) const;
 
   SamplerKind Kind;
   double Shared = 0.0; // W
@@ -189,8 +224,61 @@ private:
   /// CDF rows: running sums over each row's cells and their columns.
   std::vector<double> CDFCumulative;
   std::vector<uint32_t> CDFCols;
-  size_t Current = kNoState;
 };
+
+// Always inlined: in walkWith that keeps the generator in registers.
+template <SamplerKind K>
+__attribute__((always_inline)) inline size_t
+MarkovChainSampler::step(size_t State, RNG &Rng) const {
+  assert(State < numStates() && "chain state out of range");
+  const Row &R = Rows[State];
+  // Heads (the shared table) always when t_i is 1, never when it is 0.
+  bool Heads = R.Coin == 1.0;
+  if (R.Coin > 0.0 && !Heads)
+    Heads = Rng.uniform() < R.Coin;
+  if constexpr (K == SamplerKind::Alias) {
+    // Both tables draw a cell and then a uniform, so the coin only picks
+    // which table's bound rejects and which cell comes out. Reducing X
+    // for both tables keeps the coin off the path to the multiplies.
+    const Row &SharedTable = Rows[numStates()];
+    const Row &Table = Rows[detail::pick(Heads, numStates(), State)];
+    uint64_t X = Rng.next();
+    while (X < Table.Draw.threshold())
+      X = Rng.next();
+    const AliasCell &C = AliasCells[detail::pick<size_t>(
+        Heads, SharedTable.Begin + SharedTable.Draw.mod(X),
+        R.Begin + R.Draw.mod(X))];
+    return detail::pick(Rng.uniform() < C.Prob, C.Own, C.Alias);
+  } else {
+    if (Heads)
+      return SharedCDF.sample(Rng);
+    return CDFCols[R.Begin + detail::quantileIndex(&CDFCumulative[R.Begin],
+                                                   R.Size, Rng.uniform())];
+  }
+}
+
+template <SamplerKind K, class Visitor>
+__attribute__((always_inline)) inline void
+MarkovChainSampler::walkWith(RNG &Caller, size_t Count,
+                             Visitor &Visit) const {
+  if (Count == 0)
+    return;
+  // A visitor that stores states writes 64-bit words, as the generator
+  // state is, so it would force the caller's state through memory every
+  // step.
+  RNG Rng = Caller;
+  size_t State = K == SamplerKind::Alias ? InitialAlias.sample(Rng)
+                                         : InitialCDF.sample(Rng);
+  // State k is visited after step k + 1 is issued, so a branch the
+  // visitor mispredicts on state k does not hold the next step back.
+  for (size_t I = 1; I < Count; ++I) {
+    size_t Next = step<K>(State, Rng);
+    Visit(State);
+    State = Next;
+  }
+  Visit(State);
+  Caller = Rng;
+}
 
 } // namespace marqsim
 

@@ -69,12 +69,12 @@ bool CommandLine::getBool(const std::string &Name, bool Default) const {
   return false;
 }
 
-std::vector<std::string> CommandLine::flagNames() const {
-  std::vector<std::string> Names;
-  Names.reserve(Flags.size());
+std::string
+CommandLine::unknownFlag(const std::vector<std::string> &Known) const {
   for (const auto &KV : Flags)
-    Names.push_back(KV.first);
-  return Names;
+    if (std::find(Known.begin(), Known.end(), KV.first) == Known.end())
+      return KV.first;
+  return "";
 }
 
 std::optional<size_t> marqsim::mebibytesToBytes(double MiB) {

@@ -8,8 +8,9 @@
 /// Minimal command-line flag parsing for the benchmark harnesses.
 ///
 /// Supports `--name=value`, `--name value`, and bare boolean `--name`.
-/// flagNames() lists every flag given, so a harness can reject the ones it
-/// does not read (typos). This keeps every table/figure binary
+/// Every binary rejects a flag it does not read through unknownFlag(): a
+/// typo is a usage error (exit 1) naming the flag, never a silent run of
+/// the default workload. This keeps every table/figure binary
 /// self-describing without an external dependency.
 ///
 //===----------------------------------------------------------------------===//
@@ -50,10 +51,10 @@ public:
 
   const std::vector<std::string> &positionals() const { return Positionals; }
 
-  /// Returns the name of every flag given, sorted, without the leading
-  /// "--". A harness compares them against the flags it reads to reject
-  /// typos.
-  std::vector<std::string> flagNames() const;
+  /// The first flag given (in name order, without the leading "--") that
+  /// is not in \p Known, or empty when every flag is known. The caller
+  /// reports it as "error: unknown flag --NAME" and exits 1.
+  std::string unknownFlag(const std::vector<std::string> &Known) const;
 
 private:
   std::map<std::string, std::string> Flags;

@@ -21,6 +21,7 @@
 #include "hamgen/Registry.h"
 #include "service/SimulationService.h"
 #include "sim/Fidelity.h"
+#include "support/CpuFeatures.h"
 #include "support/Serial.h"
 #include "support/ThreadPool.h"
 
@@ -738,6 +739,156 @@ TEST(CompilerEngineTest, CDFAblationBatchIsAlsoJobInvariant) {
   Req.Jobs = 5;
   BatchResult Parallel = Engine.compileBatch(Req);
   EXPECT_EQ(Serial.batchHash(), Parallel.batchHash());
+}
+
+//===----------------------------------------------------------------------===//
+// Summary-only and materializing batch paths
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One strategy of every kind compileBatch runs: sampling with the alias
+/// and the CDF sampler, Trotter orders 1, 2 and 4, random-order Trotter
+/// and SparSto. The Hamiltonian carries an identity term, which every
+/// fold drops.
+std::vector<std::shared_ptr<const ScheduleStrategy>> everyStrategyKind() {
+  Hamiltonian H = testHamiltonian();
+  H.addTerm(0.3, PauliString());
+  TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
+  auto Graph = std::make_shared<const HTTGraph>(H, std::move(P));
+  return {std::make_shared<const SamplingStrategy>(Graph, 0.5, 0.05),
+          std::make_shared<const SamplingStrategy>(Graph, 0.5, 0.05,
+                                                   /*UseCDF=*/true),
+          std::make_shared<const TrotterStrategy>(
+              H, 0.6, 3, TermOrderKind::Lexicographic, 1),
+          std::make_shared<const TrotterStrategy>(
+              H, 0.6, 3, TermOrderKind::Given, 2),
+          std::make_shared<const TrotterStrategy>(
+              H, 0.6, 2, TermOrderKind::MagnitudeDescending, 4),
+          std::make_shared<const RandomOrderTrotterStrategy>(H, 0.5, 6),
+          std::make_shared<const SparStoStrategy>(H, 0.3, 8, 1.5)};
+}
+
+void expectSameSummary(const ShotSummary &A, const ShotSummary &B) {
+  EXPECT_EQ(A.NumSamples, B.NumSamples);
+  EXPECT_EQ(A.Counts.CNOTs, B.Counts.CNOTs);
+  EXPECT_EQ(A.Counts.SingleQubit, B.Counts.SingleQubit);
+  EXPECT_EQ(A.Stats.CancelledCNOTs, B.Stats.CancelledCNOTs);
+  EXPECT_EQ(A.Stats.CancelledSingles, B.Stats.CancelledSingles);
+  EXPECT_EQ(A.SequenceHash, B.SequenceHash);
+}
+
+void expectSameStat(const SummaryStat &A, const SummaryStat &B) {
+  EXPECT_DOUBLE_EQ(A.Mean, B.Mean);
+  EXPECT_DOUBLE_EQ(A.Std, B.Std);
+  EXPECT_DOUBLE_EQ(A.Min, B.Min);
+  EXPECT_DOUBLE_EQ(A.Max, B.Max);
+}
+
+} // namespace
+
+TEST(CompilerEngineTest, SummaryOnlyBatchEqualsMaterializingBatch) {
+  // Without a hook or KeepResults each shot is only summarized (the walk
+  // folds as it draws, writing no Sequence or Schedule); with either, each
+  // shot is materialized. Shot by shot the summaries must be equal, and a
+  // no-op hook must not change the batch hash or any aggregate.
+  CompilerEngine Engine;
+  for (const auto &Strategy : everyStrategyKind()) {
+    for (unsigned Jobs : {1u, 4u}) {
+      for (bool Cancel : {true, false}) {
+        SCOPED_TRACE(Strategy->name() + " jobs=" + std::to_string(Jobs) +
+                     " cancel=" + std::to_string(Cancel));
+        BatchRequest Req;
+        Req.Strategy = Strategy;
+        Req.NumShots = 6;
+        Req.Jobs = Jobs;
+        Req.Seed = 4099;
+        Req.Opts.Emit.CrossCancellation = Cancel;
+        BatchResult Summary = Engine.compileBatch(Req);
+
+        Req.KeepResults = true;
+        BatchResult Kept = Engine.compileBatch(Req);
+        ASSERT_EQ(Kept.Results.size(), Req.NumShots);
+        Req.KeepResults = false;
+        Req.PerShot = [](size_t, const CompilationResult &) {};
+        BatchResult Hooked = Engine.compileBatch(Req);
+
+        EXPECT_TRUE(Summary.Results.empty());
+        ASSERT_EQ(Summary.Shots.size(), Req.NumShots);
+        for (size_t Shot = 0; Shot < Req.NumShots; ++Shot) {
+          SCOPED_TRACE("shot " + std::to_string(Shot));
+          const CompilationResult &R = Kept.Results[Shot];
+          expectSameSummary(Summary.Shots[Shot], Kept.Shots[Shot]);
+          expectSameSummary(Summary.Shots[Shot], Hooked.Shots[Shot]);
+          EXPECT_EQ(Summary.Shots[Shot].SequenceHash,
+                    hashSequence(R.Sequence));
+          EXPECT_EQ(Summary.Shots[Shot].NumSamples, R.Sequence.size());
+          EXPECT_EQ(Summary.Shots[Shot].Counts.CNOTs,
+                    R.circuit().counts().CNOTs);
+        }
+        EXPECT_EQ(Summary.batchHash(), Hooked.batchHash());
+        EXPECT_EQ(Summary.batchHash(), Kept.batchHash());
+        for (const BatchResult *Other : {&Kept, &Hooked}) {
+          expectSameStat(Summary.CNOTs, Other->CNOTs);
+          expectSameStat(Summary.Singles, Other->Singles);
+          expectSameStat(Summary.Totals, Other->Totals);
+          expectSameStat(Summary.Samples, Other->Samples);
+          EXPECT_EQ(Summary.TotalCancelledCNOTs, Other->TotalCancelledCNOTs);
+          EXPECT_EQ(Summary.TotalCancelledSingles,
+                    Other->TotalCancelledSingles);
+        }
+      }
+    }
+  }
+}
+
+TEST(CompilerEngineTest, SummarizeEqualsMaterializeOnEveryPopcountPath) {
+  // The strategy-level contract behind the summary-only path, on each
+  // popcount the host can run: summarize() (walkAndCount for sampling,
+  // countSequence otherwise) equals the fold of produce()'s plan by
+  // foldAndCount, and the walk leaves the shot's generator where the
+  // materializing walk leaves it.
+  std::vector<PopcountPath> Paths = {PopcountPath::Portable};
+  if (cpuFeatures().POPCNT)
+    Paths.push_back(PopcountPath::Hardware);
+  for (const auto &Strategy : everyStrategyKind()) {
+    const Hamiltonian &H = Strategy->hamiltonian();
+    const auto *Sampling =
+        dynamic_cast<const SamplingStrategy *>(Strategy.get());
+    for (bool Cancel : {true, false}) {
+      EmitOptions Emit;
+      Emit.CrossCancellation = Cancel;
+      for (PopcountPath Path : Paths) {
+        for (uint64_t Shot = 0; Shot < 3; ++Shot) {
+          SCOPED_TRACE(Strategy->name() + " cancel=" +
+                       std::to_string(Cancel) + " popcnt=" +
+                       std::to_string(Path == PopcountPath::Hardware) +
+                       " shot=" + std::to_string(Shot));
+          RNG PlanRng = RNG::forShot(808, Shot);
+          ShotContext PlanCtx{Shot, PlanRng};
+          ShotPlan Plan = Strategy->produce(PlanCtx);
+          std::vector<ScheduledRotation> Schedule;
+          ShotSummary Expect;
+          Expect.NumSamples = Plan.Sequence.size();
+          Expect.Counts =
+              foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep, Emit,
+                           Schedule, &Expect.Stats, Path,
+                           &Expect.SequenceHash);
+          EXPECT_EQ(Expect.SequenceHash, hashSequence(Plan.Sequence));
+          expectSameSummary(countSequence(H, Plan.Sequence, Emit, Path),
+                            Expect);
+          if (!Sampling)
+            continue;
+          RNG WalkRng = RNG::forShot(808, Shot);
+          expectSameSummary(walkAndCount(Sampling->chain(), WalkRng,
+                                         Sampling->sampleCount(), H, Emit,
+                                         Path),
+                            Expect);
+          EXPECT_EQ(WalkRng.next(), PlanRng.next());
+        }
+      }
+    }
+  }
 }
 
 TEST(CompilerEngineTest, StochasticTrotterStrategiesRunInBatches) {

@@ -254,9 +254,11 @@ TEST(MarkovChainSamplerTest, FirstDrawFollowsInitialDistribution) {
   RNG Rng(56);
   for (int Trial = 0; Trial < 50; ++Trial) {
     MarkovChainSampler S(P, Init);
-    EXPECT_EQ(S.next(Rng), 0u);
-    EXPECT_EQ(S.next(Rng), 1u); // deterministic alternation
-    EXPECT_EQ(S.next(Rng), 0u);
+    size_t Walk[3];
+    S.walk(Rng, Walk, 3);
+    EXPECT_EQ(Walk[0], 0u);
+    EXPECT_EQ(Walk[1], 1u); // deterministic alternation
+    EXPECT_EQ(Walk[2], 0u);
   }
 }
 
@@ -268,12 +270,11 @@ TEST(MarkovChainSamplerTest, EmpiricalTransitionFrequencies) {
   const int N = 300000;
   std::vector<std::vector<int>> Counts(4, std::vector<int>(4, 0));
   std::vector<int> StateCounts(4, 0);
-  size_t Prev = S.next(Rng);
+  std::vector<size_t> Walk(N);
+  S.walk(Rng, Walk.data(), N);
   for (int I = 1; I < N; ++I) {
-    size_t Cur = S.next(Rng);
-    ++Counts[Prev][Cur];
-    ++StateCounts[Prev];
-    Prev = Cur;
+    ++Counts[Walk[I - 1]][Walk[I]];
+    ++StateCounts[Walk[I - 1]];
   }
   for (size_t I = 0; I < 4; ++I)
     for (size_t J = 0; J < 4; ++J) {
@@ -289,8 +290,10 @@ TEST(MarkovChainSamplerTest, LongRunVisitsMatchStationary) {
   RNG Rng(58);
   std::vector<int> Visits(4, 0);
   const int N = 300000;
-  for (int I = 0; I < N; ++I)
-    ++Visits[S.next(Rng)];
+  std::vector<size_t> Walk(N);
+  S.walk(Rng, Walk.data(), N);
+  for (size_t State : Walk)
+    ++Visits[State];
   for (size_t K = 0; K < 4; ++K)
     EXPECT_NEAR(Visits[K] / double(N), Pi[K], 0.01);
 }

@@ -237,6 +237,27 @@ TEST(CommandLineTest, BoolForms) {
   EXPECT_TRUE(CL.getBool("c"));
 }
 
+TEST(CommandLineTest, UnknownFlagNamesTheFirstFlagNotKnown) {
+  // The table 2 typo: --strngs is not --strings, so it must be reported
+  // rather than ignored (which would time the default workload).
+  const char *Typo[] = {"prog", "--strngs=100", "--qubits=10", "--rounds=1"};
+  CommandLine CL(4, Typo);
+  const std::vector<std::string> Known = {"qubits", "rounds", "strings"};
+  EXPECT_EQ(CL.unknownFlag(Known), "strngs");
+  // Bare and "--name value" flags are checked too, and the first unknown
+  // flag in name order is the one reported; positionals are not flags.
+  const char *Several[] = {"prog", "--zeta", "--alpha", "7", "input.txt"};
+  CommandLine Two(5, Several);
+  EXPECT_EQ(Two.unknownFlag(Known), "alpha");
+  EXPECT_EQ(Two.unknownFlag({"alpha"}), "zeta");
+  EXPECT_EQ(Two.unknownFlag({"alpha", "zeta"}), "");
+  // No flags: nothing to reject, even against an empty list.
+  const char *None[] = {"prog", "input.txt"};
+  EXPECT_EQ(CommandLine(2, None).unknownFlag({}), "");
+  const char *Good[] = {"prog", "--strings=100", "--qubits", "10"};
+  EXPECT_EQ(CommandLine(4, Good).unknownFlag(Known), "");
+}
+
 TEST(CommandLineTest, CacheLimitMebibytesToBytes) {
   EXPECT_EQ(mebibytesToBytes(0.0), std::optional<size_t>(0));
   // Budgets round up: a sub-byte one is the tightest cap, never 0

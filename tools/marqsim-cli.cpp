@@ -120,7 +120,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -132,23 +131,13 @@ using namespace marqsim;
 namespace {
 
 /// Every flag this driver reads.
-constexpr const char *KnownFlags[] = {
+const std::vector<std::string> KnownFlags = {
     "cache-dir", "cache-limit-mb", "cdf", "columns", "config", "connect",
     "dot", "epsilon", "eval-jobs", "fleet-timeout-ms", "gc", "help",
     "jobs", "model", "noise", "noise-2q-factor", "noise-mode",
     "noise-prob", "out", "perturb-seed", "qd", "rounds", "rp", "seed",
     "server-stats", "shard-dir", "shards", "shots", "stats", "stats-json",
     "stream", "time", "workers"};
-
-/// The first flag on the command line this driver does not read, or
-/// empty when every flag is known.
-std::string unknownFlag(const CommandLine &CL) {
-  for (const std::string &Name : CL.flagNames())
-    if (std::find(std::begin(KnownFlags), std::end(KnownFlags), Name) ==
-        std::end(KnownFlags))
-      return Name;
-  return "";
-}
 
 void printBatchTable(const TaskSpec &Spec, const TaskResult &Result) {
   const BatchResult &Batch = Result.Batch;
@@ -264,7 +253,7 @@ int runConnectMode(const CommandLine &CL, TaskSpec Spec) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (std::string Unknown = unknownFlag(CL); !Unknown.empty()) {
+  if (std::string Unknown = CL.unknownFlag(KnownFlags); !Unknown.empty()) {
     std::cerr << "error: unknown flag --" << Unknown
               << " (see --help for the supported flags)\n";
     return 1;
