@@ -7,7 +7,6 @@
 #include "BenchCommon.h"
 
 #include <algorithm>
-#include <iostream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -128,6 +127,9 @@ void marqsim::printCacheStats(std::ostream &OS,
      << " reused=" << S.SuperHits << "\n";
 }
 
+const std::vector<std::string> marqsim::CommonFlags = {
+    "eps", "jobs", "paper", "reps", "rounds", "seed"};
+
 void marqsim::applyCommonFlags(const CommandLine &CL, SweepOptions &Opts) {
   if (CL.getBool("paper")) {
     // The paper's epsilon list (Section 6.1) and repetition count.
@@ -150,15 +152,3 @@ void marqsim::applyCommonFlags(const CommandLine &CL, SweepOptions &Opts) {
   Opts.Jobs = static_cast<unsigned>(CL.getInt("jobs", Opts.Jobs));
 }
 
-bool marqsim::rejectUnknownFlags(const CommandLine &CL,
-                                 std::vector<std::string> Known,
-                                 bool Common) {
-  if (Common)
-    Known.insert(Known.end(),
-                 {"eps", "jobs", "paper", "reps", "rounds", "seed"});
-  std::string Name = CL.unknownFlag(Known);
-  if (Name.empty())
-    return false;
-  std::cerr << "error: unknown flag --" << Name << "\n";
-  return true;
-}

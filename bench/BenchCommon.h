@@ -9,8 +9,8 @@
 /// experimental configurations (Section 6.1), epsilon sweeps with repeated
 /// randomized compilation, fidelity evaluation, and reduction summaries.
 ///
-/// Every sweep harness accepts (and every harness rejects a flag it does
-/// not read, see rejectUnknownFlags):
+/// Every sweep harness accepts (CommonFlags; every harness rejects a flag
+/// it does not read through CommandLine::rejectUnknown):
 ///   --paper         full-scale parameters (paper epsilon list, 20 reps,
 ///                   100 perturbation rounds)
 ///   --reps=K        repetitions (shots) per epsilon
@@ -124,12 +124,9 @@ void printCacheStats(std::ostream &OS, const SimulationService &Service);
 /// --jobs to \p Opts.
 void applyCommonFlags(const CommandLine &CL, SweepOptions &Opts);
 
-/// True, after printing "error: unknown flag --NAME" on stderr, when \p CL
-/// has a flag outside \p Known and, for a harness that calls
-/// applyCommonFlags (\p Common), outside its flags too. The harness then
-/// exits 1: a misspelled flag must not time the default workload.
-bool rejectUnknownFlags(const CommandLine &CL, std::vector<std::string> Known,
-                        bool Common);
+/// The flags applyCommonFlags reads; a sweep harness accepts them next to
+/// its own: CL.rejectUnknown({...its own...}, CommonFlags).
+extern const std::vector<std::string> CommonFlags;
 
 } // namespace marqsim
 

@@ -34,7 +34,7 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"benchmark", "epsilon"}, /*Common=*/true))
+  if (CL.rejectUnknown({"benchmark", "epsilon"}, CommonFlags))
     return 1;
   SweepOptions Opts;
   applyCommonFlags(CL, Opts);

@@ -277,9 +277,9 @@ uint64_t targetDigest(const std::vector<CVector> &Targets) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"list-tiers", "min-fused-speedup", "min-seconds",
-                              "min-simd-speedup", "min-speedup", "qubits",
-                              "reps", "time"}, /*Common=*/false))
+  if (CL.rejectUnknown({"list-tiers", "min-fused-speedup", "min-seconds",
+                        "min-simd-speedup", "min-speedup", "qubits", "reps",
+                        "time"}))
     return 1;
   if (CL.getBool("list-tiers")) {
     for (const kernels::Ops *O : kernels::availableOps())

@@ -35,7 +35,7 @@ static void printSpectrum(const std::string &Label,
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {}, /*Common=*/false))
+  if (CL.rejectUnknown({}))
     return 1;
   Hamiltonian H = Hamiltonian::parse({{1.0, "IIIZY"},
                                       {1.0, "XXIII"},

@@ -29,7 +29,7 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"benchmark", "columns"}, /*Common=*/true))
+  if (CL.rejectUnknown({"benchmark", "columns"}, CommonFlags))
     return 1;
   SweepOptions Opts;
   Opts.Epsilons = {0.1, 0.067, 0.05};

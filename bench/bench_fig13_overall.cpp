@@ -36,7 +36,7 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"all", "columns", "fidelity-qubits"}, /*Common=*/true))
+  if (CL.rejectUnknown({"all", "columns", "fidelity-qubits"}, CommonFlags))
     return 1;
   SweepOptions Opts;
   applyCommonFlags(CL, Opts);

@@ -26,7 +26,7 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"all"}, /*Common=*/true))
+  if (CL.rejectUnknown({"all"}, CommonFlags))
     return 1;
   SweepOptions Opts;
   Opts.Epsilons = {0.1, 0.05};

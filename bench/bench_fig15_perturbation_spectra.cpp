@@ -39,7 +39,7 @@ void printTopSpectrum(const std::string &Label, const TransitionMatrix &P,
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"benchmark", "columns", "epsilon"}, /*Common=*/true))
+  if (CL.rejectUnknown({"benchmark", "columns", "epsilon"}, CommonFlags))
     return 1;
   SweepOptions Opts;
   Opts.Reps = 8;

@@ -23,7 +23,7 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {}, /*Common=*/true))
+  if (CL.rejectUnknown({}, CommonFlags))
     return 1;
   SweepOptions Opts;
   Opts.Epsilons = {0.1, 0.05};

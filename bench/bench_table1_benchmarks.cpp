@@ -23,7 +23,7 @@ using namespace marqsim;
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"skip-large"}, /*Common=*/false))
+  if (CL.rejectUnknown({"skip-large"}))
     return 1;
   bool SkipLarge = CL.getBool("skip-large");
 

@@ -42,8 +42,7 @@ static std::vector<int64_t> parseList(const std::string &Text) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (rejectUnknownFlags(CL, {"lambda", "paper", "qubits", "rounds",
-                              "strings"}, /*Common=*/false))
+  if (CL.rejectUnknown({"lambda", "paper", "qubits", "rounds", "strings"}))
     return 1;
   bool Paper = CL.getBool("paper");
   std::vector<int64_t> Qubits = parseList(CL.getString("qubits", "10,20,30"));

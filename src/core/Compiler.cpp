@@ -24,8 +24,6 @@ size_t marqsim::qdriftSampleCount(double Lambda, double T, double Epsilon) {
 CompilationResult marqsim::materializePlan(const Hamiltonian &H,
                                            ShotPlan Plan,
                                            const CompilationOptions &Opts) {
-  assert((Plan.Taus.empty() || Plan.Taus.size() == Plan.Sequence.size()) &&
-         "per-visit tau vector must match the sequence length");
   CompilationResult R;
   R.NumSamples = Plan.Sequence.size();
   R.Lambda = H.lambda();
@@ -35,9 +33,11 @@ CompilationResult marqsim::materializePlan(const Hamiltonian &H,
   // Merge runs of identical samples: exp(i tau P) exp(i tau P) folds into a
   // single rotation with doubled time parameter (paper Section 5.2); the
   // same pass counts the gates and hashes the sequence.
-  R.Counts = foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep,
-                          Opts.Emit, R.Schedule, &R.Stats,
-                          hostPopcountPath(), &R.SequenceHash);
+  ShotSummary S = foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep,
+                               Opts.Emit, R.Schedule);
+  R.Counts = S.Counts;
+  R.Stats = S.Stats;
+  R.SequenceHash = S.SequenceHash;
   R.Sequence = std::move(Plan.Sequence);
   return R;
 }

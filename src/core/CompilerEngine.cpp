@@ -17,9 +17,18 @@
 
 using namespace marqsim;
 
+static ShotSummary summarizeShot(const CompilationResult &R) {
+  ShotSummary S;
+  S.NumSamples = R.NumSamples;
+  S.Counts = R.Counts;
+  S.Stats = R.Stats;
+  S.SequenceHash = R.SequenceHash;
+  return S;
+}
+
 ShotSummary ScheduleStrategy::summarize(ShotContext &Ctx,
                                         const CompilationOptions &Opts) const {
-  return countSequence(hamiltonian(), produce(Ctx).Sequence, Opts.Emit);
+  return summarizeShot(materializePlan(hamiltonian(), produce(Ctx), Opts));
 }
 
 //===----------------------------------------------------------------------===//
@@ -224,15 +233,6 @@ uint64_t marqsim::hashSequence(const std::vector<size_t> &Sequence) {
   return H;
 }
 
-static ShotSummary summarizeShot(const CompilationResult &R) {
-  ShotSummary S;
-  S.NumSamples = R.NumSamples;
-  S.Counts = R.Counts;
-  S.Stats = R.Stats;
-  S.SequenceHash = R.SequenceHash;
-  return S;
-}
-
 static SummaryStat toSummary(const RunningStats &Stats) {
   SummaryStat S;
   S.Mean = Stats.mean();
@@ -296,7 +296,8 @@ BatchResult CompilerEngine::compileBatch(const BatchRequest &Req) const {
       std::min<size_t>(Jobs, Req.NumShots));
 
   // Without a hook or KeepResults nobody reads a shot's result, so each
-  // shot is only summarized: no Sequence or Schedule is written.
+  // shot is only summarized (a sampling shot writes no Sequence or
+  // Schedule).
   const bool SummaryOnly = !Req.PerShot && !Req.KeepResults;
 
   // Per-shot walk + emission seconds: each worker writes its own slot,

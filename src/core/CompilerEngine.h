@@ -20,8 +20,8 @@
 ///     funnel through one deterministic per-visit fold (core/Emitter), so
 ///     gate-count comparisons isolate the scheduling policy. A shot whose
 ///     result somebody reads is materialized (materializePlan); a shot
-///     only summarized is folded without buffers (ScheduleStrategy::
-///     summarize, which for sampling folds inside the Markov walk).
+///     only summarized goes through ScheduleStrategy::summarize, which
+///     for sampling folds inside the Markov walk without buffers.
 ///
 /// Batch compilation amortizes setup (HTT graph, transition matrix, and
 /// the chain's sampling tables are built once and shared read-only) and
@@ -78,8 +78,8 @@ public:
   /// The summary of one shot without its Sequence or Schedule: what
   /// compileBatch records when nobody reads the shot's result. Must equal
   /// the summary of materializePlan(hamiltonian(), produce(Ctx), Opts) and
-  /// be thread-safe. The default folds produce()'s plan with
-  /// countSequence.
+  /// be thread-safe. The default is that summary; SamplingStrategy
+  /// overrides it with the fold inside the walk.
   virtual ShotSummary summarize(ShotContext &Ctx,
                                 const CompilationOptions &Opts) const;
 };

@@ -280,63 +280,44 @@ private:
 };
 
 /// The fold over a Sequence on one popcount; always inlined, so the
-/// popcount the caller is compiled for is the one that runs. The Schedule,
-/// when given, is replaced.
+/// popcount the caller is compiled for is the one that runs. The Schedule
+/// is replaced.
 template <class Popcount>
 __attribute__((always_inline)) inline ShotSummary
-foldSequenceWith(const Hamiltonian &H, const std::vector<size_t> &Sequence,
+foldAndCountWith(const Hamiltonian &H, const std::vector<size_t> &Sequence,
                  const std::vector<double> &Taus, double TauStep,
                  const EmitOptions &Opts,
-                 std::vector<ScheduledRotation> *Schedule) {
-  ShotFold<Popcount> Fold(H, Opts, Schedule);
-  if (Schedule) {
-    Schedule->clear();
-    Schedule->reserve(Sequence.size());
-  }
+                 std::vector<ScheduledRotation> &Schedule) {
+  ShotFold<Popcount> Fold(H, Opts, &Schedule);
+  Schedule.clear();
+  Schedule.reserve(Sequence.size());
   for (size_t K = 0; K < Sequence.size(); ++K) {
-    double Tau = 0.0;
-    if (Schedule)
-      Tau = !Taus.empty() ? Taus[K]
-            : H.term(Sequence[K]).Coeff >= 0.0 ? TauStep
-                                               : -TauStep;
+    double Tau = !Taus.empty() ? Taus[K]
+                 : H.term(Sequence[K]).Coeff >= 0.0 ? TauStep
+                                                    : -TauStep;
     Fold.visit(Sequence[K], Tau);
   }
   return Fold.finish(Sequence.size());
 }
 
-ShotSummary foldSequencePortable(const Hamiltonian &H,
+ShotSummary foldAndCountPortable(const Hamiltonian &H,
                                  const std::vector<size_t> &Sequence,
                                  const std::vector<double> &Taus,
                                  double TauStep, const EmitOptions &Opts,
-                                 std::vector<ScheduledRotation> *Schedule) {
-  return foldSequenceWith<PortablePopcount>(H, Sequence, Taus, TauStep, Opts,
+                                 std::vector<ScheduledRotation> &Schedule) {
+  return foldAndCountWith<PortablePopcount>(H, Sequence, Taus, TauStep, Opts,
                                             Schedule);
 }
 
-MARQSIM_TARGET_POPCNT ShotSummary foldSequenceHardware(
+MARQSIM_TARGET_POPCNT ShotSummary foldAndCountHardware(
     const Hamiltonian &H, const std::vector<size_t> &Sequence,
     const std::vector<double> &Taus, double TauStep, const EmitOptions &Opts,
-    std::vector<ScheduledRotation> *Schedule) {
-  return foldSequenceWith<HardwarePopcount>(H, Sequence, Taus, TauStep, Opts,
+    std::vector<ScheduledRotation> &Schedule) {
+  return foldAndCountWith<HardwarePopcount>(H, Sequence, Taus, TauStep, Opts,
                                             Schedule);
 }
 
-ShotSummary foldSequence(const Hamiltonian &H,
-                         const std::vector<size_t> &Sequence,
-                         const std::vector<double> &Taus, double TauStep,
-                         const EmitOptions &Opts,
-                         std::vector<ScheduledRotation> *Schedule,
-                         PopcountPath Path) {
-  assert((Taus.empty() || Taus.size() == Sequence.size()) &&
-         "per-visit tau vector must match the sequence length");
-  if (Path == PopcountPath::Hardware) {
-    assert(cpuFeatures().POPCNT && "hardware popcount on a host without it");
-    return foldSequenceHardware(H, Sequence, Taus, TauStep, Opts, Schedule);
-  }
-  return foldSequencePortable(H, Sequence, Taus, TauStep, Opts, Schedule);
-}
-
-/// The fold inside the walk on one popcount (see foldSequenceWith): the
+/// The fold inside the walk on one popcount (see foldAndCountWith): the
 /// walk loop, the visitor and the fold inline into one loop.
 template <class Popcount>
 __attribute__((always_inline)) inline ShotSummary
@@ -416,27 +397,19 @@ PopcountPath marqsim::hostPopcountPath() {
                               : PopcountPath::Portable;
 }
 
-GateCounts marqsim::foldAndCount(const Hamiltonian &H,
-                                 const std::vector<size_t> &Sequence,
-                                 const std::vector<double> &Taus,
-                                 double TauStep, const EmitOptions &Opts,
-                                 std::vector<ScheduledRotation> &Schedule,
-                                 EmitStats *Stats, PopcountPath Path,
-                                 uint64_t *SequenceHash) {
-  ShotSummary S =
-      foldSequence(H, Sequence, Taus, TauStep, Opts, &Schedule, Path);
-  if (Stats)
-    *Stats = S.Stats;
-  if (SequenceHash)
-    *SequenceHash = S.SequenceHash;
-  return S.Counts;
-}
-
-ShotSummary marqsim::countSequence(const Hamiltonian &H,
-                                   const std::vector<size_t> &Sequence,
-                                   const EmitOptions &Opts,
-                                   PopcountPath Path) {
-  return foldSequence(H, Sequence, {}, 0.0, Opts, nullptr, Path);
+ShotSummary marqsim::foldAndCount(const Hamiltonian &H,
+                                  const std::vector<size_t> &Sequence,
+                                  const std::vector<double> &Taus,
+                                  double TauStep, const EmitOptions &Opts,
+                                  std::vector<ScheduledRotation> &Schedule,
+                                  PopcountPath Path) {
+  assert((Taus.empty() || Taus.size() == Sequence.size()) &&
+         "per-visit tau vector must match the sequence length");
+  if (Path == PopcountPath::Hardware) {
+    assert(cpuFeatures().POPCNT && "hardware popcount on a host without it");
+    return foldAndCountHardware(H, Sequence, Taus, TauStep, Opts, Schedule);
+  }
+  return foldAndCountPortable(H, Sequence, Taus, TauStep, Opts, Schedule);
 }
 
 ShotSummary marqsim::walkAndCount(const MarkovChainSampler &Chain, RNG &Rng,

@@ -38,11 +38,11 @@
 /// order, it takes the sequence-hash step, pushes the term into the count
 /// pass (which drops identities and folds equal strings as the Schedule
 /// does), and appends to a Schedule when one is asked for. foldAndCount
-/// runs it over a Sequence with the append on; countSequence runs it with
-/// the append off; walkAndCount runs it inside the Markov walk, one visit
-/// per drawn state, so a shot nobody reads writes neither a Sequence nor a
-/// Schedule. On x86-64 hosts with POPCNT each entry runs a clone compiled
-/// for that instruction; the portable path computes the same counts.
+/// runs it over a Sequence with the append on; walkAndCount runs it inside
+/// the Markov walk with the append off, one visit per drawn state, so a
+/// shot nobody reads writes neither a Sequence nor a Schedule. On x86-64
+/// hosts with POPCNT each entry runs a clone compiled for that
+/// instruction; the portable path computes the same counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,30 +99,21 @@ PopcountPath hostPopcountPath();
 /// The per-shot back end in one pass over the term visits: fills
 /// \p Schedule with visit k — term Sequence[k] of \p H at angle Taus[k],
 /// or sgn(h) * TauStep when \p Taus is empty — folding runs of equal
-/// strings, and returns emitSchedule(Schedule, n, Opts).counts() and the
-/// same \p Stats without creating a single gate. The same pass stores
-/// hashSequence(Sequence) in \p SequenceHash when it is given. Both
-/// \p Path values give the same result.
-GateCounts foldAndCount(const Hamiltonian &H,
-                        const std::vector<size_t> &Sequence,
-                        const std::vector<double> &Taus, double TauStep,
-                        const EmitOptions &Opts,
-                        std::vector<ScheduledRotation> &Schedule,
-                        EmitStats *Stats,
-                        PopcountPath Path = hostPopcountPath(),
-                        uint64_t *SequenceHash = nullptr);
-
-/// foldAndCount's counts, stats and sequence hash, with NumSamples the
-/// sequence length, and no Schedule (angles do not change gate counts).
-ShotSummary countSequence(const Hamiltonian &H,
-                          const std::vector<size_t> &Sequence,
-                          const EmitOptions &Opts,
-                          PopcountPath Path = hostPopcountPath());
+/// strings, and returns the summary of the shot: NumSamples the sequence
+/// length, emitSchedule(Schedule, n, Opts).counts() and its stats, counted
+/// without creating a single gate, and hashSequence(Sequence), taken in
+/// the same pass. Both \p Path values give the same result.
+ShotSummary foldAndCount(const Hamiltonian &H,
+                         const std::vector<size_t> &Sequence,
+                         const std::vector<double> &Taus, double TauStep,
+                         const EmitOptions &Opts,
+                         std::vector<ScheduledRotation> &Schedule,
+                         PopcountPath Path = hostPopcountPath());
 
 /// One sampling shot with nothing materialized: walks \p Chain for
 /// \p Count states from \p Rng, as MarkovChainSampler::walk does, and
 /// folds, counts and hashes each state as it is drawn. Returns exactly
-/// countSequence(H, <that walk>, Opts) and leaves \p Rng where the walk
+/// foldAndCount's summary of that walk and leaves \p Rng where the walk
 /// would.
 ShotSummary walkAndCount(const MarkovChainSampler &Chain, RNG &Rng,
                          size_t Count, const Hamiltonian &H,

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 
 using namespace marqsim;
 
@@ -70,11 +71,24 @@ bool CommandLine::getBool(const std::string &Name, bool Default) const {
 }
 
 std::string
-CommandLine::unknownFlag(const std::vector<std::string> &Known) const {
+CommandLine::unknownFlag(const std::vector<std::string> &Known,
+                         const std::vector<std::string> &AlsoKnown) const {
   for (const auto &KV : Flags)
-    if (std::find(Known.begin(), Known.end(), KV.first) == Known.end())
+    if (std::find(Known.begin(), Known.end(), KV.first) == Known.end() &&
+        std::find(AlsoKnown.begin(), AlsoKnown.end(), KV.first) ==
+            AlsoKnown.end())
       return KV.first;
   return "";
+}
+
+bool CommandLine::rejectUnknown(
+    const std::vector<std::string> &Known,
+    const std::vector<std::string> &AlsoKnown) const {
+  std::string Name = unknownFlag(Known, AlsoKnown);
+  if (Name.empty())
+    return false;
+  std::cerr << "error: unknown flag --" << Name << "\n";
+  return true;
 }
 
 std::optional<size_t> marqsim::mebibytesToBytes(double MiB) {

@@ -8,7 +8,7 @@
 /// Minimal command-line flag parsing for the benchmark harnesses.
 ///
 /// Supports `--name=value`, `--name value`, and bare boolean `--name`.
-/// Every binary rejects a flag it does not read through unknownFlag(): a
+/// Every binary rejects a flag it does not read through rejectUnknown(): a
 /// typo is a usage error (exit 1) naming the flag, never a silent run of
 /// the default workload. This keeps every table/figure binary
 /// self-describing without an external dependency.
@@ -52,9 +52,16 @@ public:
   const std::vector<std::string> &positionals() const { return Positionals; }
 
   /// The first flag given (in name order, without the leading "--") that
-  /// is not in \p Known, or empty when every flag is known. The caller
-  /// reports it as "error: unknown flag --NAME" and exits 1.
-  std::string unknownFlag(const std::vector<std::string> &Known) const;
+  /// is in neither \p Known nor \p AlsoKnown, or empty when every flag is
+  /// known.
+  std::string unknownFlag(const std::vector<std::string> &Known,
+                          const std::vector<std::string> &AlsoKnown = {}) const;
+
+  /// Prints "error: unknown flag --NAME" on stderr for unknownFlag() and
+  /// returns true, or returns false when every flag is known. The binary
+  /// then exits 1.
+  bool rejectUnknown(const std::vector<std::string> &Known,
+                     const std::vector<std::string> &AlsoKnown = {}) const;
 
 private:
   std::map<std::string, std::string> Flags;

@@ -600,12 +600,10 @@ TEST(EmitterTest, CountPassAgreesWithGatePass) {
           SCOPED_TRACE("popcnt=" +
                        std::to_string(Path == PopcountPath::Hardware));
           std::vector<ScheduledRotation> Schedule;
-          EmitStats Stats;
-          GateCounts Counts =
-              foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep,
-                           Opts.Emit, Schedule, &Stats, Path);
+          ShotSummary S = foldAndCount(H, Plan.Sequence, Plan.Taus,
+                                       Plan.TauStep, Opts.Emit, Schedule, Path);
           EXPECT_EQ(Schedule.size(), R.Schedule.size());
-          ExpectAgree(Schedule, Counts, Stats);
+          ExpectAgree(Schedule, S.Counts, S.Stats);
         }
       }
     }
@@ -616,11 +614,10 @@ TEST(EmitterTest, CountPassAgreesWithGatePass) {
   Identity.addTerm(0.2, PauliString());
   for (PopcountPath Path : Paths) {
     std::vector<ScheduledRotation> Schedule;
-    EmitStats Stats;
-    GateCounts Counts =
-        foldAndCount(Identity, {0, 0, 0}, {}, 0.1, {}, Schedule, &Stats, Path);
-    EXPECT_EQ(Counts.total(), 0u);
-    EXPECT_EQ(Stats.CancelledCNOTs + Stats.CancelledSingles, 0u);
+    ShotSummary S = foldAndCount(Identity, {0, 0, 0}, {}, 0.1, {}, Schedule,
+                                 Path);
+    EXPECT_EQ(S.Counts.total(), 0u);
+    EXPECT_EQ(S.Stats.CancelledCNOTs + S.Stats.CancelledSingles, 0u);
     EXPECT_TRUE(emitSchedule(Schedule, 2).empty());
   }
 }

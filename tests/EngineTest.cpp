@@ -843,11 +843,10 @@ TEST(CompilerEngineTest, SummaryOnlyBatchEqualsMaterializingBatch) {
 }
 
 TEST(CompilerEngineTest, SummarizeEqualsMaterializeOnEveryPopcountPath) {
-  // The strategy-level contract behind the summary-only path, on each
-  // popcount the host can run: summarize() (walkAndCount for sampling,
-  // countSequence otherwise) equals the fold of produce()'s plan by
-  // foldAndCount, and the walk leaves the shot's generator where the
-  // materializing walk leaves it.
+  // The strategy-level contract behind the summary-only path: summarize()
+  // equals foldAndCount's summary of produce()'s plan, and for sampling,
+  // walkAndCount does on each popcount the host can run and leaves the
+  // shot's generator where the materializing walk leaves it.
   std::vector<PopcountPath> Paths = {PopcountPath::Portable};
   if (cpuFeatures().POPCNT)
     Paths.push_back(PopcountPath::Hardware);
@@ -868,15 +867,15 @@ TEST(CompilerEngineTest, SummarizeEqualsMaterializeOnEveryPopcountPath) {
           ShotContext PlanCtx{Shot, PlanRng};
           ShotPlan Plan = Strategy->produce(PlanCtx);
           std::vector<ScheduledRotation> Schedule;
-          ShotSummary Expect;
-          Expect.NumSamples = Plan.Sequence.size();
-          Expect.Counts =
-              foldAndCount(H, Plan.Sequence, Plan.Taus, Plan.TauStep, Emit,
-                           Schedule, &Expect.Stats, Path,
-                           &Expect.SequenceHash);
+          ShotSummary Expect = foldAndCount(H, Plan.Sequence, Plan.Taus,
+                                            Plan.TauStep, Emit, Schedule, Path);
+          EXPECT_EQ(Expect.NumSamples, Plan.Sequence.size());
           EXPECT_EQ(Expect.SequenceHash, hashSequence(Plan.Sequence));
-          expectSameSummary(countSequence(H, Plan.Sequence, Emit, Path),
-                            Expect);
+          RNG SummaryRng = RNG::forShot(808, Shot);
+          ShotContext SummaryCtx{Shot, SummaryRng};
+          CompilationOptions Opts;
+          Opts.Emit = Emit;
+          expectSameSummary(Strategy->summarize(SummaryCtx, Opts), Expect);
           if (!Sampling)
             continue;
           RNG WalkRng = RNG::forShot(808, Shot);

@@ -256,6 +256,17 @@ TEST(CommandLineTest, UnknownFlagNamesTheFirstFlagNotKnown) {
   EXPECT_EQ(CommandLine(2, None).unknownFlag({}), "");
   const char *Good[] = {"prog", "--strings=100", "--qubits", "10"};
   EXPECT_EQ(CommandLine(4, Good).unknownFlag(Known), "");
+  // A second list (a bench's common flags) is known as well.
+  EXPECT_EQ(Two.unknownFlag({"zeta"}, {"alpha"}), "");
+  EXPECT_EQ(Two.unknownFlag({}, {"zeta"}), "alpha");
+  // rejectUnknown is the report every binary prints before exiting 1.
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(CL.rejectUnknown({"strings"}, {"qubits", "rounds"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown flag --strngs\n");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(CL.rejectUnknown(Known, {"strngs"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 TEST(CommandLineTest, CacheLimitMebibytesToBytes) {

@@ -253,11 +253,8 @@ int runConnectMode(const CommandLine &CL, TaskSpec Spec) {
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (std::string Unknown = CL.unknownFlag(KnownFlags); !Unknown.empty()) {
-    std::cerr << "error: unknown flag --" << Unknown
-              << " (see --help for the supported flags)\n";
+  if (CL.rejectUnknown(KnownFlags))
     return 1;
-  }
   // A pure stats query needs no Hamiltonian; handle it before the usage
   // gate below would demand one.
   if (CL.has("connect") && CL.getBool("server-stats")) {

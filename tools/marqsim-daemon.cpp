@@ -81,15 +81,10 @@ bool getCount(const CommandLine &CL, const char *Name, int64_t Default,
 
 int main(int Argc, char **Argv) {
   CommandLine CL(Argc, Argv);
-  if (std::string Unknown = CL.unknownFlag(
-          {"cache-dir", "cache-limit-mb", "help", "host", "idle-timeout-ms",
-           "max-connections", "max-queue", "port", "port-file",
-           "stream-chunk", "workers"});
-      !Unknown.empty()) {
-    std::cerr << "error: unknown flag --" << Unknown
-              << " (see --help for the supported flags)\n";
+  if (CL.rejectUnknown({"cache-dir", "cache-limit-mb", "help", "host",
+                        "idle-timeout-ms", "max-connections", "max-queue",
+                        "port", "port-file", "stream-chunk", "workers"}))
     return 1;
-  }
   if (CL.getBool("help")) {
     std::cerr << "usage: marqsim-daemon [--host=H] [--port=P] "
                  "[--port-file=FILE]\n"
