@@ -6,29 +6,62 @@
 
 #include "core/CNOTCountOracle.h"
 
+#include <cassert>
+
 using namespace marqsim;
 
-unsigned marqsim::cnotCountBetween(const PauliString &Prev,
-                                   const PauliString &Next) {
-  if (Prev == Next)
-    return 0; // identical terms merge their rotation angles
-  unsigned KPrev = Prev.weight();
-  unsigned KNext = Next.weight();
-  unsigned Ladder = (KPrev ? KPrev - 1 : 0) + (KNext ? KNext - 1 : 0);
-  unsigned Matched = Prev.matchedOps(Next);
-  if (Matched == 0)
-    return Ladder;
-  assert(2 * (Matched - 1) <= Ladder && "oracle cancellation exceeds supply");
-  return Ladder - 2 * (Matched - 1);
+namespace {
+
+/// Cost[I * N + J] = Scale * cnotCountBetween(Terms[I], Terms[J]).
+/// Inlined into both clones below.
+__attribute__((always_inline)) inline void
+fillCnotCosts(const std::vector<PauliString> &Terms, int64_t Scale,
+              int64_t *Cost) {
+  const size_t N = Terms.size();
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      Cost[I * N + J] =
+          Scale * static_cast<int64_t>(cnotCountBetween(Terms[I], Terms[J]));
+}
+
+void fillCnotCostsPortable(const std::vector<PauliString> &Terms,
+                           int64_t Scale, int64_t *Cost) {
+  fillCnotCosts(Terms, Scale, Cost);
+}
+
+MARQSIM_TARGET_POPCNT void
+fillCnotCostsHardware(const std::vector<PauliString> &Terms, int64_t Scale,
+                      int64_t *Cost) {
+  fillCnotCosts(Terms, Scale, Cost);
+}
+
+} // namespace
+
+std::vector<int64_t> marqsim::scaledCnotCosts(const Hamiltonian &H,
+                                              int64_t Scale,
+                                              PopcountPath Path) {
+  const size_t N = H.numTerms();
+  std::vector<PauliString> Terms(N);
+  for (size_t I = 0; I < N; ++I)
+    Terms[I] = H.term(I).String;
+  std::vector<int64_t> Cost(N * N);
+  if (Path == PopcountPath::Hardware) {
+    assert(cpuFeatures().POPCNT && "hardware popcount on a host without it");
+    fillCnotCostsHardware(Terms, Scale, Cost.data());
+  } else {
+    fillCnotCostsPortable(Terms, Scale, Cost.data());
+  }
+  return Cost;
 }
 
 std::vector<std::vector<unsigned>>
 marqsim::cnotCostTable(const Hamiltonian &H) {
   const size_t N = H.numTerms();
-  std::vector<std::vector<unsigned>> Table(N, std::vector<unsigned>(N, 0));
+  const std::vector<int64_t> Flat = scaledCnotCosts(H, 1);
+  std::vector<std::vector<unsigned>> Table(N);
   for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J)
-      Table[I][J] = cnotCountBetween(H.term(I).String, H.term(J).String);
+    Table[I].assign(Flat.begin() + static_cast<std::ptrdiff_t>(I * N),
+                    Flat.begin() + static_cast<std::ptrdiff_t>((I + 1) * N));
   return Table;
 }
 

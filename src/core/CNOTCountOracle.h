@@ -29,15 +29,37 @@
 
 #include "markov/TransitionMatrix.h"
 #include "pauli/Hamiltonian.h"
+#include "support/CpuFeatures.h"
+
+#include <cstdint>
+#include <vector>
 
 namespace marqsim {
 
 /// CNOT gates between the Rz of \p Prev and the Rz of \p Next after
-/// pairwise cancellation.
-unsigned cnotCountBetween(const PauliString &Prev, const PauliString &Next);
+/// pairwise cancellation. Inline, so a loop compiled with
+/// MARQSIM_TARGET_POPCNT counts with the POPCNT instruction.
+inline unsigned cnotCountBetween(const PauliString &Prev,
+                                 const PauliString &Next) {
+  if (Prev == Next)
+    return 0; // identical terms merge their rotation angles
+  const unsigned KPrev = Prev.weight();
+  const unsigned KNext = Next.weight();
+  const unsigned Ladder = (KPrev ? KPrev - 1 : 0) + (KNext ? KNext - 1 : 0);
+  const unsigned Matched = Prev.matchedOps(Next);
+  if (Matched == 0)
+    return Ladder;
+  assert(2 * (Matched - 1) <= Ladder && "oracle cancellation exceeds supply");
+  return Ladder - 2 * (Matched - 1);
+}
 
 /// Dense n x n cost table C(i,j) = cnotCountBetween(term_i, term_j).
 std::vector<std::vector<unsigned>> cnotCostTable(const Hamiltonian &H);
+
+/// The MCFP cost table of Algorithm 2: \p Scale * cnotCountBetween(term_i,
+/// term_j), row-major n x n, built in one pass on \p Path.
+std::vector<int64_t> scaledCnotCosts(const Hamiltonian &H, int64_t Scale,
+                                     PopcountPath Path = hostPopcountPath());
 
 /// Expected per-transition CNOT cost of sampling with matrix \p P at its
 /// stationary distribution \p Pi:  sum_ij pi_i p_ij CNOT_count(i, j).

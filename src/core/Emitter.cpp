@@ -11,12 +11,6 @@
 
 using namespace marqsim;
 
-#if defined(__x86_64__) || defined(__i386__)
-#define MARQSIM_TARGET_POPCNT __attribute__((target("popcnt")))
-#else
-#define MARQSIM_TARGET_POPCNT
-#endif
-
 namespace {
 
 /// Population count without the POPCNT instruction. The x86-64 baseline
@@ -390,11 +384,6 @@ Circuit marqsim::emitSchedule(const std::vector<ScheduledRotation> &Schedule,
   if (Stats)
     *Stats = S;
   return C;
-}
-
-PopcountPath marqsim::hostPopcountPath() {
-  return cpuFeatures().POPCNT ? PopcountPath::Hardware
-                              : PopcountPath::Portable;
 }
 
 ShotSummary marqsim::foldAndCount(const Hamiltonian &H,

@@ -52,6 +52,7 @@
 #include "circuit/PauliEvolution.h"
 #include "markov/Sampler.h"
 #include "pauli/Hamiltonian.h"
+#include "support/CpuFeatures.h"
 
 namespace marqsim {
 
@@ -88,13 +89,6 @@ struct ShotSummary {
   /// bit-identical scheduling without retaining the sequence itself.
   uint64_t SequenceHash = 0;
 };
-
-/// The population count the count pass runs on. Hardware is the x86-64
-/// POPCNT instruction and needs CpuFeatures::POPCNT.
-enum class PopcountPath { Portable, Hardware };
-
-/// Hardware when the host has POPCNT, else Portable.
-PopcountPath hostPopcountPath();
 
 /// The per-shot back end in one pass over the term visits: fills
 /// \p Schedule with visit k — term Sequence[k] of \p H at angle Taus[k],

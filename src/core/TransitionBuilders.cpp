@@ -91,58 +91,45 @@ static FlowSupplies flowSupplies(const Hamiltonian &H,
 }
 
 /// Shared MCFP skeleton of Algorithm 2: solves the bipartite Prev -> Next
-/// transportation network with stationary capacities \p S and the
-/// row-major cost table \p Cost (diagonal ignored, so the trivial identity
-/// matrix is ruled out), then calls Emit(I, J, p_ij) for every nonzero
-/// entry of p_ij = f_ij / pi_i. A term whose weight quantized to zero
-/// carries no flow and gets the qDrift row (it is (almost) never visited).
+/// transportation network with stationary capacities \p S and the cost
+/// view Base + bit * Scale over the row-major table \p Base and the draw
+/// words \p Draws (TransportFlow; diagonal ignored, so the trivial identity
+/// matrix is ruled out), then calls Emit(I, J, p_ij) once for every
+/// nonzero entry of p_ij = f_ij / pi_i, read from the solver's positive-
+/// flow bitsets. A term whose weight quantized to zero carries no flow and
+/// gets the qDrift row (it is (almost) never visited).
 template <typename EmitFn>
-static void solveFlowMatrix(const FlowSupplies &S, const int64_t *Cost,
+static void solveFlowMatrix(const FlowSupplies &S, const int64_t *Base,
+                            const uint64_t *Draws, int64_t Scale,
                             const MCFPOptions &Opts, EmitFn Emit) {
   const size_t N = S.Units.size();
-  TransportFlow Net(N, Cost);
+  TransportFlow Net(N, Base, Draws, Scale);
   [[maybe_unused]] TransportFlow::Result Result =
       Net.solve(S.Units, S.Units, Opts.ProbScale);
   assert(Result.Feasible && "flowSupplies admitted an infeasible network");
-  for (size_t I = 0; I < N; ++I) {
-    if (S.Units[I] == 0) {
+  Net.forEachFlow([&](size_t I, size_t J, int64_t F) {
+    Emit(I, J, static_cast<double>(F) / static_cast<double>(S.Units[I]));
+  });
+  for (size_t I = 0; I < N; ++I)
+    if (S.Units[I] == 0)
       for (size_t J = 0; J < N; ++J)
         Emit(I, J, S.Pi[J]);
-      continue;
-    }
-    for (size_t J = 0; J < N; ++J)
-      if (int64_t F = Net.flow(I, J))
-        Emit(I, J,
-             static_cast<double>(F) / static_cast<double>(S.Units[I]));
-  }
 }
 
-/// solveFlowMatrix into a dense matrix.
+/// solveFlowMatrix of an unperturbed table into a dense matrix.
 static TransitionMatrix solveFlowMatrix(const Hamiltonian &H,
                                         const std::vector<int64_t> &Cost,
                                         const MCFPOptions &Opts) {
   FlowSupplies S = flowSupplies(H, Opts);
   TransitionMatrix P(H.numTerms());
-  solveFlowMatrix(S, Cost.data(), Opts,
+  solveFlowMatrix(S, Cost.data(), nullptr, 0, Opts,
                   [&](size_t I, size_t J, double V) { P.at(I, J) = V; });
   return P;
 }
 
-/// Opts.CostScale * CNOT_count(i, j) as a row-major table.
-static std::vector<int64_t> scaledCnotCosts(const Hamiltonian &H,
-                                            const MCFPOptions &Opts) {
-  std::vector<std::vector<unsigned>> Cnots = cnotCostTable(H);
-  const size_t N = H.numTerms();
-  std::vector<int64_t> Cost(N * N);
-  for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J)
-      Cost[I * N + J] = Opts.CostScale * static_cast<int64_t>(Cnots[I][J]);
-  return Cost;
-}
-
 TransitionMatrix
 marqsim::buildGateCancellation(const Hamiltonian &H, const MCFPOptions &Opts) {
-  return solveFlowMatrix(H, scaledCnotCosts(H, Opts), Opts);
+  return solveFlowMatrix(H, scaledCnotCosts(H, Opts.CostScale), Opts);
 }
 
 TransitionMatrix
@@ -174,7 +161,7 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
   if (Opts.CostScale < 0)
     throw std::invalid_argument("MCFP builder: negative cost scale " +
                                 std::to_string(Opts.CostScale));
-  const std::vector<int64_t> Base = scaledCnotCosts(H, Opts);
+  const std::vector<int64_t> Base = scaledCnotCosts(H, Opts.CostScale);
 
   // Independent epsilon per edge: +1 CNOT with probability 1/2 (the
   // paper's perturbation configuration, Section 6.1). The draws run
@@ -186,28 +173,26 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
   for (std::vector<uint64_t> &Round : Bits)
     Rng.coinFlips(Round.data(), N * N);
 
-  // The rounds are independent once their draws are fixed. Each one keeps
-  // only its nonzero entries, so at most Jobs perturbed cost tables and
-  // flow tables are alive at once.
+  // The rounds are independent once their draws are fixed. Each one reads
+  // its costs as the view Base + draw * CostScale, so no perturbed table
+  // is written, and keeps only its nonzero entries: at most Jobs flow
+  // tables are alive at once.
   struct Entry {
     size_t I, J;
     double Value;
   };
   std::vector<std::vector<Entry>> Solved(Rounds);
   parallelFor(Rounds, Jobs, [&](size_t Round) {
-    const std::vector<uint64_t> &Draws = Bits[Round];
-    std::vector<int64_t> Perturbed(N * N);
-    for (size_t K = 0; K < N * N; ++K)
-      Perturbed[K] =
-          Base[K] + ((Draws[K / 64] >> (K % 64)) & 1 ? Opts.CostScale : 0);
-    solveFlowMatrix(S, Perturbed.data(), Opts,
+    solveFlowMatrix(S, Base.data(), Bits[Round].data(), Opts.CostScale, Opts,
                     [&](size_t I, size_t J, double V) {
                       Solved[Round].push_back({I, J, V});
                     });
   });
 
-  // Sum in round order and divide once. Each round's omitted entries are
-  // +0.0, and adding +0.0 to a non-negative sum leaves every bit as is.
+  // Sum in round order and divide once. A round emits each (I, J) at most
+  // once, so the order inside a round cannot change a sum; its omitted
+  // entries are +0.0, and adding +0.0 to a non-negative sum leaves every
+  // bit as is.
   TransitionMatrix Sum(N);
   for (const std::vector<Entry> &Round : Solved)
     for (const Entry &E : Round)

@@ -18,20 +18,32 @@ using namespace marqsim;
 
 static constexpr int64_t kInfDist = std::numeric_limits<int64_t>::max() / 4;
 
-TransportFlow::TransportFlow(size_t N, const int64_t *Cost)
-    : N(N), Cost(Cost), FlowWords((N + 63) / 64) {
+TransportFlow::TransportFlow(size_t N, const int64_t *Base,
+                             const uint64_t *Draws, int64_t Scale)
+    : N(N), BaseCost(Base), NoDraws(Draws ? 0 : (N * N + 63) / 64, 0),
+      Draws(Draws ? Draws : NoDraws.data()), Scale(Scale),
+      FlowWords((N + 63) / 64) {
   assert(2 * N + 2 <= std::numeric_limits<uint32_t>::max() &&
          "too many nodes for 32-bit node indices");
   assert(N * N <= std::numeric_limits<uint32_t>::max() &&
          "too many arcs for 32-bit arc-list offsets");
-  // Zero start potentials are valid only for non-negative costs.
+  if (Scale < 0)
+    throw std::invalid_argument("transport flow: negative perturbation " +
+                                std::to_string(Scale));
+  // Zero start potentials are valid only for non-negative costs, and every
+  // cost of the view must be an int64.
+  const int64_t MaxBase = std::numeric_limits<int64_t>::max() - Scale;
   for (size_t I = 0; I < N; ++I)
-    for (size_t J = 0; J < N; ++J)
-      if (I != J && Cost[I * N + J] < 0)
-        throw std::invalid_argument(
-            "transport flow: negative cost " +
-            std::to_string(Cost[I * N + J]) + " on arc " + std::to_string(I) +
-            " -> " + std::to_string(J));
+    for (size_t J = 0; J < N; ++J) {
+      const int64_t C = Base[I * N + J];
+      if (I == J || (C >= 0 && C <= MaxBase))
+        continue;
+      throw std::invalid_argument(
+          "transport flow: " +
+          std::string(C < 0 ? "negative cost " : "cost overflow at ") +
+          std::to_string(C) + " on arc " + std::to_string(I) + " -> " +
+          std::to_string(J));
+    }
 }
 
 void TransportFlow::RadixHeap::clear() {
@@ -129,16 +141,16 @@ bool TransportFlow::dijkstra() {
       // marks every J with candidate <= Dist[J]; the loop below relaxes
       // only those, in ascending J (see the header).
       const size_t I = V - 1;
-      const int64_t *Row = Cost + I * N;
       const int64_t *DemandPot = &Potential[demandNode(0)];
       int64_t *DemandDist = &Dist[demandNode(0)];
-      RowCandidates(Row, DemandPot, DemandDist, Base, N, RowMask.data());
+      RowCandidates(BaseCost + I * N, Draws + I * N / 64, I * N % 64, Scale,
+                    DemandPot, DemandDist, Base, N, RowMask.data());
       RowMask[I / 64] &= ~(uint64_t(1) << (I % 64));
       TightBegin[I] = static_cast<uint32_t>(Tight.size());
       for (size_t W = 0; W < FlowWords; ++W)
         for (uint64_t Bits = RowMask[W]; Bits != 0; Bits &= Bits - 1) {
           const size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
-          const int64_t Cand = Base + Row[J] - DemandPot[J];
+          const int64_t Cand = Base + cost(I, J) - DemandPot[J];
           if (Cand < DemandDist[J]) {
             DemandDist[J] = Cand;
             Heap.push(static_cast<uint64_t>(Cand), demandNode(J));
@@ -150,7 +162,7 @@ bool TransportFlow::dijkstra() {
       const size_t J = V - 1 - N;
       for (uint32_t I = nextPositiveFlow(J, 0); I < N;
            I = nextPositiveFlow(J, I + 1))
-        Relax(supplyNode(I), Base - Cost[I * N + J] - Potential[supplyNode(I)]);
+        Relax(supplyNode(I), Base - cost(I, J) - Potential[supplyNode(I)]);
       if (DemandCap[J] > DemandFlow[J])
         Relax(T, Base - Potential[T]);
     } else {
@@ -195,10 +207,9 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
     }
   } else if (V <= N) {
     const size_t I = V - 1;
-    const int64_t *Row = Cost + I * N;
     for (uint32_t &P = CurrentArc[V]; P < TightEnd[I]; ++P) {
       const uint32_t J = Tight[P];
-      if (!Admissible(demandNode(J), Row[J]))
+      if (!Admissible(demandNode(J), cost(I, J)))
         continue;
       int64_t Sub = dfsPush(demandNode(J), Limit - Pushed); // uncapacitated
       if (Sub > 0) {
@@ -214,7 +225,7 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
     uint32_t &A = CurrentArc[V];
     for (A = nextPositiveFlow(J, A); A < N; A = nextPositiveFlow(J, A + 1)) {
       // The reverse arc to supply A.
-      if (!Admissible(supplyNode(A), -Cost[A * N + J]))
+      if (!Admissible(supplyNode(A), -cost(A, J)))
         continue;
       int64_t &F = Flow[J * N + A];
       int64_t Sub = dfsPush(supplyNode(A), std::min(Limit - Pushed, F));
@@ -271,14 +282,13 @@ int64_t TransportFlow::blockingFlow(int64_t Limit) {
           Visit(supplyNode(I), 0);
     } else if (V <= N) {
       const size_t I = V - 1;
-      const int64_t *Row = Cost + I * N;
       for (uint32_t P = TightBegin[I]; P < TightEnd[I]; ++P)
-        Visit(demandNode(Tight[P]), Row[Tight[P]]);
+        Visit(demandNode(Tight[P]), cost(I, Tight[P]));
     } else { // a demand node: T ends the search before it is dequeued
       const size_t J = V - 1 - N;
       for (uint32_t I = nextPositiveFlow(J, 0); I < N;
            I = nextPositiveFlow(J, I + 1))
-        Visit(supplyNode(I), -Cost[I * N + J]);
+        Visit(supplyNode(I), -cost(I, J));
       if (DemandCap[J] > DemandFlow[J])
         Visit(T, 0);
     }
@@ -321,9 +331,8 @@ TransportFlow::Result TransportFlow::solve(const std::vector<int64_t> &Supply,
     R.FlowSent += Pushed;
   }
   R.Feasible = R.FlowSent == Amount;
-  for (size_t J = 0; J < N; ++J)
-    for (uint32_t I = nextPositiveFlow(J, 0); I < N;
-         I = nextPositiveFlow(J, I + 1))
-      R.TotalCost += Flow[J * N + I] * Cost[I * N + J];
+  forEachFlow([&](size_t I, size_t J, int64_t F) {
+    R.TotalCost += F * cost(I, J);
+  });
   return R;
 }

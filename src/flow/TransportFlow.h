@@ -27,7 +27,8 @@
 ///   - A settled supply I scans its row in two passes. A vector prefilter
 ///     (kernels::Ops::RowCandidatesI64, dispatched by CPU tier, scalar
 ///     under MARQSIM_KERNEL_TIER=scalar) compares each demand J's
-///     candidate distance with Dist[J], a block of lanes at a time, and
+///     candidate distance over the cost view (below; Scale added under
+///     J's draw bit) with Dist[J], a block of lanes at a time, and
 ///     sets J's bit in a row mask when it is <= Dist[J]. The scalar body
 ///     then walks the set bits, J != I, in ascending J: it relaxes J
 ///     (Dist[J] and a heap push when strictly shorter) and records J in a
@@ -58,13 +59,24 @@
 /// equal keys the heap pops first changes nothing: the distances are
 /// exact, and the lists only need to be supersets.
 ///
-/// Storage. The N x N cost table is the caller's, row-major and read in
-/// place (the diagonal is ignored). The middle flows are one column-major
-/// N x N int64 table, so the residual arcs of a demand node are one
-/// contiguous column, mirrored by an N-bit positive-flow bitset. Arcs are
-/// implicit: a solve holds the flow table, the bitsets, the per-phase arc
-/// list (at most N x N uint32 entries) and O(N) vectors, and the
-/// uncapacitated middle arcs are never read for a residual.
+/// Costs. A solve reads every arc cost through one view, cost(I, J) =
+/// Base[I * N + J] + bit(I * N + J) * Scale: \p Base is the caller's
+/// row-major N x N table, read in place (the diagonal is ignored), and
+/// bit K is bit K % 64 of the caller's draw word K / 64. A random-
+/// perturbation round (core/TransitionBuilders.h) passes the shared
+/// CNOT table and its own draws, so no caller writes a perturbed table
+/// per round; an unperturbed solve passes no draws and reads Base as is.
+/// The constructor checks that every off-diagonal cost of the view fits
+/// an int64, so a solve over the view reads exactly the costs of the
+/// materialized table Base + bit * Scale and gives its flow bits.
+///
+/// Storage. The middle flows are one column-major N x N int64 table, so
+/// the residual arcs of a demand node are one contiguous column, mirrored
+/// by an N-bit positive-flow bitset; forEachFlow() reads the positive
+/// flows from the bitsets. Arcs are implicit: a solve holds the flow
+/// table, the bitsets, the per-phase arc list (at most N x N uint32
+/// entries) and O(N) vectors, and the uncapacitated middle arcs are never
+/// read for a residual.
 ///
 /// Arc order. Each node scans its residual arcs in one fixed order, and the
 /// blocking flow's tie-breaking, so every bit of the flows, follows it:
@@ -89,10 +101,14 @@ namespace marqsim {
 /// The transportation network S -> supplies -> demands (J != I) -> T.
 class TransportFlow {
 public:
-  /// Wraps the row-major \p N x \p N table \p Cost, which must outlive the
-  /// solver. Throws std::invalid_argument naming the first negative
-  /// off-diagonal entry, if any.
-  TransportFlow(size_t N, const int64_t *Cost);
+  /// Wraps the cost view Base[I * N + J] + bit(I * N + J) * \p Scale over
+  /// the row-major \p N x \p N table \p Base and the ceil(N * N / 64)
+  /// words \p Draws (null: no bit is set), both of which must outlive the
+  /// solver. Throws std::invalid_argument for a negative \p Scale, naming
+  /// the first negative off-diagonal entry of \p Base, or when an
+  /// off-diagonal cost plus \p Scale overflows int64.
+  TransportFlow(size_t N, const int64_t *Base,
+                const uint64_t *Draws = nullptr, int64_t Scale = 0);
 
   /// Outcome of a solve() call.
   struct Result {
@@ -113,6 +129,15 @@ public:
   /// Flow shipped from supply \p I to demand \p J (valid after solve()).
   int64_t flow(size_t I, size_t J) const { return Flow[J * N + I]; }
 
+  /// Calls Visit(I, J, flow(I, J)) for every positive flow, demand J
+  /// ascending and supply I ascending within it (valid after solve()).
+  template <class VisitFn> void forEachFlow(VisitFn &&Visit) const {
+    for (size_t J = 0; J < N; ++J)
+      for (uint32_t I = nextPositiveFlow(J, 0); I < N;
+           I = nextPositiveFlow(J, I + 1))
+        Visit(static_cast<size_t>(I), J, Flow[J * N + I]);
+  }
+
 private:
   // Node numbering: 0 = S, 1..N = supplies, N+1..2N = demands, 2N+1 = T.
   uint32_t supplyNode(size_t I) const { return static_cast<uint32_t>(1 + I); }
@@ -120,6 +145,14 @@ private:
     return static_cast<uint32_t>(1 + N + J);
   }
   uint32_t sinkNode() const { return static_cast<uint32_t>(2 * N + 1); }
+
+  /// The arc cost of the view (see the file comment).
+  int64_t cost(size_t I, size_t J) const {
+    const size_t K = I * N + J;
+    const uint64_t Drawn = (Draws[K / 64] >> (K % 64)) & 1;
+    return static_cast<int64_t>(static_cast<uint64_t>(BaseCost[K]) +
+                                (static_cast<uint64_t>(Scale) & -Drawn));
+  }
 
   bool dijkstra();
   int64_t blockingFlow(int64_t Limit);
@@ -146,7 +179,10 @@ private:
   };
 
   size_t N;
-  const int64_t *Cost;
+  const int64_t *BaseCost;
+  std::vector<uint64_t> NoDraws; // all clear, when the caller has no draws
+  const uint64_t *Draws;
+  int64_t Scale;
   std::vector<int64_t> Flow; // column-major: Flow[J * N + I] ships I -> J
   size_t FlowWords;               // 64-bit words per N-bit set
   std::vector<uint64_t> FlowBits; // bit I of column J: Flow[J * N + I] > 0

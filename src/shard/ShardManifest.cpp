@@ -149,6 +149,13 @@ std::optional<ShardManifest> ShardManifest::parse(const std::string &Text,
     fail(Error, "shot count disagrees with the declared range");
     return std::nullopt;
   }
+  // Every shot record takes more than a byte, so a count past the text's
+  // length is corrupt; rejecting it here keeps a resealed file from
+  // sizing the tables below from an arbitrary number.
+  if (ShotCount > Body.size()) {
+    fail(Error, "shot count exceeds the file");
+    return std::nullopt;
+  }
 
   M.Shots.resize(ShotCount);
   if (M.HasFidelity)

@@ -161,16 +161,22 @@ void scalarPanelGroupProductF64(const Complex *D, const double *XRe,
   }
 }
 
-// The transport row prefilter, one entry at a time, a word per 64.
-void scalarRowCandidatesI64(const int64_t *Row, const int64_t *Pot,
+// The transport row prefilter, one entry at a time, each draw bit read
+// from its own word, a mask word per 64 entries.
+void scalarRowCandidatesI64(const int64_t *Row, const uint64_t *Draws,
+                            size_t DrawBit, int64_t Scale, const int64_t *Pot,
                             const int64_t *Dist, int64_t Base, size_t N,
                             uint64_t *Mask) {
   for (size_t J0 = 0; J0 < N; J0 += 64) {
     const size_t End = std::min(N, J0 + 64);
     uint64_t Bits = 0;
-    for (size_t J = J0; J < End; ++J)
-      Bits |= uint64_t(kernels::rowCandidate(Base, Row[J], Pot[J], Dist[J]))
+    for (size_t J = J0; J < End; ++J) {
+      const size_t K = DrawBit + J;
+      const bool Drawn = (Draws[K / 64] >> (K % 64)) & 1;
+      Bits |= uint64_t(kernels::rowCandidate(Base, Row[J], Drawn, Scale,
+                                             Pot[J], Dist[J]))
               << (J - J0);
+    }
     Mask[J0 / 64] = Bits;
   }
 }

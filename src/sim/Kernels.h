@@ -230,14 +230,22 @@ __attribute__((always_inline)) inline void rotate(T C, T S, T ARe, T AIm,
 }
 
 /// Whether a settled supply's arc to demand J may lie on a shortest path
-/// (TransportFlow::dijkstra): its candidate distance \p Base + \p Cost -
-/// \p Pot, summed modulo 2^64 and read as signed, is at most the demand's
-/// current distance \p Dist. The vector body runs the same test per lane.
-__attribute__((always_inline)) inline bool
-rowCandidate(int64_t Base, int64_t Cost, int64_t Pot, int64_t Dist) {
-  return static_cast<int64_t>(static_cast<uint64_t>(Base) +
-                              static_cast<uint64_t>(Cost) -
-                              static_cast<uint64_t>(Pot)) <= Dist;
+/// (TransportFlow::dijkstra): its candidate distance \p Base + \p Cost +
+/// (\p Drawn ? \p Scale : 0) - \p Pot, summed modulo 2^64 and read as
+/// signed, is at most the demand's current distance \p Dist. \p Cost +
+/// \p Scale under a drawn bit is the arc's cost in a perturbation round,
+/// so the sum equals the one over a materialized entry Cost + Drawn *
+/// Scale. The vector body runs the same test per lane.
+__attribute__((always_inline)) inline bool rowCandidate(int64_t Base,
+                                                        int64_t Cost,
+                                                        bool Drawn,
+                                                        int64_t Scale,
+                                                        int64_t Pot,
+                                                        int64_t Dist) {
+  return static_cast<int64_t>(
+             static_cast<uint64_t>(Base) + static_cast<uint64_t>(Cost) +
+             (static_cast<uint64_t>(Scale) & -static_cast<uint64_t>(Drawn)) -
+             static_cast<uint64_t>(Pot)) <= Dist;
 }
 
 /// One implementation tier of every dispatched kernel.
@@ -289,11 +297,15 @@ struct Ops {
                                const double *XIm, double *YRe, double *YIm,
                                size_t Dim, size_t Stride, uint64_t XM);
 
-  /// The transport solver's row prefilter: for every J < \p N, bit J % 64
-  /// of Mask[J / 64] is rowCandidate(Base, Row[J], Pot[J], Dist[J]); the
-  /// bits past N in the last of the ceil(N / 64) words are clear. The
-  /// caller runs its scalar relaxation on the set bits only.
-  void (*RowCandidatesI64)(const int64_t *Row, const int64_t *Pot,
+  /// The transport solver's row prefilter over a cost view: for every
+  /// J < \p N, bit J % 64 of Mask[J / 64] is rowCandidate(Base, Row[J],
+  /// D_J, Scale, Pot[J], Dist[J]), where D_J is bit (DrawBit + J) % 64 of
+  /// Draws[(DrawBit + J) / 64] and \p DrawBit < 64. Only the words that
+  /// hold the N draw bits are read. The bits past N in the last of the
+  /// ceil(N / 64) mask words are clear. The caller runs its scalar
+  /// relaxation on the set bits only.
+  void (*RowCandidatesI64)(const int64_t *Row, const uint64_t *Draws,
+                           size_t DrawBit, int64_t Scale, const int64_t *Pot,
                            const int64_t *Dist, int64_t Base, size_t N,
                            uint64_t *Mask);
 };

@@ -243,13 +243,16 @@ template <unsigned W> struct SVecOf {
   typedef int64_t Type __attribute__((vector_size(W * sizeof(int64_t))));
 };
 
-/// Row[J..J+K) against Dist as mask bits 0..K-1 (K <= 64): whole vectors
-/// compare lane-parallel — wrapping sums, a signed compare, each lane's
-/// all-ones result kept at its bit — and the last K % W entries run
+/// Row[J..J+K) against Dist as mask bits 0..K-1 (K <= 64), entry J + B
+/// perturbed by Scale under bit B of \p Drawn: whole vectors compare
+/// lane-parallel — each lane's draw bit selecting Scale or zero, wrapping
+/// sums, a signed compare, each lane's all-ones
+/// result kept at its bit — and the last K % W entries run
 /// kernels::rowCandidate one by one. Integer arithmetic is exact, so the
 /// word equals the scalar reference's.
 template <unsigned W>
-inline uint64_t rowCandidateBits(const int64_t *Row, const int64_t *Pot,
+inline uint64_t rowCandidateBits(const int64_t *Row, uint64_t Drawn,
+                                 int64_t Scale, const int64_t *Pot,
                                  const int64_t *Dist, int64_t Base, size_t J,
                                  size_t K) {
   using U = typename UVecOf<W>::Type;
@@ -258,10 +261,14 @@ inline uint64_t rowCandidateBits(const int64_t *Row, const int64_t *Pot,
   for (unsigned L = 0; L < W; ++L)
     Lane[L] = uint64_t(1) << L;
   const U B = static_cast<uint64_t>(Base) - U{};
+  const U Sc = static_cast<uint64_t>(Scale) - U{};
+  const U Draws = Drawn - U{};
   U Acc = {};
   size_t B0 = 0;
   for (; B0 + W <= K; B0 += W) {
-    const U Cand = B + load<U>(Row + J + B0) - load<U>(Pot + J + B0);
+    const U Bump = (Draws & (Lane << B0)) != 0 ? Sc : U{};
+    const U Cand =
+        B + load<U>(Row + J + B0) + Bump - load<U>(Pot + J + B0);
     const S Hit = (S)Cand <= load<S>(Dist + J + B0);
     Acc |= (U)Hit & (Lane << B0);
   }
@@ -269,20 +276,35 @@ inline uint64_t rowCandidateBits(const int64_t *Row, const int64_t *Pot,
   for (unsigned L = 0; L < W; ++L)
     Bits |= Acc[L];
   for (; B0 < K; ++B0)
-    Bits |= uint64_t(kernels::rowCandidate(Base, Row[J + B0], Pot[J + B0],
-                                           Dist[J + B0]))
+    Bits |= uint64_t(kernels::rowCandidate(Base, Row[J + B0],
+                                           (Drawn >> B0) & 1, Scale,
+                                           Pot[J + B0], Dist[J + B0]))
             << B0;
   return Bits;
 }
 
+/// Draw bits DrawBit + J .. DrawBit + J + K - 1 (J a multiple of 64,
+/// K <= 64) as bits 0..K-1. The window starts at bit DrawBit of word
+/// J / 64 and reads the next word only when it runs into it, so the last
+/// row never reads past the last draw word.
+inline uint64_t drawWindow(const uint64_t *Draws, size_t DrawBit, size_t J,
+                           size_t K) {
+  const uint64_t *Word = Draws + J / 64;
+  uint64_t Bits = Word[0] >> DrawBit;
+  if (DrawBit != 0 && DrawBit + K > 64)
+    Bits |= Word[1] << (64 - DrawBit);
+  return Bits;
+}
+
 template <unsigned W>
-void rowCandidates(const int64_t *Row, const int64_t *Pot, const int64_t *Dist,
+void rowCandidates(const int64_t *Row, const uint64_t *Draws, size_t DrawBit,
+                   int64_t Scale, const int64_t *Pot, const int64_t *Dist,
                    int64_t Base, size_t N, uint64_t *Mask) {
-  size_t J = 0;
-  for (; J + 64 <= N; J += 64)
-    Mask[J / 64] = rowCandidateBits<W>(Row, Pot, Dist, Base, J, 64);
-  if (J < N)
-    Mask[J / 64] = rowCandidateBits<W>(Row, Pot, Dist, Base, J, N - J);
+  for (size_t J = 0; J < N; J += 64) {
+    const size_t K = N - J < 64 ? N - J : 64;
+    Mask[J / 64] = rowCandidateBits<W>(Row, drawWindow(Draws, DrawBit, J, K),
+                                       Scale, Pot, Dist, Base, J, K);
+  }
 }
 
 /// One tier's table: the panels at PanelW doubles per vector, the row

@@ -79,3 +79,8 @@ const CpuFeatures &marqsim::cpuFeatures() {
   static const CpuFeatures F = probe();
   return F;
 }
+
+PopcountPath marqsim::hostPopcountPath() {
+  return cpuFeatures().POPCNT ? PopcountPath::Hardware
+                              : PopcountPath::Portable;
+}

@@ -8,7 +8,7 @@
 /// A one-shot runtime probe of the SIMD capabilities of the host CPU, used
 /// by the evaluation-kernel dispatcher (sim/Kernels.h) to pick the widest
 /// implementation the hardware supports, and of POPCNT, used by the
-/// emitter's count pass.
+/// emitter's count pass and the CNOT cost table (PopcountPath).
 ///
 /// On x86-64 the probe goes through cpuid (__builtin_cpu_supports plus a
 /// raw leaf-7 query for the AVX-512 bits) and through XGETBV for the OS
@@ -58,13 +58,34 @@ struct CpuFeatures {
   bool NEON = false;
 
   /// x86-64 POPCNT (CPUID leaf 1 ECX bit 23). Not part of the x86-64
-  /// baseline the library builds for; the emitter's count pass runs a
-  /// clone compiled for it when this is set (core/Emitter.h).
+  /// baseline the library builds for; the emitter's count pass and the
+  /// CNOT cost table run clones compiled for it when this is set
+  /// (PopcountPath).
   bool POPCNT = false;
 };
 
 /// The host CPU's features, probed once on first use (thread-safe).
 const CpuFeatures &cpuFeatures();
+
+/// The population count a popcount-heavy loop runs on. Hardware is a clone
+/// of the loop compiled with MARQSIM_TARGET_POPCNT, which inlines
+/// __builtin_popcountll as the x86-64 POPCNT instruction, and needs
+/// CpuFeatures::POPCNT. Portable is the baseline build.
+enum class PopcountPath { Portable, Hardware };
+
+/// Hardware when the host has POPCNT, else Portable.
+PopcountPath hostPopcountPath();
+
+} // namespace marqsim
+
+/// Marks the Hardware clone of a PopcountPath loop.
+#if defined(__x86_64__) || defined(__i386__)
+#define MARQSIM_TARGET_POPCNT __attribute__((target("popcnt")))
+#else
+#define MARQSIM_TARGET_POPCNT
+#endif
+
+namespace marqsim {
 
 } // namespace marqsim
 

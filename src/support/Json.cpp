@@ -127,6 +127,12 @@ void dumpValue(const Value &V, std::string &Out) {
       Out += "null";
       break;
     }
+    // %.17g writes -0.0 as "-0", which parses back as the integer 0;
+    // "-0.0" keeps the rendering a fixed point of dump(parse()).
+    if (D == 0.0 && std::signbit(D)) {
+      Out += "-0.0";
+      break;
+    }
     char Buf[40];
     std::snprintf(Buf, sizeof(Buf), "%.17g", D);
     Out += Buf;

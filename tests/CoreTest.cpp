@@ -133,6 +133,38 @@ TEST(CNOTCountOracleTest, Example41Table) {
   }
 }
 
+TEST(CNOTCountOracleTest, ScaledTableMatchesTheOracleOnEveryPopcountPath) {
+  // The flat MCFP cost table is the per-pair oracle times the scale on the
+  // portable popcount and, when the host has POPCNT, on the clone
+  // compiled for it; cnotCostTable is the same table unscaled. The terms
+  // mix weights 0 to 6, duplicates and Y-heavy strings.
+  RNG Rng(4141);
+  Hamiltonian H(6);
+  for (int K = 0; K < 40; ++K) {
+    PauliString P;
+    for (unsigned Q = 0; Q < 6; ++Q)
+      P.setOp(Q, static_cast<PauliOpKind>(Rng.uniformInt(4)));
+    H.addTerm(0.1 + 0.01 * K, K % 7 == 6 ? H.term(0).String : P);
+  }
+  const size_t N = H.numTerms();
+  std::vector<PopcountPath> Paths = {PopcountPath::Portable};
+  if (cpuFeatures().POPCNT)
+    Paths.push_back(PopcountPath::Hardware);
+  const std::vector<std::vector<unsigned>> Table = cnotCostTable(H);
+  for (PopcountPath Path : Paths) {
+    const std::vector<int64_t> Scaled = scaledCnotCosts(H, 3, Path);
+    ASSERT_EQ(Scaled.size(), N * N);
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J < N; ++J) {
+        const unsigned Oracle =
+            cnotCountBetween(H.term(I).String, H.term(J).String);
+        ASSERT_EQ(Scaled[I * N + J], 3 * static_cast<int64_t>(Oracle))
+            << I << " -> " << J;
+        ASSERT_EQ(Table[I][J], Oracle);
+      }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Transition matrix builders vs the paper's printed matrices
 //===----------------------------------------------------------------------===//

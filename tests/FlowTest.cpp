@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/CNOTCountOracle.h"
 #include "core/TransitionBuilders.h"
 #include "flow/TransportFlow.h"
 #include "hamgen/Registry.h"
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -119,6 +121,98 @@ TEST(TransportFlowTest, RejectsNegativeCosts) {
   std::vector<int64_t> DiagonalOnly = {-7, 2, 1, -7};
   TransportFlow Net(2, DiagonalOnly.data());
   EXPECT_TRUE(Net.solve({1, 1}, {1, 1}, 2).Feasible);
+}
+
+TEST(TransportFlowTest, RejectsANegativeScaleAndAnOverflowingView) {
+  // The view's costs are Base + bit * Scale: a negative scale could make
+  // one negative, and an entry within Scale of INT64_MAX could overflow.
+  // Both are checked once, on Base, whether or not a bit is drawn; the
+  // diagonal is still ignored.
+  std::vector<int64_t> Cost = {INT64_MAX, 2, 1, 0};
+  const std::vector<uint64_t> Draws = {0};
+  EXPECT_THROW(TransportFlow(2, Cost.data(), Draws.data(), -1),
+               std::invalid_argument);
+  EXPECT_NO_THROW(TransportFlow(2, Cost.data(), Draws.data(), INT64_MAX - 2));
+  EXPECT_THROW(TransportFlow(2, Cost.data(), Draws.data(), INT64_MAX - 1),
+               std::invalid_argument);
+  Cost[1] = INT64_MAX;
+  EXPECT_NO_THROW(TransportFlow(2, Cost.data()));
+  EXPECT_THROW(TransportFlow(2, Cost.data(), nullptr, 1),
+               std::invalid_argument);
+}
+
+namespace {
+
+/// Every positive flow as forEachFlow reports it, in its order.
+std::vector<std::tuple<size_t, size_t, int64_t>>
+visitedFlows(const TransportFlow &Net) {
+  std::vector<std::tuple<size_t, size_t, int64_t>> Flows;
+  Net.forEachFlow(
+      [&](size_t I, size_t J, int64_t F) { Flows.emplace_back(I, J, F); });
+  return Flows;
+}
+
+} // namespace
+
+TEST(TransportFlowCostViewTest, ViewEqualsMaterializedTableOnEveryTier) {
+  // A perturbation round reads Base + bit * Scale through the solver's
+  // cost view. The reference is the same round over a table with every
+  // cost materialized, the path the rounds took before the view: the
+  // flows, the result and the visited positive flows must all be equal,
+  // on every tier, for row lengths that end inside a draw word, fill one
+  // or cross one. forEachFlow must visit exactly the positive flow(I, J).
+  RNG Rng(0xC057);
+  for (const size_t N : {size_t(2), size_t(3), size_t(5), size_t(63),
+                         size_t(64), size_t(65), size_t(130)}) {
+    for (const int64_t Scale : {int64_t(0), int64_t(1), int64_t(2),
+                                int64_t(1) << 40}) {
+      SCOPED_TRACE("N " + std::to_string(N) + ", scale " +
+                   std::to_string(Scale));
+      std::vector<int64_t> Base(N * N);
+      const uint64_t Alphabet = Rng.bernoulli(0.5) ? 4 : 41;
+      for (int64_t &C : Base)
+        C = static_cast<int64_t>(Rng.uniformInt(Alphabet));
+      std::vector<uint64_t> Draws((N * N + 63) / 64);
+      Rng.coinFlips(Draws.data(), N * N);
+      std::vector<int64_t> Materialized(N * N);
+      for (size_t K = 0; K < N * N; ++K)
+        Materialized[K] =
+            Base[K] + ((Draws[K / 64] >> (K % 64)) & 1 ? Scale : 0);
+      std::vector<int64_t> Supply(N), Demand(N);
+      for (size_t I = 0; I < N; ++I) {
+        Supply[I] = Rng.bernoulli(0.1)
+                        ? 0
+                        : 1 + static_cast<int64_t>(Rng.uniformInt(300));
+        Demand[I] = Supply[I];
+      }
+      std::shuffle(Demand.begin(), Demand.end(), Rng);
+      int64_t Total = 0;
+      for (int64_t C : Supply)
+        Total += C;
+      onEveryTier([&] {
+        TransportFlow View(N, Base.data(), Draws.data(), Scale);
+        TransportFlow Reference(N, Materialized.data());
+        const auto RV = View.solve(Supply, Demand, Total);
+        const auto RR = Reference.solve(Supply, Demand, Total);
+        EXPECT_EQ(RV.FlowSent, RR.FlowSent);
+        EXPECT_EQ(RV.TotalCost, RR.TotalCost);
+        EXPECT_EQ(RV.Feasible, RR.Feasible);
+        std::vector<std::tuple<size_t, size_t, int64_t>> Scanned;
+        for (size_t I = 0; I < N; ++I)
+          for (size_t J = 0; J < N; ++J) {
+            ASSERT_EQ(View.flow(I, J), Reference.flow(I, J))
+                << "arc " << I << " -> " << J;
+            if (View.flow(I, J) > 0)
+              Scanned.emplace_back(I, J, View.flow(I, J));
+          }
+        const auto Visited = visitedFlows(View);
+        EXPECT_EQ(Visited, visitedFlows(Reference));
+        auto Sorted = Visited;
+        std::sort(Sorted.begin(), Sorted.end());
+        EXPECT_EQ(Sorted, Scanned);
+      });
+    }
+  }
 }
 
 namespace {
@@ -626,4 +720,69 @@ TEST(FlowMatrixGoldenTest, LiHPgcAndPrpBitsAreFrozenOnEveryTier) {
     EXPECT_EQ(matrixBitsHash(Prp), 0x38adda5e2d05f6dfULL);
     EXPECT_EQ(Rng.next(), 0x9e1d9465a86a1fdcULL);
   });
+}
+
+namespace {
+
+/// Prp as it was built before the cost view: per round, the same draws
+/// from \p Rng, a materialized table CostScale * (CNOT count + bit), a
+/// full Algorithm 2 solve of it (buildFromCostTable), and the dense round
+/// added entry by entry in round order; then one division.
+TransitionMatrix materializedPerturbation(const Hamiltonian &H,
+                                          unsigned Rounds, RNG &Rng,
+                                          const MCFPOptions &Opts) {
+  const size_t N = H.numTerms();
+  const std::vector<std::vector<unsigned>> Cnots = cnotCostTable(H);
+  std::vector<std::vector<uint64_t>> Bits(
+      Rounds, std::vector<uint64_t>((N * N + 63) / 64));
+  for (std::vector<uint64_t> &Round : Bits)
+    Rng.coinFlips(Round.data(), N * N);
+  TransitionMatrix Sum(N);
+  for (const std::vector<uint64_t> &Draws : Bits) {
+    std::vector<std::vector<int64_t>> Cost(N, std::vector<int64_t>(N));
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J < N; ++J) {
+        const size_t K = I * N + J;
+        Cost[I][J] = Opts.CostScale * static_cast<int64_t>(Cnots[I][J]) +
+                     ((Draws[K / 64] >> (K % 64)) & 1 ? Opts.CostScale : 0);
+      }
+    const TransitionMatrix P = buildFromCostTable(H, Cost, Opts);
+    for (size_t I = 0; I < N; ++I)
+      for (size_t J = 0; J < N; ++J)
+        Sum.at(I, J) += P.at(I, J);
+  }
+  for (size_t I = 0; I < N; ++I)
+    for (size_t J = 0; J < N; ++J)
+      Sum.at(I, J) /= Rounds;
+  return Sum;
+}
+
+} // namespace
+
+TEST(FlowMatrixGoldenTest, PerturbationEqualsMaterializedRoundsAtEveryJobs) {
+  // buildRandomPerturbation solves every round over the cost view and sums
+  // the rounds' bitset-ordered entries; the reference materializes each
+  // round's table and adds every dense entry. Every bit of the average and
+  // the caller's RNG state must agree, with fewer, as many and more
+  // threads than rounds, on every tier.
+  for (const char *Model : {"Na+", "OH-"}) {
+    SCOPED_TRACE(Model);
+    Hamiltonian H =
+        SimulationService::prepare(makeBenchmark(*findBenchmark(Model)));
+    const MCFPOptions Opts;
+    RNG RefRng(0xD2A5);
+    const TransitionMatrix Reference =
+        materializedPerturbation(H, 5, RefRng, Opts);
+    const uint64_t RefNext = RefRng.next();
+    onEveryTier([&] {
+      for (unsigned Jobs : {1u, 3u, 8u}) {
+        SCOPED_TRACE(Jobs);
+        RNG Rng(0xD2A5);
+        const TransitionMatrix Prp =
+            buildRandomPerturbation(H, 5, Rng, Opts, Jobs);
+        EXPECT_EQ(matrixBitsHash(Prp), matrixBitsHash(Reference));
+        EXPECT_EQ(Rng.next(), RefNext);
+      }
+    });
+  }
 }

@@ -41,6 +41,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -812,45 +813,76 @@ TEST(KernelBitIdentityTest, PanelGroupProductMatchesScalar) {
 }
 
 TEST(KernelBitIdentityTest, RowCandidatesMatchScalar) {
-  // The transport solver's row prefilter on row lengths that fill whole
+  // The transport solver's row prefilter over a cost view, on every row
+  // length up to 130 and a spread up to LiH's 614: rows that fill whole
   // vectors and words, end inside one, or are shorter than a vector; rows
-  // start one entry past an aligned base as well. Each distance sits one
-  // below, at or one above its candidate, and some entries are extreme,
-  // so the wrapping sum and the signed compare are both exercised.
+  // start one entry past an aligned base as well. Row I of
+  // an N x N view reads its draw bits from bit I * N on, so the first,
+  // second, middle and last rows give windows at every bit offset, windows
+  // that straddle two words and windows that end in the last of the
+  // ceil(N^2 / 64) words, which are allocated exactly (an over-read shows
+  // under ASan). Each distance sits one below, at or one above its
+  // candidate, and some entries and scales are extreme, so the wrapping
+  // sum, the draw add and the signed compare are all exercised.
   RNG Rng(6140);
   const int64_t Extremes[] = {INT64_MIN, INT64_MIN + 1, -1, 0,
                               INT64_MAX - 1, INT64_MAX};
   const auto Pick = [&](int64_t Small) {
     return Rng.bernoulli(0.1) ? Extremes[Rng.uniformInt(6)] : Small;
   };
-  for (const size_t N : {size_t(1), size_t(2), size_t(7), size_t(8),
-                         size_t(9), size_t(63), size_t(64), size_t(65),
-                         size_t(130), size_t(614)}) {
-    for (const size_t Offset : {size_t(0), size_t(1)}) {
-      std::vector<int64_t> Row(N + 1), Pot(N + 1), Dist(N + 1);
-      const int64_t Base = Pick(static_cast<int64_t>(Rng.uniformInt(1000)));
-      for (size_t J = Offset; J < N + Offset; ++J) {
-        Row[J] = Pick(static_cast<int64_t>(Rng.uniformInt(41)));
-        Pot[J] = Pick(static_cast<int64_t>(Rng.uniformInt(1000)));
-        const int64_t Cand = static_cast<int64_t>(
-            static_cast<uint64_t>(Base) + static_cast<uint64_t>(Row[J]) -
-            static_cast<uint64_t>(Pot[J]));
-        const int64_t Step = static_cast<int64_t>(Rng.uniformInt(3)) - 1;
-        Dist[J] = Pick(static_cast<int64_t>(static_cast<uint64_t>(Cand) +
-                                            static_cast<uint64_t>(Step)));
-      }
-      const size_t Words = (N + 63) / 64;
-      std::vector<uint64_t> Expected(Words, 0);
-      for (size_t J = 0; J < N; ++J)
-        if (kernels::rowCandidate(Base, Row[Offset + J], Pot[Offset + J],
-                                  Dist[Offset + J]))
-          Expected[J / 64] |= uint64_t(1) << (J % 64);
-      for (const kernels::Ops *Tier : crossTierOps()) {
-        std::vector<uint64_t> Got(Words, ~uint64_t(0));
-        Tier->RowCandidatesI64(Row.data() + Offset, Pot.data() + Offset,
-                               Dist.data() + Offset, Base, N, Got.data());
-        ASSERT_EQ(Got, Expected) << "tier " << Tier->Name << ", N " << N
-                                 << ", offset " << Offset;
+  const int64_t Scales[] = {0, 2, INT64_MAX, INT64_MAX - 1, INT64_MIN + 1};
+  std::vector<size_t> Sizes;
+  for (size_t N = 1; N <= 130; ++N)
+    Sizes.push_back(N);
+  for (const size_t N : {191, 255, 256, 257, 383, 500, 613, 614})
+    Sizes.push_back(N);
+  for (const size_t N : Sizes) {
+    std::vector<uint64_t> Draws((N * N + 63) / 64);
+    for (uint64_t &Word : Draws)
+      Word = Rng.next();
+    std::vector<size_t> Rows = {0, 1, N / 2, N - 1};
+    std::sort(Rows.begin(), Rows.end());
+    Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
+    for (const size_t I : Rows) {
+      if (I >= N)
+        continue;
+      const uint64_t *RowDraws = Draws.data() + I * N / 64;
+      const size_t DrawBit = I * N % 64;
+      for (const int64_t Scale : Scales) {
+        for (const size_t Offset : {size_t(0), size_t(1)}) {
+          std::vector<int64_t> Row(N + 1), Pot(N + 1), Dist(N + 1);
+          const int64_t Base =
+              Pick(static_cast<int64_t>(Rng.uniformInt(1000)));
+          std::vector<bool> Drawn(N);
+          for (size_t J = 0; J < N; ++J) {
+            const size_t K = I * N + J;
+            Drawn[J] = (Draws[K / 64] >> (K % 64)) & 1;
+            int64_t &R = Row[Offset + J], &P = Pot[Offset + J];
+            R = Pick(static_cast<int64_t>(Rng.uniformInt(41)));
+            P = Pick(static_cast<int64_t>(Rng.uniformInt(1000)));
+            const uint64_t Cand = static_cast<uint64_t>(Base) +
+                                  static_cast<uint64_t>(R) +
+                                  (Drawn[J] ? static_cast<uint64_t>(Scale)
+                                            : 0) -
+                                  static_cast<uint64_t>(P);
+            const uint64_t Step = Rng.uniformInt(3) - 1;
+            Dist[Offset + J] = Pick(static_cast<int64_t>(Cand + Step));
+          }
+          std::vector<uint64_t> Expected((N + 63) / 64, 0);
+          for (size_t J = 0; J < N; ++J)
+            if (kernels::rowCandidate(Base, Row[Offset + J], Drawn[J], Scale,
+                                      Pot[Offset + J], Dist[Offset + J]))
+              Expected[J / 64] |= uint64_t(1) << (J % 64);
+          for (const kernels::Ops *Tier : crossTierOps()) {
+            std::vector<uint64_t> Got(Expected.size(), ~uint64_t(0));
+            Tier->RowCandidatesI64(Row.data() + Offset, RowDraws, DrawBit,
+                                   Scale, Pot.data() + Offset,
+                                   Dist.data() + Offset, Base, N, Got.data());
+            ASSERT_EQ(Got, Expected)
+                << "tier " << Tier->Name << ", N " << N << ", row " << I
+                << ", scale " << Scale << ", offset " << Offset;
+          }
+        }
       }
     }
   }
