@@ -95,8 +95,8 @@ static FlowSupplies flowSupplies(const Hamiltonian &H,
 /// view Base + bit * Scale over the row-major table \p Base and the draw
 /// words \p Draws (TransportFlow; diagonal ignored, so the trivial identity
 /// matrix is ruled out), then calls Emit(I, J, p_ij) once for every
-/// nonzero entry of p_ij = f_ij / pi_i, read from the solver's positive-
-/// flow bitsets. A term whose weight quantized to zero carries no flow and
+/// nonzero entry of p_ij = f_ij / pi_i, read from the solver's inflow
+/// lists. A term whose weight quantized to zero carries no flow and
 /// gets the qDrift row (it is (almost) never visited).
 template <typename EmitFn>
 static void solveFlowMatrix(const FlowSupplies &S, const int64_t *Base,
@@ -116,10 +116,20 @@ static void solveFlowMatrix(const FlowSupplies &S, const int64_t *Base,
         Emit(I, J, S.Pi[J]);
 }
 
+/// Throws std::invalid_argument unless the cost table \p IsSquare (n x n
+/// for H's n terms).
+static void requireSquare(const Hamiltonian &H, bool IsSquare) {
+  const size_t N = H.numTerms();
+  if (!IsSquare)
+    throw std::invalid_argument("MCFP builder: cost table is not " +
+                                std::to_string(N) + " x " + std::to_string(N));
+}
+
 /// solveFlowMatrix of an unperturbed table into a dense matrix.
 static TransitionMatrix solveFlowMatrix(const Hamiltonian &H,
                                         const std::vector<int64_t> &Cost,
                                         const MCFPOptions &Opts) {
+  requireSquare(H, Cost.size() == H.numTerms() * H.numTerms());
   FlowSupplies S = flowSupplies(H, Opts);
   TransitionMatrix P(H.numTerms());
   solveFlowMatrix(S, Cost.data(), nullptr, 0, Opts,
@@ -133,6 +143,13 @@ marqsim::buildGateCancellation(const Hamiltonian &H, const MCFPOptions &Opts) {
 }
 
 TransitionMatrix
+marqsim::buildGateCancellation(const Hamiltonian &H,
+                               const std::vector<int64_t> &CnotCosts,
+                               const MCFPOptions &Opts) {
+  return solveFlowMatrix(H, CnotCosts, Opts);
+}
+
+TransitionMatrix
 marqsim::buildFromCostTable(const Hamiltonian &H,
                             const std::vector<std::vector<int64_t>> &Cost,
                             const MCFPOptions &Opts) {
@@ -140,9 +157,8 @@ marqsim::buildFromCostTable(const Hamiltonian &H,
   auto Square = [N](const std::vector<int64_t> &Row) {
     return Row.size() == N;
   };
-  if (Cost.size() != N || !std::all_of(Cost.begin(), Cost.end(), Square))
-    throw std::invalid_argument("MCFP builder: cost table is not " +
-                                std::to_string(N) + " x " + std::to_string(N));
+  requireSquare(H, Cost.size() == N &&
+                      std::all_of(Cost.begin(), Cost.end(), Square));
   std::vector<int64_t> Flat(N * N);
   for (size_t I = 0; I < N; ++I)
     std::copy(Cost[I].begin(), Cost[I].end(), Flat.begin() + I * N);
@@ -153,15 +169,22 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
                                                   unsigned Rounds, RNG &Rng,
                                                   const MCFPOptions &Opts,
                                                   unsigned Jobs) {
+  return buildRandomPerturbation(H, scaledCnotCosts(H, Opts.CostScale),
+                                 Rounds, Rng, Opts, Jobs);
+}
+
+TransitionMatrix marqsim::buildRandomPerturbation(
+    const Hamiltonian &H, std::vector<int64_t> CnotCosts, unsigned Rounds,
+    RNG &Rng, const MCFPOptions &Opts, unsigned Jobs) {
   assert(Rounds > 0 && "perturbation averaging needs at least one round");
   const size_t N = H.numTerms();
   // Everything that can reject the input is checked here, once, so every
   // Jobs value throws the same error before any round starts.
+  requireSquare(H, CnotCosts.size() == N * N);
   const FlowSupplies S = flowSupplies(H, Opts);
   if (Opts.CostScale < 0)
     throw std::invalid_argument("MCFP builder: negative cost scale " +
                                 std::to_string(Opts.CostScale));
-  const std::vector<int64_t> Base = scaledCnotCosts(H, Opts.CostScale);
 
   // Independent epsilon per edge: +1 CNOT with probability 1/2 (the
   // paper's perturbation configuration, Section 6.1). The draws run
@@ -174,20 +197,23 @@ TransitionMatrix marqsim::buildRandomPerturbation(const Hamiltonian &H,
     Rng.coinFlips(Round.data(), N * N);
 
   // The rounds are independent once their draws are fixed. Each one reads
-  // its costs as the view Base + draw * CostScale, so no perturbed table
-  // is written, and keeps only its nonzero entries: at most Jobs flow
-  // tables are alive at once.
+  // its costs as the view CnotCosts + draw * CostScale, so no perturbed
+  // table is written, and keeps only its nonzero entries.
   struct Entry {
     size_t I, J;
     double Value;
   };
   std::vector<std::vector<Entry>> Solved(Rounds);
   parallelFor(Rounds, Jobs, [&](size_t Round) {
-    solveFlowMatrix(S, Base.data(), Bits[Round].data(), Opts.CostScale, Opts,
-                    [&](size_t I, size_t J, double V) {
+    solveFlowMatrix(S, CnotCosts.data(), Bits[Round].data(), Opts.CostScale,
+                    Opts, [&](size_t I, size_t J, double V) {
                       Solved[Round].push_back({I, J, V});
                     });
   });
+  // Only the entries are needed from here on: release the table and the
+  // draws before the sum's matrix is allocated.
+  std::vector<int64_t>().swap(CnotCosts);
+  std::vector<std::vector<uint64_t>>().swap(Bits);
 
   // Sum in round order and divide once. A round emits each (I, J) at most
   // once, so the order inside a round cannot change a sum; its omitted
@@ -219,8 +245,8 @@ TransitionMatrix marqsim::combineWithQDrift(const Hamiltonian &H,
                                             const TransitionMatrix &P,
                                             double Theta) {
   assert(Theta > 0.0 && Theta <= 1.0 && "qDrift weight must be in (0, 1]");
-  TransitionMatrix Pqd = buildQDrift(H);
-  return TransitionMatrix::combine({&Pqd, &P}, {Theta, 1.0 - Theta});
+  return TransitionMatrix::combine(H.stationaryDistribution(), Theta, {&P},
+                                   {1.0 - Theta});
 }
 
 TransitionMatrix marqsim::makeConfigMatrix(const Hamiltonian &H, double WQd,
@@ -230,25 +256,28 @@ TransitionMatrix marqsim::makeConfigMatrix(const Hamiltonian &H, double WQd,
                                            const MCFPOptions &Opts) {
   assert(std::fabs(WQd + WGc + WRp - 1.0) <= 1e-9 &&
          "configuration weights must sum to 1");
+  assert((WQd > 0.0 || WGc > 0.0 || WRp > 0.0) &&
+         "all configuration weights are zero");
   std::vector<const TransitionMatrix *> Parts;
   std::vector<double> Weights;
-  TransitionMatrix Pqd, Pgc, Prp;
-  if (WQd > 0.0) {
-    Pqd = buildQDrift(H);
-    Parts.push_back(&Pqd);
-    Weights.push_back(WQd);
-  }
+  TransitionMatrix Pgc, Prp;
+  // Pgc and Prp read one CNOT table; Prp, its last reader, releases it.
+  std::vector<int64_t> CnotCosts;
+  if (WGc > 0.0 || WRp > 0.0)
+    CnotCosts = scaledCnotCosts(H, Opts.CostScale);
   if (WGc > 0.0) {
-    Pgc = buildGateCancellation(H, Opts);
+    Pgc = buildGateCancellation(H, CnotCosts, Opts);
     Parts.push_back(&Pgc);
     Weights.push_back(WGc);
   }
   if (WRp > 0.0) {
     RNG Rng(Seed);
-    Prp = buildRandomPerturbation(H, PerturbationRounds, Rng, Opts);
+    Prp = buildRandomPerturbation(H, std::move(CnotCosts), PerturbationRounds,
+                                  Rng, Opts);
     Parts.push_back(&Prp);
     Weights.push_back(WRp);
   }
-  assert(!Parts.empty() && "all configuration weights are zero");
-  return TransitionMatrix::combine(Parts, Weights);
+  std::vector<int64_t>().swap(CnotCosts);
+  return TransitionMatrix::combine(H.stationaryDistribution(), WQd, Parts,
+                                   Weights);
 }

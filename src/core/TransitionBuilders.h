@@ -22,7 +22,8 @@
 ///
 /// All builders return matrices that preserve the stationary distribution;
 /// strong connectivity is restored by convex combination with Pqd
-/// (Theorem 5.2), done by combineWithQDrift / makeConfigMatrix.
+/// (Theorem 5.2), done by combineWithQDrift / makeConfigMatrix, which read
+/// Pqd's rows from pi instead of forming it (TransitionMatrix::combine).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +56,14 @@ TransitionMatrix buildQDrift(const Hamiltonian &H);
 TransitionMatrix buildGateCancellation(const Hamiltonian &H,
                                        const MCFPOptions &Opts = {});
 
+/// buildGateCancellation over \p CnotCosts, the caller's copy of
+/// scaledCnotCosts(H, Opts.CostScale) (core/CNOTCountOracle.h), so a gc-rp
+/// mix builds that table once for Pgc and Prp. A table that is not n x n
+/// throws std::invalid_argument.
+TransitionMatrix buildGateCancellation(const Hamiltonian &H,
+                                       const std::vector<int64_t> &CnotCosts,
+                                       const MCFPOptions &Opts = {});
+
 /// The generic Algorithm 2 skeleton behind every MCFP builder: the
 /// bipartite stationary-capacity flow network with an arbitrary
 /// non-negative cost table (diagonal entries ignored — those edges are
@@ -74,6 +83,16 @@ buildFromCostTable(const Hamiltonian &H,
 /// solved on up to \p Jobs threads (0 = all cores). The result and the
 /// final state of \p Rng are bit-identical for every Jobs value.
 TransitionMatrix buildRandomPerturbation(const Hamiltonian &H,
+                                         unsigned Rounds, RNG &Rng,
+                                         const MCFPOptions &Opts = {},
+                                         unsigned Jobs = 1);
+
+/// buildRandomPerturbation over \p CnotCosts, the caller's copy of
+/// scaledCnotCosts(H, Opts.CostScale). The table is taken by value (move it
+/// in) and released, with the draws, before the averaged matrix is
+/// allocated. A table that is not n x n throws std::invalid_argument.
+TransitionMatrix buildRandomPerturbation(const Hamiltonian &H,
+                                         std::vector<int64_t> CnotCosts,
                                          unsigned Rounds, RNG &Rng,
                                          const MCFPOptions &Opts = {},
                                          unsigned Jobs = 1);

@@ -20,9 +20,12 @@ static constexpr int64_t kInfDist = std::numeric_limits<int64_t>::max() / 4;
 
 TransportFlow::TransportFlow(size_t N, const int64_t *Base,
                              const uint64_t *Draws, int64_t Scale)
-    : N(N), BaseCost(Base), NoDraws(Draws ? 0 : (N * N + 63) / 64, 0),
-      Draws(Draws ? Draws : NoDraws.data()), Scale(Scale),
-      FlowWords((N + 63) / 64) {
+    // With no draws the view adds nothing: Scale 0 masks every bit, so the
+    // bits may come from any ceil(N * N / 64) readable words. Base has
+    // N * N of them, and uint64_t may alias its int64_t entries.
+    : N(N), BaseCost(Base),
+      Draws(Draws ? Draws : reinterpret_cast<const uint64_t *>(Base)),
+      Scale(Draws ? Scale : 0), RowWords((N + 63) / 64), Inflows(N) {
   assert(2 * N + 2 <= std::numeric_limits<uint32_t>::max() &&
          "too many nodes for 32-bit node indices");
   assert(N * N <= std::numeric_limits<uint32_t>::max() &&
@@ -84,18 +87,22 @@ std::pair<uint64_t, uint32_t> TransportFlow::RadixHeap::pop() {
   return Top;
 }
 
+size_t TransportFlow::firstFrom(const InflowList &List, uint32_t From) {
+  auto Below = [](const Inflow &E, uint32_t S) { return E.Supply < S; };
+  return static_cast<size_t>(
+      std::lower_bound(List.begin(), List.end(), From, Below) - List.begin());
+}
+
 uint32_t TransportFlow::nextPositiveFlow(size_t J, uint32_t From) const {
-  if (From >= N)
-    return static_cast<uint32_t>(N);
-  const uint64_t *Bits = &FlowBits[J * FlowWords];
-  size_t W = From / 64;
-  uint64_t Word = Bits[W] & (~uint64_t(0) << (From % 64));
-  while (Word == 0) {
-    if (++W == FlowWords)
-      return static_cast<uint32_t>(N);
-    Word = Bits[W];
-  }
-  return static_cast<uint32_t>(W * 64 + __builtin_ctzll(Word));
+  const InflowList &List = Inflows[J];
+  const size_t P = firstFrom(List, From);
+  return P == List.size() ? static_cast<uint32_t>(N) : List[P].Supply;
+}
+
+int64_t TransportFlow::flow(size_t I, size_t J) const {
+  const InflowList &List = Inflows[J];
+  const size_t P = firstFrom(List, static_cast<uint32_t>(I));
+  return P < List.size() && List[P].Supply == I ? List[P].Flow : 0;
 }
 
 // Every scan below visits a node's residual arcs in the order the header
@@ -147,7 +154,7 @@ bool TransportFlow::dijkstra() {
                     DemandPot, DemandDist, Base, N, RowMask.data());
       RowMask[I / 64] &= ~(uint64_t(1) << (I % 64));
       TightBegin[I] = static_cast<uint32_t>(Tight.size());
-      for (size_t W = 0; W < FlowWords; ++W)
+      for (size_t W = 0; W < RowWords; ++W)
         for (uint64_t Bits = RowMask[W]; Bits != 0; Bits &= Bits - 1) {
           const size_t J = W * 64 + static_cast<size_t>(__builtin_ctzll(Bits));
           const int64_t Cand = Base + cost(I, J) - DemandPot[J];
@@ -160,9 +167,9 @@ bool TransportFlow::dijkstra() {
       TightEnd[I] = static_cast<uint32_t>(Tight.size());
     } else if (V < T) {
       const size_t J = V - 1 - N;
-      for (uint32_t I = nextPositiveFlow(J, 0); I < N;
-           I = nextPositiveFlow(J, I + 1))
-        Relax(supplyNode(I), Base - cost(I, J) - Potential[supplyNode(I)]);
+      for (const Inflow &E : Inflows[J])
+        Relax(supplyNode(E.Supply),
+              Base - cost(E.Supply, J) - Potential[supplyNode(E.Supply)]);
       if (DemandCap[J] > DemandFlow[J])
         Relax(T, Base - Potential[T]);
     } else {
@@ -213,8 +220,15 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
         continue;
       int64_t Sub = dfsPush(demandNode(J), Limit - Pushed); // uncapacitated
       if (Sub > 0) {
-        Flow[J * N + I] += Sub;
-        FlowBits[J * FlowWords + I / 64] |= uint64_t(1) << (I % 64);
+        // The push below J may have emptied entries of J's list, so the
+        // position of I is looked up after it.
+        InflowList &List = Inflows[J];
+        const size_t Pos = firstFrom(List, static_cast<uint32_t>(I));
+        if (Pos < List.size() && List[Pos].Supply == I)
+          List[Pos].Flow += Sub;
+        else
+          List.insert(List.begin() + static_cast<std::ptrdiff_t>(Pos),
+                      Inflow{static_cast<uint32_t>(I), Sub});
         Pushed += Sub;
         if (Pushed == Limit)
           return Pushed;
@@ -227,12 +241,17 @@ int64_t TransportFlow::dfsPush(uint32_t V, int64_t Limit) {
       // The reverse arc to supply A.
       if (!Admissible(supplyNode(A), -cost(A, J)))
         continue;
-      int64_t &F = Flow[J * N + A];
+      InflowList &List = Inflows[J];
+      const int64_t F = List[firstFrom(List, A)].Flow;
       int64_t Sub = dfsPush(supplyNode(A), std::min(Limit - Pushed, F));
       if (Sub > 0) {
-        F -= Sub;
-        if (F == 0)
-          FlowBits[J * FlowWords + A / 64] &= ~(uint64_t(1) << (A % 64));
+        // A is at a deeper level than J, so the push below it never
+        // reaches J; A's entry is still there, but looked up again.
+        const auto Pos = List.begin() +
+                         static_cast<std::ptrdiff_t>(firstFrom(List, A));
+        Pos->Flow -= Sub;
+        if (Pos->Flow == 0)
+          List.erase(Pos);
         Pushed += Sub;
         if (Pushed == Limit)
           return Pushed;
@@ -286,9 +305,8 @@ int64_t TransportFlow::blockingFlow(int64_t Limit) {
         Visit(demandNode(Tight[P]), cost(I, Tight[P]));
     } else { // a demand node: T ends the search before it is dequeued
       const size_t J = V - 1 - N;
-      for (uint32_t I = nextPositiveFlow(J, 0); I < N;
-           I = nextPositiveFlow(J, I + 1))
-        Visit(supplyNode(I), -cost(I, J));
+      for (const Inflow &E : Inflows[J])
+        Visit(supplyNode(E.Supply), -cost(E.Supply, J));
       if (DemandCap[J] > DemandFlow[J])
         Visit(T, 0);
     }
@@ -315,9 +333,9 @@ TransportFlow::Result TransportFlow::solve(const std::vector<int64_t> &Supply,
          "negative capacity");
   SupplyFlow.assign(N, 0);
   DemandFlow.assign(N, 0);
-  Flow.assign(N * N, 0);
-  FlowBits.assign(N * FlowWords, 0);
-  RowMask.assign(FlowWords, 0);
+  for (InflowList &List : Inflows)
+    List.clear();
+  RowMask.assign(RowWords, 0);
   Potential.assign(2 * N + 2, 0);
   CurrentArc.assign(2 * N + 2, 0);
 

@@ -42,8 +42,8 @@
 ///     records, and the bit walk visits it in the same ascending order:
 ///     the heap receives the same pushes, the list the same entries. The
 ///     test is 64-bit integer arithmetic, so every tier sets the same bits.
-///   - A bitset per demand column marks the supplies with positive flow
-///     into it; the reverse-arc scans walk its set bits.
+///   - Each demand keeps the list of its positive inflows (below); the
+///     reverse-arc scans walk that list.
 ///
 /// Why the flows equal a full scan's. Settled nodes end with potential =
 /// true distance, as a Dijkstra run to exhaustion gives them. A node
@@ -54,10 +54,11 @@
 /// shortest path, its arcs and its BFS levels are the same either way.
 /// The final Dist of a demand only falls after a supply's scan, so the
 /// supply's list is a superset of its admissible arcs, kept in ascending
-/// J; the bitsets are kept equal to Flow > 0. The BFS and the DFS
-/// therefore meet the same admissible arcs in the same order. Which of
-/// equal keys the heap pops first changes nothing: the distances are
-/// exact, and the lists only need to be supersets.
+/// J; each demand's inflow list holds exactly its arcs with flow > 0, in
+/// ascending I. The BFS and the DFS therefore meet the same admissible
+/// arcs in the same order. Which of equal keys the heap pops first
+/// changes nothing: the distances are exact, and the lists only need to
+/// be supersets.
 ///
 /// Costs. A solve reads every arc cost through one view, cost(I, J) =
 /// Base[I * N + J] + bit(I * N + J) * Scale: \p Base is the caller's
@@ -65,18 +66,23 @@
 /// bit K is bit K % 64 of the caller's draw word K / 64. A random-
 /// perturbation round (core/TransitionBuilders.h) passes the shared
 /// CNOT table and its own draws, so no caller writes a perturbed table
-/// per round; an unperturbed solve passes no draws and reads Base as is.
+/// per round; an unperturbed solve passes no draws and reads Base as is
+/// (the view then runs with Scale 0, so its bits are never used, and
+/// takes them from Base's own words rather than allocating a zero set).
 /// The constructor checks that every off-diagonal cost of the view fits
 /// an int64, so a solve over the view reads exactly the costs of the
 /// materialized table Base + bit * Scale and gives its flow bits.
 ///
-/// Storage. The middle flows are one column-major N x N int64 table, so
-/// the residual arcs of a demand node are one contiguous column, mirrored
-/// by an N-bit positive-flow bitset; forEachFlow() reads the positive
-/// flows from the bitsets. Arcs are implicit: a solve holds the flow
-/// table, the bitsets, the per-phase arc list (at most N x N uint32
-/// entries) and O(N) vectors, and the uncapacitated middle arcs are never
-/// read for a residual.
+/// Storage. An optimal transportation flow has at most about 2N positive
+/// middle arcs, so the flows are sparse: each demand J keeps one list of
+/// (supply I, flow) pairs with flow > 0, sorted by I. An arc that drains
+/// to zero leaves its list and re-enters it, in place, if flow returns.
+/// flow(I, J), forEachFlow() and the reverse-arc scans all read these
+/// lists. Arcs are implicit: besides the borrowed cost view a solve holds
+/// the lists, the per-phase arc list (at most N x N uint32 entries; on
+/// LiH about 24 of 614 per supply) and O(N) vectors; no N x N table is
+/// allocated, and the uncapacitated middle arcs are never read for a
+/// residual.
 ///
 /// Arc order. Each node scans its residual arcs in one fixed order, and the
 /// blocking flow's tie-breaking, so every bit of the flows, follows it:
@@ -127,15 +133,14 @@ public:
                const std::vector<int64_t> &Demand, int64_t Amount);
 
   /// Flow shipped from supply \p I to demand \p J (valid after solve()).
-  int64_t flow(size_t I, size_t J) const { return Flow[J * N + I]; }
+  int64_t flow(size_t I, size_t J) const;
 
   /// Calls Visit(I, J, flow(I, J)) for every positive flow, demand J
   /// ascending and supply I ascending within it (valid after solve()).
   template <class VisitFn> void forEachFlow(VisitFn &&Visit) const {
     for (size_t J = 0; J < N; ++J)
-      for (uint32_t I = nextPositiveFlow(J, 0); I < N;
-           I = nextPositiveFlow(J, I + 1))
-        Visit(static_cast<size_t>(I), J, Flow[J * N + I]);
+      for (const Inflow &E : Inflows[J])
+        Visit(static_cast<size_t>(E.Supply), J, E.Flow);
   }
 
 private:
@@ -154,10 +159,20 @@ private:
                                 (static_cast<uint64_t>(Scale) & -Drawn));
   }
 
+  /// A positive flow into a demand from supply Supply.
+  struct Inflow {
+    uint32_t Supply;
+    int64_t Flow;
+  };
+  using InflowList = std::vector<Inflow>;
+
   bool dijkstra();
   int64_t blockingFlow(int64_t Limit);
   int64_t dfsPush(uint32_t V, int64_t Limit);
-  /// The first supply I >= From with Flow[J * N + I] > 0, or N.
+  /// The position of the first entry of \p List whose supply is >= \p From
+  /// (List.size() if none).
+  static size_t firstFrom(const InflowList &List, uint32_t From);
+  /// The first supply I >= From with positive flow into demand J, or N.
   uint32_t nextPositiveFlow(size_t J, uint32_t From) const;
 
   /// Monotone min-queue of (distance, node): every push is >= the last
@@ -180,12 +195,10 @@ private:
 
   size_t N;
   const int64_t *BaseCost;
-  std::vector<uint64_t> NoDraws; // all clear, when the caller has no draws
   const uint64_t *Draws;
   int64_t Scale;
-  std::vector<int64_t> Flow; // column-major: Flow[J * N + I] ships I -> J
-  size_t FlowWords;               // 64-bit words per N-bit set
-  std::vector<uint64_t> FlowBits; // bit I of column J: Flow[J * N + I] > 0
+  size_t RowWords;                 // 64-bit words per N-bit row mask
+  std::vector<InflowList> Inflows; // per demand: positive flows, by supply
   std::vector<int64_t> SupplyCap, SupplyFlow; // arcs S -> I
   std::vector<int64_t> DemandCap, DemandFlow; // arcs J -> T
 

@@ -8,6 +8,7 @@
 
 #include "linalg/Eigen.h"
 
+#include <algorithm>
 #include <cmath>
 
 using namespace marqsim;
@@ -149,25 +150,48 @@ std::vector<double> TransitionMatrix::stationaryDistribution() const {
   return Pi;
 }
 
-TransitionMatrix
-TransitionMatrix::combine(const std::vector<const TransitionMatrix *> &Ms,
-                          const std::vector<double> &Weights) {
-  assert(!Ms.empty() && Ms.size() == Weights.size() &&
+void TransitionMatrix::addWeighted(
+    const std::vector<const TransitionMatrix *> &Ms,
+    const std::vector<double> &Weights, double Sum) {
+  assert(Ms.size() == Weights.size() &&
          "combine needs matching matrices and weights");
-  double Sum = 0.0;
   for (double W : Weights) {
     assert(W >= 0.0 && "combination weights must be non-negative");
     Sum += W;
   }
   assert(std::fabs(Sum - 1.0) <= 1e-9 && "combination weights must sum to 1");
-  const size_t N = Ms.front()->size();
-  TransitionMatrix R(N);
   for (size_t K = 0; K < Ms.size(); ++K) {
     assert(Ms[K]->size() == N && "combining differently sized matrices");
     for (size_t I = 0; I < N; ++I)
       for (size_t J = 0; J < N; ++J)
-        R.at(I, J) += Weights[K] * Ms[K]->at(I, J);
+        at(I, J) += Weights[K] * Ms[K]->at(I, J);
   }
+}
+
+TransitionMatrix
+TransitionMatrix::combine(const std::vector<const TransitionMatrix *> &Ms,
+                          const std::vector<double> &Weights) {
+  assert(!Ms.empty() && "combine needs at least one matrix");
+  TransitionMatrix R(Ms.front()->size());
+  R.addWeighted(Ms, Weights, 0.0);
+  return R;
+}
+
+TransitionMatrix
+TransitionMatrix::combine(const std::vector<double> &Pi, double WPi,
+                          const std::vector<const TransitionMatrix *> &Ms,
+                          const std::vector<double> &Weights) {
+  assert(WPi >= 0.0 && "combination weights must be non-negative");
+  const size_t N = Pi.size();
+  // Every row of the rank-1 part is 0 + WPi * Pi[J], as combine() adds it.
+  std::vector<double> Row(N, 0.0);
+  for (size_t J = 0; J < N; ++J)
+    Row[J] += WPi * Pi[J];
+  TransitionMatrix R(N);
+  for (size_t I = 0; I < N; ++I)
+    std::copy(Row.begin(), Row.end(),
+              R.P.begin() + static_cast<std::ptrdiff_t>(I * N));
+  R.addWeighted(Ms, Weights, WPi);
   return R;
 }
 

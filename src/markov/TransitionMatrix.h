@@ -89,6 +89,16 @@ public:
   combine(const std::vector<const TransitionMatrix *> &Matrices,
           const std::vector<double> &Weights);
 
+  /// combine() with the rank-1 part fromStationary(\p Pi) of weight \p WPi
+  /// in front of \p Matrices (which may be empty), read from Pi instead of
+  /// formed as an N x N matrix. Every entry takes the same sums in the same
+  /// order, starting from 0, so the result has the bits of combine() over
+  /// {&fromStationary(Pi), Matrices...} and {WPi, Weights...}.
+  static TransitionMatrix
+  combine(const std::vector<double> &Pi, double WPi,
+          const std::vector<const TransitionMatrix *> &Matrices,
+          const std::vector<double> &Weights);
+
   /// All eigenvalues, sorted by descending magnitude. For a valid matrix
   /// the leading eigenvalue is 1.
   std::vector<std::complex<double>> spectrum() const;
@@ -98,6 +108,11 @@ public:
   double secondEigenvalueMagnitude() const;
 
 private:
+  /// Adds Weights[k] * Matrices[k] to every entry, k ascending; asserts
+  /// that \p Sum (the weight already in the matrix) plus Weights is 1.
+  void addWeighted(const std::vector<const TransitionMatrix *> &Matrices,
+                   const std::vector<double> &Weights, double Sum);
+
   size_t N;
   std::vector<double> P;
 };

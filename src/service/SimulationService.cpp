@@ -6,6 +6,7 @@
 
 #include "service/SimulationService.h"
 
+#include "core/CNOTCountOracle.h"
 #include "hamgen/Registry.h"
 #include "pauli/HamiltonianIO.h"
 #include "sim/Kernels.h"
@@ -168,8 +169,12 @@ struct SimulationService::Impl {
   // The artifact table
   //===--------------------------------------------------------------------===//
 
-  /// An MCFP component: Pgc (\p GC) or Prp.
-  static Artifact<TransitionMatrix> component(const Prepared &P, bool GC) {
+  /// An MCFP component: Pgc (\p GC) or Prp. Its compute reads the spec's
+  /// scaled CNOT table from \p CnotCosts, building it there if it is
+  /// empty, so Pgc and Prp share one build; Prp, the last reader, takes
+  /// the table and releases it.
+  static Artifact<TransitionMatrix>
+  component(const Prepared &P, bool GC, std::vector<int64_t> &CnotCosts) {
     const TaskSpec &Spec = P.Spec;
     const Hamiltonian &H = P.H;
     Artifact<TransitionMatrix> A;
@@ -185,14 +190,22 @@ struct SimulationService::Impl {
     };
     Codec.Size = store::matrixBytes;
     A.Codec = std::move(Codec);
+    auto Costs = [&]() -> std::vector<int64_t> & {
+      if (CnotCosts.empty())
+        CnotCosts = scaledCnotCosts(H, Spec.Flow.CostScale);
+      return CnotCosts;
+    };
     if (GC) {
-      A.Compute = [&] { return buildGateCancellation(H, Spec.Flow); };
+      A.Compute = [&H, &Spec, Costs] {
+        return buildGateCancellation(H, Costs(), Spec.Flow);
+      };
       A.Hits = &CacheStats::GCSolveHits;
       A.Misses = &CacheStats::GCSolveMisses;
     } else {
-      A.Compute = [&] {
+      A.Compute = [&H, &Spec, Costs] {
         RNG PerturbRng(Spec.PerturbSeed);
-        return buildRandomPerturbation(H, Spec.PerturbRounds, PerturbRng,
+        return buildRandomPerturbation(H, std::move(Costs()),
+                                       Spec.PerturbRounds, PerturbRng,
                                        Spec.Flow, Spec.Jobs);
       };
       A.Hits = &CacheStats::RPSolveHits;
@@ -370,28 +383,28 @@ struct SimulationService::Impl {
     if (!P.FlowBacked)
       return buildQDrift(P.H);
 
-    TransitionMatrix Pqd;
+    // The CNOT table of the component computes; released before the
+    // combined matrix is allocated.
+    std::vector<int64_t> CnotCosts;
     std::vector<const TransitionMatrix *> Parts;
     std::vector<double> Weights;
     std::shared_ptr<const TransitionMatrix> GC, RP;
-    if (Mix.WQd > 0.0) {
-      Pqd = buildQDrift(P.H);
-      Parts.push_back(&Pqd);
-      Weights.push_back(Mix.WQd);
-    }
     if (Mix.WGc > 0.0) {
-      GC = get(component(P, /*GC=*/true), Local);
+      GC = get(component(P, /*GC=*/true, CnotCosts), Local);
       Parts.push_back(GC.get());
       Weights.push_back(Mix.WGc);
     }
     if (Mix.WRp > 0.0) {
-      RP = get(component(P, /*GC=*/false), Local);
+      RP = get(component(P, /*GC=*/false, CnotCosts), Local);
       Parts.push_back(RP.get());
       Weights.push_back(Mix.WRp);
     }
-    if (Parts.size() == 1)
+    std::vector<int64_t>().swap(CnotCosts);
+    if (Mix.WQd == 0.0 && Parts.size() == 1)
       return *Parts.front();
-    return TransitionMatrix::combine(Parts, Weights);
+    // Pqd is folded in from pi, first, as combine() over {Pqd, ...} would.
+    return TransitionMatrix::combine(P.H.stationaryDistribution(), Mix.WQd,
+                                     Parts, Weights);
   }
 };
 

@@ -79,13 +79,13 @@ std::optional<ShardManifest> ShardManifest::parse(const std::string &Text,
                                                   std::string *Error) {
   // Peel and verify the trailing checksum first: after this, any parse
   // failure means a malformed writer, not on-disk corruption.
-  std::string Body;
+  std::string_view Body;
   if (!splitChecksummed(Text, Body)) {
     fail(Error, "checksum mismatch (corrupted or truncated file)");
     return std::nullopt;
   }
 
-  std::istringstream In(Body);
+  std::istringstream In{std::string(Body)};
   std::string Word;
   if (!(In >> Word) || Word != Magic) {
     fail(Error, "bad magic");

@@ -11,7 +11,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace marqsim;
 
@@ -151,18 +150,27 @@ std::optional<std::string>
 ArtifactStore::loadBody(const ArtifactKey &Key) const {
   if (Opts.CacheDir.empty())
     return std::nullopt;
-  std::ifstream In(std::filesystem::path(Opts.CacheDir) / Key.fileName());
+  std::ifstream In(std::filesystem::path(Opts.CacheDir) / Key.fileName(),
+                   std::ios::binary | std::ios::ate);
   if (!In)
     return std::nullopt;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
+  // One sized read into the string that is returned: the file is the
+  // only copy of its bytes a load holds.
+  const std::streamoff Size = In.tellg();
+  if (Size < 0 || !In.seekg(0))
+    return std::nullopt;
+  std::optional<std::string> Text(std::in_place, static_cast<size_t>(Size),
+                                  '\0');
+  if (!In.read(Text->data(), Size))
+    return std::nullopt;
   // Verify the whole-file checksum before handing any byte to a codec:
   // hex payloads would happily parse with a flipped bit, silently changing
   // the artifact and everything downstream of it.
-  std::string Body;
-  if (!serial::splitChecksummed(Buf.str(), Body))
+  std::string_view Body;
+  if (!serial::splitChecksummed(*Text, Body))
     return std::nullopt;
-  return Body;
+  Text->resize(Body.size()); // strip the trailer in place
+  return Text;
 }
 
 void ArtifactStore::storeBody(const ArtifactKey &Key,

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 
 namespace marqsim {
 namespace serial {
@@ -49,7 +50,7 @@ inline std::string hex16(uint64_t V) {
 
 /// Parses a full-width (1..16 digit) hex token into \p Out. Returns false
 /// on empty tokens, non-hex characters, or trailing garbage.
-inline bool parseHex64(const std::string &Word, uint64_t &Out) {
+inline bool parseHex64(std::string_view Word, uint64_t &Out) {
   if (Word.empty() || Word.size() > 16)
     return false;
   uint64_t V = 0;
@@ -78,7 +79,7 @@ inline uint64_t fnv1aByte(uint64_t H, unsigned char Byte) {
 }
 
 /// FNV-1a over a byte string, continuing from \p H (chainable).
-inline uint64_t fnv1a(const std::string &Bytes, uint64_t H = FNVOffset) {
+inline uint64_t fnv1a(std::string_view Bytes, uint64_t H = FNVOffset) {
   for (char C : Bytes)
     H = fnv1aByte(H, static_cast<unsigned char>(C));
   return H;
@@ -119,25 +120,37 @@ inline std::string withChecksum(const std::string &Body) {
   return Body + "checksum " + hex16(fnv1a(Body)) + "\n";
 }
 
-/// Recovers the body of withChecksum output. Returns false — leaving
-/// \p Body untouched — when the trailer is missing or malformed, or when
-/// its value disagrees with the payload (truncation, bit flips, torn
-/// writes). Callers treat false as "re-derive the artifact".
-inline bool splitChecksummed(const std::string &Text, std::string &Body) {
+/// Recovers the body of withChecksum output without copying it: \p Body
+/// becomes the prefix of \p Text before the trailer, so it views Text's
+/// bytes (a caller that owns Text strips the trailer in place by cutting
+/// Text to Body.size()). Returns false — leaving \p Body untouched — when
+/// the trailer is missing or malformed, or when its value disagrees with
+/// the payload (truncation, bit flips, torn writes). Callers treat false
+/// as "re-derive the artifact".
+inline bool splitChecksummed(std::string_view Text, std::string_view &Body) {
   size_t Mark = Text.rfind("checksum ");
-  if (Mark == std::string::npos || (Mark != 0 && Text[Mark - 1] != '\n'))
+  if (Mark == std::string_view::npos || (Mark != 0 && Text[Mark - 1] != '\n'))
     return false;
   size_t Start = Mark + 9; // past "checksum "
   size_t End = Text.find_first_of(" \t\r\n", Start);
   uint64_t Stored = 0;
-  if (!parseHex64(Text.substr(Start, End == std::string::npos
-                                         ? std::string::npos
+  if (!parseHex64(Text.substr(Start, End == std::string_view::npos
+                                         ? std::string_view::npos
                                          : End - Start),
                   Stored))
     return false;
   if (fnv1a(Text.substr(0, Mark)) != Stored)
     return false;
   Body = Text.substr(0, Mark);
+  return true;
+}
+
+/// splitChecksummed into a copy of the body.
+inline bool splitChecksummed(const std::string &Text, std::string &Body) {
+  std::string_view View;
+  if (!splitChecksummed(Text, View))
+    return false;
+  Body.assign(View);
   return true;
 }
 

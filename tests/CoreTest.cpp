@@ -375,6 +375,13 @@ TEST(TransitionBuildersTest, MalformedCostTableThrowsInEveryBuildType) {
   EXPECT_TRUE(buildFromCostTable(H, Cost).isRowStochastic(1e-9));
   Cost[1].pop_back();
   EXPECT_THROW(buildFromCostTable(H, Cost), std::invalid_argument);
+  // So do the overloads over a caller's flat CNOT table, before any draw.
+  const std::vector<int64_t> Short(N * N - 1, 2);
+  EXPECT_THROW(buildGateCancellation(H, Short), std::invalid_argument);
+  RNG Rng(7), Untouched(7);
+  EXPECT_THROW(buildRandomPerturbation(H, Short, 1, Rng),
+               std::invalid_argument);
+  EXPECT_EQ(Rng.next(), Untouched.next());
 }
 
 TEST(TransitionBuildersTest, PreparedOverweightHamiltonianSolves) {

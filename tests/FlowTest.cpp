@@ -215,6 +215,46 @@ TEST(TransportFlowCostViewTest, ViewEqualsMaterializedTableOnEveryTier) {
   }
 }
 
+TEST(TransportFlowTest, ReverseArcEmptiesAnArcAndALaterPhaseRefillsIt) {
+  // Each flow value A of this network has one min-cost flow (checked by
+  // enumerating every flow of value A), written out densely below. The
+  // cheapest unit ships on 3 -> 1; at A = 2 and 3 a later phase pushes it
+  // back along the reverse arc 1 -> 3, to 0; at A = 4 it ships on 3 -> 1
+  // again. A full solve therefore empties the arc and refills it. Every
+  // flow(I, J) must equal the dense table, and forEachFlow must visit
+  // exactly its positive entries, in its order, skipping the emptied arc.
+  // One solver is re-solved for every A: each solve starts from zero flow.
+  const size_t N = 4;
+  const std::vector<int64_t> Cost = {10, 5,  18, 11, 1, 14, 13, 18,
+                                     7,  5,  12, 9,  2, 1,  2,  10};
+  const std::vector<int64_t> Supply = {0, 2, 2, 1}, Demand = {0, 1, 1, 2};
+  const int64_t Optimum[] = {1, 7, 16, 32};
+  const std::vector<int64_t> Dense[] = {
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0},
+      {0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 0},
+      {0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 0, 1, 0, 0}};
+  onEveryTier([&] {
+    TransportFlow Net(N, Cost.data());
+    for (int64_t Amount = 4; Amount >= 1; --Amount) {
+      SCOPED_TRACE("amount " + std::to_string(Amount));
+      const std::vector<int64_t> &Want = Dense[Amount - 1];
+      const auto R = Net.solve(Supply, Demand, Amount);
+      ASSERT_TRUE(R.Feasible);
+      EXPECT_EQ(R.TotalCost, Optimum[Amount - 1]);
+      std::vector<std::tuple<size_t, size_t, int64_t>> Positive;
+      for (size_t J = 0; J < N; ++J)
+        for (size_t I = 0; I < N; ++I) {
+          EXPECT_EQ(Net.flow(I, J), Want[I * N + J])
+              << "arc " << I << " -> " << J;
+          if (Want[I * N + J] > 0)
+            Positive.emplace_back(I, J, Want[I * N + J]);
+        }
+      EXPECT_EQ(visitedFlows(Net), Positive);
+    }
+  });
+}
+
 namespace {
 
 /// Brute-force optimum of a small transportation problem: supplies[i] units

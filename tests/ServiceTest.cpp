@@ -23,6 +23,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/TransitionBuilders.h"
+#include "hamgen/Registry.h"
 #include "markov/Sampler.h"
 #include "service/SimulationService.h"
 #include "shard/ShardCoordinator.h"
@@ -33,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -405,6 +408,56 @@ TEST(ServiceCacheTest, RatioSweepPerformsOneGCSolve) {
   EXPECT_EQ(S.GCSolveHits, 2u);  // the other two GC-weighted ratios
   EXPECT_EQ(S.GraphMisses, 4u);  // one bundle per ratio
   EXPECT_EQ(S.GraphHits, 4u);    // the second epsilon of each ratio
+}
+
+TEST(ServiceCacheTest, CombinedMatrixKeepsTheBitsOfTheBuildersCombination) {
+  // The service folds Pqd in from pi and builds one CNOT table for Pgc
+  // and Prp; its matrix must keep every bit of the dense combination of
+  // the public builders, parts in the order qDrift, gc, rp. So must
+  // makeConfigMatrix (gc-rp) and combineWithQDrift (gc).
+  const Hamiltonian Raw = makeBenchmark(*findBenchmark("OH-"));
+  const Hamiltonian H = SimulationService::prepare(Raw);
+  struct Case {
+    const char *Preset;
+    unsigned Jobs;
+  };
+  for (const Case C : {Case{"gc-rp", 1}, Case{"gc-rp", 3}, Case{"gc", 1}}) {
+    SCOPED_TRACE(std::string(C.Preset) + " at Jobs " + std::to_string(C.Jobs));
+    TaskSpec Spec = testSpec(Raw);
+    Spec.Mix = *ChannelMix::preset(C.Preset);
+    Spec.Jobs = C.Jobs;
+    SimulationService Service;
+    std::shared_ptr<const HTTGraph> G = Service.graphFor(Spec);
+    ASSERT_TRUE(G);
+
+    const ChannelMix &W = Spec.Mix;
+    TransitionMatrix Pqd = buildQDrift(H);
+    TransitionMatrix Pgc = buildGateCancellation(H, Spec.Flow);
+    TransitionMatrix Prp;
+    std::vector<const TransitionMatrix *> Parts = {&Pqd, &Pgc};
+    std::vector<double> Weights = {W.WQd, W.WGc};
+    if (W.WRp > 0.0) {
+      RNG Rng(Spec.PerturbSeed);
+      Prp = buildRandomPerturbation(H, Spec.PerturbRounds, Rng, Spec.Flow,
+                                    C.Jobs);
+      Parts.push_back(&Prp);
+      Weights.push_back(W.WRp);
+    }
+    const TransitionMatrix Dense = TransitionMatrix::combine(Parts, Weights);
+    auto SameBits = [&](const std::vector<double> &Got) {
+      ASSERT_EQ(Got.size(), Dense.data().size());
+      EXPECT_EQ(std::memcmp(Got.data(), Dense.data().data(),
+                            Got.size() * sizeof(double)),
+                0);
+    };
+    SameBits(G->transitionMatrix().data());
+    if (W.WRp > 0.0)
+      SameBits(makeConfigMatrix(H, W.WQd, W.WGc, W.WRp, Spec.PerturbRounds,
+                                Spec.PerturbSeed, Spec.Flow)
+                   .data());
+    else
+      SameBits(combineWithQDrift(H, Pgc, W.WQd).data());
+  }
 }
 
 TEST(ServiceCacheTest, BundleChargeIsMatrixPlusSamplerTables) {
