@@ -1,22 +1,18 @@
-//===- core/Baselines.cpp - Deterministic & randomized Trotter ---------------===//
+//===- core/Baselines.cpp - Term orders of the Trotter baselines ----------===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// The compile* entry points below are thin wrappers over the strategy
-// classes in core/CompilerEngine.h; every family funnels through the same
-// materializePlan backend, so gate-count comparisons isolate the ordering
-// policy. The wrappers preserve the historical draw order of the randomized
-// families bit-for-bit.
+// The fixed term orders TrotterStrategy repeats per step (paper Section
+// 3.1).
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Baselines.h"
 
-#include "core/CompilerEngine.h"
-
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -77,53 +73,4 @@ std::vector<size_t> marqsim::orderTerms(const Hamiltonian &H,
   }
   assert(false && "invalid TermOrderKind");
   return Order;
-}
-
-/// Materializes one shot of \p Strategy with the caller's RNG.
-static CompilationResult runStrategy(const ScheduleStrategy &Strategy,
-                                     RNG &Rng,
-                                     const CompilationOptions &Opts) {
-  ShotContext Ctx{0, Rng};
-  return materializePlan(Strategy.hamiltonian(), Strategy.produce(Ctx),
-                         Opts);
-}
-
-CompilationResult marqsim::compileTrotter1(const Hamiltonian &H, double T,
-                                           unsigned Reps, TermOrderKind Kind,
-                                           const CompilationOptions &Opts) {
-  TrotterStrategy Strategy(H, T, Reps, Kind, /*Order=*/1);
-  RNG Unused(0);
-  return runStrategy(Strategy, Unused, Opts);
-}
-
-CompilationResult marqsim::compileTrotter2(const Hamiltonian &H, double T,
-                                           unsigned Reps, TermOrderKind Kind,
-                                           const CompilationOptions &Opts) {
-  TrotterStrategy Strategy(H, T, Reps, Kind, /*Order=*/2);
-  RNG Unused(0);
-  return runStrategy(Strategy, Unused, Opts);
-}
-
-CompilationResult marqsim::compileSuzuki4(const Hamiltonian &H, double T,
-                                          unsigned Reps, TermOrderKind Kind,
-                                          const CompilationOptions &Opts) {
-  TrotterStrategy Strategy(H, T, Reps, Kind, /*Order=*/4);
-  RNG Unused(0);
-  return runStrategy(Strategy, Unused, Opts);
-}
-
-CompilationResult marqsim::compileSparSto(const Hamiltonian &H, double T,
-                                          unsigned Reps, double KeepScale,
-                                          RNG &Rng,
-                                          const CompilationOptions &Opts) {
-  SparStoStrategy Strategy(H, T, Reps, KeepScale);
-  return runStrategy(Strategy, Rng, Opts);
-}
-
-CompilationResult
-marqsim::compileRandomOrderTrotter(const Hamiltonian &H, double T,
-                                   unsigned Reps, RNG &Rng,
-                                   const CompilationOptions &Opts) {
-  RandomOrderTrotterStrategy Strategy(H, T, Reps);
-  return runStrategy(Strategy, Rng, Opts);
 }

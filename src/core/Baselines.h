@@ -1,29 +1,24 @@
-//===- core/Baselines.h - Deterministic & randomized Trotter ----*- C++ -*-===//
+//===- core/Baselines.h - Term orders of the Trotter baselines --*- C++ -*-===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compilation families MarQSim is positioned against (paper Section 3):
-///
-///   * First-order Trotter with a fixed term order per step, repeated
-///     t/Delta-t times (Section 3.1) — orders include the input order,
-///     lexicographic, magnitude-descending, and the greedy max-matching
-///     order in the spirit of Gui et al. [22].
-///   * Second-order (symmetrized) Trotter.
-///   * Randomized-order Trotter (Childs et al. [9]): a fresh random
-///     permutation per step (Section 3.2).
-///
-/// All of them produce schedules lowered by the same cancellation-aware
-/// emitter, so gate-count comparisons isolate the *ordering* effect.
+/// The fixed term orders of the deterministic product formulas MarQSim is
+/// positioned against (paper Section 3.1): the input order, lexicographic,
+/// magnitude-descending, and the greedy max-matching order in the spirit of
+/// Gui et al. [22]. TrotterStrategy (core/CompilerEngine) repeats one of
+/// them per step; the randomized families draw their own orders there.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MARQSIM_CORE_BASELINES_H
 #define MARQSIM_CORE_BASELINES_H
 
-#include "core/Compiler.h"
+#include "pauli/Hamiltonian.h"
+
+#include <vector>
 
 namespace marqsim {
 
@@ -42,43 +37,6 @@ enum class TermOrderKind {
 
 /// Computes the term visiting order for \p Kind.
 std::vector<size_t> orderTerms(const Hamiltonian &H, TermOrderKind Kind);
-
-/// First-order Trotter: \p Reps repetitions of the fixed order; each visit
-/// of term j applies exp(i h_j (T / Reps) H_j).
-CompilationResult compileTrotter1(const Hamiltonian &H, double T,
-                                  unsigned Reps, TermOrderKind Kind,
-                                  const CompilationOptions &Opts = {});
-
-/// Second-order Trotter: per repetition, the order at half angles followed
-/// by its reverse at half angles.
-CompilationResult compileTrotter2(const Hamiltonian &H, double T,
-                                  unsigned Reps, TermOrderKind Kind,
-                                  const CompilationOptions &Opts = {});
-
-/// Fourth-order Suzuki-Trotter [Suzuki 1990]: the recursive composition
-///   S4(dt) = S2(p dt)^2 S2((1-4p) dt) S2(p dt)^2,  p = 1/(4 - 4^{1/3}),
-/// of second-order steps. The paper positions qDrift against high-order
-/// product formulas; this is the standard representative.
-CompilationResult compileSuzuki4(const Hamiltonian &H, double T,
-                                 unsigned Reps, TermOrderKind Kind,
-                                 const CompilationOptions &Opts = {});
-
-/// Randomized-order Trotter [9]: an independent uniform permutation per
-/// repetition.
-CompilationResult compileRandomOrderTrotter(const Hamiltonian &H, double T,
-                                            unsigned Reps, RNG &Rng,
-                                            const CompilationOptions &Opts =
-                                                {});
-
-/// SparSto-style stochastic sparsification [51] (Section 3.2): per
-/// repetition, each term is kept independently with probability
-///   q_j = min(1, KeepScale * |h_j| / max|h|),
-/// its coefficient rescaled by 1/q_j to keep the step unbiased, and the
-/// surviving terms are randomly ordered. KeepScale = 1 keeps only the
-/// heaviest term surely; larger values sparsify less.
-CompilationResult compileSparSto(const Hamiltonian &H, double T,
-                                 unsigned Reps, double KeepScale, RNG &Rng,
-                                 const CompilationOptions &Opts = {});
 
 } // namespace marqsim
 

@@ -1,4 +1,4 @@
-//===- core/Compiler.cpp - Compilation as Markov-chain sampling --------------===//
+//===- core/Compiler.cpp - Shot plans and their lowering ------------------===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
@@ -6,11 +6,9 @@
 
 #include "core/Compiler.h"
 
-#include "core/CompilerEngine.h"
-#include "core/TransitionBuilders.h"
-
+#include <algorithm>
+#include <cassert>
 #include <cmath>
-#include <memory>
 
 using namespace marqsim;
 
@@ -40,32 +38,4 @@ CompilationResult marqsim::materializePlan(const Hamiltonian &H,
   R.SequenceHash = S.SequenceHash;
   R.Sequence = std::move(Plan.Sequence);
   return R;
-}
-
-CompilationResult marqsim::materializeSequence(const Hamiltonian &H,
-                                               std::vector<size_t> Sequence,
-                                               double TauStep,
-                                               const CompilationOptions &Opts) {
-  ShotPlan Plan;
-  Plan.Sequence = std::move(Sequence);
-  Plan.TauStep = TauStep;
-  return materializePlan(H, std::move(Plan), Opts);
-}
-
-CompilationResult marqsim::compileBySampling(const HTTGraph &Graph, double T,
-                                             double Epsilon, RNG &Rng,
-                                             const CompilationOptions &Opts) {
-  // Non-owning view: the strategy only lives for this call.
-  std::shared_ptr<const HTTGraph> View(std::shared_ptr<const HTTGraph>(),
-                                       &Graph);
-  SamplingStrategy Strategy(View, T, Epsilon);
-  ShotContext Ctx{0, Rng};
-  return materializePlan(Graph.hamiltonian(), Strategy.produce(Ctx), Opts);
-}
-
-CompilationResult marqsim::compileQDrift(const Hamiltonian &H, double T,
-                                         double Epsilon, RNG &Rng,
-                                         const CompilationOptions &Opts) {
-  HTTGraph Graph = HTTGraph::withQDriftMatrix(H);
-  return compileBySampling(Graph, T, Epsilon, Rng, Opts);
 }

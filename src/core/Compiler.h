@@ -1,23 +1,25 @@
-//===- core/Compiler.h - Compilation as Markov-chain sampling ---*- C++ -*-===//
+//===- core/Compiler.h - Shot plans and their lowering ----------*- C++ -*-===//
 //
 // Part of the MarQSim reproduction, under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Algorithm 1 of the paper: "Compilation As Sampling from Markov Process".
+/// The shared back end of every compilation strategy (core/CompilerEngine).
 ///
-/// Given the HTT graph (Hamiltonian + transition matrix), the compiler draws
-/// N = ceil(2 lambda^2 t^2 / epsilon) states; the first draw follows the
-/// stationary distribution pi, later draws follow the row of the previous
-/// state. Each drawn term H_i contributes exp(i sgn(h_i) lambda t / N * H_i)
-/// to the schedule; runs of equal terms merge into one rotation. The
-/// schedule lowers to gates through the cancellation-aware emitter.
+///   * ShotPlan — one shot's term-visit sequence and rotation angles, as a
+///     ScheduleStrategy produces it.
+///   * materializePlan — the deterministic lowering of a plan: runs of equal
+///     consecutive terms merge into one rotation, and the same pass counts
+///     the gates of the cancellation-aware emitter and hashes the sequence.
+///   * CompilationResult — everything one materialized shot carries.
+///   * qdriftSampleCount — Algorithm 1's sample count
+///     N = ceil(2 lambda^2 t^2 / epsilon).
 ///
-/// Theorem 4.1 guarantees the result approximates e^{iHt} with the qDrift
-/// error bound whenever the matrix is strongly connected and stationary-
-/// preserving — including every matrix produced by core/TransitionBuilders
-/// combined with a positive Pqd share.
+/// Theorem 4.1 guarantees that a sampled plan approximates e^{iHt} with the
+/// qDrift error bound whenever the transition matrix is strongly connected
+/// and stationary-preserving — including every matrix produced by
+/// core/TransitionBuilders combined with a positive Pqd share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,13 +27,10 @@
 #define MARQSIM_CORE_COMPILER_H
 
 #include "core/Emitter.h"
-#include "core/HTTGraph.h"
-#include "markov/Sampler.h"
-#include "support/RNG.h"
 
 namespace marqsim {
 
-/// Knobs of the sampling compiler.
+/// Knobs of materializePlan.
 struct CompilationOptions {
   EmitOptions Emit;
 };
@@ -86,32 +85,13 @@ struct ShotPlan {
 /// N = ceil(2 lambda^2 t^2 / epsilon), at least 1 (Algorithm 1, line 2).
 size_t qdriftSampleCount(double Lambda, double T, double Epsilon);
 
-/// Runs Algorithm 1 on \p Graph for evolution time \p T and target
-/// precision \p Epsilon.
-CompilationResult compileBySampling(const HTTGraph &Graph, double T,
-                                    double Epsilon, RNG &Rng,
-                                    const CompilationOptions &Opts = {});
-
-/// Deterministic back end shared by all compilers and strategies: merges
-/// runs of equal consecutive terms into single rotations and counts the
-/// gates of the schedule's cancellation-aware lowering and hashes the
-/// sequence in the same pass (foldAndCount; the gates themselves come from
+/// Deterministic back end shared by all strategies: merges runs of equal
+/// consecutive terms into single rotations, counts the gates of the
+/// schedule's cancellation-aware lowering and hashes the sequence in the
+/// same pass (foldAndCount; the gates themselves come from
 /// CompilationResult::circuit on demand).
 CompilationResult materializePlan(const Hamiltonian &H, ShotPlan Plan,
                                   const CompilationOptions &Opts = {});
-
-/// Convenience form of materializePlan for the sampling compilers
-/// (tau_i = sgn(h_i) * TauStep per occurrence).
-CompilationResult materializeSequence(const Hamiltonian &H,
-                                      std::vector<size_t> Sequence,
-                                      double TauStep,
-                                      const CompilationOptions &Opts = {});
-
-/// Convenience: vanilla qDrift (Corollary 4.1) + cancellation-aware
-/// emission. This is the paper's Baseline configuration.
-CompilationResult compileQDrift(const Hamiltonian &H, double T,
-                                double Epsilon, RNG &Rng,
-                                const CompilationOptions &Opts = {});
 
 } // namespace marqsim
 

@@ -22,12 +22,6 @@ HTTGraph HTTGraph::withQDriftMatrix(Hamiltonian H) {
   return HTTGraph(std::move(H), TransitionMatrix::fromStationary(Pi));
 }
 
-void HTTGraph::setTransitionMatrix(TransitionMatrix NewP) {
-  assert(NewP.size() == Ham.numTerms() &&
-         "transition matrix size must match the term count");
-  P = std::move(NewP);
-}
-
 size_t HTTGraph::numEdges(double EdgeTol) const {
   size_t Count = 0;
   for (size_t I = 0; I < P.size(); ++I)

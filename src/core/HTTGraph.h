@@ -46,9 +46,6 @@ public:
 
   size_t numStates() const { return Ham.numTerms(); }
 
-  /// Replaces the transition matrix (e.g. after re-tuning).
-  void setTransitionMatrix(TransitionMatrix NewP);
-
   /// Theorem 4.1 condition (1): the state transition graph is strongly
   /// connected.
   bool isStronglyConnected(double EdgeTol = 0.0) const {

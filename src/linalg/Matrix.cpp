@@ -108,14 +108,6 @@ Matrix Matrix::adjoint() const {
   return R;
 }
 
-Matrix Matrix::transpose() const {
-  Matrix R(NCols, NRows);
-  for (size_t I = 0; I < NRows; ++I)
-    for (size_t J = 0; J < NCols; ++J)
-      R.at(J, I) = at(I, J);
-  return R;
-}
-
 Complex Matrix::trace() const {
   assert(isSquare() && "trace of non-square matrix");
   Complex T = 0.0;

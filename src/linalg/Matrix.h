@@ -81,9 +81,6 @@ public:
   /// Conjugate transpose.
   Matrix adjoint() const;
 
-  /// Plain transpose (no conjugation).
-  Matrix transpose() const;
-
   /// Sum of diagonal entries; requires a square matrix.
   Complex trace() const;
 

@@ -145,12 +145,12 @@ public:
                      const std::vector<double> &Initial,
                      SamplerKind Kind = SamplerKind::Alias);
 
-  /// Stateless draw from the initial distribution. Thread-safe: batch
-  /// compilation shares one sampler read-only across workers, each walking
-  /// its own chain state.
+  /// Stateless, thread-safe draw from the initial distribution. With
+  /// stepFrom() this is the per-step reference that the walk tests check
+  /// walk()'s fused loop against; compilation always walks.
   size_t initial(RNG &Rng) const;
 
-  /// Stateless draw from the row of \p State. Thread-safe (see initial()).
+  /// Stateless, thread-safe draw from the row of \p State (see initial()).
   size_t stepFrom(size_t State, RNG &Rng) const;
 
   /// Runs one walk of \p Count states, an initial draw and then Count - 1

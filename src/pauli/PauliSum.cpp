@@ -47,13 +47,6 @@ PauliSum &PauliSum::operator+=(const PauliSum &O) {
   return *this;
 }
 
-PauliSum PauliSum::operator-(const PauliSum &O) const {
-  PauliSum R = *this;
-  for (const auto &[P, C] : O.Terms)
-    R.Terms[P] -= C;
-  return R;
-}
-
 PauliSum PauliSum::operator*(Complex C) const {
   PauliSum R;
   for (const auto &[P, Coeff] : Terms)

@@ -46,7 +46,6 @@ public:
   void add(Complex C, PauliString P);
 
   PauliSum operator+(const PauliSum &O) const;
-  PauliSum operator-(const PauliSum &O) const;
   PauliSum operator*(const PauliSum &O) const;
   PauliSum operator*(Complex C) const;
   PauliSum &operator+=(const PauliSum &O);

@@ -123,8 +123,10 @@ bool TaskSpec::validate(std::string *Error) const {
     if (TrotterReps < 1)
       return detail::fail(Error, "Trotter-family methods need at least one "
                          "repetition");
-    if (Method == TaskMethod::SparSto && SparStoKeepScale <= 0.0)
-      return detail::fail(Error, "SparSto keep scale must be positive");
+    if (Method == TaskMethod::SparSto &&
+        (!(SparStoKeepScale > 0.0) || !std::isfinite(SparStoKeepScale)))
+      return detail::fail(Error,
+                          "SparSto keep scale must be positive and finite");
     break;
   }
   return true;

@@ -11,9 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/Baselines.h"
 #include "core/CNOTCountOracle.h"
-#include "core/Compiler.h"
 #include "core/CompilerEngine.h"
 #include "core/Emitter.h"
 #include "core/HTTGraph.h"
@@ -24,6 +22,8 @@
 #include "sim/Fidelity.h"
 #include "sim/StateVector.h"
 #include "support/CpuFeatures.h"
+
+#include "CompileShot.h"
 
 #include <gtest/gtest.h>
 
@@ -674,9 +674,9 @@ TEST(CompilerTest, SampleCountFormula) {
 
 TEST(CompilerTest, SequenceLengthAndScheduleConsistency) {
   Hamiltonian H = example41();
-  HTTGraph G = HTTGraph::withQDriftMatrix(H);
+  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
   RNG Rng(104);
-  CompilationResult R = compileBySampling(G, 0.5, 0.05, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.5, 0.05), Rng);
   EXPECT_EQ(R.Sequence.size(), R.NumSamples);
   EXPECT_EQ(R.NumSamples, qdriftSampleCount(H.lambda(), 0.5, 0.05));
   // Total evolution weight: sum |tau| = N * lambda t / N = lambda t.
@@ -688,10 +688,11 @@ TEST(CompilerTest, SequenceLengthAndScheduleConsistency) {
 
 TEST(CompilerTest, DeterministicGivenSeed) {
   Hamiltonian H = example41();
-  HTTGraph G = HTTGraph::withQDriftMatrix(H);
+  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  SamplingStrategy Strategy(G, 0.5, 0.05);
   RNG A(105), B(105);
-  CompilationResult R1 = compileBySampling(G, 0.5, 0.05, A);
-  CompilationResult R2 = compileBySampling(G, 0.5, 0.05, B);
+  CompilationResult R1 = compileShot(Strategy, A);
+  CompilationResult R2 = compileShot(Strategy, B);
   EXPECT_EQ(R1.Sequence, R2.Sequence);
   EXPECT_EQ(R1.Counts.CNOTs, R2.Counts.CNOTs);
 }
@@ -700,9 +701,9 @@ TEST(CompilerTest, CompiledCircuitApproximatesEvolution) {
   // End-to-end Theorem 4.1 sanity: fidelity close to 1 for tight epsilon.
   Hamiltonian H = makeTransverseFieldIsing(3, 0.6, 0.4);
   double T = 0.5;
-  HTTGraph G = HTTGraph::withQDriftMatrix(H);
+  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
   RNG Rng(106);
-  CompilationResult R = compileBySampling(G, T, 0.01, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, T, 0.01), Rng);
   FidelityEvaluator Eval(H, T, 8);
   double F = Eval.fidelity(R.Schedule);
   EXPECT_GT(F, 0.97);
@@ -712,9 +713,9 @@ TEST(CompilerTest, CompiledCircuitApproximatesEvolution) {
 
 TEST(CompilerTest, NegativeCoefficientsGetNegativeTau) {
   Hamiltonian H = Hamiltonian::parse({{-0.8, "XX"}, {0.2, "ZI"}});
-  HTTGraph G = HTTGraph::withQDriftMatrix(H);
+  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
   RNG Rng(107);
-  CompilationResult R = compileBySampling(G, 0.4, 0.1, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.4, 0.1), Rng);
   for (size_t K = 0; K < R.Sequence.size(); ++K) {
     // Every visit of the XX term must contribute negative tau.
     if (H.term(R.Sequence[K]).Coeff < 0)
@@ -730,8 +731,7 @@ TEST(CompilerTest, CDFSamplerAblationProducesValidRuns) {
   auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
   SamplingStrategy Strategy(G, 0.5, 0.002, /*UseCDF=*/true);
   RNG Rng(108);
-  ShotContext Ctx{0, Rng};
-  CompilationResult R = materializePlan(H, Strategy.produce(Ctx));
+  CompilationResult R = compileShot(Strategy, Rng);
   EXPECT_EQ(R.Sequence.size(), R.NumSamples);
   EXPECT_GE(R.NumSamples, 1000u);
   // Empirical distribution of visited terms approximates pi.
@@ -769,10 +769,13 @@ TEST(BaselinesTest, Trotter1ConvergesWithReps) {
   Hamiltonian H = makeHeisenbergXXZ(3, 1.0, 1.0, 0.6, 0.2);
   double T = 0.8;
   FidelityEvaluator Eval(H, T, 8);
-  double FLow =
-      Eval.fidelity(compileTrotter1(H, T, 2, TermOrderKind::Given).Schedule);
-  double FHigh =
-      Eval.fidelity(compileTrotter1(H, T, 32, TermOrderKind::Given).Schedule);
+  CompilerEngine Engine;
+  double FLow = Eval.fidelity(
+      Engine.compileOne(TrotterStrategy(H, T, 2, TermOrderKind::Given, 1), 0)
+          .Schedule);
+  double FHigh = Eval.fidelity(
+      Engine.compileOne(TrotterStrategy(H, T, 32, TermOrderKind::Given, 1), 0)
+          .Schedule);
   EXPECT_GT(FHigh, FLow - 1e-9);
   EXPECT_GT(FHigh, 0.999);
 }
@@ -781,10 +784,13 @@ TEST(BaselinesTest, Trotter2BeatsTrotter1AtEqualReps) {
   Hamiltonian H = makeHeisenbergXXZ(3, 1.0, 1.0, 0.6, 0.2);
   double T = 1.2;
   FidelityEvaluator Eval(H, T, 8);
-  double F1 =
-      Eval.fidelity(compileTrotter1(H, T, 3, TermOrderKind::Given).Schedule);
-  double F2 =
-      Eval.fidelity(compileTrotter2(H, T, 3, TermOrderKind::Given).Schedule);
+  CompilerEngine Engine;
+  double F1 = Eval.fidelity(
+      Engine.compileOne(TrotterStrategy(H, T, 3, TermOrderKind::Given, 1), 0)
+          .Schedule);
+  double F2 = Eval.fidelity(
+      Engine.compileOne(TrotterStrategy(H, T, 3, TermOrderKind::Given, 2), 0)
+          .Schedule);
   EXPECT_GE(F2, F1 - 1e-9);
 }
 
@@ -792,7 +798,8 @@ TEST(BaselinesTest, RandomOrderTrotterIsCorrect) {
   Hamiltonian H = makeTransverseFieldIsing(3, 0.8, 0.5);
   double T = 0.6;
   RNG Rng(109);
-  CompilationResult R = compileRandomOrderTrotter(H, T, 12, Rng);
+  CompilationResult R =
+      compileShot(RandomOrderTrotterStrategy(H, T, 12), Rng);
   EXPECT_EQ(R.Sequence.size(), H.numTerms() * 12);
   FidelityEvaluator Eval(H, T, 8);
   EXPECT_GT(Eval.fidelity(R.Schedule), 0.995);
@@ -802,10 +809,13 @@ TEST(BaselinesTest, Suzuki4BeatsTrotter2AtEqualReps) {
   Hamiltonian H = makeHeisenbergXXZ(3, 1.0, 1.0, 0.6, 0.2);
   double T = 1.4;
   FidelityEvaluator Eval(H, T, 8);
-  double F2 =
-      Eval.fidelity(compileTrotter2(H, T, 2, TermOrderKind::Given).Schedule);
-  double F4 =
-      Eval.fidelity(compileSuzuki4(H, T, 2, TermOrderKind::Given).Schedule);
+  CompilerEngine Engine;
+  double F2 = Eval.fidelity(
+      Engine.compileOne(TrotterStrategy(H, T, 2, TermOrderKind::Given, 2), 0)
+          .Schedule);
+  double F4 = Eval.fidelity(
+      Engine.compileOne(TrotterStrategy(H, T, 2, TermOrderKind::Given, 4), 0)
+          .Schedule);
   EXPECT_GE(F4, F2 - 1e-9);
   EXPECT_GT(F4, 0.999);
 }
@@ -813,8 +823,8 @@ TEST(BaselinesTest, Suzuki4BeatsTrotter2AtEqualReps) {
 TEST(BaselinesTest, Suzuki4TotalTimeIsExact) {
   // The Suzuki coefficients must sum to the full step: 4p + (1-4p) = 1.
   Hamiltonian H = Hamiltonian::parse({{0.7, "XZ"}, {-0.3, "ZY"}});
-  CompilationResult R =
-      compileSuzuki4(H, 0.9, 3, TermOrderKind::Given);
+  CompilationResult R = CompilerEngine().compileOne(
+      TrotterStrategy(H, 0.9, 3, TermOrderKind::Given, 4), 0);
   double TauXZ = 0.0, TauZY = 0.0;
   for (const auto &Step : R.Schedule) {
     if (Step.String == *PauliString::parse("XZ"))
@@ -831,7 +841,7 @@ TEST(BaselinesTest, SparStoSparsifiesAndStaysAccurate) {
   double T = 0.5;
   RNG Rng(114);
   // Generous keep scale: near-Trotter behaviour, high fidelity.
-  CompilationResult Dense = compileSparSto(H, T, 24, 1e6, Rng);
+  CompilationResult Dense = compileShot(SparStoStrategy(H, T, 24, 1e6), Rng);
   EXPECT_EQ(Dense.NumSamples, 24 * H.numTerms()); // everything kept
   FidelityEvaluator Eval(H, T, 8);
   EXPECT_GT(Eval.fidelity(Dense.Schedule), 0.99);
@@ -839,7 +849,8 @@ TEST(BaselinesTest, SparStoSparsifiesAndStaysAccurate) {
   // Aggressive sparsification drops terms but keeps the step unbiased;
   // accuracy degrades gracefully rather than collapsing.
   RNG Rng2(115);
-  CompilationResult Sparse = compileSparSto(H, T, 24, 1.2, Rng2);
+  CompilationResult Sparse =
+      compileShot(SparStoStrategy(H, T, 24, 1.2), Rng2);
   EXPECT_LT(Sparse.NumSamples, Dense.NumSamples);
   EXPECT_GT(Eval.fidelity(Sparse.Schedule), 0.8);
 }
@@ -847,7 +858,7 @@ TEST(BaselinesTest, SparStoSparsifiesAndStaysAccurate) {
 TEST(BaselinesTest, SparStoKeepsHeaviestTermAlways) {
   Hamiltonian H = Hamiltonian::parse({{1.0, "ZZ"}, {0.01, "XX"}});
   RNG Rng(116);
-  CompilationResult R = compileSparSto(H, 0.3, 50, 1.0, Rng);
+  CompilationResult R = compileShot(SparStoStrategy(H, 0.3, 50, 1.0), Rng);
   size_t Heavy = 0;
   for (size_t Index : R.Sequence)
     Heavy += Index == 0;
@@ -872,7 +883,10 @@ TEST(HTTGraphTest, DotExportContainsNodesAndEdges) {
 TEST(BaselinesTest, GreedyMatchedOrderReducesCNOTs) {
   RNG Rng(110);
   Hamiltonian H = makeRandomHamiltonian(6, 20, Rng);
-  auto Given = compileTrotter1(H, 0.5, 4, TermOrderKind::Given);
-  auto Greedy = compileTrotter1(H, 0.5, 4, TermOrderKind::GreedyMatched);
+  CompilerEngine Engine;
+  auto Given =
+      Engine.compileOne(TrotterStrategy(H, 0.5, 4, TermOrderKind::Given, 1), 0);
+  auto Greedy = Engine.compileOne(
+      TrotterStrategy(H, 0.5, 4, TermOrderKind::GreedyMatched, 1), 0);
   EXPECT_LE(Greedy.Counts.CNOTs, Given.Counts.CNOTs);
 }

@@ -634,11 +634,11 @@ TEST(CompilerEngineTest, DeterministicStrategyReplicatesOneShot) {
   }
   EXPECT_DOUBLE_EQ(Batch.CNOTs.Std, 0.0);
   EXPECT_DOUBLE_EQ(Batch.Totals.Std, 0.0);
-  // The replicated schedule matches the legacy entry point bit for bit.
-  CompilationResult Legacy =
-      compileTrotter2(H, 0.7, 4, TermOrderKind::Lexicographic);
-  EXPECT_EQ(Legacy.Sequence, Batch.Results[0].Sequence);
-  EXPECT_EQ(Legacy.Counts.CNOTs, Batch.Results[0].Counts.CNOTs);
+  // The replicated schedule matches a single compileOne bit for bit.
+  CompilationResult One = Engine.compileOne(
+      TrotterStrategy(H, 0.7, 4, TermOrderKind::Lexicographic, 2), 0);
+  EXPECT_EQ(One.Sequence, Batch.Results[0].Sequence);
+  EXPECT_EQ(One.Counts.CNOTs, Batch.Results[0].Counts.CNOTs);
 }
 
 TEST(CompilerEngineTest, PerShotHookSeesEveryShotOnce) {
@@ -692,22 +692,6 @@ TEST(CompilerEngineTest, PerShotHookFiresPerReplicatedShot) {
   BatchResult Batch = Engine.compileBatch(Req);
   EXPECT_EQ(Calls, Req.NumShots);
   EXPECT_EQ(Batch.Shots[0].Counts.CNOTs, FirstCNOTs);
-}
-
-TEST(CompilerEngineTest, SamplingStrategyMatchesCompileBySampling) {
-  auto Graph = testGraph();
-  SamplingStrategy Strategy(Graph, 0.5, 0.05);
-
-  RNG R1(4242);
-  ShotContext Ctx{0, R1};
-  ShotPlan Plan = Strategy.produce(Ctx);
-  CompilationResult FromStrategy =
-      materializePlan(Graph->hamiltonian(), std::move(Plan));
-
-  RNG R2(4242);
-  CompilationResult Legacy = compileBySampling(*Graph, 0.5, 0.05, R2);
-  EXPECT_EQ(Legacy.Sequence, FromStrategy.Sequence);
-  EXPECT_EQ(Legacy.Counts.CNOTs, FromStrategy.Counts.CNOTs);
 }
 
 TEST(CompilerEngineTest, RetargetedStrategySharesGraphAndChangesBudget) {

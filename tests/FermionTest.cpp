@@ -17,6 +17,12 @@ PauliSum anticommutator(const PauliSum &A, const PauliSum &B) {
   return A * B + B * A;
 }
 
+/// A - B = A + (-1) B. Only these tests subtract operators, so the
+/// library's PauliSum has no operator-.
+PauliSum operator-(const PauliSum &A, const PauliSum &B) {
+  return A + B * Complex(-1.0, 0.0);
+}
+
 /// [A, B] = AB - BA.
 PauliSum commutator(const PauliSum &A, const PauliSum &B) {
   return A * B - B * A;

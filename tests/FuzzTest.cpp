@@ -5,18 +5,20 @@
 //===----------------------------------------------------------------------===//
 //
 // Every byte a daemon reads off a socket goes through json::Value::parse
-// and server::decodeFrame, and every shard result a coordinator merges
-// through ShardManifest::parse. These tests mutate valid inputs with
-// fixed seeds (bit flips, truncations, byte inserts and deletes, one to
-// four of them per mutant) and require each mutant to parse to a value or
-// be rejected cleanly: no exception, no crash, no hang, and no sanitizer
-// report when built with ASan+UBSan. A mutant that parses must also
-// survive a round trip through its writer. Each parser runs 35,000 to
-// 60,000 mutants, a fraction of a second in a Release build.
+// and server::decodeFrame, every submitted spec through TaskSpec::fromJson,
+// and every shard result a coordinator merges through ShardManifest::parse.
+// These tests mutate valid inputs with fixed seeds (bit flips, truncations,
+// byte inserts and deletes, one to four of them per mutant) and require
+// each mutant to parse to a value or be rejected cleanly: no exception, no
+// crash, no hang, and no sanitizer report when built with ASan+UBSan. A
+// mutant that parses must also survive a round trip through its writer.
+// Each parser runs 20,000 to 60,000 mutants, a fraction of a second in a
+// Release build.
 //
 //===----------------------------------------------------------------------===//
 
 #include "server/Protocol.h"
+#include "service/TaskSpec.h"
 #include "shard/ShardManifest.h"
 #include "support/Json.h"
 #include "support/RNG.h"
@@ -131,6 +133,27 @@ ShardManifest sampleManifest() {
   return M;
 }
 
+/// One valid spec per compilation method, as a daemon receives them.
+std::vector<std::string> specSeeds() {
+  std::vector<std::string> Seeds;
+  for (TaskMethod Method :
+       {TaskMethod::Sampling, TaskMethod::Trotter,
+        TaskMethod::RandomOrderTrotter, TaskMethod::SparSto}) {
+    TaskSpec Spec;
+    Spec.Source = HamiltonianSource::fromHamiltonian(
+        Hamiltonian::parse({{0.9, "XXI"}, {-0.5, "IZZ"}, {0.25, "YIX"}}));
+    Spec.Method = Method;
+    Spec.Shots = 3;
+    Spec.Seed = 2024;
+    Spec.Evaluate.FidelityColumns = 2;
+    std::optional<json::Value> J = Spec.toJson();
+    EXPECT_TRUE(J);
+    if (J)
+      Seeds.push_back(J->dump());
+  }
+  return Seeds;
+}
+
 } // namespace
 
 TEST(ParserFuzzTest, JsonParseYieldsAValueOrARejection) {
@@ -181,6 +204,33 @@ TEST(ParserFuzzTest, DecodeFrameYieldsAFrameOrAnErrorCode) {
     ASSERT_TRUE(Again);
     EXPECT_EQ(Again->Type, F->Type);
     EXPECT_EQ(Again->Body.dump(), F->Body.dump());
+  });
+}
+
+TEST(ParserFuzzTest, TaskSpecFromJsonYieldsAValidSpecOrARejection) {
+  const std::vector<std::string> Seeds = specSeeds();
+  ASSERT_EQ(Seeds.size(), 4u);
+  forEachMutant(Seeds, 0xF026, 5000, [](const std::string &Text) {
+    std::optional<json::Value> V = json::Value::parse(Text);
+    if (!V)
+      return; // the JSON parser's own case covers these
+    std::optional<TaskSpec> Spec;
+    std::string Error;
+    ASSERT_NO_THROW(Spec = TaskSpec::fromJson(*V, &Error));
+    if (!Spec) {
+      EXPECT_FALSE(Error.empty());
+      return;
+    }
+    // An accepted spec is a valid one, and its own frame carries the same
+    // content key.
+    EXPECT_TRUE(Spec->validate(&Error)) << Error;
+    std::optional<json::Value> Again;
+    ASSERT_NO_THROW(Again = Spec->toJson(&Error));
+    ASSERT_TRUE(Again) << Error;
+    std::optional<TaskSpec> Back;
+    ASSERT_NO_THROW(Back = TaskSpec::fromJson(*Again, &Error));
+    ASSERT_TRUE(Back) << Error;
+    EXPECT_EQ(Back->contentKey(), Spec->contentKey());
   });
 }
 

@@ -14,14 +14,15 @@
 
 #include "circuit/Optimizer.h"
 #include "circuit/QasmExport.h"
-#include "core/Baselines.h"
 #include "core/CNOTCountOracle.h"
-#include "core/Compiler.h"
+#include "core/CompilerEngine.h"
 #include "core/TransitionBuilders.h"
 #include "hamgen/Molecular.h"
 #include "hamgen/Registry.h"
 #include "sim/Fidelity.h"
 #include "stats/Stats.h"
+
+#include "CompileShot.h"
 
 #include <gtest/gtest.h>
 
@@ -56,15 +57,14 @@ TEST(IntegrationTest, GateCancellationConfigReducesCNOTs) {
   double T = M_PI / 4.0, Eps = 0.05;
   TransitionMatrix Pqd = buildQDrift(H);
   TransitionMatrix Pgc = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph GBase(H, Pqd), GGc(H, Pgc);
+  SamplingStrategy SBase(std::make_shared<const HTTGraph>(H, Pqd), T, Eps);
+  SamplingStrategy SGc(std::make_shared<const HTTGraph>(H, Pgc), T, Eps);
 
   RunningStats Base, Gc;
   for (uint64_t Seed = 0; Seed < 5; ++Seed) {
     RNG R1(1000 + Seed), R2(1000 + Seed);
-    Base.add(static_cast<double>(
-        compileBySampling(GBase, T, Eps, R1).Counts.CNOTs));
-    Gc.add(static_cast<double>(
-        compileBySampling(GGc, T, Eps, R2).Counts.CNOTs));
+    Base.add(static_cast<double>(compileShot(SBase, R1).Counts.CNOTs));
+    Gc.add(static_cast<double>(compileShot(SGc, R2).Counts.CNOTs));
   }
   EXPECT_LT(Gc.mean(), Base.mean());
   double Reduction = 1.0 - Gc.mean() / Base.mean();
@@ -81,12 +81,13 @@ TEST(IntegrationTest, AccuracyPreservedAcrossConfigurations) {
 
   TransitionMatrix Pqd = buildQDrift(H);
   TransitionMatrix Pmix = makeConfigMatrix(H, 0.4, 0.3, 0.3, 4);
-  HTTGraph GBase(H, Pqd), GMix(H, Pmix);
+  SamplingStrategy SBase(std::make_shared<const HTTGraph>(H, Pqd), T, Eps);
+  SamplingStrategy SMix(std::make_shared<const HTTGraph>(H, Pmix), T, Eps);
   RunningStats FBase, FMix;
   for (uint64_t Seed = 0; Seed < 4; ++Seed) {
     RNG R1(2000 + Seed), R2(2000 + Seed);
-    FBase.add(Eval.fidelity(compileBySampling(GBase, T, Eps, R1).Schedule));
-    FMix.add(Eval.fidelity(compileBySampling(GMix, T, Eps, R2).Schedule));
+    FBase.add(Eval.fidelity(compileShot(SBase, R1).Schedule));
+    FMix.add(Eval.fidelity(compileShot(SMix, R2).Schedule));
   }
   EXPECT_GT(FBase.mean(), 0.95);
   EXPECT_GT(FMix.mean(), 0.95);
@@ -101,9 +102,9 @@ TEST(IntegrationTest, PeepholeGainOverEmitterIsBounded) {
   // the emitter, and the peephole must never increase counts.
   Hamiltonian H = testMolecule().splitLargeTerms();
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
+  auto G = std::make_shared<const HTTGraph>(H, P);
   RNG Rng(3000);
-  CompilationResult R = compileBySampling(G, 0.5, 0.1, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.5, 0.1), Rng);
   Circuit Optimized = optimizeCircuit(R.circuit());
   EXPECT_LE(Optimized.counts().total(), R.Counts.total());
   double Slack =
@@ -119,14 +120,14 @@ TEST(IntegrationTest, EmitterCancellationAgreesWithPeepholeOnNaive) {
   // across seeds, so the test pools CNOTs over 400 seeds.
   Hamiltonian H = makeMolecularLike(5, 20, 55).splitLargeTerms();
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
+  SamplingStrategy Strategy(std::make_shared<const HTTGraph>(H, P), 0.4, 0.1);
   CompilationOptions Naive;
   Naive.Emit.CrossCancellation = false;
   size_t PeepholeCNOTs = 0, EmitterCNOTs = 0;
   for (uint64_t Seed = 4000; Seed < 4400; ++Seed) {
     RNG R1(Seed), R2(Seed);
-    CompilationResult Plain = compileBySampling(G, 0.4, 0.1, R1, Naive);
-    CompilationResult Fancy = compileBySampling(G, 0.4, 0.1, R2);
+    CompilationResult Plain = compileShot(Strategy, R1, Naive);
+    CompilationResult Fancy = compileShot(Strategy, R2);
     // Same sampled sequence (same seed), so counts are directly comparable.
     ASSERT_EQ(Plain.Sequence, Fancy.Sequence) << "seed " << Seed;
     PeepholeCNOTs += optimizeCircuit(Plain.circuit()).counts().CNOTs;
@@ -141,9 +142,9 @@ TEST(IntegrationTest, RegistryBenchmarkCompilesEndToEnd) {
   auto Spec = *findBenchmark("Na+");
   Hamiltonian H = makeBenchmark(Spec).splitLargeTerms();
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
+  auto G = std::make_shared<const HTTGraph>(H, P);
   RNG Rng(5000);
-  CompilationResult R = compileBySampling(G, Spec.Time, 0.2, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, Spec.Time, 0.2), Rng);
   EXPECT_GT(R.Counts.CNOTs, 0u);
   EXPECT_EQ(R.circuit().numQubits(), Spec.Qubits);
 }
@@ -156,13 +157,13 @@ TEST(IntegrationTest, MarQSimBeatsDeterministicTrotterOnAccuracyBudget) {
   FidelityEvaluator Eval(H, T, 16);
   RNG Rng(6000);
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
-  CompilationResult MarQ = compileBySampling(G, T, 0.02, Rng);
+  auto G = std::make_shared<const HTTGraph>(H, P);
+  CompilationResult MarQ = compileShot(SamplingStrategy(G, T, 0.02), Rng);
   // Match Trotter's gate budget to MarQSim's.
   unsigned Reps = std::max<unsigned>(
       1, static_cast<unsigned>(MarQ.NumSamples / H.numTerms()));
-  CompilationResult Trot =
-      compileTrotter1(H, T, Reps, TermOrderKind::Lexicographic);
+  CompilationResult Trot = CompilerEngine().compileOne(
+      TrotterStrategy(H, T, Reps, TermOrderKind::Lexicographic, 1), 0);
   double FM = Eval.fidelity(MarQ.Schedule);
   double FT = Eval.fidelity(Trot.Schedule);
   EXPECT_GT(FM, 0.9);
@@ -181,10 +182,10 @@ TEST(IntegrationTest, DominantTermHamiltonianSurvivesPipeline) {
     EXPECT_LE(Pi, 0.5 + 1e-12);
 
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
-  ASSERT_TRUE(G.isValidForCompilation());
+  auto G = std::make_shared<const HTTGraph>(H, P);
+  ASSERT_TRUE(G->isValidForCompilation());
   RNG Rng(7777);
-  CompilationResult R = compileBySampling(G, 0.1, 0.01, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.1, 0.01), Rng);
   FidelityEvaluator Eval(H, 0.1, 4);
   EXPECT_GT(Eval.fidelity(R.Schedule), 0.97);
 }
@@ -197,10 +198,10 @@ TEST(IntegrationTest, TwoTermHamiltonianCompiles) {
       Hamiltonian::parse({{0.6, "XZ"}, {0.4, "ZX"}}).splitLargeTerms();
   EXPECT_EQ(H.numTerms(), 3u);
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
-  EXPECT_TRUE(G.isValidForCompilation());
+  auto G = std::make_shared<const HTTGraph>(H, P);
+  EXPECT_TRUE(G->isValidForCompilation());
   RNG Rng(8888);
-  CompilationResult R = compileBySampling(G, 0.3, 0.05, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.3, 0.05), Rng);
   FidelityEvaluator Eval(H, 0.3, 4);
   EXPECT_GT(Eval.fidelity(R.Schedule), 0.97);
 }
@@ -210,7 +211,8 @@ TEST(IntegrationTest, SingleTermHamiltonianViaQDrift) {
   // path requires >= 2 terms, but the qDrift route must work.
   Hamiltonian H = Hamiltonian::parse({{0.8, "ZZ"}});
   RNG Rng(9999);
-  CompilationResult R = compileQDrift(H, 0.7, 0.05, Rng);
+  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.7, 0.05), Rng);
   FidelityEvaluator Eval(H, 0.7, 4);
   EXPECT_NEAR(Eval.fidelity(R.Schedule), 1.0, 1e-9);
 }
@@ -220,10 +222,10 @@ TEST(IntegrationTest, NegativeWeightHamiltonianPipeline) {
   Hamiltonian H = Hamiltonian::parse(
       {{-0.5, "XY"}, {0.3, "ZZ"}, {-0.2, "YX"}, {0.4, "XI"}});
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.3, 0.3, 4);
-  HTTGraph G(H, P);
-  ASSERT_TRUE(G.isValidForCompilation());
+  auto G = std::make_shared<const HTTGraph>(H, P);
+  ASSERT_TRUE(G->isValidForCompilation());
   RNG Rng(10101);
-  CompilationResult R = compileBySampling(G, 0.4, 0.01, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.4, 0.01), Rng);
   FidelityEvaluator Eval(H, 0.4, 4);
   EXPECT_GT(Eval.fidelity(R.Schedule), 0.98);
 }
@@ -231,9 +233,9 @@ TEST(IntegrationTest, NegativeWeightHamiltonianPipeline) {
 TEST(IntegrationTest, QasmOfCompiledCircuitIsWellFormed) {
   Hamiltonian H = makeMolecularLike(5, 20, 66).splitLargeTerms();
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
-  HTTGraph G(H, P);
+  auto G = std::make_shared<const HTTGraph>(H, P);
   RNG Rng(11111);
-  CompilationResult R = compileBySampling(G, 0.3, 0.1, Rng);
+  CompilationResult R = compileShot(SamplingStrategy(G, 0.3, 0.1), Rng);
   const Circuit Circ = R.circuit();
   std::string Qasm = toQasm(Circ);
   EXPECT_NE(Qasm.find("OPENQASM 2.0;"), std::string::npos);

@@ -316,6 +316,26 @@ TEST(TaskSpecJsonTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(TaskSpec::fromJson(json::Value(1), &Error));
 }
 
+TEST(TaskSpecJsonTest, RejectsNonFiniteSparStoKeepScale) {
+  // NaN and +inf are not "<= 0", and SparSto keeps a term with probability
+  // min(1, KeepScale * ...), which is 1 for either: such a spec would run
+  // as "keep every term" under a content key of its own.
+  TaskSpec Spec = testSpec();
+  Spec.Method = TaskMethod::SparSto;
+  std::optional<json::Value> Good = Spec.toJson();
+  ASSERT_TRUE(Good);
+  std::string Error;
+  ASSERT_TRUE(TaskSpec::fromJson(*Good, &Error)) << Error;
+
+  for (const char *Bits : {"7ff8000000000000", "7ff0000000000000"}) {
+    json::Value Bad = *Good;
+    Bad.set("sparsto_keep_scale", Bits);
+    Error.clear();
+    EXPECT_FALSE(TaskSpec::fromJson(Bad, &Error)) << Bits;
+    EXPECT_NE(Error.find("keep scale"), std::string::npos) << Error;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Frames
 //===----------------------------------------------------------------------===//
