@@ -122,9 +122,7 @@ void marqsim::printCacheStats(std::ostream &OS,
      << " reused=" << S.matrixHits() << " (disk=" << S.DiskLoads
      << "), graphs built=" << S.GraphMisses << " reused=" << S.GraphHits
      << ", evaluators built=" << S.EvaluatorMisses
-     << " reused=" << S.EvaluatorHits
-     << ", superoperators built=" << S.SuperMisses
-     << " reused=" << S.SuperHits << "\n";
+     << " reused=" << S.EvaluatorHits << "\n";
 }
 
 const std::vector<std::string> marqsim::CommonFlags = {

@@ -83,8 +83,10 @@ json::Value cacheStatsJson(const CacheStats &S) {
       .set("graph_builds", S.GraphMisses)
       .set("evaluator_hits", S.EvaluatorHits)
       .set("evaluator_builds", S.EvaluatorMisses)
-      .set("super_hits", S.SuperHits)
-      .set("super_builds", S.SuperMisses)
+      // Constants: there is no superoperator cache, and the keys stay so
+      // marqsim-stats-v1 and marqsim-server-stats-v3 lose no member.
+      .set("super_hits", 0)
+      .set("super_builds", 0)
       .set("disk_loads", S.DiskLoads);
 }
 

@@ -14,7 +14,6 @@
 #include "support/CpuFeatures.h"
 #include "stats/Stats.h"
 #include "store/Codecs.h"
-#include "support/Serial.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -37,8 +36,6 @@ CacheStats &CacheStats::operator+=(const CacheStats &O) {
   GraphMisses += O.GraphMisses;
   EvaluatorHits += O.EvaluatorHits;
   EvaluatorMisses += O.EvaluatorMisses;
-  SuperHits += O.SuperHits;
-  SuperMisses += O.SuperMisses;
   DiskLoads += O.DiskLoads;
   return *this;
 }
@@ -49,11 +46,9 @@ CacheStats &CacheStats::operator+=(const CacheStats &O) {
 
 namespace {
 
-/// Caps of the density-oracle paths. Direct dense evolution is O(4^n)
-/// per schedule step; the composed superoperator holds 16^n complex
-/// entries, so it is cached only where that is a few megabytes at most.
+/// Cap of the density oracle: dense density-matrix evolution is O(4^n)
+/// per schedule step.
 constexpr unsigned DensityOracleMaxQubits = 6;
-constexpr unsigned SuperoperatorMaxQubits = 4;
 
 /// An HTT graph plus the sampling tables built over it. The base strategy
 /// carries the alias (or CDF) tables; tasks re-target it to their own
@@ -291,34 +286,6 @@ struct SimulationService::Impl {
     return A;
   }
 
-  /// A composed noisy-schedule superoperator (density oracle). \p Build
-  /// composes it from the schedule; a corrupt or stale file falls back to
-  /// recomposition like every other type.
-  static Artifact<Matrix> superoperator(const Prepared &P,
-                                        std::function<Matrix()> Build) {
-    const TaskSpec &Spec = P.Spec;
-    Artifact<Matrix> A;
-    A.Key = store::superoperatorKey(
-        P.Fingerprint, Spec.Time, Spec.TrotterReps, Spec.TrotterOrder,
-        static_cast<uint64_t>(Spec.Order),
-        Spec.Lowering.Emit.CrossCancellation,
-        static_cast<uint64_t>(Spec.Noise.Kind),
-        serial::doubleBits(Spec.Noise.Prob),
-        serial::doubleBits(Spec.Noise.TwoQubitFactor));
-    const size_t Dim = size_t(1) << P.H.numQubits();
-    ArtifactCodec<Matrix> Codec;
-    Codec.Encode = store::encodeSuperBody;
-    Codec.Decode = [Dim2 = Dim * Dim](const std::string &Body) {
-      return store::decodeSuperBody(Dim2, Body);
-    };
-    Codec.Size = store::superBytes;
-    A.Codec = std::move(Codec);
-    A.Compute = std::move(Build);
-    A.Hits = &CacheStats::SuperHits;
-    A.Misses = &CacheStats::SuperMisses;
-    return A;
-  }
-
   /// Visits the spec's transportable artifacts in transport order, until
   /// \p Visit returns false: the alias bundle of a flow-backed mix (it
   /// short-circuits the receiver's MCFP solves) and the fidelity columns.
@@ -553,11 +520,10 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
   }
 
   // Noise setup. The stochastic tier works at any size; the density
-  // oracle is dense 2^n x 2^n evolution, capped at small n, and the
-  // cacheable superoperator form (D^4 entries) at smaller n still. Both
-  // caps are pure functions of (spec, qubit count) — never of cache
-  // state or worker count — so every jobs/shard split takes the same
-  // path and the bit-identity contract holds.
+  // oracle is dense 2^n x 2^n evolution, capped at small n. The cap is a
+  // pure function of (spec, qubit count) — never of cache state or
+  // worker count — so every jobs/shard split takes the same path and the
+  // bit-identity contract holds.
   std::optional<NoiseModel> Noise;
   if (Spec.Noise.enabled() && Eval) {
     if (Spec.Noise.Mode == NoiseMode::Density &&
@@ -614,12 +580,7 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
     // counter-based noise substream at the *global* index (the hook's is
     // range-relative), so a sharded range reproduces the single-process
     // values bit for bit.
-    const bool UseSuper = Noise && !StochasticNoise &&
-                          Strategy->isDeterministic() &&
-                          H.numQubits() <= SuperoperatorMaxQubits;
-    // UseSuper is captured by value: the hook runs inside compileBatch,
-    // after this block and its locals have ended.
-    Req.PerShot = [&, UseSuper, EvalJobs = Req.EvalJobs](
+    Req.PerShot = [&, EvalJobs = Req.EvalJobs](
                       size_t Shot, const CompilationResult &R) {
       if (Eval && (!EvalOnce || Shot == 0)) {
         Timer EvalClock;
@@ -628,16 +589,6 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
               NoiseModel::noiseStreamSeed(Spec.Seed), Range.Begin + Shot);
           Result.ShotFidelities[Shot] = Eval->stateFidelity(
               Noise->injectErrors(R.Schedule, NoiseRng), EvalJobs);
-        } else if (Noise && UseSuper) {
-          auto Super = M->get(
-              Impl::superoperator(*P,
-                                  [&] {
-                                    return Noise->buildSuperoperator(
-                                        R.Schedule, H.numQubits());
-                                  }),
-              &Result.Stats);
-          Result.ShotFidelities[Shot] =
-              Noise->densityFidelityFromSuper(*Super, *Eval);
         } else if (Noise) {
           Result.ShotFidelities[Shot] =
               Noise->densityFidelity(R.Schedule, H.numQubits(), *Eval);

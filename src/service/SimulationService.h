@@ -82,10 +82,6 @@ struct CacheStats {
   size_t EvaluatorHits = 0;
   size_t EvaluatorMisses = 0;
 
-  /// Noisy-schedule superoperators reused / composed (density oracle).
-  size_t SuperHits = 0;
-  size_t SuperMisses = 0;
-
   /// Artifacts satisfied from the on-disk store (also counted in the
   /// corresponding *Hits above).
   size_t DiskLoads = 0;

@@ -19,11 +19,12 @@ using namespace marqsim::serial;
 
 namespace {
 
-// v3 added the noise line and the superoperator cache counters (v2 had
-// the eval-seconds phase accounting). Old-version manifests fail the
-// magic check and their range is simply re-run — resume across format
-// versions degrades to recompute, never to misparse.
-constexpr const char *Magic = "marqsim-shard-v3";
+// v4 dropped the two superoperator cache counters from the cache line
+// (v3 added them with the noise line; v2 had the eval-seconds phase
+// accounting). Old-version manifests fail the magic check and their range
+// is simply re-run — resume across format versions degrades to
+// recompute, never to misparse.
+constexpr const char *Magic = "marqsim-shard-v4";
 
 bool fail(std::string *Error, const std::string &Message) {
   if (Error)
@@ -58,7 +59,6 @@ std::string ShardManifest::serialize() const {
      << Stats.RPSolveHits << " " << Stats.RPSolveMisses << " "
      << Stats.GraphHits << " " << Stats.GraphMisses << " "
      << Stats.EvaluatorHits << " " << Stats.EvaluatorMisses << " "
-     << Stats.SuperHits << " " << Stats.SuperMisses << " "
      << Stats.DiskLoads << "\n";
   OS << "fidelity " << (HasFidelity ? 1 : 0) << "\n";
   OS << "shots " << Shots.size() << "\n";
@@ -124,7 +124,6 @@ std::optional<ShardManifest> ShardManifest::parse(const std::string &Text,
                 M.Stats.RPSolveHits >> M.Stats.RPSolveMisses >>
                 M.Stats.GraphHits >> M.Stats.GraphMisses >>
                 M.Stats.EvaluatorHits >> M.Stats.EvaluatorMisses >>
-                M.Stats.SuperHits >> M.Stats.SuperMisses >>
                 M.Stats.DiskLoads) &&
             ExpectLabel("fidelity") &&
             static_cast<bool>(In >> FidelityFlag) && ExpectLabel("shots") &&

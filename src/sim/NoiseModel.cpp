@@ -114,15 +114,6 @@ Matrix pauli2x2(PauliOpKind K) {
   return M;
 }
 
-/// Entry-wise complex conjugate (A-bar, not the adjoint).
-Matrix conjugated(const Matrix &A) {
-  Matrix Out(A.rows(), A.cols());
-  for (size_t I = 0; I < A.rows(); ++I)
-    for (size_t J = 0; J < A.cols(); ++J)
-      Out.at(I, J) = std::conj(A.at(I, J));
-  return Out;
-}
-
 } // namespace
 
 std::vector<Matrix> NoiseModel::krausOperators(double P) const {
@@ -220,57 +211,6 @@ NoiseModel::densityFidelity(const std::vector<ScheduledRotation> &Schedule,
           Rho.applyChannel(Kraus, Q);
     }
     Acc += Rho.overlap(StateVector(NumQubits, Eval.targets()[C]));
-  }
-  return Acc / static_cast<double>(NumCols);
-}
-
-Matrix
-NoiseModel::buildSuperoperator(const std::vector<ScheduledRotation> &Schedule,
-                               unsigned NumQubits) const {
-  const size_t Dim = size_t(1) << NumQubits;
-  // Row-major vec: vec(rho)_{i D + j} = rho_ij, so a conjugation
-  // rho -> A rho B^dag becomes (A (x) B-bar) vec(rho).
-  Matrix Super = Matrix::identity(Dim * Dim);
-  for (const ScheduledRotation &Step : Schedule) {
-    // The gate e^{i tau P} = cos(tau) I + i sin(tau) P.
-    Matrix U = Matrix::identity(Dim) * Complex(std::cos(Step.Tau), 0.0);
-    U += Step.String.toMatrix(NumQubits) *
-         Complex(0.0, std::sin(Step.Tau));
-    Super = Matrix::kron(U, conjugated(U)) * Super;
-    std::vector<Matrix> Kraus =
-        twirledKraus(effectiveProb(Step.String.weight()));
-    uint64_t Support = Step.String.supportMask();
-    for (unsigned Q = 0; Support != 0; ++Q, Support >>= 1) {
-      if (!(Support & 1))
-        continue;
-      Matrix Channel(Dim * Dim, Dim * Dim);
-      for (const Matrix &K : Kraus) {
-        Matrix Full = embedSingleQubit(K, Q, NumQubits);
-        Channel += Matrix::kron(Full, conjugated(Full));
-      }
-      Super = Channel * Super;
-    }
-  }
-  return Super;
-}
-
-double NoiseModel::densityFidelityFromSuper(const Matrix &Super,
-                                            const FidelityEvaluator &Eval) const {
-  const size_t Dim = size_t(1) << Eval.numQubits();
-  if (Super.rows() != Dim * Dim || Super.cols() != Dim * Dim)
-    throw std::invalid_argument("superoperator dimension mismatch");
-  double Acc = 0.0;
-  const size_t NumCols = Eval.numColumns();
-  for (size_t C = 0; C < NumCols; ++C) {
-    // vec(|x><x|) = e_{x D + x}: the evolved state is column x D + x of
-    // the superoperator, read as a D x D density matrix.
-    const uint64_t X = Eval.columns()[C];
-    const CVector &Psi = Eval.targets()[C];
-    Complex F = 0.0;
-    for (size_t I = 0; I < Dim; ++I)
-      for (size_t J = 0; J < Dim; ++J)
-        F += std::conj(Psi[I]) * Super.at(I * Dim + J, X * Dim + X) * Psi[J];
-    Acc += F.real();
   }
   return Acc / static_cast<double>(NumCols);
 }

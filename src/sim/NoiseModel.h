@@ -24,12 +24,11 @@
 ///
 ///  - **Deterministic oracle** (small n): the same twirled channel applied
 ///    as an exact Kraus map to a density matrix (DensityMatrix::applyChannel)
-///    or composed into a whole-schedule superoperator. Its column fidelity
-///    is the exact expectation of the stochastic tier's, so the oracle
-///    validates the sampled tier within statistical tolerance. For
-///    depolarizing and phase flip the twirl *is* the exact channel;
-///    amplitude damping additionally exposes its exact (non-Pauli) Kraus
-///    pair for channel-level tests.
+///    after every rotation. Its column fidelity is the exact expectation
+///    of the stochastic tier's, so the oracle validates the sampled tier
+///    within statistical tolerance. For depolarizing and phase flip the
+///    twirl *is* the exact channel; amplitude damping additionally exposes
+///    its exact (non-Pauli) Kraus pair for channel-level tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +58,7 @@ enum class NoiseChannelKind {
 /// How the channel is evaluated.
 enum class NoiseMode {
   Stochastic, ///< per-shot Pauli-twirl injection (any n)
-  Density,    ///< deterministic density-matrix / superoperator oracle
+  Density,    ///< deterministic density-matrix oracle
 };
 
 /// CLI/stats spelling of a channel ("none", "depolarizing", ...).
@@ -140,7 +139,7 @@ public:
   injectErrors(const std::vector<ScheduledRotation> &Schedule,
                RNG &Rng) const;
 
-  /// Density oracle, direct form: mean over the evaluator's columns x of
+  /// Density oracle: mean over the evaluator's columns x of
   /// <psi_x| Lambda(|x><x|) |psi_x>, where Lambda replays \p Schedule with
   /// the twirled channel applied to every support qubit after each
   /// rotation. Exactly the expectation of the stochastic tier's per-shot
@@ -148,16 +147,6 @@ public:
   double densityFidelity(const std::vector<ScheduledRotation> &Schedule,
                          unsigned NumQubits,
                          const FidelityEvaluator &Eval) const;
-
-  /// Density oracle, composed form: the whole-schedule superoperator
-  /// S = prod_k (N_k (x) gates), acting on row-major vec(rho). Cacheable
-  /// (the ArtifactStore's Superoperator type); D^4 entries, so small n
-  /// only. densityFidelityFromSuper reads the per-column fidelities
-  /// straight out of S's columns (vec(|x><x|) = e_{x D + x}).
-  Matrix buildSuperoperator(const std::vector<ScheduledRotation> &Schedule,
-                            unsigned NumQubits) const;
-  double densityFidelityFromSuper(const Matrix &Super,
-                                  const FidelityEvaluator &Eval) const;
 
   /// The salt-decoupled seed of the noise substream: noise draws for shot
   /// k come from RNG::forShot(noiseStreamSeed(Seed), k), so they never

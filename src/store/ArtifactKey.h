@@ -21,8 +21,6 @@
 ///   AliasBundle       | (fingerprint, mix weights, MCFPOptions, rounds,
 ///                     |  perturb seed, sampler kind)
 ///   FidelityColumns   | (fingerprint, time, columns, column seed)
-///   Superoperator     | (fingerprint, time, Trotter reps/order/term order,
-///                     |  cross-cancellation, noise kind/prob/2q factor)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,8 +45,6 @@ enum class ArtifactType {
   AliasBundle,
   /// Precomputed exact fidelity target columns e^{iHt}|x>.
   FidelityColumns,
-  /// A composed noisy-schedule superoperator (density-oracle tier).
-  Superoperator,
 };
 
 /// File extension of \p Type in the disk tier.
@@ -60,8 +56,6 @@ inline const char *artifactExtension(ArtifactType Type) {
     return ".alias";
   case ArtifactType::FidelityColumns:
     return ".fid";
-  case ArtifactType::Superoperator:
-    return ".super";
   }
   return ".artifact";
 }
@@ -76,8 +70,6 @@ inline const char *artifactTypeName(ArtifactType Type) {
     return "alias";
   case ArtifactType::FidelityColumns:
     return "fidelity";
-  case ArtifactType::Superoperator:
-    return "super";
   }
   return "component";
 }
@@ -91,8 +83,6 @@ artifactTypeFromName(const std::string &Name) {
     return ArtifactType::AliasBundle;
   if (Name == "fidelity")
     return ArtifactType::FidelityColumns;
-  if (Name == "super")
-    return ArtifactType::Superoperator;
   return std::nullopt;
 }
 
@@ -170,30 +160,6 @@ inline ArtifactKey fidelityColumnsKey(uint64_t Fingerprint, double T,
   appendHex(Id, Columns);
   appendHex(Id, ColumnSeed);
   return {ArtifactType::FidelityColumns, std::move(Id)};
-}
-
-/// Key of a composed noisy-schedule superoperator. Only deterministic
-/// (Trotter) schedules are cacheable — the schedule is then a pure
-/// function of (fingerprint, time, reps, order, term order,
-/// cross-cancellation), and the noise knobs complete the channel's
-/// identity.
-inline ArtifactKey superoperatorKey(uint64_t Fingerprint, double T,
-                                    unsigned TrotterReps,
-                                    unsigned TrotterOrder, uint64_t TermOrder,
-                                    bool CrossCancellation,
-                                    uint64_t NoiseKind, uint64_t ProbBits,
-                                    uint64_t FactorBits) {
-  std::string Id = "super";
-  appendHex(Id, Fingerprint);
-  appendHex(Id, serial::doubleBits(T));
-  appendHex(Id, TrotterReps);
-  appendHex(Id, TrotterOrder);
-  appendHex(Id, TermOrder);
-  appendHex(Id, CrossCancellation ? 1 : 0);
-  appendHex(Id, NoiseKind);
-  appendHex(Id, ProbBits);
-  appendHex(Id, FactorBits);
-  return {ArtifactType::Superoperator, std::move(Id)};
 }
 
 } // namespace store

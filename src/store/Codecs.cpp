@@ -115,47 +115,3 @@ size_t store::fidelityBytes(const FidelityEvaluator &E) {
   const size_t Dim = size_t(1) << E.numQubits();
   return E.numColumns() * (Dim * sizeof(Complex) + sizeof(uint64_t));
 }
-
-//===----------------------------------------------------------------------===//
-// Noisy-schedule superoperators
-//===----------------------------------------------------------------------===//
-
-std::string store::encodeSuperBody(const Matrix &S) {
-  std::ostringstream Body;
-  Body << SuperMagic << " " << S.rows() << "\n";
-  for (size_t I = 0; I < S.rows(); ++I) {
-    for (size_t J = 0; J < S.cols(); ++J)
-      Body << hex16(doubleBits(S.at(I, J).real())) << " "
-           << hex16(doubleBits(S.at(I, J).imag()))
-           << (J + 1 == S.cols() ? "" : " ");
-    Body << "\n";
-  }
-  return Body.str();
-}
-
-std::optional<Matrix> store::decodeSuperBody(size_t ExpectedDim,
-                                             const std::string &Body) {
-  std::istringstream In(Body);
-  std::string Word;
-  size_t Dim = 0;
-  if (!(In >> Word >> Dim) || Word != SuperMagic || Dim != ExpectedDim ||
-      Dim == 0)
-    return std::nullopt;
-  Matrix S(Dim, Dim);
-  for (size_t I = 0; I < Dim; ++I)
-    for (size_t J = 0; J < Dim; ++J) {
-      uint64_t Re = 0, Im = 0;
-      if (!(In >> Word) || Word.size() != 16 || !parseHex64(Word, Re))
-        return std::nullopt;
-      if (!(In >> Word) || Word.size() != 16 || !parseHex64(Word, Im))
-        return std::nullopt;
-      S.at(I, J) = Complex(bitsToDouble(Re), bitsToDouble(Im));
-    }
-  if (In >> Word)
-    return std::nullopt; // trailing garbage
-  return S;
-}
-
-size_t store::superBytes(const Matrix &S) {
-  return S.rows() * S.cols() * sizeof(Complex);
-}

@@ -25,8 +25,6 @@
 ///                              amplitudes (v1 bodies hold targets of the
 ///                              older Taylor propagator, whose bits differ,
 ///                              so they are rejected and recomputed)
-///   marqsim-super-v1 M         an M x M complex superoperator (M = 4^n),
-///                              row-major, two hex doubles per entry
 ///
 /// The alias bundle deliberately persists the combined matrix rather than
 /// the alias tables themselves: table construction is a cheap
@@ -81,20 +79,6 @@ decodeFidelityBody(unsigned ExpectedQubits, size_t ExpectedColumns,
 
 /// In-memory footprint of \p E's targets, for LRU accounting.
 size_t fidelityBytes(const FidelityEvaluator &E);
-
-/// Magic of the superoperator format.
-inline constexpr const char *SuperMagic = "marqsim-super-v1";
-
-/// Serializes a composed superoperator (square complex matrix).
-std::string encodeSuperBody(const Matrix &S);
-
-/// Parses a superoperator body. \p ExpectedDim is 4^n, known from the
-/// Hamiltonian; a disagreement means a stale or corrupt file.
-std::optional<Matrix> decodeSuperBody(size_t ExpectedDim,
-                                      const std::string &Body);
-
-/// In-memory footprint of \p S, for LRU accounting.
-size_t superBytes(const Matrix &S);
 
 } // namespace store
 } // namespace marqsim

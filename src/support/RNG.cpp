@@ -51,28 +51,6 @@ double RNG::gaussian() {
   return R * std::cos(Theta);
 }
 
-size_t RNG::sampleDiscrete(const std::vector<double> &Weights) {
-  assert(!Weights.empty() && "cannot sample from empty distribution");
-  double Total = 0.0;
-  for (double W : Weights) {
-    assert(W >= 0.0 && "negative weight in discrete distribution");
-    Total += W;
-  }
-  assert(Total > 0.0 && "all-zero discrete distribution");
-  double X = uniform() * Total;
-  double Acc = 0.0;
-  for (size_t I = 0; I < Weights.size(); ++I) {
-    Acc += Weights[I];
-    if (X < Acc)
-      return I;
-  }
-  // Floating-point slack: fall back to the last positive-weight index.
-  for (size_t I = Weights.size(); I-- > 0;)
-    if (Weights[I] > 0.0)
-      return I;
-  return Weights.size() - 1;
-}
-
 BoundedDraw::BoundedDraw(uint64_t B) : Bound(B) {
   assert(Bound > 0 && "BoundedDraw bound must be positive");
   __extension__ using U128 = unsigned __int128;
@@ -84,11 +62,6 @@ BoundedDraw::BoundedDraw(uint64_t B) : Bound(B) {
   Magic = static_cast<uint64_t>((((U128(1) << L) - Bound) << 64) / Bound + 1);
   Shift1 = L == 0 ? 0 : 1;
   Shift2 = L == 0 ? 0 : static_cast<uint8_t>(L - 1);
-}
-
-RNG RNG::split() {
-  RNG Child(next() ^ 0xa5a5a5a5deadbeefULL);
-  return Child;
 }
 
 RNG RNG::forShot(uint64_t Seed, uint64_t Shot) {

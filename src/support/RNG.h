@@ -20,7 +20,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace marqsim {
 
@@ -104,19 +103,10 @@ public:
   /// Bits past \p Count in the last of the ceil(Count / 64) words are clear.
   void coinFlips(uint64_t *Words, size_t Count);
 
-  /// Samples an index from an explicit (non-negative, not necessarily
-  /// normalized) weight vector by inverse-CDF walk. O(n); use
-  /// markov::AliasSampler for repeated draws from the same distribution.
-  size_t sampleDiscrete(const std::vector<double> &Weights);
-
-  /// Derives an independent child generator; useful to give each benchmark
-  /// repetition its own stream without correlations.
-  RNG split();
-
   /// Counter-based substream derivation: the generator for shot \p Shot of
-  /// a batch seeded with \p Seed. Unlike split(), the result depends only
-  /// on (Seed, Shot) — not on any generator state — so a batch compiled
-  /// across any number of threads draws bit-identical streams per shot.
+  /// a batch seeded with \p Seed. The result depends only on (Seed, Shot),
+  /// not on any generator state, so a batch compiled across any number of
+  /// threads draws bit-identical streams per shot.
   static RNG forShot(uint64_t Seed, uint64_t Shot);
 
 private:

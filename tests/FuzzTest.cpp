@@ -6,20 +6,24 @@
 //
 // Every byte a daemon reads off a socket goes through json::Value::parse
 // and server::decodeFrame, every submitted spec through TaskSpec::fromJson,
-// and every shard result a coordinator merges through ShardManifest::parse.
-// These tests mutate valid inputs with fixed seeds (bit flips, truncations,
-// byte inserts and deletes, one to four of them per mutant) and require
-// each mutant to parse to a value or be rejected cleanly: no exception, no
-// crash, no hang, and no sanitizer report when built with ASan+UBSan. A
-// mutant that parses must also survive a round trip through its writer.
-// Each parser runs 20,000 to 60,000 mutants, a fraction of a second in a
-// Release build.
+// every shard result a coordinator merges through ShardManifest::parse,
+// and every artifact body the store reads from disk or a peer pushes
+// through the store codecs (store/Codecs.h). These tests mutate valid
+// inputs with fixed seeds (bit flips, truncations, byte inserts and
+// deletes, one to four of them per mutant) and require each mutant to
+// parse to a value or be rejected cleanly: no exception, no crash, no
+// hang, and no sanitizer report when built with ASan+UBSan. A mutant that
+// parses must also survive a round trip through its writer. Each parser
+// runs 5,000 to 60,000 mutants, a fraction of a second in a Release
+// build.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/TransitionBuilders.h"
 #include "server/Protocol.h"
 #include "service/TaskSpec.h"
 #include "shard/ShardManifest.h"
+#include "store/Codecs.h"
 #include "support/Json.h"
 #include "support/RNG.h"
 #include "support/Serial.h"
@@ -154,6 +158,35 @@ std::vector<std::string> specSeeds() {
   return Seeds;
 }
 
+/// A small operator whose terms all have pi_i <= 0.5, so the MCFP builders
+/// accept it unsplit.
+Hamiltonian codecHamiltonian() {
+  return Hamiltonian::parse({{0.9, "XXI"},
+                             {-0.5, "IZZ"},
+                             {0.25, "YIX"},
+                             {0.4, "ZYI"},
+                             {0.3, "IXY"}});
+}
+
+/// Checks that every mutant of the body \p Valid is rejected by \p Decode
+/// or decodes to a value that \p Encode writes as a body decoding to the
+/// same bits (the codecs write every double as its exact hex bits).
+template <class DecodeFn, class EncodeFn>
+void fuzzCodec(const std::string &Valid, uint64_t RngSeed, DecodeFn Decode,
+               EncodeFn Encode) {
+  forEachMutant({Valid}, RngSeed, 5000, [&](const std::string &Body) {
+    decltype(Decode(Body)) Value;
+    ASSERT_NO_THROW(Value = Decode(Body));
+    if (!Value)
+      return;
+    const std::string Again = Encode(*Value);
+    decltype(Decode(Body)) Back;
+    ASSERT_NO_THROW(Back = Decode(Again));
+    ASSERT_TRUE(Back);
+    EXPECT_EQ(Encode(*Back), Again);
+  });
+}
+
 } // namespace
 
 TEST(ParserFuzzTest, JsonParseYieldsAValueOrARejection) {
@@ -285,4 +318,36 @@ TEST(ParserFuzzTest, ManifestShotCountBeyondTheFileIsRejected) {
                       ShardManifest::parse(serial::withChecksum(Body), &Error));
   EXPECT_FALSE(Parsed);
   EXPECT_NE(Error.find("shot count"), std::string::npos) << Error;
+}
+
+TEST(CodecFuzzTest, MatrixBodiesDecodeOrAreRejected) {
+  // A Pgc component (.mat) and the combined matrix an alias bundle is
+  // rebuilt from (.alias).
+  const Hamiltonian H = codecHamiltonian();
+  const std::pair<const char *, TransitionMatrix> Bodies[] = {
+      {store::MatrixMagic, buildGateCancellation(H)},
+      {store::AliasMagic, makeConfigMatrix(H, 0.4, 0.3, 0.3, 4)}};
+  uint64_t RngSeed = 0xF027;
+  for (const auto &[Magic, P] : Bodies) {
+    SCOPED_TRACE(Magic);
+    fuzzCodec(
+        store::encodeMatrixBody(Magic, P), RngSeed++,
+        [&, Magic = Magic](const std::string &Body) {
+          return store::decodeMatrixBody(Magic, H.numTerms(), Body);
+        },
+        [Magic = Magic](const TransitionMatrix &M) {
+          return store::encodeMatrixBody(Magic, M);
+        });
+  }
+}
+
+TEST(CodecFuzzTest, FidelityBodyDecodesOrIsRejected) {
+  const FidelityEvaluator Valid(codecHamiltonian(), 0.5, 3, 11);
+  fuzzCodec(
+      store::encodeFidelityBody(Valid), 0xF029,
+      [&](const std::string &Body) {
+        return store::decodeFidelityBody(Valid.numQubits(), Valid.numColumns(),
+                                         Body);
+      },
+      store::encodeFidelityBody);
 }

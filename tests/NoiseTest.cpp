@@ -11,15 +11,15 @@
 //     stream (same draws -> same schedule, noiseless schedule embedded as
 //     an ordered subsequence),
 //   * the *exact* expectation of the injected state fidelity over all
-//     error patterns equals the density oracle, and the composed
-//     superoperator agrees with direct density evolution,
+//     error patterns equals the density oracle,
 //   * for every channel in both modes, the noisy batch hash equals the
 //     noiseless one, noise lowers the fidelity, and the stochastic mean
 //     tracks the density oracle,
 //   * noisy batches are bit-identical across --jobs/--eval-jobs values
 //     and across shard splits (in-process runShard + merge),
-//   * superoperators round-trip through the marqsim-super-v1 codec and
-//     the on-disk store, and corruption falls back to recomposition,
+//   * every density-mode task, deterministic ones included, is evaluated
+//     by the direct oracle NoiseModel::densityFidelity and caches nothing
+//     but its fidelity columns,
 //   * a frozen fixed-seed golden pins the noisy fidelity bits and the
 //     invariant that noise never perturbs the compiled circuits.
 //
@@ -31,14 +31,12 @@
 #include "sim/DensityMatrix.h"
 #include "sim/Fidelity.h"
 #include "sim/NoiseModel.h"
-#include "store/Codecs.h"
 #include "support/Serial.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
-#include <fstream>
 
 using namespace marqsim;
 
@@ -46,9 +44,8 @@ namespace {
 
 constexpr double HalfPi = 1.5707963267948966;
 
-/// A 3-qubit Hamiltonian small enough for the density oracle and the
-/// superoperator cache, interacting enough to produce non-trivial
-/// schedules.
+/// A 3-qubit Hamiltonian small enough for the density oracle, interacting
+/// enough to produce non-trivial schedules.
 Hamiltonian noiseHamiltonian() {
   return Hamiltonian::parse({{0.9, "XZI"},
                              {0.6, "IYX"},
@@ -77,7 +74,8 @@ TaskSpec noisySamplingSpec() {
   return Spec;
 }
 
-/// A deterministic Trotter spec (the superoperator-cache path).
+/// A deterministic Trotter spec under the density oracle (evaluated once
+/// per batch, its fidelity copied to every shot).
 TaskSpec noisyTrotterSpec() {
   TaskSpec Spec;
   Spec.Source = HamiltonianSource::fromHamiltonian(noiseHamiltonian());
@@ -163,35 +161,6 @@ std::string freshDir(const std::string &Name) {
   std::string Dir = testing::TempDir() + Name;
   std::filesystem::remove_all(Dir);
   return Dir;
-}
-
-std::filesystem::path onlyFile(const std::string &Dir,
-                               const std::string &Extension) {
-  std::filesystem::path Found;
-  size_t Count = 0;
-  for (const auto &Entry : std::filesystem::directory_iterator(Dir))
-    if (Entry.path().extension() == Extension) {
-      Found = Entry.path();
-      ++Count;
-    }
-  EXPECT_EQ(Count, 1u) << "expected exactly one " << Extension << " file";
-  return Found;
-}
-
-std::string readAll(const std::filesystem::path &P) {
-  std::ifstream In(P);
-  std::ostringstream OS;
-  OS << In.rdbuf();
-  return OS.str();
-}
-
-void flipOneChar(const std::filesystem::path &P) {
-  std::string Text = readAll(P);
-  ASSERT_FALSE(Text.empty());
-  size_t Mid = Text.size() / 2;
-  Text[Mid] = Text[Mid] == 'a' ? 'b' : 'a';
-  std::ofstream Out(P);
-  Out << Text;
 }
 
 } // namespace
@@ -368,7 +337,7 @@ TEST(NoiseInjectionTest, DeterministicAndPrefixPreserving) {
 }
 
 //===----------------------------------------------------------------------===//
-// Stochastic expectation == density oracle == superoperator
+// Stochastic expectation == density oracle
 //===----------------------------------------------------------------------===//
 
 TEST(NoiseOracleTest, ExactExpectationMatchesDensityOracle) {
@@ -386,22 +355,7 @@ TEST(NoiseOracleTest, ExactExpectationMatchesDensityOracle) {
     const double Oracle = Model.densityFidelity(Schedule, 2, Eval);
     const double Expect = enumeratedExpectation(Model, Schedule, Eval);
     EXPECT_NEAR(Expect, Oracle, 1e-10) << noiseChannelName(K);
-
-    const double Super = Model.densityFidelityFromSuper(
-        Model.buildSuperoperator(Schedule, 2), Eval);
-    EXPECT_NEAR(Super, Oracle, 1e-10) << noiseChannelName(K);
   }
-}
-
-TEST(NoiseOracleTest, SuperoperatorRejectsDimensionMismatch) {
-  NoiseSpec Spec;
-  Spec.Kind = NoiseChannelKind::PhaseFlip;
-  Spec.Prob = 0.1;
-  NoiseModel Model(Spec);
-  Hamiltonian H2 = Hamiltonian::parse({{0.8, "XY"}, {0.5, "ZI"}});
-  FidelityEvaluator Eval(H2, 0.5, 4, 11);
-  EXPECT_THROW(Model.densityFidelityFromSuper(Matrix::identity(8), Eval),
-               std::invalid_argument);
 }
 
 TEST(NoiseServiceTest, StochasticMeanConvergesToDensityOracle) {
@@ -444,6 +398,40 @@ TEST(NoiseServiceTest, StochasticMeanConvergesToDensityOracle) {
     EXPECT_EQ(D->Batch.batchHash(), C1->Batch.batchHash());
     EXPECT_EQ(S->Batch.batchHash(), CM->Batch.batchHash());
   }
+}
+
+TEST(NoiseServiceTest, DeterministicDensityRunIsTheDirectOracle) {
+  // A deterministic density task is evaluated by the direct oracle, bit
+  // for bit, and persists nothing but its fidelity columns.
+  const std::string Dir = freshDir("noise_density_direct");
+  ServiceOptions Options;
+  Options.CacheDir = Dir;
+  SimulationService Service(Options);
+  TaskSpec Spec = noisyTrotterSpec();
+  Spec.Shots = 3;
+  Spec.Evaluate.ExportShotZero = true;
+  std::string Error;
+  std::optional<TaskResult> R = Service.run(Spec, &Error);
+  ASSERT_TRUE(R) << Error;
+  ASSERT_TRUE(R->HasShotZero);
+
+  const Hamiltonian H = noiseHamiltonian();
+  const FidelityEvaluator Eval(H, Spec.Time, Spec.Evaluate.FidelityColumns,
+                               Spec.Evaluate.ColumnSeed);
+  const double Oracle = NoiseModel(Spec.Noise).densityFidelity(
+      R->ShotZero.Schedule, H.numQubits(), Eval);
+  ASSERT_EQ(R->ShotFidelities.size(), 3u);
+  for (size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(serial::doubleBits(R->ShotFidelities[I]),
+              serial::doubleBits(Oracle))
+        << "shot " << I;
+
+  size_t Files = 0;
+  for (const auto &Entry : std::filesystem::directory_iterator(Dir)) {
+    EXPECT_EQ(Entry.path().extension(), ".fid") << Entry.path();
+    ++Files;
+  }
+  EXPECT_EQ(Files, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -527,75 +515,6 @@ TEST(NoiseShardTest, ShardedNoisyRunMatchesSingleProcess) {
     EXPECT_EQ(serial::doubleBits(Merged->ShotFidelities[I]),
               serial::doubleBits(Full->ShotFidelities[I]))
         << "shot " << I;
-}
-
-//===----------------------------------------------------------------------===//
-// Superoperator store type
-//===----------------------------------------------------------------------===//
-
-TEST(NoiseStoreTest, SuperBodyRoundTripsBitExactly) {
-  NoiseSpec Spec;
-  Spec.Kind = NoiseChannelKind::AmplitudeDamping;
-  Spec.Prob = 0.17;
-  NoiseModel Model(Spec);
-  Matrix S = Model.buildSuperoperator(tinySchedule(), 2);
-
-  std::string Body = store::encodeSuperBody(S);
-  std::optional<Matrix> Back = store::decodeSuperBody(16, Body);
-  ASSERT_TRUE(Back);
-  ASSERT_EQ(Back->rows(), S.rows());
-  for (size_t I = 0; I < S.rows(); ++I)
-    for (size_t J = 0; J < S.cols(); ++J) {
-      EXPECT_EQ(serial::doubleBits(S.at(I, J).real()),
-                serial::doubleBits(Back->at(I, J).real()));
-      EXPECT_EQ(serial::doubleBits(S.at(I, J).imag()),
-                serial::doubleBits(Back->at(I, J).imag()));
-    }
-  // Stale dimension and trailing garbage are rejected.
-  EXPECT_FALSE(store::decodeSuperBody(64, Body));
-  EXPECT_FALSE(store::decodeSuperBody(16, Body + "junk"));
-}
-
-TEST(NoiseStoreTest, SuperoperatorPersistsAndHealsOnCorruption) {
-  std::string Dir = freshDir("noise_super_store");
-  ServiceOptions Options;
-  Options.CacheDir = Dir;
-  TaskSpec Spec = noisyTrotterSpec();
-
-  std::optional<TaskResult> Cold;
-  {
-    SimulationService Service(Options);
-    std::string Error;
-    Cold = Service.run(Spec, &Error);
-    ASSERT_TRUE(Cold) << Error;
-    EXPECT_EQ(Service.stats().SuperMisses, 1u);
-    EXPECT_EQ(Service.stats().SuperHits, 0u);
-  }
-  std::filesystem::path Super = onlyFile(Dir, ".super");
-  const std::string Healthy = readAll(Super);
-
-  // A fresh service replays the superoperator from disk bit-identically.
-  {
-    SimulationService Warm(Options);
-    std::optional<TaskResult> R = Warm.run(Spec);
-    ASSERT_TRUE(R);
-    EXPECT_EQ(Warm.stats().SuperHits, 1u);
-    EXPECT_EQ(Warm.stats().SuperMisses, 0u);
-    EXPECT_EQ(serial::doubleBits(R->ShotFidelities[0]),
-              serial::doubleBits(Cold->ShotFidelities[0]));
-  }
-
-  // Corruption falls back to recomposition and heals the file.
-  flipOneChar(Super);
-  {
-    SimulationService Service(Options);
-    std::optional<TaskResult> R = Service.run(Spec);
-    ASSERT_TRUE(R);
-    EXPECT_EQ(Service.stats().SuperMisses, 1u);
-    EXPECT_EQ(serial::doubleBits(R->ShotFidelities[0]),
-              serial::doubleBits(Cold->ShotFidelities[0]));
-  }
-  EXPECT_EQ(readAll(Super), Healthy);
 }
 
 //===----------------------------------------------------------------------===//

@@ -833,6 +833,22 @@ TEST(DaemonTest, ConnectionSurvivesMalformedFrames) {
       errorCode(rawRoundTrip(
           *Sock, "{\"v\":1,\"type\":\"result\",\"id\":123456}\n")),
       "not-found");
+  // "super" is no artifact type (the superoperator cache was removed):
+  // both artifact frames reject it.
+  EXPECT_EQ(errorCode(rawRoundTrip(
+                *Sock, "{\"v\":1,\"type\":\"artifact-get\",\"atype\":"
+                       "\"super\",\"id\":\"super0\"}\n")),
+            "bad-frame");
+  std::optional<json::Value> SpecJson = testSpec().toJson(&Error);
+  ASSERT_TRUE(SpecJson) << Error;
+  EXPECT_EQ(errorCode(rawRoundTrip(
+                *Sock, server::encodeFrame(
+                           "artifact-put", json::Value::object()
+                                               .set("spec", *SpecJson)
+                                               .set("atype", "super")
+                                               .set("id", "super0")
+                                               .set("body", "x")))),
+            "bad-frame");
 
   std::optional<Frame> Health =
       rawRoundTrip(*Sock, server::encodeFrame("health"));

@@ -29,6 +29,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "shard/ShardCoordinator.h"
+#include "support/Serial.h"
 
 #include <gtest/gtest.h>
 
@@ -247,9 +248,19 @@ TEST(ShardManifestTest, RejectsTruncationBitFlipsAndBadHeaders) {
     EXPECT_FALSE(ShardManifest::parse(Flipped, &Error)) << "pos " << Pos;
   }
 
-  // A manifest from a different (e.g. future) format version fails the
-  // magic check and is re-run, never misparsed.
+  // A manifest from a different format version fails the magic check and
+  // is re-run, never misparsed: a future one, and a v3 one (whose cache
+  // line still held the superoperator counters) even under a valid
+  // checksum.
   EXPECT_FALSE(ShardManifest::parse("marqsim-shard-v9\n" + Text, &Error));
+  std::string Body;
+  ASSERT_TRUE(serial::splitChecksummed(Text, Body));
+  const std::string V4 = "marqsim-shard-v4\n";
+  ASSERT_EQ(Body.compare(0, V4.size(), V4), 0);
+  EXPECT_FALSE(ShardManifest::parse(
+      serial::withChecksum("marqsim-shard-v3\n" + Body.substr(V4.size())),
+      &Error));
+  EXPECT_NE(Error.find("bad magic"), std::string::npos);
   EXPECT_FALSE(ShardManifest::parse("", &Error));
 
   // A self-consistent file whose shot lines disagree with the declared

@@ -170,28 +170,6 @@ TEST(RNGTest, BernoulliProbability) {
   EXPECT_NEAR(Hits / 1e5, 0.3, 1e-2);
 }
 
-TEST(RNGTest, SampleDiscreteMatchesWeights) {
-  RNG Rng(6);
-  std::vector<double> W = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> Counts(4, 0);
-  const int N = 100000;
-  for (int I = 0; I < N; ++I)
-    ++Counts[Rng.sampleDiscrete(W)];
-  EXPECT_EQ(Counts[2], 0);
-  EXPECT_NEAR(Counts[0] / double(N), 0.1, 0.01);
-  EXPECT_NEAR(Counts[1] / double(N), 0.3, 0.01);
-  EXPECT_NEAR(Counts[3] / double(N), 0.6, 0.01);
-}
-
-TEST(RNGTest, SplitDecorrelates) {
-  RNG Parent(9);
-  RNG Child = Parent.split();
-  int Same = 0;
-  for (int I = 0; I < 100; ++I)
-    Same += Parent.next() == Child.next();
-  EXPECT_LT(Same, 3);
-}
-
 TEST(TableTest, AlignedOutput) {
   Table T({"name", "value"});
   T.row("alpha", 1);

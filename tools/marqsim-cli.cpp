@@ -163,9 +163,7 @@ void printCacheStats(const CacheStats &S) {
             << " misses=" << S.matrixMisses() << " disk=" << S.DiskLoads
             << "\ngraph-cache hits=" << S.GraphHits
             << " misses=" << S.GraphMisses << " evaluator-cache hits="
-            << S.EvaluatorHits << " misses=" << S.EvaluatorMisses
-            << " super-cache hits=" << S.SuperHits
-            << " misses=" << S.SuperMisses << "\n";
+            << S.EvaluatorHits << " misses=" << S.EvaluatorMisses << "\n";
 }
 
 void printStoreStats(const ArtifactStore::Stats &S, size_t LimitBytes) {
