@@ -458,7 +458,7 @@ int main(int Argc, char **Argv) {
           return R.Ms;
       return 0.0;
     };
-    for (const char *Known : {"scalar", "neon", "avx2-fma", "avx512"}) {
+    for (const char *Known : {"scalar", "avx2-fma", "avx512"}) {
       if (!kernels::findTier(Known))
         std::cerr << "eval-kernels: fused gate skipped for tier " << Known
                   << " (not runnable on this host)\n";

@@ -6,7 +6,6 @@
 
 #include "circuit/Circuit.h"
 
-#include "support/Table.h"
 
 #include <algorithm>
 
@@ -56,12 +55,6 @@ void Circuit::append(const Gate &G) {
   Gates.push_back(G);
 }
 
-void Circuit::append(const Circuit &Other) {
-  assert(Other.NQubits <= NQubits && "appending a wider circuit");
-  for (const Gate &G : Other.Gates)
-    append(G);
-}
-
 GateCounts Circuit::counts() const {
   GateCounts C;
   for (const Gate &G : Gates) {
@@ -90,22 +83,3 @@ size_t Circuit::depth() const {
   return Depth;
 }
 
-std::string Circuit::str() const {
-  std::string S;
-  for (const Gate &G : Gates) {
-    S += gateKindName(G.Kind);
-    if (isRotationGate(G.Kind)) {
-      S += '(';
-      S += formatDouble(G.Angle);
-      S += ')';
-    }
-    S += " q";
-    S += std::to_string(G.Qubit0);
-    if (G.isCNOT()) {
-      S += ", q";
-      S += std::to_string(G.Qubit1);
-    }
-    S += '\n';
-  }
-  return S;
-}

@@ -119,9 +119,6 @@ public:
   /// Appends a gate; asserts that its qubits are inside the register.
   void append(const Gate &G);
 
-  /// Appends all gates of \p Other (registers must have equal width).
-  void append(const Circuit &Other);
-
   void h(unsigned Q) { append(Gate(GateKind::H, Q)); }
   void x(unsigned Q) { append(Gate(GateKind::X, Q)); }
   void y(unsigned Q) { append(Gate(GateKind::Y, Q)); }
@@ -142,9 +139,6 @@ public:
   /// gate occupying one layer on every qubit it touches (the depth metric
   /// Paulihedral-style compilers optimize; reported by the benches).
   size_t depth() const;
-
-  /// Multi-line textual listing (one gate per line, OpenQASM-like).
-  std::string str() const;
 
 private:
   unsigned NQubits = 0;

@@ -36,17 +36,15 @@ ShotSummary ScheduleStrategy::summarize(ShotContext &Ctx,
 //===----------------------------------------------------------------------===//
 
 SamplingStrategy::SamplingStrategy(std::shared_ptr<const HTTGraph> G,
-                                   double T, double Epsilon, bool UseCDF)
+                                   double T, double Epsilon)
     : Graph(std::move(G)) {
   assert(Graph && "sampling strategy needs a graph");
   const Hamiltonian &H = Graph->hamiltonian();
   assert(!H.empty() && "cannot compile an empty Hamiltonian");
   NumSamples = qdriftSampleCount(H.lambda(), T, Epsilon);
   TauStep = H.lambda() * T / static_cast<double>(NumSamples);
-  // The CDF ablation walks the same chain with O(log n) draws.
   Chain = std::make_shared<const MarkovChainSampler>(
-      Graph->transitionMatrix(), Graph->stationary(),
-      UseCDF ? SamplerKind::CDF : SamplerKind::Alias);
+      Graph->transitionMatrix(), Graph->stationary());
 }
 
 SamplingStrategy::SamplingStrategy(const SamplingStrategy &Other, double T,
@@ -57,9 +55,7 @@ SamplingStrategy::SamplingStrategy(const SamplingStrategy &Other, double T,
   TauStep = H.lambda() * T / static_cast<double>(NumSamples);
 }
 
-std::string SamplingStrategy::name() const {
-  return Chain->kind() == SamplerKind::CDF ? "sampling(cdf)" : "sampling";
-}
+std::string SamplingStrategy::name() const { return "sampling"; }
 
 ShotPlan SamplingStrategy::produce(ShotContext &Ctx) const {
   ShotPlan Plan;
@@ -240,6 +236,13 @@ static SummaryStat toSummary(const RunningStats &Stats) {
   S.Min = Stats.min();
   S.Max = Stats.max();
   return S;
+}
+
+SummaryStat SummaryStat::of(const std::vector<double> &Values) {
+  RunningStats Stats;
+  for (double V : Values)
+    Stats.add(V);
+  return toSummary(Stats);
 }
 
 uint64_t marqsim::hashShotSummaries(const std::vector<ShotSummary> &Shots) {

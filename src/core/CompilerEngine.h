@@ -85,13 +85,12 @@ public:
 };
 
 /// Algorithm 1: walk the HTT graph's Markov chain for
-/// N = ceil(2 lambda^2 t^2 / eps) steps. The chain's alias tables (or CDF
-/// tables for the ablation sampler) are built once at construction and
-/// shared read-only by every shot.
+/// N = ceil(2 lambda^2 t^2 / eps) steps. The chain's alias tables are
+/// built once at construction and shared read-only by every shot.
 class SamplingStrategy : public ScheduleStrategy {
 public:
   SamplingStrategy(std::shared_ptr<const HTTGraph> Graph, double T,
-                   double Epsilon, bool UseCDF = false);
+                   double Epsilon);
 
   /// Re-targets \p Other to a new (T, Epsilon) budget, sharing its
   /// prebuilt sampling tables (useful for epsilon sweeps over one graph).
@@ -241,6 +240,11 @@ struct SummaryStat {
   double Std = 0.0;
   double Min = 0.0;
   double Max = 0.0;
+
+  /// The summary of \p Values, added in order: the per-shot fidelity
+  /// summary every run path (single process, sharded, streamed) reports,
+  /// so all of them set the same bits.
+  static SummaryStat of(const std::vector<double> &Values);
 };
 
 /// FNV-1a over the 8 little-endian bytes of every index in turn

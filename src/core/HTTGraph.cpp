@@ -17,11 +17,6 @@ HTTGraph::HTTGraph(Hamiltonian H, TransitionMatrix Matrix)
   Pi = Ham.stationaryDistribution();
 }
 
-HTTGraph HTTGraph::withQDriftMatrix(Hamiltonian H) {
-  std::vector<double> Pi = H.stationaryDistribution();
-  return HTTGraph(std::move(H), TransitionMatrix::fromStationary(Pi));
-}
-
 size_t HTTGraph::numEdges(double EdgeTol) const {
   size_t Count = 0;
   for (size_t I = 0; I < P.size(); ++I)

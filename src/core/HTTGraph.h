@@ -36,10 +36,6 @@ public:
   /// size must equal the number of terms).
   HTTGraph(Hamiltonian H, TransitionMatrix P);
 
-  /// Builds the IR with the qDrift matrix Pqd (Corollary 4.1): every row is
-  /// the stationary distribution itself.
-  static HTTGraph withQDriftMatrix(Hamiltonian H);
-
   const Hamiltonian &hamiltonian() const { return Ham; }
   const TransitionMatrix &transitionMatrix() const { return P; }
   const std::vector<double> &stationary() const { return Pi; }

@@ -56,28 +56,6 @@ DeviceTopology DeviceTopology::line(unsigned NumQubits) {
   return DeviceTopology(NumQubits, std::move(Edges));
 }
 
-DeviceTopology DeviceTopology::ring(unsigned NumQubits) {
-  assert(NumQubits >= 3 && "ring needs at least three qubits");
-  std::vector<std::pair<unsigned, unsigned>> Edges;
-  for (unsigned Q = 0; Q < NumQubits; ++Q)
-    Edges.push_back({Q, (Q + 1) % NumQubits});
-  return DeviceTopology(NumQubits, std::move(Edges));
-}
-
-DeviceTopology DeviceTopology::grid(unsigned Rows, unsigned Cols) {
-  assert(Rows > 0 && Cols > 0 && "empty grid");
-  std::vector<std::pair<unsigned, unsigned>> Edges;
-  for (unsigned R = 0; R < Rows; ++R)
-    for (unsigned C = 0; C < Cols; ++C) {
-      unsigned Q = R * Cols + C;
-      if (C + 1 < Cols)
-        Edges.push_back({Q, Q + 1});
-      if (R + 1 < Rows)
-        Edges.push_back({Q, Q + Cols});
-    }
-  return DeviceTopology(Rows * Cols, std::move(Edges));
-}
-
 /// Shared with the plain oracle: the matched mask and root placement of
 /// cnotCountBetween, but each surviving CNOT priced by routing distance.
 unsigned marqsim::hardwareCNOTCostBetween(const PauliString &Prev,

@@ -38,11 +38,6 @@ public:
   /// 1-D nearest-neighbour line q0 - q1 - ... - q(n-1).
   static DeviceTopology line(unsigned NumQubits);
 
-  /// Ring: the line plus the closing edge.
-  static DeviceTopology ring(unsigned NumQubits);
-
-  /// Rows x Cols nearest-neighbour grid (qubit index = row * Cols + col).
-  static DeviceTopology grid(unsigned Rows, unsigned Cols);
 
   unsigned numQubits() const { return N; }
 

@@ -264,12 +264,3 @@ marqsim::realEigenvalues(const std::vector<double> &AData, size_t N) {
   });
   return Eigs;
 }
-
-std::vector<double>
-marqsim::eigenvalueMagnitudes(const std::vector<double> &A, size_t N) {
-  std::vector<std::complex<double>> Eigs = realEigenvalues(A, N);
-  std::vector<double> Mags(Eigs.size());
-  for (size_t I = 0; I < Eigs.size(); ++I)
-    Mags[I] = std::abs(Eigs[I]);
-  return Mags;
-}

@@ -34,11 +34,6 @@ namespace marqsim {
 std::vector<std::complex<double>>
 realEigenvalues(const std::vector<double> &A, size_t N);
 
-/// Returns |lambda_i| for all eigenvalues, sorted descending. For a valid
-/// transition matrix the leading value is 1 (the stationary eigenvalue).
-std::vector<double> eigenvalueMagnitudes(const std::vector<double> &A,
-                                         size_t N);
-
 } // namespace marqsim
 
 #endif // MARQSIM_LINALG_EIGEN_H

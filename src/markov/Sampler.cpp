@@ -117,7 +117,20 @@ size_t CDFSampler::sample(RNG &Rng) const {
 
 size_t CDFSampler::indexForQuantile(double U) const {
   assert(!Cumulative.empty() && "querying an unbuilt CDF table");
-  return detail::quantileIndex(Cumulative.data(), Cumulative.size(), U);
+  const size_t N = Cumulative.size();
+  double X = U * Cumulative.back();
+  size_t I = static_cast<size_t>(
+      std::upper_bound(Cumulative.begin(), Cumulative.end(), X) -
+      Cumulative.begin());
+  if (I >= N) {
+    // U * back rounded to (or past) the final cumulative sum. Clamp to the
+    // last index with positive weight: trailing zero-weight entries share
+    // the final cumulative value and must never be returned.
+    I = N - 1;
+    while (I > 0 && Cumulative[I] <= Cumulative[I - 1])
+      --I;
+  }
+  return I;
 }
 
 std::vector<double> CDFSampler::law() const {
@@ -135,17 +148,12 @@ std::vector<double> CDFSampler::law() const {
 //===----------------------------------------------------------------------===//
 
 MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
-                                       const std::vector<double> &Initial,
-                                       SamplerKind K)
-    : Kind(K) {
+                                       const std::vector<double> &Initial) {
   const size_t N = Matrix.size();
   if (Initial.size() != N)
     throw std::invalid_argument(
         "Markov chain: initial distribution size mismatch");
-  if (Kind == SamplerKind::Alias)
-    InitialAlias = AliasSampler(Initial);
-  else
-    InitialCDF = CDFSampler(Initial);
+  InitialAlias = AliasSampler(Initial);
 
   // Column minima m_j. Every row is validated before it is read.
   std::vector<double> Min(Matrix.row(0), Matrix.row(0) + N);
@@ -157,8 +165,6 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
   }
   for (double M : Min)
     Shared += M;
-  if (Shared > 0.0 && Kind == SamplerKind::CDF)
-    SharedCDF = CDFSampler(Min);
 
   // Row residuals R_ij = P_ij - m_j (exactly >= 0: P_ij >= m_j and
   // rounding is monotone), kept sparse.
@@ -182,35 +188,25 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
     Row &Out = Rows[I];
     Out.Coin = Shared / (Shared + Residual);
     Out.Size = static_cast<uint32_t>(Size);
-    if (Kind == SamplerKind::Alias) {
-      Out.Begin = static_cast<uint32_t>(AliasCells.size());
-      if (Size == 0)
-        continue;
-      Out.Draw = BoundedDraw(Size);
-      Prob.resize(Size);
-      Alias.resize(Size);
-      buildAlias(Weights.data(), Size, Residual, Prob.data(), Alias.data());
-      for (size_t C = 0; C < Size; ++C)
-        AliasCells.push_back({Prob[C], Cols[C], Cols[Alias[C]]});
-    } else {
-      Out.Begin = static_cast<uint32_t>(CDFCumulative.size());
-      double Acc = 0.0;
-      for (size_t C = 0; C < Size; ++C) {
-        Acc += Weights[C];
-        CDFCumulative.push_back(Acc);
-        CDFCols.push_back(Cols[C]);
-      }
-    }
+    Out.Begin = static_cast<uint32_t>(AliasCells.size());
+    if (Size == 0)
+      continue;
+    Out.Draw = BoundedDraw(Size);
+    Prob.resize(Size);
+    Alias.resize(Size);
+    buildAlias(Weights.data(), Size, Residual, Prob.data(), Alias.data());
+    for (size_t C = 0; C < Size; ++C)
+      AliasCells.push_back({Prob[C], Cols[C], Cols[Alias[C]]});
   }
 
-  // Rows[N] describes the shared alias table, whose cells follow the row
+  // Rows[N] describes the shared table, whose cells follow the row
   // cells: the same table AliasSampler(Min) builds (Shared is Min's
   // left-to-right sum). Its Size stays 0 without one.
   Row &SharedRow = Rows[N];
   SharedRow.Coin = 1.0;
   SharedRow.Begin = static_cast<uint32_t>(AliasCells.size());
   SharedRow.Size = 0;
-  if (Shared > 0.0 && Kind == SamplerKind::Alias) {
+  if (Shared > 0.0) {
     SharedRow.Size = static_cast<uint32_t>(N);
     SharedRow.Draw = BoundedDraw(N);
     Prob.resize(N);
@@ -222,13 +218,11 @@ MarkovChainSampler::MarkovChainSampler(const TransitionMatrix &Matrix,
 }
 
 size_t MarkovChainSampler::initial(RNG &Rng) const {
-  return Kind == SamplerKind::Alias ? InitialAlias.sample(Rng)
-                                    : InitialCDF.sample(Rng);
+  return InitialAlias.sample(Rng);
 }
 
 size_t MarkovChainSampler::stepFrom(size_t State, RNG &Rng) const {
-  return Kind == SamplerKind::Alias ? step<SamplerKind::Alias>(State, Rng)
-                                    : step<SamplerKind::CDF>(State, Rng);
+  return step(State, Rng);
 }
 
 void MarkovChainSampler::walk(RNG &Rng, size_t *Out, size_t Count) const {
@@ -236,19 +230,12 @@ void MarkovChainSampler::walk(RNG &Rng, size_t *Out, size_t Count) const {
 }
 
 size_t MarkovChainSampler::bytes() const {
-  auto AliasBytes = [](const AliasSampler &A) {
-    return A.size() * (sizeof(double) + sizeof(uint32_t));
-  };
-  auto CDFBytes = [](const CDFSampler &C) { return C.size() * sizeof(double); };
-  return AliasBytes(InitialAlias) + CDFBytes(InitialCDF) +
-         CDFBytes(SharedCDF) +
-         Rows.size() * sizeof(Row) + AliasCells.size() * sizeof(AliasCell) +
-         CDFCumulative.size() * sizeof(double) +
-         CDFCols.size() * sizeof(uint32_t);
+  return InitialAlias.size() * (sizeof(double) + sizeof(uint32_t)) +
+         Rows.size() * sizeof(Row) + AliasCells.size() * sizeof(AliasCell);
 }
 
 size_t MarkovChainSampler::numRowCells() const {
-  return AliasCells.size() - Rows.back().Size + CDFCumulative.size();
+  return AliasCells.size() - Rows.back().Size;
 }
 
 std::vector<double> MarkovChainSampler::rowLaw(size_t State) const {
@@ -263,27 +250,9 @@ std::vector<double> MarkovChainSampler::rowLaw(size_t State) const {
       L[AliasCells[C].Alias] += (1.0 - AliasCells[C].Prob) * Cell;
     }
   };
-  if (R.Coin > 0.0) {
-    if (Kind == SamplerKind::Alias) {
-      AddAliasLaw(Rows.back(), R.Coin);
-    } else {
-      std::vector<double> S = SharedCDF.law();
-      for (size_t J = 0; J < L.size(); ++J)
-        L[J] = R.Coin * S[J];
-    }
-  }
-  if (R.Coin == 1.0 || R.Size == 0)
-    return L;
-  const double Tails = 1.0 - R.Coin;
-  if (Kind == SamplerKind::Alias) {
-    AddAliasLaw(R, Tails);
-  } else {
-    const double Total = CDFCumulative[R.Begin + R.Size - 1];
-    double Prev = 0.0;
-    for (uint32_t C = R.Begin; C < R.Begin + R.Size; ++C) {
-      L[CDFCols[C]] += Tails * (CDFCumulative[C] - Prev) / Total;
-      Prev = CDFCumulative[C];
-    }
-  }
+  if (R.Coin > 0.0)
+    AddAliasLaw(Rows.back(), R.Coin);
+  if (R.Coin < 1.0 && R.Size > 0)
+    AddAliasLaw(R, 1.0 - R.Coin);
   return L;
 }

@@ -11,7 +11,8 @@
 /// Two discrete samplers are provided: Walker's alias method (O(1) per
 /// draw after O(n) setup) and a binary-search CDF sampler (O(log n) per
 /// draw, the complexity the paper's analysis assumes via
-/// Bringmann-Panagiotou). MarkovChainSampler walks the chain over a
+/// Bringmann-Panagiotou), which bench_ablation_oracle times against it.
+/// MarkovChainSampler walks the chain over alias tables for a
 /// column-minimum decomposition of the transition matrix: one table shared
 /// by every row plus a sparse table per row (see its comment). It is
 /// immutable once built; every walk hands its states to a visitor, which
@@ -25,7 +26,6 @@
 #include "markov/TransitionMatrix.h"
 #include "support/RNG.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
@@ -38,22 +38,6 @@ namespace detail {
 /// would mispredict about half the time.
 template <typename T> T pick(bool Cond, T A, T B) {
   return B ^ ((A ^ B) & (T(0) - T(Cond)));
-}
-
-/// The index a quantile \p U selects in running sums \p Cum[0, N), clamped
-/// to the last entry that adds weight (see CDFSampler::indexForQuantile).
-inline size_t quantileIndex(const double *Cum, size_t N, double U) {
-  double X = U * Cum[N - 1];
-  size_t I = static_cast<size_t>(std::upper_bound(Cum, Cum + N, X) - Cum);
-  if (I >= N) {
-    // U * back rounded to (or past) the final cumulative sum. Clamp to the
-    // last index with positive weight: trailing zero-weight entries share
-    // the final cumulative value and must never be returned.
-    I = N - 1;
-    while (I > 0 && Cum[I] <= Cum[I - 1])
-      --I;
-  }
-  return I;
 }
 
 } // namespace detail
@@ -117,9 +101,6 @@ private:
   std::vector<double> Cumulative;
 };
 
-/// Which discrete sampler draws each component of a Markov chain.
-enum class SamplerKind { Alias, CDF };
-
 /// Walks a homogeneous Markov chain: the first draw comes from the initial
 /// distribution, subsequent draws from the row of the previous state
 /// (Algorithm 1, lines 5-8).
@@ -142,8 +123,7 @@ public:
   /// \p Initial. Throws std::invalid_argument when a row or the initial
   /// distribution has a negative or non-finite entry or sums to zero.
   MarkovChainSampler(const TransitionMatrix &Matrix,
-                     const std::vector<double> &Initial,
-                     SamplerKind Kind = SamplerKind::Alias);
+                     const std::vector<double> &Initial);
 
   /// Stateless, thread-safe draw from the initial distribution. With
   /// stepFrom() this is the per-step reference that the walk tests check
@@ -163,20 +143,13 @@ public:
   /// walk's serial chain of table loads instead of stalling it.
   template <class Visitor>
   __attribute__((always_inline)) void walk(RNG &Rng, size_t Count,
-                                           Visitor &&Visit) const {
-    if (Kind == SamplerKind::Alias)
-      walkWith<SamplerKind::Alias>(Rng, Count, Visit);
-    else
-      walkWith<SamplerKind::CDF>(Rng, Count, Visit);
-  }
+                                           Visitor &&Visit) const;
 
   /// Fills \p Out[0, Count) with one walk (see the visitor form).
   void walk(RNG &Rng, size_t *Out, size_t Count) const;
 
   /// Number of states in the chain.
   size_t numStates() const { return Rows.size() - 1; }
-
-  SamplerKind kind() const { return Kind; }
 
   /// Bytes held by the sampling tables (the LRU charge of the sampler).
   size_t bytes() const;
@@ -192,8 +165,8 @@ public:
   std::vector<double> rowLaw(size_t State) const;
 
 private:
-  /// Row i's coin t_i and its cells [Begin, Begin + Size); alias rows draw
-  /// their cell with Draw (bound Size).
+  /// Row i's coin t_i and its alias cells [Begin, Begin + Size), drawn
+  /// with Draw (bound Size).
   struct Row {
     double Coin;
     uint32_t Begin;
@@ -207,27 +180,18 @@ private:
     uint32_t Alias;
   };
 
-  template <SamplerKind K> size_t step(size_t State, RNG &Rng) const;
-  template <SamplerKind K, class Visitor>
-  void walkWith(RNG &Rng, size_t Count, Visitor &Visit) const;
+  size_t step(size_t State, RNG &Rng) const;
 
-  SamplerKind Kind;
   double Shared = 0.0; // W
-  /// Tables of the kind in use; the other kind's stay empty.
   AliasSampler InitialAlias;
-  CDFSampler InitialCDF, SharedCDF;
-  /// One row per state, then Rows[numStates()] for the shared alias table
-  /// (Size 0 without one, and for the CDF kind).
+  /// One row per state, then Rows[numStates()] for the shared table (Size
+  /// 0 without one).
   std::vector<Row> Rows;
-  /// Alias kind: the cells of every row, then those of the shared table.
+  /// The cells of every row, then those of the shared table.
   std::vector<AliasCell> AliasCells;
-  /// CDF rows: running sums over each row's cells and their columns.
-  std::vector<double> CDFCumulative;
-  std::vector<uint32_t> CDFCols;
 };
 
-// Always inlined: in walkWith that keeps the generator in registers.
-template <SamplerKind K>
+// Always inlined: in walk that keeps the generator in registers.
 __attribute__((always_inline)) inline size_t
 MarkovChainSampler::step(size_t State, RNG &Rng) const {
   assert(State < numStates() && "chain state out of range");
@@ -236,43 +200,34 @@ MarkovChainSampler::step(size_t State, RNG &Rng) const {
   bool Heads = R.Coin == 1.0;
   if (R.Coin > 0.0 && !Heads)
     Heads = Rng.uniform() < R.Coin;
-  if constexpr (K == SamplerKind::Alias) {
-    // Both tables draw a cell and then a uniform, so the coin only picks
-    // which table's bound rejects and which cell comes out. Reducing X
-    // for both tables keeps the coin off the path to the multiplies.
-    const Row &SharedTable = Rows[numStates()];
-    const Row &Table = Rows[detail::pick(Heads, numStates(), State)];
-    uint64_t X = Rng.next();
-    while (X < Table.Draw.threshold())
-      X = Rng.next();
-    const AliasCell &C = AliasCells[detail::pick<size_t>(
-        Heads, SharedTable.Begin + SharedTable.Draw.mod(X),
-        R.Begin + R.Draw.mod(X))];
-    return detail::pick(Rng.uniform() < C.Prob, C.Own, C.Alias);
-  } else {
-    if (Heads)
-      return SharedCDF.sample(Rng);
-    return CDFCols[R.Begin + detail::quantileIndex(&CDFCumulative[R.Begin],
-                                                   R.Size, Rng.uniform())];
-  }
+  // Both tables draw a cell and then a uniform, so the coin only picks
+  // which table's bound rejects and which cell comes out. Reducing X for
+  // both tables keeps the coin off the path to the multiplies.
+  const Row &SharedTable = Rows[numStates()];
+  const Row &Table = Rows[detail::pick(Heads, numStates(), State)];
+  uint64_t X = Rng.next();
+  while (X < Table.Draw.threshold())
+    X = Rng.next();
+  const AliasCell &C = AliasCells[detail::pick<size_t>(
+      Heads, SharedTable.Begin + SharedTable.Draw.mod(X),
+      R.Begin + R.Draw.mod(X))];
+  return detail::pick(Rng.uniform() < C.Prob, C.Own, C.Alias);
 }
 
-template <SamplerKind K, class Visitor>
+template <class Visitor>
 __attribute__((always_inline)) inline void
-MarkovChainSampler::walkWith(RNG &Caller, size_t Count,
-                             Visitor &Visit) const {
+MarkovChainSampler::walk(RNG &Caller, size_t Count, Visitor &&Visit) const {
   if (Count == 0)
     return;
   // A visitor that stores states writes 64-bit words, as the generator
   // state is, so it would force the caller's state through memory every
   // step.
   RNG Rng = Caller;
-  size_t State = K == SamplerKind::Alias ? InitialAlias.sample(Rng)
-                                         : InitialCDF.sample(Rng);
+  size_t State = InitialAlias.sample(Rng);
   // State k is visited after step k + 1 is issued, so a branch the
   // visitor mispredicts on state k does not hold the next step back.
   for (size_t I = 1; I < Count; ++I) {
-    size_t Next = step<K>(State, Rng);
+    size_t Next = step(State, Rng);
     Visit(State);
     State = Next;
   }

@@ -6,10 +6,8 @@
 
 #include "pauli/HamiltonianIO.h"
 
-#include <cstdio>
 #include <fstream>
 #include <istream>
-#include <ostream>
 #include <sstream>
 
 using namespace marqsim;
@@ -82,14 +80,4 @@ marqsim::readHamiltonianFile(const std::string &Path, std::string *Error) {
     return std::nullopt;
   }
   return readHamiltonian(IS, Error);
-}
-
-void marqsim::writeHamiltonian(const Hamiltonian &H, std::ostream &OS) {
-  OS << "# " << H.numTerms() << " terms over " << H.numQubits()
-     << " qubits\n";
-  char Buf[48];
-  for (const PauliTerm &T : H.terms()) {
-    std::snprintf(Buf, sizeof(Buf), "%.17g", T.Coeff);
-    OS << Buf << " " << T.String.str(H.numQubits()) << "\n";
-  }
 }

@@ -39,9 +39,6 @@ std::optional<Hamiltonian> readHamiltonian(std::istream &IS,
 std::optional<Hamiltonian> readHamiltonianFile(const std::string &Path,
                                                std::string *Error = nullptr);
 
-/// Writes \p H in the text format (round-trips with readHamiltonian).
-void writeHamiltonian(const Hamiltonian &H, std::ostream &OS);
-
 } // namespace marqsim
 
 #endif // MARQSIM_PAULI_HAMILTONIANIO_H

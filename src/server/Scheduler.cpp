@@ -6,7 +6,6 @@
 
 #include "server/Scheduler.h"
 
-#include "stats/Stats.h"
 
 #include <algorithm>
 #include <cmath>
@@ -348,15 +347,8 @@ void BatchScheduler::execute(const std::shared_ptr<Request> &R) {
       if (!Aborted) {
         B.NumShots = Spec.Shots;
         B.recomputeAggregates();
-        if (Result->HasFidelity) {
-          RunningStats Fids;
-          for (double F : Result->ShotFidelities)
-            Fids.add(F);
-          Result->Fidelity.Mean = Fids.mean();
-          Result->Fidelity.Std = Fids.stddev();
-          Result->Fidelity.Min = Fids.min();
-          Result->Fidelity.Max = Fids.max();
-        }
+        if (Result->HasFidelity)
+          Result->Fidelity = SummaryStat::of(Result->ShotFidelities);
         Terminal = RequestState::Done;
       } else {
         Result.reset();

@@ -12,7 +12,6 @@
 #include "sim/Kernels.h"
 #include "sim/NoiseModel.h"
 #include "support/CpuFeatures.h"
-#include "stats/Stats.h"
 #include "store/Codecs.h"
 #include "support/Timer.h"
 
@@ -51,7 +50,7 @@ namespace {
 constexpr unsigned DensityOracleMaxQubits = 6;
 
 /// An HTT graph plus the sampling tables built over it. The base strategy
-/// carries the alias (or CDF) tables; tasks re-target it to their own
+/// carries the alias tables; tasks re-target it to their own
 /// (time, epsilon) budget, sharing the tables. Only matrices that pass
 /// Theorem 4.1 and the sampler ever become a bundle.
 struct GraphBundle {
@@ -72,7 +71,7 @@ std::optional<GraphBundle> makeBundle(const Hamiltonian &H, TransitionMatrix P,
     return std::nullopt;
   try {
     auto Base = std::make_shared<const SamplingStrategy>(
-        Graph, Spec.Time, Spec.Epsilon, Spec.UseCDF);
+        Graph, Spec.Time, Spec.Epsilon);
     return GraphBundle{std::move(Graph), std::move(Base)};
   } catch (const std::invalid_argument &) {
     return std::nullopt;
@@ -221,7 +220,7 @@ struct SimulationService::Impl {
     Artifact<GraphBundle> A;
     A.Key = store::aliasBundleKey(P.Fingerprint, P.Mix.WQd, P.Mix.WGc,
                                   P.Mix.WRp, Spec.Flow, Spec.PerturbRounds,
-                                  Spec.PerturbSeed, Spec.UseCDF);
+                                  Spec.PerturbSeed, TaskSpec::UseCDF);
     ArtifactCodec<GraphBundle> Codec;
     Codec.Size = [](const GraphBundle &B) {
       // The combined matrix (8 bytes/entry) plus the chain's tables.
@@ -487,7 +486,7 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
     if (!Bundle)
       return std::nullopt;
     // Re-target the cached tables to this task's (time, epsilon) budget;
-    // the alias/CDF tables are shared, only N and tau are recomputed.
+    // the alias tables are shared, only N and tau are recomputed.
     std::shared_ptr<const SamplingStrategy> Sampling =
         Bundle->Base->retargeted(Spec.Time, Spec.Epsilon);
     Result.NumSamples = Sampling->sampleCount();
@@ -611,15 +610,8 @@ std::optional<TaskResult> SimulationService::run(const TaskSpec &Spec,
     std::fill(Result.ShotFidelities.begin() + 1, Result.ShotFidelities.end(),
               Result.ShotFidelities.front());
 
-  if (Eval) {
-    RunningStats Fids;
-    for (double F : Result.ShotFidelities)
-      Fids.add(F);
-    Result.Fidelity.Mean = Fids.mean();
-    Result.Fidelity.Std = Fids.stddev();
-    Result.Fidelity.Min = Fids.min();
-    Result.Fidelity.Max = Fids.max();
-  }
+  if (Eval)
+    Result.Fidelity = SummaryStat::of(Result.ShotFidelities);
   return Result;
 }
 

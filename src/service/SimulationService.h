@@ -21,7 +21,7 @@
 ///   Pgc  (MCFP solve)   | (fingerprint, MCFPOptions)
 ///   Prp  (MCFP rounds)  | (fingerprint, MCFPOptions, rounds, perturb seed)
 ///   graph+alias tables  | (fingerprint, mix weights, rounds, perturb seed,
-///                       |  MCFPOptions, sampler kind)
+///                       |  MCFPOptions)
 ///   FidelityEvaluator   | (fingerprint, time, columns, column seed)
 ///
 /// A ratio sweep over N channel mixes therefore performs exactly one
@@ -275,7 +275,7 @@ public:
   ArtifactStore::Stats storeStats() const;
 
   /// The kernel tier the evaluation substrate dispatched to ("avx512",
-  /// "avx2-fma", "neon", or "scalar") — the self-describing sibling of
+  /// "avx2-fma", or "scalar") — the self-describing sibling of
   /// storeStats, reported by the CLI's --stats.
   static const char *kernelName();
 

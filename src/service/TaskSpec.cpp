@@ -164,7 +164,8 @@ uint64_t TaskSpec::contentKey() const {
     H = fnv1aWord(static_cast<uint64_t>(Flow.ProbScale), H);
     H = fnv1aWord(static_cast<uint64_t>(Flow.CostScale), H);
     H = fnv1aWord(doubleBits(Epsilon), H);
-    H = fnv1aWord(UseCDF ? 1 : 0, H);
+    // The retired CDF sampler slot, always 0 like the lowering one above.
+    H = fnv1aWord(0, H);
     break;
   case TaskMethod::Trotter:
     H = fnv1aWord(TrotterReps, H);
@@ -305,8 +306,6 @@ std::optional<TaskSpec> TaskSpec::fromCommandLine(const CommandLine &CL,
     return std::nullopt;
   }
   Spec.Noise.Mode = *Mode;
-
-  Spec.UseCDF = CL.getBool("cdf");
   return Spec;
 }
 
@@ -423,6 +422,19 @@ bool readBool(const json::Value &Obj, const char *Key, bool &Out,
   return true;
 }
 
+/// A retired switch that peers still send: it must be present and false.
+/// \p Path names it in the message (the key with its parent object).
+bool readRetiredFalse(const json::Value &Obj, const char *Key,
+                      const char *Path, std::string *Error) {
+  bool On = false;
+  if (!readBool(Obj, Key, On, Error))
+    return false;
+  if (On)
+    return detail::fail(Error, std::string("spec json: '") + Path +
+                                   "' is no longer supported");
+  return true;
+}
+
 bool readString(const json::Value &Obj, const char *Key, std::string &Out,
                 std::string *Error) {
   const json::Value *V = Obj.find(Key);
@@ -473,7 +485,8 @@ std::optional<json::Value> TaskSpec::toJson(std::string *Error) const {
   V.set("flow", json::Value::object()
                     .set("prob_scale", Flow.ProbScale)
                     .set("cost_scale", Flow.CostScale));
-  V.set("use_cdf", UseCDF);
+  // Retired like lowering.use_cdf_sampler below.
+  V.set("use_cdf", false);
   V.set("trotter_reps", TrotterReps);
   V.set("trotter_order", TrotterOrder);
   V.set("term_order", orderName(Order));
@@ -606,7 +619,7 @@ std::optional<TaskSpec> TaskSpec::fromJson(const json::Value &V,
       !readInt(*Flow, "cost_scale", 1, Spec.Flow.CostScale, Error))
     return std::nullopt;
 
-  if (!readBool(V, "use_cdf", Spec.UseCDF, Error))
+  if (!readRetiredFalse(V, "use_cdf", "use_cdf", Error))
     return std::nullopt;
   if (!readInt(V, "trotter_reps", 0, Tmp, Error))
     return std::nullopt;
@@ -689,17 +702,11 @@ std::optional<TaskSpec> TaskSpec::fromJson(const json::Value &V,
     detail::fail(Error, "spec json: missing 'lowering' object");
     return std::nullopt;
   }
-  bool UseCDFSampler = false;
   if (!readBool(*Lowering, "cross_cancellation",
                 Spec.Lowering.Emit.CrossCancellation, Error) ||
-      !readBool(*Lowering, "use_cdf_sampler", UseCDFSampler, Error))
+      !readRetiredFalse(*Lowering, "use_cdf_sampler",
+                        "lowering.use_cdf_sampler", Error))
     return std::nullopt;
-  if (UseCDFSampler) {
-    detail::fail(Error, "spec json: 'lowering.use_cdf_sampler' is no longer "
-                        "supported; set 'use_cdf' for the CDF sampler "
-                        "ablation");
-    return std::nullopt;
-  }
 
   const json::Value *Eval = V.find("evaluate");
   if (!Eval || !Eval->isObject()) {

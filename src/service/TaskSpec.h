@@ -183,8 +183,10 @@ struct TaskSpec {
   /// Target precision (TaskMethod::Sampling).
   double Epsilon = 0.05;
 
-  /// Use the O(log n) CDF sampler instead of alias tables (ablation).
-  bool UseCDF = false;
+  /// The retired CDF chain sampler: always false. The walk draws from
+  /// alias tables only; the name stays for the benchmark's bundle key
+  /// (store::aliasBundleKey) until that caller drops it.
+  static constexpr bool UseCDF = false;
 
   /// Trotter-family parameters.
   unsigned TrotterReps = 4;
@@ -239,7 +241,7 @@ struct TaskSpec {
   /// file or --model=NAME, --time/--epsilon, --config + --qd/--gc/--rp,
   /// --rounds/--perturb-seed, --seed/--shots/--jobs/--eval-jobs,
   /// --columns (fidelity), --noise/--noise-prob/--noise-2q-factor/
-  /// --noise-mode, --cdf. Rejects negative counts/seeds, non-positive or
+  /// --noise-mode. Rejects negative counts/seeds, non-positive or
   /// non-finite time/epsilon, out-of-range noise probabilities, and
   /// unknown channel/mode names.
   static std::optional<TaskSpec> fromCommandLine(const CommandLine &CL,

@@ -7,7 +7,6 @@
 #include "shard/ShardCoordinator.h"
 
 #include "server/Client.h"
-#include "stats/Stats.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -162,15 +161,8 @@ ShardCoordinator::merge(const TaskSpec &Spec, uint64_t ExpectedFingerprint,
   // are bit-identical to the single-process run, not merely close.
   B.recomputeAggregates();
 
-  if (WantFidelity) {
-    RunningStats Fids;
-    for (double F : Result.ShotFidelities)
-      Fids.add(F);
-    Result.Fidelity.Mean = Fids.mean();
-    Result.Fidelity.Std = Fids.stddev();
-    Result.Fidelity.Min = Fids.min();
-    Result.Fidelity.Max = Fids.max();
-  }
+  if (WantFidelity)
+    Result.Fidelity = SummaryStat::of(Result.ShotFidelities);
   return Result;
 }
 

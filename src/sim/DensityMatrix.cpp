@@ -30,14 +30,6 @@ DensityMatrix::DensityMatrix(const StateVector &Psi)
       Rho.at(I, J) = A[I] * std::conj(A[J]);
 }
 
-DensityMatrix DensityMatrix::maximallyMixed(unsigned NumQubits) {
-  assert(NumQubits <= 10 && "density matrix too large");
-  const size_t Dim = size_t(1) << NumQubits;
-  Matrix M = Matrix::identity(Dim);
-  M *= Complex(1.0 / static_cast<double>(Dim), 0.0);
-  return DensityMatrix(NumQubits, std::move(M));
-}
-
 void DensityMatrix::applyUnitary(const Matrix &U) {
   assert(U.rows() == Rho.rows() && "unitary dimension mismatch");
   Rho = U * Rho * U.adjoint();

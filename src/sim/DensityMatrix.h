@@ -36,9 +36,6 @@ public:
   /// |Psi><Psi| for a pure state.
   explicit DensityMatrix(const StateVector &Psi);
 
-  /// The maximally mixed state I / 2^n.
-  static DensityMatrix maximallyMixed(unsigned NumQubits);
-
   unsigned numQubits() const { return NQubits; }
   const Matrix &matrix() const { return Rho; }
 

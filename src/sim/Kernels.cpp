@@ -198,8 +198,6 @@ const kernels::Ops *bestOpsForHost() {
     return V;
   if (const kernels::Ops *V = kernels::detail::avx2Ops())
     return V;
-  if (const kernels::Ops *V = kernels::detail::neonOps())
-    return V;
   return &ScalarOps;
 }
 
@@ -214,9 +212,9 @@ const kernels::Ops *bestOpsForHost() {
   std::fprintf(stderr,
                "marqsim: MARQSIM_KERNEL_TIER=%s is not runnable on this host "
                "(available tiers: %s; detected features: avx2=%d fma=%d "
-               "avx512f=%d avx512dq=%d avx512-os=%d neon=%d)\n",
+               "avx512f=%d avx512dq=%d avx512-os=%d)\n",
                Requested.c_str(), Have.c_str(), F.AVX2, F.FMA, F.AVX512F,
-               F.AVX512DQ, F.AVX512OS, F.NEON);
+               F.AVX512DQ, F.AVX512OS);
   std::exit(1);
 }
 
@@ -249,8 +247,6 @@ std::vector<const kernels::Ops *> kernels::availableOps() {
   if (const Ops *V = detail::avx512Ops())
     Tiers.push_back(V);
   if (const Ops *V = detail::avx2Ops())
-    Tiers.push_back(V);
-  if (const Ops *V = detail::neonOps())
     Tiers.push_back(V);
   Tiers.push_back(&ScalarOps);
   return Tiers;

@@ -17,7 +17,7 @@
 /// selected once per process from the CPU probe (support/CpuFeatures.h),
 /// best tier first: AVX-512F/DQ hosts whose OS enables the ZMM state get
 /// 512-bit kernels ("avx512"), AVX2+FMA hosts get 256-bit kernels
-/// ("avx2-fma"), AArch64 gets NEON, and everything else the scalar
+/// ("avx2-fma"), and everything else, AArch64 included, the scalar
 /// reference implementations, which are always compiled in.
 /// MARQSIM_KERNEL_TIER pins a specific tier by name;
 /// pinning a tier the host cannot run aborts the process with a message
@@ -251,7 +251,7 @@ __attribute__((always_inline)) inline bool rowCandidate(int64_t Base,
 /// One implementation tier of every dispatched kernel.
 struct Ops {
   /// Tier name as reported by --stats and the bench CSVs:
-  /// "avx512", "avx2-fma", "neon", or "scalar".
+  /// "avx512", "avx2-fma", or "scalar".
   const char *Name;
 
   /// A run of K rotations sharing xMask \p XM over SoA planes of \p Dim
@@ -316,8 +316,7 @@ struct Ops {
 /// pins a tier this host cannot run.
 const Ops &active();
 
-/// Name of the dispatched tier ("avx512" / "avx2-fma" / "neon" /
-/// "scalar").
+/// Name of the dispatched tier ("avx512" / "avx2-fma" / "scalar").
 const char *activeName();
 
 /// Name of the best tier the CPU supports, ignoring every environment
@@ -353,11 +352,10 @@ namespace detail {
 /// Per-ISA tables; null when the binary was built without the ISA or the
 /// host CPU (or, for AVX-512, the OS XSAVE state) lacks it. Each is the
 /// shared body of sim/KernelsSimd.h instantiated at its tier's widths in
-/// KernelsAVX512.cpp / KernelsAVX2.cpp / KernelsNEON.cpp, which also
-/// define the null stubs, so every accessor exists on every platform.
+/// KernelsAVX512.cpp / KernelsAVX2.cpp, which also define the null stubs,
+/// so every accessor exists on every platform.
 const Ops *avx512Ops();
 const Ops *avx2Ops();
-const Ops *neonOps();
 } // namespace detail
 
 } // namespace kernels

@@ -7,7 +7,7 @@
 /// \file
 /// The one body of every vector kernel tier, written with GCC/Clang vector
 /// extensions and templated on the vector width in 64-bit lanes, PanelW
-/// (2, 4 or 8 doubles or integers). Each tier file includes it under its
+/// (4 or 8 doubles or integers). Each tier file includes it under its
 /// ISA guard, compiles it with its own per-file ISA flags, and
 /// instantiates one table with makeOps<PanelW>().
 ///

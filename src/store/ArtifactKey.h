@@ -131,11 +131,13 @@ inline ArtifactKey componentKeyRP(uint64_t Fingerprint,
 /// artifact (flow options under a pure-qDrift mix, perturbation knobs when
 /// WRp == 0) are normalized to zero so irrelevant flag changes never force
 /// a rebuild. Weights are passed as raw doubles so the store layer stays
-/// below the service layer (ChannelMix lives in service/TaskSpec.h).
+/// below the service layer (ChannelMix lives in service/TaskSpec.h). The
+/// last argument is the retired CDF sampler switch (TaskSpec::UseCDF,
+/// always false); it is ignored, and every id keeps its "-alias" suffix.
 inline ArtifactKey aliasBundleKey(uint64_t Fingerprint, double WQd,
                                   double WGc, double WRp,
                                   const MCFPOptions &Flow, unsigned Rounds,
-                                  uint64_t PerturbSeed, bool UseCDF) {
+                                  uint64_t PerturbSeed, bool /*UseCDF*/) {
   bool NeedsFlow = WGc > 0.0 || WRp > 0.0;
   bool NeedsPerturb = WRp > 0.0;
   std::string Id = "graph";
@@ -147,7 +149,7 @@ inline ArtifactKey aliasBundleKey(uint64_t Fingerprint, double WQd,
   appendHex(Id, NeedsFlow ? static_cast<uint64_t>(Flow.CostScale) : 0);
   appendHex(Id, NeedsPerturb ? Rounds : 0);
   appendHex(Id, NeedsPerturb ? PerturbSeed : 0);
-  Id += UseCDF ? "-cdf" : "-alias";
+  Id += "-alias";
   return {ArtifactType::AliasBundle, std::move(Id)};
 }
 

@@ -42,6 +42,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace marqsim {
 namespace store {
@@ -60,10 +61,12 @@ std::string encodeMatrixBody(const char *Magic, const TransitionMatrix &P);
 
 /// Parses a matrix body. Returns std::nullopt on a magic/dimension
 /// mismatch (\p ExpectedN is known from the Hamiltonian, so a disagreement
-/// means a stale or corrupt file), malformed hex, or trailing garbage.
+/// means a stale or corrupt file), a body too short for the words its
+/// header promises (checked before anything is allocated), malformed hex,
+/// or trailing garbage.
 std::optional<TransitionMatrix>
 decodeMatrixBody(const char *Magic, size_t ExpectedN,
-                 const std::string &Body);
+                 std::string_view Body);
 
 /// In-memory footprint of \p P, for LRU accounting.
 size_t matrixBytes(const TransitionMatrix &P);
@@ -72,10 +75,12 @@ size_t matrixBytes(const TransitionMatrix &P);
 std::string encodeFidelityBody(const FidelityEvaluator &E);
 
 /// Parses a fidelity body into a rehydrated evaluator. \p ExpectedQubits
-/// and \p ExpectedColumns come from the Hamiltonian and the task spec.
+/// and \p ExpectedColumns come from the Hamiltonian and the task spec; a
+/// body too short for the targets its header promises is rejected before
+/// they are allocated, as decodeMatrixBody does.
 std::optional<FidelityEvaluator>
 decodeFidelityBody(unsigned ExpectedQubits, size_t ExpectedColumns,
-                   const std::string &Body);
+                   std::string_view Body);
 
 /// In-memory footprint of \p E's targets, for LRU accounting.
 size_t fidelityBytes(const FidelityEvaluator &E);

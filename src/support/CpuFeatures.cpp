@@ -12,13 +12,6 @@
 #include <cpuid.h>
 #endif
 
-#if defined(__aarch64__) && defined(__linux__)
-#include <sys/auxv.h>
-#ifndef HWCAP_ASIMD
-#define HWCAP_ASIMD (1 << 1)
-#endif
-#endif
-
 using namespace marqsim;
 
 namespace {
@@ -61,13 +54,6 @@ CpuFeatures probe() {
   Eax = Ebx = Ecx = Edx = 0;
   if (__get_cpuid(1, &Eax, &Ebx, &Ecx, &Edx) && (Ecx & (1u << 27)))
     F.AVX512OS = (readXCR0() & XCR0_AVX512_MASK) == XCR0_AVX512_MASK;
-#elif defined(__aarch64__)
-#if defined(__linux__)
-  F.NEON = (getauxval(AT_HWCAP) & HWCAP_ASIMD) != 0;
-#else
-  // AdvSIMD is architecturally mandatory on AArch64.
-  F.NEON = true;
-#endif
 #endif
   return F;
 }

@@ -14,10 +14,10 @@
 /// raw leaf-7 query for the AVX-512 bits) and through XGETBV for the OS
 /// XSAVE state: AVX-512 dispatch requires not just the CPUID feature bits
 /// but an OS that saves/restores the ZMM and opmask register state, so
-/// both are probed and reported separately. On AArch64 the probe reads the
-/// HWCAP auxiliary vector. The result is immutable after the first call —
-/// dispatch decisions made from it are stable for the lifetime of the
-/// process.
+/// both are probed and reported separately. Other architectures report no
+/// feature, so they run the scalar kernels. The result is immutable after
+/// the first call — dispatch decisions made from it are stable for the
+/// lifetime of the process.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,9 +53,6 @@ struct CpuFeatures {
   /// context switches and the avx512 tier must not be selected even when
   /// the CPUID feature bits are present.
   bool AVX512OS = false;
-
-  /// AArch64 Advanced SIMD (NEON with 2-lane double support).
-  bool NEON = false;
 
   /// x86-64 POPCNT (CPUID leaf 1 ECX bit 23). Not part of the x86-64
   /// baseline the library builds for; the emitter's count pass and the

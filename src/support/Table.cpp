@@ -21,8 +21,6 @@ void Table::addRow(std::vector<std::string> Row) {
   Rows.push_back(std::move(Row));
 }
 
-std::string Table::toCell(double V) { return formatDouble(V); }
-
 void Table::print(std::ostream &OS) const {
   std::vector<size_t> Widths(Header.size());
   for (size_t C = 0; C < Header.size(); ++C)

@@ -31,7 +31,9 @@ public:
   /// Appends a data row; its size must match the header.
   void addRow(std::vector<std::string> Row);
 
-  /// Convenience: appends a row built from heterogeneous printable cells.
+  /// Convenience: appends a row built from strings and integers. Callers
+  /// format doubles themselves (formatDouble), choosing each column's
+  /// digits.
   template <typename... Ts> void row(const Ts &...Cells) {
     addRow({toCell(Cells)...});
   }
@@ -44,7 +46,6 @@ public:
 private:
   static std::string toCell(const std::string &S) { return S; }
   static std::string toCell(const char *S) { return S; }
-  static std::string toCell(double V);
   static std::string toCell(int V) { return std::to_string(V); }
   static std::string toCell(unsigned V) { return std::to_string(V); }
   static std::string toCell(long V) { return std::to_string(V); }

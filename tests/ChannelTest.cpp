@@ -46,13 +46,6 @@ TEST(DensityMatrixTest, PureStateProperties) {
   EXPECT_NEAR(Rho.overlap(Psi), 1.0, 1e-12);
 }
 
-TEST(DensityMatrixTest, MaximallyMixedProperties) {
-  DensityMatrix Rho = DensityMatrix::maximallyMixed(3);
-  EXPECT_NEAR(Rho.trace(), 1.0, 1e-12);
-  Matrix Sq = Rho.matrix() * Rho.matrix();
-  EXPECT_NEAR(Sq.trace().real(), 1.0 / 8.0, 1e-12);
-}
-
 TEST(DensityMatrixTest, PauliExpMatchesDenseConjugation) {
   RNG Rng(132);
   for (int Trial = 0; Trial < 15; ++Trial) {
@@ -75,8 +68,14 @@ TEST(DensityMatrixTest, TraceDistanceBasics) {
   EXPECT_NEAR(A.traceDistance(B), 0.0, 1e-10);
   // Orthogonal pure states have trace distance 1.
   EXPECT_NEAR(A.traceDistance(C), 1.0, 1e-9);
-  // Pure vs maximally mixed on n qubits: 1 - 1/2^n.
-  DensityMatrix Mixed = DensityMatrix::maximallyMixed(2);
+  // Pure vs maximally mixed on n qubits: 1 - 1/2^n. Each quarter-turn
+  // channel over {X, Z} on one qubit maps |0><0| there to I/2.
+  DensityMatrix Mixed(2, 0);
+  Mixed.applySamplingChannel(Hamiltonian::parse({{1.0, "XI"}, {1.0, "ZI"}}),
+                             {0.5, 0.5}, M_PI / 2);
+  Mixed.applySamplingChannel(Hamiltonian::parse({{1.0, "IX"}, {1.0, "IZ"}}),
+                             {0.5, 0.5}, M_PI / 2);
+  EXPECT_NEAR(Mixed.trace(), 1.0, 1e-12);
   EXPECT_NEAR(A.traceDistance(Mixed), 1.0 - 0.25, 1e-9);
 }
 

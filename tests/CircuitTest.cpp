@@ -40,17 +40,6 @@ TEST(CircuitTest, GateOverlap) {
   EXPECT_TRUE(Cx.overlaps(Cx));
 }
 
-TEST(CircuitTest, TextualListing) {
-  Circuit C(2);
-  C.h(0);
-  C.cnot(0, 1);
-  C.rz(1, 0.25);
-  std::string S = C.str();
-  EXPECT_NE(S.find("h q0"), std::string::npos);
-  EXPECT_NE(S.find("cx q0, q1"), std::string::npos);
-  EXPECT_NE(S.find("rz("), std::string::npos);
-}
-
 TEST(CircuitTest, DepthOfSerialAndParallelGates) {
   Circuit Serial(1);
   Serial.h(0);

@@ -66,7 +66,7 @@ Matrix scheduleUnitary(const std::vector<ScheduledRotation> &Schedule,
 //===----------------------------------------------------------------------===//
 
 TEST(HTTGraphTest, QDriftGraphIsValid) {
-  HTTGraph G = HTTGraph::withQDriftMatrix(example41());
+  HTTGraph G(example41(), buildQDrift(example41()));
   EXPECT_EQ(G.numStates(), 4u);
   EXPECT_TRUE(G.isStronglyConnected());
   EXPECT_TRUE(G.preservesStationary());
@@ -674,7 +674,7 @@ TEST(CompilerTest, SampleCountFormula) {
 
 TEST(CompilerTest, SequenceLengthAndScheduleConsistency) {
   Hamiltonian H = example41();
-  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  auto G = std::make_shared<const HTTGraph>(H, buildQDrift(H));
   RNG Rng(104);
   CompilationResult R = compileShot(SamplingStrategy(G, 0.5, 0.05), Rng);
   EXPECT_EQ(R.Sequence.size(), R.NumSamples);
@@ -688,7 +688,7 @@ TEST(CompilerTest, SequenceLengthAndScheduleConsistency) {
 
 TEST(CompilerTest, DeterministicGivenSeed) {
   Hamiltonian H = example41();
-  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  auto G = std::make_shared<const HTTGraph>(H, buildQDrift(H));
   SamplingStrategy Strategy(G, 0.5, 0.05);
   RNG A(105), B(105);
   CompilationResult R1 = compileShot(Strategy, A);
@@ -701,7 +701,7 @@ TEST(CompilerTest, CompiledCircuitApproximatesEvolution) {
   // End-to-end Theorem 4.1 sanity: fidelity close to 1 for tight epsilon.
   Hamiltonian H = makeTransverseFieldIsing(3, 0.6, 0.4);
   double T = 0.5;
-  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  auto G = std::make_shared<const HTTGraph>(H, buildQDrift(H));
   RNG Rng(106);
   CompilationResult R = compileShot(SamplingStrategy(G, T, 0.01), Rng);
   FidelityEvaluator Eval(H, T, 8);
@@ -713,7 +713,7 @@ TEST(CompilerTest, CompiledCircuitApproximatesEvolution) {
 
 TEST(CompilerTest, NegativeCoefficientsGetNegativeTau) {
   Hamiltonian H = Hamiltonian::parse({{-0.8, "XX"}, {0.2, "ZI"}});
-  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  auto G = std::make_shared<const HTTGraph>(H, buildQDrift(H));
   RNG Rng(107);
   CompilationResult R = compileShot(SamplingStrategy(G, 0.4, 0.1), Rng);
   for (size_t K = 0; K < R.Sequence.size(); ++K) {
@@ -724,23 +724,6 @@ TEST(CompilerTest, NegativeCoefficientsGetNegativeTau) {
   // Aggregate check: fidelity is high only with correct signs.
   FidelityEvaluator Eval(H, 0.4, 4);
   EXPECT_GT(Eval.fidelity(R.Schedule), 0.97);
-}
-
-TEST(CompilerTest, CDFSamplerAblationProducesValidRuns) {
-  Hamiltonian H = example41();
-  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
-  SamplingStrategy Strategy(G, 0.5, 0.002, /*UseCDF=*/true);
-  RNG Rng(108);
-  CompilationResult R = compileShot(Strategy, Rng);
-  EXPECT_EQ(R.Sequence.size(), R.NumSamples);
-  EXPECT_GE(R.NumSamples, 1000u);
-  // Empirical distribution of visited terms approximates pi.
-  std::vector<double> Pi = H.stationaryDistribution();
-  std::vector<size_t> Counts(H.numTerms(), 0);
-  for (size_t Index : R.Sequence)
-    ++Counts[Index];
-  for (size_t I = 0; I < H.numTerms(); ++I)
-    EXPECT_NEAR(Counts[I] / double(R.NumSamples), Pi[I], 0.05);
 }
 
 //===----------------------------------------------------------------------===//
@@ -866,7 +849,7 @@ TEST(BaselinesTest, SparStoKeepsHeaviestTermAlways) {
 }
 
 TEST(HTTGraphTest, DotExportContainsNodesAndEdges) {
-  HTTGraph G = HTTGraph::withQDriftMatrix(example41());
+  HTTGraph G(example41(), buildQDrift(example41()));
   std::string Dot = G.toDot();
   EXPECT_NE(Dot.find("digraph HTT"), std::string::npos);
   EXPECT_NE(Dot.find("IIIZ"), std::string::npos);

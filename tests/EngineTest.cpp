@@ -280,42 +280,36 @@ TEST(ChainSamplerTest, ChiSquarePerRowOnMixedMatrix) {
     }
   const int Draws = 40000;
   const double Critical = chiSquareCritical(N - 1, 3.29); // ~p = 0.9995
-  for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
-    MarkovChainSampler Chain(P, Pi, Kind);
-    ASSERT_TRUE(Chain.hasSharedTable());
-    EXPECT_EQ(Chain.numRowCells(), 2 * N);
-    RNG Rng(17 + static_cast<int>(Kind));
-    for (size_t I = 0; I < N; ++I) {
-      std::vector<int> Counts(N, 0);
-      for (int D = 0; D < Draws; ++D)
-        ++Counts[Chain.stepFrom(I, Rng)];
-      double Stat = 0.0;
-      for (size_t J = 0; J < N; ++J) {
-        double Expected = Draws * P.at(I, J);
-        Stat += (Counts[J] - Expected) * (Counts[J] - Expected) / Expected;
-      }
-      EXPECT_LT(Stat, Critical) << "row " << I << ", kind "
-                                << static_cast<int>(Kind);
+  MarkovChainSampler Chain(P, Pi);
+  ASSERT_TRUE(Chain.hasSharedTable());
+  EXPECT_EQ(Chain.numRowCells(), 2 * N);
+  RNG Rng(17);
+  for (size_t I = 0; I < N; ++I) {
+    std::vector<int> Counts(N, 0);
+    for (int D = 0; D < Draws; ++D)
+      ++Counts[Chain.stepFrom(I, Rng)];
+    double Stat = 0.0;
+    for (size_t J = 0; J < N; ++J) {
+      double Expected = Draws * P.at(I, J);
+      Stat += (Counts[J] - Expected) * (Counts[J] - Expected) / Expected;
     }
+    EXPECT_LT(Stat, Critical) << "row " << I;
   }
 }
 
 TEST(ChainSamplerTest, WalkDrawsWhatInitialAndStepFromDraw) {
   auto Graph = testGraph();
-  for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
-    MarkovChainSampler Chain(Graph->transitionMatrix(), Graph->stationary(),
-                             Kind);
-    std::vector<size_t> Walked(500);
-    RNG R1(9), R2(9);
-    Chain.walk(R1, Walked.data(), Walked.size());
-    size_t State = Chain.initial(R2);
-    EXPECT_EQ(Walked[0], State);
-    for (size_t K = 1; K < Walked.size(); ++K) {
-      State = Chain.stepFrom(State, R2);
-      ASSERT_EQ(Walked[K], State) << "step " << K;
-    }
-    EXPECT_EQ(R1.next(), R2.next());
+  MarkovChainSampler Chain(Graph->transitionMatrix(), Graph->stationary());
+  std::vector<size_t> Walked(500);
+  RNG R1(9), R2(9);
+  Chain.walk(R1, Walked.data(), Walked.size());
+  size_t State = Chain.initial(R2);
+  EXPECT_EQ(Walked[0], State);
+  for (size_t K = 1; K < Walked.size(); ++K) {
+    State = Chain.stepFrom(State, R2);
+    ASSERT_EQ(Walked[K], State) << "step " << K;
   }
+  EXPECT_EQ(R1.next(), R2.next());
 }
 
 TEST(ChainSamplerTest, RowLawMatchesDenseRowOnPaperWorkloads) {
@@ -338,24 +332,21 @@ TEST(ChainSamplerTest, RowLawMatchesDenseRowOnPaperWorkloads) {
         makeConfigMatrix(H, Mix.WQd, Mix.WGc, Mix.WRp, C.Rounds, 0x5eed);
     const std::vector<double> Pi = H.stationaryDistribution();
     const size_t N = P.size();
-    for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
-      MarkovChainSampler Chain(P, Pi, Kind);
-      ASSERT_TRUE(Chain.hasSharedTable()) << C.Model;
-      double MaxError = 0.0;
-      for (size_t I = 0; I < N; ++I) {
-        std::vector<double> Law = Chain.rowLaw(I);
-        double RowSum = 0.0;
-        for (size_t J = 0; J < N; ++J)
-          RowSum += P.at(I, J);
-        for (size_t J = 0; J < N; ++J)
-          MaxError =
-              std::max(MaxError, std::fabs(Law[J] - P.at(I, J) / RowSum));
-      }
-      EXPECT_LE(MaxError, 4e-15) << C.Model << ", kind "
-                                 << static_cast<int>(Kind);
-      if (std::string(C.Model) == "LiH") {
-        EXPECT_LE(static_cast<double>(Chain.numRowCells()) / N, 8.0);
-      }
+    MarkovChainSampler Chain(P, Pi);
+    ASSERT_TRUE(Chain.hasSharedTable()) << C.Model;
+    double MaxError = 0.0;
+    for (size_t I = 0; I < N; ++I) {
+      std::vector<double> Law = Chain.rowLaw(I);
+      double RowSum = 0.0;
+      for (size_t J = 0; J < N; ++J)
+        RowSum += P.at(I, J);
+      for (size_t J = 0; J < N; ++J)
+        MaxError =
+            std::max(MaxError, std::fabs(Law[J] - P.at(I, J) / RowSum));
+    }
+    EXPECT_LE(MaxError, 4e-15) << C.Model;
+    if (std::string(C.Model) == "LiH") {
+      EXPECT_LE(static_cast<double>(Chain.numRowCells()) / N, 8.0);
     }
   }
 }
@@ -398,8 +389,8 @@ TEST(SamplerRegressionTest, ForShotSubstreamIsFrozen) {
 }
 
 TEST(SamplerRegressionTest, BatchHashesAreFrozen) {
-  // End-to-end pin over the whole pipeline: graph construction, alias (and
-  // CDF) table layout, the Markov walk, and the sequence hashing. Recorded
+  // End-to-end pin over the whole pipeline: graph construction, alias
+  // table layout, the Markov walk, and the sequence hashing. Recorded
   // shard manifests and cached sweeps all assume these values. Re-frozen
   // once when the walk moved to the shared + sparse-row tables (same law,
   // different draws; ChainSamplerTest holds the tolerance proof).
@@ -417,11 +408,6 @@ TEST(SamplerRegressionTest, BatchHashesAreFrozen) {
   ASSERT_EQ(Batch.Shots.size(), std::size(GoldenShots));
   for (size_t I = 0; I < std::size(GoldenShots); ++I)
     EXPECT_EQ(Batch.Shots[I].SequenceHash, GoldenShots[I]) << "shot " << I;
-
-  Req.Strategy =
-      std::make_shared<const SamplingStrategy>(Graph, 0.5, 0.05,
-                                               /*UseCDF=*/true);
-  EXPECT_EQ(Engine.compileBatch(Req).batchHash(), 12403702277167737980ULL);
 }
 
 TEST(SamplerRegressionTest, FidelityHexesAreFrozen) {
@@ -709,40 +695,21 @@ TEST(CompilerEngineTest, RetargetedStrategySharesGraphAndChangesBudget) {
   EXPECT_EQ(B.NumSamples, Tight.sampleCount());
 }
 
-TEST(CompilerEngineTest, CDFAblationBatchIsAlsoJobInvariant) {
-  auto Graph = testGraph();
-  auto Strategy = std::make_shared<const SamplingStrategy>(Graph, 0.4, 0.1,
-                                                           /*UseCDF=*/true);
-  CompilerEngine Engine;
-  BatchRequest Req;
-  Req.Strategy = Strategy;
-  Req.NumShots = 8;
-  Req.Seed = 7;
-  Req.Jobs = 1;
-  BatchResult Serial = Engine.compileBatch(Req);
-  Req.Jobs = 5;
-  BatchResult Parallel = Engine.compileBatch(Req);
-  EXPECT_EQ(Serial.batchHash(), Parallel.batchHash());
-}
-
 //===----------------------------------------------------------------------===//
 // Summary-only and materializing batch paths
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// One strategy of every kind compileBatch runs: sampling with the alias
-/// and the CDF sampler, Trotter orders 1, 2 and 4, random-order Trotter
-/// and SparSto. The Hamiltonian carries an identity term, which every
-/// fold drops.
+/// One strategy of every kind compileBatch runs: sampling, Trotter orders
+/// 1, 2 and 4, random-order Trotter and SparSto. The Hamiltonian carries
+/// an identity term, which every fold drops.
 std::vector<std::shared_ptr<const ScheduleStrategy>> everyStrategyKind() {
   Hamiltonian H = testHamiltonian();
   H.addTerm(0.3, PauliString());
   TransitionMatrix P = makeConfigMatrix(H, 0.4, 0.6, 0.0);
   auto Graph = std::make_shared<const HTTGraph>(H, std::move(P));
   return {std::make_shared<const SamplingStrategy>(Graph, 0.5, 0.05),
-          std::make_shared<const SamplingStrategy>(Graph, 0.5, 0.05,
-                                                   /*UseCDF=*/true),
           std::make_shared<const TrotterStrategy>(
               H, 0.6, 3, TermOrderKind::Lexicographic, 1),
           std::make_shared<const TrotterStrategy>(

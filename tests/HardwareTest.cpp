@@ -21,23 +21,6 @@ TEST(DeviceTopologyTest, LineDistances) {
   EXPECT_EQ(Line.distance(2, 3), 1u);
 }
 
-TEST(DeviceTopologyTest, RingShortcuts) {
-  DeviceTopology Ring = DeviceTopology::ring(6);
-  EXPECT_EQ(Ring.distance(0, 5), 1u); // around the back
-  EXPECT_EQ(Ring.distance(0, 3), 3u); // diameter
-  EXPECT_EQ(Ring.distance(1, 5), 2u);
-}
-
-TEST(DeviceTopologyTest, GridManhattanDistances) {
-  DeviceTopology Grid = DeviceTopology::grid(3, 4);
-  EXPECT_EQ(Grid.numQubits(), 12u);
-  // (0,0) -> (2,3): 2 + 3 hops.
-  EXPECT_EQ(Grid.distance(0, 2 * 4 + 3), 5u);
-  // Neighbours.
-  EXPECT_EQ(Grid.distance(0, 1), 1u);
-  EXPECT_EQ(Grid.distance(0, 4), 1u);
-}
-
 TEST(DeviceTopologyTest, FullyConnectedIsAllOnes) {
   DeviceTopology Full = DeviceTopology::fullyConnected(6);
   for (unsigned A = 0; A < 6; ++A)

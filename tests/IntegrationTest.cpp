@@ -211,7 +211,7 @@ TEST(IntegrationTest, SingleTermHamiltonianViaQDrift) {
   // path requires >= 2 terms, but the qDrift route must work.
   Hamiltonian H = Hamiltonian::parse({{0.8, "ZZ"}});
   RNG Rng(9999);
-  auto G = std::make_shared<const HTTGraph>(HTTGraph::withQDriftMatrix(H));
+  auto G = std::make_shared<const HTTGraph>(H, buildQDrift(H));
   CompilationResult R = compileShot(SamplingStrategy(G, 0.7, 0.05), Rng);
   FidelityEvaluator Eval(H, 0.7, 4);
   EXPECT_NEAR(Eval.fidelity(R.Schedule), 1.0, 1e-9);

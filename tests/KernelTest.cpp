@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Pins the determinism contract of sim/Kernels.h: every kernel the
-// dispatcher can select (scalar, AVX2+FMA, AVX-512, NEON) produces
+// dispatcher can select (scalar, AVX2+FMA, AVX-512) produces
 // bit-identical panel planes for the same inputs — across panel widths,
 // for butterfly and Z-diagonal runs, from basis, random and signed-zero
 // starting states, at Theta = +0, -0 and pi as well as random angles —
@@ -19,9 +19,7 @@
 // integer row prefilter. An exhaustive sign/zero sweep proves
 // StateVector's and every tier's minimal arithmetic equal to the
 // std::complex expression on every nonzero result. All vector tiers are
-// one body (sim/KernelsSimd.h); the cross-tier loops also run it at
-// NEON's width <2>, compiled for the host's baseline ISA, so every host
-// checks the NEON arithmetic. On hosts whose best tier *is* scalar the
+// one body (sim/KernelsSimd.h). On hosts whose best tier *is* scalar the
 // AVX2/AVX-512 comparisons are trivial; the AVX CI hosts enforce them.
 //
 //===----------------------------------------------------------------------===//
@@ -32,7 +30,6 @@
 #include "hamgen/Registry.h"
 #include "sim/Fidelity.h"
 #include "sim/Kernels.h"
-#include "sim/KernelsSimd.h"
 #include "sim/StatePanel.h"
 #include "sim/StateVector.h"
 #include "support/AlignedAlloc.h"
@@ -62,17 +59,6 @@ struct DispatchRestorer {
 /// The best table this host can dispatch to, ignoring the environment —
 /// the tier whose output must match the scalar reference bit for bit.
 const kernels::Ops &bestOps() { return *kernels::availableOps().front(); }
-
-/// The shared vector body at NEON's width, built for this host: test
-/// only, never dispatched, listed, or pinnable.
-constexpr kernels::Ops Width2Ops = kernels::simd::makeOps<2>("simd-2");
-
-/// What the cross-tier loops sweep: every runnable tier plus Width2Ops.
-std::vector<const kernels::Ops *> crossTierOps() {
-  std::vector<const kernels::Ops *> Tiers = kernels::availableOps();
-  Tiers.push_back(&Width2Ops);
-  return Tiers;
-}
 
 /// \p Theta, then +0, -0 and pi: angles whose sin/cos carry signed zeros
 /// (sin(-0) = -0, cos(pi) = -1), on which a vector broadcast that loses a
@@ -174,8 +160,7 @@ std::vector<uint64_t> randomBasis(unsigned N, size_t Cols, RNG &Rng) {
 
 TEST(KernelDispatchTest, ActiveTierIsKnown) {
   const std::string Name = kernels::activeName();
-  EXPECT_TRUE(Name == "scalar" || Name == "avx2-fma" || Name == "avx512" ||
-              Name == "neon")
+  EXPECT_TRUE(Name == "scalar" || Name == "avx2-fma" || Name == "avx512")
       << "unexpected kernel tier: " << Name;
   if (kernels::tierOverrideFromEnv() == "scalar") {
     EXPECT_EQ(Name, "scalar");
@@ -215,29 +200,24 @@ TEST(KernelDispatchDeathTest, UnavailableTierPinFailsFast) {
   // Death tests fork; "threadsafe" re-executes the binary so ThreadPool
   // threads spawned by other suites can't deadlock the child.
   GTEST_FLAG_SET(death_test_style, "threadsafe");
-  const char *Unavailable = nullptr;
-  for (const char *Cand : {"neon", "avx2-fma", "avx512"})
-    if (!kernels::findTier(Cand)) {
-      Unavailable = Cand;
-      break;
-    }
-  ASSERT_NE(Unavailable, nullptr)
-      << "host claims to run every tier — impossible ISA mix";
-  EXPECT_EXIT(
-      {
-        setenv("MARQSIM_KERNEL_TIER", Unavailable, 1);
-        kernels::selectAuto();
-        (void)kernels::active();
-      },
-      ::testing::ExitedWithCode(1), "not runnable on this host");
-  // Unknown names fail the same way, naming the runnable tiers.
-  EXPECT_EXIT(
-      {
-        setenv("MARQSIM_KERNEL_TIER", "turbo9000", 1);
-        kernels::selectAuto();
-        (void)kernels::active();
-      },
-      ::testing::ExitedWithCode(1), "not runnable on this host");
+  // A real tier this CPU lacks (an AVX-512 host lacks none) fails like an
+  // unknown name; so does the retired "neon", which AArch64 hosts now run
+  // as the scalar tier.
+  std::vector<const char *> Refused;
+  for (const char *Real : {"avx2-fma", "avx512"})
+    if (!kernels::findTier(Real))
+      Refused.push_back(Real);
+  Refused.push_back("neon");
+  Refused.push_back("turbo9000");
+  for (const char *Name : Refused)
+    EXPECT_EXIT(
+        {
+          setenv("MARQSIM_KERNEL_TIER", Name, 1);
+          kernels::selectAuto();
+          (void)kernels::active();
+        },
+        ::testing::ExitedWithCode(1), "not runnable on this host")
+        << Name;
 }
 
 TEST(KernelDispatchTest, SelectTierForTestingPinsAndAutoRestores) {
@@ -322,7 +302,7 @@ TEST(KernelBitIdentityTest, PanelKernelsMatchScalarAcrossAllTiers) {
           return Panel;
         };
         const StatePanel Scalar = Evolve(kernels::scalarOps());
-        for (const kernels::Ops *Tier : crossTierOps())
+        for (const kernels::Ops *Tier : kernels::availableOps())
           ASSERT_TRUE(panelsBitIdentical(Scalar, Evolve(*Tier)))
               << "tier " << Tier->Name << ", " << N << " qubits, signed-zero "
               << SignedZeroStart << ", theta " << Override;
@@ -348,7 +328,7 @@ TEST(KernelBitIdentityTest, FusedOverlapMatchesUnfusedBitwise) {
   Tails[1].setOp(1, PauliOpKind::Z); // diagonal tail
   // Tails[2] stays the identity (global-phase tail).
   std::vector<const kernels::Ops *> Sweep = {&kernels::scalarOps()};
-  for (const kernels::Ops *Tier : crossTierOps())
+  for (const kernels::Ops *Tier : kernels::availableOps())
     Sweep.push_back(Tier);
   for (size_t Cols : {size_t(1), size_t(3), size_t(8)}) {
     const auto Basis = randomBasis(N, Cols, Rng);
@@ -488,7 +468,7 @@ TEST(KernelBitIdentityTest, MinimalArithmeticMatchesComplexExpansion) {
       for (const double S : {0.8, -0.8, 0.0, -0.0}) {
         const kernels::RotationStep R = kernels::RotationStep::of(P, C, S);
         const Complex CosT(C, 0.0), ISinT(0.0, S);
-        for (const kernels::Ops *Tier : crossTierOps()) {
+        for (const kernels::Ops *Tier : kernels::availableOps()) {
           // Lane L of call M carries combo 8 * M + L; the run kernel and
           // the fused tail's rotation both go through it.
           for (unsigned M = 0; M < 32; ++M) {
@@ -581,7 +561,7 @@ TEST(KernelBitIdentityTest, PanelRunMatchesSingleStepSweepsBitwise) {
             kernels::scalarOps().PanelExpRunF64(
                 ScalarRun.realPlane(), ScalarRun.imagPlane(), Dim, Stride, XM,
                 Steps.data(), K);
-            for (const kernels::Ops *Tier : crossTierOps()) {
+            for (const kernels::Ops *Tier : kernels::availableOps()) {
               StatePanel Run = Start, Swept = Start;
               Tier->PanelExpRunF64(Run.realPlane(), Run.imagPlane(), Dim,
                                    Stride, XM, Steps.data(), K);
@@ -669,7 +649,7 @@ TEST(KernelBitIdentityTest, LaneMaskedRunAndFusedOverlapMatchScalar) {
                  0;
         };
         const Result Scalar = Evolve(kernels::scalarOps(), false);
-        for (const kernels::Ops *Tier : crossTierOps()) {
+        for (const kernels::Ops *Tier : kernels::availableOps()) {
           for (const bool Sweeps : {false, true}) {
             const Result Got = Evolve(*Tier, Sweeps);
             const std::string Where =
@@ -799,7 +779,7 @@ TEST(KernelBitIdentityTest, PanelGroupProductMatchesScalar) {
           return Y;
         };
         const std::vector<double> Scalar = Run(kernels::scalarOps());
-        for (const kernels::Ops *Tier : crossTierOps()) {
+        for (const kernels::Ops *Tier : kernels::availableOps()) {
           const std::vector<double> Got = Run(*Tier);
           ASSERT_EQ(std::memcmp(Scalar.data(), Got.data(),
                                 Scalar.size() * sizeof(double)),
@@ -873,7 +853,7 @@ TEST(KernelBitIdentityTest, RowCandidatesMatchScalar) {
             if (kernels::rowCandidate(Base, Row[Offset + J], Drawn[J], Scale,
                                       Pot[Offset + J], Dist[Offset + J]))
               Expected[J / 64] |= uint64_t(1) << (J % 64);
-          for (const kernels::Ops *Tier : crossTierOps()) {
+          for (const kernels::Ops *Tier : kernels::availableOps()) {
             std::vector<uint64_t> Got(Expected.size(), ~uint64_t(0));
             Tier->RowCandidatesI64(Row.data() + Offset, RowDraws, DrawBit,
                                    Scale, Pot.data() + Offset,

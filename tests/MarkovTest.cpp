@@ -367,27 +367,24 @@ TEST(MarkovChainSamplerTest, WalkDrawsWhatStepFromDraws) {
       {TransitionMatrix::fromRows({{0, 1, 0}, {0, 0.5, 0.5}, {1, 0, 0}}),
        {0.2, 0.5, 0.3}, false, 4}};
   for (const Chain &C : Chains) {
-    for (SamplerKind Kind : {SamplerKind::Alias, SamplerKind::CDF}) {
-      MarkovChainSampler S(C.P, C.Init, Kind);
-      ASSERT_EQ(S.hasSharedTable(), C.Shared);
-      ASSERT_EQ(S.numRowCells(), C.RowCells);
-      for (uint64_t Seed : {1u, 2u, 3u}) {
-        for (size_t Count : {size_t(0), size_t(1), size_t(2), size_t(500)}) {
-          SCOPED_TRACE("states=" + std::to_string(S.numStates()) +
-                       " cdf=" + std::to_string(Kind == SamplerKind::CDF) +
-                       " seed=" + std::to_string(Seed) +
-                       " count=" + std::to_string(Count));
-          RNG Walked(Seed), Stepped(Seed);
-          std::vector<size_t> Out(Count);
-          S.walk(Walked, Out.data(), Count);
-          for (size_t I = 0; I < Count; ++I) {
-            size_t Expect = I == 0 ? S.initial(Stepped)
-                                   : S.stepFrom(Out[I - 1], Stepped);
-            ASSERT_EQ(Out[I], Expect) << "step " << I;
-          }
-          for (int I = 0; I < 4; ++I)
-            ASSERT_EQ(Walked.next(), Stepped.next()) << "streams diverged";
+    MarkovChainSampler S(C.P, C.Init);
+    ASSERT_EQ(S.hasSharedTable(), C.Shared);
+    ASSERT_EQ(S.numRowCells(), C.RowCells);
+    for (uint64_t Seed : {1u, 2u, 3u}) {
+      for (size_t Count : {size_t(0), size_t(1), size_t(2), size_t(500)}) {
+        SCOPED_TRACE("states=" + std::to_string(S.numStates()) +
+                     " seed=" + std::to_string(Seed) +
+                     " count=" + std::to_string(Count));
+        RNG Walked(Seed), Stepped(Seed);
+        std::vector<size_t> Out(Count);
+        S.walk(Walked, Out.data(), Count);
+        for (size_t I = 0; I < Count; ++I) {
+          size_t Expect = I == 0 ? S.initial(Stepped)
+                                 : S.stepFrom(Out[I - 1], Stepped);
+          ASSERT_EQ(Out[I], Expect) << "step " << I;
         }
+        for (int I = 0; I < 4; ++I)
+          ASSERT_EQ(Walked.next(), Stepped.next()) << "streams diverged";
       }
     }
   }
@@ -404,8 +401,6 @@ TEST(MarkovChainSamplerTest, InvalidRowsThrowInEveryBuildType) {
         std::vector<std::vector<double>>{{Inf, 1.0}, {0.5, 0.5}}}) {
     TransitionMatrix P = TransitionMatrix::fromRows(Rows);
     EXPECT_THROW(MarkovChainSampler(P, Init), std::invalid_argument);
-    EXPECT_THROW(MarkovChainSampler(P, Init, SamplerKind::CDF),
-                 std::invalid_argument);
   }
   TransitionMatrix Good = TransitionMatrix::fromRows({{0.5, 0.5}, {1, 0}});
   EXPECT_THROW(MarkovChainSampler(Good, {0.0, 0.0}), std::invalid_argument);

@@ -202,6 +202,44 @@ TEST(NoiseModelTest, KrausSetsResolveIdentity) {
     }
 }
 
+TEST(NoiseModelTest, TwirledKrausIsThePauliTwirlOfTheExactChannel) {
+  // The production channel (twirledKraus, from closed-form weights) must
+  // equal the exact channel averaged over the Pauli group,
+  // (1/4) sum_P P E(P rho P) P, on every 2x2 matrix unit rho.
+  std::vector<Matrix> Paulis;
+  for (PauliOpKind K : {PauliOpKind::I, PauliOpKind::X, PauliOpKind::Y,
+                        PauliOpKind::Z}) {
+    PauliString P;
+    P.setOp(0, K);
+    Paulis.push_back(P.toMatrix(1));
+  }
+  auto Apply = [](const std::vector<Matrix> &Set, const Matrix &Rho) {
+    Matrix Out(2, 2);
+    for (const Matrix &Kr : Set)
+      Out += Kr * Rho * Kr.adjoint();
+    return Out;
+  };
+  for (NoiseChannelKind K : NoisyChannels)
+    for (double P : {0.03, 0.4, 1.0}) {
+      NoiseSpec Spec;
+      Spec.Kind = K;
+      Spec.Prob = P;
+      NoiseModel Model(Spec);
+      for (size_t I = 0; I < 2; ++I)
+        for (size_t J = 0; J < 2; ++J) {
+          Matrix Rho(2, 2);
+          Rho.at(I, J) = 1.0;
+          Matrix Twirl(2, 2);
+          for (const Matrix &Q : Paulis)
+            Twirl += Q * Apply(Model.krausOperators(P), Q * Rho * Q) * Q *
+                     Complex(0.25, 0.0);
+          EXPECT_LT(Twirl.maxAbsDiff(Apply(Model.twirledKraus(P), Rho)),
+                    1e-12)
+              << noiseChannelName(K) << " p=" << P << " unit " << I << J;
+        }
+    }
+}
+
 TEST(NoiseModelTest, TwirlWeightsMatchClosedForms) {
   NoiseSpec Spec;
   Spec.Kind = NoiseChannelKind::Depolarizing;

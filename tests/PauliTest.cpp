@@ -349,21 +349,6 @@ TEST(HamiltonianIOTest, RejectsMalformedInput) {
   }
 }
 
-TEST(HamiltonianIOTest, WriteReadRoundTrip) {
-  Hamiltonian H = Hamiltonian::parse(
-      {{1.0 / 3.0, "IXYZ"}, {-0.125, "ZZII"}, {2.75, "YIYI"}});
-  std::ostringstream OS;
-  writeHamiltonian(H, OS);
-  std::istringstream IS(OS.str());
-  auto Back = readHamiltonian(IS);
-  ASSERT_TRUE(Back.has_value());
-  ASSERT_EQ(Back->numTerms(), H.numTerms());
-  for (size_t I = 0; I < H.numTerms(); ++I) {
-    EXPECT_TRUE(Back->term(I).String == H.term(I).String);
-    EXPECT_DOUBLE_EQ(Back->term(I).Coeff, H.term(I).Coeff);
-  }
-}
-
 TEST(PauliSumTest, ScalarAndTermConstruction) {
   PauliSum S = PauliSum::scalar(Complex(2, 1));
   EXPECT_EQ(S.numTerms(), 1u);

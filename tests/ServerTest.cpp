@@ -27,6 +27,7 @@
 #include "circuit/QasmExport.h"
 #include "server/Client.h"
 #include "server/Daemon.h"
+#include "store/ArtifactKey.h"
 
 #include <gtest/gtest.h>
 
@@ -136,7 +137,8 @@ TEST(TaskSpecJsonTest, RoundTripPreservesContentKeyAndFingerprint) {
   Spec.Flow.CostScale = 3;
   Spec.Time = 0.7311;
   Spec.Epsilon = 0.031;
-  Spec.UseCDF = !Spec.UseCDF;
+  Spec.Lowering.Emit.CrossCancellation =
+      !Spec.Lowering.Emit.CrossCancellation;
   Spec.Seed = 0x1234'5678'9ABC'DEF0ull;
   Spec.Jobs = 2;
   Spec.EvalJobs = 2;
@@ -262,8 +264,8 @@ TEST(TaskSpecJsonTest, ParentFramesKeepContentKeyAndFp32IsRejected) {
 
 TEST(TaskSpecJsonTest, RetiredCDFSamplerFieldIsWrittenFalseAndRejectedTrue) {
   // lowering.use_cdf_sampler only ever changed the content key, never the
-  // draws; the CDF ablation is the spec's use_cdf. Frames still carry the
-  // field as false for peers that require it, and true is refused.
+  // draws. Frames still carry the field as false for peers that require
+  // it, and true is refused.
   std::string Error;
   std::optional<json::Value> Fresh = testSpec().toJson(&Error);
   ASSERT_TRUE(Fresh) << Error;
@@ -278,7 +280,25 @@ TEST(TaskSpecJsonTest, RetiredCDFSamplerFieldIsWrittenFalseAndRejectedTrue) {
   StaleLowering.set("use_cdf_sampler", true);
   Stale.set("lowering", std::move(StaleLowering));
   EXPECT_FALSE(TaskSpec::fromJson(Stale, &Error));
-  EXPECT_NE(Error.find("use_cdf_sampler"), std::string::npos) << Error;
+  EXPECT_NE(Error.find("'lowering.use_cdf_sampler'"), std::string::npos)
+      << Error;
+}
+
+TEST(TaskSpecJsonTest, RetiredCDFChainFieldIsWrittenFalseAndRejectedTrue) {
+  // use_cdf asked for the CDF chain sampler, which is gone: the walk draws
+  // from alias tables only. Frames still carry it as false, and a peer
+  // that asks for the CDF chain is refused, never run on alias tables.
+  std::string Error;
+  std::optional<json::Value> Fresh = testSpec().toJson(&Error);
+  ASSERT_TRUE(Fresh) << Error;
+  const json::Value *Field = Fresh->find("use_cdf");
+  ASSERT_NE(Field, nullptr);
+  EXPECT_FALSE(Field->asBool());
+  ASSERT_TRUE(TaskSpec::fromJson(*Fresh, &Error)) << Error;
+
+  json::Value Stale = *Fresh;
+  Stale.set("use_cdf", true);
+  EXPECT_FALSE(TaskSpec::fromJson(Stale, &Error));
   EXPECT_NE(Error.find("'use_cdf'"), std::string::npos) << Error;
 }
 
@@ -849,6 +869,37 @@ TEST(DaemonTest, ConnectionSurvivesMalformedFrames) {
                                                .set("id", "super0")
                                                .set("body", "x")))),
             "bad-frame");
+
+  // A 40-qubit spec's fidelity key with a 100-byte body whose header
+  // promises 2^40 amplitudes: the decoder refuses the short body before it
+  // sizes a target (it used to allocate 16 TiB and abort the daemon).
+  TaskSpec Wide;
+  Wide.Source = HamiltonianSource::fromHamiltonian(Hamiltonian::parse(
+      {{0.5, "Z" + std::string(39, 'I')}, {0.3, std::string(39, 'I') + "X"}}));
+  Wide.Evaluate.FidelityColumns = 1;
+  std::optional<json::Value> WideJson = Wide.toJson(&Error);
+  ASSERT_TRUE(WideJson) << Error;
+  std::optional<Hamiltonian> WideH =
+      SimulationService::resolveHamiltonian(Wide.Source, &Error);
+  ASSERT_TRUE(WideH) << Error;
+  const ArtifactKey WideKey = store::fidelityColumnsKey(
+      WideH->fingerprint(), Wide.Time, 1, Wide.Evaluate.ColumnSeed);
+  std::optional<Frame> Short = rawRoundTrip(
+      *Sock, server::encodeFrame("artifact-put",
+                                 json::Value::object()
+                                     .set("spec", *WideJson)
+                                     .set("atype", "fidelity")
+                                     .set("id", WideKey.Id)
+                                     .set("body", "marqsim-fid-v2 40 1 "
+                                                  "1099511627776\n"
+                                                  "0000000000000000\n")));
+  EXPECT_EQ(errorCode(Short), "bad-spec");
+  ASSERT_TRUE(Short);
+  const json::Value *ShortMessage = Short->Body.find("message");
+  ASSERT_NE(ShortMessage, nullptr);
+  EXPECT_NE(ShortMessage->asString().find("failed to decode"),
+            std::string::npos)
+      << ShortMessage->asString();
 
   std::optional<Frame> Health =
       rawRoundTrip(*Sock, server::encodeFrame("health"));

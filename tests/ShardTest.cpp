@@ -614,19 +614,21 @@ TEST(CliFlagTest, UnknownFlagsAreUsageErrorsNamingTheFlag) {
   const char *Binary = std::getenv("MARQSIM_CLI");
   if (!Binary)
     GTEST_SKIP() << "MARQSIM_CLI not set (run through ctest)";
-  // A removed flag, a typo, and flags of the retired shard worker mode:
-  // none may run something other than what was asked.
+  // Removed flags (the bare switch --cdf among them), a typo, and flags of
+  // the retired shard worker mode: none may run something other than what
+  // was asked.
   const std::pair<std::string, std::string> Flags[] = {
       {"precision", "fp32"},
+      {"cdf", ""},
       {"colums", "8"},
       {"shard-index", "0"},
       {"time-bits", "3ff0000000000000"},
       {"prob-scale", "5"}};
   const std::string Log = testing::TempDir() + "cli_unknown_flag.log";
   for (const auto &[Name, Value] : Flags) {
-    const std::string Command = std::string("\"") + Binary +
-                                "\" --model=Na+ --columns=1 --" + Name + "=" +
-                                Value + " > /dev/null 2> \"" + Log + "\"";
+    const std::string Command =
+        std::string("\"") + Binary + "\" --model=Na+ --columns=1 --" + Name +
+        (Value.empty() ? "" : "=" + Value) + " > /dev/null 2> \"" + Log + "\"";
     const int Status = std::system(Command.c_str());
     ASSERT_TRUE(WIFEXITED(Status)) << Name;
     EXPECT_EQ(WEXITSTATUS(Status), 1) << Name;

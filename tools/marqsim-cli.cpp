@@ -132,12 +132,12 @@ namespace {
 
 /// Every flag this driver reads.
 const std::vector<std::string> KnownFlags = {
-    "cache-dir", "cache-limit-mb", "cdf", "columns", "config", "connect",
-    "dot", "epsilon", "eval-jobs", "fleet-timeout-ms", "gc", "help",
-    "jobs", "model", "noise", "noise-2q-factor", "noise-mode",
-    "noise-prob", "out", "perturb-seed", "qd", "rounds", "rp", "seed",
-    "server-stats", "shard-dir", "shards", "shots", "stats", "stats-json",
-    "stream", "time", "workers"};
+    "cache-dir", "cache-limit-mb", "columns", "config", "connect", "dot",
+    "epsilon", "eval-jobs", "fleet-timeout-ms", "gc", "help", "jobs",
+    "model", "noise", "noise-2q-factor", "noise-mode", "noise-prob", "out",
+    "perturb-seed", "qd", "rounds", "rp", "seed", "server-stats",
+    "shard-dir", "shards", "shots", "stats", "stats-json", "stream",
+    "time", "workers"};
 
 void printBatchTable(const TaskSpec &Spec, const TaskResult &Result) {
   const BatchResult &Batch = Result.Batch;
